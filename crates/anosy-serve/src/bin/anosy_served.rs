@@ -1,10 +1,12 @@
 //! `anosy-served` — the serving protocol over stdin/stdout or a TCP socket.
 //!
-//! Both transports run the same event-loop reactor ([`anosy_serve::Server`]) around the sans-IO
-//! [`anosy_serve::Frontend`]: each input line is one request in the [`anosy_serve::wire`] text
-//! form, each output line one tagged response (`<conn>.<seq> <response>`). Examples, tests, CI
-//! smoke scripts and network clients all speak this one format — the canned smoke transcript
-//! produces byte-identical output over a pipe and over a loopback socket.
+//! Both transports are served the same way: as the shards of one [`anosy_serve::ReactorPool`]
+//! (one shard unless `--reactors` asks for more), each an event-loop reactor
+//! ([`anosy_serve::Server`]) around the sans-IO [`anosy_serve::Frontend`]: each input line is
+//! one request in the [`anosy_serve::wire`] text form, each output line one tagged response
+//! (`<conn>.<seq> <response>`). Examples, tests, CI smoke scripts and network clients all speak
+//! this one format — the canned smoke transcript produces byte-identical output over a pipe,
+//! over a loopback socket and over a multi-reactor pool (up to the stats line's shard stamp).
 //!
 //! ```text
 //! anosy-served --layout "x:0:400 y:0:400" [options] < requests > responses
@@ -34,7 +36,8 @@
 //!   connection teardown, so scripted transcripts control batching; the default ticks after
 //!   every request line;
 //! * `--listen ADDR` — serve TCP connections on `ADDR` instead of stdin/stdout (port 0 picks a
-//!   free port; the bound address is announced as a `# listening on ...` line on stdout).
+//!   free port; the bound address is announced as a `# listening on ADDR reactors=N` line on
+//!   stdout).
 //!   Sockets are served readiness-based ([`anosy_serve::PollTransport`]: epoll where the
 //!   platform has it, the portable sleep loop otherwise) — responses are byte-identical either
 //!   way;
@@ -43,8 +46,7 @@
 //!   `MS` milliseconds of idleness;
 //! * `--reactors N` — with `--listen`: shard connections across `N` reactor threads over the
 //!   one shared deployment ([`anosy_serve::ReactorPool`]; arrival-order hash assignment,
-//!   connection-scoped session ids, responses invariant under `N`). Default `1`: the
-//!   standalone single-reactor server;
+//!   responses invariant under `N`). Default `1`: one reactor on the main thread;
 //! * `--io-log-cap N` — deployment-wide cap on retained connection-failure log entries
 //!   (a reactor pool divides it among shards and re-applies it to the merged log);
 //! * `--trace PATH` — after the run, write every reactor's recorded spans as a
@@ -62,18 +64,19 @@
 //!
 //! Input lines starting with `#` are comments. A line may carry an explicit logical connection
 //! as `@<conn> <request>`; bare lines ride the transport connection's own id (stdin: 0, sockets:
-//! accept order). Malformed lines answer with an unnumbered `! <reason>` line (they never reach
-//! the frontend, so they consume no sequence number). Per-connection I/O errors close *that
-//! connection* — its sessions are released and the denial is logged to stderr; the process keeps
-//! serving. Start-up actions (warm start, final save) report as `# ...` comment lines, keeping
-//! transcripts diffable.
+//! accept order from 0), and session ids are scoped to the opening connection (see
+//! [`anosy_serve::SessionId`]). Malformed lines answer with an unnumbered `! <reason>` line
+//! (they never reach the frontend, so they consume no sequence number). Per-connection I/O
+//! errors close *that connection* — its sessions are released and the denial is logged to
+//! stderr, once; the process keeps serving. Start-up actions (warm start, final save) report as
+//! `# ...` comment lines, keeping transcripts diffable.
 
 use anosy_core::SynthesizeInto;
 use anosy_domains::{IntervalDomain, PowersetDomain};
 use anosy_logic::SecretLayout;
 use anosy_serve::{
-    reactor, wire, Deployment, FlushPolicy, Frontend, JournalConfig, PollTransport, ReactorPool,
-    ServeConfig, Server, ServerConfig, StdioTransport, Transport,
+    reactor, wire, Deployment, FlushPolicy, JournalConfig, ReactorPool, ServeConfig, Server,
+    ServerConfig, StdioTransport, Transport,
 };
 use anosy_synth::DomainCodec;
 use std::io::Write;
@@ -259,15 +262,11 @@ where
         .expect("stdout is writable");
     }
 
-    let server_config = ServerConfig::new()
-        .ticked(options.ticked)
-        .with_telemetry(options.telemetry)
-        .with_io_log_cap(options.config.io_log_cap);
+    let server_config =
+        ServerConfig::new().ticked(options.ticked).with_telemetry(options.telemetry);
+    let pool = ReactorPool::new(options.reactors).with_config(server_config);
     match &options.listen {
-        // The reactor pool: an acceptor thread routes connections to N readiness-based
-        // reactor shards over the one shared deployment.
-        Some(addr) if options.reactors > 1 => {
-            let tick_interval = options.tick_ms.map(Duration::from_millis);
+        Some(addr) => {
             let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
                 eprintln!("anosy-served: cannot listen on {addr}: {e}");
                 std::process::exit(1);
@@ -279,61 +278,45 @@ where
             .expect("stdout is writable");
             out.flush().expect("stdout is flushable");
             drop(out);
-            let pool = ReactorPool::new(options.reactors).with_config(server_config);
+            let tick_interval = options.tick_ms.map(Duration::from_millis);
             let servers = pool
                 .serve(&deployment, listener, options.accept, tick_interval)
                 .unwrap_or_else(|e| {
                     eprintln!("anosy-served: cannot set up the reactor pool: {e}");
                     std::process::exit(1);
                 });
-            let folded = reactor::fold_stats(
-                &servers.iter().map(|s| s.frontend().snapshot()).collect::<Vec<_>>(),
-            );
-            eprintln!(
-                "# pool drained: reactors={} requests={} open={} denied={}",
-                options.reactors, folded.requests, folded.open_sessions, folded.denials
-            );
-            let logs: Vec<&[anosy_serve::IoLogEntry]> =
-                servers.iter().map(|s| s.io_log()).collect();
-            for entry in reactor::merge_io_logs(&logs, options.config.io_log_cap) {
-                eprintln!("# merged io-log: {entry}");
-            }
-            let reports: Vec<anosy_serve::Report> =
-                servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
-            write_trace(&options, &reports);
-            save_on_exit(&deployment, &options);
-        }
-        Some(addr) => {
-            let tick_interval = options.tick_ms.map(Duration::from_millis);
-            let transport = PollTransport::bind(addr, options.accept, tick_interval)
-                .unwrap_or_else(|e| {
-                    eprintln!("anosy-served: cannot listen on {addr}: {e}");
-                    std::process::exit(1);
-                });
-            match transport.local_addr() {
-                Ok(bound) => writeln!(out, "# listening on {bound}"),
-                Err(e) => writeln!(out, "# listening (address unavailable: {e})"),
-            }
-            .expect("stdout is writable");
-            out.flush().expect("stdout is flushable");
-            drop(out);
-            let mut server = Server::new(Frontend::new(deployment), transport, server_config);
-            finish(&mut server, &options);
+            finish(&servers, &deployment, &options);
         }
         None => {
             drop(out);
-            let mut server =
-                Server::new(Frontend::new(deployment), StdioTransport::new(), server_config);
-            finish(&mut server, &options);
+            let servers = pool.run(&deployment, vec![StdioTransport::new()]);
+            finish(&servers, &deployment, &options);
         }
     }
 }
 
-/// Persists the synthesis cache when `--save-on-exit` asked for it.
-fn save_on_exit<D>(deployment: &Deployment<D>, options: &Options)
+/// The post-run epilogue, the same for every transport: reports the folded pool counters on
+/// stderr (connection failures already reached stderr as they happened), writes the trace when
+/// `--trace` asked for it, and persists the synthesis cache when `--save-on-exit` asked for it.
+fn finish<D, T>(servers: &[Server<D, T>], deployment: &Deployment<D>, options: &Options)
 where
     D: DomainCodec + SynthesizeInto + Send + Sync + 'static,
+    T: Transport,
 {
+    let folded =
+        reactor::fold_stats(&servers.iter().map(|s| s.frontend().snapshot()).collect::<Vec<_>>());
+    eprintln!(
+        "# pool drained: reactors={} requests={} open={} denied={}",
+        options.reactors, folded.requests, folded.open_sessions, folded.denials
+    );
+    if let Some(path) = &options.trace {
+        let reports: Vec<anosy_serve::Report> =
+            servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
+        match std::fs::write(path, anosy_serve::trace_json(&reports)) {
+            Ok(()) => eprintln!("# trace written: {} ({} reactors)", path.display(), reports.len()),
+            Err(e) => eprintln!("# trace write failed: {e}"),
+        }
+    }
     if let Some(path) = &options.save_on_exit {
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
@@ -346,28 +329,4 @@ where
         .expect("stdout is writable");
         out.flush().expect("stdout is flushable");
     }
-}
-
-/// Writes the run's spans as a chrome://tracing JSON array when `--trace` asked for it.
-fn write_trace(options: &Options, reports: &[anosy_serve::Report]) {
-    let Some(path) = &options.trace else { return };
-    match std::fs::write(path, anosy_serve::trace_json(reports)) {
-        Ok(()) => eprintln!("# trace written: {} ({} reactors)", path.display(), reports.len()),
-        Err(e) => eprintln!("# trace write failed: {e}"),
-    }
-}
-
-/// Runs the reactor to completion (per-connection denials reach stderr as they happen),
-/// writes the trace when asked, and persists the synthesis cache when `--save-on-exit`
-/// asked for it.
-fn finish<D, T>(server: &mut Server<D, T>, options: &Options)
-where
-    D: DomainCodec + SynthesizeInto + Send + Sync + 'static,
-    T: Transport,
-{
-    server.run();
-    let reports: Vec<anosy_serve::Report> =
-        server.telemetry_report().cloned().into_iter().collect();
-    write_trace(options, &reports);
-    save_on_exit(server.frontend().deployment(), options);
 }

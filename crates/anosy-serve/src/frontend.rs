@@ -2,7 +2,8 @@
 //! per-tick downgrade batching.
 //!
 //! A [`Frontend`] owns a [`Deployment`] plus every open [`AnosySession`], keyed by
-//! [`SessionId`]. Any number of logical connections submit [`ServeRequest`]s between ticks
+//! [`SessionId`] (scoped to the connection that opened the session; see [`SessionId`] for the
+//! scheme). Any number of logical connections submit [`ServeRequest`]s between ticks
 //! ([`Frontend::submit`] — pure queueing, no work); [`Frontend::tick`] then processes the whole
 //! queue and returns one [`TaggedResponse`] per request, in submission order. The frontend never
 //! performs I/O: transports (the `anosy-served` stdio binary, tests, a future socket executor)
@@ -81,8 +82,8 @@ fn denials_in(response: &ServeResponse) -> u64 {
 /// `None` when either half would leave its 32-bit lane (`conn ≥ 2³² − 1` or `k ≥ 2³²`).
 /// The unchecked form silently wrapped — `(conn + 1) << 32` loses the high bits for large
 /// conn ids, and a connection's 2³²-th open bleeds into the conn lane — colliding ids
-/// across connections; see [`SessionId`]'s packing docs.
-fn conn_scoped_session_id(conn: ConnId, k: u64) -> Option<SessionId> {
+/// across connections; see [`SessionId`] for the scheme.
+pub(crate) fn conn_scoped_session_id(conn: ConnId, k: u64) -> Option<SessionId> {
     let high = conn.0.checked_add(1).filter(|&high| high <= u64::from(u32::MAX))?;
     if k > u64::from(u32::MAX) {
         return None;
@@ -130,12 +131,10 @@ pub struct Frontend<D: AbstractDomain> {
     /// pure cache hit by then). Keyed by name; re-registration replaces, as in a session.
     registry: BTreeMap<String, (QueryDef, ApproxKind, Option<usize>)>,
     pending: Vec<Pending>,
-    next_session: u64,
     next_conn: u64,
     conn_seqs: HashMap<ConnId, u64>,
-    /// Per-connection open counts, used by the conn-scoped session-id mode.
+    /// Per-connection open counts: the `k` of each connection's next [`SessionId`].
     conn_opens: HashMap<ConnId, u64>,
-    conn_scoped: bool,
     reactors: u64,
     shard: u64,
     stats: FrontendStats,
@@ -149,31 +148,18 @@ impl<D: AbstractDomain> Frontend<D> {
             sessions: BTreeMap::new(),
             registry: BTreeMap::new(),
             pending: Vec::new(),
-            next_session: 0,
             next_conn: 0,
             conn_seqs: HashMap::new(),
             conn_opens: HashMap::new(),
-            conn_scoped: false,
             reactors: 1,
             shard: 0,
             stats: FrontendStats::default(),
         }
     }
 
-    /// Switches session-id allocation from the global sequence (`1, 2, 3, …` in submission
-    /// order) to **conn-scoped** ids: connection `c`'s `k`-th open (1-based) is answered with
-    /// `((c + 1) << 32) | k`. The id a session gets then depends only on the connection that
-    /// opened it — never on how opens interleave across connections — so it is invariant under
-    /// sharding the connections across any number of reactors. Every [`crate::ReactorPool`]
-    /// shard runs in this mode (at any reactor count, including one, so counts are comparable).
-    pub fn with_conn_scoped_sessions(mut self) -> Self {
-        self.conn_scoped = true;
-        self
-    }
-
     /// Identifies this frontend as reactor shard `shard` of `reactors` — reported in
-    /// [`StatsSnapshot`] (and on the wire stats line as `reactors=`/`shard=`). Standalone
-    /// frontends keep the default `(0, 1)`.
+    /// [`StatsSnapshot`] (and on the wire stats line as `reactors=`/`shard=`). The default is
+    /// `(0, 1)`.
     pub fn with_shard(mut self, shard: u64, reactors: u64) -> Self {
         self.shard = shard;
         self.reactors = reactors.max(1);
@@ -473,31 +459,20 @@ where
         match request {
             ServeRequest::Downgrade { .. } => unreachable!("downgrades are batched in tick()"),
             ServeRequest::OpenSession { policy } => {
-                let id = if self.conn_scoped {
-                    let opens = self.conn_opens.entry(conn).or_insert(0);
-                    // Checked packing: an id outside the two 32-bit lanes would collide with
-                    // another connection's ids, so the open is refused at the boundary and
-                    // the open counter does not move.
-                    match conn_scoped_session_id(conn, *opens + 1) {
-                        Some(id) => {
-                            *opens += 1;
-                            id
-                        }
-                        None => {
-                            return ServeResponse::Rejected(Denial::new(
-                                DenialCode::Internal,
-                                format!(
-                                    "conn-scoped session-id space exhausted \
-                                     (conn {}, opens {})",
-                                    conn.0, *opens
-                                ),
-                            ));
-                        }
-                    }
-                } else {
-                    self.next_session += 1;
-                    SessionId(self.next_session)
+                let opens = self.conn_opens.entry(conn).or_insert(0);
+                // Checked packing: an id outside the two 32-bit lanes would collide with
+                // another connection's ids, so the open is refused at the boundary and the
+                // open counter does not move.
+                let Some(id) = conn_scoped_session_id(conn, *opens + 1) else {
+                    return ServeResponse::Rejected(Denial::new(
+                        DenialCode::Internal,
+                        format!(
+                            "conn-scoped session-id space exhausted (conn {}, opens {})",
+                            conn.0, *opens
+                        ),
+                    ));
                 };
+                *opens += 1;
                 let mut session = self.deployment.session(policy);
                 for (query, kind, members) in self.registry.values() {
                     if let Err(e) = session.register_cached(query, *kind, *members) {
@@ -661,6 +636,11 @@ mod tests {
         Frontend::new(Deployment::new(layout(), ServeConfig::for_tests()))
     }
 
+    /// The id of `conn`'s `k`-th open.
+    fn sid(conn: ConnId, k: u64) -> SessionId {
+        conn_scoped_session_id(conn, k).unwrap()
+    }
+
     fn downgrade(session: SessionId, x: i64, y: i64, query: &str) -> ServeRequest {
         ServeRequest::Downgrade { session, secret: Point::new(vec![x, y]), query: query.into() }
     }
@@ -687,13 +667,12 @@ mod tests {
             responses[0].response,
             ServeResponse::QueryRegistered { name: "nearby_200_200".into() }
         );
-        let strict = SessionId(2);
-        assert_eq!(responses[1].response, ServeResponse::SessionOpened { session: SessionId(1) });
+        let (lax, strict) = (sid(conn, 1), sid(conn, 2));
+        assert_eq!(responses[1].response, ServeResponse::SessionOpened { session: lax });
         assert_eq!(responses[2].response, ServeResponse::SessionOpened { session: strict });
         assert_eq!(responses[0].request, RequestId { conn, seq: 1 });
 
         // Tick 2: downgrades across both sessions in one run — batched, answers exact.
-        let lax = SessionId(1);
         frontend.submit(conn, downgrade(lax, 300, 200, "nearby_200_200"));
         frontend.submit(conn, downgrade(strict, 300, 200, "nearby_200_200"));
         frontend.submit(conn, downgrade(lax, 10, 10, "nearby_200_200"));
@@ -782,7 +761,7 @@ mod tests {
         frontend.tick();
         // A session opened *later* still knows the query, via the registry replay.
         frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
-        frontend.submit(conn, downgrade(SessionId(1), 300, 200, "nearby_200_200"));
+        frontend.submit(conn, downgrade(sid(conn, 1), 300, 200, "nearby_200_200"));
         let responses = frontend.tick();
         assert_eq!(responses[1].response, ServeResponse::Answer(Ok(true)));
         // And the replay was a pure cache hit: one synthesis total.
@@ -803,7 +782,7 @@ mod tests {
         );
         frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
         frontend.tick();
-        let session = SessionId(1);
+        let session = sid(conn, 1);
         for _ in 0..4 {
             frontend.submit(conn, downgrade(session, 300, 200, "nearby_200_200"));
         }
@@ -841,9 +820,9 @@ mod tests {
 
         // A downgrade submitted before the disconnect still answers; the same request after it
         // finds the session gone — teardown takes effect at its queue position.
-        frontend.submit(b, downgrade(SessionId(1), 300, 200, "nearby_200_200"));
+        frontend.submit(b, downgrade(sid(a, 1), 300, 200, "nearby_200_200"));
         frontend.disconnect(a);
-        frontend.submit(b, downgrade(SessionId(1), 300, 200, "nearby_200_200"));
+        frontend.submit(b, downgrade(sid(a, 1), 300, 200, "nearby_200_200"));
         let responses = frontend.tick();
         assert_eq!(responses.len(), 2, "the teardown itself produces no response");
         assert_eq!(responses[0].response, ServeResponse::Answer(Ok(true)));
@@ -900,7 +879,7 @@ mod tests {
         frontend.submit(
             conn,
             ServeRequest::DowngradeBatch {
-                session: SessionId(1),
+                session: sid(conn, 1),
                 secrets: vec![
                     Point::new(vec![300, 200]),
                     Point::new(vec![10, 10]),
@@ -948,7 +927,7 @@ mod tests {
 
     #[test]
     fn exhausted_conn_scoped_opens_reject_without_moving_the_counter() {
-        let mut frontend = frontend().with_conn_scoped_sessions();
+        let mut frontend = frontend();
         let conn = frontend.connect();
         // Seed the connection as if it had already opened 2³² − 1 sessions: the next open
         // would need k = 2³², which bleeds into the conn lane.
@@ -1000,7 +979,7 @@ mod tests {
         let secrets = [(300, 200), (10, 10), (250, 150), (300, 200)];
         for &(x, y) in &secrets {
             for s in 1..=3 {
-                fused.submit(conn, downgrade(SessionId(s), x, y, "nearby_200_200"));
+                fused.submit(conn, downgrade(sid(conn, s), x, y, "nearby_200_200"));
             }
         }
         let answers: Vec<ServeResponse> = fused.tick().into_iter().map(|t| t.response).collect();

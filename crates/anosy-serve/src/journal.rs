@@ -27,11 +27,12 @@
 //!
 //! Each `record` line announces the exact byte length of the six-line entry body that follows
 //! (the body is byte-for-byte the snapshot format's entry unit) and its FNV-1a 64 checksum in
-//! hex. Replay walks records front to back; the first record whose framing, checksum or body
-//! fails to decode ends the replay — everything before it is the *good prefix*, everything
-//! from it on is truncated away and counted as torn. Entries that cannot be encoded
-//! faithfully are skipped on append with the same rule the snapshot save uses, so journal and
-//! snapshot always agree on what is persistable.
+//! hex — the same [`wire::frame_checksum`] binary wire frames carry. Replay walks records front
+//! to back; the first record whose framing, checksum or body fails to decode ends the replay —
+//! everything before it is the *good prefix*, everything from it on is truncated away and
+//! counted as torn. Entries that cannot be encoded faithfully are skipped on append with the
+//! same rule the snapshot save uses, so journal and snapshot always agree on what is
+//! persistable.
 //!
 //! # Flush policies
 //!
@@ -54,8 +55,8 @@
 //! tolerates duplicates, the in-memory entry wins). No entry is ever lost and nothing stops
 //! the world.
 
-use crate::persist;
 use crate::ServeError;
+use crate::{persist, wire};
 use anosy_core::SharedCacheEntry;
 use anosy_domains::AbstractDomain;
 use anosy_synth::DomainCodec;
@@ -182,17 +183,6 @@ pub struct CompactOutcome {
     pub truncated: u64,
 }
 
-/// FNV-1a 64 over the record body — cheap, dependency-free, and plenty to reject a torn or
-/// bit-flipped record (this is corruption *detection* on a trusted file, not authentication).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The parsed-out good prefix of a journal file (see [`scan`]).
 struct Scan<D: AbstractDomain> {
     /// Entries decoded from intact records, in append order.
@@ -261,7 +251,7 @@ fn scan<D: DomainCodec>(bytes: &[u8]) -> Result<Scan<D>, ServeError> {
             break;
         };
         let body = &bytes[body_start..body_end];
-        if fnv1a(body) != sum {
+        if wire::frame_checksum(body) != sum {
             scan.torn = 1;
             break;
         }
@@ -405,7 +395,11 @@ impl<D: DomainCodec> Journal<D> {
     pub fn append(&self, entry: &SharedCacheEntry<D>) -> Result<(), ServeError> {
         let Some(body) = persist::encode_entry(entry) else { return Ok(()) };
         let _span = anosy_telemetry::span("journal.append");
-        let frame = format!("record len={} sum={:016x}\n", body.len(), fnv1a(body.as_bytes()));
+        let frame = format!(
+            "record len={} sum={:016x}\n",
+            body.len(),
+            wire::frame_checksum(body.as_bytes())
+        );
         let mut writer = lock(&self.writer);
         writer.file.write_all(frame.as_bytes())?;
         writer.file.write_all(body.as_bytes())?;

@@ -43,10 +43,11 @@
 //! text form, and the `anosy-served` binary serves it over stdin/stdout.
 //!
 //! A [`server::Server`] drives one frontend from transport events (stdio, TCP, or the
-//! deterministic [`SimNet`] simulator), and a [`ReactorPool`] shards connections across `N`
+//! deterministic [`SimNet`] simulator), and a [`ReactorPool`] shards connections across `N ≥ 1`
 //! such reactors over one shared deployment — readiness-based I/O via [`PollTransport`]
 //! (epoll where available, the portable sleep loop otherwise), with responses invariant under
-//! the reactor count (see the [`reactor`] module docs).
+//! the reactor count (see the [`reactor`] module docs). `anosy-served` serves every transport
+//! through a pool.
 //!
 //! # Determinism guarantees
 //!
@@ -130,8 +131,8 @@ pub use proto::{
 };
 pub use reactor::{fold_server_stats, fold_stats, merge_io_logs, shard_of, ReactorPool};
 pub use server::{
-    Event, IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, StdioTransport,
-    TcpTransport, Token, TranscriptEvent, Transport, IO_LOG_CAP,
+    Event, IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, StdioTransport, Token,
+    TranscriptEvent, Transport, IO_LOG_CAP,
 };
 pub use sim::SimNet;
 

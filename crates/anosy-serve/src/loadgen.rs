@@ -3,7 +3,7 @@
 //!
 //! This is the macro-benchmark and stress harness for multi-reactor serving. A seeded
 //! [`Population`] decides what every tenant does, the [`crate::popsim`] compiler schedules it
-//! onto a [`crate::SimNet`] (connection-scoped session ids, so the schedule is valid at any
+//! onto a [`crate::SimNet`] (session ids are connection-scoped, so the schedule is valid at any
 //! reactor count), [`crate::SimNet::split`] routes the traffic exactly as the pool's acceptor
 //! would, and [`ReactorPool::run`] drives the shards on real threads. The run is deterministic
 //! in `(population seed, net seed)` — wall-clock aside — so:
@@ -134,7 +134,7 @@ pub struct PoolRun {
     pub servers: Vec<Server<IntervalDomain, SimNet>>,
     /// Tenant index → connection token (global arrival order, shared by every reactor count).
     pub tokens: Vec<Token>,
-    /// Tenant index → the connection-scoped session id the tenant's `open` was assigned.
+    /// Tenant index → the session id the tenant's `open` was assigned.
     pub sessions: Vec<SessionId>,
     /// Per-shard telemetry reports in shard order (empty when [`LoadOptions::telemetry`] was
     /// off or the feature is compiled out) — the input of [`crate::merge_metrics`] and
@@ -174,7 +174,7 @@ pub fn population(seed: u64, tenants: usize) -> Population {
     Population::generate(&PopulationConfig::small(seed).with_tenants(tenants))
 }
 
-/// Compiles `population` (connection-scoped), splits it across `options.reactors` shards,
+/// Compiles `population`, splits it across `options.reactors` shards,
 /// drives a [`ReactorPool`] over a palette-warmed deployment and measures throughput.
 pub fn run(population: &Population, options: &LoadOptions) -> PoolRun {
     let deployment = popsim::warm_deployment(population, &ServeConfig::for_tests());
@@ -188,7 +188,7 @@ pub fn run_on(
     options: &LoadOptions,
     deployment: &Deployment<IntervalDomain>,
 ) -> PoolRun {
-    let mut compile_options = CompileOptions::new(options.net_seed).conn_scoped();
+    let mut compile_options = CompileOptions::new(options.net_seed);
     if options.binary {
         compile_options = compile_options.binary();
     }

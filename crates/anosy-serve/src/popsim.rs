@@ -5,9 +5,10 @@
 //! where it may be:
 //!
 //! * **Opens ride dedicated, globally ordered slots.** Tenant `i`'s `open` line fully arrives
-//!   before tenant `i + 1`'s connection even opens, so the frontend assigns session ids in
-//!   tenant order and the compiler can predict them (`CompiledPopulation::sessions`) — every
-//!   later `downgrade session=…` line is compiled against a known id.
+//!   before tenant `i + 1`'s connection even opens. Each tenant opens exactly once, on its own
+//!   connection, so its session id is that connection's first (see [`SessionId`]) and the
+//!   compiler predicts it (`CompiledPopulation::sessions`) — every later
+//!   `downgrade session=…` line is compiled against a known id, valid at any reactor count.
 //! * **Bursts share per-round chaos windows.** All burst lines of a round land in one window
 //!   at staggered offsets; `SimNet`'s seeded chunking, latency and cross-connection
 //!   interleaving then produce a seed-dependent arrival order. Per-connection FIFO still
@@ -21,7 +22,8 @@
 //! round mixes fresh opens, mid-life bursts and exits — genuine session churn at a bounded
 //! number of live sessions (`≈ tenants / waves × max_bursts`).
 
-use crate::{wire, Deployment, ServeConfig, ServeRequest, SessionId, SimNet, Token};
+use crate::frontend::conn_scoped_session_id;
+use crate::{wire, ConnId, Deployment, ServeConfig, ServeRequest, SessionId, SimNet, Token};
 use anosy_core::SharedCacheEntry;
 use anosy_domains::IntervalDomain;
 use anosy_suite::population::{Exit, Population, TenantAction};
@@ -45,12 +47,6 @@ pub struct CompileOptions {
     pub max_delay: u64,
     /// Quiescence timer ticks scheduled per chaos window (for `--ticked` servers).
     pub ticks_per_window: usize,
-    /// Predict connection-scoped session ids (`((token + 1) << 32) | 1` for each tenant's
-    /// single open — see [`crate::Frontend::with_conn_scoped_sessions`]) instead of the
-    /// standalone server's global sequence. Set this when the compiled net will drive a
-    /// [`crate::ReactorPool`] (any reactor count): pool frontends always run conn-scoped, so
-    /// the predicted ids are invariant under resharding.
-    pub conn_scoped: bool,
     /// Speak the binary frame protocol: every connection opens with
     /// [`wire::BINARY_PREAMBLE`], and each scheduled request line rides a checksummed frame
     /// ([`wire::encode_frame`]) instead of a `\n`-terminated line. Responses come back framed
@@ -59,23 +55,10 @@ pub struct CompileOptions {
 }
 
 impl CompileOptions {
-    /// Default chaos: `SimNet`'s byte-mangling defaults, two ticks per window, standalone
-    /// (globally sequential) session ids.
+    /// Default chaos: `SimNet`'s byte-mangling defaults, two ticks per window, the line
+    /// protocol.
     pub fn new(net_seed: u64) -> CompileOptions {
-        CompileOptions {
-            net_seed,
-            max_chunk: 17,
-            max_delay: 5,
-            ticks_per_window: 2,
-            conn_scoped: false,
-            binary: false,
-        }
-    }
-
-    /// Switches session-id prediction to the connection-scoped scheme reactor pools use.
-    pub fn conn_scoped(mut self) -> CompileOptions {
-        self.conn_scoped = true;
-        self
+        CompileOptions { net_seed, max_chunk: 17, max_delay: 5, ticks_per_window: 2, binary: false }
     }
 
     /// Switches every connection to the binary frame protocol (preamble + framed requests).
@@ -110,8 +93,8 @@ pub struct CompiledPopulation {
     pub net: SimNet,
     /// Tenant index → the tenant's connection token.
     pub tokens: Vec<Token>,
-    /// Tenant index → the session id the frontend will assign to the tenant's `open` (opens
-    /// ride dedicated ordered slots, so ids are known at compile time).
+    /// Tenant index → the session id the frontend will assign to the tenant's `open` (its
+    /// connection's first open, so ids are known at compile time).
     pub sessions: Vec<SessionId>,
     /// Virtual time after the last scheduled event — append post-run probes (an auditing
     /// `stats` connection, say) strictly after this.
@@ -141,7 +124,6 @@ pub fn compile(population: &Population, options: &CompileOptions) -> CompiledPop
     let n = population.tenants.len();
     let mut tokens = vec![Token(u64::MAX); n];
     let mut sessions = vec![SessionId(0); n];
-    let mut next_session = 0u64;
     let mut requests = 0usize;
     let mut cursor = 0u64;
 
@@ -159,15 +141,8 @@ pub fn compile(population: &Population, options: &CompileOptions) -> CompiledPop
                     ServeRequest::OpenSession { policy: population.tenants[index].policy.clone() };
                 net.send(token, cursor, encode_line(&open, options.binary));
                 tokens[index] = token;
-                sessions[index] = if options.conn_scoped {
-                    // Each tenant opens exactly once, on its own connection: under the
-                    // conn-scoped scheme the id is the token's first slot, independent of
-                    // what any other connection (on any shard) does.
-                    SessionId(((token.0 + 1) << 32) | 1)
-                } else {
-                    next_session += 1;
-                    SessionId(next_session)
-                };
+                sessions[index] = conn_scoped_session_id(ConnId(token.0), 1)
+                    .expect("population token counts fit the session-id conn lane");
                 requests += 1;
             }
         }

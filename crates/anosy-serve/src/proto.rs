@@ -32,16 +32,19 @@ use std::sync::Arc;
 
 use crate::ServeStats;
 
-/// Identifies one session owned by a [`Frontend`](crate::Frontend). Allocated by
-/// [`ServeRequest::OpenSession`] in deterministic order: `1, 2, 3, …` in frontend submission
-/// order by default, or — under a frontend in conn-scoped mode
-/// ([`Frontend::with_conn_scoped_sessions`](crate::Frontend::with_conn_scoped_sessions), the
-/// mode every [`crate::ReactorPool`] shard runs in) — derived from the opening connection as
-/// `((conn + 1) << 32) | k` for that connection's `k`-th open, so the id a session gets is
-/// invariant under resharding connections across reactors. The packing is **checked**: it only
-/// covers `conn < 2³² − 1` and `k < 2³²`, and an open outside that range is refused with a
-/// [`ServeResponse::Rejected`] at the boundary — silently wrapping would collide ids across
-/// connections.
+/// Identifies one session owned by a [`Frontend`](crate::Frontend).
+///
+/// **The id scheme** (the only one): a session's id is derived from the logical connection that
+/// opened it, as `((conn + 1) << 32) | k` for that connection's `k`-th open (1-based). A
+/// transport connection's bare lines ride the logical id `ConnId(token)`, and tokens are minted
+/// in arrival order from 0, so over stdin/stdout (token 0) the first open answers
+/// `ok session 4294967297` and `@2`'s first open answers `ok session 12884901889`. The id
+/// depends only on the opening connection — never on how opens interleave across connections —
+/// so it is the same whichever reactor shard serves the connection, at any reactor count.
+///
+/// The packing is **checked**: it only covers `conn < 2³² − 1` and `k < 2³²`, and an open
+/// outside that range is refused with a [`ServeResponse::Rejected`] at the boundary — silently
+/// wrapping would collide ids across connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 
@@ -286,8 +289,8 @@ pub struct StatsSnapshot {
     /// counted at the end of each tick — a snapshot taken mid-tick reports the ticks completed
     /// so far, like [`StatsSnapshot::ticks`] itself.
     pub denials: u64,
-    /// Reactor shards the serving process runs (`1` for a standalone server; `N` under a
-    /// [`crate::ReactorPool`] of `N` reactors).
+    /// Reactor shards the serving process runs (`N` under a [`crate::ReactorPool`] of `N`
+    /// reactors).
     pub reactors: u64,
     /// Which reactor shard answered (`0`-based). A deployment-wide fold of per-shard snapshots
     /// ([`crate::reactor::fold_stats`]) marks itself with `shard == reactors`.

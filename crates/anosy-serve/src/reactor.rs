@@ -1,11 +1,13 @@
-//! Multi-reactor serving: shard the event loop across `N` reactor threads.
+//! Reactor pools: the one way a deployment is served, on `N ≥ 1` reactor threads.
 //!
 //! One [`Server`] is a single-threaded reactor — batching amortizes solver work, but every
 //! byte of every connection still funnels through one event loop. A [`ReactorPool`] runs `N`
 //! such reactors over **one shared [`Deployment`]**: each reactor owns a disjoint shard of the
 //! connections (with its own [`Frontend`]) and the deployment's single-flight synthesis cache
 //! plus shard pool stay safe to share, so the pool scales connection handling without
-//! duplicating any synthesized state.
+//! duplicating any synthesized state. `N = 1` is not a special mode: stdin/stdout and a plain
+//! `--listen` socket are served as the lone shard of a one-reactor pool, which owns the
+//! listener itself (no acceptor thread) and runs on the calling thread.
 //!
 //! # Shard assignment
 //!
@@ -13,9 +15,9 @@
 //! or by the caller when driving simulated transports) and a connection lands on shard
 //! [`shard_of`]`(token, N)` — a splitmix64-style hash, so consecutive arrivals spread evenly.
 //! Because every request of a connection stays on its shard in FIFO order, and session ids are
-//! derived from the opening connection ([`Frontend::with_conn_scoped_sessions`]), **responses
-//! are invariant under the reactor count**: the same arrival schedule yields element-wise
-//! identical per-connection response streams at `N = 1` and `N = 4` (property-tested in
+//! derived from the opening connection (see [`crate::SessionId`]), **responses are invariant
+//! under the reactor count**: the same arrival schedule yields element-wise identical
+//! per-connection response streams at `N = 1` and `N = 4` (property-tested in
 //! `tests/multi_reactor.rs`).
 //!
 //! Logical `@conn` ids bind within a shard. A claim whose id hashes to another shard is
@@ -27,7 +29,7 @@
 //! Each shard answers `stats` with its own counters, marked `reactors=N shard=i`. A
 //! deployment-wide view is [`fold_stats`]: per-frontend counters sum (deployment counters are
 //! already shared), and the folded snapshot marks itself `shard == reactors`. I/O logs merge
-//! under the same global cap a standalone server has ([`merge_io_logs`], at most
+//! under the same global cap a one-reactor pool has ([`merge_io_logs`], at most
 //! [`crate::ServeConfig::io_log_cap`] entries however many shards contributed).
 
 use crate::proto::StatsSnapshot;
@@ -58,11 +60,12 @@ pub fn shard_of(token: u64, shards: u64) -> u64 {
 /// Runs `N` reactor shards over one shared deployment (see the [module docs](self)).
 ///
 /// The pool itself is just configuration: [`ReactorPool::run`] drives caller-supplied
-/// transports (one per shard — e.g. [`crate::SimNet::split`] halves of a simulated schedule)
-/// and [`ReactorPool::serve`] accepts real TCP connections, routing each accepted stream to
-/// the shard its arrival-order token hashes to. Both run the shards on scoped threads and
-/// return the finished [`Server`]s in shard order, frontends and transcripts intact, so tests
-/// and callers inspect per-shard state exactly as they would a standalone server's.
+/// transports (one per shard — e.g. [`crate::SimNet::split`] halves of a simulated schedule,
+/// or a single [`crate::StdioTransport`]) and [`ReactorPool::serve`] accepts real TCP
+/// connections, routing each accepted stream to the shard its arrival-order token hashes to.
+/// Both run the last shard on the calling thread and the others on scoped threads, and return
+/// the finished [`Server`]s in shard order, frontends and transcripts intact, so tests and
+/// callers inspect per-shard state directly.
 #[derive(Debug, Clone)]
 pub struct ReactorPool {
     reactors: u64,
@@ -88,8 +91,8 @@ impl ReactorPool {
         self.reactors
     }
 
-    /// Builds the per-shard servers: shard `i` gets a conn-scoped frontend marked
-    /// `(i, N)`, a sharded server config, and `1/N`-th of the io-log budget.
+    /// Builds the per-shard servers: shard `i` gets a frontend marked `(i, N)`, a sharded
+    /// server config, and `1/N`-th of the io-log budget.
     fn build<D, T>(&self, deployment: &Deployment<D>, transports: Vec<T>) -> Vec<Server<D, T>>
     where
         D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
@@ -106,9 +109,7 @@ impl ReactorPool {
             .enumerate()
             .map(|(i, transport)| {
                 let shard = i as u64;
-                let frontend = Frontend::new(deployment.share())
-                    .with_conn_scoped_sessions()
-                    .with_shard(shard, n);
+                let frontend = Frontend::new(deployment.share()).with_shard(shard, n);
                 let config = self
                     .config
                     .clone()
@@ -119,10 +120,10 @@ impl ReactorPool {
             .collect()
     }
 
-    /// Runs one reactor per supplied transport on scoped threads and returns the finished
-    /// servers in shard order. The caller is responsible for having sharded the traffic:
-    /// transport `i` must only carry tokens with [`shard_of`]`(token, N) == i` (which is
-    /// exactly what [`crate::SimNet::split`] produces).
+    /// Runs one reactor per supplied transport and returns the finished servers in shard
+    /// order. The caller is responsible for having sharded the traffic: transport `i` must only
+    /// carry tokens with [`shard_of`]`(token, N) == i` (which is exactly what
+    /// [`crate::SimNet::split`] produces).
     ///
     /// # Panics
     ///
@@ -134,22 +135,12 @@ impl ReactorPool {
         T: Transport + Send,
     {
         let servers = self.build(deployment, transports);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = servers
-                .into_iter()
-                .map(|mut server| {
-                    scope.spawn(move || {
-                        server.run();
-                        server
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|handle| handle.join().expect("reactor panicked")).collect()
-        })
+        std::thread::scope(|scope| run_shards(scope, servers))
     }
 
-    /// Serves real TCP connections: an acceptor thread accepts from `listener` (at most
-    /// `accept_budget` connections when given), mints tokens in arrival order and hands each
+    /// Serves real TCP connections from `listener` (at most `accept_budget` connections when
+    /// given), minting tokens in arrival order. A one-reactor pool hands the listener straight
+    /// to its lone shard's [`PollTransport`]; with more reactors an acceptor thread hands each
     /// stream to the [`PollTransport`] of the shard its token hashes to, waking that shard's
     /// readiness wait through a loopback notify stream. Returns the finished servers in shard
     /// order once the budget is exhausted and every shard has drained — with no budget this
@@ -157,7 +148,8 @@ impl ReactorPool {
     ///
     /// # Errors
     ///
-    /// Setting up the loopback notify pairs can fail; no thread has started at that point.
+    /// Configuring the listener or setting up the loopback notify pairs can fail; no thread has
+    /// started at that point.
     ///
     /// # Panics
     ///
@@ -172,6 +164,12 @@ impl ReactorPool {
     where
         D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
     {
+        if self.reactors == 1 {
+            // The lone shard accepts for itself: no acceptor thread and no wake-up pair, so a
+            // one-reactor pool pays no per-connection handoff.
+            let transport = PollTransport::listen(listener, accept_budget, tick_interval)?;
+            return Ok(self.run(deployment, vec![transport]));
+        }
         listener.set_nonblocking(false)?;
         let mut senders = Vec::new();
         let mut notifiers = Vec::new();
@@ -186,18 +184,36 @@ impl ReactorPool {
         let servers = self.build(deployment, transports);
         Ok(std::thread::scope(|scope| {
             scope.spawn(move || accept_loop(&listener, accept_budget, &senders, &mut notifiers));
-            let handles: Vec<_> = servers
-                .into_iter()
-                .map(|mut server| {
-                    scope.spawn(move || {
-                        server.run();
-                        server
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|handle| handle.join().expect("reactor panicked")).collect()
+            run_shards(scope, servers)
         }))
     }
+}
+
+/// Runs every shard to completion and returns them in shard order: the last on the calling
+/// thread, the others on `scope`'s threads (a one-shard pool spawns nothing).
+fn run_shards<'scope, D, T>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    mut servers: Vec<Server<D, T>>,
+) -> Vec<Server<D, T>>
+where
+    D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
+    T: Transport + Send + 'scope,
+{
+    let mut last = servers.pop().expect("a pool has at least one shard");
+    let handles: Vec<_> = servers
+        .into_iter()
+        .map(|mut server| {
+            scope.spawn(move || {
+                server.run();
+                server
+            })
+        })
+        .collect();
+    last.run();
+    let mut finished: Vec<Server<D, T>> =
+        handles.into_iter().map(|handle| handle.join().expect("reactor panicked")).collect();
+    finished.push(last);
+    finished
 }
 
 /// The pool's acceptor: accepts in arrival order, routes each stream to the shard its token
@@ -290,7 +306,7 @@ pub fn fold_server_stats(shards: &[ServerStats]) -> ServerStats {
 }
 
 /// Merges per-shard I/O logs under the deployment-wide cap ([`crate::ServeConfig::io_log_cap`]
-/// — the same bound a standalone server enforces): however many shards contributed, at most
+/// — the same bound a one-reactor pool enforces): however many shards contributed, at most
 /// `cap` entries survive (the most recent ones, matching the per-server aging rule). Entries
 /// sort by their clock timestamp, ties broken by shard — under virtual clocks this reproduces
 /// the order a single unsharded reactor would have logged.

@@ -5,8 +5,8 @@
 //! ticks and responses but never touches a byte of transport. This module adds the other half —
 //! an event loop that owns a frontend and a [`Transport`], and translates between the two:
 //!
-//! * transport **connections** ([`Token`]s) become logical [`ConnId`]s (a base id per
-//!   connection, plus any explicit `@conn` ids its lines claim);
+//! * transport **connections** ([`Token`]s) become logical [`ConnId`]s (the base id
+//!   `ConnId(token)`, plus any explicit `@conn` ids its lines claim);
 //! * transport **bytes** run through a per-connection protocol decoder — negotiated from the
 //!   first bytes: connections opening with [`wire::BINARY_PREAMBLE`] speak length-prefixed
 //!   checksummed [`wire::FrameDecoder`] frames, everything else falls back to the classic
@@ -24,7 +24,8 @@
 //! produces — which is why the whole server can run inside `cargo test` on
 //! [`SimNet`](crate::SimNet), the seeded in-memory transport, and be replayed byte-identically
 //! from a seed (`tests/sim_chaos.rs`). The same reactor serves real sockets
-//! ([`TcpTransport`]) and stdin/stdout ([`StdioTransport`]) in the `anosy-served` binary; the
+//! ([`PollTransport`]) and stdin/stdout ([`StdioTransport`]) in the `anosy-served` binary, always
+//! as the shards of a [`crate::ReactorPool`] (one shard unless `--reactors` asks for more); the
 //! response-level determinism guarantee (element-wise identical to sequential
 //! [`anosy_core::AnosySession`] replay) is unchanged from the frontend because the reactor adds
 //! no protocol semantics of its own.
@@ -43,16 +44,18 @@ use anosy_domains::AbstractDomain;
 use anosy_logic::SecretLayout;
 use anosy_synth::DomainCodec;
 use anosy_telemetry::{self as telemetry, Clock, ClockHandle, Collector, Report, VirtualClock};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// Identifies one transport-level (physical) connection. Distinct from [`ConnId`], the
-/// protocol-level (logical) connection: a transport connection gets one base `ConnId` and may
-/// claim more with `@conn` line prefixes.
+/// protocol-level (logical) connection: a transport connection's bare lines ride the base id
+/// `ConnId(token)` and it may claim more with `@conn` line prefixes. Transports mint tokens in
+/// arrival order, starting at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Token(pub u64);
 
@@ -66,7 +69,7 @@ impl fmt::Display for Token {
 /// sequence, so a transport that replays the same events replays the same serve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A new connection. The reactor allocates its base [`ConnId`] in arrival order.
+    /// A new connection. Its base [`ConnId`] is the token itself.
     Opened(Token),
     /// Bytes arrived on a connection — chunked however the transport happened to read them
     /// (partial lines, many lines coalesced; the line decoder reassembles).
@@ -86,7 +89,7 @@ pub enum Event {
 
 /// A source and sink of connection events — the only nondeterministic half of the server.
 ///
-/// Implementations: [`TcpTransport`] (real sockets), [`StdioTransport`] (the classic
+/// Implementations: [`PollTransport`] (real sockets), [`StdioTransport`] (the classic
 /// stdin/stdout pipe as a single-connection transport) and [`SimNet`](crate::SimNet) (seeded
 /// deterministic simulation for tests).
 pub trait Transport {
@@ -131,12 +134,10 @@ pub struct ServerConfig {
     /// [`Server::responses`]) — the oracle hook for the simulation tests. Off in production:
     /// requests are cloned when it is on.
     pub record_transcript: bool,
-    /// `Some((shard, reactors))`: this server is one reactor shard of a
-    /// [`crate::ReactorPool`]. Base [`ConnId`]s are then derived from the transport [`Token`]
-    /// (minted globally in arrival order) instead of a per-server counter, and `@conn` claims
-    /// whose id hashes to another shard are refused — two shards must never bind the same
-    /// logical id. `None` (default): the standalone allocation the stdio/TCP binary always had.
-    pub shard: Option<(u64, u64)>,
+    /// `(shard, reactors)`: this server is reactor shard `shard` of a [`crate::ReactorPool`]
+    /// of `reactors` (default: shard 0 of 1). `@conn` claims whose id hashes to another shard
+    /// are refused — two shards must never bind the same logical id.
+    pub shard: (u64, u64),
     /// Most recent entries retained by [`Server::io_log`]; older denials age out so a stream
     /// of bad peers cannot grow memory.
     pub io_log_cap: usize,
@@ -149,13 +150,13 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Per-request ticks, default line cap, no recording, standalone (unsharded).
+    /// Per-request ticks, default line cap, no recording, shard 0 of 1.
     pub fn new() -> ServerConfig {
         ServerConfig {
             ticked: false,
             max_line: wire::MAX_LINE_BYTES,
             record_transcript: false,
-            shard: None,
+            shard: (0, 1),
             io_log_cap: IO_LOG_CAP,
             telemetry: true,
         }
@@ -181,7 +182,7 @@ impl ServerConfig {
 
     /// Marks this server as reactor shard `shard` of `reactors` (see [`ServerConfig::shard`]).
     pub fn sharded(mut self, shard: u64, reactors: u64) -> ServerConfig {
-        self.shard = Some((shard, reactors.max(1)));
+        self.shard = (shard, reactors.max(1));
         self
     }
 
@@ -254,7 +255,7 @@ pub enum TranscriptEvent {
 /// where and when it happened so a merged multi-reactor log keeps that context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoLogEntry {
-    /// The reactor shard that observed the failure (`0` for a standalone server).
+    /// The reactor shard that observed the failure.
     pub shard: u64,
     /// When it happened, in the server clock's units ([`Transport::clock`]: microseconds on
     /// real transports, virtual time under the simulator).
@@ -368,9 +369,8 @@ impl ConnDecoder {
 /// Per-connection reactor state.
 struct ConnState {
     decoder: ConnDecoder,
-    /// The logical id bare (un-`@`-prefixed) lines of this connection ride.
-    base: ConnId,
-    /// Logical ids this connection owns (its base id plus every `@conn` it claimed first).
+    /// Logical ids this connection owns (its base id, unless another connection claimed it
+    /// first, plus every `@conn` it claimed first).
     logicals: BTreeSet<ConnId>,
 }
 
@@ -387,7 +387,6 @@ pub struct Server<D: AbstractDomain, T: Transport> {
     /// Request id → transport connection to deliver the response to, plus the arrival
     /// timestamp (0 when telemetry is not recording) feeding the `request.latency` histogram.
     inflight: HashMap<RequestId, (Token, u64)>,
-    next_base: u64,
     stats: ServerStats,
     clock: ClockHandle,
     /// Query-name pool shared by every connection's request parsing: each distinct name is
@@ -419,7 +418,6 @@ where
             conns: HashMap::new(),
             bound: BTreeMap::new(),
             inflight: HashMap::new(),
-            next_base: 0,
             stats: ServerStats::default(),
             clock,
             interner: wire::NameInterner::new(),
@@ -434,8 +432,7 @@ where
     /// tick so queued work (ticked-mode stragglers, trailing teardowns) settles.
     pub fn run(&mut self) {
         if self.config.telemetry {
-            let shard = self.config.shard.map(|(shard, _)| shard).unwrap_or(0);
-            telemetry::install(Collector::new(self.clock.clone(), shard));
+            telemetry::install(Collector::new(self.clock.clone(), self.config.shard.0));
         }
         loop {
             let events = self.transport.poll();
@@ -469,25 +466,19 @@ where
     }
 
     fn on_opened(&mut self, token: Token) {
-        let base = if self.config.shard.is_some() {
-            // Shard mode: the pool mints tokens globally in arrival order and routes each to
-            // the shard its id hashes to, so deriving the base id from the token keeps ids
-            // (and therefore conn-scoped session ids) invariant under the reactor count.
-            ConnId(token.0)
-        } else {
-            // Base ids are allocated in arrival order, skipping ids some earlier connection
-            // already claimed with an explicit `@conn` prefix.
-            while self.bound.contains_key(&ConnId(self.next_base)) {
-                self.next_base += 1;
-            }
-            self.next_base += 1;
-            ConnId(self.next_base - 1)
-        };
-        self.bound.insert(base, token);
+        // The base id is the token: tokens are minted in arrival order (globally, across a
+        // pool's shards), so ids — and the connection-scoped session ids derived from them —
+        // are invariant under the reactor count. An id some earlier socket already claimed
+        // with `@conn` stays that socket's: this connection's bare lines then refuse like any
+        // other foreign claim, and its teardown cannot take the owner's sessions with it.
+        let base = ConnId(token.0);
         let mut logicals = BTreeSet::new();
-        logicals.insert(base);
+        if let Entry::Vacant(slot) = self.bound.entry(base) {
+            slot.insert(token);
+            logicals.insert(base);
+        }
         let decoder = ConnDecoder::Sniffing(Vec::new());
-        self.conns.insert(token, ConnState { decoder, base, logicals });
+        self.conns.insert(token, ConnState { decoder, logicals });
         self.stats.conns_opened += 1;
     }
 
@@ -540,12 +531,7 @@ where
         self.stats.conn_failures += 1;
         // The logged denial: one bad peer is an event, not a process failure. Logged to
         // stderr immediately — a forever-serving transport never returns from `run`.
-        let entry = IoLogEntry {
-            shard: self.config.shard.map(|(shard, _)| shard).unwrap_or(0),
-            at: self.clock.now(),
-            token,
-            reason,
-        };
+        let entry = IoLogEntry { shard: self.config.shard.0, at: self.clock.now(), token, reason };
         eprintln!("{entry}");
         if self.io_log.len() >= self.config.io_log_cap {
             self.io_log.remove(0);
@@ -651,7 +637,7 @@ where
                     return;
                 }
             },
-            None => (self.conns[&token].base, trimmed),
+            None => (ConnId(token.0), trimmed),
         };
         match wire::parse_request_interned(request_text, &self.layout, &mut self.interner) {
             Ok(request) => {
@@ -659,14 +645,13 @@ where
                 // on exactly the shard it hashes to. A claim for an id routed elsewhere is
                 // refused outright — two shards binding the same id would entangle session
                 // ownership across reactors.
-                if let Some((shard, reactors)) = self.config.shard {
-                    if crate::reactor::shard_of(conn.0, reactors) != shard {
-                        self.refuse_line(
-                            token,
-                            format!("connection {conn} belongs to another reactor shard"),
-                        );
-                        return;
-                    }
+                let (shard, reactors) = self.config.shard;
+                if crate::reactor::shard_of(conn.0, reactors) != shard {
+                    self.refuse_line(
+                        token,
+                        format!("connection {conn} belongs to another reactor shard"),
+                    );
+                    return;
                 }
                 // A logical id is claimed only by a line that actually parses — a malformed
                 // line must not squat on an id another socket could legitimately use. First
@@ -922,229 +907,17 @@ impl Transport for StdioTransport {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport: std-only nonblocking sockets.
+// Poll transport: readiness-based (epoll) TCP, with the sleep loop as fallback.
 // ---------------------------------------------------------------------------
 
-/// How long [`TcpTransport::close`] keeps retrying to flush a closing connection's queued
+/// How long a [`PollTransport`] close keeps retrying to flush a closing connection's queued
 /// responses before giving up on the peer.
 const CLOSE_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
-/// How long the poll loop sleeps when nothing is readable (std has no portable readiness API,
-/// so the listener is polled; half a millisecond keeps idle CPU negligible without hurting
-/// request latency at serving scale).
+/// How long the fallback scan sleeps when nothing is readable (without epoll there is no
+/// portable readiness API, so every socket is polled; half a millisecond keeps idle CPU
+/// negligible without hurting request latency at serving scale).
 const POLL_IDLE_SLEEP: Duration = Duration::from_micros(500);
-
-struct TcpConn {
-    stream: TcpStream,
-    /// Responses not yet accepted by the kernel (nonblocking writes are partial by design).
-    out: Vec<u8>,
-    read_eof: bool,
-    /// `Some(deadline)` once the reactor asked for a close: the connection only lingers to
-    /// drain `out`, is never read again, and is dropped when drained or at the deadline —
-    /// inside the normal poll loop, so a peer that stopped reading cannot stall the reactor.
-    closing: Option<Instant>,
-}
-
-/// A std-only nonblocking TCP listener transport: `accept` becomes [`Event::Opened`], readable
-/// bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`] (half-closed peers
-/// still receive their final responses), and read/write errors become per-connection
-/// [`Event::Failed`] — never process failures.
-pub struct TcpTransport {
-    listener: TcpListener,
-    conns: BTreeMap<u64, TcpConn>,
-    next_token: u64,
-    /// `Some(n)`: stop accepting after `n` connections and finish once all are closed
-    /// (`--accept N`). `None`: serve forever.
-    accept_budget: Option<usize>,
-    accepted: usize,
-    /// Quiescence timer: emit [`Event::TimerTick`] after this much idleness (`--tick-ms`).
-    tick_interval: Option<Duration>,
-    last_activity: Instant,
-    /// Failures noticed during [`Transport::send`], surfaced at the next poll.
-    pending: Vec<Event>,
-}
-
-impl TcpTransport {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and returns the listening transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind/configure error; callers report it and exit.
-    pub fn bind(
-        addr: &str,
-        accept_budget: Option<usize>,
-        tick_interval: Option<Duration>,
-    ) -> std::io::Result<TcpTransport> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(TcpTransport {
-            listener,
-            conns: BTreeMap::new(),
-            next_token: 0,
-            accept_budget,
-            accepted: 0,
-            tick_interval,
-            last_activity: Instant::now(),
-            pending: Vec::new(),
-        })
-    }
-
-    /// The bound address (the actual port when bound to port 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-name lookup error.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    fn accepting(&self) -> bool {
-        match self.accept_budget {
-            Some(budget) => self.accepted < budget,
-            None => true,
-        }
-    }
-
-    fn poll_accept(&mut self, events: &mut Vec<Event>) {
-        while self.accepting() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.accepted += 1;
-                    let conn = TcpConn { stream, out: Vec::new(), read_eof: false, closing: None };
-                    self.conns.insert(token, conn);
-                    events.push(Event::Opened(Token(token)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // A broken listener: stop accepting, keep serving what is open.
-                Err(_) => {
-                    self.accept_budget = Some(self.accepted);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Flushes queued writes, retires draining (closing) connections, and reads available
-    /// bytes on every live connection, in token order.
-    fn poll_conns(&mut self, events: &mut Vec<Event>) {
-        let mut failed: Vec<(u64, String)> = Vec::new();
-        let mut done: Vec<u64> = Vec::new();
-        for (&token, conn) in self.conns.iter_mut() {
-            let flushed = flush_some(conn);
-            if let Some(deadline) = conn.closing {
-                // Half of the close protocol: drain what the reactor queued, then drop. A
-                // flush error, an empty buffer or the deadline all retire the connection —
-                // the reactor already considers it gone, so no event is emitted.
-                if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
-                    done.push(token);
-                }
-                continue;
-            }
-            if let Err(reason) = flushed {
-                failed.push((token, reason));
-                continue;
-            }
-            if conn.read_eof {
-                continue;
-            }
-            let mut buf = [0u8; 65536];
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.read_eof = true;
-                    events.push(Event::HalfClosed(Token(token)));
-                }
-                Ok(n) => events.push(Event::Data(Token(token), buf[..n].to_vec())),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => failed.push((token, format!("read error: {e}"))),
-            }
-        }
-        for token in done {
-            if let Some(conn) = self.conns.remove(&token) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        for (token, reason) in failed {
-            self.conns.remove(&token);
-            events.push(Event::Failed(Token(token), reason));
-        }
-    }
-}
-
-/// Writes as much of the connection's queued output as the kernel accepts right now.
-fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
-    while !conn.out.is_empty() {
-        match conn.stream.write(&conn.out) {
-            Ok(0) => return Err("write error: connection closed".to_string()),
-            Ok(n) => {
-                conn.out.drain(..n);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("write error: {e}")),
-        }
-    }
-    Ok(())
-}
-
-impl Transport for TcpTransport {
-    fn poll(&mut self) -> Vec<Event> {
-        loop {
-            let mut events = std::mem::take(&mut self.pending);
-            self.poll_accept(&mut events);
-            self.poll_conns(&mut events);
-            if !events.is_empty() {
-                self.last_activity = Instant::now();
-                return events;
-            }
-            if !self.accepting() && self.conns.is_empty() {
-                return Vec::new();
-            }
-            if let Some(interval) = self.tick_interval {
-                if self.last_activity.elapsed() >= interval {
-                    self.last_activity = Instant::now();
-                    return vec![Event::TimerTick];
-                }
-            }
-            std::thread::sleep(POLL_IDLE_SLEEP);
-        }
-    }
-
-    fn send(&mut self, token: Token, bytes: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&token.0) else { return };
-        conn.out.extend_from_slice(bytes);
-        if let Err(reason) = flush_some(conn) {
-            self.conns.remove(&token.0);
-            self.pending.push(Event::Failed(token, reason));
-        }
-    }
-
-    fn close(&mut self, token: Token) {
-        let Some(conn) = self.conns.get_mut(&token.0) else { return };
-        // Best-effort flush of the final responses before the FIN. If the kernel takes it all
-        // now, the connection drops immediately; otherwise it lingers in draining state and
-        // the poll loop keeps flushing — without ever blocking the reactor — until empty or
-        // the budget runs out (a peer that stopped reading forfeits its tail).
-        let flushed = flush_some(conn);
-        if flushed.is_err() || conn.out.is_empty() {
-            if let Some(conn) = self.conns.remove(&token.0) {
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-            }
-            return;
-        }
-        conn.closing = Some(Instant::now() + CLOSE_FLUSH_BUDGET);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Poll transport: readiness-based (epoll) TCP, with the sleep loop as fallback.
-// ---------------------------------------------------------------------------
 
 /// Epoll tag of the listening socket (never a connection token).
 const TAG_LISTENER: u64 = u64::MAX;
@@ -1168,22 +941,57 @@ fn raw_fd<T>(_io: &T) -> i32 {
 
 /// Where a [`PollTransport`]'s connections come from.
 enum Intake {
-    /// Standalone: accept from an owned listener, minting tokens locally in arrival order.
+    /// The lone shard of a one-reactor pool: accept from an owned listener, minting tokens
+    /// locally in arrival order.
     Listener { listener: TcpListener, next_token: u64, budget: Option<usize>, accepted: usize },
-    /// One shard of a [`crate::ReactorPool`]: the pool's acceptor thread accepts, mints tokens
-    /// globally and hands each stream to the shard its token hashes to. The paired `notify`
-    /// stream carries one byte per handoff so an epoll wait wakes for channel traffic too.
+    /// One shard of a multi-reactor [`crate::ReactorPool`]: the pool's acceptor thread accepts,
+    /// mints tokens globally and hands each stream to the shard its token hashes to. The paired
+    /// `notify` stream carries one byte per handoff so an epoll wait wakes for channel traffic
+    /// too.
     Channel { handoffs: Receiver<(u64, TcpStream)>, notify: TcpStream, done: bool },
 }
 
-/// A readiness-based TCP transport: the same nonblocking-socket state machine as
-/// [`TcpTransport`], but instead of sleeping a fixed `POLL_IDLE_SLEEP` between scans it parks in
-/// `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and then services only the
-/// connections the kernel reported ready. Where epoll is unavailable — unsupported platform,
-/// or any registration error at runtime — it degrades to exactly the [`TcpTransport`] sleep
-/// loop, so behavior is identical and only idle latency differs. The reactor on top is a pure
-/// function of the event sequence, so responses are byte-identical across [`TcpTransport`],
-/// `PollTransport` and the epoll/fallback paths (asserted in `tests/multi_reactor.rs`).
+struct TcpConn {
+    stream: TcpStream,
+    /// Responses not yet accepted by the kernel (nonblocking writes are partial by design).
+    out: Vec<u8>,
+    read_eof: bool,
+    /// `Some(deadline)` once the reactor asked for a close: the connection only lingers to
+    /// drain `out`, is never read again, and is dropped when drained or at the deadline —
+    /// inside the normal poll loop, so a peer that stopped reading cannot stall the reactor.
+    closing: Option<Instant>,
+}
+
+impl TcpConn {
+    fn new(stream: TcpStream) -> TcpConn {
+        TcpConn { stream, out: Vec::new(), read_eof: false, closing: None }
+    }
+}
+
+/// Writes as much of the connection's queued output as the kernel accepts right now.
+fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
+    while !conn.out.is_empty() {
+        match conn.stream.write(&conn.out) {
+            Ok(0) => return Err("write error: connection closed".to_string()),
+            Ok(n) => {
+                conn.out.drain(..n);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("write error: {e}")),
+        }
+    }
+    Ok(())
+}
+
+/// A readiness-based, std-only nonblocking TCP transport: `accept` becomes [`Event::Opened`],
+/// readable bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`]
+/// (half-closed peers still receive their final responses), and read/write errors become
+/// per-connection [`Event::Failed`] — never process failures. It parks in `epoll_wait` (via the
+/// in-tree raw-syscall `epoll` shim) and then services only the connections the kernel reported
+/// ready. Where epoll is unavailable — unsupported platform, or any registration error at
+/// runtime — it degrades to scanning every socket with a `POLL_IDLE_SLEEP` pause between
+/// scans, so behavior is identical and only idle latency differs.
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
@@ -1209,36 +1017,26 @@ fn want_interest(conn: &TcpConn) -> u32 {
 }
 
 impl PollTransport {
-    /// Binds `addr` as a standalone readiness-based listener (the `PollTransport` analogue of
-    /// [`TcpTransport::bind`], same budget and quiescence-timer semantics).
+    /// Serves `listener` directly: accepts up to `accept_budget` connections (`None`: forever,
+    /// `--accept N`), emitting [`Event::TimerTick`] after `tick_interval` of idleness
+    /// (`--tick-ms`). The transport finishes once the budget is spent and every connection has
+    /// closed.
     ///
     /// # Errors
     ///
-    /// Propagates the bind/configure error; callers report it and exit.
-    pub fn bind(
-        addr: &str,
+    /// Propagates the error of switching the listener to nonblocking mode.
+    pub fn listen(
+        listener: TcpListener,
         accept_budget: Option<usize>,
         tick_interval: Option<Duration>,
     ) -> std::io::Result<PollTransport> {
-        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let epoll = epoll::Epoll::new()
             .ok()
             .filter(|ep| ep.add(raw_fd(&listener), epoll::EPOLLIN, TAG_LISTENER).is_ok());
-        Ok(PollTransport {
-            intake: Intake::Listener {
-                listener,
-                next_token: 0,
-                budget: accept_budget,
-                accepted: 0,
-            },
-            conns: BTreeMap::new(),
-            tick_interval,
-            last_activity: Instant::now(),
-            pending: Vec::new(),
-            epoll,
-            interest: HashMap::new(),
-        })
+        let intake =
+            Intake::Listener { listener, next_token: 0, budget: accept_budget, accepted: 0 };
+        Ok(PollTransport::with_intake(intake, epoll, tick_interval))
     }
 
     /// A reactor-pool shard transport: connections arrive pre-accepted over `handoffs` as
@@ -1254,29 +1052,23 @@ impl PollTransport {
         let epoll = epoll::Epoll::new()
             .ok()
             .filter(|ep| ep.add(raw_fd(&notify), epoll::EPOLLIN, TAG_NOTIFY).is_ok());
+        let intake = Intake::Channel { handoffs, notify, done: false };
+        PollTransport::with_intake(intake, epoll, tick_interval)
+    }
+
+    fn with_intake(
+        intake: Intake,
+        epoll: Option<epoll::Epoll>,
+        tick_interval: Option<Duration>,
+    ) -> PollTransport {
         PollTransport {
-            intake: Intake::Channel { handoffs, notify, done: false },
+            intake,
             conns: BTreeMap::new(),
             tick_interval,
             last_activity: Instant::now(),
             pending: Vec::new(),
             epoll,
             interest: HashMap::new(),
-        }
-    }
-
-    /// The bound address (standalone mode only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket-name lookup error; `NotConnected` in intake (pool-shard) mode.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        match &self.intake {
-            Intake::Listener { listener, .. } => listener.local_addr(),
-            Intake::Channel { .. } => Err(std::io::Error::new(
-                ErrorKind::NotConnected,
-                "a pool-shard transport owns no listener",
-            )),
         }
     }
 
@@ -1375,9 +1167,7 @@ impl PollTransport {
                         let token = *next_token;
                         *next_token += 1;
                         *accepted += 1;
-                        let conn =
-                            TcpConn { stream, out: Vec::new(), read_eof: false, closing: None };
-                        self.conns.insert(token, conn);
+                        self.conns.insert(token, TcpConn::new(stream));
                         opened.push(token);
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -1403,9 +1193,7 @@ impl PollTransport {
                     match handoffs.try_recv() {
                         Ok((token, stream)) => {
                             let _ = stream.set_nonblocking(true);
-                            let conn =
-                                TcpConn { stream, out: Vec::new(), read_eof: false, closing: None };
-                            self.conns.insert(token, conn);
+                            self.conns.insert(token, TcpConn::new(stream));
                             opened.push(token);
                         }
                         Err(TryRecvError::Empty) => break,
@@ -1447,8 +1235,8 @@ impl PollTransport {
                 let Some(conn) = self.conns.get_mut(&token) else { continue };
                 let flushed = flush_some(conn);
                 if let Some(deadline) = conn.closing {
-                    // Draining close: see `TcpTransport::poll_conns` — drained, errored and
-                    // expired connections retire without an event.
+                    // Draining close: the reactor already considers the connection gone, so
+                    // drained, errored and expired connections retire without an event.
                     if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
                         Outcome::Retire
                     } else {
@@ -1567,6 +1355,10 @@ impl Transport for PollTransport {
 
     fn close(&mut self, token: Token) {
         let Some(conn) = self.conns.get_mut(&token.0) else { return };
+        // Best-effort flush of the final responses before the FIN. If the kernel takes it all
+        // now, the connection drops immediately; otherwise it lingers in draining state and
+        // the poll loop keeps flushing — without ever blocking the reactor — until empty or
+        // the budget runs out (a peer that stopped reading forfeits its tail).
         let flushed = flush_some(conn);
         if flushed.is_err() || conn.out.is_empty() {
             self.drop_conn(token.0, true);

@@ -686,8 +686,9 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// Bytes of a frame header: `u32` LE payload length + `u64` LE FNV-1a checksum of the payload.
 const FRAME_HEADER_BYTES: usize = 12;
 
-/// FNV-1a 64-bit — the frame checksum (the same record checksum the durability journal uses:
-/// cheap, dependency-free, and plenty to catch truncation or bit rot; not cryptographic).
+/// FNV-1a 64-bit — the frame checksum, and the record checksum of the durability
+/// [`journal`](crate::journal) too: cheap, dependency-free, and plenty to catch truncation or
+/// bit rot (not cryptographic).
 pub fn frame_checksum(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {

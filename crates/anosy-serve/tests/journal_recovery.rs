@@ -64,10 +64,12 @@ fn journal_path(name: &str) -> PathBuf {
 fn storm(sim: &mut SimNet, phase2: bool) -> Vec<Token> {
     let c0 = sim.connect(0);
     sim.send(c0, 0, format!("{}{}", register_line(0), register_line(1)));
-    sim.send(c0, 1000, "open min-size:100\n"); // session 1
+    sim.send(c0, 1000, "open min-size:100\n");
     let c1 = sim.connect(2000);
-    sim.send(c1, 2000, "open allow-all\n"); // session 2
-    for (client, session) in [(c0, 1u64), (c1, 2u64)] {
+    sim.send(c1, 2000, "open allow-all\n");
+    // Each connection's first (and only) session.
+    let (s0, s1) = (support::session_id(c0.0, 1), support::session_id(c1.0, 1));
+    for (client, session) in [(c0, s0), (c1, s1)] {
         let burst = sim.rng().gen_range(6usize..12);
         for j in 0..burst {
             let (a, b) = (sim.rng().gen_range(0i64..=10), sim.rng().gen_range(0i64..=10));
@@ -79,9 +81,9 @@ fn storm(sim: &mut SimNet, phase2: bool) -> Vec<Token> {
     if phase2 {
         // Past the kill point: only pre-kill queries, so a lossless recovery synthesizes
         // nothing at all.
-        sim.send(c0, 10_000, downgrade_line(1, 0, 300, 200));
-        sim.send(c1, 10_500, downgrade_line(2, 1, 155, 132));
-        sim.send(c1, 11_000, "knowledge session=2 secret=155,132\n");
+        sim.send(c0, 10_000, downgrade_line(s0, 0, 300, 200));
+        sim.send(c1, 10_500, downgrade_line(s1, 1, 155, 132));
+        sim.send(c1, 11_000, format!("knowledge session={s1} secret=155,132\n"));
     }
     sim.half_close(c1, 20_000);
     sim.half_close(c0, 21_000);

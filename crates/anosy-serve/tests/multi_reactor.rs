@@ -6,15 +6,16 @@
 //! 1. **Reactor-count invariance** (plain + property test): the same seeded population run at
 //!    `reactors = 1` and `reactors = N` yields element-wise identical per-connection response
 //!    streams — connection tokens are minted in global arrival order, shard assignment is a
-//!    pure hash of the token, and session ids are connection-scoped, so no shard can observe
-//!    how many other shards exist.
+//!    pure hash of the token, and session ids are connection-scoped (see
+//!    [`anosy_serve::SessionId`]), so no shard can observe how many other shards exist.
 //! 2. **Per-shard oracle equality**: each shard's recorded transcript replays against the
-//!    sequential-session oracle (connection-scoped ids) on the same approximations.
+//!    sequential-session oracle on the same approximations.
 //! 3. **Ledger balance across shards**: at drain, `sessions opened − closed` on the *shared*
 //!    deployment equals the fold of every shard's `open_sessions` — no session is lost or
 //!    double-counted by sharding.
-//! 4. **Cross-shard claims are refused**: a `@conn` claim whose id hashes to another shard
-//!    answers `! connection … belongs to another reactor shard` instead of binding.
+//! 4. **Claims are exclusive**: a `@conn` claim whose id hashes to another shard answers
+//!    `! connection … belongs to another reactor shard` instead of binding, and a socket whose
+//!    base id another socket already claimed cannot take it over.
 //! 5. **Real sockets**: a [`ReactorPool::serve`] pool over a loopback listener (readiness-based
 //!    [`anosy_serve::PollTransport`] shards fed by the acceptor thread) serves conn-scoped
 //!    sessions and `reactors=`/`shard=`-stamped stats, end to end.
@@ -116,7 +117,7 @@ fn every_shard_matches_the_sequential_oracle() {
         // invariant, asserted on the reactor side.
         let palette = server.frontend().deployment().shared().export_entries();
         let population = loadgen::population(seed, 30);
-        let mut oracle = support::Oracle::with_palette(population.layout(), palette).conn_scoped();
+        let mut oracle = support::Oracle::with_palette(population.layout(), palette);
         let mut expected = Vec::new();
         for event in server.transcript() {
             match event {
@@ -197,6 +198,36 @@ fn cross_shard_claims_are_refused() {
 }
 
 #[test]
+fn a_late_socket_cannot_take_over_a_claimed_base_id() {
+    // Socket A (token 0) claims `@1` and opens a session on it; socket B then connects as
+    // token 1, whose base id is A's claim. B's bare lines must be refused, and B's teardown must
+    // leave A's session alone — before the fix B silently took over id 1 and its close tore
+    // A's session down.
+    let mut net = SimNet::new(base_seed().wrapping_add(7_600)).with_max_delay(0);
+    let a = net.connect(0);
+    net.send(a, 1_000, "@1 open min-size:100\n");
+    let b = net.connect(2_000);
+    net.send(b, 3_000, "open min-size:100\n");
+    net.half_close(b, 4_000);
+    let session = support::session_id(1, 1);
+    net.send(a, 5_000, format!("@1 knowledge session={session} secret=300,200\n"));
+    net.half_close(a, 6_000);
+
+    let deployment = support::warm_deployment();
+    let servers = ReactorPool::new(1).run(&deployment, net.split(1));
+    let transport = servers[0].transport();
+    assert_eq!(
+        transport.received_text(b),
+        "! connection 1 is bound to another transport connection\n"
+    );
+    assert_eq!(
+        transport.received_text(a),
+        format!("1.1 ok session {session}\n1.2 ok knowledge size=160801 top\n"),
+        "A's session must survive B's teardown"
+    );
+}
+
+#[test]
 fn a_tcp_pool_serves_conn_scoped_sessions_over_real_sockets() {
     let deployment = support::warm_deployment();
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
@@ -269,12 +300,13 @@ fn the_served_binary_runs_a_reactor_pool() {
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
     let mut banner = String::new();
     stdout.read_line(&mut banner).expect("banner line is readable");
-    let rest = banner
+    let mut fields = banner
         .trim()
         .strip_prefix("# listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"));
-    let (addr, reactors) = rest.split_once(' ').expect("pool banner carries the reactor count");
-    assert_eq!(reactors, "reactors=2");
+        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
+        .split_whitespace();
+    let addr = fields.next().expect("the banner leads with the address");
+    assert_eq!(fields.next(), Some("reactors=2"), "the banner carries the reactor count");
 
     for token in 0..2u64 {
         let mut stream = TcpStream::connect(addr).expect("loopback connect");

@@ -83,11 +83,10 @@ fn a_hundred_thousand_tenants_match_the_sequential_oracle() {
     assert_eq!(cache.sessions_opened - cache.sessions_closed, lingering as u64);
     assert_eq!(cache.synth_misses, 0, "the warm palette absorbs every registration");
 
-    // Session-id prediction held across all 100k opens: tenants open in their assigned
-    // waves (not index order), so the compile-time ids are a permutation of 1..=N.
-    let mut predicted: Vec<u64> = sessions.iter().map(|s| s.0).collect();
-    predicted.sort_unstable();
-    assert!(predicted.iter().copied().eq(1..=population.tenants.len() as u64));
+    // Every tenant's compile-time session id is its own connection's first, so no two tenants
+    // share one — and the downgrades compiled against those ids matched the oracle above.
+    let predicted: std::collections::BTreeSet<u64> = sessions.iter().map(|s| s.0).collect();
+    assert_eq!(predicted.len(), population.tenants.len(), "predicted ids are distinct");
     // Every tenant connection was counted.
     assert_eq!(server.frontend().stats().tenants, population.tenants.len() as u64);
     // The adversarial cohort was refused at its policy floor.

@@ -9,8 +9,8 @@
 //!    replaying the recorded transcript on the *same* synthesized approximations;
 //! 3. **No leaks at drain**: `open_sessions` equals the population's lingering tenants and
 //!    the deployment ledger balances (`opened - closed == open_sessions`);
-//! 4. **Predicted session ids**: the compiler's globally ordered open slots mean tenant `i`
-//!    is assigned exactly the session id predicted at compile time.
+//! 4. **Predicted session ids**: each tenant opens once on its own connection, so tenant `i`
+//!    is assigned exactly the connection-scoped session id predicted at compile time.
 //!
 //! An auditing connection issues a trailing `stats` request per run, round-tripping the
 //! `tenants=`/`denied=` wire counters. The base seed honors `ANOSY_SIM_SEED` (the CI

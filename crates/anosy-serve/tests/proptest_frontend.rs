@@ -39,9 +39,10 @@ fn arb_secret() -> impl Strategy<Value = Point> {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let conn = 0u64..3;
-    // Session references run slightly past the number of opens a script can reach, so unknown
-    // and closed sessions occur.
-    let session = 1u64..6;
+    // Session references run slightly past the number of opens a script can reach (the first
+    // three opens of each connection, plus a connection that never opens), so unknown and
+    // closed sessions occur.
+    let session = (0u64..4, 1u64..4).prop_map(|(conn, k)| support::session_id(conn, k));
     prop_oneof![
         1 => (conn.clone(), 0usize..3).prop_map(|(conn, policy)| Op::Open { conn, policy }),
         1 => (conn.clone(), 0usize..3).prop_map(|(conn, query)| Op::Register { conn, query }),

@@ -265,6 +265,12 @@ proptest! {
     }
 }
 
+/// A guessed session id: one of the first two opens of the script's logical connections (the
+/// bare connection 0 and `@2`/`@3`), or of the never-used connection 1.
+fn arb_session() -> impl Strategy<Value = u64> {
+    (0u64..4, 1u64..3).prop_map(|(conn, k)| support::session_id(conn, k))
+}
+
 /// One protocol line of the cross-codec scripts: palette registrations (warm-cache hits),
 /// opens, downgrades/knowledge probes over guessed session ids (hits and unknown-session
 /// denials alike answer identically on both codecs), closes, malformed refuse-line traffic,
@@ -278,13 +284,13 @@ fn arb_script_line() -> impl Strategy<Value = String> {
             "register name=q kind=under members=- pred=abs(x - 200) + abs(y - 200) <= 100"
                 .to_string()
         ),
-        4 => (1u64..4, 0i64..=400, 0i64..=400).prop_map(|(s, x, y)| {
+        4 => (arb_session(), 0i64..=400, 0i64..=400).prop_map(|(s, x, y)| {
             format!("downgrade session={s} query=q secret={x},{y}")
         }),
-        2 => (1u64..4, 0i64..=400, 0i64..=400).prop_map(|(s, x, y)| {
+        2 => (arb_session(), 0i64..=400, 0i64..=400).prop_map(|(s, x, y)| {
             format!("knowledge session={s} secret={x},{y}")
         }),
-        1 => (1u64..4).prop_map(|s| format!("close session={s}")),
+        1 => arb_session().prop_map(|s| format!("close session={s}")),
         1 => Just("this is not a request".to_string()),
     ];
     let prefix = prop_oneof![
@@ -357,17 +363,17 @@ proptest! {
             Server::new(Frontend::new(support::warm_deployment()), sim, ServerConfig::new());
         server.run();
 
-        // Session numbers depend on cross-connection arrival order (and on whether the soup
-        // accidentally formed requests), so assert the response shape, not the id.
+        // Session ids are scoped to the opening connection, so whatever the soup formed, each
+        // neighbour's first open gets exactly its own connection's first id.
         let line_text = server.transport().received_text(line);
-        prop_assert!(
-            line_text.starts_with("1.1 ok session ") && line_text.ends_with('\n'),
-            "line connection answered `{}`", line_text
+        prop_assert_eq!(
+            line_text,
+            format!("1.1 ok session {}\n", support::session_id(line.0, 1))
         );
         let binary_text = server.transport().received_frame_text(binary);
-        prop_assert!(
-            binary_text.starts_with("2.1 ok session ") && binary_text.ends_with('\n'),
-            "binary connection answered `{}`", binary_text
+        prop_assert_eq!(
+            binary_text,
+            format!("2.1 ok session {}\n", support::session_id(binary.0, 1))
         );
     }
 

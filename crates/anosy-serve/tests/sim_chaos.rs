@@ -39,6 +39,11 @@ fn downgrade_line(session: u64, query: usize, x: i64, y: i64) -> String {
     format!("downgrade session={session} query={} secret={x},{y}\n", support::query(query).name())
 }
 
+/// The session id of `client`'s first open (every scenario client opens exactly one).
+fn session_of(client: Token) -> u64 {
+    support::session_id(client.0, 1)
+}
+
 /// Builds the scenario's network from a seed, runs the server to completion, returns both.
 fn run_scenario(
     seed: u64,
@@ -118,24 +123,26 @@ fn assert_replays_byte_identically(
 
 fn midline_disconnect(sim: &mut SimNet) -> Vec<Token> {
     // Virtual-time spacing of 1000 dominates any chunk latency the seed can draw, so the
-    // cross-connection submission order (and thus session numbering) is script-controlled;
-    // chunking and within-step interleaving still vary per seed.
+    // cross-connection submission order is script-controlled; chunking and within-step
+    // interleaving still vary per seed.
     let c0 = sim.connect(0);
     sim.send(c0, 0, register_line(0));
-    sim.send(c0, 1000, "open min-size:100\n"); // session 1
+    sim.send(c0, 1000, "open min-size:100\n");
     let c1 = sim.connect(2000);
-    sim.send(c1, 2000, "open min-size:100\n"); // session 2
-    sim.send(c0, 3000, downgrade_line(1, 0, 300, 200));
-    sim.send(c1, 3000, downgrade_line(2, 0, 300, 200));
+    sim.send(c1, 2000, "open min-size:100\n");
+    sim.send(c0, 3000, downgrade_line(session_of(c0), 0, 300, 200));
+    sim.send(c1, 3000, downgrade_line(session_of(c1), 0, 300, 200));
     // c1 resets mid-line: the fragment must be discarded, never interpreted.
-    sim.send(c1, 4000, "downgrade session=2 query=nearby_200_200 secr");
+    let fragment = format!("downgrade session={} query=nearby_200_200 secr", session_of(c1));
+    sim.send(c1, 4000, fragment);
     sim.abort(c1, 5000);
     // c0 keeps being served after the abort.
-    sim.send(c0, 6000, downgrade_line(1, 0, 10, 10));
+    sim.send(c0, 6000, downgrade_line(session_of(c0), 0, 10, 10));
     // c2 half-closes mid-line: its unterminated fragment IS a final line (FIN semantics).
     let c2 = sim.connect(7000);
-    sim.send(c2, 7000, "open allow-all\n"); // session 3
-    sim.send(c2, 8000, "downgrade session=3 query=nearby_200_200 secret=300,200");
+    sim.send(c2, 7000, "open allow-all\n");
+    let unterminated = downgrade_line(session_of(c2), 0, 300, 200);
+    sim.send(c2, 8000, unterminated.trim_end());
     sim.half_close(c2, 9000);
     sim.send(c0, 10_000, "stats\n");
     sim.half_close(c0, 11_000);
@@ -156,10 +163,16 @@ fn midline_disconnects_replay_and_match_the_oracle() {
 
     // c1 got its pre-abort answers and nothing after the reset.
     let c1 = clients[1];
-    assert_eq!(server.transport().received_text(c1), "1.1 ok session 2\n1.2 ok answer true\n");
+    assert_eq!(
+        server.transport().received_text(c1),
+        format!("1.1 ok session {}\n1.2 ok answer true\n", session_of(c1))
+    );
     // c2's unterminated final line was interpreted and answered before its close.
     let c2 = clients[2];
-    assert_eq!(server.transport().received_text(c2), "2.1 ok session 3\n2.2 ok answer true\n");
+    assert_eq!(
+        server.transport().received_text(c2),
+        format!("2.1 ok session {}\n2.2 ok answer true\n", session_of(c2))
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -170,18 +183,18 @@ fn midline_disconnects_replay_and_match_the_oracle() {
 fn downgrade_storm(sim: &mut SimNet) -> Vec<Token> {
     let c0 = sim.connect(0);
     sim.send(c0, 0, format!("{}{}", register_line(0), register_line(1)));
-    sim.send(c0, 1000, "open min-size:100\n"); // session 1
+    sim.send(c0, 1000, "open min-size:100\n");
     let c1 = sim.connect(2000);
-    sim.send(c1, 2000, "open min-size:100\n"); // session 2
+    sim.send(c1, 2000, "open min-size:100\n");
     let c2 = sim.connect(3000);
-    sim.send(c2, 3000, "open allow-all\n"); // session 3
+    sim.send(c2, 3000, "open allow-all\n");
     sim.tick(4000);
 
     // The storm: every client bursts downgrades into the same virtual-time window, so chunk
     // latencies interleave the three connections differently under every seed, while timer
     // ticks cut the queue into batches at seed-dependent points.
-    let sessions = [(c0, 1u64), (c1, 2u64), (c2, 3u64)];
-    for (client, session) in sessions {
+    for client in [c0, c1, c2] {
+        let session = session_of(client);
         let burst = sim.rng().gen_range(8usize..16);
         for j in 0..burst {
             let (a, b) = (sim.rng().gen_range(0i64..=10), sim.rng().gen_range(0i64..=10));
@@ -231,16 +244,16 @@ fn interleaved_downgrade_storms_match_the_oracle() {
 fn reconnect_after_drop(sim: &mut SimNet) -> Vec<Token> {
     let c0 = sim.connect(0);
     sim.send(c0, 0, register_line(0));
-    sim.send(c0, 1000, "open min-size:100\n"); // session 1 — the surviving bystander
+    sim.send(c0, 1000, "open min-size:100\n"); // the surviving bystander
     let c1 = sim.connect(2000);
-    sim.send(c1, 2000, "open min-size:100\n"); // session 2
-    sim.send(c1, 3000, downgrade_line(2, 0, 300, 200));
-    sim.send(c1, 4000, downgrade_line(2, 0, 300, 200));
+    sim.send(c1, 2000, "open min-size:100\n");
+    sim.send(c1, 3000, downgrade_line(session_of(c1), 0, 300, 200));
+    sim.send(c1, 4000, downgrade_line(session_of(c1), 0, 300, 200));
     sim.abort(c1, 5000);
     // The same "user" reconnects: a fresh transport connection, a fresh session.
     let c2 = sim.connect(6000);
-    sim.send(c2, 6000, "open min-size:100\n"); // session 3
-    sim.send(c2, 7000, downgrade_line(3, 0, 300, 200));
+    sim.send(c2, 6000, "open min-size:100\n");
+    sim.send(c2, 7000, downgrade_line(session_of(c2), 0, 300, 200));
     sim.half_close(c2, 8000);
     vec![c0, c1, c2]
 }
@@ -268,7 +281,10 @@ fn reconnecting_after_a_drop_starts_a_fresh_session() {
         )
         .unwrap();
     assert!(answer);
-    assert_eq!(server.transport().received_text(c2), "2.1 ok session 3\n2.2 ok answer true\n");
+    assert_eq!(
+        server.transport().received_text(c2),
+        format!("2.1 ok session {}\n2.2 ok answer true\n", session_of(c2))
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -279,13 +295,13 @@ fn reconnecting_after_a_drop_starts_a_fresh_session() {
 fn one_bad_peer(sim: &mut SimNet) -> Vec<Token> {
     let c0 = sim.connect(0);
     sim.send(c0, 0, register_line(0));
-    sim.send(c0, 1000, "open min-size:100\n"); // session 1
+    sim.send(c0, 1000, "open min-size:100\n");
     let c1 = sim.connect(2000);
-    sim.send(c1, 2000, "open min-size:100\n"); // session 2
+    sim.send(c1, 2000, "open min-size:100\n");
     sim.io_error(c1, 3000, "simulated NIC failure");
     // The healthy peer is served straight through the other's failure.
-    sim.send(c0, 4000, downgrade_line(1, 0, 300, 200));
-    sim.send(c0, 5000, downgrade_line(1, 0, 10, 10));
+    sim.send(c0, 4000, downgrade_line(session_of(c0), 0, 300, 200));
+    sim.send(c0, 5000, downgrade_line(session_of(c0), 0, 10, 10));
     sim.half_close(c0, 6000);
     vec![c0, c1]
 }
@@ -305,8 +321,11 @@ fn a_bad_peers_io_error_closes_only_its_connection() {
     let c0 = clients[0];
     assert_eq!(
         server.transport().received_text(c0),
-        "0.1 ok registered nearby_200_200\n0.2 ok session 1\n0.3 ok answer true\n\
-         0.4 ok answer false\n"
+        format!(
+            "0.1 ok registered nearby_200_200\n0.2 ok session {}\n0.3 ok answer true\n\
+             0.4 ok answer false\n",
+            session_of(c0)
+        )
     );
     // And the failed session is accounted for in the deployment ledger.
     let cache = server.frontend().deployment().stats().cache;
@@ -334,22 +353,28 @@ fn probe_until_refused(sim: &mut SimNet) -> Vec<Token> {
         })
         .collect();
     sim.send(c0, 0, registers);
-    sim.send(c0, 1000, "open min-size:2000\n"); // session 1
+    sim.send(c0, 1000, "open min-size:2000\n");
+    let session = session_of(c0);
     let (x, y) = PROBE_SECRET;
     let mut at = 2000;
     for i in 0..support::PROBE_THRESHOLDS.len() {
         let q = support::probe_query(i);
-        sim.send(c0, at, format!("downgrade session=1 query={} secret={x},{y}\n", q.name()));
+        sim.send(
+            c0,
+            at,
+            format!("downgrade session={session} query={} secret={x},{y}\n", q.name()),
+        );
         at += 1000;
     }
     // Hammer the refused rung twice more: a refusal must not change knowledge, so it must
     // keep refusing identically.
     let last = support::probe_query(support::PROBE_THRESHOLDS.len() - 1);
     for _ in 0..2 {
-        sim.send(c0, at, format!("downgrade session=1 query={} secret={x},{y}\n", last.name()));
+        let line = format!("downgrade session={session} query={} secret={x},{y}\n", last.name());
+        sim.send(c0, at, line);
         at += 1000;
     }
-    sim.send(c0, at, format!("knowledge session=1 secret={x},{y}\n"));
+    sim.send(c0, at, format!("knowledge session={session} secret={x},{y}\n"));
     sim.half_close(c0, at + 1000);
     vec![c0]
 }
@@ -397,17 +422,17 @@ fn mixed_codec_storm(sim: &mut SimNet) -> Vec<Token> {
     sim.send(c0, 0, anosy_serve::wire::BINARY_PREAMBLE);
     sim.send(c0, 0, frame(&register_line(0)));
     sim.send(c0, 0, frame(&register_line(1)));
-    sim.send(c0, 1000, frame("open min-size:100")); // session 1
+    sim.send(c0, 1000, frame("open min-size:100"));
     let c1 = sim.connect(2000);
     sim.send(c1, 2000, anosy_serve::wire::BINARY_PREAMBLE);
-    sim.send(c1, 2000, frame("open min-size:100")); // session 2
-                                                    // The bystander speaks the line protocol on the same reactor.
+    sim.send(c1, 2000, frame("open min-size:100"));
+    // The bystander speaks the line protocol on the same reactor.
     let c2 = sim.connect(3000);
-    sim.send(c2, 3000, "open allow-all\n"); // session 3
+    sim.send(c2, 3000, "open allow-all\n");
     sim.tick(4000);
 
-    let sessions = [(c0, 1u64, true), (c1, 2u64, true), (c2, 3u64, false)];
-    for (client, session, binary) in sessions {
+    for (client, binary) in [(c0, true), (c1, true), (c2, false)] {
+        let session = session_of(client);
         let burst = sim.rng().gen_range(8usize..16);
         for j in 0..burst {
             let (a, b) = (sim.rng().gen_range(0i64..=10), sim.rng().gen_range(0i64..=10));
@@ -427,7 +452,7 @@ fn mixed_codec_storm(sim: &mut SimNet) -> Vec<Token> {
 
     // c1 resets with a dangling partial frame on the wire: the fragment is discarded, never
     // interpreted and never reported as truncated (that's the half-close case).
-    sim.send(c1, 5900, &frame("downgrade session=2 query=nearby_200_200 secret=1,1")[..7]);
+    sim.send(c1, 5900, &frame(&downgrade_line(session_of(c1), 0, 1, 1))[..7]);
     sim.abort(c1, 6000);
     sim.half_close(c2, 7000);
     sim.half_close(c0, 8000);

@@ -33,7 +33,7 @@ fn a_dead_stdout_reader_fails_the_connection_not_the_process() {
     stdin.flush().expect("request is flushed");
     let mut line = String::new();
     stdout.read_line(&mut line).expect("response is readable");
-    assert_eq!(line.trim_end(), "0.1 ok session 1");
+    assert_eq!(line.trim_end(), "0.1 ok session 4294967297");
 
     // Kill the read end of the server's stdout: its next response write gets EPIPE.
     drop(stdout);
@@ -42,7 +42,7 @@ fn a_dead_stdout_reader_fails_the_connection_not_the_process() {
     // writes may start failing once the server tears the connection down and exits — that's
     // the expected shutdown order, not a test failure.
     for _ in 0..50 {
-        if stdin.write_all(b"knowledge session=1 secret=1,2\n").is_err() {
+        if stdin.write_all(b"knowledge session=4294967297 secret=1,2\n").is_err() {
             break;
         }
         if stdin.flush().is_err() {

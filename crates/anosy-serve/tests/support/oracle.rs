@@ -89,6 +89,12 @@ pub fn warm_deployment() -> Deployment<IntervalDomain> {
     deployment
 }
 
+/// The session id of `conn`'s `k`-th open: `((conn + 1) << 32) | k`, the connection-scoped
+/// scheme documented on [`SessionId`].
+pub fn session_id(conn: u64, k: u64) -> u64 {
+    ((conn + 1) << 32) | k
+}
+
 /// The specification: one request at a time against plain owned sessions — `downgrade` per
 /// downgrade request, a sequential loop per batch request, and [`Oracle::disconnect`] removing
 /// the sessions a connection opened, at the position the disconnect holds in the request
@@ -99,11 +105,7 @@ pub struct Oracle {
     /// Session id → (the connection that opened it, the session).
     sessions: BTreeMap<u64, (ConnId, AnosySession<IntervalDomain>)>,
     registry: Vec<(QueryDef, IndSets<IntervalDomain>)>,
-    next_session: u64,
-    /// Assign connection-scoped session ids (`((conn + 1) << 32) | k`), matching the frontends
-    /// of a reactor pool instead of a standalone server.
-    conn_scoped: bool,
-    /// Opens seen per connection (conn-scoped mode only).
+    /// Opens seen per connection: the `k` of each connection's next [`session_id`].
     conn_opens: BTreeMap<u64, u64>,
 }
 
@@ -131,17 +133,8 @@ impl Oracle {
             palette,
             sessions: BTreeMap::new(),
             registry: Vec::new(),
-            next_session: 0,
-            conn_scoped: false,
             conn_opens: BTreeMap::new(),
         }
-    }
-
-    /// Switches to the connection-scoped session-id scheme every [`anosy_serve::ReactorPool`]
-    /// frontend runs with ([`anosy_serve::Frontend::with_conn_scoped_sessions`]).
-    pub fn conn_scoped(mut self) -> Oracle {
-        self.conn_scoped = true;
-        self
     }
 
     /// The palette's synthesized ind. sets for `q` (panics for non-palette queries).
@@ -169,14 +162,9 @@ impl Oracle {
     pub fn apply(&mut self, conn: ConnId, request: &ServeRequest) -> ServeResponse {
         match request {
             ServeRequest::OpenSession { policy } => {
-                let id = if self.conn_scoped {
-                    let opens = self.conn_opens.entry(conn.0).or_insert(0);
-                    *opens += 1;
-                    ((conn.0 + 1) << 32) | *opens
-                } else {
-                    self.next_session += 1;
-                    self.next_session
-                };
+                let opens = self.conn_opens.entry(conn.0).or_insert(0);
+                *opens += 1;
+                let id = session_id(conn.0, *opens);
                 let mut session = AnosySession::new(self.layout.clone(), policy.clone());
                 for (query, indsets) in &self.registry {
                     session.register(QInfo::new(query.clone(), indsets.clone()));

@@ -1,15 +1,16 @@
 //! End-to-end smoke test of the `anosy-served` binary: pipes the canned request script through
-//! the real process twice — once over stdin/stdout (`--ticked` batching) and once over a real
-//! loopback TCP socket (`--listen`) — and diffs both full response transcripts against the one
-//! checked-in expectation. The CI smoke lane runs the same pipe from the shell; this test keeps
-//! it under plain `cargo test` too.
+//! the real process over stdin/stdout (`--ticked` batching), over a real loopback TCP socket
+//! (`--listen`) and over a two-reactor pool (`--listen --reactors 2`), and diffs every response
+//! transcript against the one checked-in expectation (the pool's up to its shard stamp). The
+//! CI smoke lane runs the same pipe from the shell; this test keeps it under plain `cargo test`
+//! too.
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, tick batching is
-//! response-equivalent to the sequential replay (proptested in `proptest_frontend.rs`), and
-//! sharded counting reports counterexamples in deterministic chunk order. Both transports run
-//! the same reactor, so their outputs must be **byte-identical** — a diff here means the *wire
-//! format or protocol semantics changed*; update `smoke.expected` only for deliberate protocol
-//! changes.
+//! response-equivalent to the sequential replay (proptested in `proptest_frontend.rs`),
+//! sharded counting reports counterexamples in deterministic chunk order, and session ids
+//! depend only on the opening connection. Every transport runs the same reactor, so their
+//! outputs must be **byte-identical** — a diff here means the *wire format or protocol
+//! semantics changed*; update `smoke.expected` only for deliberate protocol changes.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -47,33 +48,28 @@ fn canned_script_round_trips_through_the_binary() {
     );
 }
 
-#[test]
-fn the_same_transcript_rides_a_loopback_socket() {
+/// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`
+/// arguments) and returns the transcript the client read back.
+fn socket_transcript(extra: &[&str]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
-        .args([
-            "--layout",
-            "x:0:400 y:0:400",
-            "--workers",
-            "2",
-            "--ticked",
-            "--listen",
-            "127.0.0.1:0",
-            "--accept",
-            "1",
-        ])
+        .args(["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"])
+        .args(["--listen", "127.0.0.1:0", "--accept", "1"])
+        .args(extra)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("anosy-served spawns");
 
-    // The binary announces the actual port (we bound port 0) as its first stdout line.
+    // The binary announces the actual address (we bound port 0) as the first token of its
+    // first stdout line, `# listening on ADDR reactors=N`.
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
     let mut banner = String::new();
     stdout.read_line(&mut banner).expect("banner line is readable");
     let addr = banner
         .trim()
         .strip_prefix("# listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
         .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
         .to_string();
 
@@ -87,10 +83,47 @@ fn the_same_transcript_rides_a_loopback_socket() {
     stream.read_to_string(&mut transcript).expect("transcript is readable");
 
     let status = child.wait().expect("anosy-served exits");
-    assert!(status.success(), "anosy-served failed in --listen mode");
+    assert!(status.success(), "anosy-served failed in --listen mode {extra:?}");
+    transcript
+}
+
+#[test]
+fn the_same_transcript_rides_a_loopback_socket() {
     assert_eq!(
-        transcript, EXPECTED,
+        socket_transcript(&[]),
+        EXPECTED,
         "the socket transcript diverged from the stdin/stdout transcript"
+    );
+}
+
+/// Masks the stats line's `reactors=`/`shard=` stamp, the one thing a transcript may vary in
+/// across reactor counts.
+fn without_shard_stamp(transcript: &str) -> String {
+    transcript
+        .lines()
+        .map(|line| {
+            line.split(' ')
+                .map(|field| match field.split_once('=') {
+                    Some((key @ ("reactors" | "shard"), _)) => format!("{key}=*"),
+                    _ => field.to_string(),
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+                + "\n"
+        })
+        .collect()
+}
+
+#[test]
+fn the_same_transcript_rides_a_two_reactor_pool() {
+    // Session ids depend only on the opening connection, so sharding the pool changes nothing
+    // a client can see but the stats line's shard stamp.
+    let transcript = socket_transcript(&["--reactors", "2"]);
+    assert!(transcript.contains(" reactors=2 "), "the pool ran two reactors:\n{transcript}");
+    assert_eq!(
+        without_shard_stamp(&transcript),
+        without_shard_stamp(EXPECTED),
+        "the two-reactor transcript diverged from the single-reactor one"
     );
 }
 

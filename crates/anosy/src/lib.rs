@@ -70,7 +70,7 @@ pub mod prelude {
     pub use anosy_logic::{IntExpr, Point, Pred, SecretLayout};
     pub use anosy_serve::{
         ConnId, Deployment, Frontend, RequestId, ServeConfig, ServeRequest, ServeResponse,
-        ServeStats, Server, ServerConfig, SessionId, ShardPool, SimNet, TcpTransport, Transport,
+        ServeStats, Server, ServerConfig, SessionId, ShardPool, SimNet, Transport,
     };
     pub use anosy_solver::{ExpansionStrategy, Solver, SolverConfig};
     pub use anosy_synth::{ApproxKind, IndSets, QueryDef, QueryRegistry, SynthConfig, Synthesizer};

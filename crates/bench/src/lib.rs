@@ -535,10 +535,12 @@ pub fn frontend_rows(
                 .register_query(&b.query, ApproxKind::Under, None)
                 .expect("benchmark synthesis fits the budget");
             let secrets = deterministic_secrets(&layout, total_requests, 0xF407);
-            let session = SessionId(1);
+            // The first open of a fresh frontend's first connection (`connect()` mints conn 1;
+            // session ids are `((conn + 1) << 32) | k`, see `SessionId`).
+            let session = SessionId((2 << 32) | 1);
 
-            // A fresh frontend per repeat: each gets its own session 1 (registration is a
-            // pure cache hit against the shared deployment), because downgrades refine the
+            // A fresh frontend per repeat: each gets its own copy of that session (registration
+            // is a pure cache hit against the shared deployment), because downgrades refine the
             // session's tracked knowledge — repeats on one session would answer differently.
             let fresh_frontend = || {
                 let mut frontend = Frontend::new(deployment.share());
@@ -553,7 +555,8 @@ pub fn frontend_rows(
                 );
                 frontend
                     .submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(10) });
-                frontend.tick();
+                let opened = frontend.tick();
+                assert_eq!(opened[1].response, ServeResponse::SessionOpened { session });
                 (frontend, conn)
             };
 

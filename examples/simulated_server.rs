@@ -35,16 +35,18 @@ fn run(config: ServeConfig, seed: u64) -> Result<(), Box<dyn std::error::Error>>
         "register name=nearby kind=under members=- pred=abs(x - 200) + abs(y - 200) <= 100\n",
     );
     sim.send(alice, 1000, "open min-size:100\n");
+    // Session ids are scoped to the opening connection: alice (token 0) opens 4294967297,
+    // mallory (token 1) opens 8589934593 — `((conn + 1) << 32) | k`, see `SessionId`.
     sim.send(
         alice,
         2000,
-        "downgrade session=1 query=nearby secret=300,200\n\
-         downgrade session=1 query=nearby secret=10,10\n",
+        "downgrade session=4294967297 query=nearby secret=300,200\n\
+         downgrade session=4294967297 query=nearby secret=10,10\n",
     );
     let mallory = sim.connect(3000);
     sim.send(mallory, 3000, "open allow-all\n");
     sim.send(mallory, 4000, "this is not a request\n");
-    sim.send(mallory, 5000, "downgrade session=2 query=nearby secr");
+    sim.send(mallory, 5000, "downgrade session=8589934593 query=nearby secr");
     sim.abort(mallory, 6000);
     sim.send(alice, 7000, "stats\n");
     sim.half_close(alice, 8000);
