@@ -129,7 +129,8 @@ pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
     policy: Arc<dyn Policy<D> + Send + Sync>,
     secrets: HashMap<Point, Knowledge<D>>,
-    queries: BTreeMap<String, QInfo<D>>,
+    /// Shared so the batched-downgrade driver takes a handle per call, never a deep copy.
+    queries: BTreeMap<String, Arc<QInfo<D>>>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
     /// The session's term store and synthesis cache — private, or shared across a deployment.
     backing: SynthBacking<D>,
@@ -232,12 +233,19 @@ impl<D: AbstractDomain> AnosySession<D> {
 
     /// The registered query with the given name, if any (read access for serving-layer drivers).
     pub fn query_info(&self, name: &str) -> Option<&QInfo<D>> {
-        self.queries.get(name)
+        self.queries.get(name).map(Arc::as_ref)
+    }
+
+    /// A cloneable handle on the registered query with the given name, if any. Like
+    /// [`AnosySession::policy_handle`], this is what the batched-downgrade driver hands to
+    /// worker threads: one reference-count bump, not a copy of the query and its ind. sets.
+    pub fn query_handle(&self, name: &str) -> Option<Arc<QInfo<D>>> {
+        self.queries.get(name).map(Arc::clone)
     }
 
     /// Registers an already-synthesized (and, by contract, already-verified) query.
     pub fn register(&mut self, qinfo: QInfo<D>) {
-        self.queries.insert(qinfo.query().name().to_string(), qinfo);
+        self.queries.insert(qinfo.query().name().to_string(), Arc::new(qinfo));
     }
 
     /// Registers a query **from the synthesis cache only** — no [`Synthesizer`] involved, no

@@ -9,6 +9,13 @@
 //! duplicate secrets in one batch: occurrences of the same secret are chained in order on one
 //! worker, because the i-th downgrade of a secret refines the posterior of the (i-1)-th).
 //!
+//! The decision phase is split into contiguous chunks of distinct secrets. **One chunk runs on
+//! the calling thread**: with nothing to spread across workers, a pool round trip is pure
+//! barrier cost. A one-worker pool always gets one chunk (oversplitting only rebalances across
+//! workers), and so does a batch with a single distinct secret, whatever the pool size. Either
+//! way the same job decides the chain, so answers do not depend on where it ran, and a panic in
+//! policy code surfaces to the caller with its original payload on both paths.
+//!
 //! [`downgrade_many`] — one secret against a query set — is the transposed API. Its chain is
 //! inherently sequential (each query refines the prior the next one sees), so it costs one
 //! worker; it exists so callers can express both batch shapes uniformly and so the sequential
@@ -16,13 +23,15 @@
 
 use crate::ShardPool;
 
-/// Oversplit factor for the decision phase: more chunks than workers lets a worker that drew
-/// cheap secrets pull further chunks while a skewed run (hot duplicate chains, large priors)
-/// is still deciding elsewhere — same rationale as the parallel solver driver's oversplit.
+/// Oversplit factor for the decision phase on a multi-worker pool: more chunks than workers
+/// lets a worker that drew cheap secrets pull further chunks while a skewed run (hot duplicate
+/// chains, large priors) is still deciding elsewhere — same rationale as the parallel solver
+/// driver's oversplit.
 const BATCH_CHUNKS_PER_WORKER: usize = 4;
 use anosy_core::{downgrade_step, AnosyError, AnosySession, Knowledge, Policy, QInfo};
 use anosy_domains::AbstractDomain;
-use anosy_logic::{Point, SecretLayout};
+use anosy_logic::Point;
+use anosy_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,12 +46,11 @@ struct SecretOutcome<D: AbstractDomain> {
     refused: u64,
 }
 
-/// Decides the whole chain of one secret's occurrences against one query, starting from the
-/// session's tracked prior — the pure phase, safe to run on any thread.
+/// Decides the whole chain of one in-layout secret's occurrences against one query, starting
+/// from the session's tracked prior — the pure phase, safe to run on any thread.
 fn decide_chain<D: AbstractDomain>(
     policy: &dyn Policy<D>,
     qinfo: &QInfo<D>,
-    layout: &SecretLayout,
     point: Point,
     mut prior: Knowledge<D>,
     occurrences: usize,
@@ -55,11 +63,6 @@ fn decide_chain<D: AbstractDomain>(
         refused: 0,
     };
     for _ in 0..occurrences {
-        if !layout.admits(&outcome.point) {
-            // Not a policy refusal: no counter moves, matching the sequential path.
-            outcome.results.push(Err(AnosyError::SecretOutsideLayout));
-            continue;
-        }
         match downgrade_step(policy, qinfo, &prior, &outcome.point) {
             Ok((response, posterior)) => {
                 prior = posterior;
@@ -107,23 +110,26 @@ pub struct FusedGroup<'s, D: AbstractDomain> {
     pub query: &'s str,
 }
 
-/// Per-group decision context resolved before the scatter; `None` when the group's query is
-/// unknown to its session (those groups answer per element without touching the pool).
-type GroupCtx<D> = Option<(Arc<QInfo<D>>, Arc<dyn Policy<D> + Send + Sync>, Arc<SecretLayout>)>;
+/// Per-group decision context resolved before the decision phase; `None` when the group's query
+/// is unknown to its session (those groups answer per element without any decision work).
+type GroupCtx<D> = Option<(Arc<QInfo<D>>, Arc<dyn Policy<D> + Send + Sync>)>;
 
-/// Downgrades several sessions' batches in **one** pooled decision phase. Each group is
-/// decided and committed exactly as a standalone [`downgrade_batch`] call would — sessions
-/// are independent, per-(session, distinct-secret) chains never cross groups, and commits
-/// land in deterministic (group, distinct-secret) order — so the returned result vectors are
-/// element-for-element identical to calling [`downgrade_batch`] once per group, in order.
-/// Fusing buys one scatter/gather over the whole run instead of one per session, which is
-/// where the frontend's cross-session regrouping recovers the protocol tax.
+/// Downgrades several sessions' batches in **one** decision phase. Each group is decided and
+/// committed exactly as a standalone [`downgrade_batch`] call would — sessions are independent,
+/// per-(session, distinct-secret) chains never cross groups, and commits land in deterministic
+/// (group, distinct-secret) order — so the returned result vectors are element-for-element
+/// identical to calling [`downgrade_batch`] once per group, in order. Fusing buys one
+/// scatter/gather over the whole run instead of one per session, which is where the frontend's
+/// cross-session regrouping recovers the protocol tax. A run that chunks into a single job —
+/// one distinct secret, or any run on a one-worker pool — is decided on the calling thread,
+/// skipping the pool's barrier.
 pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
     pool: &ShardPool,
     groups: &mut [FusedGroup<'_, D>],
 ) -> Vec<Vec<Result<bool, AnosyError>>> {
     let mut results: Vec<Vec<Option<Result<bool, AnosyError>>>> =
         groups.iter().map(|g| vec![None; g.secrets.len()]).collect();
+    let decide_span = telemetry::span("batch.decide");
     let mut contexts: Vec<GroupCtx<D>> = Vec::with_capacity(groups.len());
     // occurrences[g][slot] = input indices of group g's slot-th distinct secret.
     let mut occurrences: Vec<Vec<Vec<usize>>> = Vec::with_capacity(groups.len());
@@ -131,9 +137,9 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
     // slot, the unique point, its tracked prior and its occurrence count.
     let mut work: Vec<(usize, usize, Point, Knowledge<D>, usize)> = Vec::new();
 
-    for (g, group) in groups.iter_mut().enumerate() {
+    for (g, group) in groups.iter().enumerate() {
         let secrets: &[Point] = group.secrets;
-        let Some(qinfo) = group.session.query_info(group.query) else {
+        let Some(qinfo) = group.session.query_handle(group.query) else {
             for slot in &mut results[g] {
                 *slot = Some(Err(AnosyError::UnknownQuery { name: group.query.to_string() }));
             }
@@ -141,9 +147,8 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
             occurrences.push(Vec::new());
             continue;
         };
-        let qinfo = Arc::new(qinfo.clone());
         let policy = group.session.policy_handle();
-        let layout = Arc::new(group.session.layout().clone());
+        let layout = group.session.layout();
 
         // Group occurrences per distinct secret, preserving first-seen order. Only the first
         // occurrence of a point is cloned; duplicates cost one hash lookup and an index push.
@@ -159,57 +164,77 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
             }
         }
         for (slot, indices) in slots.iter().enumerate() {
-            let point = secrets[indices[0]].clone();
-            let prior = group.session.knowledge_of(&point);
-            work.push((g, slot, point, prior, indices.len()));
+            let point = &secrets[indices[0]];
+            if !layout.admits(point) {
+                // Not a policy refusal: no counter moves and nothing commits, matching the
+                // sequential path.
+                for &index in indices {
+                    results[g][index] = Some(Err(AnosyError::SecretOutsideLayout));
+                }
+                continue;
+            }
+            let prior = group.session.knowledge_of(point);
+            work.push((g, slot, point.clone(), prior, indices.len()));
         }
-        contexts.push(Some((qinfo, policy, layout)));
+        contexts.push(Some((qinfo, policy)));
         occurrences.push(slots);
     }
 
-    if !work.is_empty() {
-        // One shared context table instead of three Arc clones per chunk per group.
-        let contexts = Arc::new(contexts);
-        // Decision phase: contiguous runs of distinct secrets across *all* groups, oversplit
-        // so workers can rebalance around skewed chains.
-        let jobs: Vec<_> = ShardPool::chunk(work, pool.workers() * BATCH_CHUNKS_PER_WORKER)
-            .into_iter()
-            .map(|chunk| {
-                let contexts = Arc::clone(&contexts);
-                move || -> Vec<(usize, usize, SecretOutcome<D>)> {
-                    chunk
-                        .into_iter()
-                        .map(|(g, slot, point, prior, count)| {
-                            let (qinfo, policy, layout) = contexts[g]
-                                .as_ref()
-                                .expect("work items only exist for resolvable groups");
-                            let outcome =
-                                decide_chain(policy.as_ref(), qinfo, layout, point, prior, count);
-                            (g, slot, outcome)
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-
-        // Commit phase: sequential, in deterministic (group, distinct-secret) order.
-        for (g, slot, outcome) in pool.scatter(jobs).into_iter().flat_map(|job_results| {
-            // A panic in user policy code surfaces here with its original payload, exactly as
-            // the sequential loop would have surfaced it.
-            job_results.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        }) {
-            let indices = &occurrences[g][slot];
-            debug_assert_eq!(indices.len(), outcome.results.len());
-            for (&index, result) in indices.iter().zip(outcome.results) {
-                results[g][index] = Some(result);
+    // One shared context table instead of two Arc clones per chunk per group.
+    let contexts = Arc::new(contexts);
+    // Decision phase: contiguous runs of distinct secrets across *all* groups, oversplit on a
+    // multi-worker pool so workers can rebalance around skewed chains.
+    let parts = match pool.workers() {
+        1 => 1,
+        workers => workers * BATCH_CHUNKS_PER_WORKER,
+    };
+    let jobs: Vec<_> = ShardPool::chunk(work, parts)
+        .into_iter()
+        .map(|chunk| {
+            let contexts = Arc::clone(&contexts);
+            move || -> Vec<(usize, usize, SecretOutcome<D>)> {
+                chunk
+                    .into_iter()
+                    .map(|(g, slot, point, prior, count)| {
+                        let (qinfo, policy) = contexts[g]
+                            .as_ref()
+                            .expect("work items only exist for resolvable groups");
+                        (g, slot, decide_chain(policy.as_ref(), qinfo, point, prior, count))
+                    })
+                    .collect()
             }
-            groups[g].session.commit_batch_outcome_tcb(
-                outcome.point,
-                outcome.posterior,
-                outcome.authorized,
-                outcome.refused,
-            );
+        })
+        .collect();
+    let decided: Vec<Vec<(usize, usize, SecretOutcome<D>)>> = if jobs.len() > 1 {
+        pool.scatter(jobs)
+            .into_iter()
+            .map(|job_results| {
+                // A panic in user policy code surfaces here with its original payload, exactly
+                // as the sequential loop would have surfaced it.
+                job_results.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    } else {
+        // Nothing to parallelise: decide on the calling thread, where a policy panic unwinds
+        // with its original payload by itself.
+        jobs.into_iter().map(|job| job()).collect()
+    };
+    drop(decide_span);
+
+    // Commit phase: sequential, in deterministic (group, distinct-secret) order.
+    let _commit_span = telemetry::span("batch.commit");
+    for (g, slot, outcome) in decided.into_iter().flatten() {
+        let indices = &occurrences[g][slot];
+        debug_assert_eq!(indices.len(), outcome.results.len());
+        for (&index, result) in indices.iter().zip(outcome.results) {
+            results[g][index] = Some(result);
         }
+        groups[g].session.commit_batch_outcome_tcb(
+            outcome.point,
+            outcome.posterior,
+            outcome.authorized,
+            outcome.refused,
+        );
     }
 
     results
@@ -263,7 +288,7 @@ pub fn downgrade_many<D: AbstractDomain>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anosy_core::MinSizePolicy;
+    use anosy_core::{FnPolicy, MinSizePolicy};
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, SecretLayout};
@@ -275,7 +300,14 @@ mod tests {
     }
 
     fn session_with(origins: &[(i64, i64)]) -> AnosySession<IntervalDomain> {
-        let mut session = AnosySession::new(layout(), MinSizePolicy::new(100));
+        session_under(MinSizePolicy::new(100), origins)
+    }
+
+    fn session_under(
+        policy: impl Policy<IntervalDomain> + Send + Sync + 'static,
+        origins: &[(i64, i64)],
+    ) -> AnosySession<IntervalDomain> {
+        let mut session = AnosySession::new(layout(), policy);
         let mut synth =
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
         for &(xo, yo) in origins {
@@ -307,14 +339,23 @@ mod tests {
         }
     }
 
+    /// Pool sizes the equivalence tests run on: one worker decides every batch on the calling
+    /// thread, four workers scatter the larger batches.
+    const POOL_SIZES: [usize; 2] = [1, 4];
+
     #[test]
     fn batch_matches_the_sequential_loop_exactly() {
-        let pool = ShardPool::new(4);
+        for workers in POOL_SIZES {
+            batch_matches_the_sequential_loop_on(&ShardPool::new(workers));
+        }
+    }
+
+    fn batch_matches_the_sequential_loop_on(pool: &ShardPool) {
         let mut batched = session_with(&[(200, 200)]);
         let mut looped = session_with(&[(200, 200)]);
         let points = secrets();
 
-        let batch_results = downgrade_batch(&pool, &mut batched, &points, "nearby_200_200");
+        let batch_results = downgrade_batch(pool, &mut batched, &points, "nearby_200_200");
         let loop_results: Vec<_> = points
             .iter()
             .map(|p| looped.downgrade(&Protected::new(p.clone()), "nearby_200_200"))
@@ -327,14 +368,19 @@ mod tests {
             assert_eq!(
                 batched.knowledge_of(p).size(),
                 looped.knowledge_of(p).size(),
-                "knowledge diverges for {p}"
+                "knowledge diverges for {p} on {pool:?}"
             );
         }
     }
 
     #[test]
     fn fused_groups_match_per_session_batches_exactly() {
-        let pool = ShardPool::new(4);
+        for workers in POOL_SIZES {
+            fused_groups_match_per_session_batches_on(&ShardPool::new(workers));
+        }
+    }
+
+    fn fused_groups_match_per_session_batches_on(pool: &ShardPool) {
         let mut fused_a = session_with(&[(200, 200)]);
         let mut fused_b = session_with(&[(200, 200), (300, 200)]);
         let mut solo_a = session_with(&[(200, 200)]);
@@ -351,12 +397,12 @@ mod tests {
             ];
             // The empty group aliases `solo_a` deliberately: zero secrets must mean zero
             // commits, so the sequential replay below starts from an untouched session.
-            downgrade_batch_fused(&pool, &mut groups)
+            downgrade_batch_fused(pool, &mut groups)
         };
         assert!(fused[2].is_empty());
         let solo = [
-            downgrade_batch(&pool, &mut solo_a, &points_a, "nearby_200_200"),
-            downgrade_batch(&pool, &mut solo_b, &points_b, "nearby_300_200"),
+            downgrade_batch(pool, &mut solo_a, &points_a, "nearby_200_200"),
+            downgrade_batch(pool, &mut solo_b, &points_b, "nearby_300_200"),
         ];
         for (f, s) in fused.iter().zip(&solo) {
             assert_same(f, s);
@@ -368,6 +414,28 @@ mod tests {
         for p in &points_a {
             assert_eq!(fused_a.knowledge_of(p).size(), solo_a.knowledge_of(p).size());
             assert_eq!(fused_b.knowledge_of(p).size(), solo_b.knowledge_of(p).size());
+        }
+    }
+
+    #[test]
+    fn policy_panics_resurface_with_their_original_payload() {
+        // One secret on a one-worker pool is decided on the calling thread; 64 distinct
+        // secrets on four workers are scattered. The caller sees the policy's own panic on both.
+        let points: Vec<Point> = (0..64).map(|i| Point::new(vec![i, i])).collect();
+        for (workers, batch) in [(1, &points[..1]), (4, &points[..])] {
+            let pool = ShardPool::new(workers);
+            let policy = FnPolicy::new("explodes", |_| panic!("policy exploded"));
+            let mut session = session_under(policy, &[(200, 200)]);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                downgrade_batch(&pool, &mut session, batch, "nearby_200_200")
+            }))
+            .expect_err("the policy panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"policy exploded"),
+                "{workers} workers, {} secrets",
+                batch.len()
+            );
         }
     }
 

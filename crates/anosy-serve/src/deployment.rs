@@ -189,7 +189,9 @@ impl<D: AbstractDomain> Deployment<D> {
 
     /// Downgrades a batch of secrets against one registered query of `session`, sharding the
     /// policy/posterior decisions across the deployment pool. Results (and the session's
-    /// post-state) are identical to the sequential per-call loop.
+    /// post-state) are identical to the sequential per-call loop. A decision phase that chunks
+    /// into one job — a single distinct secret, or any batch on a one-worker pool — runs on the
+    /// calling thread instead (see [`batch::downgrade_batch_fused`]).
     pub fn downgrade_batch(
         &self,
         session: &mut AnosySession<D>,
@@ -205,7 +207,8 @@ impl<D: AbstractDomain> Deployment<D> {
     /// Downgrades several sessions' batches in one pooled decision phase — the fused
     /// cross-session variant of [`Deployment::downgrade_batch`]; results and post-state per
     /// group are identical to one `downgrade_batch` call per group, in order (see
-    /// [`batch::downgrade_batch_fused`]).
+    /// [`batch::downgrade_batch_fused`]). As there, one chunk runs on the calling thread, and a
+    /// one-worker pool is one chunk.
     pub fn downgrade_batch_fused(
         &self,
         groups: &mut [batch::FusedGroup<'_, D>],

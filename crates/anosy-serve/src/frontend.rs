@@ -128,8 +128,10 @@ pub struct Frontend<D: AbstractDomain> {
     deployment: Deployment<D>,
     sessions: BTreeMap<SessionId, OpenSession<D>>,
     /// Queries registered so far: replayed into every newly opened session (registration is a
-    /// pure cache hit by then). Keyed by name; re-registration replaces, as in a session.
-    registry: BTreeMap<String, (QueryDef, ApproxKind, Option<usize>)>,
+    /// pure cache hit by then). Keyed by name; re-registration replaces, as in a session. The
+    /// last field is the query's interned predicate, interned once here so that
+    /// [`Frontend::fuse_round`] ranks segments without touching the shared store.
+    registry: BTreeMap<String, (QueryDef, ApproxKind, Option<usize>, PredId)>,
     pending: Vec<Pending>,
     next_conn: u64,
     conn_seqs: HashMap<ConnId, u64>,
@@ -387,26 +389,24 @@ where
     }
 
     /// Answers one fused round with a single [`Deployment::downgrade_batch_fused`] call.
-    /// Segments are ordered by their query's interned [`PredId`] (the secret layout is
-    /// deployment-wide, so the predicate identifies the shared decision work), putting
-    /// sessions that downgrade against the same shared predicate adjacent in the scatter —
-    /// the same cross-session sharing the single-flight synthesis cache exploits.
+    /// Segments are ordered by their query's interned [`PredId`] and direction, looked up in
+    /// the registry (the secret layout is deployment-wide, so the predicate identifies the
+    /// shared decision work), putting sessions that downgrade against the same shared
+    /// predicate adjacent in the scatter — the same cross-session sharing the single-flight
+    /// synthesis cache exploits. The rank only orders the scatter; it never changes an answer.
     fn fuse_round(
         &mut self,
         round: Vec<(SessionId, Segment)>,
         responses: &mut [Option<ServeResponse>],
     ) {
-        let shared = self.deployment.shared();
         let mut ranks: HashMap<(PredId, ApproxKind), usize> = HashMap::new();
         let mut keyed: Vec<(usize, SessionId, Segment)> = round
             .into_iter()
             .map(|(session_id, segment)| {
-                let open = self.sessions.get(&session_id).expect("unknown sessions answered");
-                let rank = match open.session.query_info(&segment.query) {
-                    Some(qinfo) => {
-                        let key = (shared.intern_pred(qinfo.query().pred()), qinfo.kind());
+                let rank = match self.registry.get(&*segment.query) {
+                    Some((_, kind, _, pred)) => {
                         let next = ranks.len();
-                        *ranks.entry(key).or_insert(next)
+                        *ranks.entry((*pred, *kind)).or_insert(next)
                     }
                     // Unknown queries answer per element inside the fused driver; park them
                     // after every real group.
@@ -474,7 +474,7 @@ where
                 };
                 *opens += 1;
                 let mut session = self.deployment.session(policy);
-                for (query, kind, members) in self.registry.values() {
+                for (query, kind, members, _) in self.registry.values() {
                     if let Err(e) = session.register_cached(query, *kind, *members) {
                         return ServeResponse::Rejected(Denial::from(e));
                     }
@@ -492,7 +492,7 @@ where
                 if self
                     .registry
                     .get(query.name())
-                    .is_some_and(|(q, k, m)| *q == query && *k == kind && *m == members)
+                    .is_some_and(|(q, k, m, _)| *q == query && *k == kind && *m == members)
                 {
                     if let Err(e) = self.deployment.register_query(&query, kind, members) {
                         return ServeResponse::Rejected(Denial::new(
@@ -514,7 +514,8 @@ where
                     }
                 }
                 let name = query.name().to_string();
-                self.registry.insert(name.clone(), (query, kind, members));
+                let pred = self.deployment.shared().intern_pred(query.pred());
+                self.registry.insert(name.clone(), (query, kind, members, pred));
                 ServeResponse::QueryRegistered { name }
             }
             ServeRequest::DowngradeBatch { session, secrets, query } => {

@@ -22,7 +22,9 @@
 //! * **One fixed shard pool** ([`ShardPool`]): `workers` OS threads that live as long as the
 //!   deployment. Two drivers shard across it, both in the share-nothing-then-merge style:
 //!   [`Deployment::downgrade_batch`] decides independent secrets' downgrades on workers and
-//!   commits sequentially, and the parallel solver driver ([`par_count_models`],
+//!   commits sequentially (a decision phase that chunks into one job — a single distinct
+//!   secret, or any batch on a one-worker pool — runs on the calling thread instead, skipping
+//!   the pool's barrier), and the parallel solver driver ([`par_count_models`],
 //!   [`par_check_validity`]) splits a space into disjoint sub-boxes, seeds each worker with a
 //!   private read-only [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
 //!   [`anosy_solver::SolverStats`].

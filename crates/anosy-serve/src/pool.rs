@@ -105,8 +105,9 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Job>>>) {
         };
         match job {
             Ok(job) => {
-                // A panicking job must not take the worker down with it: swallow the unwind and
-                // move on to the next job. The caller observes the panic as a `None` slot.
+                // A panicking job must not take the worker down with it. `scatter` already
+                // caught the panic and sent it as an `Err` slot carrying its payload, so this
+                // guard only keeps the worker alive; then move on to the next job.
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             }
             Err(_) => return, // pool dropped: no more jobs will ever arrive

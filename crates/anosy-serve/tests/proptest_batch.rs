@@ -1,6 +1,7 @@
 //! Property: batched downgrades agree element-wise with the sequential per-call loop — results,
 //! session counters and tracked knowledge — for arbitrary batches (duplicates and out-of-layout
-//! secrets included) and arbitrary policy thresholds.
+//! secrets included), arbitrary policy thresholds and pools of one worker (every batch decided
+//! on the calling thread) or four (larger batches scattered).
 
 use anosy_core::{AnosySession, MinSizePolicy, QInfo};
 use anosy_domains::IntervalDomain;
@@ -35,9 +36,14 @@ fn queries() -> &'static Vec<QInfo<IntervalDomain>> {
     })
 }
 
-fn pool() -> &'static ShardPool {
-    static POOL: OnceLock<ShardPool> = OnceLock::new();
-    POOL.get_or_init(|| ShardPool::new(4))
+/// The process-wide pool of the given size (1 or 4 workers, see [`arb_workers`]).
+fn pool(workers: usize) -> &'static ShardPool {
+    static POOLS: [OnceLock<ShardPool>; 2] = [OnceLock::new(), OnceLock::new()];
+    POOLS[usize::from(workers > 1)].get_or_init(|| ShardPool::new(workers))
+}
+
+fn arb_workers() -> impl Strategy<Value = usize> {
+    (0usize..2).prop_map(|i| [1, 4][i])
 }
 
 fn session_with_queries(threshold: u128) -> AnosySession<IntervalDomain> {
@@ -66,6 +72,7 @@ proptest! {
         secrets in arb_batch(),
         threshold in (0u64..=25_000).prop_map(u128::from),
         query_index in 0usize..3,
+        workers in arb_workers(),
     ) {
         let name = queries()[query_index].query().name().to_string();
         let mut looped = session_with_queries(threshold);
@@ -76,7 +83,7 @@ proptest! {
 
         let mut batched = session_with_queries(threshold);
         let batch_results: Vec<Result<bool, String>> =
-            downgrade_batch(pool(), &mut batched, &secrets, &name)
+            downgrade_batch(pool(workers), &mut batched, &secrets, &name)
                 .into_iter()
                 .map(|r| r.map_err(|e| e.to_string()))
                 .collect();
@@ -98,6 +105,7 @@ proptest! {
         secret in arb_secret(),
         threshold in (0u64..=25_000).prop_map(u128::from),
         order in proptest::collection::vec(0usize..4, 0..8),
+        workers in arb_workers(),
     ) {
         // Index 3 maps to an unregistered query name.
         let names: Vec<String> = order
@@ -122,10 +130,27 @@ proptest! {
                 .map(|r| r.map_err(|e| e.to_string()))
                 .collect();
 
+        // The same chain as one-secret batches: each is a single chunk, decided on the
+        // calling thread whatever the pool size.
+        let mut chained = session_with_queries(threshold);
+        let chained_results: Vec<Result<bool, String>> = name_refs
+            .iter()
+            .flat_map(|n| {
+                downgrade_batch(pool(workers), &mut chained, std::slice::from_ref(&secret), n)
+            })
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect();
+
         prop_assert_eq!(&many_results, &loop_results);
+        prop_assert_eq!(&chained_results, &loop_results);
         prop_assert_eq!(many.stats(), looped.stats());
+        prop_assert_eq!(chained.stats(), looped.stats());
         prop_assert_eq!(
             many.knowledge_of(&secret).size(),
+            looped.knowledge_of(&secret).size()
+        );
+        prop_assert_eq!(
+            chained.knowledge_of(&secret).size(),
             looped.knowledge_of(&secret).size()
         );
     }

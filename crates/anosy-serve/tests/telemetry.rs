@@ -125,7 +125,7 @@ fn single_reactor_traces_replay_byte_identically() {
     // The trace is non-trivial: it holds the serving stack's span names with virtual
     // timestamps, ready for chrome://tracing.
     assert!(trace.starts_with('[') && trace.ends_with(']'));
-    for name in ["frontend.tick", "wire.decode"] {
+    for name in ["frontend.tick", "wire.decode", "batch.decide", "batch.commit"] {
         assert!(trace.contains(&format!("\"name\":\"{name}\"")), "missing {name} in {trace}");
     }
     // A different net seed really changes the trace (the determinism assert is not comparing

@@ -1,9 +1,9 @@
 //! End-to-end smoke test of the `anosy-served` binary: pipes the canned request script through
-//! the real process over stdin/stdout (`--ticked` batching), over a real loopback TCP socket
-//! (`--listen`) and over a two-reactor pool (`--listen --reactors 2`), and diffs every response
-//! transcript against the one checked-in expectation (the pool's up to its shard stamp). The
-//! CI smoke lane runs the same pipe from the shell; this test keeps it under plain `cargo test`
-//! too.
+//! the real process over stdin/stdout (`--ticked` batching, with two pool workers and with
+//! one), over a real loopback TCP socket (`--listen`) and over a two-reactor pool
+//! (`--listen --reactors 2`), and diffs every response transcript against the one checked-in
+//! expectation (up to the stats line's worker count or shard stamp). The CI smoke lane runs
+//! the same pipe from the shell; this test keeps it under plain `cargo test` too.
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, tick batching is
 //! response-equivalent to the sequential replay (proptested in `proptest_frontend.rs`),
@@ -19,10 +19,11 @@ use std::process::{Command, Stdio};
 const SCRIPT: &str = include_str!("data/smoke.script");
 const EXPECTED: &str = include_str!("data/smoke.expected");
 
-#[test]
-fn canned_script_round_trips_through_the_binary() {
+/// Pipes the smoke script through `anosy-served` over stdin/stdout with `workers` pool workers
+/// and returns the transcript it wrote.
+fn stdio_transcript(workers: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
-        .args(["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"])
+        .args(["--layout", "x:0:400 y:0:400", "--workers", workers, "--ticked"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -41,11 +42,55 @@ fn canned_script_round_trips_through_the_binary() {
         "anosy-served failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let transcript = String::from_utf8(output.stdout).expect("transcript is UTF-8");
+    String::from_utf8(output.stdout).expect("transcript is UTF-8")
+}
+
+#[test]
+fn canned_script_round_trips_through_the_binary() {
     assert_eq!(
-        transcript, EXPECTED,
+        stdio_transcript("2"),
+        EXPECTED,
         "the anosy-served transcript diverged from tests/data/smoke.expected"
     );
+}
+
+#[test]
+fn the_same_transcript_rides_a_one_worker_pool() {
+    // One worker means one chunk, so every tick's decision phase runs on the reactor thread
+    // instead of the pool; no downgrade answer may change.
+    let transcript = stdio_transcript("1");
+    assert!(transcript.contains(" workers=1 "), "the pool ran one worker:\n{transcript}");
+    assert_eq!(
+        masked(&without_counterexample(&transcript), &["workers"]),
+        masked(&without_counterexample(EXPECTED), &["workers"]),
+        "the one-worker transcript diverged from the two-worker one"
+    );
+}
+
+/// Masks the point of the transcript's one `ok counterexample` answer, after checking that it
+/// refutes the script's `valid pred=x >= 401`. The sharded validity driver returns the first
+/// counterexample in chunk order, and it cuts the space into more chunks the more workers it
+/// has, so the point it finds depends on the worker count.
+fn without_counterexample(transcript: &str) -> String {
+    let mut found = 0;
+    let masked = transcript
+        .lines()
+        .map(|line| match line.split_once(" ok counterexample ") {
+            Some((tag, point)) => {
+                found += 1;
+                let coords: Vec<i64> =
+                    point.split(',').map(|c| c.parse().expect("integer coordinate")).collect();
+                assert!(
+                    matches!(coords[..], [x, y] if (0..=400).contains(&x) && (0..=400).contains(&y)),
+                    "`{point}` is not a layout point refuting x >= 401"
+                );
+                format!("{tag} ok counterexample *\n")
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_eq!(found, 1, "the script checks one invalid predicate:\n{transcript}");
+    masked
 }
 
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`
@@ -96,15 +141,16 @@ fn the_same_transcript_rides_a_loopback_socket() {
     );
 }
 
-/// Masks the stats line's `reactors=`/`shard=` stamp, the one thing a transcript may vary in
-/// across reactor counts.
-fn without_shard_stamp(transcript: &str) -> String {
+/// Masks the values of the stats line's `keys` fields — the stamp a transcript may vary in
+/// across pool shapes (`reactors=`/`shard=` across reactor counts, `workers=` across worker
+/// counts).
+fn masked(transcript: &str, keys: &[&str]) -> String {
     transcript
         .lines()
         .map(|line| {
             line.split(' ')
                 .map(|field| match field.split_once('=') {
-                    Some((key @ ("reactors" | "shard"), _)) => format!("{key}=*"),
+                    Some((key, _)) if keys.contains(&key) => format!("{key}=*"),
                     _ => field.to_string(),
                 })
                 .collect::<Vec<_>>()
@@ -121,8 +167,8 @@ fn the_same_transcript_rides_a_two_reactor_pool() {
     let transcript = socket_transcript(&["--reactors", "2"]);
     assert!(transcript.contains(" reactors=2 "), "the pool ran two reactors:\n{transcript}");
     assert_eq!(
-        without_shard_stamp(&transcript),
-        without_shard_stamp(EXPECTED),
+        masked(&transcript, &["reactors", "shard"]),
+        masked(EXPECTED, &["reactors", "shard"]),
         "the two-reactor transcript diverged from the single-reactor one"
     );
 }
