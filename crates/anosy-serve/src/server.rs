@@ -98,12 +98,19 @@ pub trait Transport {
     /// is open and none can ever arrive — and stops the reactor.
     fn poll(&mut self) -> Vec<Event>;
 
-    /// Queues response bytes for a connection. Delivery failures surface as a later
-    /// [`Event::Failed`] for the connection, never as a process error.
+    /// Queues response bytes for a connection, in order. Delivery is [`Transport::flush`]'s
+    /// job; failures surface as a later [`Event::Failed`] for the connection, never as a
+    /// process error. Unknown tokens are ignored.
     fn send(&mut self, token: Token, bytes: &[u8]);
 
-    /// Closes a connection after flushing whatever [`Transport::send`] queued for it. Unknown
-    /// tokens are ignored (the connection may have failed first).
+    /// Writes out what [`Transport::send`] queued since the last flush. The reactor calls it
+    /// once after each event it handles, so every response an event produced leaves together
+    /// and no connection's replies wait behind another event's work. The default does nothing,
+    /// for transports whose `send` already delivers ([`SimNet`](crate::SimNet)).
+    fn flush(&mut self) {}
+
+    /// Closes a connection after writing whatever [`Transport::send`] queued for it, flushed or
+    /// not. Unknown tokens are ignored (the connection may have failed first).
     fn close(&mut self, token: Token);
 
     /// The clock the reactor should timestamp telemetry with. Real transports keep the
@@ -428,8 +435,9 @@ where
         }
     }
 
-    /// Runs the event loop until the transport reports itself finished, then flushes one final
-    /// tick so queued work (ticked-mode stragglers, trailing teardowns) settles.
+    /// Runs the event loop until the transport reports itself finished, then runs one final
+    /// tick so queued work (ticked-mode stragglers, trailing teardowns) settles. The transport
+    /// is flushed after every event.
     pub fn run(&mut self) {
         if self.config.telemetry {
             telemetry::install(Collector::new(self.clock.clone(), self.config.shard.0));
@@ -441,9 +449,11 @@ where
             }
             for event in events {
                 self.on_event(event);
+                self.transport.flush();
             }
         }
         self.tick_and_route();
+        self.transport.flush();
         if self.config.telemetry {
             self.telemetry = telemetry::uninstall();
         }
@@ -827,6 +837,10 @@ impl<D: AbstractDomain, T: Transport> fmt::Debug for Server<D, T> {
 /// connections exactly as before — this is the `anosy-served` default transport, now running on
 /// the same reactor as the socket path.
 ///
+/// [`Transport::send`] appends to a buffer; [`Transport::flush`] (and `close`) writes it to
+/// stdout with one `write_all` and flushes, so every response one event produced goes out in
+/// one write.
+///
 /// Its telemetry clock is a poll counter, not wall time: reading a script from a file produces
 /// the same read sequence every run, so `anosy-served --trace` over piped stdin emits a
 /// byte-identical trace on every replay.
@@ -834,7 +848,9 @@ impl<D: AbstractDomain, T: Transport> fmt::Debug for Server<D, T> {
 pub struct StdioTransport {
     opened: bool,
     eof: bool,
-    /// A write failure (EPIPE once the reader vanished) recorded by [`Transport::send`] and
+    /// Responses queued since the last flush.
+    out: Vec<u8>,
+    /// A write failure (EPIPE once the reader vanished) recorded by [`Transport::flush`] and
     /// surfaced as one [`Event::Failed`] at the next poll — the per-connection close path
     /// every transport promises, never a process panic.
     failed: Option<String>,
@@ -890,16 +906,27 @@ impl Transport for StdioTransport {
         if self.failed.is_some() || self.dead {
             return;
         }
-        let mut out = std::io::stdout().lock();
-        if let Err(e) = out.write_all(bytes).and_then(|()| out.flush()) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    fn flush(&mut self) {
+        if self.out.is_empty() {
+            return;
+        }
+        telemetry::count("wire.writes", 1);
+        let mut stdout = std::io::stdout().lock();
+        if let Err(e) = stdout.write_all(&self.out).and_then(|()| stdout.flush()) {
             // A closed pipe is the *peer's* failure: record it for the next poll so the
             // reactor tears the connection down through its normal failure path instead of
             // panicking the whole process mid-serve.
             self.failed = Some(format!("stdout write failed: {e}"));
         }
+        self.out.clear();
     }
 
-    fn close(&mut self, _token: Token) {}
+    fn close(&mut self, _token: Token) {
+        self.flush();
+    }
 
     fn clock(&self) -> ClockHandle {
         ClockHandle::Virtual(self.clock.clone())
@@ -953,7 +980,8 @@ enum Intake {
 
 struct TcpConn {
     stream: TcpStream,
-    /// Responses not yet accepted by the kernel (nonblocking writes are partial by design).
+    /// Responses queued by [`Transport::send`] and not yet accepted by the kernel (nonblocking
+    /// writes are partial by design).
     out: Vec<u8>,
     read_eof: bool,
     /// `Some(deadline)` once the reactor asked for a close: the connection only lingers to
@@ -968,9 +996,11 @@ impl TcpConn {
     }
 }
 
-/// Writes as much of the connection's queued output as the kernel accepts right now.
+/// Writes as much of the connection's queued output as the kernel accepts right now, counting
+/// each `write` call as `wire.writes`.
 fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
     while !conn.out.is_empty() {
+        telemetry::count("wire.writes", 1);
         match conn.stream.write(&conn.out) {
             Ok(0) => return Err("write error: connection closed".to_string()),
             Ok(n) => {
@@ -987,18 +1017,26 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
 /// A readiness-based, std-only nonblocking TCP transport: `accept` becomes [`Event::Opened`],
 /// readable bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`]
 /// (half-closed peers still receive their final responses), and read/write errors become
-/// per-connection [`Event::Failed`] — never process failures. It parks in `epoll_wait` (via the
-/// in-tree raw-syscall `epoll` shim) and then services only the connections the kernel reported
-/// ready. Where epoll is unavailable — unsupported platform, or any registration error at
-/// runtime — it degrades to scanning every socket with a `POLL_IDLE_SLEEP` pause between
-/// scans, so behavior is identical and only idle latency differs.
+/// per-connection [`Event::Failed`] — never process failures. [`Transport::send`] only appends
+/// to the connection's queue; [`Transport::flush`] writes each connection that queued bytes
+/// since the last flush once, so the responses one event produced share one `write`. A write
+/// the kernel takes only in part leaves the rest queued under `EPOLLOUT` interest, drained by
+/// later polls. It parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and then
+/// services only the connections the kernel reported ready. Where epoll is unavailable —
+/// unsupported platform, or any registration error at runtime — it degrades to scanning every
+/// socket with a `POLL_IDLE_SLEEP` pause between scans, so behavior is identical and only idle
+/// latency differs.
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
     tick_interval: Option<Duration>,
     last_activity: Instant,
-    /// Failures noticed during [`Transport::send`], surfaced at the next poll.
+    /// Failures noticed during [`Transport::flush`], surfaced at the next poll.
     pending: Vec<Event>,
+    /// Connections whose queue went from empty to non-empty since the last
+    /// [`Transport::flush`]. A connection whose queue was already non-empty is not listed:
+    /// either it is listed already or it waits for `EPOLLOUT`, and the poll loop drains it.
+    dirty: Vec<u64>,
     epoll: Option<epoll::Epoll>,
     /// Interest bits currently registered per token (epoll mode only).
     interest: HashMap<u64, u32>,
@@ -1067,6 +1105,7 @@ impl PollTransport {
             tick_interval,
             last_activity: Instant::now(),
             pending: Vec::new(),
+            dirty: Vec::new(),
             epoll,
             interest: HashMap::new(),
         }
@@ -1318,7 +1357,7 @@ impl PollTransport {
 
 impl Transport for PollTransport {
     fn poll(&mut self) -> Vec<Event> {
-        // The first pass scans everything: send-time failures and bytes that arrived while
+        // The first pass scans everything: flush-time failures and bytes that arrived while
         // the reactor was busy must not wait for a readiness report.
         let mut ready: Option<Vec<u64>> = None;
         loop {
@@ -1344,13 +1383,27 @@ impl Transport for PollTransport {
 
     fn send(&mut self, token: Token, bytes: &[u8]) {
         let Some(conn) = self.conns.get_mut(&token.0) else { return };
-        conn.out.extend_from_slice(bytes);
-        if let Err(reason) = flush_some(conn) {
-            self.drop_conn(token.0, false);
-            self.pending.push(Event::Failed(token, reason));
-            return;
+        if conn.out.is_empty() {
+            self.dirty.push(token.0);
         }
-        self.update_interest(token.0);
+        conn.out.extend_from_slice(bytes);
+    }
+
+    fn flush(&mut self) {
+        for token in std::mem::take(&mut self.dirty) {
+            // Closing connections drain in the poll loop; failed ones are already gone.
+            let Some(conn) = self.conns.get_mut(&token) else { continue };
+            if conn.closing.is_some() {
+                continue;
+            }
+            match flush_some(conn) {
+                Ok(()) => self.update_interest(token),
+                Err(reason) => {
+                    self.drop_conn(token, false);
+                    self.pending.push(Event::Failed(Token(token), reason));
+                }
+            }
+        }
     }
 
     fn close(&mut self, token: Token) {

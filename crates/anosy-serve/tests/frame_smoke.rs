@@ -6,13 +6,21 @@
 //! and the checked-in expectation: the two protocols must carry **identical protocol text**,
 //! or the binary codec is not the tax-free encoding it claims to be.
 //!
+//! The framed script also rides a loopback socket (`--listen`), written in one `write_all`:
+//! the server then reads many frames per read and answers them with coalesced writes, and the
+//! decoded replies must still equal the line transcript.
+//!
 //! Frame/line translation is mechanical: each script line (comments included) becomes one
 //! frame payload, blank lines become empty frames (the tick boundary in `--ticked` mode), and
 //! the script's deliberately unterminated final line becomes an ordinary complete frame —
 //! frames are terminator-free, so "half-closed mid-line" has no binary analogue.
 
+#[path = "support/listen.rs"]
+mod listen;
+
 use anosy_serve::wire;
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::process::{Command, Stdio};
 
 const SCRIPT: &str = include_str!("data/smoke.script");
@@ -37,6 +45,22 @@ fn pipe_through_served(input: &[u8]) -> Vec<u8> {
         String::from_utf8_lossy(&output.stderr)
     );
     output.stdout
+}
+
+/// Serves `input` to one loopback client of `anosy-served --listen`, written in a single
+/// `write_all`, and returns the raw bytes the client read back.
+fn socket_through_served(input: &[u8]) -> Vec<u8> {
+    let mut served =
+        listen::listen(&[&ARGS[..], &["--listen", "127.0.0.1:0", "--accept", "1"]].concat());
+    let mut stream = TcpStream::connect(&served.addr).expect("loopback connect");
+    stream.write_all(input).expect("input is written");
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut received = Vec::new();
+    stream.read_to_end(&mut received).expect("responses are readable");
+
+    let status = served.child.wait().expect("anosy-served exits");
+    assert!(status.success(), "anosy-served failed in --listen mode");
+    received
 }
 
 /// The smoke script re-encoded for the binary protocol: preamble, then one frame per line.
@@ -79,5 +103,16 @@ fn the_smoke_script_decodes_identically_over_both_protocols() {
     assert_eq!(
         binary_transcript, EXPECTED,
         "the decoded binary-protocol transcript diverged from the line protocol's"
+    );
+}
+
+#[test]
+fn the_framed_script_decodes_identically_over_a_loopback_socket() {
+    let line_transcript =
+        String::from_utf8(pipe_through_served(SCRIPT.as_bytes())).expect("transcript is UTF-8");
+    let socket_transcript = decode_transcript(&socket_through_served(&framed_script()));
+    assert_eq!(
+        socket_transcript, line_transcript,
+        "the framed socket transcript diverged from the stdio line transcript"
     );
 }

@@ -12,7 +12,10 @@
 //! outputs must be **byte-identical** — a diff here means the *wire format or protocol
 //! semantics changed*; update `smoke.expected` only for deliberate protocol changes.
 
-use std::io::{BufRead, BufReader, Read, Write};
+#[path = "support/listen.rs"]
+mod listen;
+
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
 
@@ -96,38 +99,21 @@ fn without_counterexample(transcript: &str) -> String {
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`
 /// arguments) and returns the transcript the client read back.
 fn socket_transcript(extra: &[&str]) -> String {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
-        .args(["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"])
-        .args(["--listen", "127.0.0.1:0", "--accept", "1"])
-        .args(extra)
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("anosy-served spawns");
-
-    // The binary announces the actual address (we bound port 0) as the first token of its
-    // first stdout line, `# listening on ADDR reactors=N`.
-    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("banner line is readable");
-    let addr = banner
-        .trim()
-        .strip_prefix("# listening on ")
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
-        .to_string();
+    let mut args = vec!["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"];
+    args.extend(["--listen", "127.0.0.1:0", "--accept", "1"]);
+    args.extend(extra);
+    let mut served = listen::listen(&args);
 
     // One client connection: write the whole script (the kernel chunks it however it likes),
     // half-close, and read responses until the server closes. The trailing unterminated line
     // of the script doubles as the mid-line half-close case.
-    let mut stream = TcpStream::connect(&addr).expect("loopback connect");
+    let mut stream = TcpStream::connect(&served.addr).expect("loopback connect");
     stream.write_all(SCRIPT.as_bytes()).expect("script is written");
     stream.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut transcript = String::new();
     stream.read_to_string(&mut transcript).expect("transcript is readable");
 
-    let status = child.wait().expect("anosy-served exits");
+    let status = served.child.wait().expect("anosy-served exits");
     assert!(status.success(), "anosy-served failed in --listen mode {extra:?}");
     transcript
 }
