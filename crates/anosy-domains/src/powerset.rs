@@ -1,6 +1,7 @@
 //! The powerset-of-intervals abstract domain `A_P` (§4.4 of the paper).
 
-use crate::{region_size, subtract_boxes, AbstractDomain, IntervalDomain};
+use crate::region::residual_count;
+use crate::{region_size, AbstractDomain, IntervalDomain};
 use anosy_logic::{IntBox, Point, Pred, SecretLayout};
 use std::fmt;
 
@@ -14,13 +15,22 @@ use std::fmt;
 ///
 /// Unlike the paper's implementation, whose `⊆` check and `size` are conservative when members
 /// overlap, this implementation is **exact**: overlaps are resolved with explicit box algebra
-/// ([`crate::region_size`]), so `size` never double-counts and `is_subset_of` decides the true
+/// ([`crate::subtract_boxes`]), so `size` never double-counts and `is_subset_of` decides the true
 /// set inclusion.
+///
+/// The exact size is computed once, while the element is normalized. Normalization already
+/// counts each inclusion member's residual (the member minus the kept members before it and
+/// the exclusions) to decide whether the member is dead. The residuals of the kept members are
+/// disjoint and cover the region, so their counts sum to its size. The element carries that sum,
+/// and `size` reads a field; [`crate::region_size`] recomputes it from scratch as the oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowersetDomain {
     arity: usize,
     include: Vec<IntervalDomain>,
     exclude: Vec<IntervalDomain>,
+    /// Exact `|(∪ include) \ (∪ exclude)|`, summed by `normalize`. It is a function of the two
+    /// member lists, so the derived equality still compares representations only.
+    size: u128,
 }
 
 impl PowersetDomain {
@@ -39,6 +49,7 @@ impl PowersetDomain {
             arity,
             include: include.into_iter().filter(|d| !d.is_empty()).collect(),
             exclude: exclude.into_iter().filter(|d| !d.is_empty()).collect(),
+            size: 0,
         };
         p.normalize();
         p
@@ -95,27 +106,36 @@ impl PowersetDomain {
     /// members and the exclusions) is zero, and exclusion boxes that do not intersect any
     /// inclusion box. Keeps repeated intersections (e.g. across the 50 queries of the Fig. 6
     /// workload) from accumulating dead members.
+    ///
+    /// The residuals of the kept members partition the region, so their counts sum to its exact
+    /// size, which is stored. Dropping an exclusion that meets no kept member changes neither
+    /// the region nor that sum.
     fn normalize(&mut self) {
+        // Stored members are never empty (`new` and the `push_*` methods filter them), so every
+        // member has a box and the exclusion boxes line up with `self.exclude`.
         let excludes = self.exclude_boxes();
-        let mut kept: Vec<IntervalDomain> = Vec::with_capacity(self.include.len());
-        let mut kept_boxes: Vec<IntBox> = Vec::with_capacity(self.include.len());
-        for member in &self.include {
+        debug_assert_eq!(excludes.len(), self.exclude.len());
+        let kept = Vec::with_capacity(self.include.len());
+        let include = std::mem::replace(&mut self.include, kept);
+        let mut kept_boxes: Vec<IntBox> = Vec::with_capacity(include.len());
+        let mut size: u128 = 0;
+        for member in include {
             let Some(b) = member.to_box() else { continue };
-            let mut minus = kept_boxes.clone();
-            minus.extend(excludes.iter().cloned());
-            if subtract_boxes(&b, &minus).is_empty() {
+            let residual = residual_count(&b, kept_boxes.iter().chain(&excludes));
+            if residual == 0 {
                 continue;
             }
-            kept.push(member.clone());
+            size += residual;
+            self.include.push(member);
             kept_boxes.push(b);
         }
-        self.include = kept;
-        let include_boxes = kept_boxes;
-        self.exclude.retain(|e| {
-            e.to_box()
-                .map(|eb| include_boxes.iter().any(|ib| !ib.intersect(&eb).is_empty()))
-                .unwrap_or(false)
+        let mut exclude_boxes = excludes.iter();
+        self.exclude.retain(|_| {
+            let eb = exclude_boxes.next().expect("one box per exclusion member");
+            kept_boxes.iter().any(|ib| ib.intersects(eb))
         });
+        self.size = size;
+        debug_assert_eq!(size, region_size(&kept_boxes, &self.exclude_boxes()));
     }
 }
 
@@ -142,7 +162,7 @@ impl AbstractDomain for PowersetDomain {
 
     fn intersect(&self, other: &Self) -> Self {
         assert_eq!(self.arity, other.arity, "intersected powersets must have equal arity");
-        let mut include = Vec::new();
+        let mut include = Vec::with_capacity(self.include.len() * other.include.len());
         for a in &self.include {
             for b in &other.include {
                 let m = a.intersect(b);
@@ -151,13 +171,13 @@ impl AbstractDomain for PowersetDomain {
                 }
             }
         }
-        let mut exclude = self.exclude.clone();
-        exclude.extend(other.exclude.iter().cloned());
+        let mut exclude = Vec::with_capacity(self.exclude.len() + other.exclude.len());
+        exclude.extend(self.exclude.iter().chain(&other.exclude).cloned());
         PowersetDomain::new(self.arity, include, exclude)
     }
 
     fn size(&self) -> u128 {
-        region_size(&self.include_boxes(), &self.exclude_boxes())
+        self.size
     }
 
     fn to_pred(&self) -> Pred {

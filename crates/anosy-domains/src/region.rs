@@ -2,8 +2,14 @@
 //!
 //! The powerset domain (§4.4) represents knowledge as `(∪ inclusion boxes) \ (∪ exclusion
 //! boxes)`. Its `size` method — the quantity policies constrain — therefore needs the exact
-//! cardinality of such a region even when the boxes overlap. The helpers here compute it by
-//! decomposing differences into disjoint boxes, which keeps everything exact in `u128`.
+//! cardinality of such a region even when the boxes overlap. Differences are decomposed into
+//! disjoint boxes, which keeps everything exact in `u128`.
+//!
+//! The powerset domain counts each inclusion member's residual with `residual_count` once,
+//! while normalizing an element, and keeps the exact size those counts sum to. A subtrahend
+//! only splits the pieces it overlaps, so a member no box meets is counted without building a
+//! piece. [`region_size`] recomputes the same size from scratch; it is the oracle the debug
+//! assertions and tests check the stored size against.
 
 use anosy_logic::{IntBox, Range};
 
@@ -15,51 +21,85 @@ pub fn subtract_box(a: &IntBox, b: &IntBox) -> Vec<IntBox> {
     if a.is_empty() {
         return Vec::new();
     }
-    assert_eq!(a.arity(), b.arity(), "boxes must have equal arity");
-    let overlap = a.intersect(b);
-    if overlap.is_empty() {
-        return vec![a.clone()];
-    }
-    if b.contains_box(a) {
-        return Vec::new();
-    }
-    // Peel off slabs of `a` outside the overlap, one dimension at a time. The remaining core
-    // shrinks to the overlap, which is discarded.
     let mut pieces = Vec::new();
-    let mut core = a.clone();
-    for d in 0..a.arity() {
-        let core_r = core.dim(d);
-        let olap_r = overlap.dim(d);
-        if core_r.lo() < olap_r.lo() {
-            pieces.push(core.with_dim(d, Range::new(core_r.lo(), olap_r.lo() - 1)));
-        }
-        if core_r.hi() > olap_r.hi() {
-            pieces.push(core.with_dim(d, Range::new(olap_r.hi() + 1, core_r.hi())));
-        }
-        core = core.with_dim(d, olap_r);
+    if a.intersects(b) {
+        peel_overlap(a.clone(), b, &mut pieces);
+    } else {
+        pieces.push(a.clone());
     }
     pieces
 }
 
-/// Subtracts every box of `subtrahends` from `a`, returning disjoint boxes covering the
-/// difference exactly.
-pub fn subtract_boxes(a: &IntBox, subtrahends: &[IntBox]) -> Vec<IntBox> {
+/// Appends to `out` the disjoint slabs covering `a \ b`, for boxes `a` and `b` that overlap.
+///
+/// Slabs of `a` outside `b` are peeled off one dimension at a time, low side before high side;
+/// the core that remains shrinks to the overlap and is discarded. `a` is consumed as that core.
+fn peel_overlap(mut core: IntBox, b: &IntBox, out: &mut Vec<IntBox>) {
+    if b.contains_box(&core) {
+        return;
+    }
+    for d in 0..core.arity() {
+        let core_r = core.dim(d);
+        let olap_r = core_r.intersect(b.dim(d));
+        if core_r.lo() < olap_r.lo() {
+            out.push(core.with_dim(d, Range::new(core_r.lo(), olap_r.lo() - 1)));
+        }
+        if core_r.hi() > olap_r.hi() {
+            out.push(core.with_dim(d, Range::new(olap_r.hi() + 1, core_r.hi())));
+        }
+        core.set_dim(d, olap_r);
+    }
+}
+
+/// Subtracts every box of `subtrahends` from `a`, in order, returning disjoint boxes covering
+/// the difference exactly.
+///
+/// Each subtrahend splits only the pieces it overlaps; the others move on untouched, and a
+/// subtrahend that overlaps no piece costs one overlap test per piece.
+pub fn subtract_boxes<'a>(
+    a: &IntBox,
+    subtrahends: impl IntoIterator<Item = &'a IntBox>,
+) -> Vec<IntBox> {
+    if a.is_empty() {
+        return Vec::new();
+    }
     let mut pieces = vec![a.clone()];
+    let mut next = Vec::new();
     for b in subtrahends {
         if b.is_empty() {
             continue;
         }
-        let mut next = Vec::new();
-        for piece in &pieces {
-            next.extend(subtract_box(piece, b));
+        let Some(first_hit) = pieces.iter().position(|p| p.intersects(b)) else { continue };
+        for (i, piece) in pieces.drain(..).enumerate() {
+            if i == first_hit || (i > first_hit && piece.intersects(b)) {
+                peel_overlap(piece, b, &mut next);
+            } else {
+                next.push(piece);
+            }
         }
-        pieces = next;
+        std::mem::swap(&mut pieces, &mut next);
         if pieces.is_empty() {
             break;
         }
     }
-    pieces.retain(|p| !p.is_empty());
     pieces
+}
+
+/// Exact number of points of `a` outside every box of `subtrahends`: the summed count of
+/// [`subtract_boxes`]`(a, subtrahends)`, without building a piece while no subtrahend meets `a`.
+pub(crate) fn residual_count<'a>(
+    a: &IntBox,
+    subtrahends: impl IntoIterator<Item = &'a IntBox>,
+) -> u128 {
+    let mut subtrahends = subtrahends.into_iter();
+    // The subtrahends before the first one that meets `a` meet none of its pieces either.
+    match subtrahends.by_ref().find(|b| a.intersects(b)) {
+        None => a.count(),
+        Some(first) => subtract_boxes(a, std::iter::once(first).chain(subtrahends))
+            .iter()
+            .map(IntBox::count)
+            .sum(),
+    }
 }
 
 /// Exact number of points in `(∪ includes) \ (∪ excludes)`.
@@ -89,6 +129,118 @@ mod tests {
 
     fn boxed(dims: &[(i64, i64)]) -> IntBox {
         IntBox::new(dims.iter().map(|&(lo, hi)| Range::new(lo, hi)).collect())
+    }
+
+    /// The subtraction as first written — every subtrahend rebuilds every piece, cloning the
+    /// ones it misses — kept as the reference the in-place version must match piece for piece.
+    fn reference_subtract_box(a: &IntBox, b: &IntBox) -> Vec<IntBox> {
+        if a.is_empty() {
+            return Vec::new();
+        }
+        assert_eq!(a.arity(), b.arity(), "boxes must have equal arity");
+        let overlap = a.intersect(b);
+        if overlap.is_empty() {
+            return vec![a.clone()];
+        }
+        if b.contains_box(a) {
+            return Vec::new();
+        }
+        let mut pieces = Vec::new();
+        let mut core = a.clone();
+        for d in 0..a.arity() {
+            let core_r = core.dim(d);
+            let olap_r = overlap.dim(d);
+            if core_r.lo() < olap_r.lo() {
+                pieces.push(core.with_dim(d, Range::new(core_r.lo(), olap_r.lo() - 1)));
+            }
+            if core_r.hi() > olap_r.hi() {
+                pieces.push(core.with_dim(d, Range::new(olap_r.hi() + 1, core_r.hi())));
+            }
+            core = core.with_dim(d, olap_r);
+        }
+        pieces
+    }
+
+    fn reference_subtract_boxes(a: &IntBox, subtrahends: &[IntBox]) -> Vec<IntBox> {
+        let mut pieces = vec![a.clone()];
+        for b in subtrahends {
+            if b.is_empty() {
+                continue;
+            }
+            let mut next = Vec::new();
+            for piece in &pieces {
+                next.extend(reference_subtract_box(piece, b));
+            }
+            pieces = next;
+            if pieces.is_empty() {
+                break;
+            }
+        }
+        pieces.retain(|p| !p.is_empty());
+        pieces
+    }
+
+    /// A small deterministic generator (SplitMix64) for the reference comparison.
+    struct Boxes(u64);
+
+    impl Boxes {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A box inside `0..=side` per dimension; one in sixteen is empty.
+        fn boxed(&mut self, arity: usize, side: i64) -> IntBox {
+            let empty = self.next().is_multiple_of(16);
+            IntBox::new(
+                (0..arity)
+                    .map(|d| {
+                        let x = (self.next() % (side as u64 + 1)) as i64;
+                        let y = (self.next() % (side as u64 + 1)) as i64;
+                        if empty && d == 0 {
+                            Range::empty()
+                        } else {
+                            Range::new(x.min(y), x.max(y))
+                        }
+                    })
+                    .collect(),
+            )
+        }
+    }
+
+    #[test]
+    fn subtract_boxes_matches_the_reference_piece_for_piece() {
+        let mut gen = Boxes(0x5eed);
+        for case in 0..600 {
+            let arity = 1 + case % 3;
+            let side = [12, 9, 6][arity - 1];
+            let a = gen.boxed(arity, side);
+            let count = (gen.next() % 7) as usize;
+            let subs: Vec<IntBox> = (0..count).map(|_| gen.boxed(arity, side)).collect();
+
+            let pieces = subtract_boxes(&a, &subs);
+            assert_eq!(pieces, reference_subtract_boxes(&a, &subs), "a={a:?} subs={subs:?}");
+            for b in &subs {
+                assert_eq!(subtract_box(&a, b), reference_subtract_box(&a, b), "a={a:?} b={b:?}");
+            }
+
+            // Disjoint, inside `a`, outside every subtrahend, and exact in count.
+            for (i, p) in pieces.iter().enumerate() {
+                assert!(!p.is_empty() && a.contains_box(p), "{p} escapes {a}");
+                assert!(subs.iter().all(|s| !p.intersects(s)), "{p} meets a subtrahend");
+                assert!(pieces[i + 1..].iter().all(|q| !p.intersects(q)), "{p} overlaps");
+            }
+            let outside = if a.is_empty() {
+                0
+            } else {
+                a.points().filter(|pt| !subs.iter().any(|s| s.contains_point(pt))).count()
+            };
+            assert_eq!(pieces.iter().map(IntBox::count).sum::<u128>(), outside as u128);
+            assert_eq!(residual_count(&a, &subs), outside as u128);
+        }
     }
 
     fn brute_force_region(includes: &[IntBox], excludes: &[IntBox], universe: &IntBox) -> u128 {

@@ -1,8 +1,9 @@
 //! Property-based tests for the abstract domains: the class laws of Fig. 3 and exactness of
 //! `size`/`contains`/`intersect` against brute-force enumeration on small secret spaces.
 
-use anosy_domains::{laws, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
-use anosy_logic::{Point, SecretLayout};
+use anosy_domains::{laws, region_size, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
+use anosy_logic::{IntBox, Point, SecretLayout};
+use anosy_synth::DomainCodec;
 use proptest::prelude::*;
 
 const SIDE: i64 = 11; // small 2-D space so brute force stays fast
@@ -35,6 +36,29 @@ fn arb_powerset() -> impl Strategy<Value = PowersetDomain> {
         })
 }
 
+/// One operation that rebuilds a powerset element, and with it the size the element carries.
+#[derive(Debug, Clone)]
+enum Step {
+    Intersect(PowersetDomain),
+    PushInclude(IntervalDomain),
+    PushExclude(IntervalDomain),
+    /// Round-trips the element through its persisted text form.
+    Decode,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        2 => arb_powerset().prop_map(Step::Intersect),
+        3 => arb_interval_domain().prop_map(Step::PushInclude),
+        3 => arb_interval_domain().prop_map(Step::PushExclude),
+        1 => Just(Step::Decode),
+    ]
+}
+
+fn member_boxes(members: &[IntervalDomain]) -> Vec<IntBox> {
+    members.iter().filter_map(IntervalDomain::to_box).collect()
+}
+
 fn all_points() -> Vec<Point> {
     layout().space().points().collect()
 }
@@ -54,6 +78,33 @@ proptest! {
     #[test]
     fn powerset_size_matches_enumeration(d in arb_powerset()) {
         prop_assert_eq!(d.size(), brute_size(&d));
+    }
+
+    /// The size a powerset element computes while normalizing must stay the size of the region
+    /// its member lists describe, through every operation that rebuilds the element.
+    #[test]
+    fn cached_powerset_size_survives_operation_chains(
+        start in arb_powerset(),
+        steps in proptest::collection::vec(arb_step(), 1..8),
+    ) {
+        let mut d = start;
+        for step in steps {
+            match step {
+                Step::Intersect(other) => d = d.intersect(&other),
+                Step::PushInclude(member) => d.push_include(member),
+                Step::PushExclude(member) => d.push_exclude(member),
+                Step::Decode => {
+                    let text = d.encode();
+                    d = PowersetDomain::decode(&text, &layout()).expect("encoded elements decode");
+                    prop_assert_eq!(d.encode(), text);
+                }
+            }
+            prop_assert_eq!(
+                d.size(),
+                region_size(&member_boxes(d.includes()), &member_boxes(d.excludes()))
+            );
+            prop_assert_eq!(d.size(), brute_size(&d));
+        }
     }
 
     #[test]

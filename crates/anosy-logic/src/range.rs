@@ -309,6 +309,11 @@ impl IntBox {
         IntBox { dims }
     }
 
+    /// Replaces the range of dimension `i` in place.
+    pub fn set_dim(&mut self, i: usize, r: Range) {
+        self.dims[i] = r;
+    }
+
     /// Returns `true` if the box is empty (any dimension is empty).
     pub fn is_empty(&self) -> bool {
         self.dims.iter().any(|r| r.is_empty())
@@ -341,6 +346,13 @@ impl IntBox {
             return false;
         }
         self.dims.iter().zip(other.dims.iter()).all(|(a, b)| a.contains_range(*b))
+    }
+
+    /// Returns `true` if the two boxes share a point; `!a.intersects(b)` is
+    /// `a.intersect(b).is_empty()` without building the intersection.
+    pub fn intersects(&self, other: &IntBox) -> bool {
+        assert_eq!(self.arity(), other.arity(), "boxes must have equal arity");
+        self.dims.iter().zip(other.dims.iter()).all(|(a, b)| !a.intersect(*b).is_empty())
     }
 
     /// Componentwise intersection.
@@ -572,6 +584,13 @@ mod tests {
         let empty = inner.intersect(&other);
         assert!(empty.is_empty());
         assert!(outer.contains_box(&empty));
+        assert!(outer.intersects(&other) && other.intersects(&outer));
+        assert!(!inner.intersects(&other) && !other.intersects(&inner));
+        assert!(!empty.intersects(&outer), "an empty box shares no point");
+        let mut moved = inner.clone();
+        moved.set_dim(1, Range::new(11, 12));
+        assert_eq!(moved, inner.with_dim(1, Range::new(11, 12)));
+        assert!(!moved.intersects(&outer));
     }
 
     #[test]

@@ -22,18 +22,18 @@
 //! dependency is documented in exactly one place.
 
 use crate::ShardPool;
-
-/// Oversplit factor for the decision phase on a multi-worker pool: more chunks than workers
-/// lets a worker that drew cheap secrets pull further chunks while a skewed run (hot duplicate
-/// chains, large priors) is still deciding elsewhere — same rationale as the parallel solver
-/// driver's oversplit.
-const BATCH_CHUNKS_PER_WORKER: usize = 4;
 use anosy_core::{downgrade_step, AnosyError, AnosySession, Knowledge, Policy, QInfo};
 use anosy_domains::AbstractDomain;
 use anosy_logic::Point;
 use anosy_telemetry as telemetry;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Oversplit factor for the decision phase on a multi-worker pool: more chunks than workers
+/// lets a worker that drew cheap secrets pull further chunks while a skewed run (hot duplicate
+/// chains, large priors) is still deciding elsewhere — same rationale as the parallel solver
+/// driver's oversplit.
+const BATCH_CHUNKS_PER_WORKER: usize = 4;
 
 /// The decided-but-uncommitted outcome of one secret's occurrences within a batch.
 struct SecretOutcome<D: AbstractDomain> {
@@ -253,7 +253,9 @@ pub fn downgrade_many<D: AbstractDomain>(
     query_names: &[&str],
 ) -> Vec<Result<bool, AnosyError>> {
     let policy = session.policy_handle();
-    let layout = session.layout().clone();
+    // The secret never changes along the chain, so whether the layout admits it is decided
+    // once; it is still reported only for known queries (an unknown query is refused first).
+    let admitted = session.layout().admits(secret);
     let mut prior = session.knowledge_of(secret);
     let mut results = Vec::with_capacity(query_names.len());
     let (mut authorized, mut refused) = (0u64, 0u64);
@@ -262,7 +264,7 @@ pub fn downgrade_many<D: AbstractDomain>(
             results.push(Err(AnosyError::UnknownQuery { name: name.to_string() }));
             continue;
         };
-        if !layout.admits(secret) {
+        if !admitted {
             results.push(Err(AnosyError::SecretOutsideLayout));
             continue;
         }
@@ -495,5 +497,22 @@ mod tests {
         assert_same(&many_results, &loop_results);
         assert_eq!(batched.stats(), looped.stats());
         assert_eq!(batched.knowledge_of(&secret).size(), looped.knowledge_of(&secret).size());
+    }
+
+    #[test]
+    fn many_refuses_unknown_queries_before_an_outside_secret() {
+        let mut batched = session_with(&[(200, 200)]);
+        let mut looped = session_with(&[(200, 200)]);
+        let outside = Point::new(vec![9000, 0]);
+        let names = ["nearby_200_200", "no_such_query", "nearby_200_200"];
+
+        let many_results = downgrade_many(&mut batched, &outside, &names);
+        let loop_results: Vec<_> =
+            names.iter().map(|n| looped.downgrade(&Protected::new(outside.clone()), n)).collect();
+
+        assert_same(&many_results, &loop_results);
+        assert!(matches!(many_results[0], Err(AnosyError::SecretOutsideLayout)));
+        assert!(matches!(many_results[1], Err(AnosyError::UnknownQuery { .. })));
+        assert_eq!(batched.stats(), looped.stats());
     }
 }

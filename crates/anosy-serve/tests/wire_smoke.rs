@@ -3,7 +3,9 @@
 //! one), over a real loopback TCP socket (`--listen`) and over a two-reactor pool
 //! (`--listen --reactors 2`), and diffs every response transcript against the one checked-in
 //! expectation (up to the stats line's worker count or shard stamp). The CI smoke lane runs
-//! the same pipe from the shell; this test keeps it under plain `cargo test` too.
+//! the same pipe from the shell; this test keeps it under plain `cargo test` too. A second
+//! script, `powerset.script`, runs `--domain powerset` and pins that domain's answers, refused
+//! posterior sizes and encoded knowledge against `powerset.expected`.
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, tick batching is
 //! response-equivalent to the sequential replay (proptested in `proptest_frontend.rs`),
@@ -21,12 +23,21 @@ use std::process::{Command, Stdio};
 
 const SCRIPT: &str = include_str!("data/smoke.script");
 const EXPECTED: &str = include_str!("data/smoke.expected");
+const POWERSET_SCRIPT: &str = include_str!("data/powerset.script");
+const POWERSET_EXPECTED: &str = include_str!("data/powerset.expected");
 
 /// Pipes the smoke script through `anosy-served` over stdin/stdout with `workers` pool workers
 /// and returns the transcript it wrote.
 fn stdio_transcript(workers: &str) -> String {
+    served_stdio(SCRIPT, &["--workers", workers])
+}
+
+/// Pipes `script` through `anosy-served --ticked` (plus `extra` arguments) over stdin/stdout
+/// and returns the transcript it wrote.
+fn served_stdio(script: &str, extra: &[&str]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
-        .args(["--layout", "x:0:400 y:0:400", "--workers", workers, "--ticked"])
+        .args(["--layout", "x:0:400 y:0:400", "--ticked"])
+        .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -36,7 +47,7 @@ fn stdio_transcript(workers: &str) -> String {
         .stdin
         .take()
         .expect("stdin is piped")
-        .write_all(SCRIPT.as_bytes())
+        .write_all(script.as_bytes())
         .expect("script is written");
     let output = child.wait_with_output().expect("anosy-served exits");
 
@@ -68,6 +79,21 @@ fn the_same_transcript_rides_a_one_worker_pool() {
         masked(&without_counterexample(EXPECTED), &["workers"]),
         "the one-worker transcript diverged from the two-worker one"
     );
+}
+
+#[test]
+fn the_powerset_transcript_is_byte_identical() {
+    // The powerset domain's answers, refused posterior sizes and `knowledge` member lists
+    // (their encoding and stored order) must not move; smoke.script covers the interval domain
+    // only. One worker decides every batch on the reactor thread, two on the pool.
+    for workers in ["2", "1"] {
+        assert_eq!(
+            served_stdio(POWERSET_SCRIPT, &["--domain", "powerset", "--workers", workers]),
+            POWERSET_EXPECTED,
+            "the --domain powerset transcript at {workers} worker(s) diverged from \
+             tests/data/powerset.expected"
+        );
+    }
 }
 
 /// Masks the point of the transcript's one `ok counterexample` answer, after checking that it
