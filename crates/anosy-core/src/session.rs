@@ -1,10 +1,10 @@
 //! The `AnosyT` analogue: a session tracking knowledge across bounded downgrades (Fig. 2).
 
-use crate::shared::{SharedSynthCache, SynthCacheKey};
+use crate::shared::SharedSynthCache;
 use crate::{AnosyError, KaryIndSets, KaryQuery, Knowledge, Policy, QInfo};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain, Secret};
 use anosy_ifc::{Label, Labeled, Lio, Protected, Unprotect};
-use anosy_logic::{Point, SecretLayout, StoreStats, TermStore};
+use anosy_logic::{Point, SecretLayout, StoreStats};
 use anosy_solver::SolverConfig;
 use anosy_synth::{ApproxKind, IndSets, QueryDef, SynthError, Synthesizer};
 use anosy_verify::Verifier;
@@ -53,23 +53,6 @@ impl fmt::Display for SessionStats {
             self.downgrades_refused
         )
     }
-}
-
-/// Where a session's term store and synthesis cache live.
-///
-/// The default is [`SynthBacking::Owned`]: the session is self-contained, exactly as before the
-/// deployment layer existed. [`SynthBacking::Shared`] instead borrows a deployment-wide
-/// [`SharedSynthCache`] via [`Arc`], so every session of the deployment shares one store and one
-/// synthesis cache — the millions-of-users configuration.
-enum SynthBacking<D: AbstractDomain> {
-    Owned {
-        /// The session's private hash-consed term store (boxed: the arena struct is large and
-        /// the shared variant is a pointer).
-        store: Box<TermStore>,
-        /// Already-synthesized (and verified) ind. sets, reused on re-registration.
-        cache: HashMap<SynthCacheKey, IndSets<D>>,
-    },
-    Shared(SharedSynthCache<D>),
 }
 
 /// Types that can serve as the secret in a downgrade call by exposing their [`Point`] encoding.
@@ -125,6 +108,10 @@ impl SynthesizeInto for PowersetDomain {
 /// knowledge and the map from query names to their [`QInfo`]. Downgrades refine the knowledge and
 /// are refused — *before the query is executed* — when either possible posterior would violate
 /// the policy, so the refusal itself leaks nothing about the secret (§3).
+///
+/// The sessions of `anosy-serve`'s frontend register no queries of their own: the frontend's
+/// registry resolves every downgrade and hands the query to the batch driver, so such a
+/// session holds only its policy, its secrets' knowledge and its counters.
 pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
     policy: Arc<dyn Policy<D> + Send + Sync>,
@@ -132,27 +119,17 @@ pub struct AnosySession<D: AbstractDomain> {
     /// Shared so the batched-downgrade driver takes a handle per call, never a deep copy.
     queries: BTreeMap<String, Arc<QInfo<D>>>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
-    /// The session's term store and synthesis cache — private, or shared across a deployment.
-    backing: SynthBacking<D>,
+    /// The term store and synthesis cache the session registers through: a deployment's, or
+    /// a private one for a standalone session.
+    shared: SharedSynthCache<D>,
     stats: SessionStats,
 }
 
 impl<D: AbstractDomain> AnosySession<D> {
-    /// Creates a self-contained session for secrets of the given layout, enforcing `policy`.
-    /// The session owns its term store and synthesis cache.
+    /// Creates a standalone session for secrets of the given layout, enforcing `policy`: a
+    /// deployment of one, registering through its own private [`SharedSynthCache`].
     pub fn new(layout: SecretLayout, policy: impl Policy<D> + Send + Sync + 'static) -> Self {
-        AnosySession {
-            layout,
-            policy: Arc::new(policy),
-            secrets: HashMap::new(),
-            queries: BTreeMap::new(),
-            kary_queries: BTreeMap::new(),
-            backing: SynthBacking::Owned {
-                store: Box::new(TermStore::new()),
-                cache: HashMap::new(),
-            },
-            stats: SessionStats::default(),
-        }
+        AnosySession::with_shared(layout, policy, SharedSynthCache::new())
     }
 
     /// Creates a session that shares a deployment-wide term store and synthesis cache (see
@@ -171,7 +148,7 @@ impl<D: AbstractDomain> AnosySession<D> {
             secrets: HashMap::new(),
             queries: BTreeMap::new(),
             kary_queries: BTreeMap::new(),
-            backing: SynthBacking::Shared(shared),
+            shared,
             stats: SessionStats::default(),
         }
     }
@@ -186,38 +163,20 @@ impl<D: AbstractDomain> AnosySession<D> {
         self.stats
     }
 
-    /// The session's private term store, or `None` when the session shares a deployment store
-    /// (use [`AnosySession::store_stats`] and the deployment's own accessors in that case).
-    pub fn store(&self) -> Option<&TermStore> {
-        match &self.backing {
-            SynthBacking::Owned { store, .. } => Some(store),
-            SynthBacking::Shared(_) => None,
-        }
-    }
-
-    /// Hit/miss counters of the term store this session interns into (private or shared).
+    /// Hit/miss counters of the term store this session interns into.
     pub fn store_stats(&self) -> StoreStats {
-        match &self.backing {
-            SynthBacking::Owned { store, .. } => store.stats(),
-            SynthBacking::Shared(shared) => shared.store_stats(),
-        }
+        self.shared.store_stats()
     }
 
-    /// Returns the deployment-shared cache this session registers through, if any.
-    pub fn shared_cache(&self) -> Option<&SharedSynthCache<D>> {
-        match &self.backing {
-            SynthBacking::Shared(shared) => Some(shared),
-            SynthBacking::Owned { .. } => None,
-        }
+    /// The synthesis cache this session registers through (private to a standalone session).
+    pub fn shared_cache(&self) -> &SharedSynthCache<D> {
+        &self.shared
     }
 
-    /// Number of distinct `(query, direction, members)` synthesis results currently cached in
-    /// this session's backing (deployment-wide for shared sessions).
+    /// Number of distinct `(query, direction, members)` synthesis results in this session's
+    /// cache (deployment-wide for a deployment's sessions).
     pub fn synth_cache_len(&self) -> usize {
-        match &self.backing {
-            SynthBacking::Owned { cache, .. } => cache.len(),
-            SynthBacking::Shared(shared) => shared.len(),
-        }
+        self.shared.len()
     }
 
     /// Name of the enforced policy (for reports and error messages).
@@ -249,10 +208,9 @@ impl<D: AbstractDomain> AnosySession<D> {
     }
 
     /// Registers a query **from the synthesis cache only** — no [`Synthesizer`] involved, no
-    /// solver work possible. This is the session handle the serving frontend drives: the
-    /// deployment synthesizes a query once (deployment pre-warm or warm start), and every
-    /// session registration after that is this pure cache lookup. Works against both backings
-    /// (the deployment-shared cache, or an owned session's private cache).
+    /// solver work possible. A library entry point for sessions of a pre-warmed deployment; the
+    /// serving frontend does not call it, because its sessions hold no queries (the frontend's
+    /// registry resolves every downgrade).
     ///
     /// # Errors
     ///
@@ -264,14 +222,7 @@ impl<D: AbstractDomain> AnosySession<D> {
         kind: ApproxKind,
         members: Option<usize>,
     ) -> Result<(), AnosyError> {
-        let cached = match &mut self.backing {
-            SynthBacking::Owned { store, cache } => {
-                let pred_id = store.intern_pred(query.pred());
-                cache.get(&(pred_id, query.layout().clone(), kind, members)).cloned()
-            }
-            SynthBacking::Shared(shared) => shared.get_ready(query, kind, members),
-        };
-        match cached {
+        match self.shared.get_ready(query, kind, members) {
             Some(indsets) => {
                 self.stats.synth_cache_hits += 1;
                 self.register(QInfo::new(query.clone(), indsets));
@@ -341,17 +292,14 @@ impl<D: AbstractDomain> AnosySession<D> {
         }
     }
 
-    /// Counts one downgrade outcome in the session stats and, for shared sessions, in the
-    /// deployment aggregates.
+    /// Counts one downgrade outcome in the session stats and in the cache's aggregates.
     fn note_downgrade_outcome(&mut self, authorized: bool) {
         if authorized {
             self.stats.downgrades_authorized += 1;
         } else {
             self.stats.downgrades_refused += 1;
         }
-        if let SynthBacking::Shared(shared) = &self.backing {
-            shared.note_downgrade(authorized);
-        }
+        self.shared.note_downgrade(authorized);
     }
 
     /// Serving-layer commit hook: overwrites the tracked knowledge of a secret and counts the
@@ -378,9 +326,7 @@ impl<D: AbstractDomain> AnosySession<D> {
         }
         self.stats.downgrades_authorized += authorized;
         self.stats.downgrades_refused += refused;
-        if let SynthBacking::Shared(shared) = &self.backing {
-            shared.note_downgrades(authorized, refused);
-        }
+        self.shared.note_downgrades(authorized, refused);
     }
 
     /// Convenience wrapper for typed secrets defined with
@@ -466,13 +412,11 @@ impl<D: AbstractDomain> AnosySession<D> {
 
 /// Clean teardown: a session leaving scope — closed by a frontend, released when a serving
 /// connection drops, or simply dropped — notes its closure in the deployment aggregates, so
-/// `sessions_opened - sessions_closed` always reports the number of live sessions. Owned
-/// (self-contained) sessions have no deployment to report to and tear down silently.
+/// `sessions_opened - sessions_closed` always reports the number of live sessions. A
+/// standalone session reports to its private cache, which nobody else reads.
 impl<D: AbstractDomain> Drop for AnosySession<D> {
     fn drop(&mut self) {
-        if let SynthBacking::Shared(shared) = &self.backing {
-            shared.note_session_closed();
-        }
+        self.shared.note_session_closed();
     }
 }
 
@@ -516,10 +460,11 @@ impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
     /// Synthesizes, verifies and registers a query in one step — the runtime analogue of the
     /// paper's compile-time plugin pass.
     ///
-    /// Results are cached per session, keyed by the *interned* query predicate (plus layout,
-    /// direction and member budget): re-registering a query whose synthesis is already cached —
-    /// the repeated-downgrade serving pattern — skips synthesis, verification and every solver
-    /// search, and only re-registers the stored [`QInfo`]. Hits and misses are counted in
+    /// Results are cached in the session's synthesis cache (private to a standalone session,
+    /// shared across a deployment otherwise), keyed by the *interned* query predicate (plus
+    /// layout, direction and member budget): re-registering a query whose synthesis is already
+    /// cached — the repeated-downgrade serving pattern — skips synthesis, verification and every
+    /// solver search, and only re-registers the stored [`QInfo`]. Hits and misses are counted in
     /// [`AnosySession::stats`].
     ///
     /// # Errors
@@ -536,42 +481,22 @@ impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
         kind: ApproxKind,
         members: Option<usize>,
     ) -> Result<(), AnosyError> {
-        let indsets = match &mut self.backing {
-            SynthBacking::Owned { store, cache } => {
-                let pred_id = store.intern_pred(query.pred());
-                let key = (pred_id, query.layout().clone(), kind, members);
-                if let Some(cached) = cache.get(&key) {
-                    self.stats.synth_cache_hits += 1;
-                    let cached = cached.clone();
-                    self.register(QInfo::new(query.clone(), cached));
-                    return Ok(());
-                }
-                self.stats.synth_cache_misses += 1;
-                let indsets =
-                    synthesize_and_verify(synth, query, kind, members, SolverConfig::default())?;
-                cache.insert(key, indsets.clone());
-                indsets
-            }
-            SynthBacking::Shared(shared) => {
-                let (indsets, was_hit) = shared.get_or_synthesize(query, kind, members, || {
-                    synthesize_and_verify(synth, query, kind, members, SolverConfig::default())
-                })?;
-                if was_hit {
-                    self.stats.synth_cache_hits += 1;
-                } else {
-                    self.stats.synth_cache_misses += 1;
-                }
-                indsets
-            }
-        };
+        let (indsets, was_hit) = self.shared.get_or_synthesize(query, kind, members, || {
+            synthesize_and_verify(synth, query, kind, members, SolverConfig::default())
+        })?;
+        if was_hit {
+            self.stats.synth_cache_hits += 1;
+        } else {
+            self.stats.synth_cache_misses += 1;
+        }
         self.register(QInfo::new(query.clone(), indsets));
         Ok(())
     }
 }
 
 /// The full synthesize-and-verify pipeline behind a synthesis-cache miss. Public so *every*
-/// path that fills a synthesis cache — owned sessions, deployment-shared sessions and
-/// `anosy-serve`'s deployment-level pre-warm — runs byte-for-byte the same procedure;
+/// path that fills a synthesis cache — session registrations and `anosy-serve`'s
+/// deployment-level pre-warm — runs byte-for-byte the same procedure;
 /// `verifier_config` is the solver budget for the verification pass (sessions use
 /// [`SolverConfig::default`]).
 ///
@@ -606,7 +531,6 @@ impl<D: AbstractDomain> fmt::Debug for AnosySession<D> {
             .field("kary_queries", &self.kary_queries.len())
             .field("tracked_secrets", &self.secrets.len())
             .field("synth_cache", &self.synth_cache_len())
-            .field("shared", &matches!(self.backing, SynthBacking::Shared(_)))
             .field("stats", &self.stats)
             .finish()
     }
@@ -864,7 +788,7 @@ mod tests {
         let mut synth =
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
 
-        // Owned backing: a cold cache refuses, a warm one registers without solver work.
+        // A standalone session: a cold cache refuses, a warm one registers without solver work.
         let mut owned: AnosySession<IntervalDomain> =
             AnosySession::new(loc_layout(), MinSizePolicy::new(100));
         assert!(matches!(
@@ -878,7 +802,7 @@ mod tests {
         assert_eq!(synth.solver_stats().nodes_explored, nodes);
         assert_eq!(owned.stats().synth_cache_hits, 1);
 
-        // Shared backing: a second session registers from the deployment-wide entry, and its
+        // A shared cache: a second session registers from the deployment-wide entry, and its
         // downgrades agree with a fully-synthesized session's.
         let shared: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
         let mut first: AnosySession<IntervalDomain> =
@@ -926,8 +850,6 @@ mod tests {
 
         let mut first: AnosySession<IntervalDomain> =
             AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
-        assert!(first.store().is_none(), "shared sessions have no private store");
-        assert!(first.shared_cache().is_some());
         first.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
         assert_eq!(first.stats().synth_cache_misses, 1);
         let nodes_after_first = synth.solver_stats().nodes_explored;
@@ -952,6 +874,9 @@ mod tests {
             "shared and owned sessions must track identical knowledge"
         );
 
+        // A standalone session is a deployment of one: its private cache saw its downgrade.
+        assert_eq!(owned.shared_cache().stats().downgrades_authorized, 1);
+
         // Deployment aggregates fold in both sessions.
         let stats = shared.stats();
         assert_eq!(stats.sessions_opened, 2);
@@ -959,7 +884,6 @@ mod tests {
         assert_eq!(stats.synth_hits, 1);
         assert_eq!(stats.downgrades_authorized, 1, "owned session downgrades are not counted");
         assert_eq!(second.synth_cache_len(), 1);
-        assert!(format!("{second:?}").contains("shared: true"));
         assert!(stats.to_string().contains("synth hits"));
     }
 
@@ -978,7 +902,7 @@ mod tests {
         let stats = shared.stats();
         assert_eq!(stats.sessions_closed, 2, "dropped sessions report their teardown");
         assert!(stats.to_string().contains("(2 closed)"));
-        // Owned sessions have no deployment to report to; dropping one is silent everywhere.
+        // A standalone session reports only to its private cache.
         drop(AnosySession::<IntervalDomain>::new(loc_layout(), MinSizePolicy::new(100)));
         assert_eq!(shared.stats().sessions_closed, 2);
     }

@@ -16,9 +16,10 @@
 //! * aggregate counters ([`SharedCacheStats`]) fold every session's hits/misses and
 //!   authorize/refuse outcomes into one deployment-wide observability block.
 //!
-//! Sessions join a shared cache via [`crate::AnosySession::with_shared`]; the `anosy-serve`
-//! crate wraps this type into a full deployment (worker pool, batched downgrades, warm-start
-//! persistence).
+//! Sessions join a shared cache via [`crate::AnosySession::with_shared`], and a standalone
+//! session ([`crate::AnosySession::new`]) is a deployment of one with a private cache. The
+//! `anosy-serve` crate wraps this type into a full deployment (worker pool, batched downgrades,
+//! warm-start persistence).
 
 use crate::AnosyError;
 use anosy_domains::AbstractDomain;
@@ -73,8 +74,10 @@ struct Counters {
 /// A point-in-time snapshot of a deployment's aggregate counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
-    /// Registrations (across all sessions) answered from the shared cache — including those that
-    /// waited on an in-flight synthesis instead of starting their own.
+    /// Registrations answered from the shared cache — including those that waited on an
+    /// in-flight synthesis instead of starting their own. Only registrations count (a
+    /// deployment's `register_query`, a session's `register_synthesized`/`register_cached`):
+    /// opening a session looks nothing up.
     pub synth_hits: u64,
     /// Registrations that ran the full synthesize-and-verify pipeline.
     pub synth_misses: u64,
@@ -367,8 +370,8 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     /// key has no published entry. An in-flight synthesis by another session is waited out (the
     /// result is about to exist; returning `None` would race), which is why this still counts as
     /// a hit when it returns `Some`. This is the lookup behind cache-only session registration
-    /// ([`crate::AnosySession::register_cached`]) — the serving frontend's way of fanning one
-    /// deployment-level synthesis out to its sessions.
+    /// ([`crate::AnosySession::register_cached`]), a library entry point: the serving frontend
+    /// keeps its queries in its own registry and never calls it.
     pub fn get_ready(
         &self,
         query: &QueryDef,

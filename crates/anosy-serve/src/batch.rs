@@ -92,26 +92,30 @@ pub fn downgrade_batch<D: AbstractDomain + Send + Sync + 'static>(
     secrets: &[Point],
     query_name: &str,
 ) -> Vec<Result<bool, AnosyError>> {
-    let mut groups = [FusedGroup { session, secrets, query: query_name }];
+    let qinfo = session.query_handle(query_name);
+    let mut groups = [FusedGroup { session, secrets, query: query_name, qinfo }];
     downgrade_batch_fused(pool, &mut groups).pop().expect("one group in, one result vector out")
 }
 
 /// One session's slice of a fused cross-session decision phase: the session to commit into,
-/// the secrets it queued (in arrival order) and the query they all target. Groups in one
-/// [`downgrade_batch_fused`] call may belong to different sessions but are expected to share
-/// the same *predicate* — that is what makes fusing them profitable — though correctness does
-/// not depend on it: every chain is decided against its own group's query and session prior.
+/// the secrets it queued (in arrival order) and the query they all target, already resolved by
+/// the caller — from the session itself in [`downgrade_batch`], from the frontend's registry
+/// on the serving path. Groups in one [`downgrade_batch_fused`] call may belong to different
+/// sessions and target different queries: every chain is decided against its own group's
+/// query and session prior.
 pub struct FusedGroup<'s, D: AbstractDomain> {
     /// The session whose knowledge and counters this group's outcomes commit into.
     pub session: &'s mut AnosySession<D>,
     /// The batched secrets, in the order the caller queued them.
     pub secrets: &'s [Point],
-    /// The registered query name every secret in this group targets.
+    /// The query name every secret in this group targets (reported when `qinfo` is `None`).
     pub query: &'s str,
+    /// The resolved query; `None` answers every secret of the group `UnknownQuery`.
+    pub qinfo: Option<Arc<QInfo<D>>>,
 }
 
 /// Per-group decision context resolved before the decision phase; `None` when the group's query
-/// is unknown to its session (those groups answer per element without any decision work).
+/// is unknown (those groups answer per element without any decision work).
 type GroupCtx<D> = Option<(Arc<QInfo<D>>, Arc<dyn Policy<D> + Send + Sync>)>;
 
 /// Downgrades several sessions' batches in **one** decision phase. Each group is decided and
@@ -139,7 +143,7 @@ pub fn downgrade_batch_fused<D: AbstractDomain + Send + Sync + 'static>(
 
     for (g, group) in groups.iter().enumerate() {
         let secrets: &[Point] = group.secrets;
-        let Some(qinfo) = group.session.query_handle(group.query) else {
+        let Some(qinfo) = group.qinfo.clone() else {
             for slot in &mut results[g] {
                 *slot = Some(Err(AnosyError::UnknownQuery { name: group.query.to_string() }));
             }
@@ -320,6 +324,16 @@ mod tests {
         session
     }
 
+    /// A fused group resolving `query` in the session itself, as [`downgrade_batch`] does.
+    fn group<'s>(
+        session: &'s mut AnosySession<IntervalDomain>,
+        secrets: &'s [Point],
+        query: &'s str,
+    ) -> FusedGroup<'s, IntervalDomain> {
+        let qinfo = session.query_handle(query);
+        FusedGroup { session, secrets, query, qinfo }
+    }
+
     fn secrets() -> Vec<Point> {
         let mut points = Vec::new();
         for x in (0..=400).step_by(57) {
@@ -393,9 +407,9 @@ mod tests {
 
         let fused = {
             let mut groups = [
-                FusedGroup { session: &mut fused_a, secrets: &points_a, query: "nearby_200_200" },
-                FusedGroup { session: &mut fused_b, secrets: &points_b, query: "nearby_300_200" },
-                FusedGroup { session: &mut solo_a, secrets: &[], query: "nearby_200_200" },
+                group(&mut fused_a, &points_a, "nearby_200_200"),
+                group(&mut fused_b, &points_b, "nearby_300_200"),
+                group(&mut solo_a, &[], "nearby_200_200"),
             ];
             // The empty group aliases `solo_a` deliberately: zero secrets must mean zero
             // commits, so the sequential replay below starts from an untouched session.
@@ -449,8 +463,8 @@ mod tests {
         let points = vec![Point::new(vec![200, 200]), Point::new(vec![1, 1])];
         let fused = {
             let mut groups = [
-                FusedGroup { session: &mut known, secrets: &points, query: "nearby_200_200" },
-                FusedGroup { session: &mut unknown, secrets: &points, query: "never_registered" },
+                group(&mut known, &points, "nearby_200_200"),
+                group(&mut unknown, &points, "never_registered"),
             ];
             downgrade_batch_fused(&pool, &mut groups)
         };

@@ -10,7 +10,7 @@ use anosy_core::{
 use anosy_domains::AbstractDomain;
 use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats, TermStore};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
-use anosy_synth::{ApproxKind, DomainCodec, QueryDef, Synthesizer};
+use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, Synthesizer};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,9 +259,9 @@ impl<D: AbstractDomain> Deployment<D> {
 }
 
 impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
-    /// Pre-warms the shared cache with one query: synthesizes and verifies it now (once per
-    /// deployment) so that every subsequent session registration is a pure cache hit. Safe to
-    /// call concurrently and repeatedly. Runs the same
+    /// Registers one query with the deployment: synthesizes and verifies it now (once per
+    /// deployment; later calls are cache hits) and returns its ind. sets — what the serving
+    /// frontend installs in its registry. Safe to call concurrently and repeatedly. Runs the same
     /// [`synthesize_and_verify`](anosy_core::synthesize_and_verify) pipeline — including the
     /// verifier's default solver budget — that a session registration would, so a `(query,
     /// kind, members)` key verifies identically no matter which entry point races into the
@@ -275,8 +275,8 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
         query: &QueryDef,
         kind: ApproxKind,
         members: Option<usize>,
-    ) -> Result<(), ServeError> {
-        self.shared.get_or_synthesize(query, kind, members, || {
+    ) -> Result<IndSets<D>, ServeError> {
+        let (indsets, _) = self.shared.get_or_synthesize(query, kind, members, || {
             // Constructed only on an actual miss: warm hits stay allocation-free.
             let mut synth = Synthesizer::with_config(self.config.synth.clone());
             anosy_core::synthesize_and_verify(
@@ -287,7 +287,7 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
                 SolverConfig::default(),
             )
         })?;
-        Ok(())
+        Ok(indsets)
     }
 }
 

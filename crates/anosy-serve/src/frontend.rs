@@ -1,13 +1,17 @@
 //! The sans-IO serving frontend: sessions behind a uniform request/response protocol, with
 //! per-tick downgrade batching.
 //!
-//! A [`Frontend`] owns a [`Deployment`] plus every open [`AnosySession`], keyed by
-//! [`SessionId`] (scoped to the connection that opened the session; see [`SessionId`] for the
-//! scheme). Any number of logical connections submit [`ServeRequest`]s between ticks
-//! ([`Frontend::submit`] — pure queueing, no work); [`Frontend::tick`] then processes the whole
-//! queue and returns one [`TaggedResponse`] per request, in submission order. The frontend never
-//! performs I/O: transports (the `anosy-served` stdio binary, tests, a future socket executor)
-//! feed it requests and write out its responses.
+//! A [`Frontend`] owns a [`Deployment`], the registry of queries registered so far and every
+//! open [`AnosySession`], keyed by [`SessionId`] (scoped to the connection that opened the
+//! session; see [`SessionId`] for the scheme). The registry owns the queries: one
+//! `name → QInfo` map that every downgrade resolves in, while a session holds only its policy,
+//! its secrets' knowledge and its counters. So opening a session costs the same however many
+//! queries are registered, and a registration touches no session. Any number of logical
+//! connections submit [`ServeRequest`]s between ticks ([`Frontend::submit`] — pure queueing, no
+//! work); [`Frontend::tick`] then processes the whole queue and returns one [`TaggedResponse`]
+//! per request, in submission order. The frontend never performs I/O: transports (the
+//! `anosy-served` reactors over stdio or sockets, the network simulator, tests) feed it requests
+//! and write out its responses.
 //!
 //! # Tick batching
 //!
@@ -35,11 +39,11 @@ use crate::proto::{
     TaggedResponse,
 };
 use crate::Deployment;
-use anosy_core::{AnosySession, SynthesizeInto};
+use anosy_core::{AnosyError, AnosySession, QInfo, SynthesizeInto};
 use anosy_domains::AbstractDomain;
-use anosy_logic::{Point, PredId};
+use anosy_logic::Point;
 use anosy_solver::ValidityOutcome;
-use anosy_synth::{ApproxKind, DomainCodec, QueryDef};
+use anosy_synth::DomainCodec;
 use anosy_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -127,11 +131,10 @@ enum Pending {
 pub struct Frontend<D: AbstractDomain> {
     deployment: Deployment<D>,
     sessions: BTreeMap<SessionId, OpenSession<D>>,
-    /// Queries registered so far: replayed into every newly opened session (registration is a
-    /// pure cache hit by then). Keyed by name; re-registration replaces, as in a session. The
-    /// last field is the query's interned predicate, interned once here so that
-    /// [`Frontend::fuse_round`] ranks segments without touching the shared store.
-    registry: BTreeMap<String, (QueryDef, ApproxKind, Option<usize>, PredId)>,
+    /// Queries registered so far, keyed by name: the only query map downgrades resolve in.
+    /// Re-registering a name replaces its entry (the latest registration wins). One map per
+    /// frontend, so per reactor shard: a registration reaches only its own shard's sessions.
+    registry: BTreeMap<String, Arc<QInfo<D>>>,
     pending: Vec<Pending>,
     next_conn: u64,
     conn_seqs: HashMap<ConnId, u64>,
@@ -389,59 +392,36 @@ where
     }
 
     /// Answers one fused round with a single [`Deployment::downgrade_batch_fused`] call.
-    /// Segments are ordered by their query's interned [`PredId`] and direction, looked up in
-    /// the registry (the secret layout is deployment-wide, so the predicate identifies the
-    /// shared decision work), putting sessions that downgrade against the same shared
-    /// predicate adjacent in the scatter — the same cross-session sharing the single-flight
-    /// synthesis cache exploits. The rank only orders the scatter; it never changes an answer.
+    /// Segments are ordered by query name, putting sessions that downgrade against the same
+    /// shared [`QInfo`] adjacent in the scatter. The order never changes an answer.
     fn fuse_round(
         &mut self,
-        round: Vec<(SessionId, Segment)>,
+        mut round: Vec<(SessionId, Segment)>,
         responses: &mut [Option<ServeResponse>],
     ) {
-        let mut ranks: HashMap<(PredId, ApproxKind), usize> = HashMap::new();
-        let mut keyed: Vec<(usize, SessionId, Segment)> = round
-            .into_iter()
-            .map(|(session_id, segment)| {
-                let rank = match self.registry.get(&*segment.query) {
-                    Some((_, kind, _, pred)) => {
-                        let next = ranks.len();
-                        *ranks.entry((*pred, *kind)).or_insert(next)
-                    }
-                    // Unknown queries answer per element inside the fused driver; park them
-                    // after every real group.
-                    None => usize::MAX,
-                };
-                (rank, session_id, segment)
-            })
-            .collect();
-        keyed.sort_by_key(|(rank, session_id, _)| (*rank, *session_id));
+        // Unknown queries answer per element inside the fused driver; park them after every
+        // real group.
+        round.sort_by_cached_key(|(session_id, segment)| {
+            (!self.registry.contains_key(&*segment.query), Arc::clone(&segment.query), *session_id)
+        });
 
         // Pull the round's sessions out of the map so the fused driver can hold one `&mut`
         // per group (groups never alias: one segment per session per round).
-        let mut removed: Vec<(SessionId, OpenSession<D>, Segment)> = keyed
+        let mut removed: Vec<(SessionId, OpenSession<D>, Segment)> = round
             .into_iter()
-            .map(|(_, session_id, segment)| {
+            .map(|(session_id, segment)| {
                 let open = self.sessions.remove(&session_id).expect("unknown sessions answered");
                 (session_id, open, segment)
             })
             .collect();
-        let total: usize = removed.iter().map(|(_, _, segment)| segment.secrets.len()).sum();
-        self.stats.batched_downgrades += total as u64;
-        self.stats.largest_batch = self.stats.largest_batch.max(total);
-        telemetry::observe("batch.size", total as u64);
-        let results = {
-            let mut groups: Vec<FusedGroup<'_, D>> = removed
-                .iter_mut()
-                .map(|(_, open, segment)| FusedGroup {
-                    session: &mut open.session,
-                    secrets: &segment.secrets,
-                    query: &segment.query,
-                })
-                .collect();
-            let _span = telemetry::span("deployment.downgrade_batch");
-            self.deployment.downgrade_batch_fused(&mut groups)
-        };
+        let results = Self::decide(
+            &self.deployment,
+            &self.registry,
+            &mut self.stats,
+            removed.iter_mut().map(|(_, open, segment)| {
+                (&mut open.session, &segment.secrets[..], &*segment.query)
+            }),
+        );
         for ((_, _, segment), group_results) in removed.iter().zip(results) {
             for (&index, result) in segment.indices.iter().zip(group_results) {
                 responses[index] = Some(ServeResponse::Answer(result.map_err(Denial::from)));
@@ -450,6 +430,32 @@ where
         for (session_id, open, _) in removed {
             self.sessions.insert(session_id, open);
         }
+    }
+
+    /// Decides `groups` — each a session, its secrets and the query name they target — in one
+    /// pooled phase, resolving every query in the registry. The one place the batch counters
+    /// move, for fused runs and explicit batch requests alike.
+    fn decide<'a>(
+        deployment: &Deployment<D>,
+        registry: &BTreeMap<String, Arc<QInfo<D>>>,
+        stats: &mut FrontendStats,
+        groups: impl IntoIterator<Item = (&'a mut AnosySession<D>, &'a [Point], &'a str)>,
+    ) -> Vec<Vec<Result<bool, AnosyError>>> {
+        let mut groups: Vec<FusedGroup<'a, D>> = groups
+            .into_iter()
+            .map(|(session, secrets, query)| FusedGroup {
+                session,
+                secrets,
+                query,
+                qinfo: registry.get(query).cloned(),
+            })
+            .collect();
+        let total: usize = groups.iter().map(|group| group.secrets.len()).sum();
+        stats.batched_downgrades += total as u64;
+        stats.largest_batch = stats.largest_batch.max(total);
+        telemetry::observe("batch.size", total as u64);
+        let _span = telemetry::span("deployment.downgrade_batch");
+        deployment.downgrade_batch_fused(&mut groups)
     }
 
     /// Handles every non-`Downgrade` request (downgrades ride [`Frontend::flush_run`]).
@@ -473,63 +479,34 @@ where
                     ));
                 };
                 *opens += 1;
-                let mut session = self.deployment.session(policy);
-                for (query, kind, members, _) in self.registry.values() {
-                    if let Err(e) = session.register_cached(query, *kind, *members) {
-                        return ServeResponse::Rejected(Denial::from(e));
-                    }
-                }
+                let session = self.deployment.session(policy);
                 self.sessions.insert(id, OpenSession { owner: conn, session });
                 ServeResponse::SessionOpened { session: id }
             }
             ServeRequest::RegisterQuery { query, kind, members } => {
-                // Re-registering an identical query is the steady-state pattern when many
-                // tenants each register the slice of a shared palette they use: every open
-                // session already holds the exact cached approximation (sessions opened since
-                // the first registration replayed it from the registry), so the per-session
-                // broadcast would re-install bit-identical `QInfo`s at O(open sessions) cost.
-                // One shared-cache lookup keeps the deployment's hit/miss aggregates honest.
-                if self
-                    .registry
-                    .get(query.name())
-                    .is_some_and(|(q, k, m, _)| *q == query && *k == kind && *m == members)
-                {
-                    if let Err(e) = self.deployment.register_query(&query, kind, members) {
-                        return ServeResponse::Rejected(Denial::new(
-                            DenialCode::Internal,
-                            e.to_string(),
-                        ));
+                match self.deployment.register_query(&query, kind, members) {
+                    Ok(indsets) => {
+                        let name = query.name().to_string();
+                        self.registry.insert(name.clone(), Arc::new(QInfo::new(query, indsets)));
+                        ServeResponse::QueryRegistered { name }
                     }
-                    return ServeResponse::QueryRegistered { name: query.name().to_string() };
-                }
-                if let Err(e) = self.deployment.register_query(&query, kind, members) {
-                    return ServeResponse::Rejected(Denial::new(
-                        DenialCode::Internal,
-                        e.to_string(),
-                    ));
-                }
-                for open in self.sessions.values_mut() {
-                    if let Err(e) = open.session.register_cached(&query, kind, members) {
-                        return ServeResponse::Rejected(Denial::from(e));
+                    Err(e) => {
+                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
                     }
                 }
-                let name = query.name().to_string();
-                let pred = self.deployment.shared().intern_pred(query.pred());
-                self.registry.insert(name.clone(), (query, kind, members, pred));
-                ServeResponse::QueryRegistered { name }
             }
             ServeRequest::DowngradeBatch { session, secrets, query } => {
-                let Some(open) = self.sessions.get_mut(&session).map(|open| &mut open.session)
-                else {
+                let Some(open) = self.sessions.get_mut(&session) else {
                     return ServeResponse::Rejected(Denial::unknown_session(session));
                 };
-                self.stats.batched_downgrades += secrets.len() as u64;
-                self.stats.largest_batch = self.stats.largest_batch.max(secrets.len());
-                telemetry::observe("batch.size", secrets.len() as u64);
-                let results = {
-                    let _span = telemetry::span("deployment.downgrade_batch");
-                    self.deployment.downgrade_batch(open, &secrets, &query)
-                };
+                let results = Self::decide(
+                    &self.deployment,
+                    &self.registry,
+                    &mut self.stats,
+                    [(&mut open.session, &secrets[..], &*query)],
+                )
+                .pop()
+                .expect("one group in, one result vector out");
                 ServeResponse::Answers(
                     results.into_iter().map(|r| r.map_err(|e| DenialCode::of(&e))).collect(),
                 )
@@ -623,6 +600,7 @@ mod tests {
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, SecretLayout};
+    use anosy_synth::{ApproxKind, QueryDef};
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
@@ -737,13 +715,20 @@ mod tests {
         assert!(format!("{frontend:?}").contains("sessions: 1"));
     }
 
-    /// A plain owned session with the test query registered — the sequential reference.
+    /// A plain standalone session with the test query registered — the sequential reference.
     fn reference_session(policy: PolicySpec) -> AnosySession<IntervalDomain> {
+        reference_session_with(policy, &[200])
+    }
+
+    /// A plain standalone session with `nearby_query(xo)` registered for every origin.
+    fn reference_session_with(policy: PolicySpec, origins: &[i64]) -> AnosySession<IntervalDomain> {
         let mut session = AnosySession::new(layout(), policy);
         let mut synth = anosy_synth::Synthesizer::with_config(ServeConfig::for_tests().synth);
-        session
-            .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
-            .unwrap();
+        for &xo in origins {
+            session
+                .register_synthesized(&mut synth, &nearby_query(xo), ApproxKind::Under, None)
+                .unwrap();
+        }
         session
     }
 
@@ -760,13 +745,69 @@ mod tests {
             },
         );
         frontend.tick();
-        // A session opened *later* still knows the query, via the registry replay.
+        // A session opened *later* still downgrades against the query: the registry, not the
+        // session, holds it.
         frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
         frontend.submit(conn, downgrade(sid(conn, 1), 300, 200, "nearby_200_200"));
         let responses = frontend.tick();
         assert_eq!(responses[1].response, ServeResponse::Answer(Ok(true)));
-        // And the replay was a pure cache hit: one synthesis total.
         assert_eq!(frontend.deployment().stats().cache.synth_misses, 1);
+    }
+
+    #[test]
+    fn opening_sessions_does_no_per_query_work() {
+        let origins = [150, 200, 250];
+        let mut frontend = frontend();
+        let conn = frontend.connect();
+        for &xo in &origins {
+            frontend.submit(
+                conn,
+                ServeRequest::RegisterQuery {
+                    query: nearby_query(xo),
+                    kind: ApproxKind::Under,
+                    members: None,
+                },
+            );
+        }
+        frontend.tick();
+        let before = frontend.deployment().stats().cache;
+
+        const OPENS: u64 = 4;
+        for _ in 0..OPENS {
+            frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        }
+        frontend.tick();
+        let after = frontend.deployment().stats().cache;
+        assert_eq!(after.synth_hits, before.synth_hits, "an open looks up no query");
+        assert_eq!(after.synth_misses, before.synth_misses);
+        assert_eq!(after.sessions_opened, before.sessions_opened + OPENS);
+
+        // The new sessions answer exactly like a plain session holding every query.
+        let secrets = [(300, 200), (10, 10), (230, 180)];
+        for k in 1..=OPENS {
+            for &xo in &origins {
+                for &(x, y) in &secrets {
+                    frontend
+                        .submit(conn, downgrade(sid(conn, k), x, y, &format!("nearby_{xo}_200")));
+                }
+            }
+        }
+        let answers: Vec<ServeResponse> = frontend.tick().into_iter().map(|t| t.response).collect();
+        let mut reference = reference_session_with(PolicySpec::MinSize(100), &origins);
+        let sequential: Vec<ServeResponse> = origins
+            .iter()
+            .flat_map(|&xo| secrets.iter().map(move |&secret| (xo, secret)))
+            .map(|(xo, (x, y))| {
+                let secret = Protected::new(Point::new(vec![x, y]));
+                ServeResponse::Answer(
+                    reference.downgrade(&secret, &format!("nearby_{xo}_200")).map_err(Denial::from),
+                )
+            })
+            .collect();
+        for (k, session_answers) in answers.chunks(sequential.len()).enumerate() {
+            assert_eq!(session_answers, &sequential[..], "session {}", k + 1);
+        }
+        assert_eq!(frontend.deployment().stats().cache.synth_hits, before.synth_hits);
     }
 
     #[test]

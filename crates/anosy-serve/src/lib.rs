@@ -38,8 +38,10 @@
 //! On top of the deployment sits the **serving frontend** ([`Frontend`]): a sans-IO state
 //! machine exposing the whole surface as one typed request/response protocol
 //! ([`ServeRequest`]/[`ServeResponse`] in [`proto`]). The frontend owns sessions keyed by
-//! [`SessionId`], accepts requests from any number of logical connections, batches each tick's
-//! consecutive downgrades onto the [`Deployment::downgrade_batch`] path, and answers with
+//! [`SessionId`] and one registry of the queries registered so far, which every downgrade
+//! resolves in (sessions hold knowledge, not queries). It accepts requests from any number of
+//! logical connections, batches each tick's consecutive downgrades onto the fused
+//! [`Deployment::downgrade_batch_fused`] path, and answers with
 //! responses tagged by [`RequestId`] — element-wise identical to processing the same requests
 //! sequentially against plain sessions. The [`wire`] module gives the protocol a line-oriented
 //! text form, and the `anosy-served` binary serves it over stdin/stdout.

@@ -6,8 +6,8 @@
 //! answer is a [`ServeResponse`] tagged with the [`RequestId`] it answers. The
 //! [`Frontend`](crate::Frontend) state machine consumes requests and emits tagged responses
 //! without performing any I/O itself (sans-IO, in the sense the networking world uses the term):
-//! transports — the [`wire`](crate::wire) line codec and the `anosy-served` stdin/stdout binary,
-//! or any future socket loop — only move bytes and never interpret the protocol.
+//! transports — the [`wire`](crate::wire) codecs and the `anosy-served` reactors over stdio or
+//! sockets — only move bytes and never interpret the protocol.
 //!
 //! Downgrade refusals are *data*, not protocol failures: a [`ServeRequest::Downgrade`] always
 //! answers with [`ServeResponse::Answer`] — `Err(..)` for policy refusals, unknown queries,
@@ -295,7 +295,8 @@ pub struct StatsSnapshot {
     /// Which reactor shard answered (`0`-based). A deployment-wide fold of per-shard snapshots
     /// ([`crate::reactor::fold_stats`]) marks itself with `shard == reactors`.
     pub shard: u64,
-    /// The deployment aggregates (cache hits, downgrade outcomes, workers).
+    /// The deployment aggregates (cache hits, downgrade outcomes, workers). Its `synth_hits`
+    /// counts registrations answered from the cache only: opening a session looks nothing up.
     pub serve: ServeStats,
     /// The shared store's `(id, box)` memo counters as `[hits, misses, bypassed]` per term-depth
     /// bucket ([`anosy_logic::BOX_MEMO_DEPTH_BUCKETS`] buckets, shallow to deep) — the evidence
@@ -326,7 +327,9 @@ pub enum ServeResponse {
         /// The freshly allocated session id.
         session: SessionId,
     },
-    /// A query was synthesized (or served from cache) and registered everywhere.
+    /// A query was synthesized (or served from cache) and installed in the frontend's
+    /// registry under its name, replacing any earlier registration of that name; every
+    /// session of the frontend downgrades against it from now on.
     QueryRegistered {
         /// The query's name, as usable in downgrade requests.
         name: String,

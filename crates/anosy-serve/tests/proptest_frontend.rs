@@ -8,7 +8,9 @@
 //! [`anosy_core::AnosySession`]s (the shared oracle in `tests/support/oracle.rs`). This is the
 //! protocol-level determinism guarantee on top of `proptest_batch.rs`'s driver-level one:
 //! per-tick batching, per-session regrouping and queued teardown never change what any
-//! connection observes.
+//! connection observes. Registrations also file palette predicates under *other* palette
+//! queries' names, so scripts replace a name's query (A → B → A) while sessions are open and
+//! the latest registration must win.
 
 #[path = "support/oracle.rs"]
 mod support;
@@ -23,13 +25,44 @@ use support::Oracle;
 /// One scripted request, with its logical connection and tick boundary marker.
 #[derive(Debug, Clone)]
 enum Op {
-    Open { conn: u64, policy: usize },
-    Register { conn: u64, query: usize },
-    Downgrade { conn: u64, session: u64, secret: Point, query: usize },
-    Batch { conn: u64, session: u64, secrets: Vec<Point>, query: usize },
-    Knowledge { conn: u64, session: u64, secret: Point },
-    Close { conn: u64, session: u64 },
-    Disconnect { conn: u64 },
+    Open {
+        conn: u64,
+        policy: usize,
+    },
+    Register {
+        conn: u64,
+        query: usize,
+    },
+    /// The `query`-th palette predicate registered under the `name`-th palette query's name.
+    RegisterAs {
+        conn: u64,
+        query: usize,
+        name: usize,
+    },
+    Downgrade {
+        conn: u64,
+        session: u64,
+        secret: Point,
+        query: usize,
+    },
+    Batch {
+        conn: u64,
+        session: u64,
+        secrets: Vec<Point>,
+        query: usize,
+    },
+    Knowledge {
+        conn: u64,
+        session: u64,
+        secret: Point,
+    },
+    Close {
+        conn: u64,
+        session: u64,
+    },
+    Disconnect {
+        conn: u64,
+    },
     Tick,
 }
 
@@ -46,6 +79,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         1 => (conn.clone(), 0usize..3).prop_map(|(conn, policy)| Op::Open { conn, policy }),
         1 => (conn.clone(), 0usize..3).prop_map(|(conn, query)| Op::Register { conn, query }),
+        1 => (conn.clone(), 0usize..3, 0usize..3)
+            .prop_map(|(conn, query, name)| Op::RegisterAs { conn, query, name }),
         5 => (conn.clone(), session.clone(), arb_secret(), 0usize..3)
             .prop_map(|(conn, session, secret, query)| Op::Downgrade {
                 conn,
@@ -81,6 +116,14 @@ fn to_request(op: &Op) -> Option<(ConnId, ServeRequest)> {
                 members: None,
             },
         ),
+        Op::RegisterAs { conn, query: q, name } => (
+            ConnId(*conn),
+            ServeRequest::RegisterQuery {
+                query: support::renamed_query(*q, *name),
+                kind: ApproxKind::Under,
+                members: None,
+            },
+        ),
         Op::Downgrade { conn, session, secret, query: q } => (
             ConnId(*conn),
             ServeRequest::Downgrade {
@@ -108,6 +151,49 @@ fn to_request(op: &Op) -> Option<(ConnId, ServeRequest)> {
     })
 }
 
+/// Drives `script` through a frontend over a warm deployment and through the sequential
+/// oracle, and checks that every response and the set of open sessions agree.
+fn check_script(script: &[Op]) -> Result<(), TestCaseError> {
+    // Frontend under test: warm deployment, requests submitted across connections,
+    // tick boundaries and disconnects wherever the script put them.
+    let deployment: Deployment<IntervalDomain> = support::warm_deployment();
+    let mut frontend = Frontend::new(deployment);
+    let mut frontend_responses = Vec::new();
+
+    // Oracle: the same requests, one at a time, in the same submission order.
+    let mut oracle = Oracle::new();
+    let mut oracle_responses = Vec::new();
+
+    for op in script {
+        match (op, to_request(op)) {
+            (_, Some((conn, request))) => {
+                oracle_responses.push(oracle.apply(conn, &request));
+                frontend.submit(conn, request);
+            }
+            (Op::Disconnect { conn }, None) => {
+                oracle.disconnect(ConnId(*conn));
+                frontend.disconnect(ConnId(*conn));
+            }
+            (Op::Tick, None) => {
+                frontend_responses.extend(frontend.tick().into_iter().map(|t| t.response));
+            }
+            (other, None) => unreachable!("{other:?} must map to a request"),
+        }
+    }
+    frontend_responses.extend(frontend.tick().into_iter().map(|t| t.response));
+
+    prop_assert_eq!(frontend_responses.len(), oracle_responses.len());
+    for (index, (got, want)) in frontend_responses.iter().zip(&oracle_responses).enumerate() {
+        prop_assert_eq!(got, want, "response {} diverges for {:?}", index, script.get(index));
+    }
+    // Disconnect teardown leaks nothing: frontend and oracle agree on what is still open,
+    // and the deployment's opened/closed ledger balances against it.
+    prop_assert_eq!(frontend.open_sessions(), oracle.open_sessions());
+    let cache = frontend.deployment().stats().cache;
+    prop_assert_eq!(cache.sessions_opened - cache.sessions_closed, frontend.open_sessions() as u64);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -115,45 +201,26 @@ proptest! {
     fn any_interleaving_matches_the_sequential_replay(
         script in proptest::collection::vec(arb_op(), 0..40),
     ) {
-        // Frontend under test: warm deployment, requests submitted across connections,
-        // tick boundaries and disconnects wherever the script put them.
-        let deployment: Deployment<IntervalDomain> = support::warm_deployment();
-        let mut frontend = Frontend::new(deployment);
-        let mut frontend_responses = Vec::new();
-
-        // Oracle: the same requests, one at a time, in the same submission order.
-        let mut oracle = Oracle::new();
-        let mut oracle_responses = Vec::new();
-
-        for op in &script {
-            match (op, to_request(op)) {
-                (_, Some((conn, request))) => {
-                    oracle_responses.push(oracle.apply(conn, &request));
-                    frontend.submit(conn, request);
-                }
-                (Op::Disconnect { conn }, None) => {
-                    oracle.disconnect(ConnId(*conn));
-                    frontend.disconnect(ConnId(*conn));
-                }
-                (Op::Tick, None) => {
-                    frontend_responses.extend(frontend.tick().into_iter().map(|t| t.response));
-                }
-                (other, None) => unreachable!("{other:?} must map to a request"),
-            }
-        }
-        frontend_responses.extend(frontend.tick().into_iter().map(|t| t.response));
-
-        prop_assert_eq!(frontend_responses.len(), oracle_responses.len());
-        for (index, (got, want)) in
-            frontend_responses.iter().zip(&oracle_responses).enumerate()
-        {
-            prop_assert_eq!(got, want, "response {} diverges for {:?}", index, script.get(index));
-        }
-        // Disconnect teardown leaks nothing: frontend and oracle agree on what is still open,
-        // and the deployment's opened/closed ledger balances against it.
-        prop_assert_eq!(frontend.open_sessions(), oracle.open_sessions());
-        let cache = frontend.deployment().stats().cache;
-        prop_assert_eq!(cache.sessions_opened - cache.sessions_closed,
-            frontend.open_sessions() as u64);
+        check_script(&script)?;
     }
+}
+
+/// Registers query A, then B, then A again under A's name, with a session open throughout and
+/// another opened afterwards: both must downgrade against A, the latest registration.
+#[test]
+fn the_latest_registration_under_a_name_wins() {
+    let secret = Point::new(vec![150, 200]);
+    let downgrade = |session| Op::Downgrade { conn: 0, session, secret: secret.clone(), query: 0 };
+    let script = [
+        Op::Open { conn: 0, policy: 2 },
+        Op::Register { conn: 0, query: 0 },
+        Op::RegisterAs { conn: 0, query: 1, name: 0 },
+        downgrade(support::session_id(0, 1)),
+        Op::Tick,
+        Op::RegisterAs { conn: 0, query: 0, name: 0 },
+        Op::Open { conn: 0, policy: 2 },
+        downgrade(support::session_id(0, 1)),
+        downgrade(support::session_id(0, 2)),
+    ];
+    check_script(&script).unwrap();
 }

@@ -69,6 +69,13 @@ pub fn entries() -> &'static Vec<SharedCacheEntry<IntervalDomain>> {
     })
 }
 
+/// The `pred_index`-th palette query filed under the `name_index`-th palette query's name —
+/// a registration that replaces whatever that name maps to.
+pub fn renamed_query(pred_index: usize, name_index: usize) -> QueryDef {
+    let pred = query(pred_index).pred().clone();
+    QueryDef::new(query(name_index).name(), layout(), pred).unwrap()
+}
+
 /// The palette's synthesized ind. sets for `q` (panics for non-palette queries).
 pub fn indsets_of(q: &QueryDef) -> IndSets<IntervalDomain> {
     entries().iter().find(|e| &e.pred == q.pred()).expect("palette entry exists").indsets.clone()
@@ -173,10 +180,17 @@ impl Oracle {
                 ServeResponse::SessionOpened { session: SessionId(id) }
             }
             ServeRequest::RegisterQuery { query, .. } => {
-                // Mirrors the frontend's identical-re-registration fast path: sessions
-                // already hold the query (broadcast at first registration, registry replay
-                // at open), so the broadcast is skipped.
-                if self.registry.iter().any(|(q, _)| q == query) {
+                // Re-registering the query the name currently maps to changes nothing: sessions
+                // already hold it (broadcast at registration, registry replay at open), so the
+                // broadcast is skipped. Only the *latest* entry under the name counts — after
+                // A, B, A under one name, the third registration must reinstall A.
+                if self
+                    .registry
+                    .iter()
+                    .rev()
+                    .find(|(q, _)| q.name() == query.name())
+                    .is_some_and(|(q, _)| q == query)
+                {
                     return ServeResponse::QueryRegistered { name: query.name().to_string() };
                 }
                 let indsets = self.palette_indsets(query);

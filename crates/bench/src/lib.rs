@@ -1482,8 +1482,8 @@ pub struct PopulationRow {
     pub synth_hits: u64,
     /// Registrations that ran the full synthesize-and-verify pipeline.
     pub synth_misses: u64,
-    /// `synth_hits / (synth_hits + synth_misses)` over every cache lookup, including the
-    /// registry replay each session open performs (dominant at high tenant counts).
+    /// `synth_hits / (synth_hits + synth_misses)` over every cache lookup. Only registrations
+    /// look the cache up; opening a session does not.
     pub synth_hit_rate: f64,
     /// `RegisterQuery` requests the population scheduled.
     pub register_requests: usize,
