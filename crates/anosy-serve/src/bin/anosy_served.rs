@@ -19,14 +19,15 @@
 //! * `--domain interval|powerset` — the knowledge domain (default `interval`);
 //! * `--workers N` — shard-pool width (default: available parallelism);
 //! * `--box-memo-min-depth N` — the shared store's `(id, box)` memo threshold;
-//! * `--warm-start PATH` — load a synthesis cache before serving;
-//! * `--verify-on-load` — re-verify every warm-start entry with the solver
-//!   ([`anosy_serve::Deployment::warm_start_verified`]);
-//! * `--save-on-exit PATH` — persist the synthesis cache after the last request;
+//! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request;
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
-//!   `PATH.snapshot` + `PATH` (journal replay, torn-tail tolerant, composing with
-//!   `--verify-on-load`), then append every newly synthesized entry to `PATH` as it commits.
-//!   Recovery reports as a `# journal recovered replayed=N torn=N` line;
+//!   `PATH.snapshot` + `PATH` (both replayed up to their good prefix, so a torn snapshot or
+//!   journal tail loses only the cut record), then append every newly synthesized entry to
+//!   `PATH` as it commits. Recovery reports as a
+//!   `# journal recovered replayed=N torn=N snapshot_loaded=N skipped=N` line, where `torn`
+//!   counts tears in both files. To load some other snapshot, send a `warm path=...` request;
+//! * `--verify-on-load` — with `--journal`: re-verify every recovered entry with the solver
+//!   before installing it ([`anosy_serve::Deployment::warm_start`]);
 //! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — when journal appends
 //!   reach the OS (default `every-entry`); `every-entry-fsync` additionally `fsync`s every
 //!   append to the device, the strongest rung;
@@ -68,8 +69,8 @@
 //! [`anosy_serve::SessionId`]). Malformed lines answer with an unnumbered `! <reason>` line
 //! (they never reach the frontend, so they consume no sequence number). Per-connection I/O
 //! errors close *that connection* — its sessions are released and the denial is logged to
-//! stderr, once; the process keeps serving. Start-up actions (warm start, final save) report as
-//! `# ...` comment lines, keeping transcripts diffable.
+//! stderr, once; the process keeps serving. Start-up and exit actions (journal recovery, final
+//! save) report as `# ...` comment lines, keeping transcripts diffable.
 
 use anosy_core::SynthesizeInto;
 use anosy_domains::{IntervalDomain, PowersetDomain};
@@ -86,7 +87,6 @@ struct Options {
     layout: SecretLayout,
     domain: String,
     config: ServeConfig,
-    warm_start: Option<std::path::PathBuf>,
     verify_on_load: bool,
     save_on_exit: Option<std::path::PathBuf>,
     ticked: bool,
@@ -101,10 +101,9 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
-         [--workers N] [--box-memo-min-depth N] [--warm-start PATH [--verify-on-load]] \
-         [--save-on-exit PATH] [--journal PATH \
+         [--workers N] [--box-memo-min-depth N] [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
-         [--compact-every N]] [--ticked] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
+         [--compact-every N] [--verify-on-load]] [--ticked] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
          [--listen ADDR [--accept N] [--tick-ms MS] [--reactors N]]"
     );
     std::process::exit(2);
@@ -115,7 +114,6 @@ fn parse_options() -> Options {
     let mut layout = None;
     let mut domain = "interval".to_string();
     let mut config = ServeConfig::new();
-    let mut warm_start = None;
     let mut verify_on_load = false;
     let mut save_on_exit = None;
     let mut journal = None;
@@ -158,7 +156,6 @@ fn parse_options() -> Options {
             }
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut i))),
             "--no-telemetry" => telemetry = false,
-            "--warm-start" => warm_start = Some(std::path::PathBuf::from(value(&mut i))),
             "--verify-on-load" => verify_on_load = true,
             "--save-on-exit" => save_on_exit = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i))),
@@ -194,14 +191,13 @@ fn parse_options() -> Options {
             }
             config = config.with_journal(journal);
         }
-        None if compact_every.is_some() => usage(),
+        None if compact_every.is_some() || verify_on_load => usage(),
         None => {}
     }
     Options {
         layout,
         domain,
         config,
-        warm_start,
         verify_on_load,
         save_on_exit,
         ticked,
@@ -248,18 +244,6 @@ where
             eprintln!("anosy-served: cannot open journal: {e}");
             std::process::exit(1);
         }
-    }
-
-    if let Some(path) = &options.warm_start {
-        match deployment.warm_start_with(path, options.verify_on_load) {
-            Ok(outcome) => writeln!(
-                out,
-                "# warm-start loaded={} skipped={}",
-                outcome.installed, outcome.skipped
-            ),
-            Err(e) => writeln!(out, "# warm-start failed: {e}"),
-        }
-        .expect("stdout is writable");
     }
 
     let server_config =

@@ -1,8 +1,7 @@
 //! The deployment: one shared store + synthesis cache, one worker pool, many sessions.
 
-use crate::journal::{CompactOutcome, Journal, JournalStats};
-use crate::persist::SaveOutcome;
-use crate::{batch, parallel, persist, ServeConfig, ServeError, ShardPool, Sharded};
+use crate::journal::{self, CompactOutcome, Journal, JournalStats, SaveOutcome};
+use crate::{batch, parallel, ServeConfig, ServeError, ShardPool, Sharded};
 use anosy_core::{
     AnosyError, AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache,
     SynthesizeInto,
@@ -16,26 +15,29 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// What a [`Deployment::warm_start_verified`] load accomplished.
+/// What a [`Deployment::warm_start`] load accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartOutcome {
-    /// Entries that re-verified and were installed into the synthesis cache.
+    /// Entries installed into the synthesis cache (after re-verification, when asked for).
     pub installed: usize,
     /// Entries that failed re-verification (or were malformed) and were refused.
     pub skipped: usize,
+    /// `1` when the file's torn/corrupt tail was ignored past its good prefix, else `0`.
+    pub torn: u64,
 }
 
 /// What [`Deployment::open_journal`] recovered at warm restart (snapshot load + journal
 /// replay; see [`crate::journal`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryOutcome {
-    /// The compaction snapshot load (installed + verify-skipped entry counts).
+    /// The compaction snapshot load (installed, verify-skipped and torn counts).
     pub snapshot: WarmStartOutcome,
     /// Intact records replayed from the journal's good prefix.
     pub replayed: usize,
     /// Replayed records refused by `--verify-on-load` re-verification.
     pub replay_skipped: usize,
-    /// `1` when a torn/corrupt journal tail was truncated away, else `0`.
+    /// Torn/corrupt tails found: the snapshot's (ignored past its good prefix) plus the
+    /// journal's (truncated away), so `0`, `1` or `2`.
     pub torn: u64,
 }
 
@@ -85,7 +87,7 @@ impl fmt::Display for ServeStats {
 ///   sessions registering the same query set synthesize once per *deployment*;
 /// * owns the fixed [`ShardPool`] the batched-downgrade and parallel-solver drivers shard
 ///   across;
-/// * loads and saves the warm-start synthesis cache.
+/// * saves and loads the synthesis cache's snapshot, and attaches its journal.
 #[derive(Debug)]
 pub struct Deployment<D: AbstractDomain> {
     layout: SecretLayout,
@@ -292,27 +294,35 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
 }
 
 impl<D: DomainCodec + 'static> Deployment<D> {
-    /// Loads a warm-start synthesis cache saved by [`Deployment::save_cache`]. A missing file is
-    /// a cold start (returns `Ok(0)`); a malformed file is an error the caller may choose to
-    /// treat as cold. Returns how many entries were actually installed (already-cached keys keep
-    /// their in-memory value).
+    /// Loads a snapshot saved by [`Deployment::save_cache`] (or a journal) — [`journal::replay`]
+    /// followed by installing its good prefix. A missing file is a cold start; a torn or corrupt
+    /// tail loads the entries before it and counts in [`WarmStartOutcome::torn`]. Entries whose
+    /// key is already cached are not re-installed (the in-memory value wins) and count toward
+    /// neither total.
+    ///
+    /// Loaded entries are trusted unless `verify` is set: then every entry's refinement
+    /// obligations are **re-checked with the solver** (the same Fig. 4 specification a fresh
+    /// synthesis would have to pass, under the deployment's solver budget) before it is
+    /// installed, and entries that fail — or whose obligations cannot be decided within
+    /// budget — are skipped and counted. This is the `verify` flag of the `warm` wire request
+    /// and `anosy-served --verify-on-load`.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable or malformed files.
-    pub fn warm_start(&self, path: &Path) -> Result<usize, ServeError> {
-        if !path.exists() {
-            return Ok(0);
-        }
-        let entries = persist::load_entries::<D>(path)?;
-        Ok(self.install_entries(entries, false)?.installed)
+    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable files, files of
+    /// another domain and files that are not journals, and [`ServeError::Solver`] if the
+    /// solver itself fails (not merely exhausts its budget) on an obligation.
+    pub fn warm_start(&self, path: &Path, verify: bool) -> Result<WarmStartOutcome, ServeError> {
+        let _span = anosy_telemetry::span("warm_start");
+        let (entries, torn) = journal::replay::<D>(path)?;
+        Ok(WarmStartOutcome { torn, ..self.install_entries(entries, verify)? })
     }
 
     /// Installs decoded entries into the shared cache — the one funnel under both the snapshot
     /// loads and the journal replay, so `--verify-on-load` applies identically to either
     /// provenance. With `verify` set, every entry's refinement obligations are re-checked with
-    /// the solver first (see [`Deployment::warm_start_verified`]); already-cached keys are
-    /// never re-installed (and, verified, never re-checked — the in-memory value wins).
+    /// the solver first (see [`Deployment::warm_start`]); already-cached keys are never
+    /// re-installed (and, verified, never re-checked — the in-memory value wins).
     fn install_entries(
         &self,
         entries: Vec<SharedCacheEntry<D>>,
@@ -351,50 +361,6 @@ impl<D: DomainCodec + 'static> Deployment<D> {
         Ok(outcome)
     }
 
-    /// [`Deployment::warm_start`] for caches of dubious provenance: every loaded entry's
-    /// refinement obligations are **re-checked with the solver** (the same Fig. 4 specification
-    /// a fresh synthesis would have to pass, under the deployment's solver budget) before the
-    /// entry is installed. Entries that fail verification — or whose obligations cannot be
-    /// decided within budget — are skipped and counted, never installed; entries whose key is
-    /// already cached in memory are not re-installed (the in-memory value wins, as in the
-    /// unverified path) and count toward neither total. A missing file is a cold start.
-    ///
-    /// This is the `--verify-on-load` path of `anosy-served` and `report_serve`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable or malformed files,
-    /// and [`ServeError::Solver`] if the solver itself fails (not merely exhausts its budget)
-    /// on an obligation.
-    pub fn warm_start_verified(&self, path: &Path) -> Result<WarmStartOutcome, ServeError> {
-        if !path.exists() {
-            return Ok(WarmStartOutcome::default());
-        }
-        let entries = persist::load_entries::<D>(path)?;
-        self.install_entries(entries, true)
-    }
-
-    /// Dispatches between the trusted and verified warm-start paths behind one outcome type —
-    /// the call every `verify`-flagged surface (the frontend's `WarmStart` request,
-    /// `anosy-served --verify-on-load`, `report_serve --cache`) goes through, so the two paths
-    /// cannot drift per caller.
-    ///
-    /// # Errors
-    ///
-    /// See [`Deployment::warm_start`] and [`Deployment::warm_start_verified`].
-    pub fn warm_start_with(
-        &self,
-        path: &Path,
-        verify: bool,
-    ) -> Result<WarmStartOutcome, ServeError> {
-        let _span = anosy_telemetry::span("warm_start");
-        if verify {
-            self.warm_start_verified(path)
-        } else {
-            self.warm_start(path).map(|installed| WarmStartOutcome { installed, skipped: 0 })
-        }
-    }
-
     /// Persists the current synthesis cache for the next process's [`Deployment::warm_start`],
     /// reporting written and (unencodable-)skipped entry counts. When a journal is attached and
     /// `path` is its snapshot path, this is a full **compaction** — the snapshot save plus an
@@ -411,29 +377,29 @@ impl<D: DomainCodec + 'static> Deployment<D> {
             Some(journal) if path == journal.config().snapshot_path() => {
                 journal.compact_with(|| self.shared.export_entries())?.snapshot
             }
-            _ => persist::save_entries(path, &self.shared.export_entries())?,
+            _ => journal::save_entries(path, &self.shared.export_entries())?,
         };
         self.saves_skipped.fetch_add(outcome.skipped as u64, Ordering::Relaxed);
         Ok(outcome)
     }
 
     /// Opens the configured journal ([`ServeConfig::journal`]) and performs the warm restart:
-    /// loads the compaction snapshot, replays the journal's good prefix (truncating a torn
-    /// tail), installs both through the same `verify`-respecting funnel as
-    /// [`Deployment::warm_start_with`], and attaches a commit observer so every subsequently
-    /// committed synthesis entry is appended as it lands. Returns `Ok(None)` when the config
-    /// carries no journal. Call once per deployment, before serving traffic.
+    /// [`Deployment::warm_start`] on the compaction snapshot, then [`Journal::recover`] on the
+    /// journal (truncating a torn tail), installing both through the same `verify`-respecting
+    /// funnel, and attaches a commit observer so every subsequently committed synthesis entry
+    /// is appended as it lands. Returns `Ok(None)` when the config carries no journal. Call
+    /// once per deployment, before serving traffic.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable journals or a journal
-    /// of the wrong domain, [`ServeError::Solver`] from `verify`, and [`ServeError::Format`]
-    /// when a journal is already attached.
+    /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable files, files of the
+    /// wrong domain and files that are not journals, [`ServeError::Solver`] from `verify`, and
+    /// [`ServeError::Format`] when a journal is already attached.
     pub fn open_journal(&self, verify: bool) -> Result<Option<RecoveryOutcome>, ServeError> {
         let Some(config) = self.config.journal.clone() else {
             return Ok(None);
         };
-        let snapshot = self.warm_start_with(&config.snapshot_path(), verify)?;
+        let snapshot = self.warm_start(&config.snapshot_path(), verify)?;
         let recovered = Journal::recover(config)?;
         let replayed = recovered.entries.len();
         let installed = self.install_entries(recovered.entries, verify)?;
@@ -457,7 +423,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
             snapshot,
             replayed,
             replay_skipped: installed.skipped,
-            torn: recovered.torn,
+            torn: snapshot.torn + recovered.torn,
         }))
     }
 
@@ -542,7 +508,11 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
-        assert_eq!(first.warm_start(&path).unwrap(), 0, "missing file is a cold start");
+        assert_eq!(
+            first.warm_start(&path, false).unwrap(),
+            WarmStartOutcome::default(),
+            "missing file is a cold start"
+        );
         first.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         first.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
         assert_eq!(first.save_cache(&path).unwrap(), crate::SaveOutcome { written: 2, skipped: 0 });
@@ -550,7 +520,7 @@ mod tests {
         // A restarted deployment loads the cache and performs no synthesis at all.
         let second: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
-        assert_eq!(second.warm_start(&path).unwrap(), 2);
+        assert_eq!(second.warm_start(&path, false).unwrap().installed, 2);
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         second.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
         let stats = second.stats();
@@ -591,8 +561,8 @@ mod tests {
 
         let cold: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
         assert_eq!(
-            cold.warm_start_verified(&path).unwrap(),
-            crate::WarmStartOutcome::default(),
+            cold.warm_start(&path, true).unwrap(),
+            WarmStartOutcome::default(),
             "missing file is a cold start"
         );
 
@@ -620,16 +590,16 @@ mod tests {
 
         let second: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = second.warm_start_verified(&path).unwrap();
-        assert_eq!(outcome, crate::WarmStartOutcome { installed: 1, skipped: 1 });
+        let outcome = second.warm_start(&path, true).unwrap();
+        assert_eq!(outcome, WarmStartOutcome { installed: 1, skipped: 1, torn: 0 });
         // Re-loading the same file: the installed key is already cached, so it is neither
         // re-verified nor re-installed; only the tampered entry is re-checked (and skipped).
-        let again = second.warm_start_with(&path, true).unwrap();
-        assert_eq!(again, crate::WarmStartOutcome { installed: 0, skipped: 1 });
-        // The dispatch helper's trusted path reports installs with zero skips.
+        let again = second.warm_start(&path, true).unwrap();
+        assert_eq!(again, WarmStartOutcome { installed: 0, skipped: 1, torn: 0 });
+        // The trusted path reports installs with zero skips.
         let trusted: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = trusted.warm_start_with(&path, false).unwrap();
+        let outcome = trusted.warm_start(&path, false).unwrap();
         assert_eq!(outcome.skipped, 0);
         assert_eq!(outcome.installed, 2, "the trusted path installs even the tampered entry");
         // The installed entry serves registrations with zero synthesis, like a plain warm start.
@@ -686,6 +656,42 @@ mod tests {
             third.open_journal(false).is_err(),
             "a second open_journal on one deployment is refused"
         );
+    }
+
+    #[test]
+    fn torn_snapshot_recovers_its_good_prefix() {
+        use crate::journal::JournalConfig;
+
+        let dir = std::env::temp_dir().join("anosy-serve-deployment-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn_snapshot.journal");
+        let journal = JournalConfig::new(&path);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(journal.snapshot_path());
+        let config = ServeConfig::for_tests().with_journal(journal.clone());
+
+        // Compact two entries into the snapshot, leaving the journal header-only.
+        let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
+        first.open_journal(false).unwrap().unwrap();
+        first.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
+        first.register_query(&nearby_query(300), ApproxKind::Under, None).unwrap();
+        let saved = first.save_cache(&journal.snapshot_path()).unwrap();
+        assert_eq!(saved.written, 2);
+        drop(first);
+
+        // Cut the snapshot inside its second record.
+        let bytes = std::fs::read(journal.snapshot_path()).unwrap();
+        std::fs::write(journal.snapshot_path(), &bytes[..bytes.len() - 5]).unwrap();
+
+        let second: Deployment<IntervalDomain> = Deployment::new(layout(), config);
+        let recovery = second.open_journal(false).unwrap().unwrap();
+        assert_eq!(recovery.snapshot, WarmStartOutcome { installed: 1, skipped: 0, torn: 1 });
+        assert_eq!((recovery.replayed, recovery.torn), (0, 1));
+        // The good prefix serves without synthesis; the cut entry is synthesized afresh.
+        second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
+        assert_eq!(second.stats().cache.synth_misses, 0);
+        second.register_query(&nearby_query(300), ApproxKind::Under, None).unwrap();
+        assert_eq!(second.stats().cache.synth_misses, 1);
     }
 
     #[test]

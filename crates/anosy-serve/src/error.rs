@@ -7,10 +7,12 @@ use std::fmt;
 /// Errors raised by `anosy-serve` operations.
 #[derive(Debug)]
 pub enum ServeError {
-    /// An I/O failure while reading or writing the warm-start cache.
+    /// An I/O failure while reading or writing a snapshot or journal.
     Io(std::io::Error),
-    /// The warm-start cache file is malformed (wrong version, wrong domain, or a line that does
-    /// not decode). The deployment treats the cache as cold in this case.
+    /// A snapshot or journal cannot be used: its header names another domain or is not a
+    /// journal header at all (an old `anosy-synth-cache v1` file, say), or a journal is
+    /// already attached. The load fails and the file is left untouched; a torn or corrupt
+    /// *record* is not an error — it only ends the good prefix ([`crate::journal`]).
     Format {
         /// 1-based line of the offending input, `0` for file-level problems.
         line: usize,

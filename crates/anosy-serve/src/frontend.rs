@@ -563,7 +563,7 @@ where
                 Err(e) => ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string())),
             },
             ServeRequest::WarmStart { path, verify } => {
-                match self.deployment.warm_start_with(&path, verify) {
+                match self.deployment.warm_start(&path, verify) {
                     Ok(outcome) => ServeResponse::WarmStarted {
                         loaded: outcome.installed,
                         skipped: outcome.skipped,

@@ -1,17 +1,16 @@
-//! The append-only synthesis journal (durability between snapshots).
+//! The durable synthesis cache: one append-only journal format, of which a snapshot is a
+//! compacted copy.
 //!
-//! A warm-start snapshot (the `persist` module) only captures the cache at the moment somebody
-//! called `SaveCache` — a crash between saves silently forgets every synthesis since, and with
-//! it the knowledge bound the deployment owes its tenants. The journal closes that window:
-//! every entry the single-flight synthesis path commits is **appended as it lands** (via the
-//! shared cache's commit observer), so a warm restart is *snapshot load + journal replay* and
-//! re-synthesizes nothing it already served.
+//! A restarted deployment should re-synthesize nothing it already served. Every entry the
+//! single-flight synthesis path commits is **appended as it lands** (via the shared cache's
+//! commit observer), and a snapshot — `SaveCache`, or a compaction — writes the whole cache at
+//! once. Both are the same file format, so a warm restart is *snapshot replay + journal
+//! replay*, and one reader ([`replay`]) serves both.
 //!
 //! # Format
 //!
-//! `anosy-synth-journal v1` is the same line-oriented text family as the snapshot format, with
-//! one extra layer: per-record length/checksum framing, because an append-only file can be cut
-//! mid-write (a torn final record) where a temp-file-plus-rename snapshot cannot:
+//! `anosy-synth-journal v1` is a header line naming the domain, then one framed record per
+//! entry:
 //!
 //! ```text
 //! anosy-synth-journal v1 domain=interval
@@ -26,13 +25,26 @@
 //! ```
 //!
 //! Each `record` line announces the exact byte length of the six-line entry body that follows
-//! (the body is byte-for-byte the snapshot format's entry unit) and its FNV-1a 64 checksum in
-//! hex — the same [`wire::frame_checksum`] binary wire frames carry. Replay walks records front
-//! to back; the first record whose framing, checksum or body fails to decode ends the replay —
-//! everything before it is the *good prefix*, everything from it on is truncated away and
-//! counted as torn. Entries that cannot be encoded faithfully are skipped on append with the
-//! same rule the snapshot save uses, so journal and snapshot always agree on what is
-//! persistable.
+//! and its FNV-1a 64 checksum in hex — the same [`wire::frame_checksum`] binary wire frames
+//! carry. Predicates are written in their `Display` form and re-parsed with
+//! [`anosy_logic::parse_pred`] (the printer and parser are exact inverses on the printable
+//! fragment — property-tested in `anosy-logic`); domain elements use the [`DomainCodec`]
+//! hooks. Entries whose predicate or layout does not round-trip are *skipped* rather than
+//! written unreadably, by appends and saves alike; [`save_entries`] reports both counts as a
+//! [`SaveOutcome`], and the serving surfaces propagate the skipped count (wire `ok saved`
+//! responses, the stats snapshot) so a lossy save is visible to operators.
+//!
+//! # Replay
+//!
+//! Replay walks records front to back; the first record whose framing, checksum or body fails
+//! to decode ends it — everything before it is the *good prefix*, everything from it on is
+//! torn. A journal cut mid-append and a snapshot cut mid-write recover the same way. Only two
+//! things are errors: a header naming another domain, and a first line that is not a journal
+//! header at all (a file that merely *starts* like this deployment's header is a header torn
+//! by a crash during the first write). [`Journal::recover`] truncates a torn tail away before
+//! appending; it never rewrites a file it refused. Replayed entries are trusted — they were
+//! verified before being written — unless the caller asks to re-verify them
+//! ([`crate::Deployment::warm_start`]).
 //!
 //! # Flush policies
 //!
@@ -40,26 +52,27 @@
 //! record to the OS as it is appended (a killed process loses nothing), `every-N` amortizes
 //! appends N records at a time, and `on-tick` defers to the server's tick boundary (cheapest;
 //! at most one tick of synthesis is at risk). Flushing pushes bytes to the OS — it survives a
-//! killed *process*; only compaction's snapshot (`sync_all` + rename) is also hardened
-//! against a host crash.
+//! killed *process*; only snapshots (`sync_all` + rename) are also hardened against a host
+//! crash.
 //!
 //! # Compaction
 //!
-//! [`Journal::compact_with`] folds the journal back into a snapshot *while traffic continues*:
+//! [`Journal::compact_with`] folds the journal into its snapshot *while traffic continues*:
 //! it locks the journal (appends briefly queue), snapshots the cache through the caller's
-//! export closure, writes the snapshot with the usual temp-file-plus-rename, then atomically
-//! replaces the journal with a fresh header-only file. The lock ordering is the correctness
-//! argument: the cache publishes an entry *before* its observer appends, so any entry already
-//! journaled when the lock is taken is also in the exported snapshot, and a commit racing the
-//! compaction appends to the *truncated* journal (possibly duplicating the snapshot — replay
-//! tolerates duplicates, the in-memory entry wins). No entry is ever lost and nothing stops
-//! the world.
+//! export closure, writes the snapshot, then atomically replaces the journal with a fresh
+//! header-only file. Both writes go through one temp-file-plus-rename routine whose temp name
+//! is the target's name plus `.tmp`, so no two targets share a temp file. The lock ordering is
+//! the correctness argument: the cache publishes an entry *before* its observer appends, so
+//! any entry already journaled when the lock is taken is also in the exported snapshot, and a
+//! commit racing the compaction appends to the *truncated* journal (possibly duplicating the
+//! snapshot — replay tolerates duplicates, the in-memory entry wins). No entry is ever lost
+//! and nothing stops the world.
 
-use crate::ServeError;
-use crate::{persist, wire};
+use crate::{wire, ServeError};
 use anosy_core::SharedCacheEntry;
 use anosy_domains::AbstractDomain;
-use anosy_synth::DomainCodec;
+use anosy_logic::{parse_pred, SecretLayout};
+use anosy_synth::{decode_indsets, encode_indsets, parse_approx_kind, DomainCodec};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -69,6 +82,164 @@ use std::sync::Mutex;
 
 /// Magic prefix of the journal file; the version is bumped on any incompatible format change.
 const HEADER_PREFIX: &str = "anosy-synth-journal v1 domain=";
+
+/// The header line of a journal or snapshot of domain `D`.
+fn header<D: DomainCodec>() -> String {
+    format!("{HEADER_PREFIX}{}\n", D::TAG)
+}
+
+/// Writes `body` as one framed record: the `record len=… sum=…` line, then the body itself.
+/// The one framing routine under both [`Journal::append`] and [`save_entries`].
+fn write_record(out: &mut impl Write, body: &str) -> std::io::Result<()> {
+    let sum = wire::frame_checksum(body.as_bytes());
+    writeln!(out, "record len={} sum={sum:016x}", body.len())?;
+    out.write_all(body.as_bytes())
+}
+
+/// `path` with `suffix` appended to its file name (`j` → `j.snapshot`, `j.snapshot.tmp`).
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(suffix);
+    PathBuf::from(os)
+}
+
+/// Replaces `path` with `bytes` atomically: writes `<path>.tmp`, syncs it to stable storage,
+/// then renames it over `path`. Appending `.tmp` (rather than replacing the extension) keeps
+/// a journal's and its snapshot's temp files apart.
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = with_suffix(path, ".tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    // The rename survives a host crash only once the directory entry itself is synced.
+    #[cfg(unix)]
+    File::open(path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new(".")))?
+        .sync_all()?;
+    Ok(())
+}
+
+/// Renders a layout as `name:lo:hi` tokens (the per-field form [`wire::parse_layout`] reads).
+/// Returns `None` when a field name would not survive the encoding (whitespace or `:` in the
+/// name).
+fn encode_layout(layout: &SecretLayout) -> Option<String> {
+    let mut tokens = Vec::with_capacity(layout.arity());
+    for field in layout.fields() {
+        let name = field.name();
+        if name.contains(':') || name.chars().any(char::is_whitespace) || name.is_empty() {
+            return None;
+        }
+        tokens.push(format!("{name}:{}:{}", field.lo(), field.hi()));
+    }
+    Some(tokens.join(" "))
+}
+
+/// Renders one entry as its six-line record body (`entry`/`layout`/`pred`/`truthy`/`falsy`/
+/// `end`). Returns `None` when the entry does not survive the encoding faithfully: a layout
+/// whose field names embed `:` or whitespace, or a predicate whose `Display` form does not
+/// re-parse to the identical term (the cache key on load must intern to the same canonical
+/// term it had on save).
+fn encode_entry<D: DomainCodec>(entry: &SharedCacheEntry<D>) -> Option<String> {
+    let layout_line = encode_layout(&entry.layout)?;
+    let pred_line = entry.pred.to_string();
+    match parse_pred(&pred_line) {
+        Ok(reparsed) if reparsed == entry.pred => {}
+        _ => return None,
+    }
+    let (kind, truthy, falsy) = encode_indsets(&entry.indsets);
+    let members = match entry.members {
+        Some(m) => m.to_string(),
+        None => "-".to_string(),
+    };
+    Some(format!(
+        "entry kind={kind} members={members}\nlayout {layout_line}\npred {pred_line}\n\
+         truthy {truthy}\nfalsy {falsy}\nend\n"
+    ))
+}
+
+/// Parses one [`encode_entry`] body back into an entry. The inverse on everything
+/// [`encode_entry`] emits; any deviation is an error string (replay treats a non-decoding
+/// record as corruption and stops at the good prefix before it).
+fn parse_entry<D: DomainCodec>(body: &str) -> Result<SharedCacheEntry<D>, String> {
+    let mut lines = body.lines();
+    let head = lines.next().ok_or("empty entry body")?;
+    let rest = head.strip_prefix("entry ").ok_or_else(|| format!("expected `entry`: {head}"))?;
+    let mut kind = None;
+    let mut members = None;
+    for token in rest.split_whitespace() {
+        if let Some(k) = token.strip_prefix("kind=") {
+            kind = parse_approx_kind(k);
+        } else if let Some(m) = token.strip_prefix("members=") {
+            members = Some(if m == "-" {
+                None
+            } else {
+                Some(m.parse().map_err(|_| "bad members count".to_string())?)
+            });
+        }
+    }
+    let kind = kind.ok_or("missing or bad kind")?;
+    let members = members.ok_or("missing members")?;
+    let mut field = |prefix: &str| -> Result<String, String> {
+        let line = lines.next().ok_or_else(|| format!("truncated entry, wanted `{prefix}`"))?;
+        line.strip_prefix(prefix)
+            .map(str::to_string)
+            .ok_or_else(|| format!("expected `{prefix}`, found `{line}`"))
+    };
+    let layout_text = field("layout ")?;
+    let pred_text = field("pred ")?;
+    let truthy_text = field("truthy ")?;
+    let falsy_text = field("falsy ")?;
+    let end_text = field("end")?;
+    if !end_text.is_empty() || lines.next().is_some() {
+        return Err("junk after `end`".to_string());
+    }
+    let layout =
+        wire::parse_layout(&layout_text).ok_or(format!("malformed layout `{layout_text}`"))?;
+    let pred = parse_pred(&pred_text).map_err(|e| format!("unparseable predicate: {e}"))?;
+    let indsets = decode_indsets::<D>(kind, &truthy_text, &falsy_text, &layout)
+        .ok_or("undecodable ind. sets")?;
+    Ok(SharedCacheEntry { pred, layout, kind, members, indsets })
+}
+
+/// What a [`save_entries`] call accomplished: entries written, and entries that could not be
+/// encoded faithfully and were skipped. A non-zero `skipped` means the snapshot is lossy
+/// relative to the in-memory cache — the count rides the `ok saved` wire response and the
+/// stats snapshot so operators can see it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SaveOutcome {
+    /// Entries written to the file.
+    pub written: usize,
+    /// Entries skipped because they do not survive the text encoding (see the module docs).
+    pub skipped: usize,
+}
+
+/// Writes the entries to `path` as a snapshot — a journal file written in one go (header plus
+/// one framed record per entry), replaced atomically (see the module docs), so [`replay`]
+/// loads it. Reports how many entries were written and how many could not be encoded
+/// faithfully and were skipped.
+///
+/// # Errors
+///
+/// Returns [`ServeError::Io`] on filesystem failures.
+pub fn save_entries<D: DomainCodec>(
+    path: &Path,
+    entries: &[SharedCacheEntry<D>],
+) -> Result<SaveOutcome, ServeError> {
+    let mut bytes = header::<D>().into_bytes();
+    let mut outcome = SaveOutcome::default();
+    for entry in entries {
+        match encode_entry(entry) {
+            Some(body) => {
+                write_record(&mut bytes, &body)?;
+                outcome.written += 1;
+            }
+            None => outcome.skipped += 1,
+        }
+    }
+    write_atomically(path, &bytes)?;
+    Ok(outcome)
+}
 
 /// When appended records are pushed from the process to the OS (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,9 +325,7 @@ impl JournalConfig {
     /// Where the compaction snapshot (and warm-restart load) lives: the journal path with a
     /// `.snapshot` suffix appended.
     pub fn snapshot_path(&self) -> PathBuf {
-        let mut os = self.path.clone().into_os_string();
-        os.push(".snapshot");
-        PathBuf::from(os)
+        with_suffix(&self.path, ".snapshot")
     }
 }
 
@@ -178,12 +347,12 @@ pub struct JournalStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactOutcome {
     /// The snapshot save (written + skipped entry counts).
-    pub snapshot: persist::SaveOutcome,
+    pub snapshot: SaveOutcome,
     /// Journal records truncated away (now covered by the snapshot).
     pub truncated: u64,
 }
 
-/// The parsed-out good prefix of a journal file (see [`scan`]).
+/// The parsed-out good prefix of a journal or snapshot file (see [`scan`]).
 struct Scan<D: AbstractDomain> {
     /// Entries decoded from intact records, in append order.
     entries: Vec<SharedCacheEntry<D>>,
@@ -193,37 +362,36 @@ struct Scan<D: AbstractDomain> {
     torn: u64,
 }
 
-/// Walks the journal bytes front to back, decoding intact records and stopping at the first
-/// torn or corrupt one (module docs). Never panics on any byte sequence; the only errors are
-/// I/O and a *well-formed* header naming the wrong domain (silently ignoring another
-/// deployment's journal would be an operator trap, not tolerance).
+/// Walks the file's bytes front to back, decoding intact records and stopping at the first
+/// torn or corrupt one (module docs). Never panics on any byte sequence. The only errors are a
+/// header naming the wrong domain and a first line that is no journal header at all: silently
+/// ignoring — or, in [`Journal::recover`], overwriting — another deployment's journal or an
+/// unrelated file would be an operator trap, not tolerance.
 fn scan<D: DomainCodec>(bytes: &[u8]) -> Result<Scan<D>, ServeError> {
     let mut scan = Scan { entries: Vec::new(), good_len: 0, torn: 0 };
     if bytes.is_empty() {
         return Ok(scan); // a fresh (or never-written) journal
     }
-    // The header must be an intact line; a torn header means no good prefix at all.
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
+    let header = header::<D>();
+    if bytes.len() < header.len() && header.as_bytes().starts_with(bytes) {
+        // A crash during the very first write: a torn header means no good prefix at all.
         scan.torn = 1;
         return Ok(scan);
-    };
-    let Ok(header) = std::str::from_utf8(&bytes[..header_end]) else {
-        scan.torn = 1;
-        return Ok(scan);
-    };
-    let Some(domain) = header.strip_prefix(HEADER_PREFIX) else {
-        scan.torn = 1;
-        return Ok(scan);
-    };
-    if domain != D::TAG {
-        return Err(ServeError::Format {
-            line: 1,
-            reason: format!("journal is for domain `{domain}`, deployment uses `{}`", D::TAG),
-        });
     }
-    scan.good_len = (header_end + 1) as u64;
+    if !bytes.starts_with(header.as_bytes()) {
+        let first_line = bytes.split(|&b| b == b'\n').next().unwrap_or_default();
+        let first_line: String = String::from_utf8_lossy(first_line).chars().take(80).collect();
+        let reason = match first_line.strip_prefix(HEADER_PREFIX) {
+            Some(domain) => {
+                format!("journal is for domain `{domain}`, deployment uses `{}`", D::TAG)
+            }
+            None => format!("not a synthesis journal: first line `{first_line}`"),
+        };
+        return Err(ServeError::Format { line: 1, reason });
+    }
+    scan.good_len = header.len() as u64;
 
-    let mut at = header_end + 1;
+    let mut at = header.len();
     while at < bytes.len() {
         // Frame line: `record len=<bytes> sum=<hex64>`.
         let Some(line_end) = bytes[at..].iter().position(|&b| b == b'\n').map(|p| at + p) else {
@@ -259,7 +427,7 @@ fn scan<D: DomainCodec>(bytes: &[u8]) -> Result<Scan<D>, ServeError> {
             scan.torn = 1;
             break;
         };
-        let Ok(entry) = persist::parse_entry::<D>(body) else {
+        let Ok(entry) = parse_entry::<D>(body) else {
             scan.torn = 1;
             break;
         };
@@ -270,15 +438,17 @@ fn scan<D: DomainCodec>(bytes: &[u8]) -> Result<Scan<D>, ServeError> {
     Ok(scan)
 }
 
-/// Replays a journal file without opening it for append: the decoded good-prefix entries plus
-/// the torn-tail count (`0` or `1`). A missing file replays empty. Fault-injection tests use
-/// this directly; deployments recover through [`Journal::recover`], which also truncates the
-/// torn tail and keeps the file open for appending.
+/// Replays a journal or snapshot file without opening it for append: the decoded good-prefix
+/// entries plus the torn-tail count (`0` or `1`). A missing file replays empty. This is how a
+/// snapshot loads ([`crate::Deployment::warm_start`]); a journal recovers through
+/// [`Journal::recover`], which also truncates the torn tail and keeps the file open for
+/// appending.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Io`] on filesystem failures and [`ServeError::Format`] when an intact
-/// header names a different domain. Corruption is never an error — it bounds the good prefix.
+/// Returns [`ServeError::Io`] on filesystem failures and [`ServeError::Format`] when the
+/// header names a different domain or the file is not a journal. Corruption is never an
+/// error — it bounds the good prefix.
 pub fn replay<D: DomainCodec>(path: &Path) -> Result<(Vec<SharedCacheEntry<D>>, u64), ServeError> {
     if !path.exists() {
         return Ok((Vec::new(), 0));
@@ -340,7 +510,8 @@ impl<D: DomainCodec> Journal<D> {
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] on filesystem failures and [`ServeError::Format`] for a
-    /// journal of the wrong domain.
+    /// journal of the wrong domain or a file that is not a journal; either leaves the file
+    /// untouched.
     pub fn recover(config: JournalConfig) -> Result<Recovered<D>, ServeError> {
         let _span = anosy_telemetry::span("journal.replay");
         let mut file = OpenOptions::new()
@@ -362,7 +533,7 @@ impl<D: DomainCodec> Journal<D> {
         if scan.good_len == 0 {
             // A fresh journal — or one whose very header was torn away — needs its header
             // (re)written before the first record can land.
-            writer.write_all(format!("{HEADER_PREFIX}{}\n", D::TAG).as_bytes())?;
+            writer.write_all(header::<D>().as_bytes())?;
             writer.flush()?;
         }
         anosy_telemetry::count("journal.replayed", scan.entries.len() as u64);
@@ -393,16 +564,10 @@ impl<D: DomainCodec> Journal<D> {
     ///
     /// Returns [`ServeError::Io`] on filesystem failures.
     pub fn append(&self, entry: &SharedCacheEntry<D>) -> Result<(), ServeError> {
-        let Some(body) = persist::encode_entry(entry) else { return Ok(()) };
+        let Some(body) = encode_entry(entry) else { return Ok(()) };
         let _span = anosy_telemetry::span("journal.append");
-        let frame = format!(
-            "record len={} sum={:016x}\n",
-            body.len(),
-            wire::frame_checksum(body.as_bytes())
-        );
         let mut writer = lock(&self.writer);
-        writer.file.write_all(frame.as_bytes())?;
-        writer.file.write_all(body.as_bytes())?;
+        write_record(&mut writer.file, &body)?;
         writer.pending += 1;
         writer.records += 1;
         let flush = match self.config.flush {
@@ -473,16 +638,10 @@ impl<D: DomainCodec> Journal<D> {
         let _span = anosy_telemetry::span("journal.compact");
         let mut writer = lock(&self.writer);
         let entries = export();
-        let snapshot = persist::save_entries(&self.config.snapshot_path(), &entries)?;
+        let snapshot = save_entries(&self.config.snapshot_path(), &entries)?;
         // Atomically replace the journal with a fresh header-only file, then re-point the
         // append handle at it.
-        let tmp = self.config.path.with_extension("tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(format!("{HEADER_PREFIX}{}\n", D::TAG).as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.config.path)?;
+        write_atomically(&self.config.path, header::<D>().as_bytes())?;
         let mut file = OpenOptions::new().write(true).open(&self.config.path)?;
         file.seek(SeekFrom::End(0))?;
         let truncated = writer.records;
@@ -537,7 +696,7 @@ fn lock(writer: &Mutex<Writer>) -> std::sync::MutexGuard<'_, Writer> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anosy_domains::{AInt, IntervalDomain};
+    use anosy_domains::{AInt, IntervalDomain, PowersetDomain};
     use anosy_logic::{IntExpr, SecretLayout};
     use anosy_synth::{ApproxKind, IndSets};
 
@@ -689,9 +848,120 @@ mod tests {
         drop(r);
         // Snapshot + journal together hold all three entries.
         let config = JournalConfig::new(&path);
-        let snapshot = persist::load_entries::<IntervalDomain>(&config.snapshot_path()).unwrap();
+        let (snapshot, _) = replay::<IntervalDomain>(&config.snapshot_path()).unwrap();
         let (journaled, _) = replay::<IntervalDomain>(&path).unwrap();
         assert_eq!(snapshot.len() + journaled.len(), 3);
+    }
+
+    #[test]
+    fn save_load_round_trips() {
+        let path = tmp_path("round_trip.snapshot");
+        let entries = vec![entry(200), entry(300)];
+        assert_eq!(save_entries(&path, &entries).unwrap(), SaveOutcome { written: 2, skipped: 0 });
+        let (loaded, torn) = replay::<IntervalDomain>(&path).unwrap();
+        assert_eq!((loaded.len(), torn), (2, 0));
+        for (a, b) in entries.iter().zip(&loaded) {
+            assert_eq!(a.pred, b.pred);
+            assert_eq!(a.layout, b.layout);
+            assert_eq!(a.kind, b.kind);
+            assert_eq!(a.members, b.members);
+            assert_eq!(a.indsets, b.indsets);
+        }
+    }
+
+    #[test]
+    fn powerset_entries_round_trip_too() {
+        let path = tmp_path("powerset.snapshot");
+        let member = IntervalDomain::from_intervals(vec![AInt::new(0, 10), AInt::new(0, 10)]);
+        let entries = vec![SharedCacheEntry {
+            pred: IntExpr::var(0).le(10),
+            layout: layout(),
+            kind: ApproxKind::Over,
+            members: Some(3),
+            indsets: IndSets::new(
+                ApproxKind::Over,
+                PowersetDomain::from_interval(member.clone()),
+                PowersetDomain::new(2, vec![member.clone()], vec![member]),
+            ),
+        }];
+        assert_eq!(save_entries(&path, &entries).unwrap().written, 1);
+        let (loaded, _) = replay::<PowersetDomain>(&path).unwrap();
+        assert_eq!(loaded[0].members, Some(3));
+        assert_eq!(loaded[0].indsets, entries[0].indsets);
+    }
+
+    #[test]
+    fn wrong_domain_and_malformed_files_fail_cleanly() {
+        let path = tmp_path("wrong_domain.snapshot");
+        save_entries::<IntervalDomain>(&path, &[entry(200)]).unwrap();
+        let err = replay::<PowersetDomain>(&path).unwrap_err();
+        assert!(matches!(err, ServeError::Format { line: 1, .. }), "{err}");
+
+        // Files in the retired unframed cache format carry a foreign header.
+        let garbled = tmp_path("garbled.cache");
+        std::fs::write(&garbled, "anosy-synth-cache v1 domain=interval\nentry kind=sideways\n")
+            .unwrap();
+        let err = replay::<IntervalDomain>(&garbled).unwrap_err();
+        assert!(matches!(err, ServeError::Format { line: 1, .. }), "{err}");
+        let truncated = tmp_path("truncated.cache");
+        std::fs::write(
+            &truncated,
+            "anosy-synth-cache v1 domain=interval\nentry kind=under members=-\nlayout x:0:4\n",
+        )
+        .unwrap();
+        assert!(replay::<IntervalDomain>(&truncated).is_err());
+
+        // A snapshot cut mid-record loads its good prefix, and a missing one is a cold start.
+        let torn = tmp_path("torn.snapshot");
+        save_entries(&torn, &[entry(200), entry(300)]).unwrap();
+        let bytes = std::fs::read(&torn).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() - 5]).unwrap();
+        let (entries, tears) = replay::<IntervalDomain>(&torn).unwrap();
+        assert_eq!((entries.len(), tears), (1, 1));
+        assert_eq!(entries[0].pred, entry(200).pred);
+        let (entries, tears) = replay::<IntervalDomain>(&tmp_path("missing.snapshot")).unwrap();
+        assert_eq!((entries.len(), tears), (0, 0));
+    }
+
+    #[test]
+    fn unfaithful_entries_are_skipped_on_save() {
+        let path = tmp_path("skipped.snapshot");
+        let mut bad = entry(200);
+        bad.layout = SecretLayout::builder().field("has space", 0, 4).field("y", 0, 4).build();
+        assert_eq!(
+            save_entries(&path, &[bad, entry(300)]).unwrap(),
+            SaveOutcome { written: 1, skipped: 1 }
+        );
+        assert_eq!(replay::<IntervalDomain>(&path).unwrap().0.len(), 1);
+    }
+
+    #[test]
+    fn a_snapshot_is_a_journal_written_in_one_go() {
+        let journal = tmp_path("one_go.journal");
+        let r = recover(&journal, FlushPolicy::EveryEntry);
+        r.journal.append(&entry(200)).unwrap();
+        r.journal.append(&entry(300)).unwrap();
+        drop(r);
+        let snapshot = tmp_path("one_go.snapshot");
+        save_entries(&snapshot, &[entry(200), entry(300)]).unwrap();
+        assert_eq!(std::fs::read(&snapshot).unwrap(), std::fs::read(&journal).unwrap());
+        assert!(!with_suffix(&snapshot, ".tmp").exists(), "the temp file was renamed away");
+    }
+
+    #[test]
+    fn recover_refuses_a_foreign_file_and_keeps_its_bytes() {
+        let foreign = [
+            ("notes.txt", "two-line\ntext file\n"),
+            ("old.cache", "anosy-synth-cache v1 domain=interval\nentry kind=under members=-\n"),
+            ("future.journal", "anosy-synth-journal v2 domain=interval"),
+        ];
+        for (name, text) in foreign {
+            let path = tmp_path(name);
+            std::fs::write(&path, text).unwrap();
+            let err = Journal::<IntervalDomain>::recover(JournalConfig::new(&path)).err();
+            assert!(matches!(err, Some(ServeError::Format { line: 1, .. })), "{name}: {err:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), text.as_bytes(), "{name} is untouched");
+        }
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //!   private read-only [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
 //!   [`anosy_solver::SolverStats`].
 //!
-//! * **The warm-start cache** ([`Deployment::warm_start`] / [`Deployment::save_cache`]): the
-//!   synthesis cache serialized to a simple versioned text format, so a restarted deployment
-//!   skips cold-start synthesis entirely for every query it has served before. For caches of
-//!   dubious provenance, [`Deployment::warm_start_verified`] re-checks every entry's refinement
+//! * **The warm-start cache** ([`Deployment::save_cache`] / [`Deployment::warm_start`]): the
+//!   synthesis cache saved as a snapshot in the [`journal`]'s framed text format and loaded by
+//!   journal replay, so a restarted deployment skips cold-start synthesis entirely for every
+//!   query it has served before, and a torn snapshot still loads its good prefix. For caches
+//!   of dubious provenance, `warm_start`'s `verify` flag re-checks every entry's refinement
 //!   obligations with the solver before installing it.
 //!
 //! On top of the deployment sits the **serving frontend** ([`Frontend`]): a sans-IO state
@@ -110,7 +111,6 @@ pub mod frontend;
 pub mod journal;
 pub mod loadgen;
 mod parallel;
-mod persist;
 mod pool;
 pub mod popsim;
 pub mod proto;
@@ -124,9 +124,8 @@ pub use config::ServeConfig;
 pub use deployment::{Deployment, RecoveryOutcome, ServeStats, WarmStartOutcome};
 pub use error::ServeError;
 pub use frontend::{Frontend, FrontendStats};
-pub use journal::{FlushPolicy, Journal, JournalConfig, JournalStats};
+pub use journal::{save_entries, FlushPolicy, Journal, JournalConfig, JournalStats, SaveOutcome};
 pub use parallel::{par_check_validity, par_count_models, par_is_valid, Sharded};
-pub use persist::{load_entries, save_entries, SaveOutcome};
 pub use pool::ShardPool;
 pub use popsim::{compile as compile_population, CompileOptions, CompiledPopulation};
 pub use proto::{

@@ -150,10 +150,11 @@ pub enum ServeRequest {
     },
     /// Loads a previously saved synthesis cache.
     WarmStart {
-        /// The cache file to load (a missing file is a cold start).
+        /// The snapshot (or journal) to load: a missing file is a cold start, a torn one loads
+        /// its good prefix.
         path: PathBuf,
         /// When `true`, re-verify every entry's refinement obligations with the solver before
-        /// installing it ([`crate::Deployment::warm_start_verified`]).
+        /// installing it ([`crate::Deployment::warm_start`]).
         verify: bool,
     },
     /// Closes a session, dropping its tracked knowledge.
@@ -369,7 +370,7 @@ pub enum ServeResponse {
     WarmStarted {
         /// Entries installed into the cache.
         loaded: usize,
-        /// Entries refused by `--verify-on-load` re-verification.
+        /// Entries refused by re-verification (the request's `verify` flag).
         skipped: usize,
     },
     /// A session was closed.

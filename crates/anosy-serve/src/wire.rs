@@ -4,7 +4,7 @@
 //! This is the transport-independent half of `anosy-served`: anything that can move bytes
 //! (stdin/stdout, a TCP stream, a test script) can speak the protocol by pairing one of these
 //! codecs with a [`Frontend`](crate::Frontend). The text format follows the workspace's
-//! existing text-format conventions (the `anosy-synth-cache` persistence file): space-separated
+//! existing text-format conventions (the synthesis [`journal`](crate::journal)): space-separated
 //! `key=value` tokens, predicates and paths last on the line so they may contain spaces, and
 //! domain elements in their [`DomainCodec`](anosy_synth::DomainCodec) one-line encoding.
 //!
@@ -122,7 +122,7 @@ pub fn parse_point(text: &str) -> Option<Point> {
     }
 }
 
-/// Parses a layout from `name:lo:hi` tokens (the same per-field form the warm-start cache file
+/// Parses a layout from `name:lo:hi` tokens (the same per-field form the synthesis journal
 /// uses) — how `anosy-served --layout "x:0:400 y:0:400"` declares its secret space.
 pub fn parse_layout(text: &str) -> Option<SecretLayout> {
     let mut builder = SecretLayout::builder();

@@ -1,11 +1,11 @@
 //! Property: journal recovery is exactly-the-good-prefix, no matter where a crash (or bit rot)
 //! cuts the file.
 //!
-//! * Truncating a journal at **any** byte offset recovers precisely the records whose bytes
-//!   survived whole — never a panic, never a half-applied record, and the torn-tail counter
-//!   fires exactly when trailing bytes were dropped.
-//! * Corrupting any single byte of any record recovers exactly the records before the
-//!   corrupted one (the framing checksum rejects the rest).
+//! * Truncating a journal or a snapshot at **any** byte offset recovers precisely the records
+//!   whose bytes survived whole — never a panic, never a half-applied record, and the torn-tail
+//!   counter fires exactly when trailing bytes were dropped.
+//! * Corrupting any single byte of any record of either recovers exactly the records before
+//!   the corrupted one (the framing checksum rejects the rest).
 //! * Replaying a journal that was compacted mid-stream restores the same cache as replaying
 //!   one that never compacted — compaction moves entries, it cannot lose or invent them.
 //!
@@ -15,7 +15,7 @@ use anosy_core::SharedCacheEntry;
 use anosy_domains::{AInt, IntervalDomain};
 use anosy_logic::{IntExpr, SecretLayout};
 use anosy_serve::journal::replay;
-use anosy_serve::{Deployment, FlushPolicy, Journal, JournalConfig, ServeConfig};
+use anosy_serve::{save_entries, Deployment, FlushPolicy, Journal, JournalConfig, ServeConfig};
 use anosy_synth::{ApproxKind, IndSets};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -54,21 +54,44 @@ fn scratch(prefix: &str) -> PathBuf {
     path
 }
 
-/// Writes `xos` as journal records and returns the record boundaries: `boundaries[0]` is the
-/// byte length of the bare header, `boundaries[k]` the file length after `k` records — read
-/// back from the filesystem after each flushed append, so the test derives them without
-/// duplicating the framing arithmetic.
-fn build_journal(path: &PathBuf, xos: &[i64]) -> Vec<u64> {
-    let recovered = Journal::<IntervalDomain>::recover(
-        JournalConfig::new(path).with_flush(FlushPolicy::EveryEntry),
-    )
-    .unwrap();
-    let mut boundaries = vec![std::fs::metadata(path).unwrap().len()];
-    for &xo in xos {
-        recovered.journal.append(&entry(xo)).unwrap();
-        boundaries.push(std::fs::metadata(path).unwrap().len());
+/// How the file under test was written: appended record by record, or saved in one go.
+#[derive(Debug, Clone, Copy)]
+enum FileKind {
+    Journal,
+    Snapshot,
+}
+
+fn file_kind() -> impl Strategy<Value = FileKind> {
+    (0u8..2).prop_map(|k| if k == 0 { FileKind::Journal } else { FileKind::Snapshot })
+}
+
+/// Writes `xos` as records of a `kind` file and returns the record boundaries: `boundaries[0]`
+/// is the byte length of the bare header, `boundaries[k]` the file length after `k` records —
+/// read back from the filesystem after each flushed append (or after saving each prefix of
+/// `xos` as a snapshot), so the test derives them without duplicating the framing arithmetic.
+fn build_file(kind: FileKind, path: &PathBuf, xos: &[i64]) -> Vec<u64> {
+    let len = || std::fs::metadata(path).unwrap().len();
+    match kind {
+        FileKind::Journal => {
+            let recovered = Journal::<IntervalDomain>::recover(
+                JournalConfig::new(path).with_flush(FlushPolicy::EveryEntry),
+            )
+            .unwrap();
+            let mut boundaries = vec![len()];
+            for &xo in xos {
+                recovered.journal.append(&entry(xo)).unwrap();
+                boundaries.push(len());
+            }
+            boundaries
+        }
+        FileKind::Snapshot => (0..=xos.len())
+            .map(|k| {
+                let prefix: Vec<_> = xos[..k].iter().map(|&xo| entry(xo)).collect();
+                save_entries(path, &prefix).unwrap();
+                len()
+            })
+            .collect(),
     }
-    boundaries
 }
 
 fn distinct_xos() -> impl Strategy<Value = Vec<i64>> {
@@ -86,16 +109,17 @@ fn distinct_xos() -> impl Strategy<Value = Vec<i64>> {
 }
 
 proptest! {
-    /// Truncation at any byte offset: replay returns exactly the records that survived whole,
-    /// flags a torn tail iff trailing bytes were dropped, and `recover` repairs the file so a
-    /// second recovery is clean.
+    /// Truncation at any byte offset of a journal or a snapshot: replay returns exactly the
+    /// records that survived whole, flags a torn tail iff trailing bytes were dropped, and
+    /// `recover` repairs the file so a second recovery is clean.
     #[test]
     fn truncation_recovers_exactly_the_good_prefix(
+        kind in file_kind(),
         xos in distinct_xos(),
         cut in 0u64..u64::MAX,
     ) {
         let path = scratch("truncate");
-        let boundaries = build_journal(&path, &xos);
+        let boundaries = build_file(kind, &path, &xos);
         let total = *boundaries.last().unwrap();
         let offset = cut % (total + 1); // any byte offset, including 0 and the full length
 
@@ -126,16 +150,18 @@ proptest! {
         prop_assert_eq!(torn, 0);
     }
 
-    /// Flipping any single byte at or past the first record: replay stops exactly before the
-    /// record holding the flipped byte — never a panic, never a desynced or altered entry.
+    /// Flipping any single byte at or past the first record of a journal or a snapshot: replay
+    /// stops exactly before the record holding the flipped byte — never a panic, never a
+    /// desynced or altered entry.
     #[test]
     fn single_byte_corruption_recovers_to_the_preceding_records(
+        kind in file_kind(),
         xos in distinct_xos(),
         at in 0u64..u64::MAX,
         flip in 1u8..=255,
     ) {
         let path = scratch("corrupt");
-        let boundaries = build_journal(&path, &xos);
+        let boundaries = build_file(kind, &path, &xos);
         let header = boundaries[0];
         let total = *boundaries.last().unwrap();
         let offset = header + at % (total - header); // any byte of any record, never the header
@@ -165,7 +191,7 @@ proptest! {
         let plain_path = scratch("plain");
         let compacted_path = scratch("compacted");
 
-        build_journal(&plain_path, &xos);
+        build_file(FileKind::Journal, &plain_path, &xos);
 
         let recovered = Journal::<IntervalDomain>::recover(
             JournalConfig::new(&compacted_path).with_flush(FlushPolicy::EveryEntry),

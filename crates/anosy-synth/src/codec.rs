@@ -1,4 +1,4 @@
-//! Serialization hooks for synthesized approximations (warm-start persistence).
+//! Serialization hooks for synthesized approximations (the synthesis journal and snapshots).
 //!
 //! A restarted deployment should not pay the cold-start synthesis cost for a query set it has
 //! already synthesized, so `anosy-serve` persists its synthesis cache to disk. The interned ids

@@ -23,9 +23,8 @@
 //! scaling.
 //!
 //! With `--cache PATH` the aggregate deployment warm-starts from (and saves back to) the given
-//! synthesis-cache file; `--verify-on-load` re-checks every loaded entry's refinement
-//! obligations with the solver first, skipping and counting failures
-//! (`Deployment::warm_start_verified`).
+//! snapshot file; `--verify-on-load` re-checks every loaded entry's refinement obligations with
+//! the solver first, skipping and counting failures (`Deployment::warm_start`'s `verify`).
 
 use anosy::core::MinSizePolicy;
 use anosy::domains::{IntervalDomain, PowersetDomain};
@@ -92,7 +91,7 @@ fn main() {
     );
     let mut warm_note = String::new();
     if let Some(path) = &cache {
-        warm_note = match deployment.warm_start_with(path, verify_on_load) {
+        warm_note = match deployment.warm_start(path, verify_on_load) {
             Ok(outcome) => format!(
                 " Warm start from {} ({}): {} entries loaded, {} skipped.",
                 path.display(),
