@@ -110,13 +110,14 @@ impl SynthesizeInto for PowersetDomain {
 /// the policy, so the refusal itself leaks nothing about the secret (§3).
 ///
 /// The sessions of `anosy-serve`'s frontend register no queries of their own: the frontend's
-/// registry resolves every downgrade and hands the query to the batch driver, so such a
-/// session holds only its policy, its secrets' knowledge and its counters.
+/// registry resolves every downgrade and passes the query to
+/// [`AnosySession::downgrade_with`], so such a session holds only its policy, its secrets'
+/// knowledge and its counters.
 pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
-    policy: Arc<dyn Policy<D> + Send + Sync>,
+    policy: Box<dyn Policy<D> + Send + Sync>,
     secrets: HashMap<Point, Knowledge<D>>,
-    /// Shared so the batched-downgrade driver takes a handle per call, never a deep copy.
+    /// Shared so a downgrade resolves its query with a handle, never a deep copy.
     queries: BTreeMap<String, Arc<QInfo<D>>>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
     /// The term store and synthesis cache the session registers through: a deployment's, or
@@ -144,7 +145,7 @@ impl<D: AbstractDomain> AnosySession<D> {
         shared.note_session_opened();
         AnosySession {
             layout,
-            policy: Arc::new(policy),
+            policy: Box::new(policy),
             secrets: HashMap::new(),
             queries: BTreeMap::new(),
             kary_queries: BTreeMap::new(),
@@ -184,20 +185,13 @@ impl<D: AbstractDomain> AnosySession<D> {
         self.policy.name()
     }
 
-    /// A cloneable handle on the enforced policy. This is the hook the batched-downgrade driver
-    /// uses to run policy checks on worker threads; the policy itself stays immutable.
-    pub fn policy_handle(&self) -> Arc<dyn Policy<D> + Send + Sync> {
-        Arc::clone(&self.policy)
-    }
-
-    /// The registered query with the given name, if any (read access for serving-layer drivers).
+    /// The registered query with the given name, if any.
     pub fn query_info(&self, name: &str) -> Option<&QInfo<D>> {
         self.queries.get(name).map(Arc::as_ref)
     }
 
-    /// A cloneable handle on the registered query with the given name, if any. Like
-    /// [`AnosySession::policy_handle`], this is what the batched-downgrade driver hands to
-    /// worker threads: one reference-count bump, not a copy of the query and its ind. sets.
+    /// A cloneable handle on the registered query with the given name, if any: one
+    /// reference-count bump, not a copy of the query and its ind. sets.
     pub fn query_handle(&self, name: &str) -> Option<Arc<QInfo<D>>> {
         self.queries.get(name).map(Arc::clone)
     }
@@ -271,17 +265,28 @@ impl<D: AbstractDomain> AnosySession<D> {
         P::Target: AsSecretPoint,
     {
         let qinfo = self
-            .queries
-            .get(query_name)
+            .query_handle(query_name)
             .ok_or_else(|| AnosyError::UnknownQuery { name: query_name.to_string() })?;
-        let point = secret.unprotect_tcb().as_secret_point();
-        if !self.layout.admits(&point) {
+        self.downgrade_with(&qinfo, &secret.unprotect_tcb().as_secret_point())
+    }
+
+    /// The bounded downgrade of Fig. 2 against a query the caller already resolved — the
+    /// serving frontend resolves names in its own registry, not in the session. Checks the
+    /// layout, reads the tracked prior, runs [`downgrade_step`] and, only when the policy
+    /// authorized it, commits the posterior; either way the outcome is counted. This is the
+    /// one place a session's knowledge changes after a boolean downgrade.
+    ///
+    /// # Errors
+    ///
+    /// As [`AnosySession::downgrade`], minus [`AnosyError::UnknownQuery`].
+    pub fn downgrade_with(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, AnosyError> {
+        if !self.layout.admits(point) {
             return Err(AnosyError::SecretOutsideLayout);
         }
-        let prior = self.knowledge_of(&point);
-        match downgrade_step(self.policy.as_ref(), qinfo, &prior, &point) {
+        let prior = self.knowledge_of(point);
+        match downgrade_step(self.policy.as_ref(), qinfo, &prior, point) {
             Ok((response, posterior)) => {
-                self.secrets.insert(point, posterior);
+                self.secrets.insert(point.clone(), posterior);
                 self.note_downgrade_outcome(true);
                 Ok(response)
             }
@@ -300,33 +305,6 @@ impl<D: AbstractDomain> AnosySession<D> {
             self.stats.downgrades_refused += 1;
         }
         self.shared.note_downgrade(authorized);
-    }
-
-    /// Serving-layer commit hook: overwrites the tracked knowledge of a secret and counts the
-    /// batched outcomes, exactly as the equivalent sequence of [`AnosySession::downgrade`] calls
-    /// would have. `posterior` is `None` when no occurrence in the batch was authorized (the
-    /// knowledge map is left untouched, matching the sequential refusal path).
-    ///
-    /// The decisions themselves must come from [`downgrade_step`] chains over
-    /// [`AnosySession::knowledge_of`] priors — this method only applies them, which is why it
-    /// carries the workspace's `_tcb` suffix (like [`anosy_ifc::Unprotect::unprotect_tcb`]):
-    /// it is part of the trusted computing base, exists for the `anosy-serve` batch driver, and
-    /// committing knowledge that did not come from a policy-checked decision breaks the
-    /// downgrade soundness argument.
-    #[doc(hidden)]
-    pub fn commit_batch_outcome_tcb(
-        &mut self,
-        point: Point,
-        posterior: Option<Knowledge<D>>,
-        authorized: u64,
-        refused: u64,
-    ) {
-        if let Some(knowledge) = posterior {
-            self.secrets.insert(point, knowledge);
-        }
-        self.stats.downgrades_authorized += authorized;
-        self.stats.downgrades_refused += refused;
-        self.shared.note_downgrades(authorized, refused);
     }
 
     /// Convenience wrapper for typed secrets defined with
@@ -425,10 +403,7 @@ impl<D: AbstractDomain> Drop for AnosySession<D> {
 /// both, and only if both pass executes the query on `point`, returning the answer together with
 /// the matching posterior.
 ///
-/// [`AnosySession::downgrade`] is this step plus the knowledge-map commit; the batched-downgrade
-/// driver in `anosy-serve` chains it over a local prior per secret so independent secrets can be
-/// decided on worker threads and committed afterwards, with results identical to the sequential
-/// path.
+/// [`AnosySession::downgrade_with`] is this step plus the knowledge-map commit.
 ///
 /// # Errors
 ///
@@ -912,23 +887,23 @@ mod tests {
         // Chain the pure step over a local prior and compare against the mutating session path
         // on the paper's §3 walkthrough (authorize, authorize, refuse).
         let session = paper_session();
-        let policy = session.policy_handle();
+        let policy = MinSizePolicy::new(100);
         let point = Point::new(vec![300, 200]);
         let mut prior = session.knowledge_of(&point);
 
         let qinfo = session.query_info("nearby_200_200").unwrap();
-        let (answer, posterior) = downgrade_step(policy.as_ref(), qinfo, &prior, &point).unwrap();
+        let (answer, posterior) = downgrade_step(&policy, qinfo, &prior, &point).unwrap();
         assert!(answer);
         assert_eq!(posterior.size(), 6837);
         prior = posterior;
 
         let qinfo = session.query_info("nearby_300_200").unwrap();
-        let (answer, posterior) = downgrade_step(policy.as_ref(), qinfo, &prior, &point).unwrap();
+        let (answer, posterior) = downgrade_step(&policy, qinfo, &prior, &point).unwrap();
         assert!(answer);
         prior = posterior;
 
         let qinfo = session.query_info("nearby_400_200").unwrap();
-        let err = downgrade_step(policy.as_ref(), qinfo, &prior, &point).unwrap_err();
+        let err = downgrade_step(&policy, qinfo, &prior, &point).unwrap_err();
         assert!(matches!(err, AnosyError::PolicyViolation { .. }));
 
         // The session path lands on exactly the same knowledge.
@@ -941,22 +916,30 @@ mod tests {
     }
 
     #[test]
-    fn commit_batch_outcome_mirrors_sequential_bookkeeping() {
-        let mut sequential = paper_session();
-        let mut batched = paper_session();
-        let point = Point::new(vec![300, 200]);
-        let secret = Protected::new(point.clone());
-        sequential.downgrade(&secret, "nearby_200_200").unwrap();
-        sequential.downgrade(&secret, "nearby_400_200").unwrap_err();
-
-        let prior = batched.knowledge_of(&point);
-        let qinfo = batched.query_info("nearby_200_200").unwrap();
-        let (_, posterior) =
-            downgrade_step(batched.policy_handle().as_ref(), qinfo, &prior, &point).unwrap();
-        batched.commit_batch_outcome_tcb(point.clone(), Some(posterior), 1, 1);
-
-        assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(batched.knowledge_of(&point).size(), sequential.knowledge_of(&point).size());
+    fn downgrade_with_a_resolved_query_mirrors_the_named_downgrade() {
+        let mut named = paper_session();
+        let mut resolved = paper_session();
+        let points = [Point::new(vec![300, 200]), Point::new(vec![9000, 0])];
+        for query in ["nearby_200_200", "nearby_400_200"] {
+            let qinfo = resolved.query_handle(query).unwrap();
+            for point in &points {
+                assert_eq!(
+                    resolved.downgrade_with(&qinfo, point),
+                    named.downgrade(&Protected::new(point.clone()), query)
+                );
+            }
+        }
+        assert!(matches!(
+            resolved.downgrade_with(&resolved.query_handle("nearby_400_200").unwrap(), &points[1]),
+            Err(AnosyError::SecretOutsideLayout)
+        ));
+        assert_eq!(resolved.stats(), named.stats());
+        assert_eq!(resolved.tracked_secrets(), 1);
+        assert_eq!(resolved.knowledge_of(&points[0]).size(), named.knowledge_of(&points[0]).size());
+        assert_eq!(
+            resolved.shared_cache().stats().downgrades_refused,
+            named.shared_cache().stats().downgrades_refused
+        );
     }
 
     #[test]

@@ -281,22 +281,10 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     }
 
     pub(crate) fn note_downgrade(&self, authorized: bool) {
-        if authorized {
-            self.note_downgrades(1, 0);
-        } else {
-            self.note_downgrades(0, 1);
-        }
-    }
-
-    /// Bulk form of [`SharedSynthCache::note_downgrade`] — one atomic add per non-zero counter,
-    /// so a 200k-secret batch commit costs O(distinct secrets), not O(downgrades).
-    pub(crate) fn note_downgrades(&self, authorized: u64, refused: u64) {
-        if authorized > 0 {
-            self.inner.counters.downgrades_authorized.fetch_add(authorized, Ordering::Relaxed);
-        }
-        if refused > 0 {
-            self.inner.counters.downgrades_refused.fetch_add(refused, Ordering::Relaxed);
-        }
+        let counters = &self.inner.counters;
+        let counter =
+            if authorized { &counters.downgrades_authorized } else { &counters.downgrades_refused };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The canonical cache key of a registration.

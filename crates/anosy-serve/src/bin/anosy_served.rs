@@ -17,7 +17,9 @@
 //!
 //! * `--layout "<name:lo:hi> ..."` — the secret space served (required);
 //! * `--domain interval|powerset` — the knowledge domain (default `interval`);
-//! * `--workers N` — shard-pool width (default: available parallelism);
+//! * `--workers N` — threads of the shard pool behind `count` and `valid` requests (the
+//!   parallel solver driver; default: available parallelism). Downgrades never use the pool:
+//!   they are decided on the reactor thread at any width;
 //! * `--box-memo-min-depth N` — the shared store's `(id, box)` memo threshold;
 //! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request;
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from

@@ -7,7 +7,8 @@ use anosy_synth::SynthConfig;
 /// Configuration of a [`crate::Deployment`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of worker threads in the deployment's shard pool (clamped to at least one).
+    /// Number of worker threads in the deployment's shard pool, which runs the parallel solver
+    /// driver (clamped to at least one).
     pub workers: usize,
     /// Synthesis configuration used for cache misses (its solver config also drives
     /// verification and the parallel solver driver).

@@ -1,13 +1,12 @@
 //! The deployment: one shared store + synthesis cache, one worker pool, many sessions.
 
 use crate::journal::{self, CompactOutcome, Journal, JournalStats, SaveOutcome};
-use crate::{batch, parallel, ServeConfig, ServeError, ShardPool, Sharded};
+use crate::{parallel, ServeConfig, ServeError, ShardPool, Sharded};
 use anosy_core::{
-    AnosyError, AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache,
-    SynthesizeInto,
+    AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache, SynthesizeInto,
 };
 use anosy_domains::AbstractDomain;
-use anosy_logic::{IntBox, Point, Pred, SecretLayout, StoreStats, TermStore};
+use anosy_logic::{IntBox, Pred, SecretLayout, StoreStats, TermStore};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, Synthesizer};
 use std::fmt;
@@ -85,8 +84,7 @@ impl fmt::Display for ServeStats {
 ///
 /// * owns the [`SharedSynthCache`] every session of the deployment registers through — N
 ///   sessions registering the same query set synthesize once per *deployment*;
-/// * owns the fixed [`ShardPool`] the batched-downgrade and parallel-solver drivers shard
-///   across;
+/// * owns the fixed [`ShardPool`] the parallel solver driver shards across;
 /// * saves and loads the synthesis cache's snapshot, and attaches its journal.
 #[derive(Debug)]
 pub struct Deployment<D: AbstractDomain> {
@@ -187,49 +185,6 @@ impl<D: AbstractDomain> Deployment<D> {
     /// cache, and its downgrade outcomes fold into the deployment aggregates.
     pub fn session(&self, policy: impl Policy<D> + Send + Sync + 'static) -> AnosySession<D> {
         AnosySession::with_shared(self.layout.clone(), policy, self.shared.clone())
-    }
-
-    /// Downgrades a batch of secrets against one registered query of `session`, sharding the
-    /// policy/posterior decisions across the deployment pool. Results (and the session's
-    /// post-state) are identical to the sequential per-call loop. A decision phase that chunks
-    /// into one job — a single distinct secret, or any batch on a one-worker pool — runs on the
-    /// calling thread instead (see [`batch::downgrade_batch_fused`]).
-    pub fn downgrade_batch(
-        &self,
-        session: &mut AnosySession<D>,
-        secrets: &[Point],
-        query_name: &str,
-    ) -> Vec<Result<bool, AnosyError>>
-    where
-        D: Send + Sync + 'static,
-    {
-        batch::downgrade_batch(&self.pool, session, secrets, query_name)
-    }
-
-    /// Downgrades several sessions' batches in one pooled decision phase — the fused
-    /// cross-session variant of [`Deployment::downgrade_batch`]; results and post-state per
-    /// group are identical to one `downgrade_batch` call per group, in order (see
-    /// [`batch::downgrade_batch_fused`]). As there, one chunk runs on the calling thread, and a
-    /// one-worker pool is one chunk.
-    pub fn downgrade_batch_fused(
-        &self,
-        groups: &mut [batch::FusedGroup<'_, D>],
-    ) -> Vec<Vec<Result<bool, AnosyError>>>
-    where
-        D: Send + Sync + 'static,
-    {
-        batch::downgrade_batch_fused(&self.pool, groups)
-    }
-
-    /// Downgrades one secret against a query set, in order (see
-    /// [`batch::downgrade_many`]).
-    pub fn downgrade_many(
-        &self,
-        session: &mut AnosySession<D>,
-        secret: &Point,
-        query_names: &[&str],
-    ) -> Vec<Result<bool, AnosyError>> {
-        batch::downgrade_many(session, secret, query_names)
     }
 
     /// Counts the models of `pred` in `space` with the sharded parallel driver (identical to the
@@ -461,7 +416,8 @@ mod tests {
     use super::*;
     use anosy_core::MinSizePolicy;
     use anosy_domains::IntervalDomain;
-    use anosy_logic::IntExpr;
+    use anosy_ifc::Protected;
+    use anosy_logic::{IntExpr, Point};
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
@@ -539,8 +495,8 @@ mod tests {
             .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
             .unwrap();
         let secret = Point::new(vec![250, 200]);
-        let warm = batch::downgrade_many(&mut warm_session, &secret, &["nearby_200_200"]);
-        let cold = batch::downgrade_many(&mut cold_session, &secret, &["nearby_200_200"]);
+        let warm = warm_session.downgrade(&Protected::new(secret.clone()), "nearby_200_200");
+        let cold = cold_session.downgrade(&Protected::new(secret.clone()), "nearby_200_200");
         assert_eq!(warm, cold);
         assert_eq!(
             warm_session.knowledge_of(&secret).size(),

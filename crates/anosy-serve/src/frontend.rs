@@ -1,5 +1,5 @@
-//! The sans-IO serving frontend: sessions behind a uniform request/response protocol, with
-//! per-tick downgrade batching.
+//! The sans-IO serving frontend: sessions behind a uniform request/response protocol, answered
+//! one tick at a time.
 //!
 //! A [`Frontend`] owns a [`Deployment`], the registry of queries registered so far and every
 //! open [`AnosySession`], keyed by [`SessionId`] (scoped to the connection that opened the
@@ -13,27 +13,21 @@
 //! `anosy-served` reactors over stdio or sockets, the network simulator, tests) feed it requests
 //! and write out its responses.
 //!
-//! # Tick batching
+//! # Downgrades
 //!
-//! Within a tick, maximal runs of consecutive [`ServeRequest::Downgrade`] requests are not
-//! executed one by one: the run is regrouped per session (and, within a session, split at query
-//! boundaries), and each group rides the deployment's sharded
-//! [`downgrade_batch`](Deployment::downgrade_batch) driver. This is the
-//! accumulate-per-tick shape of the ROADMAP's serving front: the more downgrade traffic lands in
-//! a tick, the bigger the batches handed to the [`ShardPool`](crate::ShardPool).
+//! A tick answers its requests one after another, in submission order. A
+//! [`ServeRequest::Downgrade`] resolves its query in the registry and is decided by the
+//! session's own policy-checked step ([`AnosySession::downgrade_with`]) on the calling
+//! thread; a [`ServeRequest::DowngradeBatch`] is the same step per secret, in order. Nothing
+//! else writes a session's knowledge.
 //!
 //! # Determinism guarantee
 //!
-//! Batching never changes answers — only wall-clock. Responses are **element-wise identical to
-//! processing the same requests sequentially, one at a time, against plain [`AnosySession`]s**
-//! (`downgrade` per downgrade request), no matter how requests interleave across connections or
-//! how they split into ticks. The regrouping is sound because distinct sessions share no mutable
-//! state (the shared synthesis cache is append-only and downgrades never write it), distinct
-//! secrets within one session are independent, and same-secret chains stay in arrival order on
-//! one worker — the `downgrade_batch` guarantee, property-tested end-to-end for the frontend in
-//! `tests/proptest_frontend.rs`.
+//! Responses are **element-wise identical to processing the same requests sequentially, one at
+//! a time, against plain [`AnosySession`]s** (`downgrade` per downgrade request), no matter how
+//! requests interleave across connections or how they split into ticks — property-tested
+//! end-to-end in `tests/proptest_frontend.rs`.
 
-use crate::batch::FusedGroup;
 use crate::proto::{
     ConnId, Denial, DenialCode, RequestId, ServeRequest, ServeResponse, SessionId, StatsSnapshot,
     TaggedResponse,
@@ -45,7 +39,7 @@ use anosy_logic::Point;
 use anosy_solver::ValidityOutcome;
 use anosy_synth::DomainCodec;
 use anosy_telemetry as telemetry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -57,9 +51,10 @@ pub struct FrontendStats {
     pub ticks: u64,
     /// Requests submitted since construction.
     pub requests: u64,
-    /// Downgrades that rode a batched driver call.
+    /// Downgrade decisions made for open sessions: single downgrades plus batch elements
+    /// (`batched=` on the wire stats line).
     pub batched_downgrades: u64,
-    /// Largest single batch handed to the deployment driver.
+    /// The most downgrade decisions made in one tick (`largest=` on the wire stats line).
     pub largest_batch: usize,
     /// Sessions torn down because the connection that opened them disconnected
     /// ([`Frontend::disconnect`]) — explicit [`ServeRequest::CloseSession`]s are not counted.
@@ -71,6 +66,15 @@ pub struct FrontendStats {
     /// rejected requests alike. The denial *rate* of a run is this over
     /// [`FrontendStats::requests`].
     pub denials: u64,
+}
+
+impl FrontendStats {
+    /// Counts `n` more downgrade decisions into a tick that had made `tick` so far.
+    fn count_decisions(&mut self, tick: &mut usize, n: usize) {
+        *tick += n;
+        self.batched_downgrades += n as u64;
+        self.largest_batch = self.largest_batch.max(*tick);
+    }
 }
 
 /// How many denials one response carries (batch answers can carry several).
@@ -95,31 +99,6 @@ pub(crate) fn conn_scoped_session_id(conn: ConnId, k: u64) -> Option<SessionId> 
     Some(SessionId((high << 32) | k))
 }
 
-/// One queued downgrade of the current run: its position in the tick, plus the request fields.
-/// The query name is the interned handle the wire parser produced — comparing two of them for
-/// segment-boundary detection is a pointer check first, never an allocation.
-struct QueuedDowngrade {
-    index: usize,
-    session: SessionId,
-    secret: Point,
-    query: Arc<str>,
-}
-
-/// One query-boundary segment of a session's downgrade run: consecutive requests from one
-/// session targeting one query, in arrival order.
-struct Segment {
-    query: Arc<str>,
-    indices: Vec<usize>,
-    secrets: Vec<Point>,
-}
-
-/// A session owned by the frontend, remembering which logical connection opened it so a
-/// transport-level disconnect can tear it down ([`Frontend::disconnect`]).
-struct OpenSession<D: AbstractDomain> {
-    owner: ConnId,
-    session: AnosySession<D>,
-}
-
 /// One queued unit of work: a tagged request, or a connection teardown riding the same queue so
 /// it takes effect at its submission position within the tick.
 enum Pending {
@@ -130,7 +109,9 @@ enum Pending {
 /// The sans-IO protocol state machine (see the [module docs](self)).
 pub struct Frontend<D: AbstractDomain> {
     deployment: Deployment<D>,
-    sessions: BTreeMap<SessionId, OpenSession<D>>,
+    /// Open sessions. An id names the connection that opened it (see [`SessionId`]), so one
+    /// connection's sessions are one contiguous key range.
+    sessions: BTreeMap<SessionId, AnosySession<D>>,
     /// Queries registered so far, keyed by name: the only query map downgrades resolve in.
     /// Re-registering a name replaces its entry (the latest registration wins). One map per
     /// frontend, so per reactor shard: a registration reaches only its own shard's sessions.
@@ -143,6 +124,8 @@ pub struct Frontend<D: AbstractDomain> {
     reactors: u64,
     shard: u64,
     stats: FrontendStats,
+    /// Downgrade decisions made so far in the current tick.
+    tick_decisions: usize,
 }
 
 impl<D: AbstractDomain> Frontend<D> {
@@ -159,6 +142,7 @@ impl<D: AbstractDomain> Frontend<D> {
             reactors: 1,
             shard: 0,
             stats: FrontendStats::default(),
+            tick_decisions: 0,
         }
     }
 
@@ -267,203 +251,55 @@ where
     D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
 {
     /// Processes every queued request and returns one tagged response per request, in
-    /// submission order (see the [module docs](self) for the batching and determinism story).
+    /// submission order (see the [module docs](self) for the determinism story).
     pub fn tick(&mut self) -> Vec<TaggedResponse> {
         let _span = telemetry::span("frontend.tick");
         let pending = std::mem::take(&mut self.pending);
-        let ids: Vec<Option<RequestId>> = pending
-            .iter()
-            .map(|item| match item {
-                Pending::Request(id, _) => Some(*id),
-                Pending::Disconnect(_) => None,
-            })
-            .collect();
-        let mut responses: Vec<Option<ServeResponse>> = Vec::new();
-        responses.resize_with(pending.len(), || None);
-
-        let mut run: Vec<QueuedDowngrade> = Vec::new();
-        for (index, item) in pending.into_iter().enumerate() {
+        let mut tagged = Vec::with_capacity(pending.len());
+        for item in pending {
             match item {
-                Pending::Request(_, ServeRequest::Downgrade { session, secret, query }) => {
-                    run.push(QueuedDowngrade { index, session, secret, query });
+                Pending::Request(request, body) => {
+                    let response = self.handle(request.conn, body);
+                    tagged.push(TaggedResponse { request, response });
                 }
-                Pending::Request(id, other) => {
-                    self.flush_run(&mut run, &mut responses);
-                    responses[index] = Some(self.handle(id.conn, other));
-                }
-                Pending::Disconnect(conn) => {
-                    self.flush_run(&mut run, &mut responses);
-                    self.teardown(conn);
-                }
+                Pending::Disconnect(conn) => self.teardown(conn),
             }
         }
-        self.flush_run(&mut run, &mut responses);
         self.stats.ticks += 1;
-
-        let tagged: Vec<TaggedResponse> = ids
-            .into_iter()
-            .zip(responses)
-            .filter_map(|(id, response)| {
-                id.map(|request| TaggedResponse {
-                    request,
-                    response: response.expect("every request produced a response"),
-                })
-            })
-            .collect();
+        let decisions = std::mem::take(&mut self.tick_decisions);
+        if decisions > 0 {
+            telemetry::observe("batch.size", decisions as u64);
+        }
         self.stats.denials += tagged.iter().map(|t| denials_in(&t.response)).sum::<u64>();
         tagged
     }
 
-    /// Removes (and drops) every session opened by `conn`; the sessions' own teardown notes
-    /// their closure in the deployment aggregates.
+    /// Removes (and drops) every session opened by `conn` — one key range, since the id names
+    /// the opener; the sessions' own teardown notes their closure in the deployment aggregates.
     fn teardown(&mut self, conn: ConnId) {
-        let doomed: Vec<SessionId> = self
-            .sessions
-            .iter()
-            .filter(|(_, open)| open.owner == conn)
-            .map(|(id, _)| *id)
-            .collect();
+        // No id exists outside the checked lanes, so such a connection opened nothing.
+        let Some(first) = conn_scoped_session_id(conn, 0) else { return };
+        let last = SessionId(first.0 | u64::from(u32::MAX));
+        let doomed: Vec<SessionId> = self.sessions.range(first..=last).map(|(id, _)| *id).collect();
         self.stats.sessions_torn_down += doomed.len() as u64;
         for id in doomed {
             self.sessions.remove(&id);
         }
     }
 
-    /// Executes a buffered run of consecutive downgrade requests: regrouped per session, split
-    /// at query boundaries, then fused **across sessions** — every round answers one segment
-    /// per session with a single pooled decision phase ([`Deployment::downgrade_batch_fused`]).
-    fn flush_run(
-        &mut self,
-        run: &mut Vec<QueuedDowngrade>,
-        responses: &mut [Option<ServeResponse>],
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        // Per-session segment queues, split at query boundaries: within one session,
-        // same-secret chains across different queries must keep their arrival order, so a
-        // segment may only fuse with *other sessions'* segments, never reorder within its own.
-        // The queued requests are consumed by value — this is the hot path, and the points
-        // they own become the batches with no clones.
-        let mut per_session: BTreeMap<SessionId, VecDeque<Segment>> = BTreeMap::new();
-        for queued in run.drain(..) {
-            let segments = per_session.entry(queued.session).or_default();
-            match segments.back_mut() {
-                Some(last) if last.query == queued.query => {
-                    last.indices.push(queued.index);
-                    last.secrets.push(queued.secret);
-                }
-                _ => segments.push_back(Segment {
-                    query: queued.query,
-                    indices: vec![queued.index],
-                    secrets: vec![queued.secret],
-                }),
-            }
-        }
-        // Unknown sessions answer per element up front, exactly as the sequential replay
-        // would at these queue positions (sessions cannot open or close mid-run: the run
-        // holds only downgrades).
-        per_session.retain(|session_id, segments| {
-            if self.sessions.contains_key(session_id) {
-                return true;
-            }
-            for segment in segments.iter() {
-                for &index in &segment.indices {
-                    responses[index] =
-                        Some(ServeResponse::Answer(Err(Denial::unknown_session(*session_id))));
-                }
-            }
-            false
-        });
-        // Rounds: round r fuses the r-th segment of every session into one pooled decision
-        // phase. Cross-session fusion never changes answers — sessions share no mutable
-        // state — and within-session order holds because round r+1 only starts after round
-        // r committed. Most ticks have exactly one segment per session, so one round.
-        while !per_session.is_empty() {
-            let mut round: Vec<(SessionId, Segment)> = Vec::new();
-            per_session.retain(|session_id, segments| {
-                if let Some(segment) = segments.pop_front() {
-                    round.push((*session_id, segment));
-                }
-                !segments.is_empty()
-            });
-            self.fuse_round(round, responses);
-        }
-    }
-
-    /// Answers one fused round with a single [`Deployment::downgrade_batch_fused`] call.
-    /// Segments are ordered by query name, putting sessions that downgrade against the same
-    /// shared [`QInfo`] adjacent in the scatter. The order never changes an answer.
-    fn fuse_round(
-        &mut self,
-        mut round: Vec<(SessionId, Segment)>,
-        responses: &mut [Option<ServeResponse>],
-    ) {
-        // Unknown queries answer per element inside the fused driver; park them after every
-        // real group.
-        round.sort_by_cached_key(|(session_id, segment)| {
-            (!self.registry.contains_key(&*segment.query), Arc::clone(&segment.query), *session_id)
-        });
-
-        // Pull the round's sessions out of the map so the fused driver can hold one `&mut`
-        // per group (groups never alias: one segment per session per round).
-        let mut removed: Vec<(SessionId, OpenSession<D>, Segment)> = round
-            .into_iter()
-            .map(|(session_id, segment)| {
-                let open = self.sessions.remove(&session_id).expect("unknown sessions answered");
-                (session_id, open, segment)
-            })
-            .collect();
-        let results = Self::decide(
-            &self.deployment,
-            &self.registry,
-            &mut self.stats,
-            removed.iter_mut().map(|(_, open, segment)| {
-                (&mut open.session, &segment.secrets[..], &*segment.query)
-            }),
-        );
-        for ((_, _, segment), group_results) in removed.iter().zip(results) {
-            for (&index, result) in segment.indices.iter().zip(group_results) {
-                responses[index] = Some(ServeResponse::Answer(result.map_err(Denial::from)));
-            }
-        }
-        for (session_id, open, _) in removed {
-            self.sessions.insert(session_id, open);
-        }
-    }
-
-    /// Decides `groups` — each a session, its secrets and the query name they target — in one
-    /// pooled phase, resolving every query in the registry. The one place the batch counters
-    /// move, for fused runs and explicit batch requests alike.
-    fn decide<'a>(
-        deployment: &Deployment<D>,
-        registry: &BTreeMap<String, Arc<QInfo<D>>>,
-        stats: &mut FrontendStats,
-        groups: impl IntoIterator<Item = (&'a mut AnosySession<D>, &'a [Point], &'a str)>,
-    ) -> Vec<Vec<Result<bool, AnosyError>>> {
-        let mut groups: Vec<FusedGroup<'a, D>> = groups
-            .into_iter()
-            .map(|(session, secrets, query)| FusedGroup {
-                session,
-                secrets,
-                query,
-                qinfo: registry.get(query).cloned(),
-            })
-            .collect();
-        let total: usize = groups.iter().map(|group| group.secrets.len()).sum();
-        stats.batched_downgrades += total as u64;
-        stats.largest_batch = stats.largest_batch.max(total);
-        telemetry::observe("batch.size", total as u64);
-        let _span = telemetry::span("deployment.downgrade_batch");
-        deployment.downgrade_batch_fused(&mut groups)
-    }
-
-    /// Handles every non-`Downgrade` request (downgrades ride [`Frontend::flush_run`]).
-    /// `conn` is the logical connection the request arrived on — the owner of any session it
-    /// opens.
+    /// Answers one request. `conn` is the logical connection the request arrived on — the
+    /// owner of any session it opens.
     fn handle(&mut self, conn: ConnId, request: ServeRequest) -> ServeResponse {
         match request {
-            ServeRequest::Downgrade { .. } => unreachable!("downgrades are batched in tick()"),
+            ServeRequest::Downgrade { session, secret, query } => {
+                let Some(open) = self.sessions.get_mut(&session) else {
+                    return ServeResponse::Answer(Err(Denial::unknown_session(session)));
+                };
+                let _span = telemetry::span("batch.decide");
+                self.stats.count_decisions(&mut self.tick_decisions, 1);
+                let qinfo = self.registry.get(&*query).map(Arc::as_ref);
+                ServeResponse::Answer(decide(open, qinfo, &query, &secret).map_err(Denial::from))
+            }
             ServeRequest::OpenSession { policy } => {
                 let opens = self.conn_opens.entry(conn).or_insert(0);
                 // Checked packing: an id outside the two 32-bit lanes would collide with
@@ -480,7 +316,7 @@ where
                 };
                 *opens += 1;
                 let session = self.deployment.session(policy);
-                self.sessions.insert(id, OpenSession { owner: conn, session });
+                self.sessions.insert(id, session);
                 ServeResponse::SessionOpened { session: id }
             }
             ServeRequest::RegisterQuery { query, kind, members } => {
@@ -499,16 +335,16 @@ where
                 let Some(open) = self.sessions.get_mut(&session) else {
                     return ServeResponse::Rejected(Denial::unknown_session(session));
                 };
-                let results = Self::decide(
-                    &self.deployment,
-                    &self.registry,
-                    &mut self.stats,
-                    [(&mut open.session, &secrets[..], &*query)],
-                )
-                .pop()
-                .expect("one group in, one result vector out");
+                let _span = telemetry::span("batch.decide");
+                self.stats.count_decisions(&mut self.tick_decisions, secrets.len());
+                let qinfo = self.registry.get(&*query).map(Arc::as_ref);
                 ServeResponse::Answers(
-                    results.into_iter().map(|r| r.map_err(|e| DenialCode::of(&e))).collect(),
+                    secrets
+                        .iter()
+                        .map(|secret| {
+                            decide(open, qinfo, &query, secret).map_err(|e| DenialCode::of(&e))
+                        })
+                        .collect(),
                 )
             }
             ServeRequest::CountModels { pred } => {
@@ -533,7 +369,7 @@ where
                 }
             }
             ServeRequest::Knowledge { session, secret } => {
-                let Some(open) = self.sessions.get(&session).map(|open| &open.session) else {
+                let Some(open) = self.sessions.get(&session) else {
                     return ServeResponse::Rejected(Denial::unknown_session(session));
                 };
                 let knowledge = open.knowledge_of(&secret);
@@ -578,6 +414,20 @@ where
                 None => ServeResponse::Rejected(Denial::unknown_session(session)),
             },
         }
+    }
+}
+
+/// One downgrade decision in an open session: the query comes from the frontend's registry
+/// (`None` when the name is not registered), the decision is the session's own step.
+fn decide<D: AbstractDomain>(
+    session: &mut AnosySession<D>,
+    qinfo: Option<&QInfo<D>>,
+    query: &str,
+    secret: &Point,
+) -> Result<bool, AnosyError> {
+    match qinfo {
+        Some(qinfo) => session.downgrade_with(qinfo, secret),
+        None => Err(AnosyError::UnknownQuery { name: query.to_string() }),
     }
 }
 
@@ -651,7 +501,7 @@ mod tests {
         assert_eq!(responses[2].response, ServeResponse::SessionOpened { session: strict });
         assert_eq!(responses[0].request, RequestId { conn, seq: 1 });
 
-        // Tick 2: downgrades across both sessions in one run — batched, answers exact.
+        // Tick 2: downgrades across both sessions, answered in order.
         frontend.submit(conn, downgrade(lax, 300, 200, "nearby_200_200"));
         frontend.submit(conn, downgrade(strict, 300, 200, "nearby_200_200"));
         frontend.submit(conn, downgrade(lax, 10, 10, "nearby_200_200"));
@@ -697,7 +547,7 @@ mod tests {
                 assert_eq!(snapshot.open_sessions, 2);
                 assert_eq!(snapshot.requests, 10);
                 assert_eq!(snapshot.batched_downgrades, 4);
-                assert!(snapshot.largest_batch >= 2, "the lax run batched");
+                assert_eq!(snapshot.largest_batch, 4, "tick 2 made four decisions");
                 assert_eq!(snapshot.serve.cache.synth_misses, 1);
             }
             other => panic!("expected stats, got {other:?}"),
@@ -1016,8 +866,8 @@ mod tests {
             fused.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
         }
         fused.tick();
-        // Interleave three sessions' downgrades in one run: the tick answers them in one
-        // fused round (largest_batch sees the *fused* size, not the per-session slices).
+        // Interleave three sessions' downgrades in one tick: largest_batch counts the tick's
+        // decisions across all sessions, not one session's share.
         let secrets = [(300, 200), (10, 10), (250, 150), (300, 200)];
         for &(x, y) in &secrets {
             for s in 1..=3 {
@@ -1025,7 +875,7 @@ mod tests {
             }
         }
         let answers: Vec<ServeResponse> = fused.tick().into_iter().map(|t| t.response).collect();
-        assert_eq!(fused.stats().largest_batch, 12, "the round fused all three sessions");
+        assert_eq!(fused.stats().largest_batch, 12, "the tick decided all three sessions");
 
         // Element-wise identical to a sequential per-session replay.
         let mut reference = reference_session(PolicySpec::MinSize(100));
@@ -1044,5 +894,96 @@ mod tests {
                 assert_eq!(&answers[i * 3 + s], expected, "secret {i}, session {}", s + 1);
             }
         }
+    }
+
+    #[test]
+    fn batches_and_single_downgrades_in_one_tick_match_sequential_replay() {
+        let mut frontend = frontend();
+        let conn = frontend.connect();
+        frontend.submit(
+            conn,
+            ServeRequest::RegisterQuery {
+                query: nearby_query(200),
+                kind: ApproxKind::Under,
+                members: None,
+            },
+        );
+        frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        frontend.tick();
+        let session = sid(conn, 1);
+        let batch = [(300, 200), (10, 10), (300, 200), (9_000, 0)];
+
+        // One tick: single, batch, single — all on the same session and secret — plus a
+        // downgrade for a session nobody opened, which is not a decision.
+        frontend.submit(conn, downgrade(session, 300, 200, "nearby_200_200"));
+        frontend.submit(
+            conn,
+            ServeRequest::DowngradeBatch {
+                session,
+                secrets: batch.iter().map(|&(x, y)| Point::new(vec![x, y])).collect(),
+                query: "nearby_200_200".into(),
+            },
+        );
+        frontend.submit(conn, downgrade(session, 300, 200, "nearby_200_200"));
+        frontend.submit(conn, downgrade(SessionId(77), 300, 200, "nearby_200_200"));
+        let answers: Vec<ServeResponse> = frontend.tick().into_iter().map(|t| t.response).collect();
+
+        let mut reference = reference_session(PolicySpec::MinSize(100));
+        let mut replay = |x: i64, y: i64| {
+            reference.downgrade(&Protected::new(Point::new(vec![x, y])), "nearby_200_200")
+        };
+        let first = ServeResponse::Answer(replay(300, 200).map_err(Denial::from));
+        let batched = ServeResponse::Answers(
+            batch.iter().map(|&(x, y)| replay(x, y).map_err(|e| DenialCode::of(&e))).collect(),
+        );
+        let last = ServeResponse::Answer(replay(300, 200).map_err(Denial::from));
+        let unknown = ServeResponse::Answer(Err(Denial::unknown_session(SessionId(77))));
+        assert_eq!(answers, vec![first, batched, last, unknown]);
+        assert_eq!(frontend.stats().batched_downgrades, 6, "1 + 4 + 1 decisions");
+        assert_eq!(frontend.stats().largest_batch, 6);
+
+        // A smaller tick adds to the total but not to the per-tick maximum.
+        frontend.submit(conn, downgrade(session, 10, 10, "nearby_200_200"));
+        frontend.submit(conn, downgrade(session, 10, 10, "no_such_query"));
+        frontend.tick();
+        assert_eq!(frontend.stats().batched_downgrades, 8);
+        assert_eq!(frontend.stats().largest_batch, 6);
+    }
+
+    #[test]
+    fn teardown_removes_exactly_the_openers_sessions_at_the_top_of_the_id_space() {
+        let mut frontend = frontend();
+        let opener = ConnId(u64::from(u32::MAX) - 2);
+        // The neighbour holds the topmost id lane and uses one of the opener's sessions.
+        let neighbour = ConnId(u64::from(u32::MAX) - 1);
+        frontend.submit(
+            opener,
+            ServeRequest::RegisterQuery {
+                query: nearby_query(200),
+                kind: ApproxKind::Under,
+                members: None,
+            },
+        );
+        frontend.submit(opener, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        frontend.submit(opener, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        frontend.submit(neighbour, ServeRequest::OpenSession { policy: PolicySpec::MinSize(100) });
+        frontend.tick();
+        assert_eq!(frontend.open_sessions(), 3);
+
+        frontend.submit(neighbour, downgrade(sid(opener, 1), 300, 200, "nearby_200_200"));
+        frontend.disconnect(neighbour);
+        frontend.tick();
+        assert_eq!(frontend.open_sessions(), 2, "the neighbour only used the opener's session");
+        assert_eq!(frontend.stats().sessions_torn_down, 1);
+
+        frontend.disconnect(opener);
+        frontend.submit(neighbour, downgrade(sid(opener, 1), 300, 200, "nearby_200_200"));
+        let responses = frontend.tick();
+        assert_eq!(
+            responses[0].response,
+            ServeResponse::Answer(Err(Denial::unknown_session(sid(opener, 1))))
+        );
+        assert_eq!(frontend.open_sessions(), 0);
+        assert_eq!(frontend.stats().sessions_torn_down, 3);
     }
 }

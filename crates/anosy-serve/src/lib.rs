@@ -20,14 +20,13 @@
 //!   [`anosy_core::AnosySession`]s otherwise.
 //!
 //! * **One fixed shard pool** ([`ShardPool`]): `workers` OS threads that live as long as the
-//!   deployment. Two drivers shard across it, both in the share-nothing-then-merge style:
-//!   [`Deployment::downgrade_batch`] decides independent secrets' downgrades on workers and
-//!   commits sequentially (a decision phase that chunks into one job — a single distinct
-//!   secret, or any batch on a one-worker pool — runs on the calling thread instead, skipping
-//!   the pool's barrier), and the parallel solver driver ([`par_count_models`],
-//!   [`par_check_validity`]) splits a space into disjoint sub-boxes, seeds each worker with a
-//!   private read-only [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
-//!   [`anosy_solver::SolverStats`].
+//!   deployment. Only the parallel solver driver ([`par_count_models`],
+//!   [`par_check_validity`]) shards across it, share-nothing-then-merge: it splits a space into
+//!   disjoint sub-boxes, seeds each worker with a private read-only
+//!   [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
+//!   [`anosy_solver::SolverStats`]. Downgrades never touch the pool: every one, single or
+//!   batched ([`Deployment::downgrade_batch`]), is the session's own policy-checked step
+//!   ([`anosy_core::AnosySession::downgrade_with`]) on the thread that received it.
 //!
 //! * **The warm-start cache** ([`Deployment::save_cache`] / [`Deployment::warm_start`]): the
 //!   synthesis cache saved as a snapshot in the [`journal`]'s framed text format and loaded by
@@ -41,9 +40,8 @@
 //! ([`ServeRequest`]/[`ServeResponse`] in [`proto`]). The frontend owns sessions keyed by
 //! [`SessionId`] and one registry of the queries registered so far, which every downgrade
 //! resolves in (sessions hold knowledge, not queries). It accepts requests from any number of
-//! logical connections, batches each tick's consecutive downgrades onto the fused
-//! [`Deployment::downgrade_batch_fused`] path, and answers with
-//! responses tagged by [`RequestId`] — element-wise identical to processing the same requests
+//! logical connections, answers each tick's requests in submission order, and tags every
+//! response with its [`RequestId`] — element-wise identical to processing the same requests
 //! sequentially against plain sessions. The [`wire`] module gives the protocol a line-oriented
 //! text form, and the `anosy-served` binary serves it over stdin/stdout.
 //!
@@ -60,9 +58,8 @@
 //!
 //! * `downgrade_batch` returns results (and leaves the session's tracked knowledge and
 //!   counters) **identical to the sequential per-call loop**, including duplicate secrets in one
-//!   batch — occurrences of the same secret are chained in order on one worker, and commits
-//!   happen in deterministic order (property-tested against the loop in
-//!   `tests/proptest_batch.rs`).
+//!   batch, because it *is* that loop over the session's own step (property-tested against
+//!   [`anosy_core::AnosySession::downgrade`] in `tests/proptest_batch.rs`).
 //! * The sharded solver drivers return exactly the sequential procedures' results: counts over
 //!   a disjoint partition sum to the whole-space count, validity holds iff it holds on every
 //!   chunk, and the reported counterexample is chosen in deterministic chunk order.
@@ -89,7 +86,7 @@
 //!     Deployment::new(layout, ServeConfig::for_tests());
 //! deployment.register_query(&query, ApproxKind::Under, None).unwrap();
 //!
-//! // Serving: sessions share the cache; batches shard across the pool.
+//! // Serving: sessions share the cache; a batch is decided secret by secret, in order.
 //! let mut session = deployment.session(MinSizePolicy::new(100));
 //! let mut synth = anosy_synth::Synthesizer::with_config(deployment.config().synth.clone());
 //! session.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
@@ -119,7 +116,6 @@ pub mod server;
 pub mod sim;
 pub mod wire;
 
-pub use batch::{downgrade_batch, downgrade_batch_fused, downgrade_many, FusedGroup};
 pub use config::ServeConfig;
 pub use deployment::{Deployment, RecoveryOutcome, ServeStats, WarmStartOutcome};
 pub use error::ServeError;

@@ -4,8 +4,10 @@
 //! as long as the deployment, amortizing thread spawns to zero on the serving path). Work is
 //! submitted as batches of independent jobs via [`ShardPool::scatter`]; results come back in
 //! submission order, so callers see deterministic output regardless of which worker ran what or
-//! in which order workers finished — the property every driver built on top (batched downgrades,
-//! sharded counting) relies on for sequential-equivalence.
+//! in which order workers finished — the property the parallel solver driver
+//! ([`crate::par_count_models`], [`crate::par_check_validity`]) relies on for
+//! sequential-equivalence. It is the only driver on the pool: downgrades are decided on the
+//! thread that received them.
 //!
 //! The design is the classic share-nothing-then-merge worker pool of the differential-dataflow
 //! lineage: jobs carry owned data in, results are merged by the caller after the barrier.
@@ -79,19 +81,6 @@ impl ShardPool {
             slots[index] = Some(result);
         }
         slots.into_iter().map(|slot| slot.expect("every job sends exactly once")).collect()
-    }
-
-    /// Splits `items` into at most `parts` contiguous chunks of near-equal length (for sharding
-    /// a work list across the pool). Returns fewer chunks when there are fewer items.
-    pub fn chunk<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-        let parts = parts.max(1).min(items.len().max(1));
-        let mut chunks: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
-        let per_chunk = items.len().div_ceil(parts);
-        for (i, item) in items.into_iter().enumerate() {
-            chunks[i / per_chunk].push(item);
-        }
-        chunks.retain(|c| !c.is_empty());
-        chunks
     }
 }
 
@@ -167,15 +156,5 @@ mod tests {
         assert_eq!(pool.workers(), 1);
         let results = pool.scatter(vec![|| 42]);
         assert_eq!(results.into_iter().map(Result::unwrap).collect::<Vec<_>>(), vec![42]);
-    }
-
-    #[test]
-    fn chunking_is_near_even_and_total() {
-        let chunks = ShardPool::chunk((0..10).collect(), 4);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks.concat(), (0..10).collect::<Vec<_>>());
-        assert!(chunks.iter().all(|c| c.len() <= 3));
-        assert_eq!(ShardPool::chunk(Vec::<i32>::new(), 4).len(), 0);
-        assert_eq!(ShardPool::chunk(vec![1], 4), vec![vec![1]]);
     }
 }

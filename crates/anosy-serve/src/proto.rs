@@ -112,8 +112,8 @@ pub enum ServeRequest {
         /// ([`wire::NameInterner`](crate::wire::NameInterner)).
         query: Arc<str>,
     },
-    /// A whole batch of downgrades against one query in one request (the explicit counterpart
-    /// of the frontend's implicit per-tick batching).
+    /// A whole batch of downgrades against one query in one request, decided secret by secret
+    /// in order.
     DowngradeBatch {
         /// The session whose knowledge is consulted and refined.
         session: SessionId,
@@ -275,10 +275,10 @@ pub struct StatsSnapshot {
     pub ticks: u64,
     /// Requests submitted since the frontend was created.
     pub requests: u64,
-    /// Downgrades that rode a per-tick batch (including explicit [`ServeRequest::DowngradeBatch`]
-    /// elements).
+    /// Downgrade decisions made for open sessions: single downgrades plus
+    /// [`ServeRequest::DowngradeBatch`] elements.
     pub batched_downgrades: u64,
-    /// Largest single batch handed to the deployment's batched-downgrade driver.
+    /// The most downgrade decisions made in one tick.
     pub largest_batch: usize,
     /// Sessions torn down because the connection that opened them disconnected (see
     /// [`Frontend::disconnect`](crate::Frontend::disconnect)).

@@ -1,7 +1,7 @@
 //! Reactor pools: the one way a deployment is served, on `N ≥ 1` reactor threads.
 //!
-//! One [`Server`] is a single-threaded reactor — batching amortizes solver work, but every
-//! byte of every connection still funnels through one event loop. A [`ReactorPool`] runs `N`
+//! One [`Server`] is a single-threaded reactor: every byte of every connection, and every
+//! downgrade decision, funnels through one event loop. A [`ReactorPool`] runs `N`
 //! such reactors over **one shared [`Deployment`]**: each reactor owns a disjoint shard of the
 //! connections (with its own [`Frontend`]) and the deployment's single-flight synthesis cache
 //! plus shard pool stay safe to share, so the pool scales connection handling without
@@ -110,11 +110,7 @@ impl ReactorPool {
             .map(|(i, transport)| {
                 let shard = i as u64;
                 let frontend = Frontend::new(deployment.share()).with_shard(shard, n);
-                let config = self
-                    .config
-                    .clone()
-                    .sharded(shard, n)
-                    .with_io_log_cap((deployment.config().io_log_cap / n as usize).max(1));
+                let config = self.config.clone().sharded(shard, n);
                 Server::new(frontend, transport, config)
             })
             .collect()

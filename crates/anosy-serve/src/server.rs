@@ -133,9 +133,10 @@ pub const IO_LOG_CAP: usize = 64;
 pub struct ServerConfig {
     /// `false` (default): tick after every request line, like `anosy-served` without flags.
     /// `true`: accumulate and tick on blank lines, quiescence timers and connection teardown —
-    /// `anosy-served --ticked`, the batching-friendly mode.
+    /// `anosy-served --ticked`, so scripts control what one tick holds.
     pub ticked: bool,
-    /// Byte cap handed to each connection's [`LineDecoder`].
+    /// Byte cap handed to each connection's decoder: the longest text line, and the largest
+    /// binary frame payload, a connection may send.
     pub max_line: usize,
     /// Record every submitted request and every produced response ([`Server::transcript`],
     /// [`Server::responses`]) — the oracle hook for the simulation tests. Off in production:
@@ -145,9 +146,6 @@ pub struct ServerConfig {
     /// of `reactors` (default: shard 0 of 1). `@conn` claims whose id hashes to another shard
     /// are refused — two shards must never bind the same logical id.
     pub shard: (u64, u64),
-    /// Most recent entries retained by [`Server::io_log`]; older denials age out so a stream
-    /// of bad peers cannot grow memory.
-    pub io_log_cap: usize,
     /// Install a telemetry [`Collector`] for the duration of [`Server::run`] (spans, counters
     /// and latency histograms on this reactor's thread; harvest with
     /// [`Server::telemetry_report`]). On by default; a no-op when the `telemetry` cargo
@@ -164,7 +162,6 @@ impl ServerConfig {
             max_line: wire::MAX_LINE_BYTES,
             record_transcript: false,
             shard: (0, 1),
-            io_log_cap: IO_LOG_CAP,
             telemetry: true,
         }
     }
@@ -190,12 +187,6 @@ impl ServerConfig {
     /// Marks this server as reactor shard `shard` of `reactors` (see [`ServerConfig::shard`]).
     pub fn sharded(mut self, shard: u64, reactors: u64) -> ServerConfig {
         self.shard = (shard, reactors.max(1));
-        self
-    }
-
-    /// Overrides the [`Server::io_log`] retention cap (clamped to at least one entry).
-    pub fn with_io_log_cap(mut self, cap: usize) -> ServerConfig {
-        self.io_log_cap = cap.max(1);
         self
     }
 
@@ -543,7 +534,11 @@ where
         // stderr immediately — a forever-serving transport never returns from `run`.
         let entry = IoLogEntry { shard: self.config.shard.0, at: self.clock.now(), token, reason };
         eprintln!("{entry}");
-        if self.io_log.len() >= self.config.io_log_cap {
+        // This shard's share of the deployment-wide cap: older denials age out so a stream of
+        // bad peers cannot grow memory, and the merged shard logs stay under the global cap.
+        let reactors = (self.config.shard.1 as usize).max(1);
+        let cap = (self.frontend.deployment().config().io_log_cap / reactors).max(1);
+        if self.io_log.len() >= cap {
             self.io_log.remove(0);
         }
         self.io_log.push(entry);
@@ -785,8 +780,9 @@ where
     }
 
     /// Logged per-connection denials (I/O failures downgraded to connection closes): the most
-    /// recent [`ServerConfig::io_log_cap`] entries, each tagged with its reactor shard and a
-    /// clock timestamp. Each is also written to stderr as it happens.
+    /// recent ones, up to this shard's share of [`crate::ServeConfig::io_log_cap`] (divided by
+    /// the reactor count of [`ServerConfig::shard`], at least one), each tagged with its reactor
+    /// shard and a clock timestamp. Each is also written to stderr as it happens.
     pub fn io_log(&self) -> &[IoLogEntry] {
         &self.io_log
     }
@@ -1419,5 +1415,50 @@ impl Transport for PollTransport {
         }
         conn.closing = Some(Instant::now() + CLOSE_FLUSH_BUDGET);
         self.update_interest(token.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Deployment, ServeConfig};
+    use anosy_domains::IntervalDomain;
+    use anosy_logic::SecretLayout;
+
+    /// Hands the reactor one scripted batch of events, then reports itself finished.
+    struct Scripted(Option<Vec<Event>>);
+
+    impl Transport for Scripted {
+        fn poll(&mut self) -> Vec<Event> {
+            self.0.take().unwrap_or_default()
+        }
+        fn send(&mut self, _: Token, _: &[u8]) {}
+        fn close(&mut self, _: Token) {}
+    }
+
+    /// Runs `failures` connections that open and fail on shard 0 of `reactors`, under a
+    /// deployment-wide io-log cap of `cap`, and returns the tokens the log kept.
+    fn logged_tokens(cap: usize, reactors: u64, failures: u64) -> Vec<u64> {
+        let layout = SecretLayout::builder().field("x", 0, 400).build();
+        let deployment: Deployment<IntervalDomain> =
+            Deployment::new(layout, ServeConfig::for_tests().with_io_log_cap(cap));
+        let events = (0..failures)
+            .flat_map(|t| [Event::Opened(Token(t)), Event::Failed(Token(t), format!("reset {t}"))])
+            .collect();
+        let config = ServerConfig::new().sharded(0, reactors).with_telemetry(false);
+        let mut server = Server::new(Frontend::new(deployment), Scripted(Some(events)), config);
+        server.run();
+        server.io_log().iter().map(|entry| entry.token.0).collect()
+    }
+
+    #[test]
+    fn each_shard_keeps_its_share_of_the_deployment_io_log_cap() {
+        assert_eq!(
+            logged_tokens(8, 1, 10),
+            (2..10).collect::<Vec<_>>(),
+            "one shard: the whole cap"
+        );
+        assert_eq!(logged_tokens(8, 4, 10), vec![8, 9], "four shards: a quarter each");
+        assert_eq!(logged_tokens(2, 4, 10), vec![9], "a share never drops below one entry");
     }
 }

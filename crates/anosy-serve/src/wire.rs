@@ -177,7 +177,7 @@ fn query_token(head: &str) -> Result<&str, WireError> {
 /// An intern pool for query names crossing the wire: the first occurrence of a name allocates
 /// one [`Arc<str>`]; every later request carrying the same name gets a clone of that `Arc` —
 /// no `String` per token on the decode hot path, and requests naming the same query share one
-/// allocation (cheap equality in the frontend's per-tick regrouping).
+/// allocation.
 #[derive(Debug, Default)]
 pub struct NameInterner {
     names: HashSet<Arc<str>>,

@@ -7,7 +7,7 @@
 //! element-wise identical to replaying the same requests one at a time against plain owned
 //! [`anosy_core::AnosySession`]s (the shared oracle in `tests/support/oracle.rs`). This is the
 //! protocol-level determinism guarantee on top of `proptest_batch.rs`'s driver-level one:
-//! per-tick batching, per-session regrouping and queued teardown never change what any
+//! ticking, cross-connection interleaving and queued teardown never change what any
 //! connection observes. Registrations also file palette predicates under *other* palette
 //! queries' names, so scripts replace a name's query (A → B → A) while sessions are open and
 //! the latest registration must win.

@@ -274,8 +274,8 @@ fn arb_session() -> impl Strategy<Value = u64> {
 /// One protocol line of the cross-codec scripts: palette registrations (warm-cache hits),
 /// opens, downgrades/knowledge probes over guessed session ids (hits and unknown-session
 /// denials alike answer identically on both codecs), closes, malformed refuse-line traffic,
-/// and blank tick boundaries — optionally tagged onto a logical `@conn`, so one tick regroups
-/// downgrade runs across several sessions.
+/// and blank tick boundaries — optionally tagged onto a logical `@conn`, so one tick
+/// interleaves downgrades across several sessions.
 fn arb_script_line() -> impl Strategy<Value = String> {
     let body = prop_oneof![
         2 => Just("open min-size:100".to_string()),
@@ -383,7 +383,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         // The tentpole's tax-free claim, as a property: one script, two codecs, identical
-        // protocol text — across ticks that regroup downgrade runs over several `@conn`
+        // protocol text — across ticks that interleave downgrades over several `@conn`
         // sessions, unknown-session denials, refusals and blank-line tick boundaries.
         let line_run = run_script(&lines, seed, false);
         let binary_run = run_script(&lines, seed.wrapping_add(1), true);

@@ -221,7 +221,7 @@ fn interleaved_downgrade_storms_match_the_oracle() {
     let (server, _) = run_scenario(seed, true, downgrade_storm);
     assert_matches_oracle(&server);
 
-    // Every downgrade rode the batched driver, and everything was torn down.
+    // Every downgrade was a counted decision, and everything was torn down.
     let downgrades = server
         .transcript()
         .iter()

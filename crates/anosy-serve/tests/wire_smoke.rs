@@ -70,8 +70,7 @@ fn canned_script_round_trips_through_the_binary() {
 
 #[test]
 fn the_same_transcript_rides_a_one_worker_pool() {
-    // One worker means one chunk, so every tick's decision phase runs on the reactor thread
-    // instead of the pool; no downgrade answer may change.
+    // The pool width only shards `count`/`valid` work; no answer may change with it.
     let transcript = stdio_transcript("1");
     assert!(transcript.contains(" workers=1 "), "the pool ran one worker:\n{transcript}");
     assert_eq!(

@@ -13,8 +13,8 @@
 //! * [`serve`] — the deployment layer: shared term store + synthesis cache across sessions,
 //!   sharded parallel solver driver, batched downgrades, warm-start persistence, the serving
 //!   frontend — a sans-IO `Frontend` state machine speaking the typed
-//!   `ServeRequest`/`ServeResponse` protocol (line-codec in `serve::wire`) with per-tick
-//!   downgrade batching — and the event-loop `Server` reactor driving it over a pluggable
+//!   `ServeRequest`/`ServeResponse` protocol (line-codec in `serve::wire`), answered one tick
+//!   at a time — and the event-loop `Server` reactor driving it over a pluggable
 //!   `Transport` (TCP and stdin/stdout in the `anosy-served` binary, plus `SimNet`, the seeded
 //!   deterministic network simulator the chaos tests replay);
 //! * [`suite`] — the paper's evaluation workloads (Mardziel benchmarks, secure advertising).

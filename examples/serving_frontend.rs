@@ -2,9 +2,9 @@
 //!
 //! The other examples call `AnosySession` directly. This one talks to the deployment the way a
 //! server transport would: typed `ServeRequest`s submitted over logical connections into a
-//! sans-IO `Frontend`, per-tick batching of downgrades, responses tagged with request ids, and
-//! the line-oriented wire form every request and response also has (`anosy-served` speaks
-//! exactly these lines over stdin/stdout). Finishes with a save + verified warm start, the
+//! sans-IO `Frontend`, ticks that answer many requests at once, responses tagged with request
+//! ids, and the line-oriented wire form every request and response also has (`anosy-served`
+//! speaks exactly these lines over stdin/stdout). Finishes with a save + verified warm start, the
 //! restart path of a real deployment.
 //!
 //! Run with: `cargo run --release -p anosy --example serving_frontend`
@@ -48,8 +48,8 @@ fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Tick 2 — a burst of downgrade requests lands in one tick: the frontend regroups them into
-    // one batch for the sharded driver, and answers element-wise exactly as sequential
+    // Tick 2 — a burst of downgrade requests lands in one tick: the frontend decides each in
+    // turn with the session's own step, so it answers element-wise exactly as sequential
     // `downgrade` calls would (the protocol's determinism guarantee).
     for (x, y) in [(300, 200), (10, 10), (200, 200), (300, 200)] {
         let request = Req::Downgrade {
