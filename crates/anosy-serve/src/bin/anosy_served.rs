@@ -33,11 +33,9 @@
 //! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — when journal appends
 //!   reach the OS (default `every-entry`); `every-entry-fsync` additionally `fsync`s every
 //!   append to the device, the strongest rung;
-//! * `--compact-every N` — with `--journal`: every `N` server ticks, fold the journal into its
-//!   snapshot while serving continues (no stop-the-world);
-//! * `--ticked` — accumulate requests and tick only on blank lines, quiescence timers and
-//!   connection teardown, so scripted transcripts control batching; the default ticks after
-//!   every request line;
+//! * `--compact-every N` — with `--journal`: every `N` server ticks (a tick is one answered
+//!   request or one connection teardown), fold the journal into its snapshot while serving
+//!   continues (no stop-the-world);
 //! * `--listen ADDR` — serve TCP connections on `ADDR` instead of stdin/stdout (port 0 picks a
 //!   free port; the bound address is announced as a `# listening on ADDR reactors=N` line on
 //!   stdout).
@@ -45,8 +43,6 @@
 //!   platform has it, the portable sleep loop otherwise) — responses are byte-identical either
 //!   way;
 //! * `--accept N` — with `--listen`: exit after `N` connections have been served (tests);
-//! * `--tick-ms MS` — with `--listen --ticked`: quiescence timer, ticking pending work after
-//!   `MS` milliseconds of idleness;
 //! * `--reactors N` — with `--listen`: shard connections across `N` reactor threads over the
 //!   one shared deployment ([`anosy_serve::ReactorPool`]; arrival-order hash assignment,
 //!   responses invariant under `N`). Default `1`: one reactor on the main thread;
@@ -65,7 +61,8 @@
 //! response comes back framed the same way (see [`anosy_serve::wire`], "Binary frames").
 //! Anything else falls back to the line protocol — old clients keep working unchanged.
 //!
-//! Input lines starting with `#` are comments. A line may carry an explicit logical connection
+//! Every request is answered as soon as it arrives. Blank input lines and lines starting with
+//! `#` are ignored. A line may carry an explicit logical connection
 //! as `@<conn> <request>`; bare lines ride the transport connection's own id (stdin: 0, sockets:
 //! accept order from 0), and session ids are scoped to the opening connection (see
 //! [`anosy_serve::SessionId`]). Malformed lines answer with an unnumbered `! <reason>` line
@@ -83,7 +80,6 @@ use anosy_serve::{
 };
 use anosy_synth::DomainCodec;
 use std::io::Write;
-use std::time::Duration;
 
 struct Options {
     layout: SecretLayout,
@@ -91,10 +87,8 @@ struct Options {
     config: ServeConfig,
     verify_on_load: bool,
     save_on_exit: Option<std::path::PathBuf>,
-    ticked: bool,
     listen: Option<String>,
     accept: Option<usize>,
-    tick_ms: Option<u64>,
     reactors: u64,
     trace: Option<std::path::PathBuf>,
     telemetry: bool,
@@ -105,8 +99,8 @@ fn usage() -> ! {
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
          [--workers N] [--box-memo-min-depth N] [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
-         [--compact-every N] [--verify-on-load]] [--ticked] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
-         [--listen ADDR [--accept N] [--tick-ms MS] [--reactors N]]"
+         [--compact-every N] [--verify-on-load]] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
+         [--listen ADDR [--accept N] [--reactors N]]"
     );
     std::process::exit(2);
 }
@@ -121,10 +115,8 @@ fn parse_options() -> Options {
     let mut journal = None;
     let mut journal_flush = FlushPolicy::EveryEntry;
     let mut compact_every = None;
-    let mut ticked = false;
     let mut listen = None;
     let mut accept = None;
-    let mut tick_ms = None;
     let mut reactors = 1u64;
     let mut trace = None;
     let mut telemetry = true;
@@ -167,10 +159,8 @@ fn parse_options() -> Options {
             "--compact-every" => {
                 compact_every = Some(value(&mut i).parse().unwrap_or_else(|_| usage()));
             }
-            "--ticked" => ticked = true,
             "--listen" => listen = Some(value(&mut i)),
             "--accept" => accept = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--tick-ms" => tick_ms = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
             "--reactors" => {
                 reactors = value(&mut i).parse().unwrap_or_else(|_| usage());
                 if reactors == 0 {
@@ -182,7 +172,7 @@ fn parse_options() -> Options {
         i += 1;
     }
     let Some(layout) = layout else { usage() };
-    if (accept.is_some() || tick_ms.is_some() || reactors > 1) && listen.is_none() {
+    if (accept.is_some() || reactors > 1) && listen.is_none() {
         usage();
     }
     match journal {
@@ -202,10 +192,8 @@ fn parse_options() -> Options {
         config,
         verify_on_load,
         save_on_exit,
-        ticked,
         listen,
         accept,
-        tick_ms,
         reactors,
         trace,
         telemetry,
@@ -248,8 +236,7 @@ where
         }
     }
 
-    let server_config =
-        ServerConfig::new().ticked(options.ticked).with_telemetry(options.telemetry);
+    let server_config = ServerConfig::new().with_telemetry(options.telemetry);
     let pool = ReactorPool::new(options.reactors).with_config(server_config);
     match &options.listen {
         Some(addr) => {
@@ -264,13 +251,10 @@ where
             .expect("stdout is writable");
             out.flush().expect("stdout is flushable");
             drop(out);
-            let tick_interval = options.tick_ms.map(Duration::from_millis);
-            let servers = pool
-                .serve(&deployment, listener, options.accept, tick_interval)
-                .unwrap_or_else(|e| {
-                    eprintln!("anosy-served: cannot set up the reactor pool: {e}");
-                    std::process::exit(1);
-                });
+            let servers = pool.serve(&deployment, listener, options.accept).unwrap_or_else(|e| {
+                eprintln!("anosy-served: cannot set up the reactor pool: {e}");
+                std::process::exit(1);
+            });
             finish(&servers, &deployment, &options);
         }
         None => {

@@ -195,11 +195,6 @@ impl<D: AbstractDomain> Frontend<D> {
         self.pending.push(Pending::Disconnect(conn));
     }
 
-    /// Queued work items (requests and disconnects) for the next tick.
-    pub fn pending_requests(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Sessions currently open.
     pub fn open_sessions(&self) -> usize {
         self.sessions.len()

@@ -50,8 +50,9 @@
 //!
 //! [`FlushPolicy`] trades write syscalls against the crash window: `every-entry` hands each
 //! record to the OS as it is appended (a killed process loses nothing), `every-N` amortizes
-//! appends N records at a time, and `on-tick` defers to the server's tick boundary (cheapest;
-//! at most one tick of synthesis is at risk). Flushing pushes bytes to the OS — it survives a
+//! appends N records at a time, and `on-tick` defers to the end of the server's tick — one
+//! answered request or one connection teardown (cheapest; at most one tick of synthesis is at
+//! risk). Flushing pushes bytes to the OS — it survives a
 //! killed *process*; only snapshots (`sync_all` + rename) are also hardened against a host
 //! crash.
 //!
@@ -254,7 +255,8 @@ pub enum FlushPolicy {
     /// Flush once `N` records are pending (`every-N`, e.g. `every-8`): at most `N - 1`
     /// records are at risk.
     EveryN(u64),
-    /// Flush at server tick boundaries (`on-tick`): at most one tick of synthesis is at risk.
+    /// Flush at the end of every server tick — one answered request or one connection
+    /// teardown (`on-tick`): at most one tick of synthesis is at risk.
     OnTick,
 }
 
@@ -298,8 +300,8 @@ pub struct JournalConfig {
     pub path: PathBuf,
     /// When appended records reach the OS.
     pub flush: FlushPolicy,
-    /// Compact every `N` server ticks (`None`: only on explicit `SaveCache` requests to the
-    /// snapshot path).
+    /// Compact every `N` server ticks, a tick being one answered request or one connection
+    /// teardown (`None`: only on explicit `SaveCache` requests to the snapshot path).
     pub compact_every: Option<u64>,
 }
 
@@ -921,6 +923,24 @@ mod tests {
         assert_eq!(entries[0].pred, entry(200).pred);
         let (entries, tears) = replay::<IntervalDomain>(&tmp_path("missing.snapshot")).unwrap();
         assert_eq!((entries.len(), tears), (0, 0));
+    }
+
+    #[test]
+    fn a_record_whose_layout_repeats_a_field_name_ends_the_good_prefix() {
+        // Validly framed and checksummed, but its layout cannot be built: replay and recovery
+        // must stop before it instead of panicking.
+        let path = tmp_path("duplicate_field.journal");
+        save_entries(&path, &[entry(200)]).unwrap();
+        let body = encode_entry(&entry(300)).unwrap();
+        let body = body.replace("layout x:0:400 y:0:400", "layout x:0:400 x:0:400");
+        let mut bytes = std::fs::read(&path).unwrap();
+        write_record(&mut bytes, &body).unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let (entries, tears) = replay::<IntervalDomain>(&path).unwrap();
+        assert_eq!((entries.len(), tears), (1, 1));
+        assert_eq!(entries[0].pred, entry(200).pred);
+        let r = recover(&path, FlushPolicy::EveryEntry);
+        assert_eq!((r.entries.len(), r.torn), (1, 1));
     }
 
     #[test]

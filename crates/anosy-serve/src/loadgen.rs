@@ -32,8 +32,6 @@ pub struct LoadOptions {
     pub net_seed: u64,
     /// Reactor shards to run the pool at.
     pub reactors: u64,
-    /// `true`: tick on blank lines/timers (`--ticked` batching mode). `false`: per-request.
-    pub ticked: bool,
     /// Record transcripts and responses for oracle comparison (costs clones; keep off when
     /// timing).
     pub recording: bool,
@@ -47,13 +45,12 @@ pub struct LoadOptions {
 }
 
 impl LoadOptions {
-    /// A `reactors`-shard run under network seed `net_seed`: ticked, not recording — the
-    /// throughput-measurement configuration.
+    /// A `reactors`-shard run under network seed `net_seed`, every request answered as it
+    /// arrives, not recording — the throughput-measurement configuration.
     pub fn new(net_seed: u64, reactors: u64) -> LoadOptions {
         LoadOptions {
             net_seed,
             reactors: reactors.max(1),
-            ticked: true,
             recording: false,
             telemetry: true,
             binary: false,
@@ -72,12 +69,6 @@ impl LoadOptions {
         self
     }
 
-    /// Sets the ticking mode.
-    pub fn ticked(mut self, ticked: bool) -> LoadOptions {
-        self.ticked = ticked;
-        self
-    }
-
     /// Sets whether shards install telemetry collectors.
     pub fn telemetry(mut self, telemetry: bool) -> LoadOptions {
         self.telemetry = telemetry;
@@ -86,8 +77,10 @@ impl LoadOptions {
 }
 
 /// Request-latency percentiles from the merged per-shard `request.latency` histograms, in the
-/// transport clock's units — **virtual time** under [`SimNet`], so the numbers are seeds-stable
-/// tail shapes, not wall-clock. All zero when telemetry was off (or compiled out).
+/// transport clock's units — **virtual time** under [`SimNet`], not wall-clock. The server
+/// answers every request at the virtual instant its last byte arrives, so under [`SimNet`] the
+/// percentiles read zero and only `count` carries information. All zero when telemetry was off
+/// (or compiled out).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Requests measured (submit to response-write, per shard).
@@ -96,7 +89,7 @@ pub struct LatencySummary {
     pub p50: u64,
     /// 90th percentile.
     pub p90: u64,
-    /// 99th percentile — the tail the multi-tenant batching story is about.
+    /// 99th percentile.
     pub p99: u64,
     /// The exact slowest request.
     pub max: u64,
@@ -194,7 +187,7 @@ pub fn run_on(
     }
     let compiled = popsim::compile(population, &compile_options);
     let nets = compiled.net.split(options.reactors);
-    let mut config = ServerConfig::new().ticked(options.ticked).with_telemetry(options.telemetry);
+    let mut config = ServerConfig::new().with_telemetry(options.telemetry);
     if options.recording {
         config = config.recording();
     }

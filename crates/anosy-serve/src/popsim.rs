@@ -45,8 +45,6 @@ pub struct CompileOptions {
     pub max_chunk: usize,
     /// Latency bound handed to [`SimNet::with_max_delay`].
     pub max_delay: u64,
-    /// Quiescence timer ticks scheduled per chaos window (for `--ticked` servers).
-    pub ticks_per_window: usize,
     /// Speak the binary frame protocol: every connection opens with
     /// [`wire::BINARY_PREAMBLE`], and each scheduled request line rides a checksummed frame
     /// ([`wire::encode_frame`]) instead of a `\n`-terminated line. Responses come back framed
@@ -55,10 +53,9 @@ pub struct CompileOptions {
 }
 
 impl CompileOptions {
-    /// Default chaos: `SimNet`'s byte-mangling defaults, two ticks per window, the line
-    /// protocol.
+    /// Default chaos: `SimNet`'s byte-mangling defaults and the line protocol.
     pub fn new(net_seed: u64) -> CompileOptions {
-        CompileOptions { net_seed, max_chunk: 17, max_delay: 5, ticks_per_window: 2, binary: false }
+        CompileOptions { net_seed, max_chunk: 17, max_delay: 5, binary: false }
     }
 
     /// Switches every connection to the binary frame protocol (preamble + framed requests).
@@ -76,12 +73,6 @@ impl CompileOptions {
     /// Overrides the latency bound.
     pub fn with_max_delay(mut self, max_delay: u64) -> CompileOptions {
         self.max_delay = max_delay;
-        self
-    }
-
-    /// Overrides the tick density.
-    pub fn with_ticks_per_window(mut self, ticks: usize) -> CompileOptions {
-        self.ticks_per_window = ticks;
         self
     }
 }
@@ -171,11 +162,7 @@ pub fn compile(population: &Population, options: &CompileOptions) -> CompiledPop
                 }
             }
         }
-        let span = offset * INTRA_WINDOW_STEP + 1;
-        for tick in 0..options.ticks_per_window as u64 {
-            net.tick(window + span * (tick + 1) / (options.ticks_per_window as u64 + 1));
-        }
-        cursor = window + span + slot;
+        cursor = window + offset * INTRA_WINDOW_STEP + 1 + slot;
 
         // Phase 3: exits of tenants whose last burst rode this round, in one shared window.
         cursor += slot;

@@ -41,7 +41,6 @@ use anosy_synth::DomainCodec;
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Sender};
-use std::time::Duration;
 
 /// The reactor shard a connection token lands on: a splitmix64-style avalanche of the token
 /// mod `shards`, so tokens minted in arrival order spread evenly instead of striping.
@@ -79,7 +78,7 @@ impl ReactorPool {
         ReactorPool { reactors: reactors.max(1), config: ServerConfig::new() }
     }
 
-    /// Overrides the per-shard server configuration (ticking mode, recording, line cap).
+    /// Overrides the per-shard server configuration (recording, line cap, telemetry).
     /// The pool still applies its own sharding and io-log-cap splits on top.
     pub fn with_config(mut self, config: ServerConfig) -> ReactorPool {
         self.config = config;
@@ -155,7 +154,6 @@ impl ReactorPool {
         deployment: &Deployment<D>,
         listener: TcpListener,
         accept_budget: Option<usize>,
-        tick_interval: Option<Duration>,
     ) -> std::io::Result<Vec<Server<D, PollTransport>>>
     where
         D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
@@ -163,7 +161,7 @@ impl ReactorPool {
         if self.reactors == 1 {
             // The lone shard accepts for itself: no acceptor thread and no wake-up pair, so a
             // one-reactor pool pays no per-connection handoff.
-            let transport = PollTransport::listen(listener, accept_budget, tick_interval)?;
+            let transport = PollTransport::listen(listener, accept_budget)?;
             return Ok(self.run(deployment, vec![transport]));
         }
         listener.set_nonblocking(false)?;
@@ -175,7 +173,7 @@ impl ReactorPool {
             let (writer, reader) = notify_pair()?;
             senders.push(sender);
             notifiers.push(writer);
-            transports.push(PollTransport::intake(handoffs, reader, tick_interval));
+            transports.push(PollTransport::intake(handoffs, reader));
         }
         let servers = self.build(deployment, transports);
         Ok(std::thread::scope(|scope| {

@@ -13,8 +13,9 @@
 //!   [`wire::LineDecoder`] line protocol (carry-over buffering either way, so partial items,
 //!   coalesced writes and CRLF/LF mixes all decode identically) — and each complete
 //!   line/frame becomes one [`wire::parse_request_interned`] submission;
-//! * **quiescence timers and blank lines** become [`Frontend::tick`] calls, whose tagged
-//!   responses are routed back to whichever connection submitted the request;
+//! * every **submitted request** is answered at once by one [`Frontend::tick`], whose tagged
+//!   responses are routed back to whichever connection submitted the request (blank lines and
+//!   `#` comments are no-ops);
 //! * **disconnects** become [`Frontend::disconnect`] teardowns: every session the connection
 //!   opened is released at the disconnect's queue position, so nothing leaks and requests
 //!   behind the disconnect observe exactly what a sequential replay would.
@@ -82,9 +83,6 @@ pub enum Event {
     /// delivered: buffered partial input is discarded and the connection is torn down; the
     /// reason lands in [`Server::io_log`].
     Failed(Token, String),
-    /// A quiescence timer fired: tick now if work is pending. Transports without timers simply
-    /// never emit this.
-    TimerTick,
 }
 
 /// A source and sink of connection events — the only nondeterministic half of the server.
@@ -131,10 +129,6 @@ pub const IO_LOG_CAP: usize = 64;
 /// Reactor configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// `false` (default): tick after every request line, like `anosy-served` without flags.
-    /// `true`: accumulate and tick on blank lines, quiescence timers and connection teardown —
-    /// `anosy-served --ticked`, so scripts control what one tick holds.
-    pub ticked: bool,
     /// Byte cap handed to each connection's decoder: the longest text line, and the largest
     /// binary frame payload, a connection may send.
     pub max_line: usize,
@@ -155,21 +149,14 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Per-request ticks, default line cap, no recording, shard 0 of 1.
+    /// Default line cap, no recording, shard 0 of 1.
     pub fn new() -> ServerConfig {
         ServerConfig {
-            ticked: false,
             max_line: wire::MAX_LINE_BYTES,
             record_transcript: false,
             shard: (0, 1),
             telemetry: true,
         }
-    }
-
-    /// Switches to blank-line/timer ticking (`--ticked`).
-    pub fn ticked(mut self, ticked: bool) -> ServerConfig {
-        self.ticked = ticked;
-        self
     }
 
     /// Overrides the line-length cap.
@@ -426,9 +413,9 @@ where
         }
     }
 
-    /// Runs the event loop until the transport reports itself finished, then runs one final
-    /// tick so queued work (ticked-mode stragglers, trailing teardowns) settles. The transport
-    /// is flushed after every event.
+    /// Runs the event loop until the transport reports itself finished. Every request and
+    /// teardown is answered by the event that delivered it, so nothing is queued at the end.
+    /// The transport is flushed after every event.
     pub fn run(&mut self) {
         if self.config.telemetry {
             telemetry::install(Collector::new(self.clock.clone(), self.config.shard.0));
@@ -443,8 +430,6 @@ where
                 self.transport.flush();
             }
         }
-        self.tick_and_route();
-        self.transport.flush();
         if self.config.telemetry {
             self.telemetry = telemetry::uninstall();
         }
@@ -456,13 +441,6 @@ where
             Event::Data(token, bytes) => self.on_data(token, &bytes),
             Event::HalfClosed(token) => self.on_half_closed(token),
             Event::Failed(token, reason) => self.on_failed(token, reason),
-            Event::TimerTick => {
-                // A quiescence timer only matters when work is actually pending; an idle tick
-                // would just inflate the tick counter.
-                if self.frontend.pending_requests() > 0 {
-                    self.tick_and_route();
-                }
-            }
         }
     }
 
@@ -621,11 +599,7 @@ where
     /// One complete protocol line, however it arrived (text line or frame payload).
     fn on_line(&mut self, token: Token, line: &str) {
         let trimmed = line.trim();
-        if trimmed.starts_with('#') {
-            return;
-        }
-        if trimmed.is_empty() {
-            self.tick_and_route();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
             return;
         }
         let (conn, request_text) = match trimmed.strip_prefix('@') {
@@ -693,9 +667,7 @@ where
                 if let Some(request) = recorded {
                     self.transcript.push(TranscriptEvent::Request { token, id, request });
                 }
-                if !self.config.ticked {
-                    self.tick_and_route();
-                }
+                self.tick_and_route();
             }
             Err(e) => self.refuse_line(token, e.to_string()),
         }
@@ -729,11 +701,7 @@ where
     /// connection that submitted its request. Responses whose connection died in the meantime
     /// have nowhere to go and are dropped (after recording, when enabled).
     fn tick_and_route(&mut self) {
-        let frontend = &self.frontend;
-        let start = telemetry::with_collector(|collector| {
-            collector.observe("tick.queue_depth", frontend.pending_requests() as u64);
-            collector.now()
-        });
+        let start = telemetry::with_collector(|collector| collector.now());
         let responses = self.frontend.tick();
         if let Some(start) = start {
             telemetry::with_collector(|collector| {
@@ -1025,8 +993,6 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
-    tick_interval: Option<Duration>,
-    last_activity: Instant,
     /// Failures noticed during [`Transport::flush`], surfaced at the next poll.
     pending: Vec<Event>,
     /// Connections whose queue went from empty to non-empty since the last
@@ -1052,8 +1018,7 @@ fn want_interest(conn: &TcpConn) -> u32 {
 
 impl PollTransport {
     /// Serves `listener` directly: accepts up to `accept_budget` connections (`None`: forever,
-    /// `--accept N`), emitting [`Event::TimerTick`] after `tick_interval` of idleness
-    /// (`--tick-ms`). The transport finishes once the budget is spent and every connection has
+    /// `--accept N`). The transport finishes once the budget is spent and every connection has
     /// closed.
     ///
     /// # Errors
@@ -1062,7 +1027,6 @@ impl PollTransport {
     pub fn listen(
         listener: TcpListener,
         accept_budget: Option<usize>,
-        tick_interval: Option<Duration>,
     ) -> std::io::Result<PollTransport> {
         listener.set_nonblocking(true)?;
         let epoll = epoll::Epoll::new()
@@ -1070,36 +1034,26 @@ impl PollTransport {
             .filter(|ep| ep.add(raw_fd(&listener), epoll::EPOLLIN, TAG_LISTENER).is_ok());
         let intake =
             Intake::Listener { listener, next_token: 0, budget: accept_budget, accepted: 0 };
-        Ok(PollTransport::with_intake(intake, epoll, tick_interval))
+        Ok(PollTransport::with_intake(intake, epoll))
     }
 
     /// A reactor-pool shard transport: connections arrive pre-accepted over `handoffs` as
     /// `(global token, stream)` pairs, and `notify` receives one byte per handoff (the pool's
     /// acceptor holds the write end) so a parked epoll wait wakes for them. The transport
     /// finishes when the channel disconnects (acceptor done) and every connection has closed.
-    pub fn intake(
-        handoffs: Receiver<(u64, TcpStream)>,
-        notify: TcpStream,
-        tick_interval: Option<Duration>,
-    ) -> PollTransport {
+    pub fn intake(handoffs: Receiver<(u64, TcpStream)>, notify: TcpStream) -> PollTransport {
         let _ = notify.set_nonblocking(true);
         let epoll = epoll::Epoll::new()
             .ok()
             .filter(|ep| ep.add(raw_fd(&notify), epoll::EPOLLIN, TAG_NOTIFY).is_ok());
         let intake = Intake::Channel { handoffs, notify, done: false };
-        PollTransport::with_intake(intake, epoll, tick_interval)
+        PollTransport::with_intake(intake, epoll)
     }
 
-    fn with_intake(
-        intake: Intake,
-        epoll: Option<epoll::Epoll>,
-        tick_interval: Option<Duration>,
-    ) -> PollTransport {
+    fn with_intake(intake: Intake, epoll: Option<epoll::Epoll>) -> PollTransport {
         PollTransport {
             intake,
             conns: BTreeMap::new(),
-            tick_interval,
-            last_activity: Instant::now(),
             pending: Vec::new(),
             dirty: Vec::new(),
             epoll,
@@ -1310,20 +1264,14 @@ impl PollTransport {
         }
     }
 
-    /// Upper bound for one readiness wait: the quiescence timer's remaining slice, tightened
-    /// to [`DRAIN_WAIT`] while draining connections need their deadlines checked. `-1` (block
-    /// until readiness) when neither applies.
+    /// Upper bound for one readiness wait: [`DRAIN_WAIT`] while draining connections need
+    /// their deadlines checked, otherwise `-1` (block until readiness).
     fn wait_timeout_ms(&self) -> i32 {
-        let mut timeout: i64 = -1;
-        if let Some(interval) = self.tick_interval {
-            let remaining = interval.saturating_sub(self.last_activity.elapsed());
-            timeout = (remaining.as_millis() as i64).max(1);
-        }
         if self.conns.values().any(|c| c.closing.is_some()) {
-            let drain = DRAIN_WAIT.as_millis() as i64;
-            timeout = if timeout < 0 { drain } else { timeout.min(drain) };
+            DRAIN_WAIT.as_millis() as i32
+        } else {
+            -1
         }
-        timeout.min(i32::MAX as i64) as i32
     }
 
     /// Parks until something is ready. Returns the connection tokens the kernel reported
@@ -1361,17 +1309,10 @@ impl Transport for PollTransport {
             self.poll_intake(&mut events);
             self.poll_conns(&mut events, ready.as_deref());
             if !events.is_empty() {
-                self.last_activity = Instant::now();
                 return events;
             }
             if !self.accepting() && self.conns.is_empty() {
                 return Vec::new();
-            }
-            if let Some(interval) = self.tick_interval {
-                if self.last_activity.elapsed() >= interval {
-                    self.last_activity = Instant::now();
-                    return vec![Event::TimerTick];
-                }
             }
             ready = self.wait_ready();
         }

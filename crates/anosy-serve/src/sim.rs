@@ -40,7 +40,6 @@ enum Scheduled {
     Chunk(Token, Vec<u8>),
     HalfClose(Token),
     Fail(Token, String),
-    Tick,
 }
 
 /// Client-side bookkeeping for one simulated connection.
@@ -171,11 +170,6 @@ impl SimNet {
         self.bump(client, t);
     }
 
-    /// Schedules a quiescence timer tick (the `--ticked` timer) at virtual time `at`.
-    pub fn tick(&mut self, at: u64) {
-        self.push(at, Scheduled::Tick);
-    }
-
     /// Bytes the server delivered to `client` (empty for unknown tokens).
     pub fn received(&self, client: Token) -> &[u8] {
         self.clients.get(&client).map(|c| c.received.as_slice()).unwrap_or(&[])
@@ -224,12 +218,11 @@ impl SimNet {
     }
 
     /// Splits a fully-scripted schedule into one `SimNet` per reactor shard, exactly as a
-    /// [`crate::ReactorPool`] acceptor would have routed the same arrivals: every
-    /// per-connection event lands on shard [`crate::reactor::shard_of`]`(token, shards)` and
-    /// quiescence ticks are replicated to all shards (each reactor runs its own timer).
-    /// `(time, seq)` keys are preserved, so each shard delivers its slice of the traffic in
-    /// the same relative order the unsplit net would have — the transport-level half of the
-    /// reactor-count-invariance argument (`tests/multi_reactor.rs`).
+    /// [`crate::ReactorPool`] acceptor would have routed the same arrivals: every event lands
+    /// on shard [`crate::reactor::shard_of`]`(token, shards)`. `(time, seq)` keys are
+    /// preserved, so each shard delivers its slice of the traffic in the same relative order
+    /// the unsplit net would have — the transport-level half of the reactor-count-invariance
+    /// argument (`tests/multi_reactor.rs`).
     ///
     /// Call this after scripting is complete: the shards get fresh RNGs, so chunking decisions
     /// already made are preserved but new scripting on a shard will not replay the original
@@ -251,25 +244,12 @@ impl SimNet {
             })
             .collect();
         for ((time, seq), event) in self.schedule {
-            let shard = match &event {
-                Scheduled::Tick => None,
-                Scheduled::Open(token)
-                | Scheduled::Chunk(token, _)
-                | Scheduled::HalfClose(token)
-                | Scheduled::Fail(token, _) => {
-                    Some(crate::reactor::shard_of(token.0, shards) as usize)
-                }
-            };
-            match shard {
-                Some(shard) => {
-                    nets[shard].schedule.insert((time, seq), event);
-                }
-                None => {
-                    for net in &mut nets {
-                        net.schedule.insert((time, seq), Scheduled::Tick);
-                    }
-                }
-            }
+            let (Scheduled::Open(token)
+            | Scheduled::Chunk(token, _)
+            | Scheduled::HalfClose(token)
+            | Scheduled::Fail(token, _)) = &event;
+            let shard = crate::reactor::shard_of(token.0, shards) as usize;
+            nets[shard].schedule.insert((time, seq), event);
         }
         for (token, client) in self.clients {
             let shard = crate::reactor::shard_of(token.0, shards) as usize;
@@ -300,7 +280,6 @@ impl Transport for SimNet {
                 },
                 Scheduled::HalfClose(token) => events.push(Event::HalfClosed(token)),
                 Scheduled::Fail(token, reason) => events.push(Event::Failed(token, reason)),
-                Scheduled::Tick => events.push(Event::TimerTick),
             }
         }
         events

@@ -123,24 +123,24 @@ pub fn parse_point(text: &str) -> Option<Point> {
 }
 
 /// Parses a layout from `name:lo:hi` tokens (the same per-field form the synthesis journal
-/// uses) — how `anosy-served --layout "x:0:400 y:0:400"` declares its secret space.
+/// uses) — how `anosy-served --layout "x:0:400 y:0:400"` declares its secret space. Returns
+/// `None` on an empty layout, a malformed token, an inverted range or a repeated field name.
 pub fn parse_layout(text: &str) -> Option<SecretLayout> {
     let mut builder = SecretLayout::builder();
-    let mut any = false;
+    let mut names = HashSet::new();
     for token in text.split_whitespace() {
         let mut parts = token.splitn(3, ':');
         let (name, lo, hi) = (parts.next()?, parts.next()?, parts.next()?);
         let (lo, hi) = (lo.parse().ok()?, hi.parse().ok()?);
-        if name.is_empty() || lo > hi {
+        if name.is_empty() || lo > hi || !names.insert(name) {
             return None;
         }
         builder = builder.field(name, lo, hi);
-        any = true;
     }
-    if any {
-        Some(builder.build())
-    } else {
+    if names.is_empty() {
         None
+    } else {
+        Some(builder.build())
     }
 }
 
@@ -1363,5 +1363,6 @@ mod tests {
         assert_eq!(parse_layout(""), None);
         assert_eq!(parse_layout("x:9:1"), None);
         assert_eq!(parse_layout("x:a:b"), None);
+        assert_eq!(parse_layout("x:0:4 x:0:4"), None, "a repeated field name is refused");
     }
 }

@@ -11,7 +11,7 @@
 //! decoded replies must still equal the line transcript.
 //!
 //! Frame/line translation is mechanical: each script line (comments included) becomes one
-//! frame payload, blank lines become empty frames (the tick boundary in `--ticked` mode), and
+//! frame payload, blank lines become empty frames (no-ops on both protocols), and
 //! the script's deliberately unterminated final line becomes an ordinary complete frame —
 //! frames are terminator-free, so "half-closed mid-line" has no binary analogue.
 
@@ -26,7 +26,7 @@ use std::process::{Command, Stdio};
 const SCRIPT: &str = include_str!("data/smoke.script");
 const EXPECTED: &str = include_str!("data/smoke.expected");
 
-const ARGS: [&str; 5] = ["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"];
+const ARGS: [&str; 4] = ["--layout", "x:0:400 y:0:400", "--workers", "2"];
 
 /// Pipes `input` through `anosy-served` and returns the raw stdout bytes.
 fn pipe_through_served(input: &[u8]) -> Vec<u8> {

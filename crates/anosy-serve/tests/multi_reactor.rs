@@ -248,7 +248,7 @@ fn a_tcp_pool_serves_conn_scoped_sessions_over_real_sockets() {
             .collect::<Vec<_>>()
     });
 
-    let servers = pool.serve(&deployment, listener, Some(2), None).expect("pool serves");
+    let servers = pool.serve(&deployment, listener, Some(2)).expect("pool serves");
     let transcripts = client.join().expect("client thread");
 
     assert_eq!(servers.len(), 2);

@@ -22,7 +22,7 @@ fn accepted_pair() -> (PollTransport, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
     let client = TcpStream::connect(listener.local_addr().expect("bound address"))
         .expect("loopback connect");
-    let mut transport = PollTransport::listen(listener, Some(1), None).expect("listener");
+    let mut transport = PollTransport::listen(listener, Some(1)).expect("listener");
     assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
     (transport, client)
 }
@@ -82,7 +82,7 @@ fn a_flush_into_a_reset_peer_fails_the_connection_once() {
     let (notify_reader, _) = listener.accept().expect("notify accept");
     let (handoffs, intake) = std::sync::mpsc::channel();
     handoffs.send((0, server_side)).expect("hand off");
-    let mut transport = PollTransport::intake(intake, notify_reader, None);
+    let mut transport = PollTransport::intake(intake, notify_reader);
     assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
 
     // Closing a socket with unread received bytes resets the connection (RST, as SO_LINGER 0

@@ -25,7 +25,7 @@ fn base_seed() -> u64 {
 /// Gentler chaos than the tier-1 runs: big chunks and short latencies keep the schedule (and
 /// the run time) proportionate at six-figure tenant counts without changing any semantics.
 fn scale_options(net_seed: u64) -> CompileOptions {
-    CompileOptions::new(net_seed).with_max_chunk(64).with_max_delay(2).with_ticks_per_window(4)
+    CompileOptions::new(net_seed).with_max_chunk(64).with_max_delay(2)
 }
 
 fn run_population(
@@ -35,8 +35,7 @@ fn run_population(
     let popsim::CompiledPopulation { net, tokens, sessions, .. } =
         popsim::compile(population, options);
     let deployment = popsim::warm_deployment(population, &ServeConfig::for_tests());
-    let mut server =
-        Server::new(Frontend::new(deployment), net, ServerConfig::new().ticked(true).recording());
+    let mut server = Server::new(Frontend::new(deployment), net, ServerConfig::new().recording());
     server.run();
     (server, tokens, sessions)
 }

@@ -37,7 +37,6 @@ fn base_seed() -> u64 {
 fn run_population(
     population: &Population,
     net_seed: u64,
-    ticked: bool,
 ) -> (SimServer, Vec<Token>, Vec<SessionId>, Token) {
     let compiled = popsim::compile(population, &CompileOptions::new(net_seed));
     let popsim::CompiledPopulation { mut net, tokens, sessions, end_time, .. } = compiled;
@@ -45,8 +44,7 @@ fn run_population(
     net.send(auditor, end_time + 2_000, "stats\n");
     net.half_close(auditor, end_time + 4_000);
     let deployment = popsim::warm_deployment(population, &ServeConfig::for_tests());
-    let mut server =
-        Server::new(Frontend::new(deployment), net, ServerConfig::new().ticked(ticked).recording());
+    let mut server = Server::new(Frontend::new(deployment), net, ServerConfig::new().recording());
     server.run();
     (server, tokens, sessions, auditor)
 }
@@ -124,9 +122,9 @@ fn assert_population_invariants(
 }
 
 /// Two full runs from the same seeds must be indistinguishable.
-fn assert_replays_byte_identically(population: &Population, net_seed: u64, ticked: bool) {
-    let (first, tokens, _, first_auditor) = run_population(population, net_seed, ticked);
-    let (second, tokens_again, _, second_auditor) = run_population(population, net_seed, ticked);
+fn assert_replays_byte_identically(population: &Population, net_seed: u64) {
+    let (first, tokens, _, first_auditor) = run_population(population, net_seed);
+    let (second, tokens_again, _, second_auditor) = run_population(population, net_seed);
     assert_eq!(tokens, tokens_again, "token allocation diverged");
     for &token in tokens.iter().chain([&first_auditor]) {
         assert_eq!(
@@ -150,8 +148,8 @@ fn assert_replays_byte_identically(population: &Population, net_seed: u64, ticke
 fn uniform_grid_population_replays_and_matches_the_oracle() {
     let population = Population::generate(&PopulationConfig::small(base_seed().wrapping_add(100)));
     let net_seed = base_seed().wrapping_add(200);
-    assert_replays_byte_identically(&population, net_seed, true);
-    let (server, tokens, sessions, auditor) = run_population(&population, net_seed, true);
+    assert_replays_byte_identically(&population, net_seed);
+    let (server, tokens, sessions, auditor) = run_population(&population, net_seed);
     assert_population_invariants(&server, &population, &tokens, &sessions, auditor);
     // Warm palette: the run itself never synthesizes.
     assert_eq!(server.frontend().deployment().stats().cache.synth_misses, 0);
@@ -166,8 +164,8 @@ fn zipf_skew_with_adversaries_matches_the_oracle_and_hits_the_policy_floor() {
     let population = Population::generate(&config);
     assert!(population.adversaries() >= 1, "the adversarial axis is exercised");
     let net_seed = base_seed().wrapping_add(400);
-    assert_replays_byte_identically(&population, net_seed, true);
-    let (server, tokens, sessions, auditor) = run_population(&population, net_seed, true);
+    assert_replays_byte_identically(&population, net_seed);
+    let (server, tokens, sessions, auditor) = run_population(&population, net_seed);
     assert_population_invariants(&server, &population, &tokens, &sessions, auditor);
 
     // Each adversary's geometric walk is refused at the last rung and on both repeats, and
@@ -220,8 +218,8 @@ fn strip_layout_population_matches_the_oracle() {
         .with_adversaries(300, 20);
     let population = Population::generate(&config);
     let net_seed = base_seed().wrapping_add(600);
-    assert_replays_byte_identically(&population, net_seed, false);
-    let (server, tokens, sessions, auditor) = run_population(&population, net_seed, false);
+    assert_replays_byte_identically(&population, net_seed);
+    let (server, tokens, sessions, auditor) = run_population(&population, net_seed);
     assert_population_invariants(&server, &population, &tokens, &sessions, auditor);
     if population.adversaries() > 0 {
         assert!(server.frontend().stats().denials >= population.adversaries() as u64);
@@ -237,8 +235,8 @@ fn heavy_churn_balances_the_ledger_with_lingering_sessions() {
     let (_, abandoned, lingering) = population.exit_profile();
     assert!(abandoned > 0 && lingering > 0, "the churn axis is exercised: {abandoned}/{lingering}");
     let net_seed = base_seed().wrapping_add(800);
-    assert_replays_byte_identically(&population, net_seed, false);
-    let (server, tokens, sessions, auditor) = run_population(&population, net_seed, false);
+    assert_replays_byte_identically(&population, net_seed);
+    let (server, tokens, sessions, auditor) = run_population(&population, net_seed);
     // `assert_population_invariants` holds `opened - closed == open_sessions` against a
     // *nonzero* lingering population here — the stats audit gap this suite closes.
     assert_population_invariants(&server, &population, &tokens, &sessions, auditor);
@@ -255,8 +253,7 @@ fn populations_match_the_oracle_across_a_seed_spread() {
         let population = Population::generate(&config);
         for net_offset in [0u64, 7] {
             let net_seed = base_seed().wrapping_add(1_000 + net_offset);
-            let ticked = net_offset == 0;
-            let (server, tokens, sessions, auditor) = run_population(&population, net_seed, ticked);
+            let (server, tokens, sessions, auditor) = run_population(&population, net_seed);
             assert_population_invariants(&server, &population, &tokens, &sessions, auditor);
         }
     }

@@ -274,7 +274,7 @@ fn arb_session() -> impl Strategy<Value = u64> {
 /// One protocol line of the cross-codec scripts: palette registrations (warm-cache hits),
 /// opens, downgrades/knowledge probes over guessed session ids (hits and unknown-session
 /// denials alike answer identically on both codecs), closes, malformed refuse-line traffic,
-/// and blank tick boundaries — optionally tagged onto a logical `@conn`, so one tick
+/// and blank no-op lines — optionally tagged onto a logical `@conn`, so one stream
 /// interleaves downgrades across several sessions.
 fn arb_script_line() -> impl Strategy<Value = String> {
     let body = prop_oneof![
@@ -299,7 +299,7 @@ fn arb_script_line() -> impl Strategy<Value = String> {
     ];
     prop_oneof![
         8 => (prefix, body).prop_map(|(prefix, body)| format!("{prefix}{body}")),
-        1 => Just(String::new()), // blank: a tick boundary under --ticked, on both codecs
+        1 => Just(String::new()), // blank: a no-op line or an empty frame, on both codecs
     ]
 }
 
@@ -325,7 +325,7 @@ fn run_script(lines: &[String], seed: u64, binary: bool) -> String {
         at += 100;
     }
     sim.half_close(token, at + 2_000);
-    let config = ServerConfig::new().ticked(true);
+    let config = ServerConfig::new();
     let mut server = Server::new(Frontend::new(support::warm_deployment()), sim, config);
     server.run();
     if binary {
@@ -383,8 +383,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         // The tentpole's tax-free claim, as a property: one script, two codecs, identical
-        // protocol text — across ticks that interleave downgrades over several `@conn`
-        // sessions, unknown-session denials, refusals and blank-line tick boundaries.
+        // protocol text — across streams that interleave downgrades over several `@conn`
+        // sessions, unknown-session denials, refusals and blank no-op lines.
         let line_run = run_script(&lines, seed, false);
         let binary_run = run_script(&lines, seed.wrapping_add(1), true);
         prop_assert_eq!(line_run, binary_run);

@@ -45,15 +45,11 @@ fn session_of(client: Token) -> u64 {
 }
 
 /// Builds the scenario's network from a seed, runs the server to completion, returns both.
-fn run_scenario(
-    seed: u64,
-    ticked: bool,
-    build: impl Fn(&mut SimNet) -> Vec<Token>,
-) -> (SimServer, Vec<Token>) {
+fn run_scenario(seed: u64, build: impl Fn(&mut SimNet) -> Vec<Token>) -> (SimServer, Vec<Token>) {
     let mut sim = SimNet::new(seed);
     let clients = build(&mut sim);
     let frontend = Frontend::new(support::warm_deployment());
-    let config = ServerConfig::new().ticked(ticked).recording();
+    let config = ServerConfig::new().recording();
     let mut server = Server::new(frontend, sim, config);
     server.run();
     (server, clients)
@@ -95,13 +91,9 @@ fn assert_matches_oracle(server: &SimServer) {
 }
 
 /// Runs the scenario twice from the same seed and asserts the runs are indistinguishable.
-fn assert_replays_byte_identically(
-    seed: u64,
-    ticked: bool,
-    build: impl Fn(&mut SimNet) -> Vec<Token> + Copy,
-) {
-    let (first, clients) = run_scenario(seed, ticked, build);
-    let (second, again) = run_scenario(seed, ticked, build);
+fn assert_replays_byte_identically(seed: u64, build: impl Fn(&mut SimNet) -> Vec<Token> + Copy) {
+    let (first, clients) = run_scenario(seed, build);
+    let (second, again) = run_scenario(seed, build);
     assert_eq!(clients, again);
     for &client in &clients {
         assert_eq!(
@@ -152,8 +144,8 @@ fn midline_disconnect(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn midline_disconnects_replay_and_match_the_oracle() {
     let seed = base_seed();
-    assert_replays_byte_identically(seed, false, midline_disconnect);
-    let (server, clients) = run_scenario(seed, false, midline_disconnect);
+    assert_replays_byte_identically(seed, midline_disconnect);
+    let (server, clients) = run_scenario(seed, midline_disconnect);
     assert_matches_oracle(&server);
 
     assert_eq!(server.stats().conn_failures, 1, "exactly the abortive reset failed");
@@ -176,8 +168,8 @@ fn midline_disconnects_replay_and_match_the_oracle() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 2: an interleaved multi-connection downgrade storm under timer ticks (RNG-driven
-// burst sizes and secrets; per-connection FIFO, cross-connection reordering).
+// Scenario 2: an interleaved multi-connection downgrade storm (RNG-driven burst sizes and
+// secrets; per-connection FIFO, cross-connection reordering).
 // ---------------------------------------------------------------------------
 
 fn downgrade_storm(sim: &mut SimNet) -> Vec<Token> {
@@ -188,11 +180,9 @@ fn downgrade_storm(sim: &mut SimNet) -> Vec<Token> {
     sim.send(c1, 2000, "open min-size:100\n");
     let c2 = sim.connect(3000);
     sim.send(c2, 3000, "open allow-all\n");
-    sim.tick(4000);
 
     // The storm: every client bursts downgrades into the same virtual-time window, so chunk
-    // latencies interleave the three connections differently under every seed, while timer
-    // ticks cut the queue into batches at seed-dependent points.
+    // latencies interleave the three connections differently under every seed.
     for client in [c0, c1, c2] {
         let session = session_of(client);
         let burst = sim.rng().gen_range(8usize..16);
@@ -202,9 +192,6 @@ fn downgrade_storm(sim: &mut SimNet) -> Vec<Token> {
             let line = downgrade_line(session, j % 2, p.as_slice()[0], p.as_slice()[1]);
             sim.send(client, 5000 + (j as u64) * 11, line);
         }
-    }
-    for t in (5000..5300).step_by(25) {
-        sim.tick(t);
     }
 
     // One peer drops abortively mid-storm wrap-up; the others close cleanly.
@@ -217,8 +204,8 @@ fn downgrade_storm(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn interleaved_downgrade_storms_match_the_oracle() {
     let seed = base_seed().wrapping_add(1);
-    assert_replays_byte_identically(seed, true, downgrade_storm);
-    let (server, _) = run_scenario(seed, true, downgrade_storm);
+    assert_replays_byte_identically(seed, downgrade_storm);
+    let (server, _) = run_scenario(seed, downgrade_storm);
     assert_matches_oracle(&server);
 
     // Every downgrade was a counted decision, and everything was torn down.
@@ -261,8 +248,8 @@ fn reconnect_after_drop(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn reconnecting_after_a_drop_starts_a_fresh_session() {
     let seed = base_seed().wrapping_add(2);
-    assert_replays_byte_identically(seed, false, reconnect_after_drop);
-    let (server, clients) = run_scenario(seed, false, reconnect_after_drop);
+    assert_replays_byte_identically(seed, reconnect_after_drop);
+    let (server, clients) = run_scenario(seed, reconnect_after_drop);
     assert_matches_oracle(&server);
 
     // The bystander's session survives; the dropped and reconnected clients' are released
@@ -309,8 +296,8 @@ fn one_bad_peer(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn a_bad_peers_io_error_closes_only_its_connection() {
     let seed = base_seed().wrapping_add(3);
-    assert_replays_byte_identically(seed, false, one_bad_peer);
-    let (server, clients) = run_scenario(seed, false, one_bad_peer);
+    assert_replays_byte_identically(seed, one_bad_peer);
+    let (server, clients) = run_scenario(seed, one_bad_peer);
     assert_matches_oracle(&server);
 
     assert_eq!(server.stats().conn_failures, 1);
@@ -382,8 +369,8 @@ fn probe_until_refused(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn an_adversary_probing_until_refused_is_stopped_at_the_policy_floor() {
     let seed = base_seed().wrapping_add(4);
-    assert_replays_byte_identically(seed, false, probe_until_refused);
-    let (server, clients) = run_scenario(seed, false, probe_until_refused);
+    assert_replays_byte_identically(seed, probe_until_refused);
+    let (server, clients) = run_scenario(seed, probe_until_refused);
     assert_matches_oracle(&server);
 
     let text = server.transport().received_text(clients[0]);
@@ -429,7 +416,6 @@ fn mixed_codec_storm(sim: &mut SimNet) -> Vec<Token> {
     // The bystander speaks the line protocol on the same reactor.
     let c2 = sim.connect(3000);
     sim.send(c2, 3000, "open allow-all\n");
-    sim.tick(4000);
 
     for (client, binary) in [(c0, true), (c1, true), (c2, false)] {
         let session = session_of(client);
@@ -446,9 +432,6 @@ fn mixed_codec_storm(sim: &mut SimNet) -> Vec<Token> {
             }
         }
     }
-    for t in (5000..5300).step_by(25) {
-        sim.tick(t);
-    }
 
     // c1 resets with a dangling partial frame on the wire: the fragment is discarded, never
     // interpreted and never reported as truncated (that's the half-close case).
@@ -462,8 +445,8 @@ fn mixed_codec_storm(sim: &mut SimNet) -> Vec<Token> {
 #[test]
 fn a_mixed_codec_storm_matches_the_oracle() {
     let seed = base_seed().wrapping_add(5);
-    assert_replays_byte_identically(seed, true, mixed_codec_storm);
-    let (server, clients) = run_scenario(seed, true, mixed_codec_storm);
+    assert_replays_byte_identically(seed, mixed_codec_storm);
+    let (server, clients) = run_scenario(seed, mixed_codec_storm);
     assert_matches_oracle(&server);
 
     assert_eq!(server.stats().binary_conns, 2, "exactly the preambled connections negotiated");
@@ -489,17 +472,17 @@ fn a_mixed_codec_storm_matches_the_oracle() {
 fn every_scenario_matches_the_oracle_across_a_seed_spread() {
     for offset in [10, 11, 12] {
         let seed = base_seed().wrapping_add(offset);
-        let (server, _) = run_scenario(seed, false, midline_disconnect);
+        let (server, _) = run_scenario(seed, midline_disconnect);
         assert_matches_oracle(&server);
-        let (server, _) = run_scenario(seed, true, downgrade_storm);
+        let (server, _) = run_scenario(seed, downgrade_storm);
         assert_matches_oracle(&server);
-        let (server, _) = run_scenario(seed, false, reconnect_after_drop);
+        let (server, _) = run_scenario(seed, reconnect_after_drop);
         assert_matches_oracle(&server);
-        let (server, _) = run_scenario(seed, false, one_bad_peer);
+        let (server, _) = run_scenario(seed, one_bad_peer);
         assert_matches_oracle(&server);
-        let (server, _) = run_scenario(seed, true, probe_until_refused);
+        let (server, _) = run_scenario(seed, probe_until_refused);
         assert_matches_oracle(&server);
-        let (server, _) = run_scenario(seed, true, mixed_codec_storm);
+        let (server, _) = run_scenario(seed, mixed_codec_storm);
         assert_matches_oracle(&server);
     }
 }

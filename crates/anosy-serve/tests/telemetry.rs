@@ -9,7 +9,7 @@
 //!    measured at `reactors = 1` and `reactors = N` produces identical merged counters and
 //!    identical merged histograms. This is the metrics-level face of the reactor-count
 //!    invariance property (`tests/multi_reactor.rs`): sharding may redistribute the facts,
-//!    never create or destroy them. Scheduling-shaped metrics (tick counts, queue depths,
+//!    never create or destroy them. Scheduling-shaped metrics (tick counts and
 //!    latencies) are deliberately excluded — those *should* change with the shard layout.
 //! 2. **Trace determinism**: under the virtual clock a [`SimNet`] exports, the chrome://tracing
 //!    JSON of a single-reactor run is a **byte-identical** function of the seeds. (Multi-shard

@@ -1,14 +1,14 @@
 //! End-to-end smoke test of the `anosy-served` binary: pipes the canned request script through
-//! the real process over stdin/stdout (`--ticked` batching, with two pool workers and with
-//! one), over a real loopback TCP socket (`--listen`) and over a two-reactor pool
+//! the real process over stdin/stdout (with two pool workers and with one), over a real loopback TCP socket (`--listen`) and over a two-reactor pool
 //! (`--listen --reactors 2`), and diffs every response transcript against the one checked-in
 //! expectation (up to the stats line's worker count or shard stamp). The CI smoke lane runs
 //! the same pipe from the shell; this test keeps it under plain `cargo test` too. A second
 //! script, `powerset.script`, runs `--domain powerset` and pins that domain's answers, refused
 //! posterior sizes and encoded knowledge against `powerset.expected`.
 //!
-//! The transcript is deterministic end to end: synthesis is deterministic, tick batching is
-//! response-equivalent to the sequential replay (proptested in `proptest_frontend.rs`),
+//! The transcript is deterministic end to end: synthesis is deterministic, every request is
+//! answered in arrival order exactly as the sequential replay would (proptested in
+//! `proptest_frontend.rs`),
 //! sharded counting reports counterexamples in deterministic chunk order, and session ids
 //! depend only on the opening connection. Every transport runs the same reactor, so their
 //! outputs must be **byte-identical** — a diff here means the *wire format or protocol
@@ -32,11 +32,11 @@ fn stdio_transcript(workers: &str) -> String {
     served_stdio(SCRIPT, &["--workers", workers])
 }
 
-/// Pipes `script` through `anosy-served --ticked` (plus `extra` arguments) over stdin/stdout
-/// and returns the transcript it wrote.
+/// Pipes `script` through `anosy-served` (plus `extra` arguments) over stdin/stdout and
+/// returns the transcript it wrote.
 fn served_stdio(script: &str, extra: &[&str]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
-        .args(["--layout", "x:0:400 y:0:400", "--ticked"])
+        .args(["--layout", "x:0:400 y:0:400"])
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -66,6 +66,14 @@ fn canned_script_round_trips_through_the_binary() {
         EXPECTED,
         "the anosy-served transcript diverged from tests/data/smoke.expected"
     );
+
+    // Blank lines and comments are no-ops: nothing answers them, and no tick runs for them.
+    let transcript = served_stdio("\n# a comment\n\n   \n# another\n\nstats\n", &[]);
+    let mut lines = transcript.lines();
+    let stats = lines.next().expect("the stats request is answered");
+    assert!(stats.starts_with("0.1 ok stats "), "the first response is the stats line: {stats}");
+    assert!(stats.contains(" ticks=0 "), "blank lines and comments never tick: {stats}");
+    assert_eq!(lines.next(), None, "{transcript}");
 }
 
 #[test]
@@ -124,7 +132,7 @@ fn without_counterexample(transcript: &str) -> String {
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`
 /// arguments) and returns the transcript the client read back.
 fn socket_transcript(extra: &[&str]) -> String {
-    let mut args = vec!["--layout", "x:0:400 y:0:400", "--workers", "2", "--ticked"];
+    let mut args = vec!["--layout", "x:0:400 y:0:400", "--workers", "2"];
     args.extend(["--listen", "127.0.0.1:0", "--accept", "1"]);
     args.extend(extra);
     let mut served = listen::listen(&args);
@@ -202,4 +210,17 @@ fn bad_arguments_fail_with_usage() {
         .output()
         .expect("anosy-served runs");
     assert_eq!(output.status.code(), Some(2), "--accept without --listen is refused");
+
+    for args in [
+        &["--layout", "x:0:4 x:0:4"][..],
+        &["--layout", "x:0:400", "--ticked"],
+        &["--layout", "x:0:400", "--tick-ms", "5"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
+            .args(args)
+            .output()
+            .expect("anosy-served runs");
+        assert_eq!(output.status.code(), Some(2), "{args:?} is refused with the usage code");
+        assert!(String::from_utf8_lossy(&output.stderr).contains("usage:"), "{args:?}");
+    }
 }

@@ -907,8 +907,8 @@ pub struct TelemetryRow {
 
 /// One per-shard row of the reactor-skew breakdown (`report_serve --json`'s `shard_skew`):
 /// how unevenly the hashed connections loaded the shards, read from each reactor's telemetry
-/// report. Queue depths and latencies are in the simulator's virtual time, so the skew shape
-/// is a pure function of the seeds.
+/// report. Latencies are in the simulator's virtual time, so the skew shape is a pure function
+/// of the seeds.
 #[derive(Debug, Clone)]
 pub struct ShardSkewRow {
     /// Reactor count of the run this shard belonged to.
@@ -917,10 +917,6 @@ pub struct ShardSkewRow {
     pub shard: u64,
     /// Wire requests this shard parsed (`wire.requests`).
     pub requests: u64,
-    /// Median queued work observed at tick time (`tick.queue_depth`).
-    pub queue_p50: u64,
-    /// 99th-percentile queue depth — the burst exposure of this shard.
-    pub queue_p99: u64,
     /// Median virtual request latency on this shard (`request.latency`).
     pub latency_p50: u64,
     /// 99th-percentile virtual request latency on this shard.
@@ -984,14 +980,11 @@ pub fn telemetry_rows(
                     .map(|h| (h.quantile(0.50), h.quantile(0.99)))
                     .unwrap_or((0, 0))
             };
-            let (queue_p50, queue_p99) = quantiles("tick.queue_depth");
             let (latency_p50, latency_p99) = quantiles("request.latency");
             skew.push(ShardSkewRow {
                 reactors,
                 shard: report.shard,
                 requests: report.metrics.counter("wire.requests"),
-                queue_p50,
-                queue_p99,
                 latency_p50,
                 latency_p99,
             });
@@ -1023,12 +1016,11 @@ pub fn render_telemetry(rows: &[TelemetryRow]) -> String {
 
 /// Renders the per-shard skew rows as an aligned text table.
 pub fn render_shard_skew(rows: &[ShardSkewRow]) -> String {
-    let mut out =
-        String::from("Reactors  Shard  Requests  Queue p50/p99  Latency p50/p99 (virtual)\n");
+    let mut out = String::from("Reactors  Shard  Requests  Latency p50/p99 (virtual)\n");
     for r in rows {
         out.push_str(&format!(
-            "{:>8}  {:>5}  {:>8}  {:>6}/{:<6}  {:>7}/{:<7}\n",
-            r.reactors, r.shard, r.requests, r.queue_p50, r.queue_p99, r.latency_p50, r.latency_p99,
+            "{:>8}  {:>5}  {:>8}  {:>7}/{:<7}\n",
+            r.reactors, r.shard, r.requests, r.latency_p50, r.latency_p99,
         ));
     }
     out
@@ -1356,14 +1348,11 @@ pub fn serve_rows_to_json(
         out.push_str(&format!(
             concat!(
                 "    {{\"reactors\": {}, \"shard\": {}, \"requests\": {}, ",
-                "\"queue_p50\": {}, \"queue_p99\": {}, ",
                 "\"latency_p50\": {}, \"latency_p99\": {}}}{}\n"
             ),
             r.reactors,
             r.shard,
             r.requests,
-            r.queue_p50,
-            r.queue_p99,
             r.latency_p50,
             r.latency_p99,
             if i + 1 == shard_skew.len() { "" } else { "," },
@@ -1532,19 +1521,13 @@ pub fn population_rows(
                 "population generation must be deterministic before it is worth timing"
             );
 
-            let options = CompileOptions::new(seed ^ 0xbe7c)
-                .with_max_chunk(64)
-                .with_max_delay(2)
-                .with_ticks_per_window(4);
+            let options = CompileOptions::new(seed ^ 0xbe7c).with_max_chunk(64).with_max_delay(2);
             let compiled = popsim::compile(&population, &options);
             let serve_config =
                 ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
             let deployment = popsim::cold_deployment(&population, &serve_config);
-            let mut server = Server::new(
-                Frontend::new(deployment),
-                compiled.net,
-                ServerConfig::new().ticked(true),
-            );
+            let mut server =
+                Server::new(Frontend::new(deployment), compiled.net, ServerConfig::new());
             let started = Instant::now();
             server.run();
             let elapsed = started.elapsed();
@@ -1818,24 +1801,8 @@ mod tests {
         }];
         assert!(render_telemetry(&telemetry).contains("Overhead"));
         let shard_skew = vec![
-            ShardSkewRow {
-                reactors: 2,
-                shard: 0,
-                requests: 120,
-                queue_p50: 1,
-                queue_p99: 7,
-                latency_p50: 7,
-                latency_p99: 63,
-            },
-            ShardSkewRow {
-                reactors: 2,
-                shard: 1,
-                requests: 80,
-                queue_p50: 1,
-                queue_p99: 3,
-                latency_p50: 7,
-                latency_p99: 31,
-            },
+            ShardSkewRow { reactors: 2, shard: 0, requests: 120, latency_p50: 7, latency_p99: 63 },
+            ShardSkewRow { reactors: 2, shard: 1, requests: 80, latency_p50: 7, latency_p99: 31 },
         ];
         assert!(render_shard_skew(&shard_skew).contains("Shard"));
         let journal = vec![
@@ -1882,7 +1849,7 @@ mod tests {
         assert_eq!(json.matches("{\"policy\"").count(), journal.len());
         assert_eq!(json.matches("{\"entries\"").count(), restart.len());
         assert_eq!(json.matches("\"overhead_pct\"").count(), 1 + journal.len());
-        assert_eq!(json.matches("\"queue_p99\"").count(), 2);
+        assert_eq!(json.matches("\"shard\"").count(), 2);
         assert!(json.contains("\"figure\": \"serve_throughput\""));
         assert!(json.contains("\"domain\": \"interval\""));
         assert!(
@@ -1906,8 +1873,8 @@ mod tests {
         assert_eq!(skew.len(), 3, "one skew row per shard: 1 + 2");
         for r in &rows {
             assert!(r.off_rps > 0.0 && r.on_rps > 0.0);
-            assert!(r.latency_p50 <= r.latency_p99 && r.latency_p99 <= r.latency_max);
-            assert!(r.latency_max > 0, "virtual request latencies were measured");
+            // Every request is answered at the virtual instant it arrives: nothing waits.
+            assert_eq!((r.latency_p50, r.latency_p99, r.latency_max), (0, 0, 0));
         }
         // The hashed shards together parse exactly the single-reactor request count.
         let single = skew.iter().find(|s| s.reactors == 1).expect("the reactors=1 row").requests;
