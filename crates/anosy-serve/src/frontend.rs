@@ -249,9 +249,11 @@ where
     /// submission order (see the [module docs](self) for the determinism story).
     pub fn tick(&mut self) -> Vec<TaggedResponse> {
         let _span = telemetry::span("frontend.tick");
-        let pending = std::mem::take(&mut self.pending);
+        // Taken only for the loop's borrow and put back drained, so the queue keeps its
+        // capacity across ticks.
+        let mut pending = std::mem::take(&mut self.pending);
         let mut tagged = Vec::with_capacity(pending.len());
-        for item in pending {
+        for item in pending.drain(..) {
             match item {
                 Pending::Request(request, body) => {
                     let response = self.handle(request.conn, body);
@@ -260,6 +262,7 @@ where
                 Pending::Disconnect(conn) => self.teardown(conn),
             }
         }
+        self.pending = pending;
         self.stats.ticks += 1;
         let decisions = std::mem::take(&mut self.tick_decisions);
         if decisions > 0 {

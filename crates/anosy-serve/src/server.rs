@@ -47,7 +47,7 @@ use anosy_synth::DomainCodec;
 use anosy_telemetry::{self as telemetry, Clock, ClockHandle, Collector, Report, VirtualClock};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -381,6 +381,10 @@ pub struct Server<D: AbstractDomain, T: Transport> {
     transcript: Vec<TranscriptEvent>,
     responses: Vec<TaggedResponse>,
     telemetry: Option<Report>,
+    /// Reused encode buffers: the response text being sent, and its frame on binary
+    /// connections. Cleared per response, never shrunk, so steady-state sends allocate nothing.
+    out_text: String,
+    out_frame: Vec<u8>,
 }
 
 impl<D, T> Server<D, T>
@@ -410,6 +414,8 @@ where
             transcript: Vec::new(),
             responses: Vec::new(),
             telemetry: None,
+            out_text: String::new(),
+            out_frame: Vec::new(),
         }
     }
 
@@ -577,10 +583,7 @@ where
         telemetry::count("wire.frames", 1);
         match frame {
             DecodedFrame::Frame(payload) => match std::str::from_utf8(&payload) {
-                Ok(line) => {
-                    let line = line.to_string();
-                    self.on_line(token, &line);
-                }
+                Ok(line) => self.on_line(token, line),
                 Err(_) => self.refuse_line(token, "non-UTF-8 frame payload".to_string()),
             },
             DecodedFrame::Corrupt => {
@@ -678,22 +681,26 @@ where
     fn refuse_line(&mut self, token: Token, reason: String) {
         self.stats.malformed += 1;
         telemetry::count("wire.malformed", 1);
-        self.send_line(token, &format!("! {reason}"));
+        self.out_text.clear();
+        self.out_text.push_str("! ");
+        self.out_text.push_str(&reason);
+        self.send_text(token);
     }
 
-    /// Sends one response line (without terminator) in the connection's negotiated encoding:
-    /// newline-terminated text on line connections, a checksummed frame on binary ones.
-    /// Returns the byte count handed to the transport.
-    fn send_line(&mut self, token: Token, text: &str) -> usize {
+    /// Sends the line in `out_text` (without terminator) in the connection's negotiated
+    /// encoding: newline-terminated text on line connections, a checksummed frame on binary
+    /// ones. Returns the byte count handed to the transport.
+    fn send_text(&mut self, token: Token) -> usize {
         let binary = self.conns.get(&token).is_some_and(|state| state.decoder.is_binary());
         if binary {
-            let frame = wire::encode_frame(text.as_bytes());
-            self.transport.send(token, &frame);
-            frame.len()
+            self.out_frame.clear();
+            wire::frame_into(&mut self.out_frame, self.out_text.as_bytes());
+            self.transport.send(token, &self.out_frame);
+            self.out_frame.len()
         } else {
-            let line = format!("{text}\n");
-            self.transport.send(token, line.as_bytes());
-            line.len()
+            self.out_text.push('\n');
+            self.transport.send(token, self.out_text.as_bytes());
+            self.out_text.len()
         }
     }
 
@@ -716,9 +723,10 @@ where
             }
             let Some((token, at)) = self.inflight.remove(&tagged.request) else { continue };
             if self.conns.contains_key(&token) {
-                let line =
-                    format!("{} {}", tagged.request, wire::encode_response(&tagged.response));
-                let sent = self.send_line(token, &line);
+                self.out_text.clear();
+                let _ = write!(self.out_text, "{} ", tagged.request);
+                wire::encode_response_into(&mut self.out_text, &tagged.response);
+                let sent = self.send_text(token);
                 if recording {
                     telemetry::with_collector(|collector| {
                         collector.observe("request.latency", collector.now().saturating_sub(at));
@@ -915,8 +923,12 @@ const TAG_LISTENER: u64 = u64::MAX;
 /// Epoll tag of the reactor-pool handoff notifier.
 const TAG_NOTIFY: u64 = u64::MAX - 1;
 /// Longest a readiness wait may park while draining (closing) connections hold queued bytes —
-/// their flush progress and deadlines are checked at least this often.
+/// their deadlines are checked at least this often.
 const DRAIN_WAIT: Duration = Duration::from_millis(10);
+/// Size of the one read buffer a [`PollTransport`] reuses for every socket read.
+const READ_BUF_BYTES: usize = 64 * 1024;
+/// Readiness reports taken per `epoll_wait`; more ready connections are reported by the next.
+const WAIT_EVENTS: usize = 64;
 
 /// The raw descriptor epoll registration needs. Only ever called when an [`epoll::Epoll`] was
 /// actually created, which [`epoll::Epoll::is_supported`] guarantees implies a Unix target.
@@ -942,6 +954,16 @@ enum Intake {
     Channel { handoffs: Receiver<(u64, TcpStream)>, notify: TcpStream, done: bool },
 }
 
+impl Intake {
+    /// The descriptor whose readiness announces new connections.
+    fn fd(&self) -> i32 {
+        match self {
+            Intake::Listener { listener, .. } => raw_fd(listener),
+            Intake::Channel { notify, .. } => raw_fd(notify),
+        }
+    }
+}
+
 struct TcpConn {
     stream: TcpStream,
     /// Responses queued by [`Transport::send`] and not yet accepted by the kernel (nonblocking
@@ -955,7 +977,11 @@ struct TcpConn {
 }
 
 impl TcpConn {
+    /// Wraps an accepted stream. Nagle is switched off: responses are small and pipelined, and
+    /// with Nagle on a response queued behind an unacknowledged one waits for the peer's
+    /// delayed ACK (~40 ms on Linux).
     fn new(stream: TcpStream) -> TcpConn {
+        let _ = stream.set_nodelay(true);
         TcpConn { stream, out: Vec::new(), read_eof: false, closing: None }
     }
 }
@@ -981,15 +1007,28 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
 /// A readiness-based, std-only nonblocking TCP transport: `accept` becomes [`Event::Opened`],
 /// readable bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`]
 /// (half-closed peers still receive their final responses), and read/write errors become
-/// per-connection [`Event::Failed`] — never process failures. [`Transport::send`] only appends
-/// to the connection's queue; [`Transport::flush`] writes each connection that queued bytes
-/// since the last flush once, so the responses one event produced share one `write`. A write
-/// the kernel takes only in part leaves the rest queued under `EPOLLOUT` interest, drained by
-/// later polls. It parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim) and then
-/// services only the connections the kernel reported ready. Where epoll is unavailable —
-/// unsupported platform, or any registration error at runtime — it degrades to scanning every
-/// socket with a `POLL_IDLE_SLEEP` pause between scans, so behavior is identical and only idle
-/// latency differs.
+/// per-connection [`Event::Failed`] — never process failures. Accepted sockets run with
+/// `TCP_NODELAY`, so pipelined small responses never wait for the peer's delayed ACK.
+///
+/// [`Transport::send`] only appends to the connection's queue; [`Transport::flush`] writes each
+/// connection that queued bytes since the last flush once, so the responses one event produced
+/// share one `write`. A write the kernel takes only in part leaves the rest queued under
+/// `EPOLLOUT` interest, drained by later polls.
+///
+/// One [`Transport::poll`] returns the failures the last flush found, if any, and otherwise
+/// parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim). It then accepts (or drains
+/// the pool handoff channel) only if the intake was reported, and reads only the connections
+/// the kernel reported, into one read buffer the transport keeps for its whole life. Epoll is
+/// level-triggered, so bytes that arrived while the reactor was busy are reported by that
+/// wait, and no turn reads a socket the kernel did not report. Once the intake stops
+/// (accept budget spent, broken listener, pool acceptor gone) it is deregistered, so a
+/// connect nobody will accept cannot keep the wait returning. A closing connection whose peer
+/// stopped reading is never reported again: while any connection drains, the wait parks at
+/// most 10 ms and retires the ones past their 2 s flush deadline.
+///
+/// Where epoll is unavailable — unsupported platform, or any registration error at runtime —
+/// it degrades to scanning every socket with a `POLL_IDLE_SLEEP` pause after an empty scan, so
+/// behavior is identical and only idle latency differs.
 pub struct PollTransport {
     intake: Intake,
     conns: BTreeMap<u64, TcpConn>,
@@ -999,9 +1038,16 @@ pub struct PollTransport {
     /// [`Transport::flush`]. A connection whose queue was already non-empty is not listed:
     /// either it is listed already or it waits for `EPOLLOUT`, and the poll loop drains it.
     dirty: Vec<u64>,
+    /// Connections lingering after a close to drain their queue (see [`TcpConn::closing`]).
+    draining: BTreeSet<u64>,
     epoll: Option<epoll::Epoll>,
     /// Interest bits currently registered per token (epoll mode only).
     interest: HashMap<u64, u32>,
+    /// The one buffer every socket read lands in.
+    read_buf: Box<[u8]>,
+    /// No poll has run yet. The first one takes in connections before it waits, so a pool
+    /// handoff queued before it does not hinge on its wake-up byte.
+    fresh: bool,
 }
 
 /// The readiness bits a connection currently cares about.
@@ -1056,8 +1102,11 @@ impl PollTransport {
             conns: BTreeMap::new(),
             pending: Vec::new(),
             dirty: Vec::new(),
+            draining: BTreeSet::new(),
             epoll,
             interest: HashMap::new(),
+            read_buf: vec![0; READ_BUF_BYTES].into_boxed_slice(),
+            fresh: true,
         }
     }
 
@@ -1131,6 +1180,7 @@ impl PollTransport {
             let _ = ep.delete(raw_fd(&conn.stream));
         }
         self.interest.remove(&token);
+        self.draining.remove(&token);
         if let Some(conn) = self.conns.remove(&token) {
             if shutdown {
                 let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -1139,10 +1189,13 @@ impl PollTransport {
     }
 
     /// Takes in new connections: accepts from the listener, or drains the pool handoff
-    /// channel (and its notify bytes).
+    /// channel (and its notify bytes). Once the intake stops for good it leaves the readiness
+    /// set: a spent listener that a further peer connects to stays readable forever.
     fn poll_intake(&mut self, events: &mut Vec<Event>) {
         let mut opened: Vec<u64> = Vec::new();
+        let accepting = self.accepting();
         match &mut self.intake {
+            _ if !accepting => {}
             Intake::Listener { listener, next_token, budget, accepted } => loop {
                 match *budget {
                     Some(b) if *accepted >= b => break,
@@ -1194,106 +1247,117 @@ impl PollTransport {
                 }
             }
         }
+        if !self.accepting() {
+            // Idempotent; in epoll mode the intake is never reported again afterwards.
+            if let Some(ep) = &self.epoll {
+                let _ = ep.delete(self.intake.fd());
+            }
+        }
         for token in opened {
             self.register(token);
             events.push(Event::Opened(Token(token)));
         }
     }
 
-    /// Flushes, retires and reads connections — all of them (`None`, the fallback scan) or
-    /// just the ones a readiness wait reported (`Some`).
-    fn poll_conns(&mut self, events: &mut Vec<Event>, only: Option<&[u64]>) {
+    /// Flushes, retires or reads one connection.
+    fn poll_conn(&mut self, token: u64, events: &mut Vec<Event>) {
         enum Outcome {
             Keep,
             Retire,
             Fail(String),
         }
-        let tokens: Vec<u64> = match only {
-            Some(ready) => {
-                let mut tokens: Vec<u64> =
-                    ready.iter().copied().filter(|t| self.conns.contains_key(t)).collect();
-                // Kernel report order is not deterministic; token order is.
-                tokens.sort_unstable();
-                tokens.dedup();
-                tokens
-            }
-            None => self.conns.keys().copied().collect(),
-        };
-        for token in tokens {
-            let outcome = {
-                let Some(conn) = self.conns.get_mut(&token) else { continue };
-                let flushed = flush_some(conn);
-                if let Some(deadline) = conn.closing {
-                    // Draining close: the reactor already considers the connection gone, so
-                    // drained, errored and expired connections retire without an event.
-                    if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
-                        Outcome::Retire
-                    } else {
+        let outcome = {
+            let Some(conn) = self.conns.get_mut(&token) else { return };
+            let flushed = flush_some(conn);
+            if let Some(deadline) = conn.closing {
+                // Draining close: the reactor already considers the connection gone, so
+                // drained, errored and expired connections retire without an event.
+                if flushed.is_err() || conn.out.is_empty() || Instant::now() >= deadline {
+                    Outcome::Retire
+                } else {
+                    Outcome::Keep
+                }
+            } else if let Err(reason) = flushed {
+                Outcome::Fail(reason)
+            } else if conn.read_eof {
+                Outcome::Keep
+            } else {
+                match conn.stream.read(&mut self.read_buf) {
+                    Ok(0) => {
+                        conn.read_eof = true;
+                        events.push(Event::HalfClosed(Token(token)));
                         Outcome::Keep
                     }
-                } else if let Err(reason) = flushed {
-                    Outcome::Fail(reason)
-                } else if conn.read_eof {
-                    Outcome::Keep
-                } else {
-                    let mut buf = [0u8; 65536];
-                    match conn.stream.read(&mut buf) {
-                        Ok(0) => {
-                            conn.read_eof = true;
-                            events.push(Event::HalfClosed(Token(token)));
-                            Outcome::Keep
-                        }
-                        Ok(n) => {
-                            events.push(Event::Data(Token(token), buf[..n].to_vec()));
-                            Outcome::Keep
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => Outcome::Keep,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => Outcome::Keep,
-                        Err(e) => Outcome::Fail(format!("read error: {e}")),
+                    Ok(n) => {
+                        events.push(Event::Data(Token(token), self.read_buf[..n].to_vec()));
+                        Outcome::Keep
                     }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => Outcome::Keep,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => Outcome::Keep,
+                    Err(e) => Outcome::Fail(format!("read error: {e}")),
                 }
-            };
-            match outcome {
-                Outcome::Keep => self.update_interest(token),
-                Outcome::Retire => self.drop_conn(token, true),
-                Outcome::Fail(reason) => {
-                    self.drop_conn(token, false);
-                    events.push(Event::Failed(Token(token), reason));
-                }
+            }
+        };
+        match outcome {
+            Outcome::Keep => self.update_interest(token),
+            Outcome::Retire => self.drop_conn(token, true),
+            Outcome::Fail(reason) => {
+                self.drop_conn(token, false);
+                events.push(Event::Failed(Token(token), reason));
             }
         }
     }
 
-    /// Upper bound for one readiness wait: [`DRAIN_WAIT`] while draining connections need
-    /// their deadlines checked, otherwise `-1` (block until readiness).
-    fn wait_timeout_ms(&self) -> i32 {
-        if self.conns.values().any(|c| c.closing.is_some()) {
-            DRAIN_WAIT.as_millis() as i32
-        } else {
-            -1
-        }
-    }
-
-    /// Parks until something is ready. Returns the connection tokens the kernel reported
-    /// (`Some`, possibly empty on timeout — intake tags are handled by the caller's next
-    /// intake pass), or `None` in fallback mode (scan everything).
-    fn wait_ready(&mut self) -> Option<Vec<u64>> {
+    /// One turn of the poll loop: wait for readiness, then service the intake and the
+    /// connections it reported (see the [type docs](PollTransport)).
+    fn turn(&mut self, events: &mut Vec<Event>) {
         let Some(ep) = &self.epoll else {
-            std::thread::sleep(POLL_IDLE_SLEEP);
-            return None;
+            // The fallback scans everything and pauses only when a scan found nothing.
+            self.poll_intake(events);
+            let tokens: Vec<u64> = self.conns.keys().copied().collect();
+            for token in tokens {
+                self.poll_conn(token, events);
+            }
+            if events.is_empty() {
+                std::thread::sleep(POLL_IDLE_SLEEP);
+            }
+            return;
         };
-        let mut buf = [epoll::EpollEvent::default(); 64];
-        match ep.wait(self.wait_timeout_ms(), &mut buf) {
-            Ok(n) => Some(
-                buf[..n]
-                    .iter()
-                    .map(|event| event.data)
-                    .filter(|data| *data != TAG_LISTENER && *data != TAG_NOTIFY)
-                    .collect(),
-            ),
+        let timeout = if self.draining.is_empty() { -1 } else { DRAIN_WAIT.as_millis() as i32 };
+        let mut reports = [epoll::EpollEvent::default(); WAIT_EVENTS];
+        let reported = match ep.wait(timeout, &mut reports) {
+            Ok(n) => n,
             Err(_) => {
+                // The next turn scans.
                 self.degrade();
-                None
+                return;
+            }
+        };
+        let reports = &mut reports[..reported];
+        let is_intake =
+            |report: &epoll::EpollEvent| matches!(report.data, TAG_LISTENER | TAG_NOTIFY);
+        if reports.iter().any(is_intake) {
+            self.poll_intake(events);
+        }
+        // Kernel report order is not deterministic; token order is.
+        reports.sort_unstable_by_key(|report| report.data);
+        for report in reports.iter().filter(|report| !is_intake(report)) {
+            self.poll_conn(report.data, events);
+        }
+        // A draining connection whose peer stopped reading is never reported: retire it once
+        // its deadline has passed.
+        if !self.draining.is_empty() {
+            let now = Instant::now();
+            let expired: Vec<u64> = self
+                .draining
+                .iter()
+                .copied()
+                .filter(|token| {
+                    self.conns.get(token).and_then(|conn| conn.closing).is_some_and(|at| now >= at)
+                })
+                .collect();
+            for token in expired {
+                self.drop_conn(token, true);
             }
         }
     }
@@ -1301,21 +1365,16 @@ impl PollTransport {
 
 impl Transport for PollTransport {
     fn poll(&mut self) -> Vec<Event> {
-        // The first pass scans everything: flush-time failures and bytes that arrived while
-        // the reactor was busy must not wait for a readiness report.
-        let mut ready: Option<Vec<u64>> = None;
-        loop {
-            let mut events = std::mem::take(&mut self.pending);
+        // Flush-time failures go out first, on their own; otherwise turn until something
+        // happens or nothing is left to serve.
+        let mut events = std::mem::take(&mut self.pending);
+        if std::mem::take(&mut self.fresh) {
             self.poll_intake(&mut events);
-            self.poll_conns(&mut events, ready.as_deref());
-            if !events.is_empty() {
-                return events;
-            }
-            if !self.accepting() && self.conns.is_empty() {
-                return Vec::new();
-            }
-            ready = self.wait_ready();
         }
+        while events.is_empty() && (self.accepting() || !self.conns.is_empty()) {
+            self.turn(&mut events);
+        }
+        events
     }
 
     fn send(&mut self, token: Token, bytes: &[u8]) {
@@ -1355,6 +1414,7 @@ impl Transport for PollTransport {
             return;
         }
         conn.closing = Some(Instant::now() + CLOSE_FLUSH_BUDGET);
+        self.draining.insert(token.0);
         self.update_interest(token.0);
     }
 }
@@ -1390,6 +1450,86 @@ mod tests {
         let mut server = Server::new(Frontend::new(deployment), Scripted(Some(events)), config);
         server.run();
         server.io_log().iter().map(|entry| entry.token.0).collect()
+    }
+
+    /// A listener transport with its only connection accepted as token 0, and that
+    /// connection's client end.
+    fn accepted(degraded: bool) -> (PollTransport, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("loopback connect");
+        let mut transport = PollTransport::listen(listener, Some(1)).expect("listener");
+        if degraded {
+            transport.degrade();
+        }
+        assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
+        (transport, client)
+    }
+
+    fn nodelay(transport: &PollTransport, token: u64) -> bool {
+        transport.conns[&token].stream.nodelay().expect("TCP_NODELAY is readable")
+    }
+
+    #[test]
+    fn accepted_sockets_run_without_nagle() {
+        let (transport, _client) = accepted(false);
+        assert!(nodelay(&transport, 0), "a listener-accepted socket");
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound address");
+        let _client = TcpStream::connect(addr).expect("loopback connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        let mut notify_writer = TcpStream::connect(addr).expect("notify connect");
+        let (notify_reader, _) = listener.accept().expect("notify accept");
+        let (handoffs, intake) = std::sync::mpsc::channel();
+        handoffs.send((7, server_side)).expect("hand off");
+        notify_writer.write_all(&[1]).expect("wake-up byte");
+        let mut transport = PollTransport::intake(intake, notify_reader);
+        assert_eq!(transport.poll(), vec![Event::Opened(Token(7))]);
+        assert!(nodelay(&transport, 7), "a pool-handed-off socket");
+    }
+
+    #[test]
+    fn the_sleep_scan_fallback_keeps_the_transport_contract() {
+        let (mut transport, mut client) = accepted(true);
+        assert!(!transport.uses_epoll());
+
+        // Data: however the bytes are chunked, they arrive in order on the right token.
+        client.write_all(b"stats\nmetrics\n").expect("request bytes");
+        let mut received = Vec::new();
+        while received.len() < 14 {
+            for event in transport.poll() {
+                match event {
+                    Event::Data(Token(0), bytes) => received.extend(bytes),
+                    other => panic!("expected data, got {other:?}"),
+                }
+            }
+        }
+        assert_eq!(received, b"stats\nmetrics\n");
+
+        // Send only queues; flush writes everything queued, in order.
+        transport.send(Token(0), b"0.1 ok one\n");
+        transport.send(Token(0), b"0.2 ok two\n");
+        client.set_nonblocking(true).expect("nonblocking client");
+        let early = client.read(&mut [0u8; 64]).expect_err("nothing is written before flush");
+        assert_eq!(early.kind(), ErrorKind::WouldBlock);
+        transport.flush();
+        client.set_nonblocking(false).expect("blocking client");
+        let mut flushed = [0u8; 22];
+        client.read_exact(&mut flushed).expect("flushed bytes arrive");
+        assert_eq!(&flushed, b"0.1 ok one\n0.2 ok two\n");
+
+        // Half-close: reported once; the write side still delivers the final response, and
+        // close writes it before the FIN.
+        client.shutdown(std::net::Shutdown::Write).expect("half-close");
+        assert_eq!(transport.poll(), vec![Event::HalfClosed(Token(0))]);
+        transport.send(Token(0), b"0.3 ok last\n");
+        transport.close(Token(0));
+        let mut tail = String::new();
+        client.read_to_string(&mut tail).expect("bytes then EOF");
+        assert_eq!(tail, "0.3 ok last\n");
+        // Budget spent, nothing open: finished.
+        assert_eq!(transport.poll(), Vec::<Event>::new());
     }
 
     #[test]

@@ -409,53 +409,71 @@ pub fn encode_request(request: &ServeRequest) -> Result<String, WireError> {
     })
 }
 
-/// Flattens a denial message to one physical line: the wire is line-oriented, and some session
-/// errors (a failed verification's report, say) render multi-line — embedded verbatim they
-/// would desync every line-per-response client.
-fn flatten_message(message: &str) -> String {
+/// Appends a denial message flattened to one physical line: the wire is line-oriented, and
+/// some session errors (a failed verification's report, say) render multi-line — embedded
+/// verbatim they would desync every line-per-response client.
+fn push_flattened(out: &mut String, message: &str) {
     if !message.contains(['\n', '\r']) {
-        return message.to_string();
+        out.push_str(message);
+        return;
     }
-    message
-        .split(['\n', '\r'])
-        .map(str::trim)
-        .filter(|part| !part.is_empty())
-        .collect::<Vec<_>>()
-        .join("; ")
+    let parts = message.split(['\n', '\r']).map(str::trim).filter(|part| !part.is_empty());
+    for (i, part) in parts.enumerate() {
+        if i > 0 {
+            out.push_str("; ");
+        }
+        out.push_str(part);
+    }
 }
 
 /// Renders a response as one wire line (the transport prefixes the request id).
 pub fn encode_response(response: &ServeResponse) -> String {
+    let mut line = String::new();
+    encode_response_into(&mut line, response);
+    line
+}
+
+/// Appends [`encode_response`]'s line to `out`, so a caller that reuses one buffer encodes
+/// without allocating.
+pub fn encode_response_into(out: &mut String, response: &ServeResponse) {
+    // Writing into a `String` cannot fail.
+    let _ = write_response(out, response);
+}
+
+fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
+    use std::fmt::Write as _;
     match response {
-        ServeResponse::SessionOpened { session } => format!("ok session {session}"),
-        ServeResponse::QueryRegistered { name } => format!("ok registered {name}"),
-        ServeResponse::Answer(Ok(answer)) => format!("ok answer {answer}"),
+        ServeResponse::SessionOpened { session } => write!(out, "ok session {session}"),
+        ServeResponse::QueryRegistered { name } => write!(out, "ok registered {name}"),
+        ServeResponse::Answer(Ok(answer)) => write!(out, "ok answer {answer}"),
         ServeResponse::Answer(Err(denial)) => {
-            format!("deny {} {}", denial.code, flatten_message(&denial.message))
+            write!(out, "deny {} ", denial.code)?;
+            push_flattened(out, &denial.message);
+            Ok(())
         }
         ServeResponse::Answers(results) => {
-            let mut line = String::from("ok answers");
+            out.push_str("ok answers");
             for result in results {
-                line.push(' ');
                 match result {
-                    Ok(answer) => line.push_str(&answer.to_string()),
+                    Ok(answer) => write!(out, " {answer}")?,
                     Err(code) => {
-                        line.push('!');
-                        line.push_str(code.as_str());
+                        out.push_str(" !");
+                        out.push_str(code.as_str());
                     }
                 }
             }
-            line
+            Ok(())
         }
-        ServeResponse::Count { models } => format!("ok count {models}"),
-        ServeResponse::Validity { counterexample: None } => "ok valid".to_string(),
+        ServeResponse::Count { models } => write!(out, "ok count {models}"),
+        ServeResponse::Validity { counterexample: None } => out.write_str("ok valid"),
         ServeResponse::Validity { counterexample: Some(point) } => {
-            format!("ok counterexample {}", encode_point(point))
+            write!(out, "ok counterexample {}", encode_point(point))
         }
         ServeResponse::Knowledge { size, encoded } => {
-            format!("ok knowledge size={size} {encoded}")
+            write!(out, "ok knowledge size={size} {encoded}")
         }
-        ServeResponse::Stats(s) => format!(
+        ServeResponse::Stats(s) => write!(
+            out,
             "ok stats open={} ticks={} requests={} batched={} largest={} torn={} tenants={} \
              denied={} reactors={} shard={} workers={} entries={} sessions={} closed={} \
              synth_hits={} synth_misses={} warm={} authorized={} refused={} memo_cfg={} \
@@ -486,18 +504,20 @@ pub fn encode_response(response: &ServeResponse) -> String {
             s.saves_skipped,
         ),
         ServeResponse::CacheSaved { entries, skipped } => {
-            format!("ok saved {entries} skipped={skipped}")
+            write!(out, "ok saved {entries} skipped={skipped}")
         }
         ServeResponse::WarmStarted { loaded, skipped } => {
-            format!("ok warm loaded={loaded} skipped={skipped}")
+            write!(out, "ok warm loaded={loaded} skipped={skipped}")
         }
-        ServeResponse::SessionClosed { session } => format!("ok closed {session}"),
+        ServeResponse::SessionClosed { session } => write!(out, "ok closed {session}"),
         // The payload is emitted by the telemetry renderers, which guarantee one physical
-        // line; `flatten_message` would corrupt JSON, so it is deliberately not applied.
-        ServeResponse::Metrics { json } => format!("ok metrics {json}"),
-        ServeResponse::Trace { json } => format!("ok trace {json}"),
+        // line; flattening would corrupt JSON, so it is deliberately not applied.
+        ServeResponse::Metrics { json } => write!(out, "ok metrics {json}"),
+        ServeResponse::Trace { json } => write!(out, "ok trace {json}"),
         ServeResponse::Rejected(denial) => {
-            format!("err {} {}", denial.code, flatten_message(&denial.message))
+            write!(out, "err {} ", denial.code)?;
+            push_flattened(out, &denial.message);
+            Ok(())
         }
     }
 }
@@ -775,52 +795,79 @@ impl FrameDecoder {
     }
 
     /// Consumes one transport read's worth of bytes and returns every frame completed by it.
+    /// Whole frames are decoded straight out of `bytes`; only a partial frame is copied, into
+    /// the carry-over buffer that the next feed completes.
     pub fn feed(&mut self, bytes: &[u8]) -> Vec<DecodedFrame> {
         let mut out = Vec::new();
         let mut rest = bytes;
-        while !rest.is_empty() {
+        loop {
             if self.skip > 0 {
                 // Tail of an already-reported oversize frame: count it down, never buffer it.
+                if rest.is_empty() {
+                    break;
+                }
                 let n = usize::try_from(self.skip).unwrap_or(usize::MAX).min(rest.len());
                 self.skip -= n as u64;
                 rest = &rest[n..];
-                continue;
-            }
-            if self.buffer.len() < FRAME_HEADER_BYTES {
-                let need = FRAME_HEADER_BYTES - self.buffer.len();
-                let take = need.min(rest.len());
-                self.buffer.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if self.buffer.len() < FRAME_HEADER_BYTES {
+            } else if self.buffer.is_empty() {
+                if rest.is_empty() {
                     break;
                 }
-            }
-            let len = u32::from_le_bytes(self.buffer[..4].try_into().expect("4 header bytes"));
-            if len as usize > self.max_frame {
-                out.push(DecodedFrame::Oversize);
-                self.buffer.clear();
-                self.skip = u64::from(len);
-                continue;
-            }
-            let total = FRAME_HEADER_BYTES + len as usize;
-            if self.buffer.len() < total {
-                let take = (total - self.buffer.len()).min(rest.len());
-                self.buffer.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if self.buffer.len() < total {
-                    break;
+                match self.scan(rest) {
+                    FrameScan::Whole(total) => {
+                        out.push(decode_frame(&rest[..total]));
+                        rest = &rest[total..];
+                    }
+                    FrameScan::Oversize(len) => {
+                        out.push(DecodedFrame::Oversize);
+                        self.skip = u64::from(len);
+                        rest = &rest[FRAME_HEADER_BYTES..];
+                    }
+                    FrameScan::Need(_) => {
+                        self.buffer.extend_from_slice(rest);
+                        break;
+                    }
                 }
-            }
-            let sum = u64::from_le_bytes(self.buffer[4..12].try_into().expect("8 header bytes"));
-            let mut payload = std::mem::take(&mut self.buffer);
-            payload.drain(..FRAME_HEADER_BYTES);
-            if frame_checksum(&payload) == sum {
-                out.push(DecodedFrame::Frame(payload));
             } else {
-                out.push(DecodedFrame::Corrupt);
+                match self.scan(&self.buffer) {
+                    FrameScan::Need(total) => {
+                        if rest.is_empty() {
+                            break;
+                        }
+                        let take = (total - self.buffer.len()).min(rest.len());
+                        self.buffer.extend_from_slice(&rest[..take]);
+                        rest = &rest[take..];
+                    }
+                    FrameScan::Whole(_) => {
+                        out.push(decode_frame(&self.buffer));
+                        self.buffer.clear();
+                    }
+                    FrameScan::Oversize(len) => {
+                        out.push(DecodedFrame::Oversize);
+                        self.buffer.clear();
+                        self.skip = u64::from(len);
+                    }
+                }
             }
         }
         out
+    }
+
+    /// Classifies the frame at the front of `bytes`.
+    fn scan(&self, bytes: &[u8]) -> FrameScan {
+        let Some(header) = bytes.get(..FRAME_HEADER_BYTES) else {
+            return FrameScan::Need(FRAME_HEADER_BYTES);
+        };
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 header bytes"));
+        if len as usize > self.max_frame {
+            return FrameScan::Oversize(len);
+        }
+        let total = FRAME_HEADER_BYTES + len as usize;
+        if bytes.len() < total {
+            FrameScan::Need(total)
+        } else {
+            FrameScan::Whole(total)
+        }
     }
 
     /// Reports the trailing incomplete frame at end of stream, if any — a peer that
@@ -844,6 +891,27 @@ impl FrameDecoder {
     pub fn discard(&mut self) {
         self.buffer.clear();
         self.skip = 0;
+    }
+}
+
+/// What the front of a byte run holds, to a [`FrameDecoder`].
+enum FrameScan {
+    /// An incomplete frame that needs this many bytes in total (header included).
+    Need(usize),
+    /// A complete frame of this many bytes (header included).
+    Whole(usize),
+    /// A header declaring a payload of this many bytes, over the decoder's cap.
+    Oversize(u32),
+}
+
+/// Verifies one complete frame (header plus payload) against its checksum.
+fn decode_frame(frame: &[u8]) -> DecodedFrame {
+    let sum = u64::from_le_bytes(frame[4..FRAME_HEADER_BYTES].try_into().expect("8 header bytes"));
+    let payload = &frame[FRAME_HEADER_BYTES..];
+    if frame_checksum(payload) == sum {
+        DecodedFrame::Frame(payload.to_vec())
+    } else {
+        DecodedFrame::Corrupt
     }
 }
 
@@ -1090,9 +1158,9 @@ mod tests {
         assert!(parse_request("open min-size:100&min-entropy-mb:2000", &layout()).is_ok());
     }
 
-    #[test]
-    fn every_response_round_trips() {
-        let responses = vec![
+    /// Every response variant, in forms that round-trip.
+    fn sample_responses() -> Vec<ServeResponse> {
+        vec![
             ServeResponse::SessionOpened { session: SessionId(3) },
             ServeResponse::QueryRegistered { name: "nearby".into() },
             ServeResponse::Answer(Ok(true)),
@@ -1147,8 +1215,12 @@ mod tests {
             ServeResponse::Metrics { json: "{}".into() },
             ServeResponse::Trace { json: "[]".into() },
             ServeResponse::Rejected(Denial::new(DenialCode::UnknownSession, "no open session 7")),
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn every_response_round_trips() {
+        for response in sample_responses() {
             let line = encode_response(&response);
             assert!(!line.contains('\n'));
             let parsed = parse_response(&line).unwrap_or_else(|e| {
@@ -1156,6 +1228,27 @@ mod tests {
             });
             assert_eq!(parsed, response, "`{line}`");
         }
+    }
+
+    #[test]
+    fn encoding_into_a_reused_buffer_appends_the_same_line() {
+        // Multi-line denials flatten, so they join the samples here rather than the round trip.
+        let report = "failed:\n  a: refuted\r\n  b: ok\n";
+        let mut responses = sample_responses();
+        responses.push(ServeResponse::Rejected(Denial::new(DenialCode::Internal, report)));
+        responses.push(ServeResponse::Answer(Err(Denial::new(DenialCode::Policy, report))));
+        let mut buffer = String::new();
+        for response in responses {
+            let line = encode_response(&response);
+            buffer.clear();
+            buffer.push_str("4.2 ");
+            encode_response_into(&mut buffer, &response);
+            assert_eq!(buffer, format!("4.2 {line}"));
+        }
+        let mut buffer = String::from("7.1 ");
+        let denial = Denial::new(DenialCode::Internal, report);
+        encode_response_into(&mut buffer, &ServeResponse::Rejected(denial));
+        assert_eq!(buffer, "7.1 err internal failed:; a: refuted; b: ok");
     }
 
     #[test]
@@ -1289,6 +1382,39 @@ mod tests {
             );
             assert_eq!(decoder.finish(), None);
         }
+    }
+
+    #[test]
+    fn one_chunk_and_byte_by_byte_feeds_decode_alike() {
+        let mut input = Vec::new();
+        frame_into(&mut input, b"stats");
+        let mut corrupt = encode_frame(b"evil");
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0xff;
+        input.extend_from_slice(&corrupt);
+        frame_into(&mut input, b"");
+        frame_into(&mut input, b"0123456789abcdef-oversize");
+        frame_into(&mut input, b"after");
+        frame_into(&mut input, b"");
+        frame_into(&mut input, b"close session=2");
+        let expected = vec![
+            DecodedFrame::Frame(b"stats".to_vec()),
+            DecodedFrame::Corrupt,
+            DecodedFrame::Frame(Vec::new()),
+            DecodedFrame::Oversize,
+            DecodedFrame::Frame(b"after".to_vec()),
+            DecodedFrame::Frame(Vec::new()),
+            DecodedFrame::Frame(b"close session=2".to_vec()),
+        ];
+        let mut whole = FrameDecoder::with_max_frame(16);
+        assert_eq!(whole.feed(&input), expected);
+        assert_eq!(whole.buffered(), 0, "only partial frames are carried over");
+        assert_eq!(whole.finish(), None);
+        let mut bytewise = FrameDecoder::with_max_frame(16);
+        let frames: Vec<DecodedFrame> =
+            input.iter().flat_map(|byte| bytewise.feed(std::slice::from_ref(byte))).collect();
+        assert_eq!(frames, expected);
+        assert_eq!(bytewise.finish(), None);
     }
 
     #[test]

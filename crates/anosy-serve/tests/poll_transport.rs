@@ -3,18 +3,20 @@
 //! `Transport::send` only queues; `Transport::flush` writes each connection's queue; `close`
 //! writes what is still queued before the FIN; a write into a peer that reset surfaces as one
 //! `Event::Failed` at the next poll. Every check here waits on blocking socket reads instead of
-//! timers, so the outcomes do not depend on scheduling.
+//! timers, so the outcomes do not depend on scheduling. Two bounds are timed: a closing
+//! connection whose peer never reads retires at its flush deadline, and a listener whose
+//! accept budget is spent leaves an `anosy-served` process idle.
 //!
 //! The last test checks the same thing from the outside: a live `anosy-served --listen`
 //! shard's `metrics` answer counts fewer `write` calls than requests.
 
-#[cfg(feature = "telemetry")]
 #[path = "support/listen.rs"]
 mod listen;
 
 use anosy_serve::{Event, PollTransport, Token, Transport};
-use std::io::{BufRead, BufReader, ErrorKind, Read};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 /// A one-connection listener transport and the client end of its only connection, after the
 /// transport has reported the connection open as token 0.
@@ -118,6 +120,76 @@ fn a_flush_into_a_reset_peer_fails_the_connection_once() {
     assert_eq!(transport.poll(), Vec::<Event>::new());
 }
 
+#[test]
+fn a_closing_connection_that_is_never_read_retires_at_its_deadline() {
+    let (mut transport, client) = accepted_pair();
+    // Far more than the loopback socket buffers hold, so most of it stays queued.
+    transport.send(Token(0), &vec![b'x'; 32 << 20]);
+    transport.close(Token(0));
+    // The peer never reads. Its tail is forfeit once the 2 s flush budget runs out, and the
+    // transport, whose accept budget is spent, then reports itself finished.
+    let (finished, outcome) = std::sync::mpsc::channel();
+    // A regression hangs the poll: the timed receive fails the test instead of hanging it.
+    let poller = std::thread::spawn(move || {
+        let _ = finished.send(transport.poll());
+    });
+    let events = outcome
+        .recv_timeout(Duration::from_secs(8))
+        .expect("the draining connection retires at its deadline, not never");
+    assert_eq!(events, Vec::<Event>::new());
+    poller.join().expect("the polling thread");
+    drop(client);
+}
+
+/// CPU time (user + system) `pid` has used so far, in clock ticks (Linux fixes the
+/// user-visible tick at 100 per second).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("the process stat");
+    // Fields after the parenthesised command name start at field 3 (state); utime and stime
+    // are fields 14 and 15.
+    let fields: Vec<&str> =
+        stat[stat.rfind(')').expect("a command name") + 2..].split(' ').collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_spent_accept_budget_leaves_the_listener_idle() {
+    let mut served = listen::listen(&[
+        "--layout",
+        "x:0:400 y:0:400",
+        "--workers",
+        "1",
+        "--listen",
+        "127.0.0.1:0",
+        "--accept",
+        "1",
+    ]);
+    let mut stream = TcpStream::connect(&served.addr).expect("loopback connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(b"stats\n").expect("stats is written");
+    let mut line = String::new();
+    replies.read_line(&mut line).expect("a stats answer");
+    assert!(line.contains(" ok stats "), "unexpected answer: {line}");
+
+    // The budget is spent. The kernel still completes this connect into the listen backlog,
+    // which leaves the listener readable for as long as nobody accepts.
+    let late = TcpStream::connect(&served.addr).expect("a late connect");
+    std::thread::sleep(Duration::from_millis(100));
+    let before = cpu_ticks(served.child.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let used = cpu_ticks(served.child.id()) - before;
+    assert!(used < 25, "an idle server used {used} of 100 CPU ticks in one second");
+
+    drop(late);
+    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut rest = String::new();
+    replies.read_to_string(&mut rest).expect("the server closes");
+    let status = served.child.wait().expect("anosy-served exits");
+    assert!(status.success(), "anosy-served failed");
+}
+
 /// The value of counter `name` in a metrics JSON answer.
 #[cfg(feature = "telemetry")]
 fn counter(json: &str, name: &str) -> Option<u64> {
@@ -129,8 +201,6 @@ fn counter(json: &str, name: &str) -> Option<u64> {
 #[cfg(feature = "telemetry")]
 #[test]
 fn a_listen_shard_counts_fewer_writes_than_requests() {
-    use std::io::Write;
-
     let mut served = listen::listen(&[
         "--layout",
         "x:0:400 y:0:400",
