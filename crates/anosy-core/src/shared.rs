@@ -124,9 +124,9 @@ impl fmt::Display for SharedCacheStats {
     }
 }
 
-/// A hook invoked with every entry the single-flight path commits (see
-/// [`SharedSynthCache::set_commit_observer`]).
-pub type CommitObserver<D> = Arc<dyn Fn(&SharedCacheEntry<D>) + Send + Sync>;
+/// A hook invoked with the committing cache and every entry its single-flight path commits
+/// (see [`SharedSynthCache::set_commit_observer`]).
+pub type CommitObserver<D> = Arc<dyn Fn(&SharedSynthCache<D>, &SharedCacheEntry<D>) + Send + Sync>;
 
 struct Inner<D: AbstractDomain> {
     store: RwLock<TermStore>,
@@ -208,8 +208,10 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         }
     }
 
-    /// Installs a commit observer: a hook called with every entry the single-flight synthesis
-    /// path publishes, *after* the entry is visible to waiters. Warm-start inserts
+    /// Installs a commit observer: a hook called with this cache and every entry the
+    /// single-flight synthesis path publishes, *after* the entry is visible to waiters and with
+    /// no cache lock held (so the hook may read the cache, e.g. export it, without the observer
+    /// owning a handle to it — which would be a reference cycle). Warm-start inserts
     /// ([`SharedSynthCache::insert_ready`]) do **not** fire the hook — they originate from a
     /// snapshot that already persists the entry. The serving layer uses this to append each
     /// freshly synthesized entry to its durability journal; the ordering (publish, then
@@ -218,14 +220,9 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     /// appends after the truncation — possibly both, and replay tolerates duplicates).
     pub fn set_commit_observer(
         &self,
-        observer: impl Fn(&SharedCacheEntry<D>) + Send + Sync + 'static,
+        observer: impl Fn(&SharedSynthCache<D>, &SharedCacheEntry<D>) + Send + Sync + 'static,
     ) {
         *recover(self.inner.observer.lock()) = Some(Arc::new(observer));
-    }
-
-    /// Removes the commit observer installed by [`SharedSynthCache::set_commit_observer`].
-    pub fn clear_commit_observer(&self) {
-        *recover(self.inner.observer.lock()) = None;
     }
 
     /// Interns a predicate into the shared store (the only store write; serialized by the
@@ -346,7 +343,7 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
             // observer's append landing after the truncation — never neither.
             recover(self.inner.slots.lock()).insert(key, SlotState::Ready(entry.clone()));
             self.inner.ready.notify_all();
-            observer(&entry);
+            observer(self, &entry);
         } else {
             recover(self.inner.slots.lock()).insert(key, SlotState::Ready(entry));
             self.inner.ready.notify_all();
@@ -569,6 +566,32 @@ mod tests {
         let mut sorted = a.clone();
         sorted.sort();
         assert_eq!(a, sorted);
+    }
+
+    #[test]
+    fn the_commit_observer_sees_its_entry_published_and_the_cache_unlocked() {
+        let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        // Exporting from inside the hook takes the slots lock: it must not be held here.
+        cache.set_commit_observer(move |cache, entry| {
+            recover(log.lock()).push((entry.pred.to_string(), cache.export_entries().len()));
+        });
+        for xo in [300, 100, 300] {
+            cache
+                .get_or_synthesize(&query(xo), ApproxKind::Under, None, || Ok(fake_indsets()))
+                .unwrap();
+        }
+        assert_eq!(
+            *recover(seen.lock()),
+            vec![(query(300).pred().to_string(), 1), (query(100).pred().to_string(), 2)],
+            "each commit is observed once, after it is published; the repeat is a hit"
+        );
+        // Warm-start inserts persist nothing new, so they never fire the hook.
+        let mut entry = cache.export_entries()[0].clone();
+        entry.pred = query(200).pred().clone();
+        assert!(cache.insert_ready(entry));
+        assert_eq!(recover(seen.lock()).len(), 2);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //!   counts tears in both files. To load some other snapshot, send a `warm path=...` request;
 //! * `--verify-on-load` — with `--journal`: re-verify every recovered entry with the solver
 //!   before installing it ([`anosy_serve::Deployment::warm_start`]);
-//! * `--journal-flush every-entry-fsync|every-entry|every-N|on-tick` — when journal appends
-//!   reach the OS (default `every-entry`); `every-entry-fsync` additionally `fsync`s every
-//!   append to the device, the strongest rung;
-//! * `--compact-every N` — with `--journal`: every `N` server ticks (a tick is one answered
-//!   request or one connection teardown), fold the journal into its snapshot while serving
-//!   continues (no stop-the-world);
+//! * `--journal-flush every-entry|every-entry-fsync` — how far each journal append gets before
+//!   its commit returns: `every-entry` (default) hands it to the OS, `every-entry-fsync` also
+//!   `fsync`s it to the device;
+//! * `--compact-every N` — with `--journal`: once the journal holds `N` records, the append
+//!   that brought it there folds it into its snapshot while serving continues (no
+//!   stop-the-world);
 //! * `--listen ADDR` — serve TCP connections on `ADDR` instead of stdin/stdout (port 0 picks a
 //!   free port; the bound address is announced as a `# listening on ADDR reactors=N` line on
 //!   stdout).
@@ -98,7 +98,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
          [--workers N] [--box-memo-min-depth N] [--save-on-exit PATH] [--journal PATH \
-         [--journal-flush every-entry-fsync|every-entry|every-N|on-tick] \
+         [--journal-flush every-entry|every-entry-fsync] \
          [--compact-every N] [--verify-on-load]] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
          [--listen ADDR [--accept N] [--reactors N]]"
     );
@@ -178,8 +178,8 @@ fn parse_options() -> Options {
     match journal {
         Some(path) => {
             let mut journal = JournalConfig::new(path).with_flush(journal_flush);
-            if let Some(ticks) = compact_every {
-                journal = journal.with_compact_every(ticks);
+            if let Some(records) = compact_every {
+                journal = journal.with_compact_every(records);
             }
             config = config.with_journal(journal);
         }

@@ -116,11 +116,12 @@ mod tests {
         assert_eq!(ServeConfig::for_tests().with_io_log_cap(0).io_log_cap, 1, "cap clamps to one");
         assert!(c.journal.is_none(), "journaling is opt-in");
         let journal = JournalConfig::new("/tmp/t.journal")
-            .with_flush(crate::journal::FlushPolicy::OnTick)
+            .with_flush(crate::journal::FlushPolicy::EveryEntryFsync)
             .with_compact_every(0);
         let c = ServeConfig::for_tests().with_journal(journal);
         let journal = c.journal.unwrap();
-        assert_eq!(journal.compact_every, Some(1), "compaction cadence clamps to one tick");
+        assert_eq!(journal.compact_every, Some(1), "compaction cadence clamps to one record");
+        assert_eq!(journal.flush, crate::journal::FlushPolicy::EveryEntryFsync);
         assert_eq!(journal.snapshot_path(), std::path::PathBuf::from("/tmp/t.journal.snapshot"));
     }
 }

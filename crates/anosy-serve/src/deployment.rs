@@ -1,6 +1,6 @@
 //! The deployment: one shared store + synthesis cache, one worker pool, many sessions.
 
-use crate::journal::{self, CompactOutcome, Journal, JournalStats, SaveOutcome};
+use crate::journal::{self, Journal, JournalStats, SaveOutcome};
 use crate::{parallel, ServeConfig, ServeError, ShardPool, Sharded};
 use anosy_core::{
     AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache, SynthesizeInto,
@@ -94,10 +94,10 @@ pub struct Deployment<D: AbstractDomain> {
     pool: Arc<ShardPool>,
     /// The append-only synthesis journal, once [`Deployment::open_journal`] attached it.
     /// Shared (like the cache and pool) so every [`Deployment::share`] handle — one per
-    /// reactor shard — appends to, flushes and compacts the same journal.
+    /// reactor shard — appends to and compacts the same journal.
     journal: Arc<OnceLock<Journal<D>>>,
-    /// Entries skipped as unencodable across every [`Deployment::save_cache`] of this
-    /// deployment (the `saves_skipped` token of the wire stats line).
+    /// Entries skipped as unencodable across every [`Deployment::save_cache`] and journal
+    /// compaction of this deployment (the `saves_skipped` token of the wire stats line).
     saves_skipped: Arc<AtomicU64>,
 }
 
@@ -176,7 +176,8 @@ impl<D: AbstractDomain> Deployment<D> {
         self.journal.get().map(Journal::stats).unwrap_or_default()
     }
 
-    /// Entries skipped as unencodable across every [`Deployment::save_cache`] so far.
+    /// Entries skipped as unencodable across every [`Deployment::save_cache`] and journal
+    /// compaction so far.
     pub fn saves_skipped(&self) -> u64 {
         self.saves_skipped.load(Ordering::Relaxed)
     }
@@ -342,8 +343,10 @@ impl<D: DomainCodec + 'static> Deployment<D> {
     /// [`Deployment::warm_start`] on the compaction snapshot, then [`Journal::recover`] on the
     /// journal (truncating a torn tail), installing both through the same `verify`-respecting
     /// funnel, and attaches a commit observer so every subsequently committed synthesis entry
-    /// is appended as it lands. Returns `Ok(None)` when the config carries no journal. Call
-    /// once per deployment, before serving traffic.
+    /// is appended as it lands. The append that brings the journal to
+    /// [`JournalConfig::compact_every`](journal::JournalConfig::compact_every) records also
+    /// compacts it, on the committing thread. Returns `Ok(None)` when the config carries no
+    /// journal. Call once per deployment, before serving traffic.
     ///
     /// # Errors
     ///
@@ -365,13 +368,21 @@ impl<D: DomainCodec + 'static> Deployment<D> {
             });
         }
         let journal = Arc::clone(&self.journal);
-        self.shared.set_commit_observer(move |entry| {
-            if let Some(journal) = journal.get() {
-                if let Err(err) = journal.append(entry) {
-                    // Losing durability must not take serving down; the operator sees the
-                    // failure, answers keep flowing.
-                    eprintln!("anosy-serve: journal append failed: {err}");
-                }
+        let saves_skipped = Arc::clone(&self.saves_skipped);
+        self.shared.set_commit_observer(move |cache, entry| {
+            let Some(journal) = journal.get() else { return };
+            // Losing durability must not take serving down; the operator sees the failure,
+            // answers keep flowing. The observer runs with no cache lock held, so it takes the
+            // journal lock and then the cache's, the same order as `save_cache`.
+            match journal.append(entry) {
+                Ok(false) => {}
+                Ok(true) => match journal.compact_with(|| cache.export_entries()) {
+                    Ok(outcome) => {
+                        saves_skipped.fetch_add(outcome.snapshot.skipped as u64, Ordering::Relaxed);
+                    }
+                    Err(err) => eprintln!("anosy-serve: journal compaction failed: {err}"),
+                },
+                Err(err) => eprintln!("anosy-serve: journal append failed: {err}"),
             }
         });
         Ok(Some(RecoveryOutcome {
@@ -380,34 +391,6 @@ impl<D: DomainCodec + 'static> Deployment<D> {
             replay_skipped: installed.skipped,
             torn: snapshot.torn + recovered.torn,
         }))
-    }
-
-    /// A server tick happened: flushes under the `on-tick` policy and runs a periodic
-    /// compaction when `compact_every` ticks have elapsed. No-op without a journal; reactors
-    /// call this unconditionally from their tick path.
-    pub fn journal_tick(&self) {
-        let Some(journal) = self.journal.get() else { return };
-        if journal.note_tick() {
-            if let Err(err) = self.compact() {
-                eprintln!("anosy-serve: journal compaction failed: {err}");
-            }
-        }
-    }
-
-    /// Compacts the attached journal into its snapshot while traffic continues (`Ok(None)`
-    /// without a journal). Equivalent to [`Deployment::save_cache`] at the snapshot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] on filesystem failures; a failed compaction leaves the
-    /// journal intact.
-    pub fn compact(&self) -> Result<Option<CompactOutcome>, ServeError> {
-        let Some(journal) = self.journal.get() else {
-            return Ok(None);
-        };
-        let outcome = journal.compact_with(|| self.shared.export_entries())?;
-        self.saves_skipped.fetch_add(outcome.snapshot.skipped as u64, Ordering::Relaxed);
-        Ok(Some(outcome))
     }
 }
 

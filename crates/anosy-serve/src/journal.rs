@@ -48,26 +48,30 @@
 //!
 //! # Flush policies
 //!
-//! [`FlushPolicy`] trades write syscalls against the crash window: `every-entry` hands each
-//! record to the OS as it is appended (a killed process loses nothing), `every-N` amortizes
-//! appends N records at a time, and `on-tick` defers to the end of the server's tick — one
-//! answered request or one connection teardown (cheapest; at most one tick of synthesis is at
-//! risk). Flushing pushes bytes to the OS — it survives a
-//! killed *process*; only snapshots (`sync_all` + rename) are also hardened against a host
-//! crash.
+//! No record stays buffered in the process once [`Journal::append`] returns. [`FlushPolicy`]
+//! only says how far it got: `every-entry` hands each record to the OS (a killed *process*
+//! loses nothing), `every-entry-fsync` also `sync_data`s it (a crashed *host* loses nothing
+//! either). Snapshots are always hardened against a host crash (`sync_all` + rename).
 //!
 //! # Compaction
 //!
-//! [`Journal::compact_with`] folds the journal into its snapshot *while traffic continues*:
-//! it locks the journal (appends briefly queue), snapshots the cache through the caller's
-//! export closure, writes the snapshot, then atomically replaces the journal with a fresh
-//! header-only file. Both writes go through one temp-file-plus-rename routine whose temp name
-//! is the target's name plus `.tmp`, so no two targets share a temp file. The lock ordering is
-//! the correctness argument: the cache publishes an entry *before* its observer appends, so
-//! any entry already journaled when the lock is taken is also in the exported snapshot, and a
-//! commit racing the compaction appends to the *truncated* journal (possibly duplicating the
-//! snapshot — replay tolerates duplicates, the in-memory entry wins). No entry is ever lost
-//! and nothing stops the world.
+//! [`Journal::compact_with`] folds the journal into its snapshot *while traffic continues*.
+//! It runs on an explicit save to the snapshot path and, with [`JournalConfig::compact_every`]
+//! set to `N`, on the thread whose append brings the journal file to `N` records:
+//! [`Journal::append`] reports the compaction due and the deployment's commit observer runs it
+//! before the commit returns. Growth alone drives it, so an idle deployment does no journal
+//! work, and a single committing thread never leaves `N` records in the file (concurrent
+//! commits can add the few that race a compaction).
+//!
+//! Compaction locks the journal (appends briefly queue), snapshots the cache through the
+//! caller's export closure, writes the snapshot, then atomically replaces the journal with a
+//! fresh header-only file. Both writes go through one temp-file-plus-rename routine whose temp
+//! name is the target's name plus `.tmp`, so no two targets share a temp file. The lock
+//! ordering is the correctness argument: the cache publishes an entry *before* its observer
+//! appends, so any entry already journaled when the lock is taken is also in the exported
+//! snapshot, and a commit racing the compaction appends to the *truncated* journal (possibly
+//! duplicating the snapshot — replay tolerates duplicates, the in-memory entry wins). No entry
+//! is ever lost and nothing stops the world.
 
 use crate::{wire, ServeError};
 use anosy_core::SharedCacheEntry;
@@ -242,40 +246,26 @@ pub fn save_entries<D: DomainCodec>(
     Ok(outcome)
 }
 
-/// When appended records are pushed from the process to the OS (see the module docs).
+/// How far every appended record gets before [`Journal::append`] returns (see the module
+/// docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush after every appended record (`every-entry`): a killed process loses nothing.
+    /// Flush every appended record to the OS (`every-entry`): a killed process loses nothing.
     EveryEntry,
-    /// Flush **and `fsync`** after every appended record (`every-entry-fsync`): a killed
-    /// process *or a crashed host* loses nothing. The other rungs only push records to the
-    /// OS page cache, which a power cut still eats; this one pays a `sync_data` per append
-    /// for host-crash durability.
+    /// Flush **and `fsync`** every appended record (`every-entry-fsync`): a killed process
+    /// *or a crashed host* loses nothing. `every-entry` only reaches the OS page cache, which
+    /// a power cut still eats; this one pays a `sync_data` per append for host-crash
+    /// durability.
     EveryEntryFsync,
-    /// Flush once `N` records are pending (`every-N`, e.g. `every-8`): at most `N - 1`
-    /// records are at risk.
-    EveryN(u64),
-    /// Flush at the end of every server tick — one answered request or one connection
-    /// teardown (`on-tick`): at most one tick of synthesis is at risk.
-    OnTick,
 }
 
 impl FlushPolicy {
-    /// Parses the wire/CLI form: `every-entry`, `every-entry-fsync`, `every-<N>` (N ≥ 1) or
-    /// `on-tick`.
+    /// Parses the wire/CLI form: `every-entry` or `every-entry-fsync`.
     pub fn parse(text: &str) -> Option<FlushPolicy> {
         match text {
             "every-entry" => Some(FlushPolicy::EveryEntry),
             "every-entry-fsync" => Some(FlushPolicy::EveryEntryFsync),
-            "on-tick" => Some(FlushPolicy::OnTick),
-            other => {
-                let n: u64 = other.strip_prefix("every-")?.parse().ok()?;
-                if n == 0 {
-                    None
-                } else {
-                    Some(FlushPolicy::EveryN(n))
-                }
-            }
+            _ => None,
         }
     }
 }
@@ -285,8 +275,6 @@ impl fmt::Display for FlushPolicy {
         match self {
             FlushPolicy::EveryEntry => write!(f, "every-entry"),
             FlushPolicy::EveryEntryFsync => write!(f, "every-entry-fsync"),
-            FlushPolicy::EveryN(n) => write!(f, "every-{n}"),
-            FlushPolicy::OnTick => write!(f, "on-tick"),
         }
     }
 }
@@ -298,10 +286,10 @@ pub struct JournalConfig {
     /// The journal file. The compaction snapshot lives next to it at
     /// [`JournalConfig::snapshot_path`].
     pub path: PathBuf,
-    /// When appended records reach the OS.
+    /// How far each appended record gets before the append returns.
     pub flush: FlushPolicy,
-    /// Compact every `N` server ticks, a tick being one answered request or one connection
-    /// teardown (`None`: only on explicit `SaveCache` requests to the snapshot path).
+    /// Compact once the journal file holds `N` records, on the thread whose append brought it
+    /// there (`None`: only on explicit `SaveCache` requests to the snapshot path).
     pub compact_every: Option<u64>,
 }
 
@@ -318,9 +306,9 @@ impl JournalConfig {
         self
     }
 
-    /// Compact every `ticks` server ticks (clamped to at least one).
-    pub fn with_compact_every(mut self, ticks: u64) -> JournalConfig {
-        self.compact_every = Some(ticks.max(1));
+    /// Compact once the journal file holds `records` records (clamped to at least one).
+    pub fn with_compact_every(mut self, records: u64) -> JournalConfig {
+        self.compact_every = Some(records.max(1));
         self
     }
 
@@ -462,10 +450,8 @@ pub fn replay<D: DomainCodec>(path: &Path) -> Result<(Vec<SharedCacheEntry<D>>, 
 
 struct Writer {
     file: BufWriter<File>,
-    /// Records appended since the last flush (drives [`FlushPolicy::EveryN`]).
-    pending: u64,
     /// Records currently in the file (replayed good prefix + appends); what a compaction
-    /// truncates away.
+    /// truncates away, and what [`JournalConfig::compact_every`] counts.
     records: u64,
 }
 
@@ -480,7 +466,7 @@ pub struct Recovered<D: AbstractDomain> {
 }
 
 /// An open append-only journal (see the [module docs](self)). Shared behind an `Arc` by every
-/// handle of a deployment; appends, flushes and compactions serialize on an internal lock.
+/// handle of a deployment; appends and compactions serialize on an internal lock.
 pub struct Journal<D: AbstractDomain> {
     config: JournalConfig,
     writer: Mutex<Writer>,
@@ -488,7 +474,6 @@ pub struct Journal<D: AbstractDomain> {
     compacted: AtomicU64,
     replayed: AtomicU64,
     torn: AtomicU64,
-    ticks: AtomicU64,
     fsyncs: AtomicU64,
     _domain: std::marker::PhantomData<fn() -> D>,
 }
@@ -541,16 +526,11 @@ impl<D: DomainCodec> Journal<D> {
         anosy_telemetry::count("journal.replayed", scan.entries.len() as u64);
         anosy_telemetry::count("journal.torn", scan.torn);
         let journal = Journal {
-            writer: Mutex::new(Writer {
-                file: writer,
-                pending: 0,
-                records: scan.entries.len() as u64,
-            }),
+            writer: Mutex::new(Writer { file: writer, records: scan.entries.len() as u64 }),
             appended: AtomicU64::new(0),
             compacted: AtomicU64::new(0),
             replayed: AtomicU64::new(scan.entries.len() as u64),
             torn: AtomicU64::new(scan.torn),
-            ticks: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             config,
             _domain: std::marker::PhantomData,
@@ -558,69 +538,34 @@ impl<D: DomainCodec> Journal<D> {
         Ok(Recovered { journal, entries: scan.entries, torn: scan.torn })
     }
 
-    /// Appends one committed entry as a framed record, flushing per the configured policy.
-    /// Entries the text encoding cannot represent faithfully are skipped — exactly the
-    /// entries a snapshot save would skip, so journal and snapshot never disagree.
+    /// Appends one committed entry as a framed record and flushes it per the configured
+    /// policy before returning. Entries the text encoding cannot represent faithfully are
+    /// skipped — exactly the entries a snapshot save would skip, so journal and snapshot never
+    /// disagree. Returns whether a compaction is now due: the file holds
+    /// [`JournalConfig::compact_every`] records or more. The caller runs it
+    /// ([`Journal::compact_with`]) because only it can export the cache.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] on filesystem failures.
-    pub fn append(&self, entry: &SharedCacheEntry<D>) -> Result<(), ServeError> {
-        let Some(body) = encode_entry(entry) else { return Ok(()) };
+    pub fn append(&self, entry: &SharedCacheEntry<D>) -> Result<bool, ServeError> {
+        let Some(body) = encode_entry(entry) else { return Ok(false) };
         let _span = anosy_telemetry::span("journal.append");
         let mut writer = lock(&self.writer);
         write_record(&mut writer.file, &body)?;
-        writer.pending += 1;
         writer.records += 1;
-        let flush = match self.config.flush {
-            FlushPolicy::EveryEntry | FlushPolicy::EveryEntryFsync => true,
-            FlushPolicy::EveryN(n) => writer.pending >= n,
-            FlushPolicy::OnTick => false,
-        };
-        if flush {
-            writer.file.flush()?;
-            writer.pending = 0;
-            if self.config.flush == FlushPolicy::EveryEntryFsync {
-                // `flush` only moved the record into the OS page cache; `sync_data` pins it
-                // to stable storage before the append reports success.
-                writer.file.get_ref().sync_data()?;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
+        writer.file.flush()?;
+        if self.config.flush == FlushPolicy::EveryEntryFsync {
+            // `flush` only moved the record into the OS page cache; `sync_data` pins it to
+            // stable storage before the append reports success.
+            writer.file.get_ref().sync_data()?;
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
+        let due = self.config.compact_every.is_some_and(|every| writer.records >= every);
         drop(writer);
         self.appended.fetch_add(1, Ordering::Relaxed);
         anosy_telemetry::count("journal.appended", 1);
-        Ok(())
-    }
-
-    /// Pushes any buffered records to the OS regardless of policy (exit paths, tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Io`] on filesystem failures.
-    pub fn flush(&self) -> Result<(), ServeError> {
-        let mut writer = lock(&self.writer);
-        writer.file.flush()?;
-        writer.pending = 0;
-        Ok(())
-    }
-
-    /// A server tick happened: flush under the `on-tick` policy, and report whether a
-    /// periodic compaction is now due (`compact_every` ticks have elapsed). The caller (the
-    /// deployment) runs the compaction, because only it can export the cache.
-    pub fn note_tick(&self) -> bool {
-        if self.config.flush == FlushPolicy::OnTick {
-            // A flush failure here must not take the reactor down mid-tick; the next append
-            // or the exit-path flush will surface the error.
-            let _ = self.flush();
-        }
-        match self.config.compact_every {
-            Some(every) => (self.ticks.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every),
-            None => {
-                self.ticks.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        Ok(due)
     }
 
     /// Compacts the journal into a snapshot at [`JournalConfig::snapshot_path`] while traffic
@@ -647,7 +592,7 @@ impl<D: DomainCodec> Journal<D> {
         let mut file = OpenOptions::new().write(true).open(&self.config.path)?;
         file.seek(SeekFrom::End(0))?;
         let truncated = writer.records;
-        *writer = Writer { file: BufWriter::new(file), pending: 0, records: 0 };
+        *writer = Writer { file: BufWriter::new(file), records: 0 };
         drop(writer);
         self.compacted.fetch_add(truncated, Ordering::Relaxed);
         anosy_telemetry::count("journal.compacted", truncated);
@@ -672,20 +617,10 @@ impl<D: AbstractDomain> Journal<D> {
     }
 
     /// `sync_data` calls issued so far — non-zero only under
-    /// [`FlushPolicy::EveryEntryFsync`], where it equals the flushed append count (the
-    /// durability test's witness that every append reached stable storage).
+    /// [`FlushPolicy::EveryEntryFsync`], where it equals the append count (the durability
+    /// test's witness that every append reached stable storage).
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs.load(Ordering::Relaxed)
-    }
-}
-
-impl<D: AbstractDomain> Drop for Journal<D> {
-    fn drop(&mut self) {
-        // Best-effort exit flush: buffered `every-N`/`on-tick` records should not be lost to a
-        // *clean* shutdown (a killed process is what the flush policy already priced in).
-        if let Ok(mut writer) = self.writer.lock() {
-            let _ = writer.file.flush();
-        }
     }
 }
 
@@ -755,26 +690,18 @@ mod tests {
     }
 
     #[test]
-    fn flush_policies_gate_when_bytes_reach_the_os() {
-        let path = tmp_path("flush_policy.journal");
-        let r = recover(&path, FlushPolicy::EveryN(2));
-        let header_only = std::fs::metadata(&path).unwrap().len();
-        r.journal.append(&entry(200)).unwrap();
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            header_only,
-            "one pending record under every-2 stays buffered"
-        );
-        r.journal.append(&entry(300)).unwrap();
-        assert!(std::fs::metadata(&path).unwrap().len() > header_only, "second append flushes");
-
-        let path = tmp_path("flush_on_tick.journal");
-        let r = recover(&path, FlushPolicy::OnTick);
-        let header_only = std::fs::metadata(&path).unwrap().len();
-        r.journal.append(&entry(200)).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), header_only);
-        r.journal.note_tick();
-        assert!(std::fs::metadata(&path).unwrap().len() > header_only, "tick flushes");
+    fn every_append_is_on_disk_before_append_returns() {
+        for flush in [FlushPolicy::EveryEntry, FlushPolicy::EveryEntryFsync] {
+            let path = tmp_path(&format!("on_disk_{flush}.journal"));
+            let r = recover(&path, flush);
+            for (k, xo) in [200, 300, 250].into_iter().enumerate() {
+                r.journal.append(&entry(xo)).unwrap();
+                // A second reader of the file, while the journal is still open: nothing of
+                // the record may be left buffered in the process.
+                let (entries, torn) = replay::<IntervalDomain>(&path).unwrap();
+                assert_eq!((entries.len(), torn), (k + 1, 0), "{flush}: append {k}");
+            }
+        }
     }
 
     #[test]
@@ -792,7 +719,7 @@ mod tests {
         assert_eq!(second.entries.len(), 2);
         assert_eq!(second.torn, 0);
 
-        // The other rungs never fsync.
+        // `every-entry` never fsyncs.
         let path = tmp_path("no_fsync.journal");
         let r = recover(&path, FlushPolicy::EveryEntry);
         r.journal.append(&entry(200)).unwrap();
@@ -986,21 +913,34 @@ mod tests {
 
     #[test]
     fn flush_policy_parse_display_round_trips() {
-        for text in ["every-entry", "every-entry-fsync", "every-8", "on-tick"] {
+        for text in ["every-entry", "every-entry-fsync"] {
             assert_eq!(FlushPolicy::parse(text).unwrap().to_string(), text);
         }
-        assert_eq!(FlushPolicy::parse("every-0"), None);
-        assert_eq!(FlushPolicy::parse("sometimes"), None);
-        assert_eq!(FlushPolicy::parse("every-"), None);
+        for retired in ["every-8", "every-1", "on-tick", "every-", "sometimes"] {
+            assert_eq!(FlushPolicy::parse(retired), None, "{retired}");
+        }
     }
 
     #[test]
-    fn note_tick_schedules_periodic_compaction() {
-        let path = tmp_path("tick_compaction.journal");
-        let config =
-            JournalConfig::new(&path).with_flush(FlushPolicy::OnTick).with_compact_every(3);
-        let r = Journal::<IntervalDomain>::recover(config).unwrap();
-        let due: Vec<bool> = (0..7).map(|_| r.journal.note_tick()).collect();
-        assert_eq!(due, vec![false, false, true, false, false, true, false]);
+    fn compaction_is_due_when_records_reach_compact_every() {
+        let path = tmp_path("growth_compaction.journal");
+        let r = Journal::<IntervalDomain>::recover(JournalConfig::new(&path).with_compact_every(3))
+            .unwrap();
+        let mut committed = Vec::new();
+        let mut records = Vec::new();
+        for xo in [100, 150, 200, 250, 300, 350] {
+            committed.push(entry(xo));
+            if r.journal.append(&entry(xo)).unwrap() {
+                r.journal.compact_with(|| committed.clone()).unwrap();
+            }
+            let now = lock(&r.journal.writer).records;
+            assert_eq!(replay::<IntervalDomain>(&path).unwrap().0.len() as u64, now);
+            records.push(now);
+        }
+        assert_eq!(records, vec![1, 2, 0, 1, 2, 0]);
+        assert_eq!(r.journal.stats().compacted, 6);
+        // Without a cadence the journal never asks for a compaction.
+        let r = recover(&tmp_path("no_cadence.journal"), FlushPolicy::EveryEntry);
+        assert!((0..5).all(|k| !r.journal.append(&entry(k * 80)).unwrap()));
     }
 }

@@ -735,9 +735,6 @@ where
                 }
             }
         }
-        // Journal housekeeping rides the tick boundary: the `on-tick` flush and the periodic
-        // compaction both happen here, on the reactor thread (a no-op without a journal).
-        self.frontend.deployment().journal_tick();
     }
 
     /// The frontend (sessions, stats, deployment) behind this server.

@@ -212,12 +212,12 @@ fn live_compaction_mid_storm_keeps_recovery_lossless() {
     let seed = base_seed().wrapping_add(2);
     let config = ServeConfig::for_tests().with_journal(
         JournalConfig::new(journal_path("compact"))
-            .with_flush(FlushPolicy::OnTick)
-            .with_compact_every(4),
+            .with_flush(FlushPolicy::EveryEntry)
+            .with_compact_every(1),
     );
 
-    // First life: the on-tick flush and the 4-tick compaction cadence both ride the reactor's
-    // tick path, so snapshots are cut *while the storm is in flight*.
+    // First life: with a 1-record cadence every commit compacts on the committing reactor
+    // thread, so snapshots are cut *while the storm is in flight*.
     let first = journaled_deployment(&config);
     let (server, _) = run_on(first.share(), seed, |sim| storm(sim, false));
     assert_matches_oracle(&server);

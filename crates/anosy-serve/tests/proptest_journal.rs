@@ -8,6 +8,8 @@
 //!   the corrupted one (the framing checksum rejects the rest).
 //! * Replaying a journal that was compacted mid-stream restores the same cache as replaying
 //!   one that never compacted — compaction moves entries, it cannot lose or invent them.
+//! * With `compact_every = N`, a journaled deployment's journal stays below `N` records after
+//!   every commit, and snapshot + journal recovery restores exactly the committed set.
 //!
 //! Entries are hand-built (no synthesis), so thousands of cases cost only file I/O.
 
@@ -16,7 +18,7 @@ use anosy_domains::{AInt, IntervalDomain};
 use anosy_logic::{IntExpr, SecretLayout};
 use anosy_serve::journal::replay;
 use anosy_serve::{save_entries, Deployment, FlushPolicy, Journal, JournalConfig, ServeConfig};
-use anosy_synth::{ApproxKind, IndSets};
+use anosy_synth::{ApproxKind, IndSets, QueryDef};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,6 +94,20 @@ fn build_file(kind: FileKind, path: &PathBuf, xos: &[i64]) -> Vec<u64> {
             })
             .collect(),
     }
+}
+
+/// One step of a journaled deployment's life.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Commit the entry of this `xo` through the cache (a cache hit when it is already there).
+    Commit(i64),
+    /// `save_cache` to the snapshot path: an explicit compaction.
+    Save,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    // Forty keys, so a life of a few dozen steps revisits some of them (hits commit nothing).
+    (0i64..50).prop_map(|v| if v < 40 { Op::Commit(v * 10) } else { Op::Save })
 }
 
 fn distinct_xos() -> impl Strategy<Value = Vec<i64>> {
@@ -224,5 +240,66 @@ proptest! {
             prop_assert_eq!(&a.pred, &b.pred);
             prop_assert_eq!(&a.indsets, &b.indsets);
         }
+    }
+
+    /// The journal bound under growth-driven compaction: with `compact_every = N`, the journal
+    /// file replays fewer than `N` records after every commit, because the commit that brings it
+    /// to `N` compacts before returning. One thread commits here, so no commit races a
+    /// compaction and no duplicate records can appear; concurrent commits could each add one.
+    /// Explicit compactions (`save_cache` to the snapshot path) interleave freely, and a crash
+    /// at any step (the deployment dropped with no exit action) loses nothing: snapshot +
+    /// journal recovery restores exactly the committed set.
+    #[test]
+    fn growth_compaction_bounds_the_journal_and_recovery_is_lossless(
+        every in 1u64..6,
+        ops in proptest::collection::vec(op(), 0..24),
+        crash in 0usize..24,
+    ) {
+        let path = scratch("growth");
+        let config = ServeConfig::for_tests()
+            .with_journal(JournalConfig::new(&path).with_compact_every(every));
+        let snapshot_path = config.journal.as_ref().unwrap().snapshot_path();
+
+        let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
+        first.open_journal(false).unwrap().unwrap();
+        let mut committed = std::collections::BTreeSet::new();
+        for &op in &ops[..crash.min(ops.len())] {
+            match op {
+                Op::Commit(xo) => {
+                    let fake = entry(xo);
+                    let query = QueryDef::new(format!("q{xo}"), layout(), fake.pred).unwrap();
+                    first
+                        .shared()
+                        .get_or_synthesize(&query, ApproxKind::Under, None, || Ok(fake.indsets))
+                        .unwrap();
+                    committed.insert(xo);
+                    let (journaled, torn) = replay::<IntervalDomain>(&path).unwrap();
+                    prop_assert!(
+                        (journaled.len() as u64) < every,
+                        "{} records journaled with compact_every = {}",
+                        journaled.len(),
+                        every
+                    );
+                    prop_assert_eq!(torn, 0);
+                }
+                Op::Save => {
+                    first.save_cache(&snapshot_path).unwrap();
+                    prop_assert_eq!(replay::<IntervalDomain>(&path).unwrap().0.len(), 0);
+                }
+            }
+        }
+        prop_assert_eq!(first.journal_stats().appended, committed.len() as u64);
+        drop(first); // the crash: no save, no exit action
+
+        let second: Deployment<IntervalDomain> = Deployment::new(layout(), config);
+        let recovery = second.open_journal(false).unwrap().unwrap();
+        prop_assert_eq!(recovery.torn, 0);
+        let mut recovered: Vec<String> =
+            second.shared().export_entries().iter().map(|e| e.pred.to_string()).collect();
+        let mut expected: Vec<String> =
+            committed.iter().map(|&xo| entry(xo).pred.to_string()).collect();
+        recovered.sort();
+        expected.sort();
+        prop_assert_eq!(recovered, expected);
     }
 }

@@ -215,6 +215,8 @@ fn bad_arguments_fail_with_usage() {
         &["--layout", "x:0:4 x:0:4"][..],
         &["--layout", "x:0:400", "--ticked"],
         &["--layout", "x:0:400", "--tick-ms", "5"],
+        &["--layout", "x:0:400", "--journal", "j", "--journal-flush", "on-tick"],
+        &["--layout", "x:0:400", "--journal", "j", "--journal-flush", "every-8"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
             .args(args)

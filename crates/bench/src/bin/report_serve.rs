@@ -4,9 +4,8 @@
 //! throughput vs the direct batched driver (including the binary wire path: frame decode +
 //! zero-copy interned parse + fused ticks, recorded as `BENCH_pr10.json`'s `wire_` columns),
 //! the multi-reactor `SimNet` load generator at
-//! `reactors = 1/2/4`, the durability-journal overhead comparison (journal off vs each flush
-//! policy on the same cold seeded load) and the restart-to-warm latency rows (snapshot load +
-//! journal replay vs a bare cold construction). Used to record `BENCH_pr3.json` /
+//! `reactors = 1/2/4` and the restart-to-warm latency rows (snapshot load + journal replay vs a
+//! bare cold construction). Used to record `BENCH_pr3.json` /
 //! `BENCH_pr4.json` / `BENCH_pr7.json` / `BENCH_pr8.json` / `BENCH_pr9.json` /
 //! `BENCH_pr10.json`.
 //!
@@ -31,8 +30,8 @@ use anosy::domains::{IntervalDomain, PowersetDomain};
 use anosy::prelude::*;
 use anosy::serve::{Deployment, ServeConfig};
 use bench::{
-    frontend_rows, host_parallelism, journal_rows, render_frontend, render_journal, render_restart,
-    render_serve, render_shard_skew, render_telemetry, render_transport, restart_rows, serve_rows,
+    frontend_rows, host_parallelism, render_frontend, render_restart, render_serve,
+    render_shard_skew, render_telemetry, render_transport, restart_rows, serve_rows,
     serve_rows_to_json, telemetry_rows, transport_rows,
 };
 
@@ -74,12 +73,7 @@ fn main() {
     let (telemetry, shard_skew) =
         telemetry_rows(tenants, 41, 43, &[1, 2, 4], if quick { 12 } else { 3 });
 
-    // Durability: journaling overhead (journal off vs each flush policy on the same cold
-    // seeded load — the PR 9 <= 5% budget for on-tick) and restart-to-warm latency vs a bare
-    // cold construction at two cache sizes.
-    // The journal rows always run the full-size population: quick runs are milliseconds long
-    // and synthesis noise would swamp the per-append cost being measured.
-    let journal = journal_rows(tenants.max(128), 41, 43, 16);
+    // Durability: restart-to-warm latency vs a bare cold construction at two cache sizes.
     let restart = restart_rows(&[1_000, 10_000], 3);
 
     // A representative deployment aggregate block: N sessions of one deployment registering the
@@ -138,7 +132,6 @@ fn main() {
                 &transport,
                 &telemetry,
                 &shard_skew,
-                &journal,
                 &restart,
                 &stats.to_json(),
                 &analysis,
@@ -155,8 +148,6 @@ fn main() {
         print!("{}", render_telemetry(&telemetry));
         println!("\nPer-shard skew — from the telemetry-on runs' reports");
         print!("{}", render_shard_skew(&shard_skew));
-        println!("\nJournaling overhead — journal off vs each flush policy, same cold load");
-        print!("{}", render_journal(&journal));
         println!("\nRestart-to-warm latency — snapshot + journal replay vs cold construction");
         print!("{}", render_restart(&restart));
         println!("\n{analysis}");

@@ -1026,107 +1026,6 @@ pub fn render_shard_skew(rows: &[ShardSkewRow]) -> String {
     out
 }
 
-/// One row of the journaling-overhead comparison (`report_serve --json`'s `journal_rows`,
-/// recorded as `BENCH_pr9.json`): the same seeded population served by a cold deployment with
-/// the durability journal off vs attached under each flush policy. Synthesis commits are what
-/// get journaled, so every run starts cold (fresh deployment, fresh journal file). The PR 9
-/// overhead budget is `overhead_pct <= 5` for the `on-tick` policy.
-#[derive(Debug, Clone)]
-pub struct JournalRow {
-    /// `"off"`, or the flush policy (`"every-entry"`, `"every-8"`, `"on-tick"`).
-    pub policy: String,
-    /// Protocol requests scheduled across all connections.
-    pub requests: usize,
-    /// Best-of-N wall-clock of the pool run.
-    pub seconds: f64,
-    /// Throughput of the best run.
-    pub rps: f64,
-    /// `(off_rps - rps) / off_rps * 100` — positive means journaling cost throughput.
-    pub overhead_pct: f64,
-    /// Journal records appended during the best run (0 for the `off` row).
-    pub appended: u64,
-}
-
-/// Measures journaling overhead with the `SimNet` load generator: the same seeded population
-/// runs against a cold deployment with no journal, then with a journal under each flush
-/// policy (best wall-clock of `iterations` runs each, interleaved so clock drift biases every
-/// policy equally). Every run synthesizes the palette from scratch — commits are the traffic
-/// that reaches the journal.
-pub fn journal_rows(
-    tenants: usize,
-    population_seed: u64,
-    net_seed: u64,
-    iterations: usize,
-) -> Vec<JournalRow> {
-    use anosy::serve::loadgen::{self, LoadOptions};
-    use anosy::serve::{popsim, FlushPolicy, JournalConfig, ServeConfig};
-
-    let population = loadgen::population(population_seed, tenants);
-    let policies: [(&str, Option<FlushPolicy>); 4] = [
-        ("off", None),
-        ("every-entry", Some(FlushPolicy::EveryEntry)),
-        ("every-8", Some(FlushPolicy::EveryN(8))),
-        ("on-tick", Some(FlushPolicy::OnTick)),
-    ];
-    let dir = std::env::temp_dir();
-    let mut best: Vec<Option<(Duration, usize, f64, u64)>> = vec![None; policies.len()];
-    for _ in 0..iterations.max(1) {
-        for (slot, (label, policy)) in best.iter_mut().zip(&policies) {
-            let mut config = ServeConfig::for_tests();
-            if let Some(flush) = policy {
-                let path = dir.join(format!("anosy-bench-journal-{label}.journal"));
-                let journal = JournalConfig::new(&path).with_flush(*flush);
-                // A fresh journal every run: leftover records would replay into a warm
-                // cache and starve the run of synthesis commits to journal.
-                let _ = std::fs::remove_file(&path);
-                let _ = std::fs::remove_file(journal.snapshot_path());
-                config = config.with_journal(journal);
-            }
-            let deployment = popsim::cold_deployment(&population, &config);
-            deployment.open_journal(false).expect("journal opens on a fresh file");
-            let options = LoadOptions::new(net_seed, 2).telemetry(false);
-            let run = loadgen::run_on(&population, &options, &deployment);
-            let appended = deployment.journal_stats().appended;
-            if slot.as_ref().is_none_or(|b| run.report.elapsed < b.0) {
-                *slot = Some((
-                    run.report.elapsed,
-                    run.report.requests,
-                    run.report.requests_per_sec,
-                    appended,
-                ));
-            }
-        }
-    }
-    let off_rps = best[0].as_ref().expect("at least one iteration ran").2;
-    policies
-        .iter()
-        .zip(&best)
-        .map(|((label, _), slot)| {
-            let (elapsed, requests, rps, appended) = slot.expect("at least one iteration ran");
-            JournalRow {
-                policy: label.to_string(),
-                requests,
-                seconds: elapsed.as_secs_f64(),
-                rps,
-                overhead_pct: (off_rps - rps) / off_rps.max(1e-9) * 100.0,
-                appended,
-            }
-        })
-        .collect()
-}
-
-/// Renders journal overhead rows as an aligned text table.
-pub fn render_journal(rows: &[JournalRow]) -> String {
-    let mut out = String::from("Policy       Requests  Seconds      req/s  Overhead  Appended\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:<11}  {:>8}  {:>7.4}  {:>9.1}  {:>7.2}%  {:>8}\n",
-            r.policy, r.requests, r.seconds, r.rps, r.overhead_pct, r.appended,
-        ));
-    }
-    out
-}
-
 /// One row of the restart-latency comparison (`report_serve --json`'s `restart_rows`,
 /// recorded as `BENCH_pr9.json`): how long a warm start (snapshot load + journal replay of
 /// `entries` cached entries, split roughly half/half) takes vs constructing the same
@@ -1230,8 +1129,8 @@ pub fn render_restart(rows: &[RestartRow]) -> String {
 }
 
 /// Renders serve rows (plus the frontend tick-throughput rows, the multi-reactor transport
-/// rows, the telemetry overhead and per-shard skew rows, the journaling-overhead and
-/// restart-latency rows, the deployment-level aggregate block and a free-text analysis of the
+/// rows, the telemetry overhead and per-shard skew rows, the restart-latency rows, the
+/// deployment-level aggregate block and a free-text analysis of the
 /// measurement conditions) as the `BENCH_pr3.json` / `BENCH_pr4.json` / `BENCH_pr7.json` /
 /// `BENCH_pr8.json` / `BENCH_pr9.json` document. Every parallel row carries `capped_by_host`
 /// (see [`capped_by_host`]).
@@ -1242,7 +1141,6 @@ pub fn serve_rows_to_json(
     transport: &[TransportRow],
     telemetry: &[TelemetryRow],
     shard_skew: &[ShardSkewRow],
-    journal: &[JournalRow],
     restart: &[RestartRow],
     deployment_stats_json: &str,
     analysis: &str,
@@ -1356,22 +1254,6 @@ pub fn serve_rows_to_json(
             r.latency_p50,
             r.latency_p99,
             if i + 1 == shard_skew.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"journal_rows\": [\n");
-    for (i, r) in journal.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"policy\": \"{}\", \"requests\": {}, \"seconds\": {:.6}, ",
-                "\"rps\": {:.1}, \"overhead_pct\": {:.2}, \"appended\": {}}}{}\n"
-            ),
-            json_escape(&r.policy),
-            r.requests,
-            r.seconds,
-            r.rps,
-            r.overhead_pct,
-            r.appended,
-            if i + 1 == journal.len() { "" } else { "," },
         ));
     }
     out.push_str("  ],\n  \"restart_rows\": [\n");
@@ -1805,25 +1687,6 @@ mod tests {
             ShardSkewRow { reactors: 2, shard: 1, requests: 80, latency_p50: 7, latency_p99: 31 },
         ];
         assert!(render_shard_skew(&shard_skew).contains("Shard"));
-        let journal = vec![
-            JournalRow {
-                policy: "off".into(),
-                requests: 200,
-                seconds: 0.05,
-                rps: 4000.0,
-                overhead_pct: 0.0,
-                appended: 0,
-            },
-            JournalRow {
-                policy: "on-tick".into(),
-                requests: 200,
-                seconds: 0.051,
-                rps: 3920.0,
-                overhead_pct: 2.0,
-                appended: 17,
-            },
-        ];
-        assert!(render_journal(&journal).contains("Overhead"));
         let restart = vec![RestartRow {
             entries: 1000,
             snapshot_entries: 500,
@@ -1838,7 +1701,6 @@ mod tests {
             &transport,
             &telemetry,
             &shard_skew,
-            &journal,
             &restart,
             "{\"workers\": 2}",
             "single-core \"host\"\nwith C:\\cores",
@@ -1846,9 +1708,8 @@ mod tests {
         assert_eq!(json.matches("{\"id\"").count(), 5);
         assert_eq!(json.matches("{\"batch_size\"").count(), 2);
         assert_eq!(json.matches("{\"reactors\"").count(), 2 + telemetry.len() + shard_skew.len());
-        assert_eq!(json.matches("{\"policy\"").count(), journal.len());
         assert_eq!(json.matches("{\"entries\"").count(), restart.len());
-        assert_eq!(json.matches("\"overhead_pct\"").count(), 1 + journal.len());
+        assert_eq!(json.matches("\"overhead_pct\"").count(), telemetry.len());
         assert_eq!(json.matches("\"shard\"").count(), 2);
         assert!(json.contains("\"figure\": \"serve_throughput\""));
         assert!(json.contains("\"domain\": \"interval\""));
@@ -1880,22 +1741,6 @@ mod tests {
         let single = skew.iter().find(|s| s.reactors == 1).expect("the reactors=1 row").requests;
         let sharded: u64 = skew.iter().filter(|s| s.reactors == 2).map(|s| s.requests).sum();
         assert_eq!(sharded, single, "sharding redistributes requests, never loses them");
-    }
-
-    #[test]
-    fn journal_rows_measure_every_policy_against_the_same_cold_load() {
-        let rows = journal_rows(8, 41, 43, 1);
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].policy, "off");
-        assert_eq!(rows[0].appended, 0, "the off row runs without a journal");
-        assert_eq!(rows[0].overhead_pct, 0.0, "overhead is measured against the off row");
-        for r in &rows {
-            assert!(r.rps > 0.0, "{}", r.policy);
-            assert_eq!(r.requests, rows[0].requests, "same schedule under every policy");
-        }
-        for r in &rows[1..] {
-            assert!(r.appended > 0, "{}: a cold run journals its synthesis commits", r.policy);
-        }
     }
 
     #[test]
