@@ -283,10 +283,23 @@ impl<D: AbstractDomain> AnosySession<D> {
         if !self.layout.admits(point) {
             return Err(AnosyError::SecretOutsideLayout);
         }
-        let prior = self.knowledge_of(point);
-        match downgrade_step(self.policy.as_ref(), qinfo, &prior, point) {
+        // The prior is read in place; only a secret no downgrade has touched builds one (`⊤`).
+        let initial;
+        let prior = match self.secrets.get(point) {
+            Some(tracked) => tracked,
+            None => {
+                initial = Knowledge::initial(&self.layout);
+                &initial
+            }
+        };
+        match downgrade_step(self.policy.as_ref(), qinfo, prior, point) {
             Ok((response, posterior)) => {
-                self.secrets.insert(point.clone(), posterior);
+                match self.secrets.get_mut(point) {
+                    Some(tracked) => *tracked = posterior,
+                    None => {
+                        self.secrets.insert(point.clone(), posterior);
+                    }
+                }
                 self.note_downgrade_outcome(true);
                 Ok(response)
             }

@@ -37,6 +37,12 @@ impl IntervalDomain {
         IntervalDomain { repr: Repr::Box { dims: intervals } }
     }
 
+    /// The explicit `⊤` element of a layout whose per-field bounds are `space`: the powerset
+    /// domain stores members as bare bounds and rebuilds its `⊤` members with this.
+    pub(crate) fn top_of(space: Vec<AInt>) -> Self {
+        IntervalDomain { repr: Repr::Top { space } }
+    }
+
     /// The explicit empty domain of the given arity.
     pub fn empty(arity: usize) -> Self {
         IntervalDomain { repr: Repr::Bottom { arity } }

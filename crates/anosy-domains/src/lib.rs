@@ -44,6 +44,8 @@ mod secret;
 pub use aint::AInt;
 pub use domain::AbstractDomain;
 pub use interval::IntervalDomain;
+#[doc(hidden)]
+pub use powerset::without_size_oracle;
 pub use powerset::PowersetDomain;
 pub use region::{region_size, subtract_box, subtract_boxes};
 pub use secret::Secret;

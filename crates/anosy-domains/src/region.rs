@@ -5,11 +5,10 @@
 //! cardinality of such a region even when the boxes overlap. Differences are decomposed into
 //! disjoint boxes, which keeps everything exact in `u128`.
 //!
-//! The powerset domain counts each inclusion member's residual with `residual_count` once,
-//! while normalizing an element, and keeps the exact size those counts sum to. A subtrahend
-//! only splits the pieces it overlaps, so a member no box meets is counted without building a
-//! piece. [`region_size`] recomputes the same size from scratch; it is the oracle the debug
-//! assertions and tests check the stored size against.
+//! The powerset domain does not call into this module on its hot path: it keeps its members
+//! flat and counts each member's residual depth-first on a scratch stack, building no pieces.
+//! [`subtract_boxes`] and [`region_size`] recompute the same size from [`IntBox`]es; they are
+//! the oracle that debug builds and tests check the stored size against.
 
 use anosy_logic::{IntBox, Range};
 
@@ -83,23 +82,6 @@ pub fn subtract_boxes<'a>(
         }
     }
     pieces
-}
-
-/// Exact number of points of `a` outside every box of `subtrahends`: the summed count of
-/// [`subtract_boxes`]`(a, subtrahends)`, without building a piece while no subtrahend meets `a`.
-pub(crate) fn residual_count<'a>(
-    a: &IntBox,
-    subtrahends: impl IntoIterator<Item = &'a IntBox>,
-) -> u128 {
-    let mut subtrahends = subtrahends.into_iter();
-    // The subtrahends before the first one that meets `a` meet none of its pieces either.
-    match subtrahends.by_ref().find(|b| a.intersects(b)) {
-        None => a.count(),
-        Some(first) => subtract_boxes(a, std::iter::once(first).chain(subtrahends))
-            .iter()
-            .map(IntBox::count)
-            .sum(),
-    }
 }
 
 /// Exact number of points in `(∪ includes) \ (∪ excludes)`.
@@ -239,7 +221,6 @@ mod tests {
                 a.points().filter(|pt| !subs.iter().any(|s| s.contains_point(pt))).count()
             };
             assert_eq!(pieces.iter().map(IntBox::count).sum::<u128>(), outside as u128);
-            assert_eq!(residual_count(&a, &subs), outside as u128);
         }
     }
 

@@ -1,10 +1,14 @@
-//! Property-based tests for the abstract domains: the class laws of Fig. 3 and exactness of
-//! `size`/`contains`/`intersect` against brute-force enumeration on small secret spaces.
+//! Property-based tests for the abstract domains: the class laws of Fig. 3, exactness of
+//! `size`/`contains`/`intersect` against brute-force enumeration on small secret spaces, and the
+//! flat powerset kernel against the normalization it replaced.
 
-use anosy_domains::{laws, region_size, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
+use anosy_domains::{
+    laws, region_size, subtract_boxes, AInt, AbstractDomain, IntervalDomain, PowersetDomain,
+};
 use anosy_logic::{IntBox, Point, SecretLayout};
 use anosy_synth::DomainCodec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const SIDE: i64 = 11; // small 2-D space so brute force stays fast
 
@@ -55,8 +59,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn member_boxes(members: &[IntervalDomain]) -> Vec<IntBox> {
-    members.iter().filter_map(IntervalDomain::to_box).collect()
+fn member_boxes(members: impl IntoIterator<Item = IntervalDomain>) -> Vec<IntBox> {
+    members.into_iter().filter_map(|d| d.to_box()).collect()
 }
 
 fn all_points() -> Vec<Point> {
@@ -67,8 +71,169 @@ fn brute_size<D: AbstractDomain>(d: &D) -> u128 {
     all_points().iter().filter(|p| d.contains(p)).count() as u128
 }
 
+/// The powerset normalization as first written — one `IntervalDomain` per member, one `IntBox`
+/// per member for the count, residuals summed from [`subtract_boxes`] piece lists — kept as the
+/// reference the flat kernel must match member for member.
+#[derive(Debug, Clone)]
+struct Reference {
+    include: Vec<IntervalDomain>,
+    exclude: Vec<IntervalDomain>,
+    size: u128,
+}
+
+impl Reference {
+    fn normalize(include: Vec<IntervalDomain>, exclude: Vec<IntervalDomain>) -> Reference {
+        let mut exclude: Vec<IntervalDomain> =
+            exclude.into_iter().filter(|d| !d.is_empty()).collect();
+        let exclude_boxes = member_boxes(exclude.clone());
+        let mut kept = Vec::new();
+        let mut kept_boxes: Vec<IntBox> = Vec::new();
+        let mut size = 0;
+        for member in include {
+            let Some(b) = member.to_box() else { continue };
+            let residual: u128 = subtract_boxes(&b, kept_boxes.iter().chain(&exclude_boxes))
+                .iter()
+                .map(IntBox::count)
+                .sum();
+            if residual > 0 {
+                size += residual;
+                kept.push(member);
+                kept_boxes.push(b);
+            }
+        }
+        let mut boxes = exclude_boxes.iter();
+        exclude.retain(|_| {
+            let e = boxes.next().expect("one box per exclusion member");
+            kept_boxes.iter().any(|b| b.intersects(e))
+        });
+        Reference { include: kept, exclude, size }
+    }
+
+    fn intersect(&self, other: &Reference) -> Reference {
+        let mut include = Vec::new();
+        for a in &self.include {
+            for b in &other.include {
+                let m = a.intersect(b);
+                if !m.is_empty() {
+                    include.push(m);
+                }
+            }
+        }
+        let exclude = self.exclude.iter().chain(&other.exclude).cloned().collect();
+        Reference::normalize(include, exclude)
+    }
+
+    fn push(&self, include: Option<IntervalDomain>, exclude: Option<IntervalDomain>) -> Reference {
+        let mut next = self.clone();
+        next.include.extend(include);
+        next.exclude.extend(exclude);
+        Reference::normalize(next.include, next.exclude)
+    }
+}
+
+/// The cube `[0, side]^arity` the differential test draws members from; it shrinks with the
+/// arity so brute-force enumeration stays fast.
+fn cube(arity: usize) -> SecretLayout {
+    let side = [12, 9, 6][arity - 1];
+    (0..arity).fold(SecretLayout::builder(), |b, d| b.field(format!("x{d}"), 0, side)).build()
+}
+
+fn arb_member(arity: usize) -> impl Strategy<Value = IntervalDomain> {
+    let side = [12i64, 9, 6][arity - 1];
+    let layout = cube(arity);
+    let bounds = (0..=side, 0..=side).prop_map(|(a, b)| AInt::new(a.min(b), a.max(b)));
+    prop_oneof![
+        8 => proptest::collection::vec(bounds, arity..arity + 1)
+            .prop_map(IntervalDomain::from_intervals),
+        1 => Just(IntervalDomain::top(&layout)),
+        1 => Just(IntervalDomain::bottom(&layout)),
+    ]
+}
+
+/// Raw member lists: up to four includes and three excludes, before normalization.
+type Lists = (Vec<IntervalDomain>, Vec<IntervalDomain>);
+
+fn arb_lists(arity: usize) -> impl Strategy<Value = Lists> {
+    (
+        proptest::collection::vec(arb_member(arity), 0..5),
+        proptest::collection::vec(arb_member(arity), 0..4),
+    )
+}
+
+/// One operation of a differential chain.
+#[derive(Debug, Clone)]
+enum Op {
+    Meet(Lists),
+    Include(IntervalDomain),
+    Exclude(IntervalDomain),
+}
+
+fn arb_op(arity: usize) -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => arb_lists(arity).prop_map(Op::Meet),
+        2 => arb_member(arity).prop_map(Op::Include),
+        2 => arb_member(arity).prop_map(Op::Exclude),
+    ]
+}
+
+fn arb_chain() -> impl Strategy<Value = (usize, Lists, Vec<Op>)> {
+    (1usize..4).prop_flat_map(|arity| {
+        (Just(arity), arb_lists(arity), proptest::collection::vec(arb_op(arity), 1..7))
+    })
+}
+
+/// The flat element keeps the reference's members in the reference's order, and its stored
+/// size is the reference's, [`region_size`]'s and the brute-force count.
+fn agrees(
+    flat: &PowersetDomain,
+    reference: &Reference,
+    points: &[Point],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(flat.includes().collect::<Vec<_>>(), reference.include.clone());
+    prop_assert_eq!(flat.excludes().collect::<Vec<_>>(), reference.exclude.clone());
+    prop_assert_eq!(flat.size(), reference.size);
+    prop_assert_eq!(
+        flat.size(),
+        region_size(&member_boxes(flat.includes()), &member_boxes(flat.excludes()))
+    );
+    prop_assert_eq!(flat.size(), points.iter().filter(|p| flat.contains(p)).count() as u128);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The flat kernel against the reference normalization, through chains of meets and
+    /// pushes on 1-, 2- and 3-D powersets whose members overlap.
+    #[test]
+    fn flat_kernel_matches_the_reference_normalization((arity, (inc, exc), ops) in arb_chain()) {
+        let points: Vec<Point> = cube(arity).space().points().collect();
+        let mut flat = PowersetDomain::new(arity, inc.clone(), exc.clone());
+        let mut reference = Reference::normalize(inc, exc);
+        agrees(&flat, &reference, &points)?;
+        for op in ops {
+            match op {
+                Op::Meet((inc, exc)) => {
+                    let other = PowersetDomain::new(arity, inc.clone(), exc.clone());
+                    let meet = flat.intersect(&other);
+                    for p in &points {
+                        prop_assert_eq!(meet.contains(p), flat.contains(p) && other.contains(p));
+                    }
+                    flat = meet;
+                    reference = reference.intersect(&Reference::normalize(inc, exc));
+                }
+                Op::Include(member) => {
+                    flat.push_include(member.clone());
+                    reference = reference.push(Some(member), None);
+                }
+                Op::Exclude(member) => {
+                    flat.push_exclude(member.clone());
+                    reference = reference.push(None, Some(member));
+                }
+            }
+            agrees(&flat, &reference, &points)?;
+        }
+    }
 
     #[test]
     fn interval_size_matches_enumeration(d in arb_interval_domain()) {

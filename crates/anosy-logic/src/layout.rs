@@ -110,7 +110,8 @@ impl SecretLayout {
 
     /// Returns `true` if the point respects arity and every field's bounds.
     pub fn admits(&self, point: &Point) -> bool {
-        point.arity() == self.arity() && self.space().contains_point(point)
+        point.arity() == self.arity()
+            && self.fields.iter().zip(point.iter()).all(|(f, v)| f.lo <= v && v <= f.hi)
     }
 
     /// Clamps an arbitrary point of the right arity into the secret space.

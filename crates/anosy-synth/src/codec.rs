@@ -98,9 +98,9 @@ impl DomainCodec for PowersetDomain {
 
     fn encode(&self) -> String {
         let mut tokens = vec!["include".to_string()];
-        tokens.extend(self.includes().iter().map(encode_interval_member));
+        tokens.extend(self.includes().map(|d| encode_interval_member(&d)));
         tokens.push("exclude".to_string());
-        tokens.extend(self.excludes().iter().map(encode_interval_member));
+        tokens.extend(self.excludes().map(|d| encode_interval_member(&d)));
         tokens.join(" ")
     }
 
@@ -188,10 +188,37 @@ mod tests {
             PowersetDomain::new(2, vec![], vec![]),
             PowersetDomain::from_interval(member(0, 10)),
             PowersetDomain::new(2, vec![member(0, 10), member(50, 60)], vec![member(2, 3)]),
+            // The knowledge of a secret no downgrade has touched yet.
+            PowersetDomain::top(&layout()),
+            // The shape of an over-approximation: the whole space minus carved-out boxes.
+            PowersetDomain::new(
+                2,
+                vec![IntervalDomain::top(&layout())],
+                vec![member(2, 3), member(100, 120)],
+            ),
         ];
         for d in cases {
             assert_eq!(PowersetDomain::decode(&d.encode(), &layout()), Some(d));
         }
+    }
+
+    #[test]
+    fn powerset_top_keeps_its_marker() {
+        let top = PowersetDomain::top(&layout());
+        assert_eq!(top.encode(), "include top exclude");
+        let carved = PowersetDomain::new(
+            2,
+            vec![IntervalDomain::top(&layout())],
+            vec![IntervalDomain::from_intervals(vec![AInt::new(2, 3), AInt::new(2, 3)])],
+        );
+        assert_eq!(carved.encode(), "include top exclude 2..3,2..3");
+        // A box with the bounds of `⊤` is a different member.
+        let boxed = PowersetDomain::from_interval(IntervalDomain::from_intervals(vec![
+            AInt::new(-5, 400),
+            AInt::new(0, 400),
+        ]));
+        assert_eq!(boxed.encode(), "include -5..400,0..400 exclude");
+        assert_ne!(boxed, top);
     }
 
     #[test]
