@@ -191,15 +191,9 @@ impl<D: AbstractDomain> Drop for InFlightGuard<'_, D> {
 impl<D: AbstractDomain> SharedSynthCache<D> {
     /// Creates an empty shared cache with a fresh term store.
     pub fn new() -> Self {
-        SharedSynthCache::with_store(TermStore::new())
-    }
-
-    /// Creates an empty shared cache around a caller-configured term store (e.g. one built with
-    /// [`TermStore::with_min_memo_depth`] — the deployment layer's `box_memo_min_depth` knob).
-    pub fn with_store(store: TermStore) -> Self {
         SharedSynthCache {
             inner: Arc::new(Inner {
-                store: RwLock::new(store),
+                store: RwLock::new(TermStore::new()),
                 slots: Mutex::new(HashMap::new()),
                 ready: Condvar::new(),
                 counters: Counters::default(),
@@ -610,14 +604,6 @@ mod tests {
         assert_eq!(cache.stats().synth_hits, 1);
         // A different direction is a different key.
         assert_eq!(cache.get_ready(&query(200), ApproxKind::Over, None), None);
-    }
-
-    #[test]
-    fn with_store_carries_the_configured_term_store() {
-        let store = anosy_logic::TermStore::with_min_memo_depth(3);
-        let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::with_store(store);
-        assert_eq!(cache.store_snapshot().min_memo_depth(), 3);
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use point::Point;
 pub use pred::Pred;
 pub use range::{IntBox, Range};
 pub use store::{
-    depth_bucket, suggested_min_memo_depth, ExprId, ExprNode, PredId, PredNode, PredShape,
-    StoreStats, TermStore, BOX_MEMO_DEPTH_BUCKETS, BOX_MEMO_DEPTH_LABELS, BOX_MEMO_MIN_DEPTH,
+    depth_bucket, ExprId, ExprNode, PredId, PredNode, PredShape, StoreStats, TermStore,
+    BOX_MEMO_DEPTH_BUCKETS, BOX_MEMO_DEPTH_LABELS, BOX_MEMO_MIN_DEPTH,
 };
 pub use tribool::TriBool;

@@ -154,13 +154,11 @@ pub const BOX_MEMO_DEPTH_BUCKETS: usize = 4;
 /// `box_memo_depth_*` arrays of [`StoreStats`].
 pub const BOX_MEMO_DEPTH_LABELS: [&str; BOX_MEMO_DEPTH_BUCKETS] = ["1-3", "4-7", "8-15", "16+"];
 
-/// Maps a term nesting depth to its profitability bucket. The bucket boundaries straddle the
-/// [`BOX_MEMO_MIN_DEPTH`] *default*: at that default, buckets `0`/`1` are below the memo
-/// threshold (lookups are bypassed and counted in `box_memo_depth_bypassed`) and buckets `2`/`3`
-/// are at or above it (lookups are counted as hits or misses), so the per-bucket hit rates
-/// directly answer "was the threshold placed well?". A store constructed with
-/// [`TermStore::with_min_memo_depth`] moves the gate but keeps these fixed measurement buckets,
-/// so runs at different thresholds stay comparable.
+/// Maps a term nesting depth to its profitability bucket. The bucket boundaries straddle
+/// [`BOX_MEMO_MIN_DEPTH`]: buckets `0`/`1` are below the memo threshold (lookups are bypassed
+/// and counted in `box_memo_depth_bypassed`) and buckets `2`/`3` are at or above it (lookups
+/// are counted as hits or misses), so the per-bucket hit rates directly answer "was the
+/// threshold placed well?".
 pub fn depth_bucket(depth: u8) -> usize {
     match depth {
         0..=3 => 0,
@@ -170,10 +168,9 @@ pub fn depth_bucket(depth: u8) -> usize {
     }
 }
 
-// The bucket edges above and the labels below are aligned to the *default* memo threshold
-// (buckets 0/1 below it, 2/3 at or above). Retuning the default must retune them together, or
-// the per-bucket counters of default-configured stores silently lie about which side of the
-// gate they measured. (Per-store overrides deliberately keep these fixed measurement buckets.)
+// The bucket edges above and the labels below are aligned to the memo threshold (buckets 0/1
+// below it, 2/3 at or above). Retuning the threshold must retune them together, or the
+// per-bucket counters silently lie about which side of the gate they measured.
 const _: () = assert!(
     BOX_MEMO_MIN_DEPTH == 8,
     "BOX_MEMO_MIN_DEPTH changed: update depth_bucket() and BOX_MEMO_DEPTH_LABELS to match"
@@ -212,20 +209,14 @@ pub struct StoreStats {
     /// Times a box-keyed memo table overflowed its cap and was cleared.
     pub box_memo_evictions: u64,
     /// `(id, box)` memo lookups answered from the cache, bucketed by term depth (only buckets at
-    /// or above the store's [`TermStore::min_memo_depth`] can be non-zero).
+    /// or above [`BOX_MEMO_MIN_DEPTH`] can be non-zero).
     pub box_memo_depth_hits: [u64; BOX_MEMO_DEPTH_BUCKETS],
     /// `(id, box)` memo lookups computed fresh, bucketed by term depth.
     pub box_memo_depth_misses: [u64; BOX_MEMO_DEPTH_BUCKETS],
     /// Abstract evaluations that skipped the `(id, box)` memo because the term was shallower
-    /// than the store's [`TermStore::min_memo_depth`], bucketed by term depth. A high
-    /// hypothetical hit rate here is the signal for *lowering* the threshold; the cost of these
-    /// is one direct recomputation.
+    /// than [`BOX_MEMO_MIN_DEPTH`], bucketed by term depth. The cost of each is one direct
+    /// recomputation.
     pub box_memo_depth_bypassed: [u64; BOX_MEMO_DEPTH_BUCKETS],
-    /// The `(id, box)` memo depth threshold in effect for the store this snapshot came from —
-    /// reports print it as the "configured" value next to [`suggested_min_memo_depth`]'s
-    /// derivation. Injected by [`TermStore::stats`] at read time; a bare
-    /// `StoreStats::default()` carries `0`.
-    pub box_memo_min_depth: u8,
 }
 
 impl StoreStats {
@@ -237,18 +228,6 @@ impl StoreStats {
     /// Total memo-table misses across all caches (excluding interning dedup).
     pub fn cache_misses(&self) -> u64 {
         self.simplify_misses + self.free_vars_misses + self.range_misses + self.tri_misses
-    }
-
-    /// Hit rate of the `(id, box)` memos in the given depth bucket, in `[0, 1]`; `0` when the
-    /// bucket saw no memoized lookups (in particular, for every bucket below the threshold).
-    pub fn box_memo_hit_rate(&self, bucket: usize) -> f64 {
-        let hits = self.box_memo_depth_hits[bucket];
-        let total = hits + self.box_memo_depth_misses[bucket];
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 }
 
@@ -270,46 +249,13 @@ impl fmt::Display for StoreStats {
 /// long-running sessions; the eviction is counted in [`StoreStats::box_memo_evictions`].
 const BOX_MEMO_CAP: usize = 1 << 16;
 
-/// Default for the depth below which terms are evaluated directly instead of through the
+/// The depth below which terms are evaluated directly instead of through the
 /// `(id, box)` memo tables — "keyed by `(id, box)` where profitable": for the shallow
 /// comparisons that dominate benchmark queries, recomputing is measurably cheaper than hashing
 /// the box (the fig5 suite runs at parity with the tree evaluator), while a hit on a genuinely
 /// deep term saves a whole subtree walk and a miss costs one box hash it was going to dwarf
-/// anyway. The threshold is a per-store construction parameter
-/// ([`TermStore::with_min_memo_depth`], surfaced as `ServeConfig::box_memo_min_depth` by the
-/// deployment layer); the per-depth-bucket counters in [`StoreStats`] exist to justify — or
-/// retune, via [`suggested_min_memo_depth`] — the value from observed hit rates.
+/// anyway. The per-depth-bucket counters in [`StoreStats`] record whether the value pays.
 pub const BOX_MEMO_MIN_DEPTH: u8 = 8;
-
-/// Derives a suggested `(id, box)` memo threshold from observed per-depth-bucket hit rates: the
-/// lower edge of the shallowest bucket whose memoized lookups hit at least half the time (with a
-/// minimum sample size, so a handful of lucky hits does not move the gate). When every measured
-/// bucket is unprofitable the suggestion is the edge *above* the deepest measured bucket —
-/// raising the gate past the region that demonstrably did not pay for its box hashes — saturating
-/// at `u8::MAX` ("don't memoize") when even the deepest bucket failed to pay. With no memoized
-/// lookups at all there is no evidence, and the suggestion is the [`BOX_MEMO_MIN_DEPTH`] default.
-pub fn suggested_min_memo_depth(stats: &StoreStats) -> u8 {
-    /// Fewer memoized lookups than this in a bucket is noise, not evidence.
-    const MIN_SAMPLES: u64 = 32;
-    /// Lower term-depth edge of each bucket, index-aligned with [`BOX_MEMO_DEPTH_LABELS`].
-    const BUCKET_EDGES: [u8; BOX_MEMO_DEPTH_BUCKETS] = [1, 4, 8, 16];
-
-    let mut deepest_measured = None;
-    for (bucket, &edge) in BUCKET_EDGES.iter().enumerate() {
-        let samples = stats.box_memo_depth_hits[bucket] + stats.box_memo_depth_misses[bucket];
-        if samples < MIN_SAMPLES {
-            continue;
-        }
-        deepest_measured = Some(bucket);
-        if stats.box_memo_hit_rate(bucket) >= 0.5 {
-            return edge;
-        }
-    }
-    match deepest_measured {
-        None => BOX_MEMO_MIN_DEPTH,
-        Some(bucket) => BUCKET_EDGES.get(bucket + 1).copied().unwrap_or(u8::MAX),
-    }
-}
 
 /// A hash-consed arena of predicates and integer expressions with memoized analyses.
 ///
@@ -347,9 +293,6 @@ pub struct TermStore {
     /// Three-valued truth of a (deep) predicate over a box.
     tri_memo: HashMap<PredId, HashMap<IntBox, TriBool>>,
     tri_memo_len: usize,
-    /// Construction-time override of the `(id, box)` memo depth threshold; `None` means the
-    /// [`BOX_MEMO_MIN_DEPTH`] default (and is what `Default`/`new` produce).
-    min_memo_depth: Option<u8>,
     stats: StoreStats,
 }
 
@@ -357,21 +300,6 @@ impl TermStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         TermStore::default()
-    }
-
-    /// Creates an empty store whose `(id, box)` memo tables engage at the given term depth
-    /// instead of the [`BOX_MEMO_MIN_DEPTH`] default. `0` memoizes everything; `u8::MAX`
-    /// effectively disables the box-keyed memos (term depths saturate at `u8::MAX`, so only
-    /// pathological terms still engage them). The threshold is purely a performance knob —
-    /// analyses return identical results at any setting — and is preserved by
-    /// [`TermStore::snapshot`].
-    pub fn with_min_memo_depth(depth: u8) -> Self {
-        TermStore { min_memo_depth: Some(depth), ..TermStore::default() }
-    }
-
-    /// The effective `(id, box)` memo depth threshold of this store.
-    pub fn min_memo_depth(&self) -> u8 {
-        self.min_memo_depth.unwrap_or(BOX_MEMO_MIN_DEPTH)
     }
 
     /// Number of distinct expression nodes interned so far.
@@ -384,11 +312,9 @@ impl TermStore {
         self.preds.len()
     }
 
-    /// The store's hit/miss counters (with the effective memo threshold stamped in).
+    /// The store's hit/miss counters.
     pub fn stats(&self) -> StoreStats {
-        let mut stats = self.stats;
-        stats.box_memo_min_depth = self.min_memo_depth();
-        stats
+        self.stats
     }
 
     /// An independent copy of the store: same arena, same ids, same memo tables. Workers of a
@@ -840,7 +766,7 @@ impl TermStore {
     /// [`IntExpr::eval_abstract`].
     pub fn eval_abstract_expr(&mut self, id: ExprId, boxed: &IntBox) -> Range {
         let bucket = depth_bucket(self.expr_depth(id));
-        let memoize = self.expr_depth(id) >= self.min_memo_depth();
+        let memoize = self.expr_depth(id) >= BOX_MEMO_MIN_DEPTH;
         if memoize {
             if let Some(&r) = self.range_memo.get(&id).and_then(|per_box| per_box.get(boxed)) {
                 self.stats.range_hits += 1;
@@ -853,7 +779,7 @@ impl TermStore {
             self.stats.box_memo_depth_bypassed[bucket] += 1;
         }
         // Only memoized misses are timed: a hit on the next identical lookup saves exactly this
-        // much, which is the evidence the memo-threshold self-tuning item needs.
+        // much, which is the evidence for where the memo threshold belongs.
         let result = if memoize {
             anosy_telemetry::time("store.range_compute", || self.compute_abstract_expr(id, boxed))
         } else {
@@ -911,7 +837,7 @@ impl TermStore {
     /// Agrees with [`Pred::eval_abstract`] and inherits its soundness contract.
     pub fn eval_abstract_pred(&mut self, id: PredId, boxed: &IntBox) -> TriBool {
         let bucket = depth_bucket(self.pred_depth(id));
-        let memoize = self.pred_depth(id) >= self.min_memo_depth();
+        let memoize = self.pred_depth(id) >= BOX_MEMO_MIN_DEPTH;
         if memoize {
             if let Some(&t) = self.tri_memo.get(&id).and_then(|per_box| per_box.get(boxed)) {
                 self.stats.tri_hits += 1;
@@ -1368,78 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn min_memo_depth_is_a_construction_parameter_and_never_changes_results() {
-        let pred = deep_pred(6); // deep enough for depth 4, below the default gate of 8
-        let boxed = IntBox::new(vec![Range::new(0, 300), Range::new(0, 300)]);
-
-        let mut default_store = TermStore::new();
-        assert_eq!(default_store.min_memo_depth(), BOX_MEMO_MIN_DEPTH);
-        let id = default_store.intern_pred(&pred);
-        let reference = default_store.eval_abstract_pred(id, &boxed);
-
-        // A lowered gate engages the memo for the same term; answers are identical.
-        let mut eager = TermStore::with_min_memo_depth(0);
-        assert_eq!(eager.min_memo_depth(), 0);
-        let eager_id = eager.intern_pred(&pred);
-        assert_eq!(eager.eval_abstract_pred(eager_id, &boxed), reference);
-        assert_eq!(eager.eval_abstract_pred(eager_id, &boxed), reference);
-        assert!(eager.stats().tri_hits > 0, "gate at 0 must memoize shallow predicates");
-        assert_eq!(
-            eager.stats().box_memo_depth_bypassed,
-            [0; BOX_MEMO_DEPTH_BUCKETS],
-            "gate at 0 bypasses nothing"
-        );
-
-        // A raised gate bypasses everything; answers are still identical, and snapshots keep
-        // the configured threshold.
-        let mut lazy = TermStore::with_min_memo_depth(u8::MAX);
-        let lazy_id = lazy.intern_pred(&pred);
-        assert_eq!(lazy.eval_abstract_pred(lazy_id, &boxed), reference);
-        assert_eq!(lazy.eval_abstract_pred(lazy_id, &boxed), reference);
-        assert_eq!(lazy.stats().tri_hits + lazy.stats().tri_misses, 0);
-        assert_eq!(lazy.snapshot().min_memo_depth(), u8::MAX);
-
-        // Stats snapshots carry the effective threshold for reports.
-        assert_eq!(default_store.stats().box_memo_min_depth, BOX_MEMO_MIN_DEPTH);
-        assert_eq!(eager.stats().box_memo_min_depth, 0);
-        assert_eq!(TermStore::with_min_memo_depth(3).stats().box_memo_min_depth, 3);
-    }
-
-    #[test]
-    fn suggested_min_memo_depth_follows_the_bucket_evidence() {
-        // No evidence: keep the default.
-        assert_eq!(suggested_min_memo_depth(&StoreStats::default()), BOX_MEMO_MIN_DEPTH);
-
-        // The 8-15 bucket pays for itself: suggest its lower edge.
-        let mut stats = StoreStats::default();
-        stats.box_memo_depth_hits[2] = 80;
-        stats.box_memo_depth_misses[2] = 20;
-        assert_eq!(suggested_min_memo_depth(&stats), 8);
-
-        // The 4-7 bucket also pays: the gate can drop to 4.
-        stats.box_memo_depth_hits[1] = 60;
-        stats.box_memo_depth_misses[1] = 40;
-        assert_eq!(suggested_min_memo_depth(&stats), 4);
-
-        // A profitable-looking bucket without enough samples is ignored.
-        let mut sparse = StoreStats::default();
-        sparse.box_memo_depth_hits[1] = 10;
-        sparse.box_memo_depth_misses[1] = 0;
-        assert_eq!(suggested_min_memo_depth(&sparse), BOX_MEMO_MIN_DEPTH);
-
-        // Unprofitable measured buckets push the gate above the deepest one...
-        let mut cold = StoreStats::default();
-        cold.box_memo_depth_hits[2] = 10;
-        cold.box_memo_depth_misses[2] = 90;
-        assert_eq!(suggested_min_memo_depth(&cold), 16);
-
-        // ... and saturate to "don't memoize" when even 16+ fails to pay.
-        cold.box_memo_depth_hits[3] = 0;
-        cold.box_memo_depth_misses[3] = 100;
-        assert_eq!(suggested_min_memo_depth(&cold), u8::MAX);
-    }
-
-    #[test]
     fn free_vars_agree_with_trees() {
         let mut store = TermStore::new();
         let pred = (IntExpr::var(3) + IntExpr::var(1)).le(IntExpr::var(3));
@@ -1561,7 +1415,6 @@ mod tests {
         // A shallow evaluation only bypasses (in the low buckets); nothing is memoized.
         assert!(s.box_memo_depth_bypassed[0] + s.box_memo_depth_bypassed[1] > 0);
         assert_eq!(s.box_memo_depth_hits, [0; BOX_MEMO_DEPTH_BUCKETS]);
-        assert_eq!(s.box_memo_hit_rate(2), 0.0);
         // A deep evaluation misses, then hits, only in buckets >= the threshold.
         store.eval_abstract_pred(deep, &boxed);
         store.eval_abstract_pred(deep, &boxed);
@@ -1570,8 +1423,6 @@ mod tests {
         assert_eq!(s.box_memo_depth_hits[1], 0);
         assert!(s.box_memo_depth_misses[2] + s.box_memo_depth_misses[3] > 0);
         assert!(s.box_memo_depth_hits[2] + s.box_memo_depth_hits[3] > 0);
-        let deep_rate = s.box_memo_hit_rate(2).max(s.box_memo_hit_rate(3));
-        assert!(deep_rate > 0.0 && deep_rate <= 1.0);
     }
 
     #[test]

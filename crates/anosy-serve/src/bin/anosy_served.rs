@@ -20,7 +20,6 @@
 //! * `--workers N` — threads of the shard pool behind `count` and `valid` requests (the
 //!   parallel solver driver; default: available parallelism). Downgrades never use the pool:
 //!   they are decided on the reactor thread at any width;
-//! * `--box-memo-min-depth N` — the shared store's `(id, box)` memo threshold;
 //! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request;
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
 //!   `PATH.snapshot` + `PATH` (both replayed up to their good prefix, so a torn snapshot or
@@ -97,7 +96,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
-         [--workers N] [--box-memo-min-depth N] [--save-on-exit PATH] [--journal PATH \
+         [--workers N] [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry|every-entry-fsync] \
          [--compact-every N] [--verify-on-load]] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
          [--listen ADDR [--accept N] [--reactors N]]"
@@ -139,10 +138,6 @@ fn parse_options() -> Options {
             "--workers" => {
                 let workers = value(&mut i).parse().unwrap_or_else(|_| usage());
                 config = config.with_workers(workers);
-            }
-            "--box-memo-min-depth" => {
-                let depth = value(&mut i).parse().unwrap_or_else(|_| usage());
-                config = config.with_box_memo_min_depth(depth);
             }
             "--io-log-cap" => {
                 let cap = value(&mut i).parse().unwrap_or_else(|_| usage());

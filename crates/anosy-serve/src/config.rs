@@ -13,12 +13,6 @@ pub struct ServeConfig {
     /// Synthesis configuration used for cache misses (its solver config also drives
     /// verification and the parallel solver driver).
     pub synth: SynthConfig,
-    /// Override of the shared term store's `(id, box)` memo depth threshold
-    /// ([`anosy_logic::TermStore::with_min_memo_depth`]); `None` keeps the
-    /// [`anosy_logic::BOX_MEMO_MIN_DEPTH`] default. Purely a performance knob — answers are
-    /// identical at any setting. `report_fig5 --json` prints a depth-bucket-derived suggestion
-    /// ([`anosy_logic::suggested_min_memo_depth`]) for retuning it.
-    pub box_memo_min_depth: Option<u8>,
     /// Cap on retained connection-failure log entries across a whole deployment (clamped to at
     /// least one). A reactor pool divides this cap among its shards and
     /// [`crate::merge_io_logs`] re-applies it to the merged log, so the global bound holds at
@@ -31,15 +25,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: workers = available parallelism (or 4 when unknown), default synthesis limits,
-    /// default memo threshold.
+    /// Defaults: workers = available parallelism (or 4 when unknown), default synthesis limits.
     pub fn new() -> Self {
         let workers =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4);
         ServeConfig {
             workers,
             synth: SynthConfig::default(),
-            box_memo_min_depth: None,
             io_log_cap: crate::server::IO_LOG_CAP,
             journal: None,
         }
@@ -54,12 +46,6 @@ impl ServeConfig {
     /// Overrides the synthesis configuration.
     pub fn with_synth(mut self, synth: SynthConfig) -> Self {
         self.synth = synth;
-        self
-    }
-
-    /// Overrides the shared store's `(id, box)` memo depth threshold.
-    pub fn with_box_memo_min_depth(mut self, depth: u8) -> Self {
-        self.box_memo_min_depth = Some(depth);
         self
     }
 
@@ -85,7 +71,6 @@ impl ServeConfig {
         ServeConfig {
             workers: 4,
             synth: SynthConfig::new().with_solver(SolverConfig::for_tests()),
-            box_memo_min_depth: None,
             io_log_cap: crate::server::IO_LOG_CAP,
             journal: None,
         }
@@ -110,8 +95,6 @@ mod tests {
         assert_eq!(c.workers, 1, "worker count clamps to one");
         let c = ServeConfig::for_tests().with_synth(SynthConfig::new());
         assert_eq!(c.solver().max_nodes, SolverConfig::new().max_nodes);
-        assert_eq!(c.box_memo_min_depth, None);
-        assert_eq!(ServeConfig::for_tests().with_box_memo_min_depth(3).box_memo_min_depth, Some(3));
         assert_eq!(c.io_log_cap, crate::server::IO_LOG_CAP);
         assert_eq!(ServeConfig::for_tests().with_io_log_cap(0).io_log_cap, 1, "cap clamps to one");
         assert!(c.journal.is_none(), "journaling is opt-in");

@@ -6,7 +6,7 @@ use anosy_core::{
     AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache, SynthesizeInto,
 };
 use anosy_domains::AbstractDomain;
-use anosy_logic::{IntBox, Pred, SecretLayout, StoreStats, TermStore};
+use anosy_logic::{IntBox, Pred, SecretLayout};
 use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, Synthesizer};
 use std::fmt;
@@ -51,29 +51,6 @@ pub struct ServeStats {
     pub workers: usize,
 }
 
-impl ServeStats {
-    /// Renders the stats as a small JSON object (the report binaries' format; the workspace
-    /// carries no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workers\": {}, \"entries\": {}, \"sessions\": {}, \"sessions_closed\": {}, ",
-                "\"synth_hits\": {}, \"synth_misses\": {}, \"warm_loaded\": {}, ",
-                "\"downgrades_authorized\": {}, \"downgrades_refused\": {}}}"
-            ),
-            self.workers,
-            self.entries,
-            self.cache.sessions_opened,
-            self.cache.sessions_closed,
-            self.cache.synth_hits,
-            self.cache.synth_misses,
-            self.cache.warm_loaded,
-            self.cache.downgrades_authorized,
-            self.cache.downgrades_refused,
-        )
-    }
-}
-
 impl fmt::Display for ServeStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} workers, {} cached entries; {}", self.workers, self.entries, self.cache)
@@ -105,14 +82,10 @@ impl<D: AbstractDomain> Deployment<D> {
     /// Creates a deployment serving secrets of `layout`.
     pub fn new(layout: SecretLayout, config: ServeConfig) -> Self {
         let pool = Arc::new(ShardPool::new(config.workers));
-        let store = match config.box_memo_min_depth {
-            Some(depth) => TermStore::with_min_memo_depth(depth),
-            None => TermStore::new(),
-        };
         Deployment {
             layout,
             config,
-            shared: SharedSynthCache::with_store(store),
+            shared: SharedSynthCache::new(),
             pool,
             journal: Arc::new(OnceLock::new()),
             saves_skipped: Arc::new(AtomicU64::new(0)),
@@ -163,11 +136,6 @@ impl<D: AbstractDomain> Deployment<D> {
             entries: self.shared.len(),
             workers: self.pool.workers(),
         }
-    }
-
-    /// Hit/miss counters of the shared term store.
-    pub fn store_stats(&self) -> StoreStats {
-        self.shared.store_stats()
     }
 
     /// The journal counters (`appended:compacted:replayed:torn` on the wire stats line);
@@ -433,10 +401,6 @@ mod tests {
         assert_eq!(stats.cache.sessions_opened, 3);
         assert_eq!(stats.entries, 1);
         assert!(stats.to_string().contains("workers"));
-        let json = stats.to_json();
-        assert!(json.contains("\"synth_misses\": 1"));
-        assert!(json.contains("\"sessions\": 3"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

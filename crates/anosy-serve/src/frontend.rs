@@ -208,15 +208,6 @@ impl<D: AbstractDomain> Frontend<D> {
     /// The protocol-level snapshot a [`ServeRequest::Stats`] would answer with right now —
     /// also the per-shard input of [`crate::reactor::fold_stats`].
     pub fn snapshot(&self) -> StatsSnapshot {
-        let store = self.deployment.store_stats();
-        let mut memo_depth = [[0u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS];
-        for (bucket, row) in memo_depth.iter_mut().enumerate() {
-            *row = [
-                store.box_memo_depth_hits[bucket],
-                store.box_memo_depth_misses[bucket],
-                store.box_memo_depth_bypassed[bucket],
-            ];
-        }
         StatsSnapshot {
             open_sessions: self.sessions.len(),
             ticks: self.stats.ticks,
@@ -228,9 +219,6 @@ impl<D: AbstractDomain> Frontend<D> {
             denials: self.stats.denials,
             reactors: self.reactors,
             shard: self.shard,
-            memo_depth,
-            memo_min_depth: store.box_memo_min_depth,
-            memo_suggested_depth: anosy_logic::suggested_min_memo_depth(&store),
             journal: {
                 let journal = self.deployment.journal_stats();
                 [journal.appended, journal.compacted, journal.replayed, journal.torn]

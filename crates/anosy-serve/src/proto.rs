@@ -299,20 +299,10 @@ pub struct StatsSnapshot {
     /// The deployment aggregates (cache hits, downgrade outcomes, workers). Its `synth_hits`
     /// counts registrations answered from the cache only: opening a session looks nothing up.
     pub serve: ServeStats,
-    /// The shared store's `(id, box)` memo counters as `[hits, misses, bypassed]` per term-depth
-    /// bucket ([`anosy_logic::BOX_MEMO_DEPTH_BUCKETS`] buckets, shallow to deep) — the evidence
-    /// behind [`StatsSnapshot::memo_suggested_depth`]. The store is deployment-shared, so a
-    /// fold of per-shard snapshots carries these through unsummed.
-    pub memo_depth: [[u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS],
-    /// The `(id, box)` memo depth threshold the deployment's store runs with.
-    pub memo_min_depth: u8,
-    /// [`anosy_logic::suggested_min_memo_depth`] computed from the buckets above: the threshold
-    /// the observed hit rates say this workload should use.
-    pub memo_suggested_depth: u8,
     /// The deployment journal's counters ([`crate::journal`]) as
     /// `[appended, compacted, replayed, torn]`; all zero when no journal is attached. The
     /// journal is deployment-shared, so a fold of per-shard snapshots carries these through
-    /// unsummed, like [`StatsSnapshot::memo_depth`].
+    /// unsummed.
     pub journal: [u64; 4],
     /// Entries skipped as unencodable across every cache save of this deployment (the
     /// [`crate::SaveOutcome::skipped`] tally; deployment-shared like

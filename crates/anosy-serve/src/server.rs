@@ -144,7 +144,7 @@ pub struct ServerConfig {
     /// and latency histograms on this reactor's thread; harvest with
     /// [`Server::telemetry_report`]). On by default; a no-op when the `telemetry` cargo
     /// feature is off. The runtime toggle exists so the overhead of *recording* can be
-    /// measured inside one build — `report_serve` benches both settings.
+    /// measured inside one build — servebench's `telemetry.overhead_pct` row compares both.
     pub telemetry: bool,
 }
 

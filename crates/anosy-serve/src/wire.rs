@@ -476,8 +476,8 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
             out,
             "ok stats open={} ticks={} requests={} batched={} largest={} torn={} tenants={} \
              denied={} reactors={} shard={} workers={} entries={} sessions={} closed={} \
-             synth_hits={} synth_misses={} warm={} authorized={} refused={} memo_cfg={} \
-             memo_hint={} memo={} journal={} saves_skipped={}",
+             synth_hits={} synth_misses={} warm={} authorized={} refused={} journal={} \
+             saves_skipped={}",
             s.open_sessions,
             s.ticks,
             s.requests,
@@ -497,9 +497,6 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
             s.serve.cache.warm_loaded,
             s.serve.cache.downgrades_authorized,
             s.serve.cache.downgrades_refused,
-            s.memo_min_depth,
-            s.memo_suggested_depth,
-            encode_memo_buckets(&s.memo_depth),
             encode_journal(&s.journal),
             s.saves_skipped,
         ),
@@ -522,18 +519,8 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
     }
 }
 
-/// Renders the per-depth memo counters as `hits:misses:bypassed` triples, one per bucket,
-/// comma-joined — compact enough for the single-line stats response.
-fn encode_memo_buckets(buckets: &[[u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS]) -> String {
-    let triples: Vec<String> = buckets
-        .iter()
-        .map(|[hits, misses, bypassed]| format!("{hits}:{misses}:{bypassed}"))
-        .collect();
-    triples.join(",")
-}
-
-/// Renders the journal counters as `appended:compacted:replayed:torn` (the same colon-joined
-/// sub-token idiom as the memo buckets).
+/// Renders the journal counters as `appended:compacted:replayed:torn` (colon-joined, so the
+/// four counters stay one token of the single-line stats response).
 fn encode_journal(journal: &[u64; 4]) -> String {
     let [appended, compacted, replayed, torn] = journal;
     format!("{appended}:{compacted}:{replayed}:{torn}")
@@ -547,19 +534,6 @@ fn parse_journal(text: &str) -> Option<[u64; 4]> {
         *slot = parts.next()?.parse().ok()?;
     }
     Some(counters)
-}
-
-/// Parses the [`encode_memo_buckets`] form back into per-bucket counters.
-fn parse_memo_buckets(text: &str) -> Option<[[u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS]> {
-    let mut buckets = [[0u64; 3]; anosy_logic::BOX_MEMO_DEPTH_BUCKETS];
-    let mut triples = text.split(',');
-    for bucket in &mut buckets {
-        let mut parts = triples.next()?.splitn(3, ':');
-        for slot in bucket.iter_mut() {
-            *slot = parts.next()?.parse().ok()?;
-        }
-    }
-    triples.next().is_none().then_some(buckets)
 }
 
 /// Default cap on one wire line for the incremental [`LineDecoder`], in bytes. Protocol lines
@@ -1013,11 +987,6 @@ pub fn parse_response(line: &str) -> Result<ServeResponse, WireError> {
                             downgrades_refused: parse_counter(rest, "refused=")?,
                         },
                     },
-                    memo_depth: token(rest, "memo=")
-                        .and_then(parse_memo_buckets)
-                        .ok_or_else(|| WireError::new("missing or bad memo="))?,
-                    memo_min_depth: parse_counter(rest, "memo_cfg=")?,
-                    memo_suggested_depth: parse_counter(rest, "memo_hint=")?,
                     journal: token(rest, "journal=")
                         .and_then(parse_journal)
                         .ok_or_else(|| WireError::new("missing or bad journal="))?,
@@ -1199,9 +1168,6 @@ mod tests {
                         warm_loaded: 0,
                     },
                 },
-                memo_depth: [[0, 0, 12], [3, 1, 0], [250, 9, 0], [0, 0, 0]],
-                memo_min_depth: 2,
-                memo_suggested_depth: 3,
                 journal: [14, 9, 5, 1],
                 saves_skipped: 2,
             })),

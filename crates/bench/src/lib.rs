@@ -80,12 +80,6 @@ pub struct Fig5Row {
     /// [`anosy::logic::BOX_MEMO_DEPTH_LABELS`]. The per-bucket hit rates are the evidence for
     /// (or against) the `BOX_MEMO_MIN_DEPTH` threshold.
     pub memo_depth: [[u64; 3]; anosy::logic::BOX_MEMO_DEPTH_BUCKETS],
-    /// The `(id, box)` memo depth threshold the run was configured with.
-    pub memo_depth_configured: u8,
-    /// The threshold [`anosy::logic::suggested_min_memo_depth`] derives from this row's
-    /// per-bucket hit rates — printed next to the configured one so the knob can be retuned
-    /// from evidence.
-    pub memo_depth_suggested: u8,
 }
 
 fn percent_diff(approx: u128, exact: u128) -> f64 {
@@ -155,8 +149,6 @@ pub fn fig5_row(
         cache_hits: store.cache_hits(),
         cache_misses: store.cache_misses(),
         memo_depth,
-        memo_depth_configured: store.box_memo_min_depth,
-        memo_depth_suggested: anosy::logic::suggested_min_memo_depth(&store),
     }
 }
 
@@ -264,8 +256,7 @@ pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
                 "\"diff_true_percent\": {:.4}, \"diff_false_percent\": {:.4}, ",
                 "\"synth_seconds\": {:.6}, \"verify_seconds\": {:.6}, \"verified\": {}, ",
                 "\"synth_nodes\": {}, \"cache_hits\": {}, \"cache_misses\": {}, ",
-                "\"box_memo_depth\": [{}], ",
-                "\"box_memo_min_depth\": {{\"configured\": {}, \"suggested\": {}}}}}{}\n"
+                "\"box_memo_depth\": [{}]}}{}\n"
             ),
             r.id,
             r.kind,
@@ -280,8 +271,6 @@ pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
             r.cache_hits,
             r.cache_misses,
             memo_depth,
-            r.memo_depth_configured,
-            r.memo_depth_suggested,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -292,35 +281,6 @@ pub fn fig5_rows_to_json(domain_label: &str, rows: &[Fig5Row]) -> String {
 /// A quick synthesis configuration used by smoke tests and the CI-friendly benches.
 pub fn quick_synth_config() -> SynthConfig {
     SynthConfig::new().with_solver(SolverConfig::for_tests()).with_seeds(1)
-}
-
-/// One row of the serving-throughput comparison (`report_serve`, `BENCH_pr3.json`): for one
-/// fig5 benchmark, the sequential per-call downgrade loop vs the deployment's batched driver,
-/// and the sequential model count vs the sharded parallel driver.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Benchmark short id.
-    pub id: String,
-    /// The knowledge domain the downgrade workload ran in (`interval` or `powerset<k>`).
-    pub domain: String,
-    /// How many secrets the downgrade workload used.
-    pub secrets: usize,
-    /// Worker threads in the deployment pool.
-    pub workers: usize,
-    /// Wall-clock of the sequential `downgrade` loop (the PR 2 serving baseline).
-    pub seq_downgrade_seconds: f64,
-    /// Wall-clock of `downgrade_batch` over the same secrets on a fresh session.
-    pub batch_downgrade_seconds: f64,
-    /// `seq_downgrade_seconds / batch_downgrade_seconds`.
-    pub downgrade_speedup: f64,
-    /// Wall-clock of the sequential exact model count of the query's True set.
-    pub seq_count_seconds: f64,
-    /// Wall-clock of the sharded parallel count (same result, checked).
-    pub par_count_seconds: f64,
-    /// `seq_count_seconds / par_count_seconds`.
-    pub count_speedup: f64,
-    /// The (identical) model count both drivers returned.
-    pub models: u128,
 }
 
 /// Escapes a string for embedding in the hand-rolled JSON documents (quotes, backslashes and
@@ -353,437 +313,6 @@ pub fn host_parallelism() -> usize {
 /// have to infer it from the prose analysis.
 pub fn capped_by_host(workers: usize) -> bool {
     host_parallelism() < workers
-}
-
-/// Deterministic pseudo-random secrets inside a layout (seeded per benchmark, reproducible
-/// across runs and platforms — the rand shim is SplitMix64).
-pub fn deterministic_secrets(layout: &SecretLayout, n: usize, seed: u64) -> Vec<Point> {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            Point::new(layout.fields().iter().map(|f| rng.gen_range(f.lo()..=f.hi())).collect())
-        })
-        .collect()
-}
-
-/// Runs the serving workload for every fig5 benchmark: register the query once in a deployment
-/// (shared synthesis), then downgrade `secrets_per_benchmark` deterministic secrets — once with
-/// the sequential per-call loop, once with the batched driver — and exact-count the True ind.
-/// set sequentially and with the sharded parallel driver. Batched results are asserted equal to
-/// the loop's before any timing is reported.
-///
-/// `members` selects the knowledge domain: `None` is fig5a (intervals), `Some(k)` fig5b
-/// (powersets of size `k`, whose meets carry more work per downgrade).
-pub fn serve_rows<D>(
-    workers: usize,
-    secrets_per_benchmark: usize,
-    synth_config: &SynthConfig,
-    members: Option<usize>,
-) -> Vec<ServeRow>
-where
-    D: AbstractDomain + anosy::core::SynthesizeInto + Send + Sync + 'static,
-{
-    use anosy::core::MinSizePolicy;
-    use anosy::serve::{Deployment, ServeConfig};
-
-    let domain_label = match members {
-        None => "interval".to_string(),
-        Some(k) => format!("powerset{k}"),
-    };
-    all_benchmarks()
-        .into_iter()
-        .enumerate()
-        .map(|(index, b)| {
-            let layout = b.query.layout().clone();
-            let serve_config =
-                ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
-            let deployment: Deployment<D> = Deployment::new(layout.clone(), serve_config);
-            deployment
-                .register_query(&b.query, ApproxKind::Under, members)
-                .expect("benchmark synthesis fits the budget");
-            let register = |session: &mut AnosySession<D>| {
-                let mut synth = Synthesizer::with_config(synth_config.clone());
-                session
-                    .register_synthesized(&mut synth, &b.query, ApproxKind::Under, members)
-                    .expect("cache hit");
-            };
-            let secrets =
-                deterministic_secrets(&layout, secrets_per_benchmark, 0xA05F + index as u64);
-            let name = b.query.name();
-
-            // Sequential baseline: the per-call loop of PR 2.
-            let mut seq_session = deployment.session(MinSizePolicy::new(100));
-            register(&mut seq_session);
-            let started = Instant::now();
-            let seq_results: Vec<Option<bool>> = secrets
-                .iter()
-                .map(|p| seq_session.downgrade(&Protected::new(p.clone()), name).ok())
-                .collect();
-            let seq_downgrade = started.elapsed();
-
-            // Batched driver on a fresh session of the same deployment.
-            let mut batch_session = deployment.session(MinSizePolicy::new(100));
-            register(&mut batch_session);
-            let started = Instant::now();
-            let batch_results = deployment.downgrade_batch(&mut batch_session, &secrets, name);
-            let batch_downgrade = started.elapsed();
-            let batch_results: Vec<Option<bool>> =
-                batch_results.into_iter().map(Result::ok).collect();
-            assert_eq!(batch_results, seq_results, "{}: batch diverged from the loop", b.id);
-            assert_eq!(batch_session.stats(), seq_session.stats());
-
-            // Exact counting: sequential vs sharded.
-            let space = layout.space();
-            let mut solver = Solver::with_config(synth_config.solver.clone());
-            let started = Instant::now();
-            let seq_models =
-                solver.count_models(b.query.pred(), &space).expect("counting fits the budget");
-            let seq_count = started.elapsed();
-            let started = Instant::now();
-            let sharded = deployment
-                .par_count_models(b.query.pred(), &space)
-                .expect("sharded counting fits the budget");
-            let par_count = started.elapsed();
-            assert_eq!(sharded.value, seq_models, "{}: sharded count diverged", b.id);
-
-            ServeRow {
-                id: b.id.short().to_string(),
-                domain: domain_label.clone(),
-                secrets: secrets_per_benchmark,
-                workers,
-                seq_downgrade_seconds: seq_downgrade.as_secs_f64(),
-                batch_downgrade_seconds: batch_downgrade.as_secs_f64(),
-                downgrade_speedup: seq_downgrade.as_secs_f64()
-                    / batch_downgrade.as_secs_f64().max(1e-12),
-                seq_count_seconds: seq_count.as_secs_f64(),
-                par_count_seconds: par_count.as_secs_f64(),
-                count_speedup: seq_count.as_secs_f64() / par_count.as_secs_f64().max(1e-12),
-                models: seq_models,
-            }
-        })
-        .collect()
-}
-
-/// One row of the frontend tick-throughput comparison (`report_serve`, `BENCH_pr4.json` →
-/// `BENCH_pr10.json`): the same downgrade workload pushed through
-/// [`anosy::serve::Frontend`] ticks of `batch_size` requests vs handed to
-/// [`anosy::serve::Deployment::downgrade_batch`] directly in chunks of the same size. The gap
-/// between the two is the protocol tax (request queueing, per-tick regrouping, response
-/// tagging); it shrinks as the batch grows and the batched driver dominates. The `wire_`
-/// columns add the binary frame codec on top (one framed `Downgrade` per request), and the
-/// `bulk_` columns are the bulk client shape: one framed `DowngradeBatch` carrying the whole
-/// tick — the form a throughput-conscious binary client actually speaks.
-#[derive(Debug, Clone)]
-pub struct FrontendRow {
-    /// Downgrade requests accumulated per tick (and per direct driver call).
-    pub batch_size: usize,
-    /// Total downgrade requests pushed through each path.
-    pub requests: usize,
-    /// Worker threads in the deployment pool.
-    pub workers: usize,
-    /// Wall-clock of the frontend path (submit + tick + response collection).
-    pub frontend_seconds: f64,
-    /// Requests per second through the frontend.
-    pub frontend_rps: f64,
-    /// Wall-clock of the direct `downgrade_batch` path over the same secrets.
-    pub direct_seconds: f64,
-    /// Requests per second through the direct driver.
-    pub direct_rps: f64,
-    /// Wall-clock of the binary wire path: pre-framed request bytes through
-    /// [`anosy::serve::wire::FrameDecoder`] + zero-copy interned parsing + submit + tick,
-    /// one framed `Downgrade` request per secret.
-    pub wire_seconds: f64,
-    /// Requests per second through the binary wire path.
-    pub wire_rps: f64,
-    /// Wall-clock of the bulk binary wire path: one framed `DowngradeBatch` per tick of
-    /// `batch_size` secrets, through the same decode → parse → submit → tick ingress.
-    pub bulk_seconds: f64,
-    /// Requests per second through the bulk binary wire path.
-    pub bulk_rps: f64,
-}
-
-/// Measures frontend tick throughput vs the direct batched driver on the first fig5 benchmark
-/// (birthday), at each of the given batch sizes. Two more paths price the full binary protocol
-/// stack: the same requests pre-encoded as checksummed wire frames (one `Downgrade` frame per
-/// secret, and one bulk `DowngradeBatch` frame per tick), then frame decode → zero-copy
-/// interned parse → submit → tick measured end to end. Every path runs best-of-5 on a fresh
-/// session (downgrades refine tracked knowledge, so repeats must not chain), and all response
-/// streams are asserted element-wise equal to the direct driver's on every repeat before the
-/// timings are reported.
-pub fn frontend_rows(
-    workers: usize,
-    total_requests: usize,
-    synth_config: &SynthConfig,
-    batch_sizes: &[usize],
-) -> Vec<FrontendRow> {
-    use anosy::core::PolicySpec;
-    use anosy::serve::{wire, Deployment, Frontend, ServeRequest, ServeResponse, SessionId};
-
-    const REPEATS: usize = 5;
-    let b = all_benchmarks().into_iter().next().expect("fig5 has benchmarks");
-    let layout = b.query.layout().clone();
-    let name: std::sync::Arc<str> = b.query.name().into();
-    batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            let serve_config =
-                ServeConfig::new().with_workers(workers).with_synth(synth_config.clone());
-            let deployment: Deployment<IntervalDomain> =
-                Deployment::new(layout.clone(), serve_config);
-            deployment
-                .register_query(&b.query, ApproxKind::Under, None)
-                .expect("benchmark synthesis fits the budget");
-            let secrets = deterministic_secrets(&layout, total_requests, 0xF407);
-            // The first open of a fresh frontend's first connection (`connect()` mints conn 1;
-            // session ids are `((conn + 1) << 32) | k`, see `SessionId`).
-            let session = SessionId((2 << 32) | 1);
-
-            // A fresh frontend per repeat: each gets its own copy of that session (registration
-            // is a pure cache hit against the shared deployment), because downgrades refine the
-            // session's tracked knowledge — repeats on one session would answer differently.
-            let fresh_frontend = || {
-                let mut frontend = Frontend::new(deployment.share());
-                let conn = frontend.connect();
-                frontend.submit(
-                    conn,
-                    ServeRequest::RegisterQuery {
-                        query: b.query.clone(),
-                        kind: ApproxKind::Under,
-                        members: None,
-                    },
-                );
-                frontend
-                    .submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(10) });
-                let opened = frontend.tick();
-                assert_eq!(opened[1].response, ServeResponse::SessionOpened { session });
-                (frontend, conn)
-            };
-
-            // Direct path: a fresh session per repeat, the secrets through the batched
-            // driver in chunks of `batch_size`.
-            let mut direct_results: Vec<Option<bool>> = Vec::new();
-            let mut direct_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let mut direct_session = deployment.session(PolicySpec::MinSize(10));
-                direct_session
-                    .register_cached(&b.query, ApproxKind::Under, None)
-                    .expect("the deployment cache is warm");
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for chunk in secrets.chunks(batch_size) {
-                    results.extend(
-                        deployment
-                            .downgrade_batch(&mut direct_session, chunk, &name)
-                            .into_iter()
-                            .map(Result::ok),
-                    );
-                }
-                direct_elapsed = direct_elapsed.min(started.elapsed().as_secs_f64());
-                if direct_results.is_empty() {
-                    direct_results = results;
-                } else {
-                    assert_eq!(results, direct_results, "direct repeats diverged");
-                }
-            }
-
-            // Frontend path: ticks of `batch_size` typed downgrade requests each.
-            let mut frontend_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for chunk in secrets.chunks(batch_size) {
-                    for secret in chunk {
-                        frontend.submit(
-                            conn,
-                            ServeRequest::Downgrade {
-                                session,
-                                secret: secret.clone(),
-                                query: name.clone(),
-                            },
-                        );
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answer(result) => results.push(result.ok()),
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                frontend_elapsed = frontend_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "frontend diverged from the direct driver at batch size {batch_size}"
-                );
-            }
-
-            // Binary wire path: the same workload as framed protocol bytes, one `Downgrade`
-            // frame per secret. Encoding and framing happen ahead of time (that work belongs
-            // to the client); the timed loop is the server-side ingress — incremental frame
-            // decode, zero-copy interned parse, submit, tick.
-            let framed_chunks: Vec<Vec<u8>> = secrets
-                .chunks(batch_size)
-                .map(|chunk| {
-                    let mut bytes = Vec::new();
-                    for secret in chunk {
-                        let line = wire::encode_request(&ServeRequest::Downgrade {
-                            session,
-                            secret: secret.clone(),
-                            query: name.clone(),
-                        })
-                        .expect("downgrade requests are wire-safe");
-                        wire::frame_into(&mut bytes, line.as_bytes());
-                    }
-                    bytes
-                })
-                .collect();
-            let mut wire_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let mut interner = wire::NameInterner::new();
-                let mut decoder = wire::FrameDecoder::new();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for bytes in &framed_chunks {
-                    for frame in decoder.feed(bytes) {
-                        let payload = match frame {
-                            wire::DecodedFrame::Frame(payload) => payload,
-                            other => panic!("unexpected frame unit {other:?}"),
-                        };
-                        let text =
-                            std::str::from_utf8(&payload).expect("framed requests are UTF-8");
-                        let request = wire::parse_request_interned(text, &layout, &mut interner)
-                            .expect("framed requests parse");
-                        frontend.submit(conn, request);
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answer(result) => results.push(result.ok()),
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                wire_elapsed = wire_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "the binary wire path diverged from the direct driver at batch size \
-                     {batch_size}"
-                );
-            }
-
-            // Bulk binary wire path: one `DowngradeBatch` frame carries the whole tick —
-            // the shape a throughput-conscious binary client speaks at this batch size.
-            let bulk_frames: Vec<Vec<u8>> = secrets
-                .chunks(batch_size)
-                .map(|chunk| {
-                    let line = wire::encode_request(&ServeRequest::DowngradeBatch {
-                        session,
-                        secrets: chunk.to_vec(),
-                        query: name.clone(),
-                    })
-                    .expect("batch requests are wire-safe");
-                    wire::encode_frame(line.as_bytes())
-                })
-                .collect();
-            let mut bulk_elapsed = f64::INFINITY;
-            for _ in 0..REPEATS {
-                let (mut frontend, conn) = fresh_frontend();
-                let mut interner = wire::NameInterner::new();
-                let mut decoder = wire::FrameDecoder::new();
-                let started = Instant::now();
-                let mut results: Vec<Option<bool>> = Vec::with_capacity(secrets.len());
-                for bytes in &bulk_frames {
-                    for frame in decoder.feed(bytes) {
-                        let payload = match frame {
-                            wire::DecodedFrame::Frame(payload) => payload,
-                            other => panic!("unexpected frame unit {other:?}"),
-                        };
-                        let text =
-                            std::str::from_utf8(&payload).expect("framed requests are UTF-8");
-                        let request = wire::parse_request_interned(text, &layout, &mut interner)
-                            .expect("framed requests parse");
-                        frontend.submit(conn, request);
-                    }
-                    for tagged in frontend.tick() {
-                        match tagged.response {
-                            ServeResponse::Answers(answers) => {
-                                results.extend(answers.into_iter().map(Result::ok));
-                            }
-                            other => panic!("unexpected response {other:?}"),
-                        }
-                    }
-                }
-                bulk_elapsed = bulk_elapsed.min(started.elapsed().as_secs_f64());
-                assert_eq!(
-                    results, direct_results,
-                    "the bulk wire path diverged from the direct driver at batch size \
-                     {batch_size}"
-                );
-            }
-
-            FrontendRow {
-                batch_size,
-                requests: total_requests,
-                workers,
-                frontend_seconds: frontend_elapsed,
-                frontend_rps: total_requests as f64 / frontend_elapsed.max(1e-12),
-                direct_seconds: direct_elapsed,
-                direct_rps: total_requests as f64 / direct_elapsed.max(1e-12),
-                wire_seconds: wire_elapsed,
-                wire_rps: total_requests as f64 / wire_elapsed.max(1e-12),
-                bulk_seconds: bulk_elapsed,
-                bulk_rps: total_requests as f64 / bulk_elapsed.max(1e-12),
-            }
-        })
-        .collect()
-}
-
-/// Renders frontend rows as aligned text.
-pub fn render_frontend(rows: &[FrontendRow]) -> String {
-    let mut out = String::from(
-        "Batch  Requests  Workers  Frontend (s / req/s)        Wire (s / req/s)            Bulk wire (s / req/s)       Direct (s / req/s)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<6} {:>8}  {:>7}  {:>8.4} / {:<12.0} {:>8.4} / {:<12.0} {:>8.4} / {:<12.0} {:>8.4} / {:<12.0}\n",
-            r.batch_size,
-            r.requests,
-            r.workers,
-            r.frontend_seconds,
-            r.frontend_rps,
-            r.wire_seconds,
-            r.wire_rps,
-            r.bulk_seconds,
-            r.bulk_rps,
-            r.direct_seconds,
-            r.direct_rps,
-        ));
-    }
-    out
-}
-
-/// Renders serve rows as aligned text.
-pub fn render_serve(rows: &[ServeRow]) -> String {
-    let mut out = String::from(
-        "#    Domain     Secrets  Workers  Downgrades seq/batch (s)   Speedup  Count seq/par (s)    Speedup\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<4} {:<9} {:>7}  {:>7}  {:>10.4} / {:<10.4} {:>6.2}x  {:>8.4} / {:<8.4} {:>6.2}x\n",
-            r.id,
-            r.domain,
-            r.secrets,
-            r.workers,
-            r.seq_downgrade_seconds,
-            r.batch_downgrade_seconds,
-            r.downgrade_speedup,
-            r.seq_count_seconds,
-            r.par_count_seconds,
-            r.count_speedup,
-        ));
-    }
-    out
 }
 
 /// One row of the multi-reactor transport comparison (`report_serve --json`'s
@@ -872,155 +401,6 @@ pub fn render_transport(rows: &[TransportRow]) -> String {
             r.requests_per_sec,
             r.speedup_vs_one,
             r.capped_by_host,
-        ));
-    }
-    out
-}
-
-/// One row of the telemetry overhead comparison (`report_serve --json`'s `telemetry_rows`,
-/// recorded as `BENCH_pr8.json`): the same seeded load run with per-reactor telemetry
-/// collectors installed vs skipped ([`anosy::serve::loadgen::LoadOptions::telemetry`]). The
-/// PR 8 overhead budget is `overhead_pct <= 5`.
-#[derive(Debug, Clone)]
-pub struct TelemetryRow {
-    /// Reactor shards the pool ran.
-    pub reactors: u64,
-    /// Protocol requests scheduled across all connections.
-    pub requests: usize,
-    /// Best-of-N wall-clock with collectors off / on.
-    pub off_seconds: f64,
-    /// Best-of-N wall-clock with collectors on.
-    pub on_seconds: f64,
-    /// Throughput with collectors off.
-    pub off_rps: f64,
-    /// Throughput with collectors on.
-    pub on_rps: f64,
-    /// `(off_rps - on_rps) / off_rps * 100` — positive means recording cost throughput.
-    pub overhead_pct: f64,
-    /// Request-latency tail of the telemetry-on run, in **virtual time** (seed-stable).
-    pub latency_p50: u64,
-    /// 99th-percentile virtual request latency.
-    pub latency_p99: u64,
-    /// Worst virtual request latency.
-    pub latency_max: u64,
-}
-
-/// One per-shard row of the reactor-skew breakdown (`report_serve --json`'s `shard_skew`):
-/// how unevenly the hashed connections loaded the shards, read from each reactor's telemetry
-/// report. Latencies are in the simulator's virtual time, so the skew shape is a pure function
-/// of the seeds.
-#[derive(Debug, Clone)]
-pub struct ShardSkewRow {
-    /// Reactor count of the run this shard belonged to.
-    pub reactors: u64,
-    /// The shard (reactor index).
-    pub shard: u64,
-    /// Wire requests this shard parsed (`wire.requests`).
-    pub requests: u64,
-    /// Median virtual request latency on this shard (`request.latency`).
-    pub latency_p50: u64,
-    /// 99th-percentile virtual request latency on this shard.
-    pub latency_p99: u64,
-}
-
-/// Measures telemetry overhead and per-shard skew with the `SimNet` load generator: at every
-/// reactor count in `counts`, the same seeded population runs with collectors off and on
-/// (best wall-clock of `iterations` runs each, one shared warmed deployment throughout), and
-/// the telemetry-on run's per-shard reports become the [`ShardSkewRow`]s.
-pub fn telemetry_rows(
-    tenants: usize,
-    population_seed: u64,
-    net_seed: u64,
-    counts: &[u64],
-    iterations: usize,
-) -> (Vec<TelemetryRow>, Vec<ShardSkewRow>) {
-    use anosy::serve::loadgen::{self, LoadOptions};
-
-    let population = loadgen::population(population_seed, tenants);
-    let deployment =
-        anosy::serve::popsim::warm_deployment(&population, &anosy::serve::ServeConfig::for_tests());
-    let mut rows = Vec::new();
-    let mut skew = Vec::new();
-    for &reactors in counts {
-        // The off and on runs interleave within each iteration — host clock-frequency drift
-        // then biases both sides of the best-of equally instead of whichever batch ran in the
-        // faster window.
-        let mut best_off: Option<loadgen::PoolRun> = None;
-        let mut best_on: Option<loadgen::PoolRun> = None;
-        for _ in 0..iterations.max(1) {
-            for (telemetry, slot) in [(false, &mut best_off), (true, &mut best_on)] {
-                let options = LoadOptions::new(net_seed, reactors).telemetry(telemetry);
-                let run = loadgen::run_on(&population, &options, &deployment);
-                if slot.as_ref().is_none_or(|b| run.report.elapsed < b.report.elapsed) {
-                    *slot = Some(run);
-                }
-            }
-        }
-        let off = best_off.expect("at least one iteration ran");
-        let on = best_on.expect("at least one iteration ran");
-        let off_rps = off.report.requests_per_sec;
-        let on_rps = on.report.requests_per_sec;
-        rows.push(TelemetryRow {
-            reactors,
-            requests: on.report.requests,
-            off_seconds: off.report.elapsed.as_secs_f64(),
-            on_seconds: on.report.elapsed.as_secs_f64(),
-            off_rps,
-            on_rps,
-            overhead_pct: (off_rps - on_rps) / off_rps.max(1e-9) * 100.0,
-            latency_p50: on.report.latency.p50,
-            latency_p99: on.report.latency.p99,
-            latency_max: on.report.latency.max,
-        });
-        for report in &on.telemetry {
-            let quantiles = |name: &str| {
-                report
-                    .metrics
-                    .histogram(name)
-                    .map(|h| (h.quantile(0.50), h.quantile(0.99)))
-                    .unwrap_or((0, 0))
-            };
-            let (latency_p50, latency_p99) = quantiles("request.latency");
-            skew.push(ShardSkewRow {
-                reactors,
-                shard: report.shard,
-                requests: report.metrics.counter("wire.requests"),
-                latency_p50,
-                latency_p99,
-            });
-        }
-    }
-    (rows, skew)
-}
-
-/// Renders telemetry overhead rows as an aligned text table.
-pub fn render_telemetry(rows: &[TelemetryRow]) -> String {
-    let mut out = String::from(
-        "Reactors  Requests   off req/s    on req/s  Overhead  Lat p50/p99/max (virtual)\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>8}  {:>10.1}  {:>10.1}  {:>7.2}%  {}/{}/{}\n",
-            r.reactors,
-            r.requests,
-            r.off_rps,
-            r.on_rps,
-            r.overhead_pct,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_max,
-        ));
-    }
-    out
-}
-
-/// Renders the per-shard skew rows as an aligned text table.
-pub fn render_shard_skew(rows: &[ShardSkewRow]) -> String {
-    let mut out = String::from("Reactors  Shard  Requests  Latency p50/p99 (virtual)\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8}  {:>5}  {:>8}  {:>7}/{:<7}\n",
-            r.reactors, r.shard, r.requests, r.latency_p50, r.latency_p99,
         ));
     }
     out
@@ -1128,80 +508,18 @@ pub fn render_restart(rows: &[RestartRow]) -> String {
     out
 }
 
-/// Renders serve rows (plus the frontend tick-throughput rows, the multi-reactor transport
-/// rows, the telemetry overhead and per-shard skew rows, the restart-latency rows, the
-/// deployment-level aggregate block and a free-text analysis of the
-/// measurement conditions) as the `BENCH_pr3.json` / `BENCH_pr4.json` / `BENCH_pr7.json` /
-/// `BENCH_pr8.json` / `BENCH_pr9.json` document. Every parallel row carries `capped_by_host`
-/// (see [`capped_by_host`]).
-#[allow(clippy::too_many_arguments)] // one parameter per report section, called from one place
+/// Renders the multi-reactor transport rows and the restart-latency rows, with the host's
+/// hardware-thread count and a free-text analysis of the measurement conditions, as the
+/// `report_serve --json` document. Every transport row carries `capped_by_host` (see
+/// [`capped_by_host`]).
 pub fn serve_rows_to_json(
-    rows: &[ServeRow],
-    frontend: &[FrontendRow],
     transport: &[TransportRow],
-    telemetry: &[TelemetryRow],
-    shard_skew: &[ShardSkewRow],
     restart: &[RestartRow],
-    deployment_stats_json: &str,
     analysis: &str,
 ) -> String {
-    let mut out = String::from("{\n  \"figure\": \"serve_throughput\",\n");
-    out.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
+    let mut out = format!("{{\n  \"host_parallelism\": {},\n", host_parallelism());
     out.push_str(&format!("  \"analysis\": \"{}\",\n", json_escape(analysis)));
-    out.push_str(&format!("  \"deployment\": {deployment_stats_json},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"id\": \"{}\", \"domain\": \"{}\", \"secrets\": {}, \"workers\": {}, ",
-                "\"capped_by_host\": {}, ",
-                "\"seq_downgrade_seconds\": {:.6}, \"batch_downgrade_seconds\": {:.6}, ",
-                "\"downgrade_speedup\": {:.3}, ",
-                "\"seq_count_seconds\": {:.6}, \"par_count_seconds\": {:.6}, ",
-                "\"count_speedup\": {:.3}, \"models\": {}}}{}\n"
-            ),
-            r.id,
-            r.domain,
-            r.secrets,
-            r.workers,
-            capped_by_host(r.workers),
-            r.seq_downgrade_seconds,
-            r.batch_downgrade_seconds,
-            r.downgrade_speedup,
-            r.seq_count_seconds,
-            r.par_count_seconds,
-            r.count_speedup,
-            r.models,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"frontend_rows\": [\n");
-    for (i, r) in frontend.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"batch_size\": {}, \"requests\": {}, \"workers\": {}, ",
-                "\"capped_by_host\": {}, ",
-                "\"frontend_seconds\": {:.6}, \"frontend_rps\": {:.1}, ",
-                "\"wire_seconds\": {:.6}, \"wire_rps\": {:.1}, ",
-                "\"bulk_seconds\": {:.6}, \"bulk_rps\": {:.1}, ",
-                "\"direct_seconds\": {:.6}, \"direct_rps\": {:.1}}}{}\n"
-            ),
-            r.batch_size,
-            r.requests,
-            r.workers,
-            capped_by_host(r.workers),
-            r.frontend_seconds,
-            r.frontend_rps,
-            r.wire_seconds,
-            r.wire_rps,
-            r.bulk_seconds,
-            r.bulk_rps,
-            r.direct_seconds,
-            r.direct_rps,
-            if i + 1 == frontend.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"transport_rows\": [\n");
+    out.push_str("  \"transport_rows\": [\n");
     for (i, r) in transport.iter().enumerate() {
         out.push_str(&format!(
             concat!(
@@ -1217,43 +535,6 @@ pub fn serve_rows_to_json(
             r.speedup_vs_one,
             r.capped_by_host,
             if i + 1 == transport.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"telemetry_rows\": [\n");
-    for (i, r) in telemetry.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"reactors\": {}, \"requests\": {}, ",
-                "\"off_seconds\": {:.6}, \"on_seconds\": {:.6}, ",
-                "\"off_rps\": {:.1}, \"on_rps\": {:.1}, \"overhead_pct\": {:.2}, ",
-                "\"latency_p50\": {}, \"latency_p99\": {}, \"latency_max\": {}}}{}\n"
-            ),
-            r.reactors,
-            r.requests,
-            r.off_seconds,
-            r.on_seconds,
-            r.off_rps,
-            r.on_rps,
-            r.overhead_pct,
-            r.latency_p50,
-            r.latency_p99,
-            r.latency_max,
-            if i + 1 == telemetry.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"shard_skew\": [\n");
-    for (i, r) in shard_skew.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"reactors\": {}, \"shard\": {}, \"requests\": {}, ",
-                "\"latency_p50\": {}, \"latency_p99\": {}}}{}\n"
-            ),
-            r.reactors,
-            r.shard,
-            r.requests,
-            r.latency_p50,
-            r.latency_p99,
-            if i + 1 == shard_skew.len() { "" } else { "," },
         ));
     }
     out.push_str("  ],\n  \"restart_rows\": [\n");
@@ -1559,8 +840,6 @@ mod tests {
             cache_hits: 1700,
             cache_misses: 300,
             memo_depth: [[0, 0, 9], [0, 0, 4], [7, 3, 0], [0, 0, 0]],
-            memo_depth_configured: 8,
-            memo_depth_suggested: 8,
         }];
         let json = fig5_rows_to_json("fig5a_intervals", &rows);
         assert_eq!(json.matches("{\"id\"").count(), rows.len());
@@ -1578,7 +857,6 @@ mod tests {
         assert!(json.contains("\"box_memo_depth\": ["));
         assert!(json.contains("{\"depth\": \"1-3\", \"hits\": 0, \"misses\": 0, \"bypassed\": 9}"));
         assert!(json.contains("{\"depth\": \"8-15\", \"hits\": 7, \"misses\": 3, \"bypassed\": 0}"));
-        assert!(json.contains("\"box_memo_min_depth\": {\"configured\": 8, \"suggested\": 8}"));
         // Crude but dependency-free well-formedness checks.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -1618,36 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_secrets_are_reproducible_and_in_layout() {
-        let layout = SecretLayout::builder().field("x", 0, 400).field("y", -3, 7).build();
-        let a = deterministic_secrets(&layout, 100, 7);
-        let b = deterministic_secrets(&layout, 100, 7);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|p| layout.admits(p)));
-        assert_ne!(a, deterministic_secrets(&layout, 100, 8));
-    }
-
-    #[test]
-    fn serve_rows_internal_equivalence_checks_pass_on_a_small_run() {
-        // serve_rows asserts batch == loop and sharded count == sequential count internally;
-        // running it at a reduced size is the smoke test (the full size is report_serve's job).
-        let rows = serve_rows::<IntervalDomain>(2, 400, &quick_synth_config(), None);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert!(r.models > 0, "{}", r.id);
-            assert_eq!(r.secrets, 400);
-            assert_eq!(r.workers, 2);
-        }
-        let text = render_serve(&rows);
-        assert!(text.contains("B1") && text.contains("Speedup"));
-        let frontend = frontend_rows(2, 200, &quick_synth_config(), &[1, 50]);
-        assert_eq!(frontend.len(), 2);
-        for f in &frontend {
-            assert_eq!(f.requests, 200);
-            assert!(f.frontend_rps > 0.0 && f.wire_rps > 0.0 && f.bulk_rps > 0.0);
-            assert!(f.direct_rps > 0.0);
-        }
-        assert!(render_frontend(&frontend).contains("req/s"));
+    fn serve_json_carries_one_object_per_transport_and_restart_row() {
         let transport = vec![
             TransportRow {
                 reactors: 1,
@@ -1669,24 +918,6 @@ mod tests {
             },
         ];
         assert!(render_transport(&transport).contains("vs 1 reactor"));
-        let telemetry = vec![TelemetryRow {
-            reactors: 2,
-            requests: 200,
-            off_seconds: 0.05,
-            on_seconds: 0.051,
-            off_rps: 4000.0,
-            on_rps: 3920.0,
-            overhead_pct: 2.0,
-            latency_p50: 7,
-            latency_p99: 63,
-            latency_max: 90,
-        }];
-        assert!(render_telemetry(&telemetry).contains("Overhead"));
-        let shard_skew = vec![
-            ShardSkewRow { reactors: 2, shard: 0, requests: 120, latency_p50: 7, latency_p99: 63 },
-            ShardSkewRow { reactors: 2, shard: 1, requests: 80, latency_p50: 7, latency_p99: 31 },
-        ];
-        assert!(render_shard_skew(&shard_skew).contains("Shard"));
         let restart = vec![RestartRow {
             entries: 1000,
             snapshot_entries: 500,
@@ -1695,52 +926,18 @@ mod tests {
             warm_seconds: 0.02,
         }];
         assert!(render_restart(&restart).contains("Warm start"));
-        let json = serve_rows_to_json(
-            &rows,
-            &frontend,
-            &transport,
-            &telemetry,
-            &shard_skew,
-            &restart,
-            "{\"workers\": 2}",
-            "single-core \"host\"\nwith C:\\cores",
-        );
-        assert_eq!(json.matches("{\"id\"").count(), 5);
-        assert_eq!(json.matches("{\"batch_size\"").count(), 2);
-        assert_eq!(json.matches("{\"reactors\"").count(), 2 + telemetry.len() + shard_skew.len());
+        let json = serve_rows_to_json(&transport, &restart, "single-core \"host\"\nwith C:\\cores");
+        assert_eq!(json.matches("{\"reactors\"").count(), transport.len());
         assert_eq!(json.matches("{\"entries\"").count(), restart.len());
-        assert_eq!(json.matches("\"overhead_pct\"").count(), telemetry.len());
-        assert_eq!(json.matches("\"shard\"").count(), 2);
-        assert!(json.contains("\"figure\": \"serve_throughput\""));
-        assert!(json.contains("\"domain\": \"interval\""));
         assert!(
             json.contains("single-core \\\"host\\\"\\nwith C:\\\\cores"),
             "quotes, newlines and backslashes are escaped"
         );
         assert!(json.contains("\"host_parallelism\": "));
-        // Every parallel row carries the machine-readable host-cap flag.
-        assert_eq!(
-            json.matches("\"capped_by_host\": ").count(),
-            rows.len() + frontend.len() + transport.len()
-        );
+        // Every transport row carries the machine-readable host-cap flag.
+        assert_eq!(json.matches("\"capped_by_host\": ").count(), transport.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  ]"), "no trailing comma before an array close");
-    }
-
-    #[test]
-    fn telemetry_rows_measure_overhead_and_per_shard_skew() {
-        let (rows, skew) = telemetry_rows(12, 41, 43, &[1, 2], 1);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(skew.len(), 3, "one skew row per shard: 1 + 2");
-        for r in &rows {
-            assert!(r.off_rps > 0.0 && r.on_rps > 0.0);
-            // Every request is answered at the virtual instant it arrives: nothing waits.
-            assert_eq!((r.latency_p50, r.latency_p99, r.latency_max), (0, 0, 0));
-        }
-        // The hashed shards together parse exactly the single-reactor request count.
-        let single = skew.iter().find(|s| s.reactors == 1).expect("the reactors=1 row").requests;
-        let sharded: u64 = skew.iter().filter(|s| s.reactors == 2).map(|s| s.requests).sum();
-        assert_eq!(sharded, single, "sharding redistributes requests, never loses them");
     }
 
     #[test]
