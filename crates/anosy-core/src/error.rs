@@ -2,7 +2,7 @@
 
 use anosy_ifc::IfcError;
 use anosy_solver::SolverError;
-use anosy_synth::SynthError;
+use anosy_synth::{ApproxKind, SynthError};
 use std::fmt;
 
 /// Errors raised by [`crate::AnosySession`] operations.
@@ -26,6 +26,13 @@ pub enum AnosyError {
         posterior_true_size: u128,
         /// Size of the posterior for the `false` answer.
         posterior_false_size: u128,
+    },
+    /// The query's ind. sets approximate in a direction the policy cannot decide on soundly
+    /// (see [`crate::Policy::sound_for`]), so the downgrade was refused before any posterior
+    /// was computed and the query was **not** executed.
+    UnsoundApproximation {
+        /// The approximation direction of the refused query's ind. sets.
+        kind: ApproxKind,
     },
     /// The secret lies outside the declared secret space, so no sound knowledge tracking is
     /// possible for it.
@@ -66,6 +73,9 @@ impl fmt::Display for AnosyError {
                 f,
                 "policy violation: {policy} refuses {query} (posterior sizes: true {posterior_true_size}, false {posterior_false_size})"
             ),
+            AnosyError::UnsoundApproximation { kind } => {
+                write!(f, "unsound approximation: the policy cannot decide on {kind}-approximate ind. sets")
+            }
             AnosyError::SecretOutsideLayout => {
                 write!(f, "the secret lies outside the declared secret space")
             }

@@ -236,6 +236,22 @@ mod tests {
         assert_eq!(session.downgrade_kary(&secret, "age_band").unwrap(), 2);
         assert!(session.knowledge_of(&Point::new(vec![70])).size() <= 121);
 
+        // The same sets marked over-approximate: a size policy cannot decide on them, so the
+        // downgrade is refused unevaluated and counts as neither authorized nor refused.
+        let over = KaryIndSets::new(ApproxKind::Over, ind.sets().to_vec());
+        let mut unsound: AnosySession<PowersetDomain> =
+            AnosySession::new(layout(), MinSizePolicy::new(10));
+        unsound.register_kary(q.clone(), over.clone());
+        assert_eq!(
+            unsound.downgrade_kary(&secret, "age_band"),
+            Err(crate::AnosyError::UnsoundApproximation { kind: ApproxKind::Over })
+        );
+        assert_eq!(unsound.stats(), crate::SessionStats::default());
+        assert_eq!(unsound.tracked_secrets(), 0);
+        let mut open: AnosySession<PowersetDomain> = AnosySession::new(layout(), crate::AllowAll);
+        open.register_kary(q.clone(), over);
+        assert_eq!(open.downgrade_kary(&secret, "age_band").unwrap(), 2);
+
         // Strict policy: the minor band has only 18 candidates, so the query is refused for
         // everyone — even secrets that would fall in a large band.
         let mut strict: AnosySession<PowersetDomain> =

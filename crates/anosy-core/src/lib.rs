@@ -8,7 +8,8 @@
 //!   enriched with the quantitative measures (§8) policies may constrain: size, Shannon entropy,
 //!   Bayes vulnerability and guessing entropy;
 //! * [`Policy`] — quantitative declassification policies (`size knowledge > 100`, minimum
-//!   residual entropy, conjunctions, custom predicates);
+//!   residual entropy, conjunctions, custom predicates), each naming the approximation
+//!   directions it can soundly decide on ([`Policy::sound_for`]);
 //! * [`QInfo`] — a registered query together with its synthesized and verified knowledge
 //!   approximation (the paper's `QInfo` record);
 //! * [`AnosySession`] — the `AnosyT` monad-transformer analogue: it owns the policy, the
@@ -17,12 +18,12 @@
 //!   executed only if both pass;
 //! * [`KaryQuery`] — the §5.1 extension to queries with finitely many (more than two) outputs.
 //!
-//! Sessions are built for serving: each [`AnosySession`] owns a hash-consed
-//! [`TermStore`](anosy_logic::TermStore) into which registered query predicates are interned,
-//! and a **synthesis cache** keyed by `(interned predicate, layout, direction, members)`.
-//! Re-registering an already-synthesized query — the pattern of serving the same query set to
-//! millions of users — is a cache hit that skips synthesis, verification and every solver
-//! search; [`AnosySession::stats`] surfaces the hit/miss and authorize/refuse counters
+//! Sessions are built for serving: each [`AnosySession`] registers through a **synthesis
+//! cache** ([`SharedSynthCache`]) keyed by `(predicate, layout, direction, members)`, private to
+//! a standalone session and shared by a deployment's sessions. Re-registering an
+//! already-synthesized query — the pattern of serving the same query set to millions of users —
+//! is a cache hit that skips synthesis, verification and every solver search;
+//! [`AnosySession::stats`] surfaces the hit/miss and authorize/refuse counters
 //! ([`SessionStats`]).
 //!
 //! # Example

@@ -5,9 +5,24 @@
 //! monotone: if it accepts a knowledge set it must accept every superset (§3, "the policy should
 //! be an increasing function in the size of the input"). All policies provided here are monotone
 //! by construction; [`FnPolicy`] documents the obligation for custom predicates.
+//!
+//! Monotonicity carries a verdict from an under-approximation up to the attacker's true
+//! knowledge, which contains it. It carries nothing *down* from an over-approximation: a
+//! bounding box may hold 40,401 candidates while the true posterior holds 20,201, so an
+//! upward-closed policy that accepts the box says nothing about the knowledge it bounds.
+//! [`Policy::sound_for`] therefore names the approximation directions a policy may decide on,
+//! and a downgrade through ind. sets of any other direction is refused before a posterior is
+//! computed:
+//!
+//! * [`AllowAll`] (and [`PolicySpec::AllowAll`]) accepts every knowledge, so it is sound for
+//!   both directions;
+//! * [`MinSizePolicy`], [`MinEntropyPolicy`] and [`FnPolicy`] are sound for
+//!   [`ApproxKind::Under`] only;
+//! * [`AndPolicy`] (and [`PolicySpec::All`]) is sound for the directions every conjunct is.
 
 use crate::Knowledge;
 use anosy_domains::AbstractDomain;
+use anosy_synth::ApproxKind;
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,6 +33,10 @@ pub trait Policy<D: AbstractDomain>: fmt::Debug {
 
     /// A short human-readable name used in error messages and reports.
     fn name(&self) -> String;
+
+    /// Whether a verdict on ind. sets approximated in direction `kind` is a verdict on the
+    /// attacker's true knowledge (see the module docs).
+    fn sound_for(&self, kind: ApproxKind) -> bool;
 }
 
 /// Accepts everything. Useful as a baseline and for measuring "how fast would knowledge shrink
@@ -32,6 +51,10 @@ impl<D: AbstractDomain> Policy<D> for AllowAll {
 
     fn name(&self) -> String {
         "allow-all".into()
+    }
+
+    fn sound_for(&self, _kind: ApproxKind) -> bool {
+        true
     }
 }
 
@@ -62,6 +85,10 @@ impl<D: AbstractDomain> Policy<D> for MinSizePolicy {
     fn name(&self) -> String {
         format!("min-size({})", self.min_size)
     }
+
+    fn sound_for(&self, kind: ApproxKind) -> bool {
+        kind == ApproxKind::Under
+    }
 }
 
 /// Requires the residual Shannon entropy (in bits, under the uniform reading) to stay strictly
@@ -85,6 +112,10 @@ impl<D: AbstractDomain> Policy<D> for MinEntropyPolicy {
 
     fn name(&self) -> String {
         format!("min-entropy({} bits)", self.min_bits)
+    }
+
+    fn sound_for(&self, kind: ApproxKind) -> bool {
+        kind == ApproxKind::Under
     }
 }
 
@@ -114,6 +145,10 @@ where
 
     fn name(&self) -> String {
         format!("{} ∧ {}", self.left.name(), self.right.name())
+    }
+
+    fn sound_for(&self, kind: ApproxKind) -> bool {
+        self.left.sound_for(kind) && self.right.sound_for(kind)
     }
 }
 
@@ -228,6 +263,16 @@ impl<D: AbstractDomain> Policy<D> for PolicySpec {
     fn name(&self) -> String {
         self.to_string()
     }
+
+    fn sound_for(&self, kind: ApproxKind) -> bool {
+        match self {
+            PolicySpec::AllowAll => true,
+            PolicySpec::MinSize(_) | PolicySpec::MinEntropyMillibits(_) => {
+                kind == ApproxKind::Under
+            }
+            PolicySpec::All(specs) => specs.iter().all(|s| Policy::<D>::sound_for(s, kind)),
+        }
+    }
 }
 
 /// A policy given by an arbitrary predicate on knowledge.
@@ -235,6 +280,7 @@ impl<D: AbstractDomain> Policy<D> for PolicySpec {
 /// **Soundness obligation**: for enforcement through under-approximations the predicate must be
 /// monotone — if it accepts some knowledge it must accept every larger knowledge. The library
 /// cannot check this for you (the paper leaves a policy DSL with this guarantee as future work).
+/// It is sound for [`ApproxKind::Under`] only.
 #[derive(Clone)]
 pub struct FnPolicy<D> {
     name: String,
@@ -265,6 +311,10 @@ impl<D: AbstractDomain> Policy<D> for FnPolicy<D> {
 
     fn name(&self) -> String {
         self.name.clone()
+    }
+
+    fn sound_for(&self, kind: ApproxKind) -> bool {
+        kind == ApproxKind::Under
     }
 }
 
@@ -376,6 +426,27 @@ mod tests {
             if Policy::<IntervalDomain>::allows(&spec, &knowledge_of_size(n)) {
                 assert!(n as u128 > bound);
             }
+        }
+    }
+
+    #[test]
+    fn only_allow_all_is_sound_for_over_approximations() {
+        use ApproxKind::{Over, Under};
+        let sound = |p: &dyn Policy<IntervalDomain>| (p.sound_for(Under), p.sound_for(Over));
+        assert_eq!(sound(&AllowAll), (true, true));
+        assert_eq!(sound(&MinSizePolicy::new(1)), (true, false));
+        assert_eq!(sound(&MinEntropyPolicy::new(1.0)), (true, false));
+        assert_eq!(sound(&FnPolicy::new("any", |_| true)), (true, false));
+        assert_eq!(sound(&AndPolicy::new(AllowAll, AllowAll)), (true, true));
+        assert_eq!(sound(&AndPolicy::new(AllowAll, MinSizePolicy::new(1))), (true, false));
+        for (text, over) in [
+            ("allow-all", true),
+            ("min-size:1", false),
+            ("min-entropy-mb:1", false),
+            ("allow-all&allow-all", true),
+            ("allow-all&min-size:1", false),
+        ] {
+            assert_eq!(sound(&PolicySpec::parse(text).unwrap()), (true, over), "{text}");
         }
     }
 

@@ -4,7 +4,7 @@ use crate::shared::SharedSynthCache;
 use crate::{AnosyError, KaryIndSets, KaryQuery, Knowledge, Policy, QInfo};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain, Secret};
 use anosy_ifc::{Label, Labeled, Lio, Protected, Unprotect};
-use anosy_logic::{Point, SecretLayout, StoreStats};
+use anosy_logic::{Point, SecretLayout};
 use anosy_solver::SolverConfig;
 use anosy_synth::{ApproxKind, IndSets, QueryDef, SynthError, Synthesizer};
 use anosy_verify::Verifier;
@@ -120,8 +120,8 @@ pub struct AnosySession<D: AbstractDomain> {
     /// Shared so a downgrade resolves its query with a handle, never a deep copy.
     queries: BTreeMap<String, Arc<QInfo<D>>>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
-    /// The term store and synthesis cache the session registers through: a deployment's, or
-    /// a private one for a standalone session.
+    /// The synthesis cache the session registers through: a deployment's, or a private one
+    /// for a standalone session.
     shared: SharedSynthCache<D>,
     stats: SessionStats,
 }
@@ -133,7 +133,7 @@ impl<D: AbstractDomain> AnosySession<D> {
         AnosySession::with_shared(layout, policy, SharedSynthCache::new())
     }
 
-    /// Creates a session that shares a deployment-wide term store and synthesis cache (see
+    /// Creates a session that shares a deployment-wide synthesis cache (see
     /// [`SharedSynthCache`]): registrations of a query any session of the deployment has already
     /// synthesized are cache hits, and the deployment's aggregate counters fold in this
     /// session's outcomes.
@@ -162,11 +162,6 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// Counters accumulated since construction (cache hits/misses, downgrade outcomes).
     pub fn stats(&self) -> SessionStats {
         self.stats
-    }
-
-    /// Hit/miss counters of the term store this session interns into.
-    pub fn store_stats(&self) -> StoreStats {
-        self.shared.store_stats()
     }
 
     /// The synthesis cache this session registers through (private to a standalone session).
@@ -257,8 +252,10 @@ impl<D: AbstractDomain> AnosySession<D> {
     ///
     /// * [`AnosyError::UnknownQuery`] if the query was never registered;
     /// * [`AnosyError::SecretOutsideLayout`] if the secret is not in the declared space;
+    /// * [`AnosyError::UnsoundApproximation`] if the policy is not sound for the direction of
+    ///   the query's ind. sets ([`Policy::sound_for`]);
     /// * [`AnosyError::PolicyViolation`] if either posterior violates the policy — the query is
-    ///   **not** executed in that case.
+    ///   **not** executed in either case.
     pub fn downgrade<P>(&mut self, secret: &P, query_name: &str) -> Result<bool, AnosyError>
     where
         P: Unprotect,
@@ -273,7 +270,8 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// The bounded downgrade of Fig. 2 against a query the caller already resolved — the
     /// serving frontend resolves names in its own registry, not in the session. Checks the
     /// layout, reads the tracked prior, runs [`downgrade_step`] and, only when the policy
-    /// authorized it, commits the posterior; either way the outcome is counted. This is the
+    /// authorized it, commits the posterior; an authorization or a policy refusal is counted,
+    /// an [`AnosyError::UnsoundApproximation`] is not (no policy was consulted). This is the
     /// one place a session's knowledge changes after a boolean downgrade.
     ///
     /// # Errors
@@ -304,7 +302,9 @@ impl<D: AbstractDomain> AnosySession<D> {
                 Ok(response)
             }
             Err(e) => {
-                self.note_downgrade_outcome(false);
+                if matches!(e, AnosyError::PolicyViolation { .. }) {
+                    self.note_downgrade_outcome(false);
+                }
                 Err(e)
             }
         }
@@ -381,6 +381,9 @@ impl<D: AbstractDomain> AnosySession<D> {
         if !self.layout.admits(&point) {
             return Err(AnosyError::SecretOutsideLayout);
         }
+        if !self.policy.sound_for(indsets.kind()) {
+            return Err(AnosyError::UnsoundApproximation { kind: indsets.kind() });
+        }
         let prior = self.knowledge_of(&point);
         let posteriors: Vec<Knowledge<D>> =
             indsets.posterior(prior.domain()).into_iter().map(Knowledge::from_domain).collect();
@@ -411,23 +414,28 @@ impl<D: AbstractDomain> Drop for AnosySession<D> {
     }
 }
 
-/// One pure bounded-downgrade step (the decision half of Fig. 2, with no state change): computes
-/// the posterior knowledge for **both** possible answers from `prior`, checks the policy on
-/// both, and only if both pass executes the query on `point`, returning the answer together with
-/// the matching posterior.
+/// One pure bounded-downgrade step (the decision half of Fig. 2, with no state change): checks
+/// that the policy is sound for the direction of the query's ind. sets, computes the posterior
+/// knowledge for **both** possible answers from `prior`, checks the policy on both, and only if
+/// both pass executes the query on `point`, returning the answer together with the matching
+/// posterior.
 ///
 /// [`AnosySession::downgrade_with`] is this step plus the knowledge-map commit.
 ///
 /// # Errors
 ///
-/// Returns [`AnosyError::PolicyViolation`] when either posterior violates the policy — the query
-/// is **not** executed in that case.
+/// Returns [`AnosyError::UnsoundApproximation`] when the policy is not sound for the ind. sets'
+/// direction (nothing is computed), and [`AnosyError::PolicyViolation`] when either posterior
+/// violates the policy — the query is **not** executed in either case.
 pub fn downgrade_step<D: AbstractDomain>(
     policy: &dyn Policy<D>,
     qinfo: &QInfo<D>,
     prior: &Knowledge<D>,
     point: &Point,
 ) -> Result<(bool, Knowledge<D>), AnosyError> {
+    if !policy.sound_for(qinfo.kind()) {
+        return Err(AnosyError::UnsoundApproximation { kind: qinfo.kind() });
+    }
     let (post_true, post_false) = qinfo.posterior(prior.domain());
     let knowledge_true = Knowledge::from_domain(post_true);
     let knowledge_false = Knowledge::from_domain(post_false);
@@ -449,8 +457,8 @@ impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
     /// paper's compile-time plugin pass.
     ///
     /// Results are cached in the session's synthesis cache (private to a standalone session,
-    /// shared across a deployment otherwise), keyed by the *interned* query predicate (plus
-    /// layout, direction and member budget): re-registering a query whose synthesis is already
+    /// shared across a deployment otherwise), keyed by the query predicate (plus layout,
+    /// direction and member budget): re-registering a query whose synthesis is already
     /// cached — the repeated-downgrade serving pattern — skips synthesis, verification and every
     /// solver search, and only re-registers the stored [`QInfo`]. Hits and misses are counted in
     /// [`AnosySession::stats`].
@@ -527,7 +535,7 @@ impl<D: AbstractDomain> fmt::Debug for AnosySession<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MinSizePolicy;
+    use crate::{AllowAll, AndPolicy, MinSizePolicy};
     use anosy_domains::{secret_record, AInt};
     use anosy_ifc::SecLevel;
     use anosy_logic::{IntExpr, Pred};
@@ -659,6 +667,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn over_approximations_are_refused_before_any_posterior() {
+        // The diamond's over-approximate true set is its 40,401-point bounding box, which
+        // min-size 30000 accepts although the attacker's true posterior at (200, 200) holds
+        // 20,201 points. The policy is not sound for over-approximations, so the downgrade is
+        // refused unevaluated and leaves the knowledge and the counters where they were.
+        let mut synth =
+            Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
+        let mut session: AnosySession<IntervalDomain> =
+            AnosySession::new(loc_layout(), MinSizePolicy::new(30_000));
+        session
+            .register_synthesized(&mut synth, &nearby(200, 200), ApproxKind::Over, None)
+            .unwrap();
+        let qinfo = session.query_handle("nearby_200_200").unwrap();
+        assert_eq!(qinfo.indsets().truthy().size(), 40_401);
+        let point = Point::new(vec![200, 200]);
+        let unsound = Err(AnosyError::UnsoundApproximation { kind: ApproxKind::Over });
+        assert_eq!(session.downgrade(&Protected::new(point.clone()), "nearby_200_200"), unsound);
+        assert_eq!(session.knowledge_of(&point).size(), 401 * 401);
+        assert_eq!(session.stats().downgrades_authorized + session.stats().downgrades_refused, 0);
+        assert_eq!(session.shared_cache().stats().downgrades_refused, 0);
+        let policy = AndPolicy::new(AllowAll, MinSizePolicy::new(30_000));
+        let prior = Knowledge::initial(&loc_layout());
+        assert_eq!(downgrade_step(&policy, &qinfo, &prior, &point).map(|(a, _)| a), unsound);
+        // Allow-all is sound for both directions.
+        assert_eq!(downgrade_step(&AllowAll, &qinfo, &prior, &point).map(|(a, _)| a), Ok(true));
+    }
+
     secret_record! {
         struct UserLoc {
             x: 0..=400,
@@ -755,7 +791,7 @@ mod tests {
         assert!((session.stats().cache_hit_ratio() - 0.5).abs() < 1e-12);
 
         // A differently-*named* registration of the same predicate still hits: the cache key is
-        // the interned predicate, not the name.
+        // the predicate, not the name.
         let renamed =
             QueryDef::new("same_diamond_other_name", loc_layout(), query.pred().clone()).unwrap();
         session.register_synthesized(&mut synth, &renamed, ApproxKind::Under, None).unwrap();

@@ -1,20 +1,22 @@
-//! The deployment-shared synthesis cache: one term store + one synthesis cache for *all*
-//! sessions of a deployment.
+//! The deployment-shared synthesis cache: one synthesis cache for *all* sessions of a
+//! deployment.
 //!
 //! A single [`crate::AnosySession`] already avoids re-synthesizing a query it has seen before.
 //! Under the serving pattern — thousands of sessions, each registering the same query set — the
-//! per-session cache still synthesizes once *per session*. [`SharedSynthCache`] hoists the term
-//! store and the synthesis cache behind an [`Arc`], so synthesis happens once per **deployment**:
+//! per-session cache still synthesizes once *per session*. [`SharedSynthCache`] hoists the
+//! synthesis cache behind an [`Arc`], so synthesis happens once per **deployment**:
 //!
-//! * the [`TermStore`] lives behind an [`RwLock`]; interning (the only write) is serialized,
-//!   everything else reads;
-//! * synthesis results are cached under the canonical key `(interned predicate, layout,
-//!   direction, members)` with **single-flight** semantics: when several sessions race to
-//!   register the same uncached query, exactly one runs the synthesize-and-verify pipeline and
-//!   the rest block until the result is published (a failed or panicked attempt releases the
-//!   slot, so a waiter retries — the same retry a sequential caller would perform);
+//! * synthesis results are cached under the key `(predicate, layout, direction, members)` with
+//!   **single-flight** semantics: when several sessions race to register the same uncached
+//!   query, exactly one runs the synthesize-and-verify pipeline and the rest block until the
+//!   result is published (a failed or panicked attempt releases the slot, so a waiter retries —
+//!   the same retry a sequential caller would perform);
 //! * aggregate counters ([`SharedCacheStats`]) fold every session's hits/misses and
 //!   authorize/refuse outcomes into one deployment-wide observability block.
+//!
+//! The key holds the predicate tree itself: two registrations share an entry exactly when their
+//! predicates are equal as [`Pred`] values. Nothing is simplified first, so equivalent but
+//! differently written predicates synthesize separately.
 //!
 //! Sessions join a shared cache via [`crate::AnosySession::with_shared`], and a standalone
 //! session ([`crate::AnosySession::new`]) is a deployment of one with a private cache. The
@@ -23,25 +25,22 @@
 
 use crate::AnosyError;
 use anosy_domains::AbstractDomain;
-use anosy_logic::{Pred, PredId, SecretLayout, StoreStats, TermStore};
+use anosy_logic::{Pred, SecretLayout};
 use anosy_synth::{ApproxKind, IndSets, QueryDef};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Key of a synthesis cache: the canonical (interned) query predicate, the layout it ranges
-/// over, the approximation direction and the powerset member budget. The query *name* is
-/// deliberately absent — two differently-named registrations of the same predicate share one
-/// synthesis.
-pub(crate) type SynthCacheKey = (PredId, SecretLayout, ApproxKind, Option<usize>);
+/// Key of a synthesis cache: the query predicate, the layout it ranges over, the approximation
+/// direction and the powerset member budget. The query *name* is deliberately absent — two
+/// differently-named registrations of the same predicate share one synthesis.
+type SynthCacheKey = (Pred, SecretLayout, ApproxKind, Option<usize>);
 
-/// A cached synthesis result together with the metadata needed to persist and re-load it
-/// (the interned key alone is not portable across stores, so the canonical predicate tree is
-/// retained).
+/// A cached synthesis result together with the metadata needed to persist and re-load it.
 #[derive(Debug, Clone)]
 pub struct SharedCacheEntry<D: AbstractDomain> {
-    /// The canonical query predicate (tree form, for persistence and display).
+    /// The query predicate.
     pub pred: Pred,
     /// The secret layout the query ranges over.
     pub layout: SecretLayout,
@@ -56,8 +55,8 @@ pub struct SharedCacheEntry<D: AbstractDomain> {
 enum SlotState<D: AbstractDomain> {
     /// Some session is currently synthesizing this entry; waiters block on the condvar.
     InFlight,
-    /// The synthesized and verified result.
-    Ready(SharedCacheEntry<D>),
+    /// The synthesized and verified ind. sets (the key holds the rest of the entry).
+    Ready(IndSets<D>),
 }
 
 #[derive(Debug, Default)]
@@ -129,14 +128,13 @@ impl fmt::Display for SharedCacheStats {
 pub type CommitObserver<D> = Arc<dyn Fn(&SharedSynthCache<D>, &SharedCacheEntry<D>) + Send + Sync>;
 
 struct Inner<D: AbstractDomain> {
-    store: RwLock<TermStore>,
     slots: Mutex<HashMap<SynthCacheKey, SlotState<D>>>,
     ready: Condvar,
     counters: Counters,
     observer: Mutex<Option<CommitObserver<D>>>,
 }
 
-/// The deployment-shared term store and synthesis cache (see the module docs above).
+/// The deployment-shared synthesis cache (see the module docs above).
 ///
 /// Cloning is cheap and shares the same underlying state — hand one clone to every session of
 /// the deployment.
@@ -189,11 +187,10 @@ impl<D: AbstractDomain> Drop for InFlightGuard<'_, D> {
 }
 
 impl<D: AbstractDomain> SharedSynthCache<D> {
-    /// Creates an empty shared cache with a fresh term store.
+    /// Creates an empty shared cache.
     pub fn new() -> Self {
         SharedSynthCache {
             inner: Arc::new(Inner {
-                store: RwLock::new(TermStore::new()),
                 slots: Mutex::new(HashMap::new()),
                 ready: Condvar::new(),
                 counters: Counters::default(),
@@ -217,23 +214,6 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         observer: impl Fn(&SharedSynthCache<D>, &SharedCacheEntry<D>) + Send + Sync + 'static,
     ) {
         *recover(self.inner.observer.lock()) = Some(Arc::new(observer));
-    }
-
-    /// Interns a predicate into the shared store (the only store write; serialized by the
-    /// `RwLock`).
-    pub fn intern_pred(&self, pred: &Pred) -> PredId {
-        recover(self.inner.store.write()).intern_pred(pred)
-    }
-
-    /// A snapshot of the shared term store (for seeding parallel solver shards). Ids interned
-    /// before the call remain valid in the snapshot.
-    pub fn store_snapshot(&self) -> TermStore {
-        recover(self.inner.store.read()).snapshot()
-    }
-
-    /// Hit/miss counters of the shared term store.
-    pub fn store_stats(&self) -> StoreStats {
-        recover(self.inner.store.read()).stats()
     }
 
     /// Number of synthesized entries currently cached (in-flight slots excluded).
@@ -278,9 +258,9 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The canonical cache key of a registration.
-    fn key_for(&self, query: &QueryDef, kind: ApproxKind, members: Option<usize>) -> SynthCacheKey {
-        (self.intern_pred(query.pred()), query.layout().clone(), kind, members)
+    /// The cache key of a registration.
+    fn key_for(query: &QueryDef, kind: ApproxKind, members: Option<usize>) -> SynthCacheKey {
+        (query.pred().clone(), query.layout().clone(), kind, members)
     }
 
     /// Returns the cached ind. sets for the query, synthesizing them with `synthesize` exactly
@@ -298,13 +278,13 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         members: Option<usize>,
         synthesize: impl FnOnce() -> Result<IndSets<D>, AnosyError>,
     ) -> Result<(IndSets<D>, bool), AnosyError> {
-        let key = self.key_for(query, kind, members);
+        let key = Self::key_for(query, kind, members);
         let mut slots: MutexGuard<'_, _> = recover(self.inner.slots.lock());
         loop {
             match slots.get(&key) {
-                Some(SlotState::Ready(entry)) => {
+                Some(SlotState::Ready(indsets)) => {
                     self.inner.counters.synth_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((entry.indsets.clone(), true));
+                    return Ok((indsets.clone(), true));
                 }
                 Some(SlotState::InFlight) => {
                     slots = recover(self.inner.ready.wait(slots));
@@ -323,24 +303,21 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
             synthesize()?
         };
         guard.key = None; // publication below supersedes the rollback
-        let entry = SharedCacheEntry {
-            pred: query.pred().clone(),
-            layout: query.layout().clone(),
-            kind,
-            members,
-            indsets: indsets.clone(),
-        };
         let observer = recover(self.inner.observer.lock()).clone();
+        recover(self.inner.slots.lock()).insert(key, SlotState::Ready(indsets.clone()));
+        self.inner.ready.notify_all();
         if let Some(observer) = observer {
             // Publish first, then observe: a compaction that locks its journal and *then*
             // snapshots the cache sees either the published entry (in the snapshot) or the
             // observer's append landing after the truncation — never neither.
-            recover(self.inner.slots.lock()).insert(key, SlotState::Ready(entry.clone()));
-            self.inner.ready.notify_all();
+            let entry = SharedCacheEntry {
+                pred: query.pred().clone(),
+                layout: query.layout().clone(),
+                kind,
+                members,
+                indsets: indsets.clone(),
+            };
             observer(self, &entry);
-        } else {
-            recover(self.inner.slots.lock()).insert(key, SlotState::Ready(entry));
-            self.inner.ready.notify_all();
         }
         Ok((indsets, false))
     }
@@ -357,13 +334,13 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         kind: ApproxKind,
         members: Option<usize>,
     ) -> Option<IndSets<D>> {
-        let key = self.key_for(query, kind, members);
+        let key = Self::key_for(query, kind, members);
         let mut slots = recover(self.inner.slots.lock());
         loop {
             match slots.get(&key) {
-                Some(SlotState::Ready(entry)) => {
+                Some(SlotState::Ready(indsets)) => {
                     self.inner.counters.synth_hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(entry.indsets.clone());
+                    return Some(indsets.clone());
                 }
                 Some(SlotState::InFlight) => {
                     slots = recover(self.inner.ready.wait(slots));
@@ -378,25 +355,26 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     /// anyway. This is the pre-check that lets a verified warm start skip re-verifying entries
     /// the deployment already holds.
     pub fn contains(&self, query: &QueryDef, kind: ApproxKind, members: Option<usize>) -> bool {
-        let key = self.key_for(query, kind, members);
+        let key = Self::key_for(query, kind, members);
         recover(self.inner.slots.lock()).contains_key(&key)
     }
 
     /// Inserts an already-synthesized (and, by contract, already-verified) entry, e.g. from a
     /// warm-start snapshot. Returns `false` when an entry for the same key already exists (the
     /// existing entry wins — a freshly synthesized result is never clobbered by a stale disk
-    /// cache).
+    /// cache), and when the predicate names a field the layout lacks (no registration could
+    /// ever look such an entry up).
     pub fn insert_ready(&self, entry: SharedCacheEntry<D>) -> bool {
-        let query = match QueryDef::new("warm", entry.layout.clone(), entry.pred.clone()) {
-            Ok(q) => q,
-            Err(_) => return false,
-        };
-        let key = self.key_for(&query, entry.kind, entry.members);
+        let SharedCacheEntry { pred, layout, kind, members, indsets } = entry;
+        if pred.free_vars().last().is_some_and(|&max| max >= layout.arity()) {
+            return false;
+        }
+        let key = (pred, layout, kind, members);
         let mut slots = recover(self.inner.slots.lock());
         match slots.get(&key) {
             Some(SlotState::Ready(_)) | Some(SlotState::InFlight) => false,
             None => {
-                slots.insert(key, SlotState::Ready(entry));
+                slots.insert(key, SlotState::Ready(indsets));
                 self.inner.counters.warm_loaded.fetch_add(1, Ordering::Relaxed);
                 true
             }
@@ -408,9 +386,15 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
     pub fn export_entries(&self) -> Vec<SharedCacheEntry<D>> {
         let slots = recover(self.inner.slots.lock());
         let mut entries: Vec<SharedCacheEntry<D>> = slots
-            .values()
-            .filter_map(|slot| match slot {
-                SlotState::Ready(entry) => Some(entry.clone()),
+            .iter()
+            .filter_map(|((pred, layout, kind, members), slot)| match slot {
+                SlotState::Ready(indsets) => Some(SharedCacheEntry {
+                    pred: pred.clone(),
+                    layout: layout.clone(),
+                    kind: *kind,
+                    members: *members,
+                    indsets: indsets.clone(),
+                }),
                 SlotState::InFlight => None,
             })
             .collect();
@@ -502,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_canonicalize_on_the_interned_predicate() {
+    fn the_key_is_the_predicate_not_the_name() {
         let cache: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
         cache
             .get_or_synthesize(&query(200), ApproxKind::Under, None, || Ok(fake_indsets()))
@@ -533,7 +517,9 @@ mod tests {
             indsets: fake_indsets(),
         };
         assert!(cache.insert_ready(entry.clone()));
-        assert!(!cache.insert_ready(entry), "duplicate warm insert is refused");
+        assert!(!cache.insert_ready(entry.clone()), "duplicate warm insert is refused");
+        let alien = SharedCacheEntry { pred: IntExpr::var(2).le(0), ..entry };
+        assert!(!cache.insert_ready(alien), "a predicate beyond the layout's arity is refused");
         assert_eq!(cache.stats().warm_loaded, 1);
         let (_, hit) = cache
             .get_or_synthesize(&query(200), ApproxKind::Under, None, || {

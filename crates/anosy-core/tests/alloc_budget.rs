@@ -9,7 +9,7 @@
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
 
-use anosy_core::{AnosySession, Knowledge, MinSizePolicy, QInfo};
+use anosy_core::{AllowAll, AnosyError, AnosySession, Knowledge, MinSizePolicy, QInfo};
 use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_logic::{IntExpr, Point, SecretLayout};
 use anosy_synth::{ApproxKind, IndSets, QueryDef};
@@ -142,17 +142,32 @@ fn diagonal() -> QInfo<PowersetDomain> {
 
 #[test]
 fn steady_state_powerset_downgrades_stay_within_the_budget() {
-    let mut session = AnosySession::<PowersetDomain>::new(layout(), MinSizePolicy::new(100));
+    // Min-size is not sound for over-approximations, so the over-approximate `south` round is
+    // measured in an allow-all session; the min-size session refuses it without allocating.
+    let mut bounded = AnosySession::<PowersetDomain>::new(layout(), MinSizePolicy::new(100));
+    let mut open = AnosySession::<PowersetDomain>::new(layout(), AllowAll);
     let secrets =
         [Point::new(vec![60, 90]), Point::new(vec![250, 350]), Point::new(vec![150, 260])];
-    for secret in &secrets {
-        // First touch: the secret's `⊤` prior is built and its entry inserted.
-        assert!(session.downgrade_with(&west(), secret).is_ok());
+    for session in [&mut bounded, &mut open] {
+        for secret in &secrets {
+            // First touch: the secret's `⊤` prior is built and its entry inserted.
+            assert!(session.downgrade_with(&west(), secret).is_ok());
+        }
     }
-    for (round, query) in [south(), diagonal()].iter().enumerate() {
+    let south = south();
+    for secret in &secrets {
+        let prior = bounded.knowledge_of(secret);
+        let (outcome, count) = allocations(|| bounded.downgrade_with(&south, secret));
+        assert_eq!(outcome, Err(AnosyError::UnsoundApproximation { kind: ApproxKind::Over }));
+        assert_eq!(count, 0, "secret {secret}: a refusal before the meets allocates nothing");
+        assert_eq!(bounded.knowledge_of(secret), prior);
+    }
+    for (round, (query, session)) in
+        [(south, &mut open), (diagonal(), &mut bounded)].into_iter().enumerate()
+    {
         for secret in &secrets {
             let prior = session.knowledge_of(secret);
-            let (outcome, count) = allocations(|| session.downgrade_with(query, secret));
+            let (outcome, count) = allocations(|| session.downgrade_with(&query, secret));
             assert!(outcome.is_ok(), "round {round}: {outcome:?}");
             assert!(
                 count <= BUDGET,
@@ -167,7 +182,7 @@ fn steady_state_powerset_downgrades_stay_within_the_budget() {
             );
         }
     }
-    assert!(session.knowledge_of(&secrets[0]).size() > 100);
+    assert!(bounded.knowledge_of(&secrets[0]).size() > 100);
 }
 
 #[test]

@@ -15,6 +15,7 @@ use anosy_logic::{
     is_nnf, parse_pred, simplify_pred, IntBox, IntExpr, Point, Pred, Range, TermStore, TriBool,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const VARS: usize = 2;
 
@@ -99,6 +100,38 @@ fn arb_pred(depth: usize) -> BoxedStrategy<Pred> {
         1 => (inner(), inner()).prop_map(|(a, b)| a.iff(b)),
     ]
     .boxed()
+}
+
+/// `p` rebuilt node by node: equal to `p` as a value, sharing no allocation with it.
+fn rebuild(p: &Pred) -> Pred {
+    let pred = |q: &Pred| Arc::new(rebuild(q));
+    let expr = |e: &IntExpr| Arc::new(rebuild_expr(e));
+    match p {
+        Pred::True => Pred::True,
+        Pred::False => Pred::False,
+        Pred::Cmp(op, a, b) => Pred::Cmp(*op, expr(a), expr(b)),
+        Pred::Not(q) => Pred::Not(pred(q)),
+        Pred::And(ps) => Pred::And(ps.iter().map(rebuild).collect()),
+        Pred::Or(ps) => Pred::Or(ps.iter().map(rebuild).collect()),
+        Pred::Implies(a, b) => Pred::Implies(pred(a), pred(b)),
+        Pred::Iff(a, b) => Pred::Iff(pred(a), pred(b)),
+    }
+}
+
+fn rebuild_expr(e: &IntExpr) -> IntExpr {
+    let expr = |e: &IntExpr| Arc::new(rebuild_expr(e));
+    match e {
+        IntExpr::Const(c) => IntExpr::Const(*c),
+        IntExpr::Var(i) => IntExpr::Var(*i),
+        IntExpr::Add(a, b) => IntExpr::Add(expr(a), expr(b)),
+        IntExpr::Sub(a, b) => IntExpr::Sub(expr(a), expr(b)),
+        IntExpr::Neg(a) => IntExpr::Neg(expr(a)),
+        IntExpr::Scale(k, a) => IntExpr::Scale(*k, expr(a)),
+        IntExpr::Abs(a) => IntExpr::Abs(expr(a)),
+        IntExpr::Min(a, b) => IntExpr::Min(expr(a), expr(b)),
+        IntExpr::Max(a, b) => IntExpr::Max(expr(a), expr(b)),
+        IntExpr::Ite(c, t, f) => IntExpr::Ite(Arc::new(rebuild(c)), expr(t), expr(f)),
+    }
 }
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -204,6 +237,27 @@ proptest! {
         let lowered = store.pred_to_tree(first);
         let third = store.intern_pred(&lowered);
         prop_assert_eq!(first, third);
+    }
+
+    /// Interning is purely structural: two predicates get one id in a store exactly when they
+    /// are equal as `Pred` values. So a cache keyed on the predicate itself partitions
+    /// registrations as one keyed on its interned id did. `q` is `p` cloned, `p` rebuilt node by
+    /// node (equal, sharing nothing) or an independent draw (almost always unequal), so both
+    /// sides of the equivalence occur.
+    #[test]
+    fn interned_ids_are_equal_exactly_when_the_predicates_are(
+        p in arb_pred(3),
+        other in arb_pred(3),
+        pick in 0usize..3,
+    ) {
+        let q = match pick {
+            0 => p.clone(),
+            1 => rebuild(&p),
+            _ => other,
+        };
+        let mut store = TermStore::new();
+        let (p_id, q_id) = (store.intern_pred(&p), store.intern_pred(&q));
+        prop_assert_eq!(p == q, p_id == q_id, "{} vs {}", p, q);
     }
 
     /// Store simplification agrees with tree simplification and is idempotent **as ids**:

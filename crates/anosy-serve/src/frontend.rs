@@ -569,6 +569,60 @@ mod tests {
     }
 
     #[test]
+    fn over_approximations_are_refused_unevaluated_under_a_size_policy() {
+        // The diamond's over-approximate true set is its 40,401-point bounding box, so
+        // min-size 30000 would pass both posteriors at (200, 200) although the attacker's true
+        // posterior holds 20,201 points. A size policy is not sound for over-approximations: the
+        // downgrade is denied as data, single and batched, and moves no knowledge and no
+        // counter. Allow-all is sound for both directions and answers.
+        let mut frontend = frontend();
+        let conn = frontend.connect();
+        frontend.submit(
+            conn,
+            ServeRequest::RegisterQuery {
+                query: nearby_query(200),
+                kind: ApproxKind::Over,
+                members: None,
+            },
+        );
+        frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::MinSize(30_000) });
+        frontend.submit(conn, ServeRequest::OpenSession { policy: PolicySpec::AllowAll });
+        frontend.tick();
+        let (strict, open) = (sid(conn, 1), sid(conn, 2));
+        let centre = Point::new(vec![200, 200]);
+        frontend.submit(conn, downgrade(strict, 200, 200, "nearby_200_200"));
+        frontend.submit(
+            conn,
+            ServeRequest::DowngradeBatch {
+                session: strict,
+                secrets: vec![centre.clone(), Point::new(vec![10, 10])],
+                query: "nearby_200_200".into(),
+            },
+        );
+        frontend.submit(conn, downgrade(open, 200, 200, "nearby_200_200"));
+        frontend.submit(conn, ServeRequest::Knowledge { session: strict, secret: centre });
+        let responses = frontend.tick();
+        match &responses[0].response {
+            ServeResponse::Answer(Err(denial)) => {
+                assert_eq!(denial.code, DenialCode::UnsoundApproximation);
+                assert_eq!(DenialCode::parse(denial.code.as_str()), Some(denial.code));
+            }
+            other => panic!("expected an unsound-approximation denial, got {other:?}"),
+        }
+        assert_eq!(
+            responses[1].response,
+            ServeResponse::Answers(vec![Err(DenialCode::UnsoundApproximation); 2])
+        );
+        assert_eq!(responses[2].response, ServeResponse::Answer(Ok(true)));
+        match &responses[3].response {
+            ServeResponse::Knowledge { size, .. } => assert_eq!(*size, 401 * 401),
+            other => panic!("expected knowledge, got {other:?}"),
+        }
+        let cache = frontend.deployment().stats().cache;
+        assert_eq!((cache.downgrades_authorized, cache.downgrades_refused), (1, 0));
+    }
+
+    #[test]
     fn sessions_opened_after_registration_know_the_query_set() {
         let mut frontend = frontend();
         let conn = frontend.connect();

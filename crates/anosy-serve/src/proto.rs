@@ -176,6 +176,9 @@ pub enum ServeRequest {
 pub enum DenialCode {
     /// A quantitative policy refused the downgrade (before query execution, per §3).
     Policy,
+    /// The session's policy cannot decide soundly on the query's approximation direction
+    /// ([`anosy_core::Policy::sound_for`]), so the downgrade was refused unevaluated.
+    UnsoundApproximation,
     /// The named query was never registered.
     UnknownQuery,
     /// The secret lies outside the deployment layout.
@@ -193,6 +196,7 @@ impl DenialCode {
     pub fn as_str(&self) -> &'static str {
         match self {
             DenialCode::Policy => "policy",
+            DenialCode::UnsoundApproximation => "unsound-approximation",
             DenialCode::UnknownQuery => "unknown-query",
             DenialCode::OutsideLayout => "outside-layout",
             DenialCode::UnknownSession => "unknown-session",
@@ -205,6 +209,7 @@ impl DenialCode {
     pub fn parse(token: &str) -> Option<DenialCode> {
         Some(match token {
             "policy" => DenialCode::Policy,
+            "unsound-approximation" => DenialCode::UnsoundApproximation,
             "unknown-query" => DenialCode::UnknownQuery,
             "outside-layout" => DenialCode::OutsideLayout,
             "unknown-session" => DenialCode::UnknownSession,
@@ -218,6 +223,7 @@ impl DenialCode {
     pub fn of(error: &AnosyError) -> DenialCode {
         match error {
             AnosyError::PolicyViolation { .. } => DenialCode::Policy,
+            AnosyError::UnsoundApproximation { .. } => DenialCode::UnsoundApproximation,
             AnosyError::UnknownQuery { .. } => DenialCode::UnknownQuery,
             AnosyError::SecretOutsideLayout => DenialCode::OutsideLayout,
             AnosyError::NotSynthesized { .. } => DenialCode::NotSynthesized,

@@ -51,6 +51,7 @@
 //! ok registered nearby
 //! ok answer true
 //! deny policy policy violation: …
+//! deny unsound-approximation unsound approximation: …
 //! ok answers true false !outside-layout
 //! ok count 20201
 //! ok valid
@@ -1138,7 +1139,12 @@ mod tests {
                 DenialCode::Policy,
                 "policy violation: min-size(100) refuses nearby",
             ))),
-            ServeResponse::Answers(vec![Ok(true), Err(DenialCode::OutsideLayout), Ok(false)]),
+            ServeResponse::Answers(vec![
+                Ok(true),
+                Err(DenialCode::OutsideLayout),
+                Err(DenialCode::UnsoundApproximation),
+                Ok(false),
+            ]),
             ServeResponse::Answers(vec![]),
             ServeResponse::Count { models: 20_201 },
             ServeResponse::Validity { counterexample: None },

@@ -61,14 +61,17 @@ fn synthesized_sizes_bracket_the_exact_sizes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized §3 soundness: for a random secret and a random sequence of proximity queries,
-    /// after every authorized downgrade the tracked knowledge is contained in the exact attacker
-    /// knowledge, and the policy is never observed violated on the tracked knowledge.
+    /// Randomized §3 soundness: for a random secret, a random approximation direction and a
+    /// random sequence of proximity queries, a min-size policy refuses every over-approximate
+    /// downgrade unevaluated, and after every authorized under-approximate downgrade the
+    /// tracked knowledge is contained in the exact attacker knowledge, which — like the tracked
+    /// knowledge — keeps more candidates than the policy's bound.
     #[test]
     fn tracked_knowledge_under_approximates_exact_knowledge(
         secret_x in 0i64..=60,
         secret_y in 0i64..=60,
         origins in proptest::collection::vec((0i64..=60, 0i64..=60, 10i64..=25), 1..5),
+        kind in prop_oneof![Just(ApproxKind::Under), Just(ApproxKind::Over)],
     ) {
         let layout = loc_layout();
         let mut synth = quick_synth();
@@ -77,7 +80,7 @@ proptest! {
         let mut queries = Vec::new();
         for (i, (x, y, r)) in origins.iter().enumerate() {
             let q = QueryDef::new(format!("q{i}"), layout.clone(), nearby(*x, *y, *r)).unwrap();
-            session.register_synthesized(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
+            session.register_synthesized(&mut synth, &q, kind, Some(2)).unwrap();
             queries.push(q);
         }
 
@@ -88,6 +91,7 @@ proptest! {
         for q in &queries {
             match session.downgrade(&secret, q.name()) {
                 Ok(answer) => {
+                    prop_assert_eq!(kind, ApproxKind::Under, "authorized {}", q.name());
                     let consistent =
                         if answer { q.pred().clone() } else { q.pred().clone().negate() };
                     exact_knowledge = exact_knowledge.and_also(consistent);
@@ -98,12 +102,24 @@ proptest! {
                         solver.is_valid(&obligation, &layout.space()).unwrap(),
                         "tracked knowledge exceeded the exact knowledge after {}", q.name()
                     );
-                    // The policy holds on the tracked knowledge after every authorized query.
+                    // The policy holds on the tracked and on the exact knowledge after every
+                    // authorized query.
                     prop_assert!(tracked.size() > 20);
+                    let exact = solver.count_models(&exact_knowledge, &layout.space()).unwrap();
+                    prop_assert!(exact > 20, "exact posterior {} after {}", exact, q.name());
+                }
+                Err(AnosyError::UnsoundApproximation { kind: refused }) => {
+                    prop_assert_eq!((kind, refused), (ApproxKind::Over, ApproxKind::Over));
                 }
                 Err(AnosyError::PolicyViolation { .. }) => break,
                 Err(other) => return Err(TestCaseError::fail(other.to_string())),
             }
+        }
+        if kind == ApproxKind::Over {
+            // Refused unevaluated: no knowledge tracked, no decision counted.
+            prop_assert_eq!(session.tracked_secrets(), 0);
+            prop_assert_eq!(session.stats().downgrades_authorized, 0);
+            prop_assert_eq!(session.stats().downgrades_refused, 0);
         }
     }
 
