@@ -44,7 +44,8 @@
 //! * `--accept N` — with `--listen`: exit after `N` connections have been served (tests);
 //! * `--reactors N` — with `--listen`: shard connections across `N` reactor threads over the
 //!   one shared deployment ([`anosy_serve::ReactorPool`]; arrival-order hash assignment,
-//!   responses invariant under `N`). Default `1`: one reactor on the main thread;
+//!   responses invariant under `N`). Default `1`: one reactor on the main thread. Every `N`
+//!   takes its connections from the same acceptor thread;
 //! * `--io-log-cap N` — deployment-wide cap on retained connection-failure log entries
 //!   (a reactor pool divides it among shards and re-applies it to the merged log);
 //! * `--trace PATH` — after the run, write every reactor's recorded spans as a
@@ -239,17 +240,23 @@ where
                 eprintln!("anosy-served: cannot listen on {addr}: {e}");
                 std::process::exit(1);
             });
-            match listener.local_addr() {
-                Ok(bound) => writeln!(out, "# listening on {bound} reactors={}", options.reactors),
-                Err(e) => writeln!(out, "# listening (address unavailable: {e})"),
-            }
-            .expect("stdout is writable");
-            out.flush().expect("stdout is flushable");
-            drop(out);
-            let servers = pool.serve(&deployment, listener, options.accept).unwrap_or_else(|e| {
-                eprintln!("anosy-served: cannot set up the reactor pool: {e}");
-                std::process::exit(1);
-            });
+            // The banner goes out once the pool is set up: clients wait for it before they
+            // connect, so their first requests do not pay for the set-up.
+            let bound = listener.local_addr();
+            let reactors = options.reactors;
+            let announce = move || {
+                match bound {
+                    Ok(bound) => writeln!(out, "# listening on {bound} reactors={reactors}"),
+                    Err(e) => writeln!(out, "# listening (address unavailable: {e})"),
+                }
+                .expect("stdout is writable");
+                out.flush().expect("stdout is flushable");
+            };
+            let servers =
+                pool.serve(&deployment, listener, options.accept, announce).unwrap_or_else(|e| {
+                    eprintln!("anosy-served: cannot set up the reactor pool: {e}");
+                    std::process::exit(1);
+                });
             finish(&servers, &deployment, &options);
         }
         None => {

@@ -6,8 +6,9 @@
 //! connections (with its own [`Frontend`]) and the deployment's single-flight synthesis cache
 //! plus shard pool stay safe to share, so the pool scales connection handling without
 //! duplicating any synthesized state. `N = 1` is not a special mode: stdin/stdout and a plain
-//! `--listen` socket are served as the lone shard of a one-reactor pool, which owns the
-//! listener itself (no acceptor thread) and runs on the calling thread.
+//! `--listen` socket are served as the lone shard of a one-reactor pool, which runs on the
+//! calling thread. Every `--listen` pool, one shard or many, takes its connections from the
+//! same acceptor thread.
 //!
 //! # Shard assignment
 //!
@@ -134,12 +135,15 @@ impl ReactorPool {
     }
 
     /// Serves real TCP connections from `listener` (at most `accept_budget` connections when
-    /// given), minting tokens in arrival order. A one-reactor pool hands the listener straight
-    /// to its lone shard's [`PollTransport`]; with more reactors an acceptor thread hands each
+    /// given). An acceptor thread accepts, minting tokens in arrival order, and hands each
     /// stream to the [`PollTransport`] of the shard its token hashes to, waking that shard's
-    /// readiness wait through a loopback notify stream. Returns the finished servers in shard
-    /// order once the budget is exhausted and every shard has drained — with no budget this
-    /// only returns if the listener breaks.
+    /// readiness wait through a loopback notify stream; a one-reactor pool is served the same
+    /// way. `ready` runs on the calling thread once the acceptor runs, just before the shards
+    /// start: announce the listener there, so a client that waits for the announcement does
+    /// not have the pool's set-up added to its first request. The listener stays open until
+    /// this returns, so a connect after the budget is spent waits in the backlog unaccepted.
+    /// Returns the finished servers in shard order once the budget is exhausted and every shard
+    /// has drained — with no budget this only returns if the listener breaks.
     ///
     /// # Errors
     ///
@@ -154,16 +158,11 @@ impl ReactorPool {
         deployment: &Deployment<D>,
         listener: TcpListener,
         accept_budget: Option<usize>,
+        ready: impl FnOnce(),
     ) -> std::io::Result<Vec<Server<D, PollTransport>>>
     where
         D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
     {
-        if self.reactors == 1 {
-            // The lone shard accepts for itself: no acceptor thread and no wake-up pair, so a
-            // one-reactor pool pays no per-connection handoff.
-            let transport = PollTransport::listen(listener, accept_budget)?;
-            return Ok(self.run(deployment, vec![transport]));
-        }
         listener.set_nonblocking(false)?;
         let mut senders = Vec::new();
         let mut notifiers = Vec::new();
@@ -176,8 +175,10 @@ impl ReactorPool {
             transports.push(PollTransport::intake(handoffs, reader));
         }
         let servers = self.build(deployment, transports);
+        let listener = &listener;
         Ok(std::thread::scope(|scope| {
-            scope.spawn(move || accept_loop(&listener, accept_budget, &senders, &mut notifiers));
+            scope.spawn(move || accept_loop(listener, accept_budget, &senders, &mut notifiers));
+            ready();
             run_shards(scope, servers)
         }))
     }

@@ -49,7 +49,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::{Duration, Instant};
 
@@ -118,6 +118,14 @@ pub trait Transport {
     /// origin is fixed at that call.
     fn clock(&self) -> ClockHandle {
         ClockHandle::monotonic()
+    }
+
+    /// Shows an operator a connection failure as it happens: the default writes the entry to
+    /// stderr, because a forever-serving transport never returns from [`Server::run`]. The
+    /// entry is in [`Server::io_log`] either way. [`SimNet`](crate::SimNet) overrides this to do
+    /// nothing: its failures are scripted, so printing them only buries real ones.
+    fn log_failure(&mut self, entry: &IoLogEntry) {
+        eprintln!("{entry}");
     }
 }
 
@@ -514,10 +522,9 @@ where
             return;
         }
         self.stats.conn_failures += 1;
-        // The logged denial: one bad peer is an event, not a process failure. Logged to
-        // stderr immediately — a forever-serving transport never returns from `run`.
+        // The logged denial: one bad peer is an event, not a process failure.
         let entry = IoLogEntry { shard: self.config.shard.0, at: self.clock.now(), token, reason };
-        eprintln!("{entry}");
+        self.transport.log_failure(&entry);
         // This shard's share of the deployment-wide cap: older denials age out so a stream of
         // bad peers cannot grow memory, and the merged shard logs stay under the global cap.
         let reactors = (self.config.shard.1 as usize).max(1);
@@ -755,7 +762,8 @@ where
     /// Logged per-connection denials (I/O failures downgraded to connection closes): the most
     /// recent ones, up to this shard's share of [`crate::ServeConfig::io_log_cap`] (divided by
     /// the reactor count of [`ServerConfig::shard`], at least one), each tagged with its reactor
-    /// shard and a clock timestamp. Each is also written to stderr as it happens.
+    /// shard and a clock timestamp. Each is also handed to [`Transport::log_failure`] as it
+    /// happens (stderr, except under the simulator).
     pub fn io_log(&self) -> &[IoLogEntry] {
         &self.io_log
     }
@@ -915,10 +923,8 @@ const CLOSE_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 /// negligible without hurting request latency at serving scale).
 const POLL_IDLE_SLEEP: Duration = Duration::from_micros(500);
 
-/// Epoll tag of the listening socket (never a connection token).
-const TAG_LISTENER: u64 = u64::MAX;
-/// Epoll tag of the reactor-pool handoff notifier.
-const TAG_NOTIFY: u64 = u64::MAX - 1;
+/// Epoll tag of the reactor-pool handoff notifier (never a connection token).
+const TAG_NOTIFY: u64 = u64::MAX;
 /// Longest a readiness wait may park while draining (closing) connections hold queued bytes —
 /// their deadlines are checked at least this often.
 const DRAIN_WAIT: Duration = Duration::from_millis(10);
@@ -937,28 +943,6 @@ fn raw_fd<T: std::os::fd::AsRawFd>(io: &T) -> i32 {
 #[cfg(not(unix))]
 fn raw_fd<T>(_io: &T) -> i32 {
     -1
-}
-
-/// Where a [`PollTransport`]'s connections come from.
-enum Intake {
-    /// The lone shard of a one-reactor pool: accept from an owned listener, minting tokens
-    /// locally in arrival order.
-    Listener { listener: TcpListener, next_token: u64, budget: Option<usize>, accepted: usize },
-    /// One shard of a multi-reactor [`crate::ReactorPool`]: the pool's acceptor thread accepts,
-    /// mints tokens globally and hands each stream to the shard its token hashes to. The paired
-    /// `notify` stream carries one byte per handoff so an epoll wait wakes for channel traffic
-    /// too.
-    Channel { handoffs: Receiver<(u64, TcpStream)>, notify: TcpStream, done: bool },
-}
-
-impl Intake {
-    /// The descriptor whose readiness announces new connections.
-    fn fd(&self) -> i32 {
-        match self {
-            Intake::Listener { listener, .. } => raw_fd(listener),
-            Intake::Channel { notify, .. } => raw_fd(notify),
-        }
-    }
 }
 
 struct TcpConn {
@@ -1001,7 +985,10 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
     Ok(())
 }
 
-/// A readiness-based, std-only nonblocking TCP transport: `accept` becomes [`Event::Opened`],
+/// A readiness-based, std-only nonblocking TCP transport: one shard of a
+/// [`crate::ReactorPool`]. The pool's acceptor thread accepts, mints tokens in arrival order and
+/// hands each stream to the shard its token hashes to, writing one byte to that shard's `notify`
+/// stream so a parked epoll wait wakes for the handoff. A handoff becomes [`Event::Opened`],
 /// readable bytes become [`Event::Data`], a peer's FIN becomes [`Event::HalfClosed`]
 /// (half-closed peers still receive their final responses), and read/write errors become
 /// per-connection [`Event::Failed`] — never process failures. Accepted sockets run with
@@ -1013,21 +1000,27 @@ fn flush_some(conn: &mut TcpConn) -> Result<(), String> {
 /// `EPOLLOUT` interest, drained by later polls.
 ///
 /// One [`Transport::poll`] returns the failures the last flush found, if any, and otherwise
-/// parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim). It then accepts (or drains
-/// the pool handoff channel) only if the intake was reported, and reads only the connections
-/// the kernel reported, into one read buffer the transport keeps for its whole life. Epoll is
+/// parks in `epoll_wait` (via the in-tree raw-syscall `epoll` shim). It then drains the handoff
+/// channel only if the notifier was reported, and reads only the connections the kernel
+/// reported, into one read buffer the transport keeps for its whole life. Epoll is
 /// level-triggered, so bytes that arrived while the reactor was busy are reported by that
-/// wait, and no turn reads a socket the kernel did not report. Once the intake stops
-/// (accept budget spent, broken listener, pool acceptor gone) it is deregistered, so a
-/// connect nobody will accept cannot keep the wait returning. A closing connection whose peer
-/// stopped reading is never reported again: while any connection drains, the wait parks at
-/// most 10 ms and retires the ones past their 2 s flush deadline.
+/// wait, and no turn reads a socket the kernel did not report. Once the acceptor is gone the
+/// notifier is deregistered, so its end of stream cannot keep the wait returning. A closing
+/// connection whose peer stopped reading is never reported again: while any connection drains,
+/// the wait parks at most 10 ms and retires the ones past their 2 s flush deadline.
 ///
-/// Where epoll is unavailable — unsupported platform, or any registration error at runtime —
-/// it degrades to scanning every socket with a `POLL_IDLE_SLEEP` pause after an empty scan, so
-/// behavior is identical and only idle latency differs.
+/// A handed-off stream that cannot be made nonblocking, or that epoll refuses to watch, fails
+/// as its own connection ([`Event::Opened`], then [`Event::Failed`]); every other connection
+/// keeps its readiness reports. Where epoll is unavailable — unsupported platform, or a failed
+/// wait — the transport scans every socket with a `POLL_IDLE_SLEEP` pause after an empty scan,
+/// so behavior is identical and only idle latency differs.
 pub struct PollTransport {
-    intake: Intake,
+    /// `(global token, stream)` pairs from the pool's acceptor, in arrival order.
+    handoffs: Receiver<(u64, TcpStream)>,
+    /// One byte per handoff; end of stream once the acceptor is gone.
+    notify: TcpStream,
+    /// The acceptor is gone and every handoff has been taken in.
+    done: bool,
     conns: BTreeMap<u64, TcpConn>,
     /// Failures noticed during [`Transport::flush`], surfaced at the next poll.
     pending: Vec<Event>,
@@ -1042,8 +1035,8 @@ pub struct PollTransport {
     interest: HashMap<u64, u32>,
     /// The one buffer every socket read lands in.
     read_buf: Box<[u8]>,
-    /// No poll has run yet. The first one takes in connections before it waits, so a pool
-    /// handoff queued before it does not hinge on its wake-up byte.
+    /// No poll has run yet. The first one takes in connections before it waits, so a handoff
+    /// queued before it does not hinge on its wake-up byte.
     fresh: bool,
 }
 
@@ -1060,26 +1053,6 @@ fn want_interest(conn: &TcpConn) -> u32 {
 }
 
 impl PollTransport {
-    /// Serves `listener` directly: accepts up to `accept_budget` connections (`None`: forever,
-    /// `--accept N`). The transport finishes once the budget is spent and every connection has
-    /// closed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the error of switching the listener to nonblocking mode.
-    pub fn listen(
-        listener: TcpListener,
-        accept_budget: Option<usize>,
-    ) -> std::io::Result<PollTransport> {
-        listener.set_nonblocking(true)?;
-        let epoll = epoll::Epoll::new()
-            .ok()
-            .filter(|ep| ep.add(raw_fd(&listener), epoll::EPOLLIN, TAG_LISTENER).is_ok());
-        let intake =
-            Intake::Listener { listener, next_token: 0, budget: accept_budget, accepted: 0 };
-        Ok(PollTransport::with_intake(intake, epoll))
-    }
-
     /// A reactor-pool shard transport: connections arrive pre-accepted over `handoffs` as
     /// `(global token, stream)` pairs, and `notify` receives one byte per handoff (the pool's
     /// acceptor holds the write end) so a parked epoll wait wakes for them. The transport
@@ -1089,13 +1062,10 @@ impl PollTransport {
         let epoll = epoll::Epoll::new()
             .ok()
             .filter(|ep| ep.add(raw_fd(&notify), epoll::EPOLLIN, TAG_NOTIFY).is_ok());
-        let intake = Intake::Channel { handoffs, notify, done: false };
-        PollTransport::with_intake(intake, epoll)
-    }
-
-    fn with_intake(intake: Intake, epoll: Option<epoll::Epoll>) -> PollTransport {
         PollTransport {
-            intake,
+            handoffs,
+            notify,
+            done: false,
             conns: BTreeMap::new(),
             pending: Vec::new(),
             dirty: Vec::new(),
@@ -1112,61 +1082,33 @@ impl PollTransport {
         self.epoll.is_some()
     }
 
-    fn accepting(&self) -> bool {
-        match &self.intake {
-            Intake::Listener { budget, accepted, .. } => match budget {
-                Some(budget) => accepted < budget,
-                None => true,
-            },
-            Intake::Channel { done, .. } => !done,
-        }
-    }
-
-    /// Drops epoll entirely: a registration failed, so readiness reports can no longer be
-    /// trusted to cover every connection. The sleep-scan fallback is always correct.
+    /// Drops epoll entirely: a wait failed, so readiness reports can no longer be trusted to
+    /// cover every connection. The sleep-scan fallback is always correct.
     fn degrade(&mut self) {
         self.epoll = None;
         self.interest.clear();
     }
 
-    fn register(&mut self, token: u64) {
-        if self.epoll.is_none() {
-            return;
-        }
-        let Some(conn) = self.conns.get(&token) else { return };
+    /// Brings the connection's epoll interest up to date, registering it on first use. An error
+    /// is the reason the connection cannot be watched; the caller fails that connection alone.
+    fn update_interest(&mut self, token: u64) -> Result<(), String> {
+        let (Some(ep), Some(conn)) = (&self.epoll, self.conns.get(&token)) else { return Ok(()) };
         let want = want_interest(conn);
-        let added = self
-            .epoll
-            .as_ref()
-            .expect("checked above")
-            .add(raw_fd(&conn.stream), want, token)
-            .is_ok();
-        if added {
-            self.interest.insert(token, want);
-        } else {
-            self.degrade();
+        let registered = self.interest.get(&token).copied();
+        if registered == Some(want) {
+            return Ok(());
         }
-    }
-
-    fn update_interest(&mut self, token: u64) {
-        if self.epoll.is_none() {
-            return;
-        }
-        let Some(conn) = self.conns.get(&token) else { return };
-        let want = want_interest(conn);
-        if self.interest.get(&token) == Some(&want) {
-            return;
-        }
-        let modified = self
-            .epoll
-            .as_ref()
-            .expect("checked above")
-            .modify(raw_fd(&conn.stream), want, token)
-            .is_ok();
-        if modified {
-            self.interest.insert(token, want);
-        } else {
-            self.degrade();
+        let fd = raw_fd(&conn.stream);
+        let result = match registered {
+            None => ep.add(fd, want, token),
+            Some(_) => ep.modify(fd, want, token),
+        };
+        match result {
+            Ok(()) => {
+                self.interest.insert(token, want);
+                Ok(())
+            }
+            Err(e) => Err(format!("epoll registration failed: {e}")),
         }
     }
 
@@ -1185,74 +1127,48 @@ impl PollTransport {
         }
     }
 
-    /// Takes in new connections: accepts from the listener, or drains the pool handoff
-    /// channel (and its notify bytes). Once the intake stops for good it leaves the readiness
-    /// set: a spent listener that a further peer connects to stays readable forever.
+    /// Drops a connection that failed and returns the event reporting it.
+    fn fail(&mut self, token: u64, reason: String) -> Event {
+        self.drop_conn(token, false);
+        Event::Failed(Token(token), reason)
+    }
+
+    /// Takes in the streams the acceptor handed off, swallowing their wake-up bytes (the
+    /// channel itself is the source of truth). Once the acceptor is gone the notifier leaves
+    /// the readiness set: its end of stream would otherwise keep the wait returning.
     fn poll_intake(&mut self, events: &mut Vec<Event>) {
-        let mut opened: Vec<u64> = Vec::new();
-        let accepting = self.accepting();
-        match &mut self.intake {
-            _ if !accepting => {}
-            Intake::Listener { listener, next_token, budget, accepted } => loop {
-                match *budget {
-                    Some(b) if *accepted >= b => break,
-                    _ => {}
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        let token = *next_token;
-                        *next_token += 1;
-                        *accepted += 1;
-                        self.conns.insert(token, TcpConn::new(stream));
-                        opened.push(token);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    // A broken listener: stop accepting, keep serving what is open.
-                    Err(_) => {
-                        *budget = Some(*accepted);
-                        break;
-                    }
-                }
-            },
-            Intake::Channel { handoffs, notify, done } => {
-                // Swallow the wake-up bytes; the channel itself is the source of truth. An
-                // EOF or error here means the acceptor is gone — the channel disconnect
-                // below reports the same thing, so nothing extra to do.
-                let mut sink = [0u8; 256];
-                while let Ok(n) = notify.read(&mut sink) {
-                    if n == 0 {
-                        break;
-                    }
-                }
-                loop {
-                    match handoffs.try_recv() {
-                        Ok((token, stream)) => {
-                            let _ = stream.set_nonblocking(true);
-                            self.conns.insert(token, TcpConn::new(stream));
-                            opened.push(token);
-                        }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
-                            *done = true;
-                            break;
-                        }
-                    }
-                }
+        if self.done {
+            return;
+        }
+        let mut sink = [0u8; 256];
+        while let Ok(n) = self.notify.read(&mut sink) {
+            if n == 0 {
+                break;
             }
         }
-        if !self.accepting() {
-            // Idempotent; in epoll mode the intake is never reported again afterwards.
-            if let Some(ep) = &self.epoll {
-                let _ = ep.delete(self.intake.fd());
+        loop {
+            match self.handoffs.try_recv() {
+                Ok((token, stream)) => {
+                    let nonblocking = stream.set_nonblocking(true);
+                    self.conns.insert(token, TcpConn::new(stream));
+                    events.push(Event::Opened(Token(token)));
+                    // A blocking socket would stall the whole reactor on its first read.
+                    let watched = nonblocking
+                        .map_err(|e| format!("cannot make the socket nonblocking: {e}"))
+                        .and_then(|()| self.update_interest(token));
+                    if let Err(reason) = watched {
+                        events.push(self.fail(token, reason));
+                    }
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.done = true;
+                    if let Some(ep) = &self.epoll {
+                        let _ = ep.delete(raw_fd(&self.notify));
+                    }
+                    break;
+                }
             }
-        }
-        for token in opened {
-            self.register(token);
-            events.push(Event::Opened(Token(token)));
         }
     }
 
@@ -1296,16 +1212,17 @@ impl PollTransport {
             }
         };
         match outcome {
-            Outcome::Keep => self.update_interest(token),
-            Outcome::Retire => self.drop_conn(token, true),
-            Outcome::Fail(reason) => {
-                self.drop_conn(token, false);
-                events.push(Event::Failed(Token(token), reason));
+            Outcome::Keep => {
+                if let Err(reason) = self.update_interest(token) {
+                    events.push(self.fail(token, reason));
+                }
             }
+            Outcome::Retire => self.drop_conn(token, true),
+            Outcome::Fail(reason) => events.push(self.fail(token, reason)),
         }
     }
 
-    /// One turn of the poll loop: wait for readiness, then service the intake and the
+    /// One turn of the poll loop: wait for readiness, then service the handoffs and the
     /// connections it reported (see the [type docs](PollTransport)).
     fn turn(&mut self, events: &mut Vec<Event>) {
         let Some(ep) = &self.epoll else {
@@ -1331,8 +1248,7 @@ impl PollTransport {
             }
         };
         let reports = &mut reports[..reported];
-        let is_intake =
-            |report: &epoll::EpollEvent| matches!(report.data, TAG_LISTENER | TAG_NOTIFY);
+        let is_intake = |report: &epoll::EpollEvent| report.data == TAG_NOTIFY;
         if reports.iter().any(is_intake) {
             self.poll_intake(events);
         }
@@ -1368,7 +1284,7 @@ impl Transport for PollTransport {
         if std::mem::take(&mut self.fresh) {
             self.poll_intake(&mut events);
         }
-        while events.is_empty() && (self.accepting() || !self.conns.is_empty()) {
+        while events.is_empty() && (!self.done || !self.conns.is_empty()) {
             self.turn(&mut events);
         }
         events
@@ -1389,12 +1305,10 @@ impl Transport for PollTransport {
             if conn.closing.is_some() {
                 continue;
             }
-            match flush_some(conn) {
-                Ok(()) => self.update_interest(token),
-                Err(reason) => {
-                    self.drop_conn(token, false);
-                    self.pending.push(Event::Failed(Token(token), reason));
-                }
+            let flushed = flush_some(conn);
+            if let Err(reason) = flushed.and_then(|()| self.update_interest(token)) {
+                let failed = self.fail(token, reason);
+                self.pending.push(failed);
             }
         }
     }
@@ -1412,7 +1326,11 @@ impl Transport for PollTransport {
         }
         conn.closing = Some(Instant::now() + CLOSE_FLUSH_BUDGET);
         self.draining.insert(token.0);
-        self.update_interest(token.0);
+        // The reactor already considers the connection gone, so one epoll cannot watch
+        // retires now, without an event, like a draining connection whose flush errors.
+        if self.update_interest(token.0).is_err() {
+            self.drop_conn(token.0, true);
+        }
     }
 }
 
@@ -1422,6 +1340,7 @@ mod tests {
     use crate::{Deployment, ServeConfig};
     use anosy_domains::IntervalDomain;
     use anosy_logic::SecretLayout;
+    use std::net::TcpListener;
 
     /// Hands the reactor one scripted batch of events, then reports itself finished.
     struct Scripted(Option<Vec<Event>>);
@@ -1449,41 +1368,81 @@ mod tests {
         server.io_log().iter().map(|entry| entry.token.0).collect()
     }
 
-    /// A listener transport with its only connection accepted as token 0, and that
-    /// connection's client end.
-    fn accepted(degraded: bool) -> (PollTransport, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-        let client = TcpStream::connect(listener.local_addr().expect("bound address"))
-            .expect("loopback connect");
-        let mut transport = PollTransport::listen(listener, Some(1)).expect("listener");
+    /// A pool-shard transport that has taken in `streams` as tokens 0, 1, … from an acceptor
+    /// that is already gone, so it finishes once they all close, and the events of its first
+    /// poll.
+    fn handed_off(streams: Vec<TcpStream>, degraded: bool) -> (PollTransport, Vec<Event>) {
+        let (notify, notify_writer) = loopback();
+        let (handoffs, intake) = std::sync::mpsc::channel();
+        for (token, stream) in streams.into_iter().enumerate() {
+            handoffs.send((token as u64, stream)).expect("hand off");
+        }
+        drop((handoffs, notify_writer));
+        let mut transport = PollTransport::intake(intake, notify);
         if degraded {
             transport.degrade();
         }
-        assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
+        let events = transport.poll();
+        (transport, events)
+    }
+
+    /// A loopback connection's server end and client end.
+    fn loopback() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let client = TcpStream::connect(listener.local_addr().expect("bound address"))
+            .expect("loopback connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        (server_side, client)
+    }
+
+    /// A transport whose only connection was taken in as token 0, and that connection's client
+    /// end.
+    fn accepted(degraded: bool) -> (PollTransport, TcpStream) {
+        let (server_side, client) = loopback();
+        let (transport, events) = handed_off(vec![server_side], degraded);
+        assert_eq!(events, vec![Event::Opened(Token(0))]);
         (transport, client)
     }
 
-    fn nodelay(transport: &PollTransport, token: u64) -> bool {
-        transport.conns[&token].stream.nodelay().expect("TCP_NODELAY is readable")
+    /// Reads events until `want` bytes of [`Event::Data`] arrived on token 0.
+    fn read_data(transport: &mut PollTransport, want: usize) -> Vec<u8> {
+        let mut received = Vec::new();
+        while received.len() < want {
+            for event in transport.poll() {
+                match event {
+                    Event::Data(Token(0), bytes) => received.extend(bytes),
+                    other => panic!("expected data, got {other:?}"),
+                }
+            }
+        }
+        received
     }
 
     #[test]
     fn accepted_sockets_run_without_nagle() {
         let (transport, _client) = accepted(false);
-        assert!(nodelay(&transport, 0), "a listener-accepted socket");
+        assert!(transport.conns[&0].stream.nodelay().expect("TCP_NODELAY is readable"));
+    }
 
-        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-        let addr = listener.local_addr().expect("bound address");
-        let _client = TcpStream::connect(addr).expect("loopback connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        let mut notify_writer = TcpStream::connect(addr).expect("notify connect");
-        let (notify_reader, _) = listener.accept().expect("notify accept");
-        let (handoffs, intake) = std::sync::mpsc::channel();
-        handoffs.send((7, server_side)).expect("hand off");
-        notify_writer.write_all(&[1]).expect("wake-up byte");
-        let mut transport = PollTransport::intake(intake, notify_reader);
-        assert_eq!(transport.poll(), vec![Event::Opened(Token(7))]);
-        assert!(nodelay(&transport, 7), "a pool-handed-off socket");
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_connection_epoll_refuses_fails_alone() {
+        // Epoll refuses to watch /dev/null (EPERM), as it would any registration it cannot take.
+        let fake = std::fs::File::open("/dev/null").expect("/dev/null opens");
+        let fake = TcpStream::from(std::os::fd::OwnedFd::from(fake));
+        let (server_side, mut client) = loopback();
+        let (mut transport, events) = handed_off(vec![server_side, fake], false);
+        assert_eq!(events.len(), 3, "both open, then only the fake fails: {events:?}");
+        assert_eq!(events[..2], [Event::Opened(Token(0)), Event::Opened(Token(1))]);
+        match &events[2] {
+            Event::Failed(Token(1), reason) => {
+                assert!(reason.starts_with("epoll registration failed"), "{reason}")
+            }
+            other => panic!("expected the fake connection to fail, got {other:?}"),
+        }
+        assert!(transport.uses_epoll(), "one refused registration keeps epoll for the rest");
+        client.write_all(b"stats\n").expect("request bytes");
+        assert_eq!(read_data(&mut transport, 6), b"stats\n");
     }
 
     #[test]
@@ -1493,16 +1452,7 @@ mod tests {
 
         // Data: however the bytes are chunked, they arrive in order on the right token.
         client.write_all(b"stats\nmetrics\n").expect("request bytes");
-        let mut received = Vec::new();
-        while received.len() < 14 {
-            for event in transport.poll() {
-                match event {
-                    Event::Data(Token(0), bytes) => received.extend(bytes),
-                    other => panic!("expected data, got {other:?}"),
-                }
-            }
-        }
-        assert_eq!(received, b"stats\nmetrics\n");
+        assert_eq!(read_data(&mut transport, 14), b"stats\nmetrics\n");
 
         // Send only queues; flush writes everything queued, in order.
         transport.send(Token(0), b"0.1 ok one\n");
@@ -1525,7 +1475,7 @@ mod tests {
         let mut tail = String::new();
         client.read_to_string(&mut tail).expect("bytes then EOF");
         assert_eq!(tail, "0.3 ok last\n");
-        // Budget spent, nothing open: finished.
+        // The acceptor is gone and nothing is open: finished.
         assert_eq!(transport.poll(), Vec::<Event>::new());
     }
 

@@ -22,7 +22,7 @@
 //! property `tests/sim_chaos.rs` asserts before comparing the server against the sequential
 //! oracle.
 
-use crate::server::{Event, Token, Transport};
+use crate::server::{Event, IoLogEntry, Token, Transport};
 use anosy_telemetry::{ClockHandle, VirtualClock};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
@@ -298,6 +298,9 @@ impl Transport for SimNet {
             client.closed = true;
         }
     }
+
+    /// Scripted failures stay in [`Server::io_log`](crate::Server::io_log) only.
+    fn log_failure(&mut self, _entry: &IoLogEntry) {}
 
     fn clock(&self) -> ClockHandle {
         ClockHandle::Virtual(self.clock.clone())

@@ -18,7 +18,7 @@
 //!    base id another socket already claimed cannot take it over.
 //! 5. **Real sockets**: a [`ReactorPool::serve`] pool over a loopback listener (readiness-based
 //!    [`anosy_serve::PollTransport`] shards fed by the acceptor thread) serves conn-scoped
-//!    sessions and `reactors=`/`shard=`-stamped stats, end to end.
+//!    sessions and `reactors=`/`shard=`-stamped stats, end to end, at one reactor and at two.
 //!
 //! The base seed honors `ANOSY_SIM_SEED` (the CI `sim-stress` lane re-runs this suite and the
 //! load generator under several fixed seeds).
@@ -229,50 +229,56 @@ fn a_late_socket_cannot_take_over_a_claimed_base_id() {
 
 #[test]
 fn a_tcp_pool_serves_conn_scoped_sessions_over_real_sockets() {
-    let deployment = support::warm_deployment();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = listener.local_addr().expect("bound address");
-    let pool = ReactorPool::new(2).with_config(ServerConfig::new());
+    // One reactor and two take their connections from the same acceptor.
+    for reactors in [1u64, 2] {
+        let deployment = support::warm_deployment();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
+        let addr = listener.local_addr().expect("bound address");
+        let pool = ReactorPool::new(reactors).with_config(ServerConfig::new());
 
-    let client = std::thread::spawn(move || {
-        // Sequential connects: token 0 then token 1, deterministically.
-        (0..2u64)
-            .map(|_| {
-                let mut stream = TcpStream::connect(addr).expect("loopback connect");
-                stream.write_all(b"open min-size:100\nstats\n").expect("request lines are written");
-                stream.shutdown(std::net::Shutdown::Write).expect("half-close");
-                let mut transcript = String::new();
-                stream.read_to_string(&mut transcript).expect("responses are readable");
-                transcript
-            })
-            .collect::<Vec<_>>()
-    });
+        let client = std::thread::spawn(move || {
+            // Sequential connects: token 0 then token 1, deterministically.
+            (0..2u64)
+                .map(|_| {
+                    let mut stream = TcpStream::connect(addr).expect("loopback connect");
+                    stream
+                        .write_all(b"open min-size:100\nstats\n")
+                        .expect("request lines are written");
+                    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+                    let mut transcript = String::new();
+                    stream.read_to_string(&mut transcript).expect("responses are readable");
+                    transcript
+                })
+                .collect::<Vec<_>>()
+        });
 
-    let servers = pool.serve(&deployment, listener, Some(2)).expect("pool serves");
-    let transcripts = client.join().expect("client thread");
+        let servers = pool.serve(&deployment, listener, Some(2), || {}).expect("pool serves");
+        let transcripts = client.join().expect("client thread");
 
-    assert_eq!(servers.len(), 2);
-    for (token, transcript) in transcripts.iter().enumerate() {
-        let token = token as u64;
-        let shard = shard_of(token, 2);
-        let open = transcript.lines().next().expect("open answered");
-        assert_eq!(
-            open,
-            &format!("{token}.1 ok session {}", ((token + 1) << 32) | 1),
-            "conn-scoped session id over TCP"
-        );
-        let stats = transcript.lines().nth(1).expect("stats answered");
-        let payload = stats.split_once(' ').expect("id-prefixed response").1;
-        let ServeResponse::Stats(snapshot) = wire::parse_response(payload).expect("stats parse")
-        else {
-            panic!("expected stats, got {payload}");
-        };
-        assert_eq!(snapshot.reactors, 2);
-        assert_eq!(snapshot.shard, shard, "the owning shard answered");
+        assert_eq!(servers.len() as u64, reactors);
+        for (token, transcript) in transcripts.iter().enumerate() {
+            let token = token as u64;
+            let shard = shard_of(token, reactors);
+            let open = transcript.lines().next().expect("open answered");
+            assert_eq!(
+                open,
+                &format!("{token}.1 ok session {}", ((token + 1) << 32) | 1),
+                "conn-scoped session id over TCP"
+            );
+            let stats = transcript.lines().nth(1).expect("stats answered");
+            let payload = stats.split_once(' ').expect("id-prefixed response").1;
+            let ServeResponse::Stats(snapshot) =
+                wire::parse_response(payload).expect("stats parse")
+            else {
+                panic!("expected stats, got {payload}");
+            };
+            assert_eq!(snapshot.reactors, reactors);
+            assert_eq!(snapshot.shard, shard, "the owning shard answered");
+        }
+        // Every shard drained; between them they served both connections.
+        let served: u64 = servers.iter().map(|s| s.stats().conns_opened).sum();
+        assert_eq!(served, 2);
     }
-    // Both shards drained; between them they served both connections.
-    let served: u64 = servers.iter().map(|s| s.stats().conns_opened).sum();
-    assert_eq!(served, 2);
 }
 
 #[test]

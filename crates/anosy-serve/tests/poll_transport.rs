@@ -18,20 +18,28 @@ use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-/// A one-connection listener transport and the client end of its only connection, after the
-/// transport has reported the connection open as token 0.
-fn accepted_pair() -> (PollTransport, TcpStream) {
+/// A pool-shard transport that has taken in one loopback connection as token 0 from an
+/// acceptor that is already gone, so it finishes once that connection closes; the client end of
+/// the connection; and a clone of its server end.
+fn accepted_pair() -> (PollTransport, TcpStream, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let client = TcpStream::connect(listener.local_addr().expect("bound address"))
-        .expect("loopback connect");
-    let mut transport = PollTransport::listen(listener, Some(1)).expect("listener");
+    let addr = listener.local_addr().expect("bound address");
+    let client = TcpStream::connect(addr).expect("loopback connect");
+    let (server_side, _) = listener.accept().expect("accept");
+    let server_clone = server_side.try_clone().expect("clone the server side");
+    let notify_writer = TcpStream::connect(addr).expect("notify connect");
+    let (notify_reader, _) = listener.accept().expect("notify accept");
+    let (handoffs, intake) = std::sync::mpsc::channel();
+    handoffs.send((0, server_side)).expect("hand off");
+    drop((handoffs, notify_writer));
+    let mut transport = PollTransport::intake(intake, notify_reader);
     assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
-    (transport, client)
+    (transport, client, server_clone)
 }
 
 #[test]
 fn send_queues_and_flush_writes_every_queued_response_in_order() {
-    let (mut transport, mut client) = accepted_pair();
+    let (mut transport, mut client, _) = accepted_pair();
     transport.send(Token(0), b"0.1 ok one\n");
     transport.send(Token(0), b"0.2 ok two\n");
     transport.send(Token(0), b"0.3 ok three\n");
@@ -59,7 +67,7 @@ fn send_queues_and_flush_writes_every_queued_response_in_order() {
 
 #[test]
 fn close_writes_unflushed_responses_before_the_fin() {
-    let (mut transport, mut client) = accepted_pair();
+    let (mut transport, mut client, _) = accepted_pair();
     transport.send(Token(0), b"0.1 ok first\n");
     transport.send(Token(0), b"0.2 ok last\n");
     transport.close(Token(0));
@@ -67,25 +75,14 @@ fn close_writes_unflushed_responses_before_the_fin() {
     let mut received = String::new();
     client.read_to_string(&mut received).expect("bytes then EOF");
     assert_eq!(received, "0.1 ok first\n0.2 ok last\n");
-    // The accept budget is spent and the only connection closed: the transport is finished.
+    // The acceptor is gone and the only connection closed: the transport is finished.
     assert_eq!(transport.poll(), Vec::<Event>::new());
 }
 
 #[test]
 fn a_flush_into_a_reset_peer_fails_the_connection_once() {
-    // A pool-shard transport, so the test keeps a handle on the server side of the socket and
-    // can wait for the reset to land without a timer.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback bind");
-    let addr = listener.local_addr().expect("bound address");
-    let client = TcpStream::connect(addr).expect("loopback connect");
-    let (server_side, _) = listener.accept().expect("accept");
-    let watch = server_side.try_clone().expect("clone the server side");
-    let notify_writer = TcpStream::connect(addr).expect("notify connect");
-    let (notify_reader, _) = listener.accept().expect("notify accept");
-    let (handoffs, intake) = std::sync::mpsc::channel();
-    handoffs.send((0, server_side)).expect("hand off");
-    let mut transport = PollTransport::intake(intake, notify_reader);
-    assert_eq!(transport.poll(), vec![Event::Opened(Token(0))]);
+    // The clone of the server side lets the test wait for the reset to land without a timer.
+    let (mut transport, client, watch) = accepted_pair();
 
     // Closing a socket with unread received bytes resets the connection (RST, as SO_LINGER 0
     // would), so deliver one unread byte first.
@@ -111,23 +108,21 @@ fn a_flush_into_a_reset_peer_fails_the_connection_once() {
         other => panic!("expected the connection to fail, got {other:?}"),
     }
 
-    // The connection is gone: later sends and flushes are ignored, and once the intake closes
-    // the transport reports itself finished instead of failing the connection again.
+    // The connection is gone: later sends and flushes are ignored, and the transport reports
+    // itself finished instead of failing the connection again.
     transport.send(Token(0), b"0.2 ok ignored\n");
     transport.flush();
-    drop(handoffs);
-    drop(notify_writer);
     assert_eq!(transport.poll(), Vec::<Event>::new());
 }
 
 #[test]
 fn a_closing_connection_that_is_never_read_retires_at_its_deadline() {
-    let (mut transport, client) = accepted_pair();
+    let (mut transport, client, _) = accepted_pair();
     // Far more than the loopback socket buffers hold, so most of it stays queued.
     transport.send(Token(0), &vec![b'x'; 32 << 20]);
     transport.close(Token(0));
     // The peer never reads. Its tail is forfeit once the 2 s flush budget runs out, and the
-    // transport, whose accept budget is spent, then reports itself finished.
+    // transport, whose acceptor is gone, then reports itself finished.
     let (finished, outcome) = std::sync::mpsc::channel();
     // A regression hangs the poll: the timed receive fails the test instead of hanging it.
     let poller = std::thread::spawn(move || {
