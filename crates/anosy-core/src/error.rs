@@ -60,6 +60,25 @@ pub enum AnosyError {
     Ifc(IfcError),
 }
 
+/// Why [`crate::AnosySession::decide`] refused a downgrade. It is the refusal half of
+/// [`AnosyError`] without the query and policy names, so building one allocates nothing;
+/// [`crate::AnosySession::downgrade_with`] spells it out as the matching error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The secret lies outside the declared secret space ([`AnosyError::SecretOutsideLayout`]).
+    OutsideLayout,
+    /// The policy cannot decide soundly on ind. sets of this direction
+    /// ([`AnosyError::UnsoundApproximation`]).
+    Unsound(ApproxKind),
+    /// A posterior violates the policy ([`AnosyError::PolicyViolation`]).
+    Policy {
+        /// Size of the posterior for the `true` answer.
+        true_size: u128,
+        /// Size of the posterior for the `false` answer.
+        false_size: u128,
+    },
+}
+
 impl fmt::Display for AnosyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

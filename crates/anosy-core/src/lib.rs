@@ -69,7 +69,7 @@ mod qinfo;
 mod session;
 mod shared;
 
-pub use error::AnosyError;
+pub use error::{AnosyError, Refusal};
 pub use kary::{KaryIndSets, KaryQuery};
 pub use knowledge::Knowledge;
 pub use policy::{

@@ -29,6 +29,12 @@ use std::sync::Arc;
 /// A quantitative declassification policy over knowledge represented in domain `D`.
 pub trait Policy<D: AbstractDomain>: fmt::Debug {
     /// Returns `true` when the given knowledge is still acceptable (no violation).
+    ///
+    /// It must be a pure predicate of the knowledge: the same knowledge always gets the same
+    /// verdict. A session decides each step from a knowledge state through a query once and
+    /// keeps the verdict for the rest of its life (see [`crate::AnosySession`]), since its
+    /// policy is fixed; a predicate that consulted a clock, a counter or any other state would
+    /// not be asked again.
     fn allows(&self, knowledge: &Knowledge<D>) -> bool;
 
     /// A short human-readable name used in error messages and reports.

@@ -4,6 +4,15 @@ use anosy_domains::AbstractDomain;
 use anosy_logic::Point;
 use anosy_synth::{ApproxKind, IndSets, QueryDef};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A process-unique identity of one [`QInfo`]: the key a session's knowledge table memoizes
+/// downgrade steps under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct QueryKey(u64);
+
+/// `Relaxed` suffices: `fetch_add` alone makes every key unique, and a key publishes no data.
+static NEXT_QUERY_KEY: AtomicU64 = AtomicU64::new(0);
 
 /// A query together with its synthesized knowledge approximation.
 ///
@@ -12,16 +21,35 @@ use std::fmt;
 /// at the secret). In the paper the approximation is a Haskell function `approx`; here it is the
 /// pair of ind. sets, and the posterior is computed by intersecting them with the prior
 /// ([`IndSets::posterior`]), which is exactly how the synthesized `approx` is defined (Fig. 4).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Each `QInfo` carries a query key: a process-unique number that [`QInfo::new`] stamps from a
+/// global counter and that clones share. A session's knowledge table memoizes downgrade steps
+/// under it (see [`crate::AnosySession`]). A `QInfo` is immutable, so a key always names the
+/// same query and ind. sets: a name registered again with another predicate gets a new `QInfo`,
+/// hence a new key, and never reads a step memoized for the old one. The key is not part of
+/// equality, which compares the query and its ind. sets.
+#[derive(Debug, Clone)]
 pub struct QInfo<D> {
     query: QueryDef,
     indsets: IndSets<D>,
+    key: QueryKey,
+}
+
+impl<D: PartialEq> PartialEq for QInfo<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.query == other.query && self.indsets == other.indsets
+    }
 }
 
 impl<D: AbstractDomain> QInfo<D> {
-    /// Packages a query with its (already verified) ind. sets.
+    /// Packages a query with its (already verified) ind. sets under a fresh query key.
     pub fn new(query: QueryDef, indsets: IndSets<D>) -> Self {
-        QInfo { query, indsets }
+        QInfo { query, indsets, key: QueryKey(NEXT_QUERY_KEY.fetch_add(1, Ordering::Relaxed)) }
+    }
+
+    /// The process-unique key of this query and its ind. sets (shared by clones).
+    pub(crate) fn key(&self) -> QueryKey {
+        self.key
     }
 
     /// The query definition.
@@ -92,6 +120,15 @@ mod tests {
         let (post_t, post_f) = info.posterior(&top);
         assert_eq!(post_t.size(), 6837); // |post1| in §3
         assert_eq!(post_f.size(), 401 * 100);
+    }
+
+    #[test]
+    fn clones_share_a_key_and_every_construction_gets_a_new_one() {
+        let info = qinfo();
+        assert_eq!(info.clone().key(), info.key());
+        let again = qinfo();
+        assert_ne!(again.key(), info.key());
+        assert_eq!(again, info, "equality compares the query and ind. sets, not the key");
     }
 
     #[test]

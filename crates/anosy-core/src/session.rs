@@ -1,7 +1,8 @@
 //! The `AnosyT` analogue: a session tracking knowledge across bounded downgrades (Fig. 2).
 
+use crate::qinfo::QueryKey;
 use crate::shared::SharedSynthCache;
-use crate::{AnosyError, KaryIndSets, KaryQuery, Knowledge, Policy, QInfo};
+use crate::{AnosyError, KaryIndSets, KaryQuery, Knowledge, Policy, QInfo, Refusal};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain, Secret};
 use anosy_ifc::{Label, Labeled, Lio, Protected, Unprotect};
 use anosy_logic::{Point, SecretLayout};
@@ -109,14 +110,23 @@ impl SynthesizeInto for PowersetDomain {
 /// are refused — *before the query is executed* — when either possible posterior would violate
 /// the policy, so the refusal itself leaks nothing about the secret (§3).
 ///
+/// Knowledge is interned. A posterior is `prior ⊓ indset(answer)`, a pure function of the prior
+/// and the query, so secrets that took the same steps hold the same knowledge. The secrets map
+/// therefore holds a state id per secret, and the session's knowledge table holds the elements
+/// (state 0 is `⊤`). The table also memoizes every `(state, query)` step it has decided: both
+/// posteriors' states when the policy authorized it, both sizes when it refused. A repeated step
+/// is one lookup. A refusal interns nothing, and a posterior equal to its prior keeps the
+/// prior's id, so the table holds at most `1 + 2 ×` the session's distinct authorized steps
+/// (plus one per k-ary downgrade). The table lives and dies with the session.
+///
 /// The sessions of `anosy-serve`'s frontend register no queries of their own: the frontend's
-/// registry resolves every downgrade and passes the query to
-/// [`AnosySession::downgrade_with`], so such a session holds only its policy, its secrets'
-/// knowledge and its counters.
+/// registry resolves every downgrade and passes the query to [`AnosySession::decide`], so such a
+/// session holds only its policy, its secrets' states, its knowledge table and its counters.
 pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
     policy: Box<dyn Policy<D> + Send + Sync>,
-    secrets: HashMap<Point, Knowledge<D>>,
+    secrets: HashMap<Point, StateId>,
+    table: KnowledgeTable<D>,
     /// Shared so a downgrade resolves its query with a handle, never a deep copy.
     queries: BTreeMap<String, Arc<QInfo<D>>>,
     kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
@@ -144,6 +154,7 @@ impl<D: AbstractDomain> AnosySession<D> {
     ) -> Self {
         shared.note_session_opened();
         AnosySession {
+            table: KnowledgeTable::new(&layout),
             layout,
             policy: Box::new(policy),
             secrets: HashMap::new(),
@@ -234,12 +245,19 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// The knowledge currently associated with a secret (the initial `⊤` knowledge if the secret
     /// has not been involved in any downgrade yet).
     pub fn knowledge_of(&self, secret: &Point) -> Knowledge<D> {
-        self.secrets.get(secret).cloned().unwrap_or_else(|| Knowledge::initial(&self.layout))
+        self.table.get(self.state_of(secret)).clone()
     }
 
-    /// Forgets all tracked knowledge (e.g. between experiment runs). Registered queries are kept.
+    /// The knowledge state of a secret: `⊤` for one no downgrade has touched.
+    fn state_of(&self, secret: &Point) -> StateId {
+        self.secrets.get(secret).copied().unwrap_or(StateId::TOP)
+    }
+
+    /// Forgets all tracked knowledge (e.g. between experiment runs), with every interned state
+    /// and memoized step but `⊤`. Registered queries are kept.
     pub fn reset_knowledge(&mut self) {
         self.secrets.clear();
+        self.table.clear();
     }
 
     /// The bounded downgrade of Fig. 2.
@@ -268,44 +286,66 @@ impl<D: AbstractDomain> AnosySession<D> {
     }
 
     /// The bounded downgrade of Fig. 2 against a query the caller already resolved — the
-    /// serving frontend resolves names in its own registry, not in the session. Checks the
-    /// layout, reads the tracked prior, runs [`downgrade_step`] and, only when the policy
-    /// authorized it, commits the posterior; an authorization or a policy refusal is counted,
-    /// an [`AnosyError::UnsoundApproximation`] is not (no policy was consulted). This is the
-    /// one place a session's knowledge changes after a boolean downgrade.
+    /// serving frontend resolves names in its own registry, not in the session. It is
+    /// [`AnosySession::decide`] with the refusal spelled out as an [`AnosyError`] that names
+    /// the query and the policy.
     ///
     /// # Errors
     ///
     /// As [`AnosySession::downgrade`], minus [`AnosyError::UnknownQuery`].
     pub fn downgrade_with(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, AnosyError> {
+        self.decide(qinfo, point).map_err(|refusal| match refusal {
+            Refusal::OutsideLayout => AnosyError::SecretOutsideLayout,
+            Refusal::Unsound(kind) => AnosyError::UnsoundApproximation { kind },
+            Refusal::Policy { true_size, false_size } => AnosyError::PolicyViolation {
+                query: qinfo.query().name().to_string(),
+                policy: self.policy.name(),
+                posterior_true_size: true_size,
+                posterior_false_size: false_size,
+            },
+        })
+    }
+
+    /// The bounded downgrade of Fig. 2 against a resolved query, refusing with a [`Refusal`]
+    /// that allocates nothing. This is the one place a session's knowledge changes after a
+    /// boolean downgrade.
+    ///
+    /// It checks the layout and [`Policy::sound_for`] first. It then looks up the secret's
+    /// state and the query's key (see [`QInfo`]) in the knowledge table. On a miss it computes both
+    /// posteriors, checks the policy on both and memoizes the outcome, exactly as
+    /// [`downgrade_step`] decides it. On a hit it only reads the memo. Only an authorized step
+    /// executes the query and moves the secret to the state of its answer. An authorization or
+    /// a policy refusal is counted; the other refusals are not (no policy was consulted).
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::OutsideLayout`], [`Refusal::Unsound`] or [`Refusal::Policy`] — the query is
+    /// **not** executed in any of them.
+    pub fn decide(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, Refusal> {
         if !self.layout.admits(point) {
-            return Err(AnosyError::SecretOutsideLayout);
+            return Err(Refusal::OutsideLayout);
         }
-        // The prior is read in place; only a secret no downgrade has touched builds one (`⊤`).
-        let initial;
-        let prior = match self.secrets.get(point) {
-            Some(tracked) => tracked,
-            None => {
-                initial = Knowledge::initial(&self.layout);
-                &initial
-            }
-        };
-        match downgrade_step(self.policy.as_ref(), qinfo, prior, point) {
-            Ok((response, posterior)) => {
-                match self.secrets.get_mut(point) {
-                    Some(tracked) => *tracked = posterior,
+        if !self.policy.sound_for(qinfo.kind()) {
+            return Err(Refusal::Unsound(qinfo.kind()));
+        }
+        let tracked = self.secrets.get_mut(point);
+        let state = tracked.as_deref().copied().unwrap_or(StateId::TOP);
+        match self.table.step(state, qinfo, self.policy.as_ref()) {
+            Transition::Authorized { on_true, on_false } => {
+                let answer = qinfo.ask(point);
+                let next = if answer { on_true } else { on_false };
+                match tracked {
+                    Some(slot) => *slot = next,
                     None => {
-                        self.secrets.insert(point.clone(), posterior);
+                        self.secrets.insert(point.clone(), next);
                     }
                 }
                 self.note_downgrade_outcome(true);
-                Ok(response)
+                Ok(answer)
             }
-            Err(e) => {
-                if matches!(e, AnosyError::PolicyViolation { .. }) {
-                    self.note_downgrade_outcome(false);
-                }
-                Err(e)
+            Transition::Refused { true_size, false_size } => {
+                self.note_downgrade_outcome(false);
+                Err(Refusal::Policy { true_size, false_size })
             }
         }
     }
@@ -384,9 +424,12 @@ impl<D: AbstractDomain> AnosySession<D> {
         if !self.policy.sound_for(indsets.kind()) {
             return Err(AnosyError::UnsoundApproximation { kind: indsets.kind() });
         }
-        let prior = self.knowledge_of(&point);
-        let posteriors: Vec<Knowledge<D>> =
-            indsets.posterior(prior.domain()).into_iter().map(Knowledge::from_domain).collect();
+        let state = self.state_of(&point);
+        let mut posteriors: Vec<Knowledge<D>> = indsets
+            .posterior(self.table.get(state).domain())
+            .into_iter()
+            .map(Knowledge::from_domain)
+            .collect();
         if let Some(violating) = posteriors.iter().find(|k| !self.policy.allows(k)) {
             let violation = AnosyError::PolicyViolation {
                 query: query_name.to_string(),
@@ -398,9 +441,88 @@ impl<D: AbstractDomain> AnosySession<D> {
             return Err(violation);
         }
         let output = query.output(&point);
-        self.secrets.insert(point, posteriors[output].clone());
+        let next = self.table.intern(state, posteriors.swap_remove(output));
+        self.secrets.insert(point, next);
         self.note_downgrade_outcome(true);
         Ok(output)
+    }
+}
+
+/// A secret's place in its session's [`KnowledgeTable`]: the index of an interned element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct StateId(u32);
+
+impl StateId {
+    /// `⊤`, the knowledge of a secret no downgrade has touched.
+    const TOP: StateId = StateId(0);
+}
+
+/// What one downgrade step from a knowledge state through a query decides. It holds for every
+/// secret in that state, because the policy judges both posteriors and never the secret.
+#[derive(Debug, Clone, Copy)]
+enum Transition {
+    /// The policy accepts both posteriors; the secret moves to the state of its answer.
+    Authorized { on_true: StateId, on_false: StateId },
+    /// The policy rejects a posterior, whose sizes the refusal reports.
+    Refused { true_size: u128, false_size: u128 },
+}
+
+/// A session's interned knowledge elements and its memo of decided steps (see
+/// [`AnosySession`]). The memo is sound because a session's policy is fixed and a pure
+/// predicate of the knowledge ([`Policy::allows`]), and a [`QueryKey`] names one immutable
+/// query.
+struct KnowledgeTable<D> {
+    /// Interned elements, indexed by [`StateId`]; `states[0]` is `⊤`.
+    states: Vec<Knowledge<D>>,
+    memo: HashMap<(StateId, QueryKey), Transition>,
+}
+
+impl<D: AbstractDomain> KnowledgeTable<D> {
+    fn new(layout: &SecretLayout) -> Self {
+        KnowledgeTable { states: vec![Knowledge::initial(layout)], memo: HashMap::new() }
+    }
+
+    fn get(&self, state: StateId) -> &Knowledge<D> {
+        &self.states[state.0 as usize]
+    }
+
+    /// The state of `knowledge`, reached from `prior`: the prior's own id when the step left
+    /// it unchanged (so repeating a query reaches a fixed point), a new id otherwise.
+    fn intern(&mut self, prior: StateId, knowledge: Knowledge<D>) -> StateId {
+        if *self.get(prior) == knowledge {
+            return prior;
+        }
+        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 knowledge states");
+        self.states.push(knowledge);
+        StateId(id)
+    }
+
+    /// The memoized step from `state` through `qinfo`, decided by [`posteriors`] on a miss.
+    fn step(&mut self, state: StateId, qinfo: &QInfo<D>, policy: &dyn Policy<D>) -> Transition {
+        let key = (state, qinfo.key());
+        if let Some(&transition) = self.memo.get(&key) {
+            return transition;
+        }
+        let (knowledge_true, knowledge_false, allowed) = posteriors(policy, qinfo, self.get(state));
+        let transition = if allowed {
+            Transition::Authorized {
+                on_true: self.intern(state, knowledge_true),
+                on_false: self.intern(state, knowledge_false),
+            }
+        } else {
+            Transition::Refused {
+                true_size: knowledge_true.size(),
+                false_size: knowledge_false.size(),
+            }
+        };
+        self.memo.insert(key, transition);
+        transition
+    }
+
+    /// Drops every state but `⊤` and every memoized step.
+    fn clear(&mut self) {
+        self.states.truncate(1);
+        self.memo.clear();
     }
 }
 
@@ -420,7 +542,7 @@ impl<D: AbstractDomain> Drop for AnosySession<D> {
 /// both pass executes the query on `point`, returning the answer together with the matching
 /// posterior.
 ///
-/// [`AnosySession::downgrade_with`] is this step plus the knowledge-map commit.
+/// [`AnosySession::decide`] decides every step the same way, memoized per knowledge state.
 ///
 /// # Errors
 ///
@@ -436,10 +558,8 @@ pub fn downgrade_step<D: AbstractDomain>(
     if !policy.sound_for(qinfo.kind()) {
         return Err(AnosyError::UnsoundApproximation { kind: qinfo.kind() });
     }
-    let (post_true, post_false) = qinfo.posterior(prior.domain());
-    let knowledge_true = Knowledge::from_domain(post_true);
-    let knowledge_false = Knowledge::from_domain(post_false);
-    if !(policy.allows(&knowledge_true) && policy.allows(&knowledge_false)) {
+    let (knowledge_true, knowledge_false, allowed) = posteriors(policy, qinfo, prior);
+    if !allowed {
         return Err(AnosyError::PolicyViolation {
             query: qinfo.query().name().to_string(),
             policy: policy.name(),
@@ -450,6 +570,19 @@ pub fn downgrade_step<D: AbstractDomain>(
     let response = qinfo.ask(point);
     let posterior = if response { knowledge_true } else { knowledge_false };
     Ok((response, posterior))
+}
+
+/// Both posteriors of `prior` through `qinfo`, and whether `policy` accepts both.
+fn posteriors<D: AbstractDomain>(
+    policy: &dyn Policy<D>,
+    qinfo: &QInfo<D>,
+    prior: &Knowledge<D>,
+) -> (Knowledge<D>, Knowledge<D>, bool) {
+    let (post_true, post_false) = qinfo.posterior(prior.domain());
+    let knowledge_true = Knowledge::from_domain(post_true);
+    let knowledge_false = Knowledge::from_domain(post_false);
+    let allowed = policy.allows(&knowledge_true) && policy.allows(&knowledge_false);
+    (knowledge_true, knowledge_false, allowed)
 }
 
 impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
@@ -989,6 +1122,28 @@ mod tests {
             resolved.shared_cache().stats().downgrades_refused,
             named.shared_cache().stats().downgrades_refused
         );
+    }
+
+    #[test]
+    fn repeated_steps_share_states_and_reach_a_fixed_point() {
+        let mut session = AnosySession::<IntervalDomain>::new(loc_layout(), AllowAll);
+        let qinfo = paper_session().query_handle("nearby_200_200").unwrap();
+        let alice = Point::new(vec![300, 200]);
+        let bob = Point::new(vec![250, 210]);
+        for _ in 0..50 {
+            for secret in [&alice, &bob] {
+                assert_eq!(session.decide(&qinfo, secret), Ok(true));
+            }
+        }
+        // ⊤, then the two posteriors of the first step; the `true` one meets its ind. set to
+        // itself, and its empty `false` posterior is interned once.
+        assert_eq!(session.table.states.len(), 4);
+        assert_eq!(session.table.memo.len(), 2);
+        assert_eq!(session.secrets[&alice], session.secrets[&bob]);
+        assert_eq!(session.knowledge_of(&bob).size(), 6837);
+        session.reset_knowledge();
+        assert_eq!((session.table.states.len(), session.table.memo.len()), (1, 0));
+        assert_eq!(session.knowledge_of(&bob), Knowledge::initial(&loc_layout()));
     }
 
     #[test]

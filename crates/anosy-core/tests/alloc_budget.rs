@@ -1,18 +1,27 @@
-//! Allocation budget of a steady-state powerset downgrade.
+//! Allocation budget of a steady-state downgrade.
 //!
-//! A bounded downgrade computes two powerset meets before it answers. Each meet keeps one flat
-//! inclusion list and one flat exclusion list and counts residuals on one scratch stack. The
-//! session checks the secret against the layout without building a box, reads the tracked prior
-//! in place and overwrites it in place. So a downgrade of a secret that is already tracked needs
-//! at most three allocations per meet, six in all. The budget of 8 leaves room for two more.
+//! A session decides a step from a knowledge state through a query once and memoizes it. The
+//! first decision of a step computes two powerset meets. Each meet keeps one flat inclusion list
+//! and one flat exclusion list and counts residuals on one scratch stack. The session checks the
+//! secret against the layout without building a box. So a first decision needs at most three
+//! allocations per meet, six in all, plus the growth of the table that interns its posteriors.
+//! The budget of 8 leaves room for two more.
+//!
+//! A repeated step is a memo lookup that allocates nothing, authorized or refused, in either
+//! domain. So a repeated batch through the serving frontend allocates as often for 64 tracked
+//! secrets as for one.
 //!
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
 
-use anosy_core::{AllowAll, AnosyError, AnosySession, Knowledge, MinSizePolicy, QInfo};
+use anosy_core::{
+    AllowAll, AnosyError, AnosySession, Knowledge, MinSizePolicy, PolicySpec, QInfo, Refusal,
+    SynthesizeInto,
+};
 use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_logic::{IntExpr, Point, SecretLayout};
-use anosy_synth::{ApproxKind, IndSets, QueryDef};
+use anosy_serve::{Deployment, Frontend, ServeConfig, ServeRequest, ServeResponse};
+use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -183,6 +192,107 @@ fn steady_state_powerset_downgrades_stay_within_the_budget() {
         }
     }
     assert!(bounded.knowledge_of(&secrets[0]).size() > 100);
+}
+
+/// `x <= 200` with exact interval ind. sets.
+fn west_interval() -> QInfo<IntervalDomain> {
+    let query = QueryDef::new("west", layout(), IntExpr::var(0).le(200)).unwrap();
+    QInfo::new(
+        query,
+        IndSets::new(ApproxKind::Under, member((0, 200), (0, 400)), member((201, 400), (0, 400))),
+    )
+}
+
+/// Two tracked secrets on the `true` side of `query`, both in the state a repeated `query` step
+/// leaves them in, and the session's memo holding that step.
+fn settle<D: AbstractDomain>(session: &mut AnosySession<D>, query: &QInfo<D>) -> [Point; 2] {
+    let secrets = [Point::new(vec![60, 90]), Point::new(vec![150, 260])];
+    for _ in 0..3 {
+        for secret in &secrets {
+            let _ = session.decide(query, secret);
+        }
+    }
+    secrets
+}
+
+/// A repeated step allocates nothing: an authorized one under allow-all (the posterior of the
+/// `true` answer is the prior again) and a refused one under min-size (the `false` posterior is
+/// empty).
+fn memo_hits_allocate_nothing<D: AbstractDomain>(query: QInfo<D>) {
+    let mut open = AnosySession::<D>::new(layout(), AllowAll);
+    for secret in settle(&mut open, &query) {
+        let prior = open.knowledge_of(&secret);
+        let (outcome, count) = allocations(|| open.decide(&query, &secret));
+        assert_eq!(outcome, Ok(true));
+        assert_eq!(count, 0, "secret {secret}: an authorized memo hit allocates nothing");
+        assert_eq!(open.knowledge_of(&secret), prior);
+        let (outcome, count) = allocations(|| open.downgrade_with(&query, &secret));
+        assert_eq!((outcome, count), (Ok(true), 0));
+    }
+    let mut bounded = AnosySession::<D>::new(layout(), MinSizePolicy::new(100));
+    for secret in settle(&mut bounded, &query) {
+        let (outcome, count) = allocations(|| bounded.decide(&query, &secret));
+        assert!(matches!(outcome, Err(Refusal::Policy { false_size: 0, .. })), "{outcome:?}");
+        assert_eq!(count, 0, "secret {secret}: a refused memo hit allocates nothing");
+    }
+    assert_eq!(bounded.stats().downgrades_refused, 2 * 2 + 2);
+}
+
+#[test]
+fn memo_hits_allocate_nothing_in_either_domain() {
+    memo_hits_allocate_nothing(west_interval());
+    memo_hits_allocate_nothing(west());
+}
+
+/// Allocations of the fourth identical `DowngradeBatch` of `n` secrets through
+/// `Frontend::submit` and `Frontend::tick`, once the batch's steps are all memoized.
+fn repeated_batch_allocations<D>(policy: PolicySpec, n: i64) -> usize
+where
+    D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
+{
+    let mut frontend = Frontend::new(Deployment::<D>::new(layout(), ServeConfig::for_tests()));
+    let conn = frontend.connect();
+    let query = QueryDef::new("west", layout(), IntExpr::var(0).le(200)).unwrap();
+    frontend.submit(
+        conn,
+        ServeRequest::RegisterQuery { query, kind: ApproxKind::Under, members: Some(3) },
+    );
+    frontend.submit(conn, ServeRequest::OpenSession { policy });
+    let Some(ServeResponse::SessionOpened { session }) = frontend.tick().pop().map(|r| r.response)
+    else {
+        panic!("the session opens");
+    };
+    let batch = || ServeRequest::DowngradeBatch {
+        session,
+        secrets: (0..n).map(|i| Point::new(vec![i * 397 % 401, i * 131 % 401])).collect(),
+        query: "west".into(),
+    };
+    for _ in 0..3 {
+        frontend.submit(conn, batch());
+        frontend.tick();
+    }
+    let request = batch();
+    let (responses, count) = allocations(|| {
+        frontend.submit(conn, request);
+        frontend.tick()
+    });
+    match &responses[0].response {
+        ServeResponse::Answers(answers) => assert_eq!(answers.len(), n as usize),
+        other => panic!("expected batch answers, got {other:?}"),
+    }
+    count
+}
+
+#[test]
+fn a_repeated_batch_allocates_the_same_for_one_and_for_64_tracked_secrets() {
+    for policy in [PolicySpec::AllowAll, PolicySpec::MinSize(100)] {
+        let one = repeated_batch_allocations::<IntervalDomain>(policy.clone(), 1);
+        let many = repeated_batch_allocations::<IntervalDomain>(policy.clone(), 64);
+        assert_eq!(one, many, "intervals under {policy}");
+        let one = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 1);
+        let many = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 64);
+        assert_eq!(one, many, "powersets under {policy}");
+    }
 }
 
 #[test]

@@ -18,8 +18,9 @@
 //! A tick answers its requests one after another, in submission order. A
 //! [`ServeRequest::Downgrade`] resolves its query in the registry and is decided by the
 //! session's own policy-checked step ([`AnosySession::downgrade_with`]) on the calling
-//! thread; a [`ServeRequest::DowngradeBatch`] is the same step per secret, in order. Nothing
-//! else writes a session's knowledge.
+//! thread; a [`ServeRequest::DowngradeBatch`] is the same step per secret, in order, through
+//! [`AnosySession::decide`], whose refusals map straight to a [`DenialCode`] without building
+//! an error. Nothing else writes a session's knowledge.
 //!
 //! # Determinism guarantee
 //!
@@ -35,7 +36,6 @@ use crate::proto::{
 use crate::Deployment;
 use anosy_core::{AnosyError, AnosySession, QInfo, SynthesizeInto};
 use anosy_domains::AbstractDomain;
-use anosy_logic::Point;
 use anosy_solver::ValidityOutcome;
 use anosy_synth::DomainCodec;
 use anosy_telemetry as telemetry;
@@ -283,8 +283,11 @@ where
                 };
                 let _span = telemetry::span("batch.decide");
                 self.stats.count_decisions(&mut self.tick_decisions, 1);
-                let qinfo = self.registry.get(&*query).map(Arc::as_ref);
-                ServeResponse::Answer(decide(open, qinfo, &query, &secret).map_err(Denial::from))
+                let answer = match self.registry.get(&*query) {
+                    Some(qinfo) => open.downgrade_with(qinfo, &secret),
+                    None => Err(AnosyError::UnknownQuery { name: query.to_string() }),
+                };
+                ServeResponse::Answer(answer.map_err(Denial::from))
             }
             ServeRequest::OpenSession { policy } => {
                 let opens = self.conn_opens.entry(conn).or_insert(0);
@@ -323,15 +326,13 @@ where
                 };
                 let _span = telemetry::span("batch.decide");
                 self.stats.count_decisions(&mut self.tick_decisions, secrets.len());
-                let qinfo = self.registry.get(&*query).map(Arc::as_ref);
-                ServeResponse::Answers(
-                    secrets
+                ServeResponse::Answers(match self.registry.get(&*query) {
+                    Some(qinfo) => secrets
                         .iter()
-                        .map(|secret| {
-                            decide(open, qinfo, &query, secret).map_err(|e| DenialCode::of(&e))
-                        })
+                        .map(|secret| open.decide(qinfo, secret).map_err(DenialCode::from))
                         .collect(),
-                )
+                    None => vec![Err(DenialCode::UnknownQuery); secrets.len()],
+                })
             }
             ServeRequest::CountModels { pred } => {
                 match self.deployment.par_count_models(&pred, &self.deployment.layout().space()) {
@@ -403,20 +404,6 @@ where
     }
 }
 
-/// One downgrade decision in an open session: the query comes from the frontend's registry
-/// (`None` when the name is not registered), the decision is the session's own step.
-fn decide<D: AbstractDomain>(
-    session: &mut AnosySession<D>,
-    qinfo: Option<&QInfo<D>>,
-    query: &str,
-    secret: &Point,
-) -> Result<bool, AnosyError> {
-    match qinfo {
-        Some(qinfo) => session.downgrade_with(qinfo, secret),
-        None => Err(AnosyError::UnknownQuery { name: query.to_string() }),
-    }
-}
-
 impl<D: AbstractDomain> fmt::Debug for Frontend<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Frontend")
@@ -435,7 +422,7 @@ mod tests {
     use anosy_core::PolicySpec;
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
-    use anosy_logic::{IntExpr, SecretLayout};
+    use anosy_logic::{IntExpr, Point, SecretLayout};
     use anosy_synth::{ApproxKind, QueryDef};
 
     fn layout() -> SecretLayout {

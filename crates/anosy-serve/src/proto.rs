@@ -23,7 +23,7 @@
 //! untrusted connections (the future socket executor) must gate or drop these two requests —
 //! the frontend executes them for whoever submits them.
 
-use anosy_core::{AnosyError, PolicySpec};
+use anosy_core::{AnosyError, PolicySpec, Refusal};
 use anosy_logic::Point;
 use anosy_synth::{ApproxKind, QueryDef};
 use std::fmt;
@@ -228,6 +228,16 @@ impl DenialCode {
             AnosyError::SecretOutsideLayout => DenialCode::OutsideLayout,
             AnosyError::NotSynthesized { .. } => DenialCode::NotSynthesized,
             _ => DenialCode::Internal,
+        }
+    }
+}
+
+impl From<Refusal> for DenialCode {
+    fn from(refusal: Refusal) -> DenialCode {
+        match refusal {
+            Refusal::OutsideLayout => DenialCode::OutsideLayout,
+            Refusal::Unsound(_) => DenialCode::UnsoundApproximation,
+            Refusal::Policy { .. } => DenialCode::Policy,
         }
     }
 }
