@@ -8,8 +8,10 @@
 //! The budget of 8 leaves room for two more.
 //!
 //! A repeated step is a memo lookup that allocates nothing, authorized or refused, in either
-//! domain. So a repeated batch through the serving frontend allocates as often for 64 tracked
-//! secrets as for one.
+//! domain. The wire parser stores each secret of up to four coordinates inline in its `Point`,
+//! so a `batch` line allocates its list of secrets once, and a `downgrade` line naming an
+//! interned query allocates nothing. So a repeated batch line, parsed and then served through
+//! the frontend, allocates as often for 64 tracked secrets as for one.
 //!
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
@@ -20,6 +22,7 @@ use anosy_core::{
 };
 use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_logic::{IntExpr, Point, SecretLayout};
+use anosy_serve::wire::{self, NameInterner};
 use anosy_serve::{Deployment, Frontend, ServeConfig, ServeRequest, ServeResponse};
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -244,7 +247,14 @@ fn memo_hits_allocate_nothing_in_either_domain() {
     memo_hits_allocate_nothing(west());
 }
 
-/// Allocations of the fourth identical `DowngradeBatch` of `n` secrets through
+/// A `batch` wire line of `n` secrets spread over the layout.
+fn batch_line(session: u64, n: i64) -> String {
+    let secrets: Vec<String> =
+        (0..n).map(|i| format!("{},{}", i * 397 % 401, i * 131 % 401)).collect();
+    format!("batch session={session} query=west secrets={}", secrets.join(";"))
+}
+
+/// Allocations of the fourth identical `batch` line of `n` secrets through the wire parser,
 /// `Frontend::submit` and `Frontend::tick`, once the batch's steps are all memoized.
 fn repeated_batch_allocations<D>(policy: PolicySpec, n: i64) -> usize
 where
@@ -262,17 +272,14 @@ where
     else {
         panic!("the session opens");
     };
-    let batch = || ServeRequest::DowngradeBatch {
-        session,
-        secrets: (0..n).map(|i| Point::new(vec![i * 397 % 401, i * 131 % 401])).collect(),
-        query: "west".into(),
-    };
+    let (layout, line) = (layout(), batch_line(session.0, n));
+    let mut names = NameInterner::new();
     for _ in 0..3 {
-        frontend.submit(conn, batch());
+        frontend.submit(conn, wire::parse_request_interned(&line, &layout, &mut names).unwrap());
         frontend.tick();
     }
-    let request = batch();
     let (responses, count) = allocations(|| {
+        let request = wire::parse_request_interned(&line, &layout, &mut names).unwrap();
         frontend.submit(conn, request);
         frontend.tick()
     });
@@ -292,6 +299,41 @@ fn a_repeated_batch_allocates_the_same_for_one_and_for_64_tracked_secrets() {
         let one = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 1);
         let many = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 64);
         assert_eq!(one, many, "powersets under {policy}");
+    }
+}
+
+/// Allocations of parsing one `batch` line of `n` secrets, its query name already interned.
+fn batch_parse_allocations(n: i64) -> usize {
+    let (layout, line) = (layout(), batch_line(1, n));
+    let mut names = NameInterner::new();
+    assert!(wire::parse_request_interned(&line, &layout, &mut names).is_ok());
+    let (request, count) = allocations(|| wire::parse_request_interned(&line, &layout, &mut names));
+    match request {
+        Ok(ServeRequest::DowngradeBatch { secrets, .. }) => assert_eq!(secrets.len(), n as usize),
+        other => panic!("expected a batch, got {other:?}"),
+    }
+    count
+}
+
+#[test]
+fn parsing_a_batch_line_allocates_its_secret_list_once() {
+    assert_eq!(batch_parse_allocations(1), 1);
+    assert_eq!(batch_parse_allocations(1024), 1);
+}
+
+#[test]
+fn parsing_a_downgrade_line_with_an_interned_query_allocates_nothing() {
+    let layout = layout();
+    let mut names = NameInterner::new();
+    let line = "downgrade session=1 query=west secret=300,200";
+    assert!(wire::parse_request_interned(line, &layout, &mut names).is_ok());
+    let (request, count) = allocations(|| wire::parse_request_interned(line, &layout, &mut names));
+    assert_eq!(count, 0);
+    match request {
+        Ok(ServeRequest::Downgrade { secret, .. }) => {
+            assert_eq!(secret, Point::new(vec![300, 200]))
+        }
+        other => panic!("expected a downgrade, got {other:?}"),
     }
 }
 

@@ -44,6 +44,18 @@
 //! close session=1
 //! ```
 //!
+//! # Points
+//!
+//! A secret rides as its coordinates joined by `,` (`300,200`), and a `batch` list joins points
+//! with `;` (`secrets=` alone is the empty list). A coordinate is an optional `+` or `-` and one
+//! or more ASCII digits whose value fits an `i64`: exactly the strings `str::parse::<i64>`
+//! accepts, so `+7`, `-0` and `007` parse while `1e3`, `٣` and an empty coordinate do not. No
+//! whitespace is allowed inside a point or list, since whitespace ends a token. One scanner
+//! reads this grammar everywhere (`secret=`, `secrets=`, `ok counterexample`). It scans a
+//! `secrets=` list in place in one forward pass, and a [`Point`] of up to four coordinates
+//! stores them inline. So decoding a batch allocates its `Vec<Point>` once and nothing per
+//! secret.
+//!
 //! # Responses
 //!
 //! ```text
@@ -105,21 +117,130 @@ impl std::error::Error for WireError {}
 
 /// Renders a point as comma-joined coordinates (`300,200`).
 pub fn encode_point(point: &Point) -> String {
-    point.as_slice().iter().map(i64::to_string).collect::<Vec<_>>().join(",")
+    let mut out = String::new();
+    push_point(&mut out, point);
+    out
 }
 
-/// Parses the [`encode_point`] form. Returns `None` on empty or non-numeric input.
-pub fn parse_point(text: &str) -> Option<Point> {
-    // Exact-capacity up front: `collect` only knows a lower bound for split iterators, so it
-    // would grow (and re-copy) once per point on the bulk decode path.
-    let mut coords: Vec<i64> = Vec::with_capacity(text.bytes().filter(|&b| b == b',').count() + 1);
-    for c in text.split(',') {
-        coords.push(c.trim().parse().ok()?);
+/// Appends [`encode_point`]'s form to `out`.
+fn push_point(out: &mut String, point: &Point) {
+    use std::fmt::Write as _;
+    for (i, coord) in point.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{coord}");
     }
-    if coords.is_empty() {
-        None
+}
+
+/// Parses the [`encode_point`] form. Returns `None` unless all of `text` is one point (see the
+/// [module docs](self) for the grammar).
+pub fn parse_point(text: &str) -> Option<Point> {
+    match scan_point(text.as_bytes()) {
+        Some((point, len)) if len == text.len() => Some(point),
+        _ => None,
+    }
+}
+
+/// Scans one integer from the front of `bytes`: an optional `+` or `-`, then one or more ASCII
+/// digits, in `i64` range — exactly the strings `str::parse::<i64>` accepts. Returns the value
+/// and the number of bytes it spans, or `None` when `bytes` does not start with an integer or
+/// the integer overflows.
+fn scan_int(bytes: &[u8]) -> Option<(i64, usize)> {
+    let (negative, start) = match bytes.first() {
+        Some(b'-') => (true, 1),
+        Some(b'+') => (false, 1),
+        _ => (false, 0),
+    };
+    // The magnitude, in `u64`: eighteen digits cannot overflow it, so only longer runs (leading
+    // zeros, or a value out of range) pay for checked arithmetic.
+    let mut magnitude: u64 = 0;
+    let mut end = start;
+    while let Some(digit) = bytes.get(end).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        magnitude = if end - start < 18 {
+            magnitude * 10 + u64::from(digit)
+        } else {
+            magnitude.checked_mul(10)?.checked_add(u64::from(digit))?
+        };
+        end += 1;
+    }
+    if end == start {
+        return None;
+    }
+    let value = if negative {
+        0i64.checked_sub_unsigned(magnitude)?
     } else {
-        Some(Point::new(coords))
+        i64::try_from(magnitude).ok()?
+    };
+    Some((value, end))
+}
+
+/// Scans one point, integers joined by `,` (`300,200`, `-3`), from the front of `bytes`.
+/// Returns the point and the number of bytes it spans; the scan stops at the first byte after an
+/// integer that is not `,`. `None` when `bytes` does not start with a point.
+fn scan_point(bytes: &[u8]) -> Option<(Point, usize)> {
+    // Coordinates collect on the stack; only a point too long to store inline moves them to a
+    // `Vec`.
+    let mut inline = [0i64; 4];
+    let mut spilled = Vec::new();
+    let (mut arity, mut at) = (0, 0);
+    loop {
+        let (coord, len) = scan_int(&bytes[at..])?;
+        match inline.get_mut(arity) {
+            Some(slot) => *slot = coord,
+            None => {
+                if spilled.is_empty() {
+                    spilled.extend_from_slice(&inline);
+                }
+                spilled.push(coord);
+            }
+        }
+        arity += 1;
+        at += len;
+        if bytes.get(at) != Some(&b',') {
+            break;
+        }
+        at += 1;
+    }
+    let point = match inline.get(..arity) {
+        Some(coords) => Point::from(coords),
+        None => Point::new(spilled),
+    };
+    Some((point, at))
+}
+
+/// Scans a `secrets=` list — points joined by `;`, possibly none — in place, from the front of
+/// `text` up to the first whitespace. Returns the points, or `None` if the list is malformed,
+/// and the length of the list token either way, so the caller resumes after it.
+fn scan_secrets(text: &str) -> (Option<Vec<Point>>, usize) {
+    let bytes = text.as_bytes();
+    let ends_token = |at: usize| text[at..].chars().next().is_none_or(char::is_whitespace);
+    let token_end =
+        |at: usize| at + text[at..].find(char::is_whitespace).unwrap_or(text.len() - at);
+    if ends_token(0) {
+        return (Some(Vec::new()), 0);
+    }
+    // Sized by one byte count, so the list allocates once; a `;` after the token only
+    // over-reserves. Counting in `u8` lanes, 255 bytes at a time, lets the count vectorize.
+    let separators: usize = bytes
+        .chunks(u8::MAX as usize)
+        .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b';')).sum::<u8>()))
+        .sum();
+    let mut secrets = Vec::with_capacity(separators + 1);
+    let mut at = 0;
+    loop {
+        let Some((point, len)) = scan_point(&bytes[at..]) else {
+            return (None, token_end(at));
+        };
+        secrets.push(point);
+        at += len;
+        match bytes.get(at) {
+            Some(b';') => at += 1,
+            // Any other byte ends the list cleanly only if it starts a whitespace character.
+            _ if ends_token(at) => return (Some(secrets), at),
+            _ => return (None, token_end(at)),
+        }
     }
 }
 
@@ -275,37 +396,39 @@ fn parse_request_inner(
             query: intern(query_token(rest)?),
         }),
         "batch" => {
-            // One pass over the tokens: the `secrets=` list dominates a bulk line's length,
-            // so the per-key scans the small requests use would walk it once per key. First
-            // occurrence of each key wins, matching [`token`].
+            // One pass over the tokens: the `secrets=` list dominates a bulk line's length, so
+            // it is scanned in place and never split or re-walked. First occurrence of each key
+            // wins, matching [`token`].
             let (mut session, mut query, mut list) = (None, None, None);
-            for t in rest.split_whitespace() {
-                if let Some(v) = t.strip_prefix("session=") {
-                    session.get_or_insert(v);
-                } else if let Some(v) = t.strip_prefix("query=") {
-                    query.get_or_insert(v);
-                } else if let Some(v) = t.strip_prefix("secrets=") {
-                    list.get_or_insert(v);
-                }
+            let mut rest = rest.trim_start();
+            while !rest.is_empty() {
+                let end = match rest.strip_prefix("secrets=") {
+                    Some(v) if list.is_none() => {
+                        let (points, len) = scan_secrets(v);
+                        list = Some(points);
+                        "secrets=".len() + len
+                    }
+                    _ => {
+                        let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+                        let t = &rest[..end];
+                        if let Some(v) = t.strip_prefix("session=") {
+                            session.get_or_insert(v);
+                        } else if let Some(v) = t.strip_prefix("query=") {
+                            query.get_or_insert(v);
+                        }
+                        end
+                    }
+                };
+                rest = rest[end..].trim_start();
             }
             let session = session
                 .and_then(|v| v.parse().ok())
                 .map(SessionId)
                 .ok_or_else(|| WireError::new("missing or bad session="))?;
             let query = intern(query.ok_or_else(|| WireError::new("missing query="))?);
-            let list = list.ok_or_else(|| WireError::new("missing secrets="))?;
-            let secrets = if list.is_empty() {
-                Vec::new()
-            } else {
-                let mut secrets =
-                    Vec::with_capacity(list.bytes().filter(|&b| b == b';').count() + 1);
-                for item in list.split(';') {
-                    secrets.push(
-                        parse_point(item).ok_or_else(|| WireError::new("bad secrets= list"))?,
-                    );
-                }
-                secrets
-            };
+            let secrets = list
+                .ok_or_else(|| WireError::new("missing secrets="))?
+                .ok_or_else(|| WireError::new("bad secrets= list"))?;
             Ok(ServeRequest::DowngradeBatch { session, secrets, query })
         }
         "count" => {
@@ -390,8 +513,14 @@ pub fn encode_request(request: &ServeRequest) -> Result<String, WireError> {
         }
         ServeRequest::DowngradeBatch { session, secrets, query } => {
             let query = wire_safe_name(query)?;
-            let list: Vec<String> = secrets.iter().map(encode_point).collect();
-            format!("batch session={session} query={query} secrets={}", list.join(";"))
+            let mut line = format!("batch session={session} query={query} secrets=");
+            for (i, secret) in secrets.iter().enumerate() {
+                if i > 0 {
+                    line.push(';');
+                }
+                push_point(&mut line, secret);
+            }
+            line
         }
         ServeRequest::CountModels { pred } => format!("count pred={pred}"),
         ServeRequest::CheckValidity { pred } => format!("valid pred={pred}"),
@@ -456,7 +585,8 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
             out.push_str("ok answers");
             for result in results {
                 match result {
-                    Ok(answer) => write!(out, " {answer}")?,
+                    Ok(true) => out.push_str(" true"),
+                    Ok(false) => out.push_str(" false"),
                     Err(code) => {
                         out.push_str(" !");
                         out.push_str(code.as_str());
@@ -468,7 +598,9 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
         ServeResponse::Count { models } => write!(out, "ok count {models}"),
         ServeResponse::Validity { counterexample: None } => out.write_str("ok valid"),
         ServeResponse::Validity { counterexample: Some(point) } => {
-            write!(out, "ok counterexample {}", encode_point(point))
+            out.push_str("ok counterexample ");
+            push_point(out, point);
+            Ok(())
         }
         ServeResponse::Knowledge { size, encoded } => {
             write!(out, "ok knowledge size={size} {encoded}")
