@@ -46,14 +46,13 @@
 //!   one shared deployment ([`anosy_serve::ReactorPool`]; arrival-order hash assignment,
 //!   responses invariant under `N`). Default `1`: one reactor on the main thread. Every `N`
 //!   takes its connections from the same acceptor thread;
-//! * `--io-log-cap N` — deployment-wide cap on retained connection-failure log entries
-//!   (a reactor pool divides it among shards and re-applies it to the merged log);
 //! * `--trace PATH` — after the run, write every reactor's recorded spans as a
 //!   chrome://tracing JSON array (load it in `about:tracing` or Perfetto). Over stdin/stdout
 //!   the trace clock is the reactor's poll counter, so a piped script traces byte-identically
 //!   on every replay — the CI trace-smoke check;
-//! * `--no-telemetry` — skip installing per-reactor telemetry collectors (the overhead
-//!   baseline; `metrics`/`trace` requests then answer empty).
+//! * `--no-telemetry` — skip installing per-reactor telemetry collectors, the only switch
+//!   deciding whether anything records (the overhead baseline; `metrics`/`trace` requests
+//!   then answer empty).
 //!
 //! A connection whose very first bytes are the magic preamble `anosy-bin v1\n` is served the
 //! **binary frame protocol** instead: every subsequent request rides a
@@ -67,9 +66,10 @@
 //! accept order from 0), and session ids are scoped to the opening connection (see
 //! [`anosy_serve::SessionId`]). Malformed lines answer with an unnumbered `! <reason>` line
 //! (they never reach the frontend, so they consume no sequence number). Per-connection I/O
-//! errors close *that connection* — its sessions are released and the denial is logged to
-//! stderr, once; the process keeps serving. Start-up and exit actions (journal recovery, final
-//! save) report as `# ...` comment lines, keeping transcripts diffable.
+//! errors close *that connection* — its sessions are released, the denial is printed to stderr
+//! once and counted as `conn.failures` in `metrics`; the process keeps serving. Start-up and
+//! exit actions (journal recovery, final save) report as `# ...` comment lines, keeping
+//! transcripts diffable.
 
 use anosy_core::SynthesizeInto;
 use anosy_domains::{IntervalDomain, PowersetDomain};
@@ -99,7 +99,7 @@ fn usage() -> ! {
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
          [--workers N] [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry|every-entry-fsync] \
-         [--compact-every N] [--verify-on-load]] [--io-log-cap N] [--trace PATH] [--no-telemetry] \
+         [--compact-every N] [--verify-on-load]] [--trace PATH] [--no-telemetry] \
          [--listen ADDR [--accept N] [--reactors N]]"
     );
     std::process::exit(2);
@@ -139,10 +139,6 @@ fn parse_options() -> Options {
             "--workers" => {
                 let workers = value(&mut i).parse().unwrap_or_else(|_| usage());
                 config = config.with_workers(workers);
-            }
-            "--io-log-cap" => {
-                let cap = value(&mut i).parse().unwrap_or_else(|_| usage());
-                config = config.with_io_log_cap(cap);
             }
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut i))),
             "--no-telemetry" => telemetry = false,

@@ -13,11 +13,6 @@ pub struct ServeConfig {
     /// Synthesis configuration used for cache misses (its solver config also drives
     /// verification and the parallel solver driver).
     pub synth: SynthConfig,
-    /// Cap on retained connection-failure log entries across a whole deployment (clamped to at
-    /// least one). A reactor pool divides this cap among its shards and
-    /// [`crate::merge_io_logs`] re-applies it to the merged log, so the global bound holds at
-    /// any reactor count.
-    pub io_log_cap: usize,
     /// Append-only synthesis journal ([`crate::journal`]); `None` (the default) disables
     /// journaling. The journal itself is opened by [`crate::Deployment::open_journal`] — the
     /// config only carries the intent (path, flush policy, compaction cadence).
@@ -29,12 +24,7 @@ impl ServeConfig {
     pub fn new() -> Self {
         let workers =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4);
-        ServeConfig {
-            workers,
-            synth: SynthConfig::default(),
-            io_log_cap: crate::server::IO_LOG_CAP,
-            journal: None,
-        }
+        ServeConfig { workers, synth: SynthConfig::default(), journal: None }
     }
 
     /// Overrides the worker count.
@@ -46,12 +36,6 @@ impl ServeConfig {
     /// Overrides the synthesis configuration.
     pub fn with_synth(mut self, synth: SynthConfig) -> Self {
         self.synth = synth;
-        self
-    }
-
-    /// Overrides the deployment-wide connection-failure log cap (clamped to at least one).
-    pub fn with_io_log_cap(mut self, cap: usize) -> Self {
-        self.io_log_cap = cap.max(1);
         self
     }
 
@@ -71,7 +55,6 @@ impl ServeConfig {
         ServeConfig {
             workers: 4,
             synth: SynthConfig::new().with_solver(SolverConfig::for_tests()),
-            io_log_cap: crate::server::IO_LOG_CAP,
             journal: None,
         }
     }
@@ -95,8 +78,6 @@ mod tests {
         assert_eq!(c.workers, 1, "worker count clamps to one");
         let c = ServeConfig::for_tests().with_synth(SynthConfig::new());
         assert_eq!(c.solver().max_nodes, SolverConfig::new().max_nodes);
-        assert_eq!(c.io_log_cap, crate::server::IO_LOG_CAP);
-        assert_eq!(ServeConfig::for_tests().with_io_log_cap(0).io_log_cap, 1, "cap clamps to one");
         assert!(c.journal.is_none(), "journaling is opt-in");
         let journal = JournalConfig::new("/tmp/t.journal")
             .with_flush(crate::journal::FlushPolicy::EveryEntryFsync)

@@ -1,4 +1,4 @@
-//! The deployment: one shared store + synthesis cache, one worker pool, many sessions.
+//! The deployment: one shared synthesis cache, one worker pool, many sessions.
 
 use crate::journal::{self, Journal, JournalStats, SaveOutcome};
 use crate::{parallel, ServeConfig, ServeError, ShardPool, Sharded};
@@ -92,7 +92,7 @@ impl<D: AbstractDomain> Deployment<D> {
         }
     }
 
-    /// Another handle onto the *same* deployment: the shared store + synthesis cache, the
+    /// Another handle onto the *same* deployment: the shared synthesis cache, the
     /// worker pool and the aggregate counters are all one underlying object, only the handle is
     /// new. This is how a [`crate::ReactorPool`] gives each reactor shard its own
     /// [`crate::Frontend`] while every shard registers, synthesizes and accounts against one
@@ -123,7 +123,7 @@ impl<D: AbstractDomain> Deployment<D> {
         &self.pool
     }
 
-    /// The shared store + synthesis cache handle (cheap to clone; hand it to sessions created
+    /// The shared synthesis cache handle (cheap to clone; hand it to sessions created
     /// outside [`Deployment::session`] if needed).
     pub fn shared(&self) -> &SharedSynthCache<D> {
         &self.shared
@@ -150,7 +150,7 @@ impl<D: AbstractDomain> Deployment<D> {
         self.saves_skipped.load(Ordering::Relaxed)
     }
 
-    /// Opens a session against this deployment: it shares the deployment's store and synthesis
+    /// Opens a session against this deployment: it shares the deployment's synthesis
     /// cache, and its downgrade outcomes fold into the deployment aggregates.
     pub fn session(&self, policy: impl Policy<D> + Send + Sync + 'static) -> AnosySession<D> {
         AnosySession::with_shared(self.layout.clone(), policy, self.shared.clone())

@@ -368,7 +368,7 @@ where
             ServeRequest::Stats => ServeResponse::Stats(Box::new(self.snapshot())),
             // Both telemetry answers read the *reactor thread's* collector: the frontend runs
             // on it, so the snapshot is exactly this shard's recording (empty when telemetry is
-            // off or compiled out).
+            // off).
             ServeRequest::Metrics => ServeResponse::Metrics {
                 json: telemetry::snapshot()
                     .map(|r| r.metrics.to_json())

@@ -9,15 +9,14 @@
 //!
 //! A [`Deployment`] owns three things:
 //!
-//! * **One shared term store + synthesis cache** ([`anosy_core::SharedSynthCache`], behind
-//!   `Arc`). Query predicates are interned into one store (interning writes serialized behind an
-//!   `RwLock`; reads — snapshots, stats — are concurrent), and synthesis results are cached
-//!   under the canonical `(interned predicate, layout, direction, members)` key with
-//!   **single-flight** semantics. However many sessions register the same query concurrently,
-//!   the synthesize-and-verify pipeline runs **exactly once per deployment**; every other
-//!   registration either hits the cache or blocks briefly on the in-flight synthesis. Sessions
-//!   join with [`Deployment::session`] and behave exactly like self-contained
-//!   [`anosy_core::AnosySession`]s otherwise.
+//! * **One shared synthesis cache** ([`anosy_core::SharedSynthCache`], behind `Arc`).
+//!   Synthesis results are cached under the `(predicate, layout, direction, members)` key —
+//!   the predicate tree itself, so no store is shared and a registration takes no write lock —
+//!   with **single-flight** semantics. However many sessions register the same query
+//!   concurrently, the synthesize-and-verify pipeline runs **exactly once per deployment**;
+//!   every other registration either hits the cache or blocks briefly on the in-flight
+//!   synthesis. Sessions join with [`Deployment::session`] and behave exactly like
+//!   self-contained [`anosy_core::AnosySession`]s otherwise.
 //!
 //! * **One fixed shard pool** ([`ShardPool`]): `workers` OS threads that live as long as the
 //!   deployment. Only the parallel solver driver ([`par_count_models`],
@@ -128,16 +127,16 @@ pub use proto::{
     ConnId, Denial, DenialCode, RequestId, ServeRequest, ServeResponse, SessionId, StatsSnapshot,
     TaggedResponse,
 };
-pub use reactor::{fold_server_stats, fold_stats, merge_io_logs, shard_of, ReactorPool};
+pub use reactor::{fold_stats, shard_of, ReactorPool};
 pub use server::{
-    Event, IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, StdioTransport, Token,
-    TranscriptEvent, Transport, IO_LOG_CAP,
+    Event, IoLogEntry, PollTransport, Server, ServerConfig, StdioTransport, Token, TranscriptEvent,
+    Transport,
 };
 pub use sim::SimNet;
 
 /// The deterministic telemetry layer (spans, counters, latency histograms), re-exported so
 /// transports, benchmarks and binaries built on the serving stack reach it without a direct
-/// dependency. Recording is active only when the `telemetry` cargo feature is on (the default)
-/// *and* the reactor installed a collector ([`ServerConfig::telemetry`]).
+/// dependency. Recording is active only where the reactor installed a collector
+/// ([`ServerConfig::telemetry`]).
 pub use anosy_telemetry as telemetry;
 pub use anosy_telemetry::{merge_metrics, trace_json, MetricsRegistry, Report};

@@ -16,8 +16,8 @@
 
 use crate::popsim::{self, CompileOptions};
 use crate::proto::StatsSnapshot;
-use crate::reactor::{fold_server_stats, fold_stats, shard_of, ReactorPool};
-use crate::server::{Server, ServerConfig, ServerStats, Token};
+use crate::reactor::{fold_stats, shard_of, ReactorPool};
+use crate::server::{Server, ServerConfig, Token};
 use crate::{Deployment, ServeConfig, SessionId, SimNet};
 use anosy_domains::IntervalDomain;
 use anosy_suite::population::{Population, PopulationConfig};
@@ -35,9 +35,6 @@ pub struct LoadOptions {
     /// Record transcripts and responses for oracle comparison (costs clones; keep off when
     /// timing).
     pub recording: bool,
-    /// Install a telemetry collector on every shard ([`ServerConfig::telemetry`]); `false` is
-    /// the baseline side of the overhead benchmark.
-    pub telemetry: bool,
     /// Compile the population onto the binary frame protocol (every connection negotiates with
     /// [`crate::wire::BINARY_PREAMBLE`] and frames each request); `false` is the line protocol.
     /// Responses come back framed too — read them with [`PoolRun::received_decoded`].
@@ -48,13 +45,7 @@ impl LoadOptions {
     /// A `reactors`-shard run under network seed `net_seed`, every request answered as it
     /// arrives, not recording — the throughput-measurement configuration.
     pub fn new(net_seed: u64, reactors: u64) -> LoadOptions {
-        LoadOptions {
-            net_seed,
-            reactors: reactors.max(1),
-            recording: false,
-            telemetry: true,
-            binary: false,
-        }
+        LoadOptions { net_seed, reactors: reactors.max(1), recording: false, binary: false }
     }
 
     /// Switches the compiled traffic to the binary frame protocol.
@@ -68,19 +59,12 @@ impl LoadOptions {
         self.recording = true;
         self
     }
-
-    /// Sets whether shards install telemetry collectors.
-    pub fn telemetry(mut self, telemetry: bool) -> LoadOptions {
-        self.telemetry = telemetry;
-        self
-    }
 }
 
 /// Request-latency percentiles from the merged per-shard `request.latency` histograms, in the
 /// transport clock's units — **virtual time** under [`SimNet`], not wall-clock. The server
 /// answers every request at the virtual instant its last byte arrives, so under [`SimNet`] the
-/// percentiles read zero and only `count` carries information. All zero when telemetry was off
-/// (or compiled out).
+/// percentiles read zero and only `count` carries information.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Requests measured (submit to response-write, per shard).
@@ -113,9 +97,7 @@ pub struct LoadReport {
     /// Deployment-wide protocol counters ([`fold_stats`] over the shards; marked
     /// `shard == reactors`).
     pub stats: StatsSnapshot,
-    /// Deployment-wide reactor counters ([`fold_server_stats`] over the shards).
-    pub server: ServerStats,
-    /// Request-latency tail, from telemetry (zeros when [`LoadOptions::telemetry`] was off).
+    /// Request-latency tail, from the merged telemetry.
     pub latency: LatencySummary,
 }
 
@@ -129,9 +111,8 @@ pub struct PoolRun {
     pub tokens: Vec<Token>,
     /// Tenant index → the session id the tenant's `open` was assigned.
     pub sessions: Vec<SessionId>,
-    /// Per-shard telemetry reports in shard order (empty when [`LoadOptions::telemetry`] was
-    /// off or the feature is compiled out) — the input of [`crate::merge_metrics`] and
-    /// [`crate::trace_json`].
+    /// Per-shard telemetry reports in shard order — the input of [`crate::merge_metrics`]
+    /// (deployment-wide `conn.*` and `wire.*` counters among them) and [`crate::trace_json`].
     pub telemetry: Vec<Report>,
     /// The measurements.
     pub report: LoadReport,
@@ -187,7 +168,7 @@ pub fn run_on(
     }
     let compiled = popsim::compile(population, &compile_options);
     let nets = compiled.net.split(options.reactors);
-    let mut config = ServerConfig::new().with_telemetry(options.telemetry);
+    let mut config = ServerConfig::new();
     if options.recording {
         config = config.recording();
     }
@@ -198,7 +179,6 @@ pub fn run_on(
     let elapsed = start.elapsed();
 
     let snapshots: Vec<StatsSnapshot> = servers.iter().map(|s| s.frontend().snapshot()).collect();
-    let server_stats: Vec<ServerStats> = servers.iter().map(|s| s.stats()).collect();
     let telemetry: Vec<Report> =
         servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
     let latency = merge_metrics(&telemetry)
@@ -220,7 +200,6 @@ pub fn run_on(
         elapsed,
         requests_per_sec: requests as f64 / elapsed.as_secs_f64().max(1e-9),
         stats: fold_stats(&snapshots),
-        server: fold_server_stats(&server_stats),
         latency,
     };
     PoolRun { servers, tokens: compiled.tokens, sessions: compiled.sessions, telemetry, report }

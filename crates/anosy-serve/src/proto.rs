@@ -163,8 +163,8 @@ pub enum ServeRequest {
         session: SessionId,
     },
     /// Reads the answering reactor's telemetry counters and latency histograms as one line of
-    /// JSON ([`ServeResponse::Metrics`]). Answers `{}` when the serving process records no
-    /// telemetry (feature compiled out, or no collector installed).
+    /// JSON ([`ServeResponse::Metrics`]). Answers `{}` when the reactor records no telemetry
+    /// (no collector installed: `--no-telemetry`).
     Metrics,
     /// Reads the answering reactor's span ring as one line of chrome://tracing JSON
     /// ([`ServeResponse::Trace`]). Answers `[]` when nothing records.

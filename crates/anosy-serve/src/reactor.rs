@@ -25,16 +25,17 @@
 //! refused (`connection … belongs to another reactor shard`), mirroring the existing
 //! cross-socket ownership rule — two shards must never bind the same logical id.
 //!
-//! # Stats and logs
+//! # Stats and metrics
 //!
 //! Each shard answers `stats` with its own counters, marked `reactors=N shard=i`. A
 //! deployment-wide view is [`fold_stats`]: per-frontend counters sum (deployment counters are
-//! already shared), and the folded snapshot marks itself `shard == reactors`. I/O logs merge
-//! under the same global cap a one-reactor pool has ([`merge_io_logs`], at most
-//! [`crate::ServeConfig::io_log_cap`] entries however many shards contributed).
+//! already shared), and the folded snapshot marks itself `shard == reactors`. The reactor's
+//! own counters (`conn.*`, `wire.*`) live in each shard's telemetry report and merge with
+//! [`crate::merge_metrics`]; connection failures go to each shard's
+//! [`Transport::log_failure`] as they happen.
 
 use crate::proto::StatsSnapshot;
-use crate::server::{IoLogEntry, PollTransport, Server, ServerConfig, ServerStats, Transport};
+use crate::server::{PollTransport, Server, ServerConfig, Transport};
 use crate::{Deployment, Frontend};
 use anosy_core::SynthesizeInto;
 use anosy_domains::AbstractDomain;
@@ -80,7 +81,7 @@ impl ReactorPool {
     }
 
     /// Overrides the per-shard server configuration (recording, line cap, telemetry).
-    /// The pool still applies its own sharding and io-log-cap splits on top.
+    /// The pool still marks each shard's `(shard, reactors)` on top.
     pub fn with_config(mut self, config: ServerConfig) -> ReactorPool {
         self.config = config;
         self
@@ -91,8 +92,8 @@ impl ReactorPool {
         self.reactors
     }
 
-    /// Builds the per-shard servers: shard `i` gets a frontend marked `(i, N)`, a sharded
-    /// server config, and `1/N`-th of the io-log budget.
+    /// Builds the per-shard servers: shard `i` gets a frontend marked `(i, N)` and a sharded
+    /// server config.
     fn build<D, T>(&self, deployment: &Deployment<D>, transports: Vec<T>) -> Vec<Server<D, T>>
     where
         D: AbstractDomain + SynthesizeInto + DomainCodec + Send + Sync + 'static,
@@ -284,36 +285,6 @@ pub fn fold_stats(shards: &[StatsSnapshot]) -> StatsSnapshot {
     folded
 }
 
-/// Folds per-shard reactor counters by summing every field.
-pub fn fold_server_stats(shards: &[ServerStats]) -> ServerStats {
-    let mut folded = ServerStats::default();
-    for shard in shards {
-        folded.conns_opened += shard.conns_opened;
-        folded.conns_closed += shard.conns_closed;
-        folded.conn_failures += shard.conn_failures;
-        folded.lines += shard.lines;
-        folded.requests += shard.requests;
-        folded.malformed += shard.malformed;
-        folded.binary_conns += shard.binary_conns;
-        folded.frames += shard.frames;
-    }
-    folded
-}
-
-/// Merges per-shard I/O logs under the deployment-wide cap ([`crate::ServeConfig::io_log_cap`]
-/// — the same bound a one-reactor pool enforces): however many shards contributed, at most
-/// `cap` entries survive (the most recent ones, matching the per-server aging rule). Entries
-/// sort by their clock timestamp, ties broken by shard — under virtual clocks this reproduces
-/// the order a single unsharded reactor would have logged.
-pub fn merge_io_logs(shards: &[&[IoLogEntry]], cap: usize) -> Vec<IoLogEntry> {
-    let mut merged: Vec<IoLogEntry> = shards.iter().flat_map(|log| log.iter().cloned()).collect();
-    merged.sort_by_key(|entry| (entry.at, entry.shard));
-    if merged.len() > cap.max(1) {
-        merged.drain(..merged.len() - cap.max(1));
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,26 +313,5 @@ mod tests {
         for (shard, count) in counts.iter().enumerate() {
             assert!((150..=350).contains(count), "shard {shard} got {count} of 1000 connections");
         }
-    }
-
-    #[test]
-    fn merge_io_logs_respects_global_cap_and_orders_by_time() {
-        let entry = |shard: u64, at: u64, reason: &str| IoLogEntry {
-            shard,
-            at,
-            token: crate::server::Token(at),
-            reason: reason.to_string(),
-        };
-        // Shard 0's denials interleave in time with shard 1's.
-        let a: Vec<IoLogEntry> = (0..40).map(|i| entry(0, 2 * i, "a")).collect();
-        let b: Vec<IoLogEntry> = (0..40).map(|i| entry(1, 2 * i + 1, "b")).collect();
-        let merged = merge_io_logs(&[&a, &b], 64);
-        assert_eq!(merged.len(), 64);
-        // The most recent 64 of the 80 interleaved entries survive, in timestamp order.
-        assert_eq!(merged.first().unwrap().at, 16);
-        assert_eq!(merged.last().unwrap().at, 79);
-        assert!(merged.windows(2).all(|w| w[0].at < w[1].at), "sorted by virtual time");
-        // The cap clamps to one, like the config knob.
-        assert_eq!(merge_io_logs(&[&a], 0).len(), 1);
     }
 }

@@ -34,8 +34,9 @@
 //! # Failure policy
 //!
 //! A connection's I/O error ([`Event::Failed`]) closes *that connection*: its partial input is
-//! discarded, its sessions are torn down, the denial is logged ([`Server::io_log`]) and every
-//! other connection keeps serving. One bad peer cannot take down the process.
+//! discarded, its sessions are torn down, the denial goes to [`Transport::log_failure`] and is
+//! counted as `conn.failures`, and every other connection keeps serving. One bad peer cannot
+//! take down the process.
 
 use crate::proto::{ConnId, RequestId, ServeRequest, TaggedResponse};
 use crate::wire::{self, DecodedFrame, DecodedLine, FrameDecoder, LineDecoder};
@@ -81,7 +82,7 @@ pub enum Event {
     HalfClosed(Token),
     /// The connection failed mid-stream (reset, read or write error). Nothing more can be
     /// delivered: buffered partial input is discarded and the connection is torn down; the
-    /// reason lands in [`Server::io_log`].
+    /// reason goes to [`Transport::log_failure`].
     Failed(Token, String),
 }
 
@@ -120,19 +121,16 @@ pub trait Transport {
         ClockHandle::monotonic()
     }
 
-    /// Shows an operator a connection failure as it happens: the default writes the entry to
-    /// stderr, because a forever-serving transport never returns from [`Server::run`]. The
-    /// entry is in [`Server::io_log`] either way. [`SimNet`](crate::SimNet) overrides this to do
+    /// The one sink of connection failures, called as each happens: the default writes the
+    /// entry to stderr, because a forever-serving transport never returns from [`Server::run`].
+    /// [`SimNet`](crate::SimNet) keeps its entries instead ([`SimNet::failures`]) and prints
     /// nothing: its failures are scripted, so printing them only buries real ones.
+    ///
+    /// [`SimNet::failures`]: crate::SimNet::failures
     fn log_failure(&mut self, entry: &IoLogEntry) {
         eprintln!("{entry}");
     }
 }
-
-/// Default cap on entries retained by [`Server::io_log`] (a whole serving process's budget —
-/// a [`crate::ReactorPool`] divides it across its shards so N reactors still expose at most
-/// this many merged entries).
-pub const IO_LOG_CAP: usize = 64;
 
 /// Reactor configuration.
 #[derive(Debug, Clone)]
@@ -150,9 +148,9 @@ pub struct ServerConfig {
     pub shard: (u64, u64),
     /// Install a telemetry [`Collector`] for the duration of [`Server::run`] (spans, counters
     /// and latency histograms on this reactor's thread; harvest with
-    /// [`Server::telemetry_report`]). On by default; a no-op when the `telemetry` cargo
-    /// feature is off. The runtime toggle exists so the overhead of *recording* can be
-    /// measured inside one build — servebench's `telemetry.overhead_pct` row compares both.
+    /// [`Server::telemetry_report`]). On by default. This is the one switch deciding whether
+    /// anything records, so the overhead of recording is measured inside one build —
+    /// servebench's `telemetry.overhead_pct` row compares both.
     pub telemetry: bool,
 }
 
@@ -198,30 +196,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Reactor counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Transport connections opened.
-    pub conns_opened: u64,
-    /// Transport connections closed (both clean and failed).
-    pub conns_closed: u64,
-    /// Connections torn down by an I/O failure ([`Event::Failed`]).
-    pub conn_failures: u64,
-    /// Complete lines decoded (including comments, blanks and malformed lines).
-    pub lines: u64,
-    /// Lines that parsed into a request and were submitted.
-    pub requests: u64,
-    /// Lines answered with a `!` error instead of reaching the frontend (malformed requests,
-    /// non-UTF-8 lines, overlong lines, bad `@conn` prefixes, corrupt/oversize frames).
-    pub malformed: u64,
-    /// Connections that negotiated the binary frame protocol (sent
-    /// [`wire::BINARY_PREAMBLE`] as their first bytes).
-    pub binary_conns: u64,
-    /// Complete binary frames decoded (including corrupt, oversize and truncated ones —
-    /// counted alongside [`ServerStats::lines`], never double-counted).
-    pub frames: u64,
-}
-
 /// One recorded unit of the serve, in submission order — the sequential-replay oracle's input
 /// (see `tests/sim_chaos.rs`). Only recorded under [`ServerConfig::recording`].
 #[derive(Debug, Clone, PartialEq)]
@@ -244,8 +218,8 @@ pub enum TranscriptEvent {
     },
 }
 
-/// One logged connection denial (an I/O failure downgraded to a connection close), tagged with
-/// where and when it happened so a merged multi-reactor log keeps that context.
+/// One connection denial (an I/O failure downgraded to a connection close), tagged with where
+/// and when it happened, as handed to [`Transport::log_failure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoLogEntry {
     /// The reactor shard that observed the failure.
@@ -380,12 +354,10 @@ pub struct Server<D: AbstractDomain, T: Transport> {
     /// Request id → transport connection to deliver the response to, plus the arrival
     /// timestamp (0 when telemetry is not recording) feeding the `request.latency` histogram.
     inflight: HashMap<RequestId, (Token, u64)>,
-    stats: ServerStats,
     clock: ClockHandle,
     /// Query-name pool shared by every connection's request parsing: each distinct name is
     /// allocated once and every [`ServeRequest`] referencing it shares the `Arc<str>`.
     interner: wire::NameInterner,
-    io_log: Vec<IoLogEntry>,
     transcript: Vec<TranscriptEvent>,
     responses: Vec<TaggedResponse>,
     telemetry: Option<Report>,
@@ -415,10 +387,8 @@ where
             conns: HashMap::new(),
             bound: BTreeMap::new(),
             inflight: HashMap::new(),
-            stats: ServerStats::default(),
             clock,
             interner: wire::NameInterner::new(),
-            io_log: Vec::new(),
             transcript: Vec::new(),
             responses: Vec::new(),
             telemetry: None,
@@ -472,7 +442,7 @@ where
         }
         let decoder = ConnDecoder::Sniffing(Vec::new());
         self.conns.insert(token, ConnState { decoder, logicals });
-        self.stats.conns_opened += 1;
+        telemetry::count("conn.opened", 1);
     }
 
     fn on_data(&mut self, token: Token, bytes: &[u8]) {
@@ -484,7 +454,6 @@ where
             state.decoder.feed(bytes, self.config.max_line)
         };
         if !was_binary && state.decoder.is_binary() {
-            self.stats.binary_conns += 1;
             telemetry::count("wire.binary_conns", 1);
         }
         self.on_batch(token, batch);
@@ -521,18 +490,10 @@ where
         if !self.conns.contains_key(&token) {
             return;
         }
-        self.stats.conn_failures += 1;
+        telemetry::count("conn.failures", 1);
         // The logged denial: one bad peer is an event, not a process failure.
         let entry = IoLogEntry { shard: self.config.shard.0, at: self.clock.now(), token, reason };
         self.transport.log_failure(&entry);
-        // This shard's share of the deployment-wide cap: older denials age out so a stream of
-        // bad peers cannot grow memory, and the merged shard logs stay under the global cap.
-        let reactors = (self.config.shard.1 as usize).max(1);
-        let cap = (self.frontend.deployment().config().io_log_cap / reactors).max(1);
-        if self.io_log.len() >= cap {
-            self.io_log.remove(0);
-        }
-        self.io_log.push(entry);
         self.teardown(token, false);
     }
 
@@ -561,11 +522,10 @@ where
         self.tick_and_route();
         self.transport.close(token);
         self.conns.remove(&token);
-        self.stats.conns_closed += 1;
+        telemetry::count("conn.closed", 1);
     }
 
     fn on_decoded(&mut self, token: Token, item: DecodedLine) {
-        self.stats.lines += 1;
         telemetry::count("wire.lines", 1);
         let line = match item {
             DecodedLine::Line(line) => line,
@@ -586,7 +546,6 @@ where
     /// good frame rejoins the shared line path; corrupt, oversize and truncated frames refuse
     /// as errors-as-data — the decoder itself never desyncs.
     fn on_frame(&mut self, token: Token, frame: DecodedFrame) {
-        self.stats.frames += 1;
         telemetry::count("wire.frames", 1);
         match frame {
             DecodedFrame::Frame(payload) => match std::str::from_utf8(&payload) {
@@ -673,7 +632,6 @@ where
                 .unwrap_or(0);
                 let id = self.frontend.submit(conn, request);
                 self.inflight.insert(id, (token, at));
-                self.stats.requests += 1;
                 if let Some(request) = recorded {
                     self.transcript.push(TranscriptEvent::Request { token, id, request });
                 }
@@ -686,7 +644,6 @@ where
     /// Answers a line that never reached the frontend with an unnumbered `! <reason>` line
     /// (exactly the stdin transport's convention — malformed lines consume no sequence number).
     fn refuse_line(&mut self, token: Token, reason: String) {
-        self.stats.malformed += 1;
         telemetry::count("wire.malformed", 1);
         self.out_text.clear();
         self.out_text.push_str("! ");
@@ -754,23 +711,11 @@ where
         &self.transport
     }
 
-    /// Reactor counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// Logged per-connection denials (I/O failures downgraded to connection closes): the most
-    /// recent ones, up to this shard's share of [`crate::ServeConfig::io_log_cap`] (divided by
-    /// the reactor count of [`ServerConfig::shard`], at least one), each tagged with its reactor
-    /// shard and a clock timestamp. Each is also handed to [`Transport::log_failure`] as it
-    /// happens (stderr, except under the simulator).
-    pub fn io_log(&self) -> &[IoLogEntry] {
-        &self.io_log
-    }
-
     /// The telemetry this server's [`Server::run`] recorded: spans, counters and latency
-    /// histograms. `None` before the run, when [`ServerConfig::telemetry`] was off, or when
-    /// the `telemetry` cargo feature is compiled out.
+    /// histograms — the reactor's one set of books: the `conn.*` counters (`conn.opened`,
+    /// `conn.closed`, `conn.failures`) and the `wire.*` ones (`wire.lines`, `wire.requests`,
+    /// `wire.malformed`, `wire.binary_conns`, `wire.frames`, …). `None` before the run or when
+    /// [`ServerConfig::telemetry`] was off.
     pub fn telemetry_report(&self) -> Option<&Report> {
         self.telemetry.as_ref()
     }
@@ -800,7 +745,6 @@ impl<D: AbstractDomain, T: Transport> fmt::Debug for Server<D, T> {
             .field("conns", &self.conns.len())
             .field("bound", &self.bound.len())
             .field("inflight", &self.inflight.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -1337,36 +1281,7 @@ impl Transport for PollTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Deployment, ServeConfig};
-    use anosy_domains::IntervalDomain;
-    use anosy_logic::SecretLayout;
     use std::net::TcpListener;
-
-    /// Hands the reactor one scripted batch of events, then reports itself finished.
-    struct Scripted(Option<Vec<Event>>);
-
-    impl Transport for Scripted {
-        fn poll(&mut self) -> Vec<Event> {
-            self.0.take().unwrap_or_default()
-        }
-        fn send(&mut self, _: Token, _: &[u8]) {}
-        fn close(&mut self, _: Token) {}
-    }
-
-    /// Runs `failures` connections that open and fail on shard 0 of `reactors`, under a
-    /// deployment-wide io-log cap of `cap`, and returns the tokens the log kept.
-    fn logged_tokens(cap: usize, reactors: u64, failures: u64) -> Vec<u64> {
-        let layout = SecretLayout::builder().field("x", 0, 400).build();
-        let deployment: Deployment<IntervalDomain> =
-            Deployment::new(layout, ServeConfig::for_tests().with_io_log_cap(cap));
-        let events = (0..failures)
-            .flat_map(|t| [Event::Opened(Token(t)), Event::Failed(Token(t), format!("reset {t}"))])
-            .collect();
-        let config = ServerConfig::new().sharded(0, reactors).with_telemetry(false);
-        let mut server = Server::new(Frontend::new(deployment), Scripted(Some(events)), config);
-        server.run();
-        server.io_log().iter().map(|entry| entry.token.0).collect()
-    }
 
     /// A pool-shard transport that has taken in `streams` as tokens 0, 1, … from an acceptor
     /// that is already gone, so it finishes once they all close, and the events of its first
@@ -1477,16 +1392,5 @@ mod tests {
         assert_eq!(tail, "0.3 ok last\n");
         // The acceptor is gone and nothing is open: finished.
         assert_eq!(transport.poll(), Vec::<Event>::new());
-    }
-
-    #[test]
-    fn each_shard_keeps_its_share_of_the_deployment_io_log_cap() {
-        assert_eq!(
-            logged_tokens(8, 1, 10),
-            (2..10).collect::<Vec<_>>(),
-            "one shard: the whole cap"
-        );
-        assert_eq!(logged_tokens(8, 4, 10), vec![8, 9], "four shards: a quarter each");
-        assert_eq!(logged_tokens(2, 4, 10), vec![9], "a share never drops below one entry");
     }
 }

@@ -71,6 +71,8 @@ pub struct SimNet {
     /// [`Transport::clock`]: [`SimNet::poll`] stamps it with each delivered batch's scheduled
     /// instant, so spans recorded under the simulator are a pure function of the seed.
     clock: VirtualClock,
+    /// Every connection failure the server handed to [`Transport::log_failure`], in order.
+    failures: Vec<IoLogEntry>,
 }
 
 impl SimNet {
@@ -86,6 +88,7 @@ impl SimNet {
             next_token: 0,
             clients: HashMap::new(),
             clock: VirtualClock::new(),
+            failures: Vec::new(),
         }
     }
 
@@ -207,6 +210,12 @@ impl SimNet {
         out
     }
 
+    /// The connection failures the server logged on this net ([`Transport::log_failure`]), in
+    /// the order they happened, each tagged with its shard and virtual time.
+    pub fn failures(&self) -> &[IoLogEntry] {
+        &self.failures
+    }
+
     fn floor(&self, client: Token, at: u64) -> u64 {
         at.max(self.clients.get(&client).map(|c| c.ready_at).unwrap_or(0))
     }
@@ -241,6 +250,7 @@ impl SimNet {
                 next_token: self.next_token,
                 clients: HashMap::new(),
                 clock: VirtualClock::new(),
+                failures: Vec::new(),
             })
             .collect();
         for ((time, seq), event) in self.schedule {
@@ -299,8 +309,10 @@ impl Transport for SimNet {
         }
     }
 
-    /// Scripted failures stay in [`Server::io_log`](crate::Server::io_log) only.
-    fn log_failure(&mut self, _entry: &IoLogEntry) {}
+    /// Scripted failures are kept ([`SimNet::failures`]), never printed.
+    fn log_failure(&mut self, entry: &IoLogEntry) {
+        self.failures.push(entry.clone());
+    }
 
     fn clock(&self) -> ClockHandle {
         ClockHandle::Virtual(self.clock.clone())

@@ -28,7 +28,9 @@ mod support;
 
 use anosy_serve::loadgen::{self, LoadOptions};
 use anosy_serve::reactor::shard_of;
-use anosy_serve::{wire, ReactorPool, ServeResponse, ServerConfig, SimNet, TranscriptEvent};
+use anosy_serve::{
+    merge_metrics, wire, ReactorPool, ServeResponse, ServerConfig, SimNet, TranscriptEvent,
+};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -94,8 +96,10 @@ fn binary_runs_are_reactor_invariant_and_decode_to_the_line_transcripts() {
 
     // And across codecs: every tenant's framed response stream decodes to exactly the protocol
     // text the line-protocol run answered — the binary codec changes the encoding, nothing else.
-    assert!(binary.report.server.binary_conns >= population.tenants.len() as u64);
-    assert!(line.report.server.binary_conns == 0, "the line run must not negotiate frames");
+    let binary_conns =
+        |run: &loadgen::PoolRun| merge_metrics(&run.telemetry).counter("wire.binary_conns");
+    assert!(binary_conns(&binary) >= population.tenants.len() as u64);
+    assert_eq!(binary_conns(&line), 0, "the line run must not negotiate frames");
     for &token in &line.tokens {
         assert_eq!(
             line.received_decoded(token),
@@ -276,8 +280,8 @@ fn a_tcp_pool_serves_conn_scoped_sessions_over_real_sockets() {
             assert_eq!(snapshot.shard, shard, "the owning shard answered");
         }
         // Every shard drained; between them they served both connections.
-        let served: u64 = servers.iter().map(|s| s.stats().conns_opened).sum();
-        assert_eq!(served, 2);
+        let reports = servers.iter().filter_map(|s| s.telemetry_report());
+        assert_eq!(merge_metrics(reports).counter("conn.opened"), 2);
     }
 }
 

@@ -186,14 +186,12 @@ fn a_spent_accept_budget_leaves_the_listener_idle() {
 }
 
 /// The value of counter `name` in a metrics JSON answer.
-#[cfg(feature = "telemetry")]
 fn counter(json: &str, name: &str) -> Option<u64> {
     let key = format!("\"{name}\":");
     let rest = &json[json.find(&key)? + key.len()..];
     rest[..rest.find(|c: char| !c.is_ascii_digit())?].parse().ok()
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn a_listen_shard_counts_fewer_writes_than_requests() {
     let mut served = listen::listen(&[

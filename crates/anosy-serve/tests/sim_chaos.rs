@@ -21,7 +21,9 @@
 mod support;
 
 use anosy_domains::IntervalDomain;
-use anosy_serve::{Frontend, Server, ServerConfig, SimNet, Token, TranscriptEvent};
+use anosy_serve::{
+    Frontend, MetricsRegistry, Server, ServerConfig, SimNet, Token, TranscriptEvent,
+};
 use rand::Rng;
 
 type SimServer = Server<IntervalDomain, SimNet>;
@@ -53,6 +55,11 @@ fn run_scenario(seed: u64, build: impl Fn(&mut SimNet) -> Vec<Token>) -> (SimSer
     let mut server = Server::new(frontend, sim, config);
     server.run();
     (server, clients)
+}
+
+/// The reactor's counters and histograms (`conn.*`, `wire.*`, …) from its telemetry report.
+fn metrics(server: &SimServer) -> &MetricsRegistry {
+    &server.telemetry_report().expect("scenarios run with telemetry on").metrics
 }
 
 /// Replays the recorded transcript through the sequential oracle and asserts element-wise
@@ -104,7 +111,7 @@ fn assert_replays_byte_identically(seed: u64, build: impl Fn(&mut SimNet) -> Vec
     }
     assert_eq!(first.responses(), second.responses(), "responses diverged, seed {seed}");
     assert_eq!(first.transcript(), second.transcript(), "transcript diverged, seed {seed}");
-    assert_eq!(first.stats(), second.stats(), "server counters diverged, seed {seed}");
+    assert_eq!(metrics(&first), metrics(&second), "server counters diverged, seed {seed}");
     assert_eq!(first.frontend().stats(), second.frontend().stats());
 }
 
@@ -148,8 +155,12 @@ fn midline_disconnects_replay_and_match_the_oracle() {
     let (server, clients) = run_scenario(seed, midline_disconnect);
     assert_matches_oracle(&server);
 
-    assert_eq!(server.stats().conn_failures, 1, "exactly the abortive reset failed");
-    assert_eq!(server.stats().malformed, 0, "the aborted fragment was never interpreted");
+    assert_eq!(metrics(&server).counter("conn.failures"), 1, "exactly the abortive reset failed");
+    assert_eq!(
+        metrics(&server).counter("wire.malformed"),
+        0,
+        "the aborted fragment was never interpreted"
+    );
     assert_eq!(server.frontend().open_sessions(), 0, "every connection's sessions released");
     assert_eq!(server.frontend().stats().sessions_torn_down, 3);
 
@@ -300,9 +311,10 @@ fn a_bad_peers_io_error_closes_only_its_connection() {
     let (server, clients) = run_scenario(seed, one_bad_peer);
     assert_matches_oracle(&server);
 
-    assert_eq!(server.stats().conn_failures, 1);
-    assert_eq!(server.io_log().len(), 1, "the denial was logged, not fatal");
-    assert!(server.io_log()[0].reason.contains("simulated NIC failure"), "{:?}", server.io_log());
+    assert_eq!(metrics(&server).counter("conn.failures"), 1);
+    let failures = server.transport().failures();
+    assert_eq!(failures.len(), 1, "the denial was logged, not fatal");
+    assert!(failures[0].reason.contains("simulated NIC failure"), "{failures:?}");
     assert_eq!(server.frontend().open_sessions(), 0);
     // The healthy connection observed uninterrupted service.
     let c0 = clients[0];
@@ -449,8 +461,10 @@ fn a_mixed_codec_storm_matches_the_oracle() {
     let (server, clients) = run_scenario(seed, mixed_codec_storm);
     assert_matches_oracle(&server);
 
-    assert_eq!(server.stats().binary_conns, 2, "exactly the preambled connections negotiated");
-    assert!(server.stats().frames >= 20, "both framed bursts were counted: {:?}", server.stats());
+    let counters = metrics(&server);
+    assert_eq!(counters.counter("wire.binary_conns"), 2, "exactly the preambled conns negotiated");
+    let frames = counters.counter("wire.frames");
+    assert!(frames >= 20, "both framed bursts were counted: {frames}");
     assert_eq!(server.frontend().open_sessions(), 0);
 
     // The framed connections' responses decode to well-formed protocol lines — no corrupt,

@@ -3,8 +3,9 @@
 //! Two design claims are property-tested here, alongside an end-to-end check of the
 //! `metrics`/`trace` wire requests:
 //!
-//! 1. **Merge invariance**: for metrics that count *protocol facts* (lines, requests,
-//!    malformed lines, bytes in, request/response sizes), the deployment-wide merge of the
+//! 1. **Merge invariance**: for metrics that count *protocol facts* (connections opened,
+//!    closed and failed, lines, frames, binary connections, requests, malformed lines, bytes
+//!    in, request/response sizes), the deployment-wide merge of the
 //!    per-shard registries is invariant under the reactor count — the same seeded population
 //!    measured at `reactors = 1` and `reactors = N` produces identical merged counters and
 //!    identical merged histograms. This is the metrics-level face of the reactor-count
@@ -18,13 +19,15 @@
 //!
 //! The base seed honors `ANOSY_SIM_SEED`, like the rest of the simulator suites.
 
-#![cfg(feature = "telemetry")]
-
 #[path = "support/oracle.rs"]
 mod support;
 
 use anosy_serve::loadgen::{self, LoadOptions};
-use anosy_serve::{merge_metrics, trace_json, MetricsRegistry, ReactorPool, ServeResponse, SimNet};
+use anosy_serve::popsim::{self, CompileOptions};
+use anosy_serve::{
+    merge_metrics, trace_json, MetricsRegistry, ReactorPool, ServeConfig, ServeResponse,
+    ServerConfig, SimNet,
+};
 use proptest::prelude::*;
 
 fn base_seed() -> u64 {
@@ -38,8 +41,17 @@ fn run_at(seed: u64, net_seed: u64, tenants: usize, reactors: u64) -> loadgen::P
 }
 
 /// The protocol-fact metrics whose deployment-wide merge must not depend on the shard layout.
-const INVARIANT_COUNTERS: [&str; 4] =
-    ["wire.bytes_in", "wire.lines", "wire.malformed", "wire.requests"];
+const INVARIANT_COUNTERS: [&str; 9] = [
+    "conn.closed",
+    "conn.failures",
+    "conn.opened",
+    "wire.binary_conns",
+    "wire.bytes_in",
+    "wire.frames",
+    "wire.lines",
+    "wire.malformed",
+    "wire.requests",
+];
 const INVARIANT_HISTOGRAMS: [&str; 2] = ["request.bytes", "response.bytes"];
 
 /// Asserts the invariant slice of two merged registries is equal (counters by value,
@@ -71,6 +83,13 @@ fn merged_metrics_are_invariant_under_the_reactor_count() {
     // The run actually measured something — the invariance is not vacuous.
     assert!(base_metrics.counter("wire.requests") > 0);
     assert!(base_metrics.histogram("request.bytes").is_some());
+    // Every tenant connects; abandoners reset (counted as failures) and lingerers are still
+    // connected when the simulated network runs dry, so only they never close.
+    let (_, abandoned, lingering) = loadgen::population(seed, 24).exit_profile();
+    assert!(abandoned > 0, "the population has abandoners, so conn.failures is not vacuous");
+    assert_eq!(base_metrics.counter("conn.opened"), 24);
+    assert_eq!(base_metrics.counter("conn.failures"), abandoned as u64);
+    assert_eq!(base_metrics.counter("conn.closed"), (24 - lingering) as u64);
     assert_eq!(
         base_metrics.counter("wire.requests"),
         base.report.stats.requests,
@@ -138,11 +157,14 @@ fn single_reactor_traces_replay_byte_identically() {
 fn telemetry_off_runs_record_nothing() {
     let seed = base_seed().wrapping_add(8_400);
     let population = loadgen::population(seed, 12);
-    let run = loadgen::run(&population, &LoadOptions::new(seed, 2).telemetry(false));
-    assert!(run.telemetry.is_empty(), "no collector, no reports");
-    assert_eq!(run.report.latency, loadgen::LatencySummary::default());
-    assert!(merge_metrics(&run.telemetry).is_empty());
-    assert_eq!(trace_json(&run.telemetry), "[]");
+    let deployment = popsim::warm_deployment(&population, &ServeConfig::for_tests());
+    let nets = popsim::compile(&population, &CompileOptions::new(seed)).net.split(2);
+    let pool = ReactorPool::new(2).with_config(ServerConfig::new().with_telemetry(false));
+    let servers = pool.run(&deployment, nets);
+    let reports: Vec<_> = servers.iter().filter_map(|s| s.telemetry_report().cloned()).collect();
+    assert!(reports.is_empty(), "no collector, no reports");
+    assert!(merge_metrics(&reports).is_empty());
+    assert_eq!(trace_json(&reports), "[]");
 }
 
 #[test]
@@ -185,4 +207,31 @@ fn metrics_and_trace_requests_answer_over_the_wire() {
     assert_eq!(report.shard, 0);
     assert_eq!(report.metrics.counter("wire.lines"), 3);
     assert!(!report.spans.is_empty());
+}
+
+#[test]
+fn a_live_metrics_answer_counts_a_connection_failure() {
+    let mut net = SimNet::new(base_seed().wrapping_add(8_600)).with_max_delay(0);
+    let watcher = net.connect(0);
+    let doomed = net.connect(0);
+    net.send(doomed, 10, "open min-size:100\n");
+    net.abort(doomed, 20);
+    net.send(watcher, 30, "metrics\n");
+    net.half_close(watcher, 40);
+
+    let deployment = support::warm_deployment();
+    let servers = ReactorPool::new(1).run(&deployment, net.split(1));
+    let text = servers[0].transport().received_text(watcher);
+    let payload = text.lines().next().expect("metrics answered").split_once(' ').unwrap().1;
+    let ServeResponse::Metrics { json } =
+        anosy_serve::wire::parse_response(payload).expect("metrics parse")
+    else {
+        panic!("expected metrics, got {payload}");
+    };
+    assert!(json.contains("\"conn.failures\":1"), "the reset is on the wire surface: {json}");
+    assert!(json.contains("\"conn.opened\":2"), "{json}");
+    // The failure reached the transport's sink once, and SimNet kept it.
+    let failures = servers[0].transport().failures();
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].token, doomed);
 }

@@ -217,6 +217,7 @@ fn bad_arguments_fail_with_usage() {
         &["--layout", "x:0:400", "--tick-ms", "5"],
         &["--layout", "x:0:400", "--journal", "j", "--journal-flush", "on-tick"],
         &["--layout", "x:0:400", "--journal", "j", "--journal-flush", "every-8"],
+        &["--layout", "x:0:400", "--io-log-cap", "8"],
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_anosy-served"))
             .args(args)

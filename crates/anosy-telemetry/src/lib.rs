@@ -3,10 +3,8 @@
 //!
 //! The serving crates are instrumented unconditionally — spans around wire decode, ticks,
 //! batched downgrades, single-flight synthesis and solver entry points; counters and histograms
-//! next to the hot-path bookkeeping — but **recording only exists when the `enabled` cargo
-//! feature is on** (anosy-serve's default `telemetry` feature turns it on). Without the feature
-//! every function in this crate is an inlined no-op, so builds that opt out carry zero cost at
-//! the instrumented sites.
+//! next to the hot-path bookkeeping — and whether anything records is decided at run time only,
+//! by whether the thread has a [`Collector`] installed.
 //!
 //! # Model
 //!
@@ -368,7 +366,6 @@ struct SlotTable<T> {
 }
 
 impl<T: Default> SlotTable<T> {
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn slot(&mut self, name: &'static str) -> &mut T {
         let key = (name.as_ptr() as usize, name.len());
         if let Some(&(_, _, slot)) = self.cache.iter().find(|&&(ptr, len, _)| (ptr, len) == key) {
@@ -392,12 +389,10 @@ struct MetricsSink {
 }
 
 impl MetricsSink {
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn add(&mut self, name: &'static str, n: u64) {
         *self.counters.slot(name) += n;
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.slot(name).record(value);
     }
@@ -478,7 +473,6 @@ impl Collector {
         self
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn begin_span(&mut self) -> (u64, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -486,7 +480,6 @@ impl Collector {
         (seq, self.clock.now())
     }
 
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     fn end_span(&mut self, name: &'static str, seq: u64, start: u64) {
         // Guards drop in LIFO order on every sane path; tolerate the insane ones by removing
         // the seq wherever it sits so the stack never wedges.
@@ -546,7 +539,6 @@ pub struct Report {
     pub metrics: MetricsRegistry,
 }
 
-#[cfg(feature = "enabled")]
 thread_local! {
     static COLLECTOR: std::cell::RefCell<Option<Collector>> =
         const { std::cell::RefCell::new(None) };
@@ -555,74 +547,43 @@ thread_local! {
 /// Installs `collector` as this thread's recording sink, replacing any previous one. Reactors
 /// call this at the top of their event loop.
 pub fn install(collector: Collector) {
-    #[cfg(feature = "enabled")]
     COLLECTOR.with(|slot| *slot.borrow_mut() = Some(collector));
-    #[cfg(not(feature = "enabled"))]
-    let _ = collector;
 }
 
 /// Removes this thread's collector and returns its finished [`Report`]. `None` when nothing
-/// was installed (or recording is compiled out).
+/// was installed.
 pub fn uninstall() -> Option<Report> {
-    #[cfg(feature = "enabled")]
-    {
-        COLLECTOR.with(|slot| slot.borrow_mut().take()).map(|collector| collector.report())
-    }
-    #[cfg(not(feature = "enabled"))]
-    None
+    COLLECTOR.with(|slot| slot.borrow_mut().take()).map(|collector| collector.report())
 }
 
 /// A point-in-time copy of this thread's recording state, leaving the collector installed —
 /// how a live `metrics`/`trace` wire request answers mid-serve.
 pub fn snapshot() -> Option<Report> {
-    #[cfg(feature = "enabled")]
-    {
-        COLLECTOR.with(|slot| slot.borrow().as_ref().map(Collector::report))
-    }
-    #[cfg(not(feature = "enabled"))]
-    None
+    COLLECTOR.with(|slot| slot.borrow().as_ref().map(Collector::report))
 }
 
-/// Whether this thread currently records (a collector is installed and recording is compiled
-/// in). Call sites use this to skip clock reads feeding [`observe`] when nothing listens.
+/// Whether this thread currently records (a collector is installed). Call sites use this to
+/// skip clock reads feeding [`observe`] when nothing listens.
 pub fn active() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        COLLECTOR.with(|slot| slot.borrow().is_some())
-    }
-    #[cfg(not(feature = "enabled"))]
-    false
+    COLLECTOR.with(|slot| slot.borrow().is_some())
 }
 
 /// Starts a span; the returned guard records `(name, start, end, parent)` into the thread's
-/// collector when dropped. Without a collector (or with recording compiled out) the guard is
-/// inert and free.
+/// collector when dropped. Without a collector the guard is inert.
 #[must_use = "a span is recorded when its guard drops; binding it to `_` drops immediately"]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(feature = "enabled")]
-    {
-        let begun = COLLECTOR.with(|slot| slot.borrow_mut().as_mut().map(Collector::begin_span));
-        SpanGuard { live: begun.map(|(seq, start)| (name, seq, start)) }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        SpanGuard { _inert: () }
-    }
+    let begun = COLLECTOR.with(|slot| slot.borrow_mut().as_mut().map(Collector::begin_span));
+    SpanGuard { live: begun.map(|(seq, start)| (name, seq, start)) }
 }
 
 /// The drop guard of [`span()`](fn@span).
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(feature = "enabled")]
     live: Option<(&'static str, u64, u64)>,
-    #[cfg(not(feature = "enabled"))]
-    _inert: (),
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
         if let Some((name, seq, start)) = self.live.take() {
             COLLECTOR.with(|slot| {
                 if let Some(collector) = slot.borrow_mut().as_mut() {
@@ -643,19 +604,11 @@ macro_rules! span {
 }
 
 /// Runs `f` against this thread's installed collector; `None` (without running `f`) when no
-/// collector is installed or recording is compiled out. The batch form of [`count`] and
-/// [`observe`]: a call site recording several metrics around one event pays the thread-local
-/// round-trip once instead of per metric.
+/// collector is installed. The batch form of [`count`] and [`observe`]: a call site recording
+/// several metrics around one event pays the thread-local round-trip once instead of per
+/// metric.
 pub fn with_collector<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
-    #[cfg(feature = "enabled")]
-    {
-        COLLECTOR.with(|slot| slot.borrow_mut().as_mut().map(f))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = f;
-        None
-    }
+    COLLECTOR.with(|slot| slot.borrow_mut().as_mut().map(f))
 }
 
 /// Adds `n` to the thread collector's named counter (no-op without a collector).
@@ -803,7 +756,6 @@ mod tests {
         assert_eq!(escaped, "\"a\\\"b\\\\c\\nd\"");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_nest_metrics_count_and_reports_harvest() {
         install(Collector::new(ClockHandle::monotonic(), 3).with_ring_cap(2));
@@ -842,7 +794,6 @@ mod tests {
         assert!(!json.contains('\n'));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn virtual_clocks_make_spans_deterministic() {
         let clock = VirtualClock::new();

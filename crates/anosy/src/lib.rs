@@ -10,7 +10,7 @@
 //! * [`verify`] — the refinement-spec checker (the Liquid Haskell stand-in);
 //! * [`ifc`] — the LIO-style information-flow substrate;
 //! * [`core`] — knowledge tracking, policies and the bounded downgrade (`AnosySession`);
-//! * [`serve`] — the deployment layer: shared term store + synthesis cache across sessions,
+//! * [`serve`] — the deployment layer: a synthesis cache shared across sessions,
 //!   sharded parallel solver driver, batched downgrades, warm-start persistence, the serving
 //!   frontend — a sans-IO `Frontend` state machine speaking the typed
 //!   `ServeRequest`/`ServeResponse` protocol (line-codec in `serve::wire`), answered one tick

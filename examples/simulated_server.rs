@@ -54,14 +54,23 @@ fn run(config: ServeConfig, seed: u64) -> Result<(), Box<dyn std::error::Error>>
     let mut server = Server::new(frontend, sim, ServerConfig::new());
     server.run();
 
-    println!("seed {seed}: {:?}", server.stats());
+    let metrics = &server.telemetry_report().expect("telemetry is on by default").metrics;
+    println!(
+        "seed {seed}: conns opened={} closed={} failed={}, lines={} requests={} malformed={}",
+        metrics.counter("conn.opened"),
+        metrics.counter("conn.closed"),
+        metrics.counter("conn.failures"),
+        metrics.counter("wire.lines"),
+        metrics.counter("wire.requests"),
+        metrics.counter("wire.malformed"),
+    );
     for (name, client) in [("alice", alice), ("mallory", mallory)] {
         println!("--- {name} ({client}) received:");
         for line in server.transport().received_text(client).lines() {
             println!("    {line}");
         }
     }
-    for denial in server.io_log() {
+    for denial in server.transport().failures() {
         println!("logged denial: {denial}");
     }
     println!(
