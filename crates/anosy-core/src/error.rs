@@ -60,9 +60,9 @@ pub enum AnosyError {
     Ifc(IfcError),
 }
 
-/// Why [`crate::AnosySession::decide`] refused a downgrade. It is the refusal half of
+/// Why [`crate::AnosySession::decide_batch`] refused a downgrade. It is the refusal half of
 /// [`AnosyError`] without the query and policy names, so building one allocates nothing;
-/// [`crate::AnosySession::downgrade_with`] spells it out as the matching error.
+/// [`Refusal::into_error`] spells it out as the matching error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Refusal {
     /// The secret lies outside the declared secret space ([`AnosyError::SecretOutsideLayout`]).
@@ -77,6 +77,23 @@ pub enum Refusal {
         /// Size of the posterior for the `false` answer.
         false_size: u128,
     },
+}
+
+impl Refusal {
+    /// The [`AnosyError`] this refusal of a downgrade through `query` spells out as. `policy`
+    /// names the refusing policy; only a policy refusal asks for the name.
+    pub fn into_error(self, query: &str, policy: impl FnOnce() -> String) -> AnosyError {
+        match self {
+            Refusal::OutsideLayout => AnosyError::SecretOutsideLayout,
+            Refusal::Unsound(kind) => AnosyError::UnsoundApproximation { kind },
+            Refusal::Policy { true_size, false_size } => AnosyError::PolicyViolation {
+                query: query.to_string(),
+                policy: policy(),
+                posterior_true_size: true_size,
+                posterior_false_size: false_size,
+            },
+        }
+    }
 }
 
 impl fmt::Display for AnosyError {

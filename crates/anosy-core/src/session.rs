@@ -119,9 +119,15 @@ impl SynthesizeInto for PowersetDomain {
 /// prior's id, so the table holds at most `1 + 2 ×` the session's distinct authorized steps
 /// (plus one per k-ary downgrade). The table lives and dies with the session.
 ///
+/// The unit of decision is a batch of secrets against one query
+/// ([`AnosySession::decide_batch`]; a single downgrade is a batch of one). A batch's secrets sit
+/// in a few knowledge states, and the step from a state holds for every secret in it, so the
+/// batch resolves each state's step once and counts its outcomes once.
+///
 /// The sessions of `anosy-serve`'s frontend register no queries of their own: the frontend's
-/// registry resolves every downgrade and passes the query to [`AnosySession::decide`], so such a
-/// session holds only its policy, its secrets' states, its knowledge table and its counters.
+/// registry resolves every downgrade and passes the query to [`AnosySession::decide_batch`], so
+/// such a session holds only its policy, its secrets' states, its knowledge table and its
+/// counters.
 pub struct AnosySession<D: AbstractDomain> {
     layout: SecretLayout,
     policy: Box<dyn Policy<D> + Send + Sync>,
@@ -288,76 +294,94 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// The bounded downgrade of Fig. 2 against a query the caller already resolved — the
     /// serving frontend resolves names in its own registry, not in the session. It is
     /// [`AnosySession::decide`] with the refusal spelled out as an [`AnosyError`] that names
-    /// the query and the policy.
+    /// the query and the policy ([`Refusal::into_error`]).
     ///
     /// # Errors
     ///
     /// As [`AnosySession::downgrade`], minus [`AnosyError::UnknownQuery`].
     pub fn downgrade_with(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, AnosyError> {
-        self.decide(qinfo, point).map_err(|refusal| match refusal {
-            Refusal::OutsideLayout => AnosyError::SecretOutsideLayout,
-            Refusal::Unsound(kind) => AnosyError::UnsoundApproximation { kind },
-            Refusal::Policy { true_size, false_size } => AnosyError::PolicyViolation {
-                query: qinfo.query().name().to_string(),
-                policy: self.policy.name(),
-                posterior_true_size: true_size,
-                posterior_false_size: false_size,
-            },
-        })
+        self.decide(qinfo, point)
+            .map_err(|refusal| refusal.into_error(qinfo.query().name(), || self.policy.name()))
     }
 
-    /// The bounded downgrade of Fig. 2 against a resolved query, refusing with a [`Refusal`]
-    /// that allocates nothing. This is the one place a session's knowledge changes after a
-    /// boolean downgrade.
-    ///
-    /// It checks the layout and [`Policy::sound_for`] first. It then looks up the secret's
-    /// state and the query's key (see [`QInfo`]) in the knowledge table. On a miss it computes both
-    /// posteriors, checks the policy on both and memoizes the outcome, exactly as
-    /// [`downgrade_step`] decides it. On a hit it only reads the memo. Only an authorized step
-    /// executes the query and moves the secret to the state of its answer. An authorization or
-    /// a policy refusal is counted; the other refusals are not (no policy was consulted).
+    /// The bounded downgrade of Fig. 2 of one secret against a resolved query, refusing with a
+    /// [`Refusal`] that allocates nothing: [`AnosySession::decide_batch`] over that one secret.
     ///
     /// # Errors
     ///
     /// [`Refusal::OutsideLayout`], [`Refusal::Unsound`] or [`Refusal::Policy`] — the query is
     /// **not** executed in any of them.
     pub fn decide(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, Refusal> {
-        if !self.layout.admits(point) {
-            return Err(Refusal::OutsideLayout);
-        }
-        if !self.policy.sound_for(qinfo.kind()) {
-            return Err(Refusal::Unsound(qinfo.kind()));
-        }
-        let tracked = self.secrets.get_mut(point);
-        let state = tracked.as_deref().copied().unwrap_or(StateId::TOP);
-        match self.table.step(state, qinfo, self.policy.as_ref()) {
-            Transition::Authorized { on_true, on_false } => {
-                let answer = qinfo.ask(point);
-                let next = if answer { on_true } else { on_false };
-                match tracked {
-                    Some(slot) => *slot = next,
-                    None => {
-                        self.secrets.insert(point.clone(), next);
-                    }
-                }
-                self.note_downgrade_outcome(true);
-                Ok(answer)
-            }
-            Transition::Refused { true_size, false_size } => {
-                self.note_downgrade_outcome(false);
-                Err(Refusal::Policy { true_size, false_size })
-            }
-        }
+        let mut decided = Err(Refusal::OutsideLayout);
+        self.decide_batch(qinfo, std::slice::from_ref(point), |outcome| decided = outcome);
+        decided
     }
 
-    /// Counts one downgrade outcome in the session stats and in the cache's aggregates.
-    fn note_downgrade_outcome(&mut self, authorized: bool) {
-        if authorized {
-            self.stats.downgrades_authorized += 1;
-        } else {
-            self.stats.downgrades_refused += 1;
+    /// The bounded downgrade of Fig. 2 of every secret of `points` against a resolved query,
+    /// in input order, handing each outcome to `emit` as it is decided. This is the one place
+    /// a session's knowledge changes after a boolean downgrade. Returns how many secrets were
+    /// refused, for any reason.
+    ///
+    /// Once per batch it checks [`Policy::sound_for`], and it counts the outcomes into the
+    /// session's and the cache's counters once, when it returns or unwinds (a policy that
+    /// panics partway leaves the committed prefix counted). Once per knowledge state it
+    /// resolves the step through the query: from a fixed-size cache on the stack, falling back
+    /// to the knowledge table's memo once the cache is full. On a memo miss the table computes
+    /// both posteriors, checks the policy on both and memoizes the outcome, exactly as
+    /// [`downgrade_step`] decides it. Per secret it checks the layout, reads the secret's
+    /// current state (so a secret that occurs twice sees its own earlier step), and on an
+    /// authorized step executes the query and moves the secret to the state of its answer.
+    ///
+    /// An outcome is a [`Refusal::OutsideLayout`], [`Refusal::Unsound`] or [`Refusal::Policy`]
+    /// — the query is **not** executed in any of them — or the query's answer. An
+    /// authorization or a policy refusal is counted; the other refusals are not (no policy was
+    /// consulted).
+    pub fn decide_batch(
+        &mut self,
+        qinfo: &QInfo<D>,
+        points: &[Point],
+        mut emit: impl FnMut(Result<bool, Refusal>),
+    ) -> usize {
+        let sound = self.policy.sound_for(qinfo.kind());
+        let AnosySession { layout, policy, secrets, table, shared, stats, .. } = self;
+        let mut tally = Tally { stats, shared, authorized: 0, refused: 0 };
+        let mut steps = StepCache::new();
+        for point in points {
+            if !layout.admits(point) {
+                emit(Err(Refusal::OutsideLayout));
+                continue;
+            }
+            if !sound {
+                emit(Err(Refusal::Unsound(qinfo.kind())));
+                continue;
+            }
+            let tracked = secrets.get_mut(point);
+            let state = tracked.as_deref().copied().unwrap_or(StateId::TOP);
+            let transition = steps.get(state).unwrap_or_else(|| {
+                let transition = table.step(state, qinfo, policy.as_ref());
+                steps.insert(state, transition);
+                transition
+            });
+            match transition {
+                Transition::Authorized { on_true, on_false } => {
+                    let answer = qinfo.ask(point);
+                    let next = if answer { on_true } else { on_false };
+                    match tracked {
+                        Some(slot) => *slot = next,
+                        None => {
+                            secrets.insert(point.clone(), next);
+                        }
+                    }
+                    tally.authorized += 1;
+                    emit(Ok(answer));
+                }
+                Transition::Refused { true_size, false_size } => {
+                    tally.refused += 1;
+                    emit(Err(Refusal::Policy { true_size, false_size }));
+                }
+            }
         }
-        self.shared.note_downgrade(authorized);
+        points.len() - tally.authorized as usize
     }
 
     /// Convenience wrapper for typed secrets defined with
@@ -437,13 +461,13 @@ impl<D: AbstractDomain> AnosySession<D> {
                 posterior_true_size: violating.size(),
                 posterior_false_size: violating.size(),
             };
-            self.note_downgrade_outcome(false);
+            count_downgrades(&mut self.stats, &self.shared, 0, 1);
             return Err(violation);
         }
         let output = query.output(&point);
         let next = self.table.intern(state, posteriors.swap_remove(output));
         self.secrets.insert(point, next);
-        self.note_downgrade_outcome(true);
+        count_downgrades(&mut self.stats, &self.shared, 1, 0);
         Ok(output)
     }
 }
@@ -465,6 +489,65 @@ enum Transition {
     Authorized { on_true: StateId, on_false: StateId },
     /// The policy rejects a posterior, whose sizes the refusal reports.
     Refused { true_size: u128, false_size: u128 },
+}
+
+/// How many knowledge states' steps one [`AnosySession::decide_batch`] call keeps on its stack.
+/// A batch's secrets rarely span more; the steps of further states are read from the memo.
+const STEP_CACHE: usize = 8;
+
+/// The steps one batch has resolved, keyed by the state they leave from. A step depends only
+/// on its state and the query, never on the secret, and the memo never changes a decided step,
+/// so an entry holds for the whole batch.
+struct StepCache {
+    entries: [(StateId, Transition); STEP_CACHE],
+    len: usize,
+}
+
+impl StepCache {
+    fn new() -> Self {
+        let empty = (StateId::TOP, Transition::Refused { true_size: 0, false_size: 0 });
+        StepCache { entries: [empty; STEP_CACHE], len: 0 }
+    }
+
+    fn get(&self, state: StateId) -> Option<Transition> {
+        self.entries[..self.len].iter().find(|(from, _)| *from == state).map(|&(_, step)| step)
+    }
+
+    /// Keeps `step`, unless the cache is full.
+    fn insert(&mut self, state: StateId, step: Transition) {
+        if let Some(slot) = self.entries.get_mut(self.len) {
+            *slot = (state, step);
+            self.len += 1;
+        }
+    }
+}
+
+/// The outcomes one batch has counted so far. Dropping it folds them into the session's
+/// counters and the cache's aggregates, so they are folded once per batch, and also when a
+/// policy or the caller's `emit` panics partway through.
+struct Tally<'a, D: AbstractDomain> {
+    stats: &'a mut SessionStats,
+    shared: &'a SharedSynthCache<D>,
+    authorized: u64,
+    refused: u64,
+}
+
+impl<D: AbstractDomain> Drop for Tally<'_, D> {
+    fn drop(&mut self) {
+        count_downgrades(self.stats, self.shared, self.authorized, self.refused);
+    }
+}
+
+/// Adds downgrade outcomes to a session's counters and to its cache's aggregates.
+fn count_downgrades<D: AbstractDomain>(
+    stats: &mut SessionStats,
+    shared: &SharedSynthCache<D>,
+    authorized: u64,
+    refused: u64,
+) {
+    stats.downgrades_authorized += authorized;
+    stats.downgrades_refused += refused;
+    shared.note_downgrades(authorized, refused);
 }
 
 /// A session's interned knowledge elements and its memo of decided steps (see
@@ -542,7 +625,7 @@ impl<D: AbstractDomain> Drop for AnosySession<D> {
 /// both pass executes the query on `point`, returning the answer together with the matching
 /// posterior.
 ///
-/// [`AnosySession::decide`] decides every step the same way, memoized per knowledge state.
+/// [`AnosySession::decide_batch`] decides every step the same way, memoized per knowledge state.
 ///
 /// # Errors
 ///

@@ -251,11 +251,16 @@ impl<D: AbstractDomain> SharedSynthCache<D> {
         self.inner.counters.sessions_closed.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_downgrade(&self, authorized: bool) {
+    /// Folds the outcomes of one batch of downgrades into the aggregates: at most one atomic
+    /// add per counter, and none for a count of zero.
+    pub(crate) fn note_downgrades(&self, authorized: u64, refused: u64) {
         let counters = &self.inner.counters;
-        let counter =
-            if authorized { &counters.downgrades_authorized } else { &counters.downgrades_refused };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if authorized > 0 {
+            counters.downgrades_authorized.fetch_add(authorized, Ordering::Relaxed);
+        }
+        if refused > 0 {
+            counters.downgrades_refused.fetch_add(refused, Ordering::Relaxed);
+        }
     }
 
     /// The cache key of a registration.

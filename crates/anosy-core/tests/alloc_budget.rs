@@ -8,10 +8,12 @@
 //! The budget of 8 leaves room for two more.
 //!
 //! A repeated step is a memo lookup that allocates nothing, authorized or refused, in either
-//! domain. The wire parser stores each secret of up to four coordinates inline in its `Point`,
-//! so a `batch` line allocates its list of secrets once, and a `downgrade` line naming an
-//! interned query allocates nothing. So a repeated batch line, parsed and then served through
-//! the frontend, allocates as often for 64 tracked secrets as for one.
+//! domain. A batch keeps the steps it has resolved in a fixed-size cache on the stack and reads
+//! the memo for states beyond it, so a warm batch allocates nothing however many states its
+//! secrets span. The wire parser stores each secret of up to four coordinates inline in its
+//! `Point`, so a `batch` line allocates its list of secrets once, and a `downgrade` line naming
+//! an interned query allocates nothing. So a repeated batch line, parsed and then served
+//! through the frontend, allocates as often for 64 or 1024 tracked secrets as for one.
 //!
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
@@ -27,6 +29,7 @@ use anosy_serve::{Deployment, Frontend, ServeConfig, ServeRequest, ServeResponse
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 struct CountingAllocator;
 
@@ -247,6 +250,59 @@ fn memo_hits_allocate_nothing_in_either_domain() {
     memo_hits_allocate_nothing(west());
 }
 
+/// `x <= cut` (`field` 0) or `y <= cut` (`field` 1) with exact ind. sets, as elements of `D`.
+fn cut<D: AbstractDomain>(
+    name: &str,
+    field: usize,
+    cut: i64,
+    lift: fn(IntervalDomain) -> D,
+) -> QInfo<D> {
+    let query = QueryDef::new(name, layout(), IntExpr::var(field).le(cut)).unwrap();
+    let (truthy, falsy) = match field {
+        0 => (member((0, cut), (0, 400)), member((cut + 1, 400), (0, 400))),
+        _ => (member((0, 400), (0, cut)), member((0, 400), (cut + 1, 400))),
+    };
+    QInfo::new(query, IndSets::new(ApproxKind::Under, lift(truthy), lift(falsy)))
+}
+
+/// Secret `i` answers `x <= 25 i` true and lands in a state of its own, so a batch of all 16
+/// (each twice) spans twice the states the batch caches. Once `y <= 200` has been decided from
+/// each state and each secret has reached its fixed point, the batch allocates nothing, as a
+/// batch of one does. Allow-all authorizes every warm step; min-size(10000) refuses them all,
+/// since a fixed point's `false` posterior is empty.
+fn a_warm_batch_spanning_many_states_allocates_nothing<D>(lift: fn(IntervalDomain) -> D)
+where
+    D: AbstractDomain + DomainCodec,
+{
+    for policy in [PolicySpec::AllowAll, PolicySpec::MinSize(10_000)] {
+        let mut session = AnosySession::<D>::new(layout(), policy.clone());
+        let secrets: Vec<Point> = (0..16).map(|i| Point::new(vec![i * 25, 100 + i])).collect();
+        for (i, secret) in (0..).zip(&secrets) {
+            let _ = session.decide(&cut(&format!("x{i}"), 0, i * 25, lift), secret);
+        }
+        let states: BTreeSet<_> =
+            secrets.iter().map(|s| session.knowledge_of(s).domain().encode()).collect();
+        assert!(states.len() > 8, "{} distinct states under {policy}", states.len());
+        let south = cut("south", 1, 200, lift);
+        let batch: Vec<Point> = secrets.iter().chain(&secrets).cloned().collect();
+        for _ in 0..2 {
+            session.decide_batch(&south, &batch, |_| ());
+        }
+        let (denied, count) = allocations(|| session.decide_batch(&south, &batch, |_| ()));
+        assert_eq!(denied == 0, policy == PolicySpec::AllowAll);
+        let (_, one) = allocations(|| session.decide_batch(&south, &batch[..1], |_| ()));
+        assert_eq!((count, one), (0, 0), "under {policy}");
+    }
+}
+
+#[test]
+fn a_warm_batch_spanning_more_states_than_it_caches_allocates_nothing_in_either_domain() {
+    a_warm_batch_spanning_many_states_allocates_nothing::<IntervalDomain>(|b| b);
+    a_warm_batch_spanning_many_states_allocates_nothing::<PowersetDomain>(|b| {
+        PowersetDomain::new(2, vec![b], vec![])
+    });
+}
+
 /// A `batch` wire line of `n` secrets spread over the layout.
 fn batch_line(session: u64, n: i64) -> String {
     let secrets: Vec<String> =
@@ -292,13 +348,16 @@ where
 
 #[test]
 fn a_repeated_batch_allocates_the_same_for_one_and_for_64_tracked_secrets() {
+    // 1024 secrets is a bulk-powerset batch.
     for policy in [PolicySpec::AllowAll, PolicySpec::MinSize(100)] {
-        let one = repeated_batch_allocations::<IntervalDomain>(policy.clone(), 1);
-        let many = repeated_batch_allocations::<IntervalDomain>(policy.clone(), 64);
-        assert_eq!(one, many, "intervals under {policy}");
-        let one = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 1);
-        let many = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 64);
-        assert_eq!(one, many, "powersets under {policy}");
+        for n in [64, 1024] {
+            let one = repeated_batch_allocations::<IntervalDomain>(policy.clone(), 1);
+            let many = repeated_batch_allocations::<IntervalDomain>(policy.clone(), n);
+            assert_eq!(one, many, "{n} intervals under {policy}");
+            let one = repeated_batch_allocations::<PowersetDomain>(policy.clone(), 1);
+            let many = repeated_batch_allocations::<PowersetDomain>(policy.clone(), n);
+            assert_eq!(one, many, "{n} powersets under {policy}");
+        }
     }
 }
 

@@ -5,9 +5,10 @@
 //! [`Knowledge`] per secret in a `HashMap`, advanced by a fresh [`downgrade_step`] on every
 //! downgrade. Random histories run through both, in both domains, under allow-all, min-size and
 //! conjunction policies and both approximation directions. They mix duplicate and out-of-layout
-//! secrets, unknown names, names registered again with another predicate, resets and k-ary
-//! downgrades. Answers, errors, counters and the encoded knowledge of every secret must agree
-//! after every step.
+//! secrets, unknown names, names registered again with another predicate, resets, k-ary
+//! downgrades and batches through [`AnosySession::decide_batch`], which the oracle decides one
+//! secret after another. Answers, errors, counters and the encoded knowledge of every secret
+//! must agree after every step.
 
 use anosy_core::{
     downgrade_step, AnosyError, AnosySession, KaryIndSets, KaryQuery, Knowledge, Policy,
@@ -94,6 +95,11 @@ enum Op {
         secret: usize,
         via_decide: bool,
     },
+    /// One [`AnosySession::decide_batch`] call over these secrets, duplicates included.
+    Batch {
+        name: usize,
+        secrets: Vec<usize>,
+    },
     Register(Registration),
     Kary {
         secret: usize,
@@ -154,8 +160,11 @@ fn case(rng: &mut TestRng) -> Case {
             PolicySpec::MinEntropyMillibits(rng.below(6000)),
         ]),
     };
-    // A few secrets, so histories repeat them; -1 and SIDE + 1 lie outside the layout.
-    let secrets = (0..1 + rng.below(6))
+    // A few secrets, so histories repeat them; -1 and SIDE + 1 lie outside the layout. A wide
+    // case first spreads a dozen or more secrets over the states of their own histories, so
+    // its batches can span more states than a batch caches.
+    let wide = rng.below(3) == 0;
+    let secrets = (0..if wide { 12 + rng.below(5) } else { 1 + rng.below(6) })
         .map(|_| {
             let mut c = || rng.below(SIDE as u64 + 3) as i64 - 1;
             Point::new(vec![c(), c()])
@@ -163,12 +172,26 @@ fn case(rng: &mut TestRng) -> Case {
         .collect::<Vec<_>>();
     let registrations = (0..NAMES - 1).map(|n| registration(rng, n)).collect();
     let kary_sets = (0..3).map(|_| rects(rng, 2)).collect();
-    let ops = (0..rng.below(40))
-        .map(|_| match rng.below(20) {
-            0..=13 => Op::Downgrade {
+    let spread = if wide { 2 * secrets.len() } else { 0 };
+    let mut ops: Vec<Op> = (0..spread)
+        .map(|i| Op::Downgrade {
+            name: rng.below(NAMES as u64 - 1) as usize,
+            secret: i % secrets.len(),
+            via_decide: true,
+        })
+        .collect();
+    ops.extend((0..rng.below(40)).map(|_| {
+        match rng.below(20) {
+            0..=10 => Op::Downgrade {
                 name: rng.below(NAMES as u64) as usize,
                 secret: rng.below(secrets.len() as u64) as usize,
                 via_decide: rng.below(2) == 0,
+            },
+            11..=13 => Op::Batch {
+                name: rng.below(NAMES as u64 - 1) as usize,
+                secrets: (0..rng.below(3 * secrets.len() as u64 + 1))
+                    .map(|_| rng.below(secrets.len() as u64) as usize)
+                    .collect(),
             },
             14..=16 => {
                 let name = rng.below(NAMES as u64 - 1) as usize;
@@ -176,8 +199,8 @@ fn case(rng: &mut TestRng) -> Case {
             }
             17..=18 => Op::Kary { secret: rng.below(secrets.len() as u64) as usize },
             _ => Op::Reset,
-        })
-        .collect();
+        }
+    }));
     Case { policy, secrets, registrations, kary_kind: kind(rng), kary_sets, ops }
 }
 
@@ -303,6 +326,24 @@ fn run<D: FromRects>(case: &Case) -> Result<(), TestCaseError> {
                 };
                 prop_assert_eq!(got, expected, "step {}: {:?}", step, op);
             }
+            Op::Batch { name: n, secrets } => {
+                let points: Vec<Point> = secrets.iter().map(|&i| case.secrets[i].clone()).collect();
+                let expected: Vec<_> =
+                    points.iter().map(|p| oracle.downgrade(&name(*n), p)).collect();
+                let qinfo =
+                    session.query_handle(&name(*n)).expect("batches name registered queries");
+                let mut got = Vec::new();
+                let denied = session.decide_batch(&qinfo, &points, |decided| {
+                    got.push(decided.map_err(|refusal| spelled(refusal, &qinfo, &case.policy)));
+                });
+                prop_assert_eq!(&got, &expected, "step {}: {:?}", step, op);
+                prop_assert_eq!(
+                    denied,
+                    expected.iter().filter(|r| r.is_err()).count(),
+                    "step {}",
+                    step
+                );
+            }
             Op::Register(r) => register(&mut session, &mut oracle, r),
             Op::Kary { secret } => {
                 let point = &case.secrets[*secret];
@@ -335,6 +376,55 @@ fn run<D: FromRects>(case: &Case) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// `x <= cut`, or `y <= cut` on `field` 1, with exact interval ind. sets.
+fn cut(name: usize, field: usize, cut: i64, kind: ApproxKind) -> Registration {
+    let (truthy, falsy) = match field {
+        0 => ((0, cut, 0, SIDE), (cut + 1, SIDE, 0, SIDE)),
+        _ => ((0, SIDE, 0, cut), (0, SIDE, cut + 1, SIDE)),
+    };
+    Registration {
+        name,
+        field,
+        cut,
+        kind,
+        truthy: vec![truthy],
+        falsy: vec![falsy],
+        exclusions: vec![],
+    }
+}
+
+#[test]
+fn a_batch_spanning_more_states_than_it_caches_matches_the_chains() {
+    // Secret (i, i) answers `x <= i` true and lands in `[0, i] × [0, SIDE]`: fifteen states, and
+    // (SIDE, SIDE) stays at ⊤, twice the eight a batch keeps on its stack. Each batch names
+    // every secret twice, so the second occurrence decides from the first one's posterior.
+    // `y <= 7` halves every state (refused below 40 points under min-size); the
+    // over-approximate `x <= 7` is unsound for min-size.
+    let spread = (0..SIDE as usize).map(|i| cut(i, 0, i as i64, ApproxKind::Under));
+    let halves = [cut(15, 1, 7, ApproxKind::Under), cut(16, 0, 7, ApproxKind::Over)];
+    let mut secrets: Vec<Point> = (0..=SIDE).map(|i| Point::new(vec![i, i])).collect();
+    secrets.push(Point::new(vec![SIDE + 1, 0]));
+    let everyone: Vec<usize> = (0..secrets.len()).chain(0..secrets.len()).collect();
+    let mut ops: Vec<Op> = (0..SIDE as usize)
+        .map(|i| Op::Downgrade { name: i, secret: i, via_decide: true })
+        .collect();
+    for name in [15, 16, 15, 0] {
+        ops.push(Op::Batch { name, secrets: everyone.clone() });
+    }
+    for policy in [PolicySpec::AllowAll, PolicySpec::MinSize(40)] {
+        let case = Case {
+            policy,
+            secrets: secrets.clone(),
+            registrations: spread.clone().chain(halves.clone()).collect(),
+            kary_kind: ApproxKind::Under,
+            kary_sets: vec![vec![(0, SIDE, 0, SIDE)]; 3],
+            ops: ops.clone(),
+        };
+        run::<IntervalDomain>(&case).unwrap();
+        run::<PowersetDomain>(&case).unwrap();
+    }
 }
 
 proptest! {

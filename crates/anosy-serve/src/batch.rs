@@ -1,10 +1,12 @@
 //! Batched bounded downgrades: [`Deployment::downgrade_batch`].
 //!
-//! Each secret goes, in input order, through the session's own policy-checked step
-//! ([`AnosySession::downgrade_with`]) on the calling thread, so results, tracked knowledge and
-//! counters are those of the sequential [`AnosySession::downgrade`] loop by construction —
-//! duplicate secrets included, since the i-th downgrade of a secret reads the posterior the
-//! (i-1)-th committed.
+//! The batch goes, in input order, through the session's batch kernel
+//! ([`AnosySession::decide_batch`]) on the calling thread — the kernel the serving frontend
+//! answers a `batch` request with — and each refusal is spelled out as the error
+//! [`AnosySession::downgrade_with`] builds. Results, tracked knowledge and counters are those
+//! of the sequential [`AnosySession::downgrade`] loop, duplicate secrets included: the kernel
+//! reads each secret's current state, so the i-th downgrade of a secret reads the posterior the
+//! (i-1)-th committed (`tests/proptest_batch.rs` checks this in both domains).
 
 use crate::Deployment;
 use anosy_core::{AnosyError, AnosySession};
@@ -13,8 +15,9 @@ use anosy_logic::Point;
 
 impl<D: AbstractDomain> Deployment<D> {
     /// Downgrades every secret of the batch against the query `query_name` registered in
-    /// `session`, in input order. Returns one result per input secret; an unknown query
-    /// answers every element [`AnosyError::UnknownQuery`] and moves no counter.
+    /// `session`, in input order, through [`AnosySession::decide_batch`]. Returns one result
+    /// per input secret; an unknown query answers every element [`AnosyError::UnknownQuery`]
+    /// and moves no counter.
     pub fn downgrade_batch(
         &self,
         session: &mut AnosySession<D>,
@@ -25,19 +28,29 @@ impl<D: AbstractDomain> Deployment<D> {
             let unknown = AnosyError::UnknownQuery { name: query_name.to_string() };
             return secrets.iter().map(|_| Err(unknown.clone())).collect();
         };
-        secrets.iter().map(|secret| session.downgrade_with(&qinfo, secret)).collect()
+        let policy = session.policy_name();
+        let mut results = Vec::with_capacity(secrets.len());
+        session.decide_batch(&qinfo, secrets, |decided| {
+            results
+                .push(decided.map_err(|refusal| {
+                    refusal.into_error(qinfo.query().name(), || policy.clone())
+                }));
+        });
+        results
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Deployment, ServeConfig};
-    use anosy_core::{AnosyError, AnosySession, FnPolicy, MinSizePolicy, Policy};
+    use anosy_core::{AllowAll, AnosyError, AnosySession, FnPolicy, MinSizePolicy, Policy};
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, Point, SecretLayout};
     use anosy_solver::SolverConfig;
     use anosy_synth::{ApproxKind, QueryDef, SynthConfig, Synthesizer};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
@@ -55,7 +68,14 @@ mod tests {
         policy: impl Policy<IntervalDomain> + Send + Sync + 'static,
         origins: &[(i64, i64)],
     ) -> AnosySession<IntervalDomain> {
-        let mut session = AnosySession::new(layout(), policy);
+        with_nearby(AnosySession::new(layout(), policy), origins)
+    }
+
+    /// `session` with the diamonds of radius 100 around `origins` registered.
+    fn with_nearby(
+        mut session: AnosySession<IntervalDomain>,
+        origins: &[(i64, i64)],
+    ) -> AnosySession<IntervalDomain> {
         let mut synth =
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
         for &(xo, yo) in origins {
@@ -121,6 +141,40 @@ mod tests {
                 "{} secrets",
                 batch.len()
             );
+        }
+
+        // A policy that panics on its third call. (300, 200) decides ⊤'s step (two calls), the
+        // two fresh secrets reuse that step, and the first secret's second occurrence asks
+        // about the state it moved to: the batch unwinds there, three secrets in.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let policy = FnPolicy::new("explodes-partway", move |_| {
+            assert_ne!(seen.fetch_add(1, Ordering::Relaxed), 2, "policy exploded partway");
+            true
+        });
+        let deployment = deployment();
+        let mut session = with_nearby(deployment.session(policy), &[(200, 200)]);
+        let batch: Vec<Point> = [(300, 200), (10, 10), (50, 50), (300, 200), (60, 60)]
+            .into_iter()
+            .map(|(x, y)| Point::new(vec![x, y]))
+            .collect();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            deployment.downgrade_batch(&mut session, &batch, "nearby_200_200")
+        }))
+        .expect_err("the policy panic propagates");
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        // The committed prefix, decided by the per-secret loop under a policy that never panics.
+        let mut prefix = session_under(AllowAll, &[(200, 200)]);
+        for secret in &batch[..3] {
+            prefix.downgrade(&Protected::new(secret.clone()), "nearby_200_200").unwrap();
+        }
+        assert_eq!(session.stats(), prefix.stats());
+        assert_eq!(session.stats().downgrades_authorized, 3);
+        let cache = deployment.stats().cache;
+        assert_eq!((cache.downgrades_authorized, cache.downgrades_refused), (3, 0));
+        assert_eq!(session.tracked_secrets(), 3);
+        for secret in &batch {
+            assert_eq!(session.knowledge_of(secret), prefix.knowledge_of(secret), "{secret}");
         }
     }
 

@@ -15,12 +15,14 @@
 //!
 //! # Downgrades
 //!
-//! A tick answers its requests one after another, in submission order. A
-//! [`ServeRequest::Downgrade`] resolves its query in the registry and is decided by the
-//! session's own policy-checked step ([`AnosySession::downgrade_with`]) on the calling
-//! thread; a [`ServeRequest::DowngradeBatch`] is the same step per secret, in order, through
-//! [`AnosySession::decide`], whose refusals map straight to a [`DenialCode`] without building
-//! an error. Nothing else writes a session's knowledge.
+//! A tick answers its requests one after another, in submission order, on the calling thread.
+//! Every downgrade resolves its query in the registry and is decided by the session's batch
+//! kernel ([`AnosySession::decide_batch`]), which resolves each knowledge state's step once per
+//! batch. A [`ServeRequest::Downgrade`] is the kernel over one secret, with its refusal spelled
+//! out as an error ([`AnosySession::downgrade_with`]); a [`ServeRequest::DowngradeBatch`] is
+//! the kernel over the batch's secrets, in order, writing each refusal straight into the
+//! answers as a [`DenialCode`] without building an error. Nothing else writes a session's
+//! knowledge.
 //!
 //! # Determinism guarantee
 //!
@@ -77,15 +79,6 @@ impl FrontendStats {
     }
 }
 
-/// How many denials one response carries (batch answers can carry several).
-fn denials_in(response: &ServeResponse) -> u64 {
-    match response {
-        ServeResponse::Answer(Err(_)) | ServeResponse::Rejected(_) => 1,
-        ServeResponse::Answers(results) => results.iter().filter(|r| r.is_err()).count() as u64,
-        _ => 0,
-    }
-}
-
 /// Packs the conn-scoped session id `((conn + 1) << 32) | k` with **checked** arithmetic:
 /// `None` when either half would leave its 32-bit lane (`conn ≥ 2³² − 1` or `k ≥ 2³²`).
 /// The unchecked form silently wrapped — `(conn + 1) << 32` loses the high bits for large
@@ -126,6 +119,10 @@ pub struct Frontend<D: AbstractDomain> {
     stats: FrontendStats,
     /// Downgrade decisions made so far in the current tick.
     tick_decisions: usize,
+    /// Denials answered so far in the current tick: one per denied answer or rejected request,
+    /// and the kernel's count per batch. Folded into [`FrontendStats::denials`] when the tick
+    /// ends.
+    tick_denials: u64,
 }
 
 impl<D: AbstractDomain> Frontend<D> {
@@ -143,6 +140,7 @@ impl<D: AbstractDomain> Frontend<D> {
             shard: 0,
             stats: FrontendStats::default(),
             tick_decisions: 0,
+            tick_denials: 0,
         }
     }
 
@@ -245,6 +243,12 @@ where
             match item {
                 Pending::Request(request, body) => {
                     let response = self.handle(request.conn, body);
+                    if matches!(
+                        response,
+                        ServeResponse::Answer(Err(_)) | ServeResponse::Rejected(_)
+                    ) {
+                        self.tick_denials += 1;
+                    }
                     tagged.push(TaggedResponse { request, response });
                 }
                 Pending::Disconnect(conn) => self.teardown(conn),
@@ -256,7 +260,7 @@ where
         if decisions > 0 {
             telemetry::observe("batch.size", decisions as u64);
         }
-        self.stats.denials += tagged.iter().map(|t| denials_in(&t.response)).sum::<u64>();
+        self.stats.denials += std::mem::take(&mut self.tick_denials);
         tagged
     }
 
@@ -326,13 +330,19 @@ where
                 };
                 let _span = telemetry::span("batch.decide");
                 self.stats.count_decisions(&mut self.tick_decisions, secrets.len());
-                ServeResponse::Answers(match self.registry.get(&*query) {
-                    Some(qinfo) => secrets
-                        .iter()
-                        .map(|secret| open.decide(qinfo, secret).map_err(DenialCode::from))
-                        .collect(),
-                    None => vec![Err(DenialCode::UnknownQuery); secrets.len()],
-                })
+                let Some(qinfo) = self.registry.get(&*query) else {
+                    self.tick_denials += secrets.len() as u64;
+                    return ServeResponse::Answers(vec![
+                        Err(DenialCode::UnknownQuery);
+                        secrets.len()
+                    ]);
+                };
+                let mut answers = Vec::with_capacity(secrets.len());
+                let denied = open.decide_batch(qinfo, &secrets, |decided| {
+                    answers.push(decided.map_err(DenialCode::from));
+                });
+                self.tick_denials += denied as u64;
+                ServeResponse::Answers(answers)
             }
             ServeRequest::CountModels { pred } => {
                 match self.deployment.par_count_models(&pred, &self.deployment.layout().space()) {

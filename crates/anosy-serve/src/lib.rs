@@ -24,8 +24,8 @@
 //!   disjoint sub-boxes, seeds each worker with a private read-only
 //!   [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
 //!   [`anosy_solver::SolverStats`]. Downgrades never touch the pool: every one, single or
-//!   batched ([`Deployment::downgrade_batch`]), is the session's own policy-checked step
-//!   ([`anosy_core::AnosySession::downgrade_with`]) on the thread that received it.
+//!   batched ([`Deployment::downgrade_batch`]), is decided by the session's batch kernel
+//!   ([`anosy_core::AnosySession::decide_batch`]) on the thread that received it.
 //!
 //! * **The warm-start cache** ([`Deployment::save_cache`] / [`Deployment::warm_start`]): the
 //!   synthesis cache saved as a snapshot in the [`journal`]'s framed text format and loaded by
@@ -57,7 +57,8 @@
 //!
 //! * `downgrade_batch` returns results (and leaves the session's tracked knowledge and
 //!   counters) **identical to the sequential per-call loop**, including duplicate secrets in one
-//!   batch, because it *is* that loop over the session's own step (property-tested against
+//!   batch: the kernel resolves each knowledge state's step once per batch, but reads every
+//!   secret's current state in input order (property-tested in both domains against
 //!   [`anosy_core::AnosySession::downgrade`] in `tests/proptest_batch.rs`).
 //! * The sharded solver drivers return exactly the sequential procedures' results: counts over
 //!   a disjoint partition sum to the whole-space count, validity holds iff it holds on every
@@ -85,7 +86,7 @@
 //!     Deployment::new(layout, ServeConfig::for_tests());
 //! deployment.register_query(&query, ApproxKind::Under, None).unwrap();
 //!
-//! // Serving: sessions share the cache; a batch is decided secret by secret, in order.
+//! // Serving: sessions share the cache; a batch is decided in order, each state's step once.
 //! let mut session = deployment.session(MinSizePolicy::new(100));
 //! let mut synth = anosy_synth::Synthesizer::with_config(deployment.config().synth.clone());
 //! session.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
