@@ -392,34 +392,6 @@ impl IntBox {
     pub fn points(&self) -> BoxPoints {
         BoxPoints::new(self.clone())
     }
-
-    /// Partitions the box into at most `n` disjoint sub-boxes whose union is exactly `self`, by
-    /// repeatedly bisecting the currently largest chunk along its widest dimension.
-    ///
-    /// This is the work-sharding primitive of the parallel solver driver: the sub-boxes are
-    /// independent branch-and-prune subtrees, so model counts over the chunks sum to the count
-    /// over the whole box and validity holds on the box iff it holds on every chunk. The split is
-    /// deterministic; fewer than `n` chunks are returned when the box runs out of splittable
-    /// dimensions (e.g. it has fewer than `n` points).
-    pub fn split_chunks(&self, n: usize) -> Vec<IntBox> {
-        let mut chunks = vec![self.clone()];
-        if self.is_empty() || n <= 1 {
-            return chunks;
-        }
-        while chunks.len() < n {
-            let candidate = chunks
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| b.widest_splittable_dim().map(|dim| (i, dim, b.count())))
-                .max_by_key(|&(_, _, count)| count);
-            let Some((index, dim, _)) = candidate else { break };
-            let boxed = chunks.swap_remove(index);
-            let (lo, hi) = boxed.bisect(dim).expect("widest splittable dim bisects");
-            chunks.push(lo);
-            chunks.push(hi);
-        }
-        chunks
-    }
 }
 
 impl fmt::Display for IntBox {
@@ -627,32 +599,5 @@ mod tests {
         assert_eq!(Range::empty().to_string(), "∅");
         let b = IntBox::new(vec![Range::new(0, 1), Range::new(2, 3)]);
         assert_eq!(b.to_string(), "{[0, 1] × [2, 3]}");
-    }
-
-    #[test]
-    fn split_chunks_partitions_the_box() {
-        let b = IntBox::new(vec![Range::new(0, 400), Range::new(0, 400)]);
-        for n in [1, 2, 3, 7, 16] {
-            let chunks = b.split_chunks(n);
-            assert!(chunks.len() <= n.max(1));
-            // Counts sum to the whole and chunks are pairwise disjoint.
-            assert_eq!(chunks.iter().map(IntBox::count).sum::<u128>(), b.count());
-            for (i, a) in chunks.iter().enumerate() {
-                assert!(b.contains_box(a));
-                for c in &chunks[i + 1..] {
-                    assert!(a.intersect(c).is_empty(), "chunks {a} and {c} overlap");
-                }
-            }
-        }
-        // Deterministic: two calls agree exactly.
-        assert_eq!(b.split_chunks(8), b.split_chunks(8));
-        // A box with fewer points than requested chunks returns what it can.
-        let tiny = IntBox::new(vec![Range::new(0, 1)]);
-        let chunks = tiny.split_chunks(8);
-        assert_eq!(chunks.len(), 2);
-        // Empty and n <= 1 are identity.
-        assert_eq!(b.split_chunks(1), vec![b.clone()]);
-        let empty = IntBox::new(vec![Range::empty()]);
-        assert_eq!(empty.split_chunks(4).len(), 1);
     }
 }

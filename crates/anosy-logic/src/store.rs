@@ -263,11 +263,10 @@ pub const BOX_MEMO_MIN_DEPTH: u8 = 8;
 /// meaningful within the store that produced them, and interning the same term twice always
 /// returns the same id.
 ///
-/// Stores are `Clone`: a clone is a [`TermStore::snapshot`] — it carries the full arena *and*
-/// every memo table, and ids remain valid in it (interning is deterministic and append-only, so
-/// a clone taken at arena size `n` agrees with the original on the first `n` ids forever). This
-/// is what the parallel solver shards are seeded with: each worker mutates only its private
-/// snapshot's memo tables, no synchronization needed.
+/// Stores are `Clone`: a clone carries the full arena *and* every memo table, and ids remain
+/// valid in it (interning is deterministic and append-only, so a clone taken at arena size `n`
+/// agrees with the original on the first `n` ids forever). Each copy then grows privately, with
+/// no synchronization between them.
 #[derive(Debug, Default, Clone)]
 pub struct TermStore {
     exprs: Vec<ExprNode>,
@@ -315,13 +314,6 @@ impl TermStore {
     /// The store's hit/miss counters.
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// An independent copy of the store: same arena, same ids, same memo tables. Workers of a
-    /// sharded search each take one snapshot and then proceed without any synchronization; every
-    /// id interned before the snapshot resolves identically in all copies.
-    pub fn snapshot(&self) -> TermStore {
-        self.clone()
     }
 
     /// Clears the hit/miss counters (the arena and memo tables are kept).
@@ -1431,7 +1423,7 @@ mod tests {
         let pred = deep_pred(9);
         let id = store.intern_pred(&pred);
         let simplified = store.simplify(id);
-        let mut snap = store.snapshot();
+        let mut snap = store.clone();
         // Ids interned before the snapshot resolve identically in both copies.
         assert_eq!(snap.pred_to_tree(id), store.pred_to_tree(id));
         assert_eq!(snap.simplify(id), simplified, "memo tables travel with the snapshot");

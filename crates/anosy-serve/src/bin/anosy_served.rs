@@ -17,9 +17,10 @@
 //!
 //! * `--layout "<name:lo:hi> ..."` — the secret space served (required);
 //! * `--domain interval|powerset` — the knowledge domain (default `interval`);
-//! * `--workers N` — threads of the shard pool behind `count` and `valid` requests (the
-//!   parallel solver driver; default: available parallelism). Downgrades never use the pool:
-//!   they are decided on the reactor thread at any width;
+//! * `--workers N` — threads of the shard pool that runs each `count` and `valid` request as
+//!   one sequential solver job (default: available parallelism). Answers are the same at any
+//!   width, and the solver budget bounds each request. Downgrades never use the pool: they are
+//!   decided on the reactor thread;
 //! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request;
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
 //!   `PATH.snapshot` + `PATH` (both replayed up to their good prefix, so a torn snapshot or

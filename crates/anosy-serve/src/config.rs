@@ -7,11 +7,12 @@ use anosy_synth::SynthConfig;
 /// Configuration of a [`crate::Deployment`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of worker threads in the deployment's shard pool, which runs the parallel solver
-    /// driver (clamped to at least one).
+    /// Number of worker threads in the deployment's shard pool, which runs each `count`/`valid`
+    /// request as one sequential solver job (clamped to at least one). Answers do not depend
+    /// on it.
     pub workers: usize,
     /// Synthesis configuration used for cache misses (its solver config also drives
-    /// verification and the parallel solver driver).
+    /// verification and bounds each `count`/`valid` request as a whole).
     pub synth: SynthConfig,
     /// Append-only synthesis journal ([`crate::journal`]); `None` (the default) disables
     /// journaling. The journal itself is opened by [`crate::Deployment::open_journal`] — the
@@ -45,7 +46,7 @@ impl ServeConfig {
         self
     }
 
-    /// The solver configuration shards and verifiers run with.
+    /// The solver configuration verifiers and `count`/`valid` jobs run with.
     pub fn solver(&self) -> &SolverConfig {
         &self.synth.solver
     }

@@ -1,13 +1,13 @@
 //! The deployment: one shared synthesis cache, one worker pool, many sessions.
 
 use crate::journal::{self, Journal, JournalStats, SaveOutcome};
-use crate::{parallel, ServeConfig, ServeError, ShardPool, Sharded};
+use crate::{ServeConfig, ServeError, ShardPool};
 use anosy_core::{
     AnosySession, Policy, SharedCacheEntry, SharedCacheStats, SharedSynthCache, SynthesizeInto,
 };
 use anosy_domains::AbstractDomain;
 use anosy_logic::{IntBox, Pred, SecretLayout};
-use anosy_solver::{SolverConfig, SolverError, ValidityOutcome};
+use anosy_solver::{Solver, SolverConfig, SolverError, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, Synthesizer};
 use std::fmt;
 use std::path::Path;
@@ -61,7 +61,8 @@ impl fmt::Display for ServeStats {
 ///
 /// * owns the [`SharedSynthCache`] every session of the deployment registers through — N
 ///   sessions registering the same query set synthesize once per *deployment*;
-/// * owns the fixed [`ShardPool`] the parallel solver driver shards across;
+/// * owns the fixed [`ShardPool`] that runs each `count`/`valid` request as one sequential
+///   solver job ([`Deployment::count_models`], [`Deployment::check_validity`]);
 /// * saves and loads the synthesis cache's snapshot, and attaches its journal.
 #[derive(Debug)]
 pub struct Deployment<D: AbstractDomain> {
@@ -118,7 +119,8 @@ impl<D: AbstractDomain> Deployment<D> {
         &self.config
     }
 
-    /// The deployment's worker pool (for custom sharded drivers).
+    /// The deployment's worker pool, which runs the `count`/`valid` solver jobs (and any other
+    /// job a caller submits to it).
     pub fn pool(&self) -> &ShardPool {
         &self.pool
     }
@@ -156,31 +158,41 @@ impl<D: AbstractDomain> Deployment<D> {
         AnosySession::with_shared(self.layout.clone(), policy, self.shared.clone())
     }
 
-    /// Counts the models of `pred` in `space` with the sharded parallel driver (identical to the
-    /// sequential count; see [`parallel::par_count_models`]).
+    /// Counts the models of `pred` over the layout's whole space: one sequential
+    /// [`Solver::count_models`] job on the pool, so the answer does not depend on its width and
+    /// the configured solver budget bounds the whole request.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard's [`SolverError`].
-    pub fn par_count_models(
-        &self,
-        pred: &Pred,
-        space: &IntBox,
-    ) -> Result<Sharded<u128>, SolverError> {
-        parallel::par_count_models(&self.pool, self.config.solver(), pred, space)
+    /// Propagates the solver's [`SolverError`].
+    pub fn count_models(&self, pred: &Pred) -> Result<u128, SolverError> {
+        let pred = pred.clone();
+        self.solve(move |solver, space| solver.count_models(&pred, space))
     }
 
-    /// Sharded validity check (identical outcome to the sequential procedure).
+    /// Checks whether `pred` holds on every point of the layout's space: one sequential
+    /// [`Solver::check_validity`] job on the pool (see [`Deployment::count_models`]).
     ///
     /// # Errors
     ///
-    /// Propagates the first shard's [`SolverError`].
-    pub fn par_check_validity(
-        &self,
-        pred: &Pred,
-        space: &IntBox,
-    ) -> Result<Sharded<ValidityOutcome>, SolverError> {
-        parallel::par_check_validity(&self.pool, self.config.solver(), pred, space)
+    /// Propagates the solver's [`SolverError`].
+    pub fn check_validity(&self, pred: &Pred) -> Result<ValidityOutcome, SolverError> {
+        let pred = pred.clone();
+        self.solve(move |solver, space| solver.check_validity(&pred, space))
+    }
+
+    /// Runs `query` as one job on the pool, with a fresh solver over the layout's space; a
+    /// panic in the job resumes here with its original payload.
+    fn solve<T, F>(&self, query: F) -> Result<T, SolverError>
+    where
+        T: Send + 'static,
+        F: FnOnce(&mut Solver, &IntBox) -> Result<T, SolverError> + Send + 'static,
+    {
+        let config = self.config.solver().clone();
+        let space = self.layout.space();
+        let job = move || query(&mut Solver::with_config(config), &space);
+        let slot = self.pool.scatter(vec![job]).pop().expect("one job yields one slot");
+        slot.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 }
 
@@ -369,6 +381,7 @@ mod tests {
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, Point};
+    use anosy_synth::SynthConfig;
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
@@ -598,13 +611,45 @@ mod tests {
     }
 
     #[test]
-    fn parallel_driver_is_reachable_through_the_deployment() {
-        let deployment: Deployment<IntervalDomain> =
-            Deployment::new(layout(), ServeConfig::for_tests());
-        let pred = ((IntExpr::var(0) - 200).abs() + (IntExpr::var(1) - 200).abs()).le(100);
-        let sharded = deployment.par_count_models(&pred, &layout().space()).unwrap();
-        assert_eq!(sharded.value, 20_201); // the radius-100 diamond
-        let outcome = deployment.par_check_validity(&pred, &layout().space()).unwrap();
-        assert!(matches!(outcome.value, ValidityOutcome::CounterExample(_)));
+    fn count_and_validity_answer_the_same_at_every_pool_width() {
+        let diamond = |xo: i64, yo: i64, radius: i64| {
+            ((IntExpr::var(0) - xo).abs() + (IntExpr::var(1) - yo).abs()).le(radius)
+        };
+        let preds = [
+            diamond(200, 200, 100),
+            IntExpr::var(0).ge(401),
+            (IntExpr::var(0) + IntExpr::var(1)).ge(0),
+            Pred::True,
+            Pred::False,
+        ];
+        // Two far-apart diamonds under a 300-node budget. The chunked driver this replaced gave
+        // each of its 4-per-worker chunks its own budget, so it counted them at 4 workers (the
+        // hardest chunk needed 183 nodes) but not at 1 or 2 (665 and 357); the whole-space
+        // search needs 1331, so the budget now denies the request at every width.
+        let pair = diamond(100, 100, 60).or_else(diamond(300, 300, 60));
+        let tight = ServeConfig::for_tests().with_synth(
+            SynthConfig::new().with_solver(SolverConfig::for_tests().with_max_nodes(300)),
+        );
+        let space = layout().space();
+        let fresh = || Solver::with_config(SolverConfig::for_tests());
+        let expected: Vec<_> = preds
+            .iter()
+            .map(|pred| (fresh().count_models(pred, &space), fresh().check_validity(pred, &space)))
+            .collect();
+        let denied = Solver::with_config(tight.solver().clone()).count_models(&pair, &space);
+        assert!(matches!(denied, Err(SolverError::BudgetExhausted { .. })), "{denied:?}");
+        for workers in [1, 2, 4] {
+            let deployment: Deployment<IntervalDomain> =
+                Deployment::new(layout(), ServeConfig::for_tests().with_workers(workers));
+            assert_eq!(deployment.stats().workers, workers);
+            for (pred, (count, validity)) in preds.iter().zip(&expected) {
+                assert_eq!(&deployment.count_models(pred), count, "{pred} at {workers} workers");
+                assert_eq!(&deployment.check_validity(pred), validity, "{pred} at {workers}");
+            }
+            assert_eq!(deployment.count_models(&preds[0]), Ok(20_201)); // the radius-100 diamond
+            let tight: Deployment<IntervalDomain> =
+                Deployment::new(layout(), tight.clone().with_workers(workers));
+            assert_eq!(tight.count_models(&pair), denied, "the budget bounds the whole request");
+        }
     }
 }

@@ -21,7 +21,7 @@ pub enum ServeError {
     },
     /// A session-layer failure surfaced through a deployment API.
     Anosy(AnosyError),
-    /// A solver failure inside the parallel driver.
+    /// A solver failure while re-verifying a loaded cache entry.
     Solver(SolverError),
 }
 

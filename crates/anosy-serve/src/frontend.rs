@@ -344,27 +344,19 @@ where
                 self.tick_denials += denied as u64;
                 ServeResponse::Answers(answers)
             }
-            ServeRequest::CountModels { pred } => {
-                match self.deployment.par_count_models(&pred, &self.deployment.layout().space()) {
-                    Ok(sharded) => ServeResponse::Count { models: sharded.value },
-                    Err(e) => {
-                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
-                    }
-                }
-            }
-            ServeRequest::CheckValidity { pred } => {
-                match self.deployment.par_check_validity(&pred, &self.deployment.layout().space()) {
-                    Ok(sharded) => ServeResponse::Validity {
-                        counterexample: match sharded.value {
-                            ValidityOutcome::Valid => None,
-                            ValidityOutcome::CounterExample(p) => Some(p),
-                        },
+            ServeRequest::CountModels { pred } => match self.deployment.count_models(&pred) {
+                Ok(models) => ServeResponse::Count { models },
+                Err(e) => ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string())),
+            },
+            ServeRequest::CheckValidity { pred } => match self.deployment.check_validity(&pred) {
+                Ok(outcome) => ServeResponse::Validity {
+                    counterexample: match outcome {
+                        ValidityOutcome::Valid => None,
+                        ValidityOutcome::CounterExample(p) => Some(p),
                     },
-                    Err(e) => {
-                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
-                    }
-                }
-            }
+                },
+                Err(e) => ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string())),
+            },
             ServeRequest::Knowledge { session, secret } => {
                 let Some(open) = self.sessions.get(&session) else {
                     return ServeResponse::Rejected(Denial::unknown_session(session));
@@ -433,7 +425,7 @@ mod tests {
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, Point, SecretLayout};
-    use anosy_synth::{ApproxKind, QueryDef};
+    use anosy_synth::{ApproxKind, QueryDef, SynthConfig};
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
@@ -777,18 +769,35 @@ mod tests {
     }
 
     #[test]
-    fn count_and_validity_ride_the_sharded_driver() {
+    fn count_and_validity_run_as_solver_jobs() {
         let mut frontend = frontend();
         let conn = frontend.connect();
         let pred = ((IntExpr::var(0) - 200).abs() + (IntExpr::var(1) - 200).abs()).le(100);
         frontend.submit(conn, ServeRequest::CountModels { pred: pred.clone() });
-        frontend.submit(conn, ServeRequest::CheckValidity { pred });
+        frontend.submit(conn, ServeRequest::CheckValidity { pred: pred.clone() });
         let responses = frontend.tick();
         assert_eq!(responses[0].response, ServeResponse::Count { models: 20_201 });
         match &responses[1].response {
             ServeResponse::Validity { counterexample: Some(_) } => {}
             other => panic!("the diamond is not valid everywhere: {other:?}"),
         }
+
+        // A request the solver budget cannot finish is denied with the solver's error text.
+        let solver = anosy_solver::SolverConfig::for_tests().with_max_nodes(10);
+        let error = anosy_solver::Solver::with_config(solver.clone())
+            .count_models(&pred, &layout().space())
+            .unwrap_err();
+        let config = ServeConfig::for_tests().with_synth(SynthConfig::new().with_solver(solver));
+        let mut frontend: Frontend<IntervalDomain> =
+            Frontend::new(Deployment::new(layout(), config));
+        let conn = frontend.connect();
+        frontend.submit(conn, ServeRequest::CountModels { pred });
+        let responses = frontend.tick();
+        let message = error.to_string();
+        assert_eq!(
+            responses[0].response,
+            ServeResponse::Rejected(Denial::new(DenialCode::Internal, message))
+        );
     }
 
     #[test]

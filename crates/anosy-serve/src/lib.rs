@@ -19,11 +19,10 @@
 //!   self-contained [`anosy_core::AnosySession`]s otherwise.
 //!
 //! * **One fixed shard pool** ([`ShardPool`]): `workers` OS threads that live as long as the
-//!   deployment. Only the parallel solver driver ([`par_count_models`],
-//!   [`par_check_validity`]) shards across it, share-nothing-then-merge: it splits a space into
-//!   disjoint sub-boxes, seeds each worker with a private read-only
-//!   [`anosy_logic::TermStore`] snapshot, and merges counts/outcomes plus
-//!   [`anosy_solver::SolverStats`]. Downgrades never touch the pool: every one, single or
+//!   deployment. Each `count`/`valid` request ([`Deployment::count_models`],
+//!   [`Deployment::check_validity`]) runs on it as one sequential solver job over the whole
+//!   layout space, so its answer does not depend on `workers` and the solver budget bounds the
+//!   whole request. Downgrades never touch the pool: every one, single or
 //!   batched ([`Deployment::downgrade_batch`]), is decided by the session's batch kernel
 //!   ([`anosy_core::AnosySession::decide_batch`]) on the thread that received it.
 //!
@@ -60,9 +59,9 @@
 //!   batch: the kernel resolves each knowledge state's step once per batch, but reads every
 //!   secret's current state in input order (property-tested in both domains against
 //!   [`anosy_core::AnosySession::downgrade`] in `tests/proptest_batch.rs`).
-//! * The sharded solver drivers return exactly the sequential procedures' results: counts over
-//!   a disjoint partition sum to the whole-space count, validity holds iff it holds on every
-//!   chunk, and the reported counterexample is chosen in deterministic chunk order.
+//! * `count` and `valid` answer exactly what [`anosy_solver::Solver`] answers on the whole
+//!   space, counterexample included, at any pool width (property-tested against a sequential
+//!   solver in `tests/proptest_frontend.rs`).
 //! * Synthesis results are independent of racing: whichever session wins the single-flight slot
 //!   runs the same deterministic synthesizer every other session would have run, and everyone
 //!   observes the one published result (asserted under thread stress in
@@ -107,7 +106,6 @@ mod error;
 pub mod frontend;
 pub mod journal;
 pub mod loadgen;
-mod parallel;
 mod pool;
 pub mod popsim;
 pub mod proto;
@@ -121,7 +119,6 @@ pub use deployment::{Deployment, RecoveryOutcome, ServeStats, WarmStartOutcome};
 pub use error::ServeError;
 pub use frontend::{Frontend, FrontendStats};
 pub use journal::{save_entries, FlushPolicy, Journal, JournalConfig, JournalStats, SaveOutcome};
-pub use parallel::{par_check_validity, par_count_models, par_is_valid, Sharded};
 pub use pool::ShardPool;
 pub use popsim::{compile as compile_population, CompileOptions, CompiledPopulation};
 pub use proto::{

@@ -1,13 +1,13 @@
-//! The fixed worker pool the deployment shards work across.
+//! The fixed worker pool the deployment runs solver jobs on.
 //!
 //! A [`ShardPool`] owns `workers` OS threads for its whole lifetime (a deployment's pool lives
 //! as long as the deployment, amortizing thread spawns to zero on the serving path). Work is
 //! submitted as batches of independent jobs via [`ShardPool::scatter`]; results come back in
 //! submission order, so callers see deterministic output regardless of which worker ran what or
-//! in which order workers finished — the property the parallel solver driver
-//! ([`crate::par_count_models`], [`crate::par_check_validity`]) relies on for
-//! sequential-equivalence. It is the only driver on the pool: downgrades are decided on the
-//! thread that received them.
+//! in which order workers finished. Its one caller in the crate submits each `count`/`valid`
+//! request as a single sequential solver job ([`crate::Deployment::count_models`],
+//! [`crate::Deployment::check_validity`]), whose answer is therefore the same at any width;
+//! downgrades are decided on the thread that received them.
 //!
 //! The design is the classic share-nothing-then-merge worker pool of the differential-dataflow
 //! lineage: jobs carry owned data in, results are merged by the caller after the barrier.

@@ -122,8 +122,8 @@ pub enum ServeRequest {
         /// Name of a registered query (interned, as in [`ServeRequest::Downgrade`]).
         query: Arc<str>,
     },
-    /// Counts the models of a predicate over the deployment's secret space with the sharded
-    /// parallel driver.
+    /// Counts the models of a predicate over the deployment's secret space, as one sequential
+    /// solver job on the deployment's pool.
     CountModels {
         /// The predicate to count.
         pred: anosy_logic::Pred,

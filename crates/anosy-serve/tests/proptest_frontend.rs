@@ -1,22 +1,24 @@
 //! Property: the serving frontend is indistinguishable from a sequential interpreter.
 //!
 //! Arbitrary request scripts — any interleaving of `OpenSession` / `RegisterQuery` /
-//! `Downgrade` / `DowngradeBatch` / `Knowledge` / `CloseSession` across several logical
-//! connections, chopped into arbitrary ticks, with duplicate secrets inside one tick, plus
-//! transport-level disconnects tearing sessions down mid-script — must yield responses
-//! element-wise identical to replaying the same requests one at a time against plain owned
-//! [`anosy_core::AnosySession`]s (the shared oracle in `tests/support/oracle.rs`). This is the
-//! protocol-level determinism guarantee on top of `proptest_batch.rs`'s driver-level one:
-//! ticking, cross-connection interleaving and queued teardown never change what any
-//! connection observes. Registrations also file palette predicates under *other* palette
-//! queries' names, so scripts replace a name's query (A → B → A) while sessions are open and
-//! the latest registration must win.
+//! `Downgrade` / `DowngradeBatch` / `Knowledge` / `CloseSession` / `CountModels` /
+//! `CheckValidity` across several logical connections, chopped into arbitrary ticks, with
+//! duplicate secrets inside one tick, plus transport-level disconnects tearing sessions down
+//! mid-script — must yield responses element-wise identical to replaying the same requests one
+//! at a time against plain owned [`anosy_core::AnosySession`]s (the shared oracle in
+//! `tests/support/oracle.rs`). This is the protocol-level determinism guarantee on top of
+//! `proptest_batch.rs`'s driver-level one: ticking, cross-connection interleaving and queued
+//! teardown never change what any connection observes. Registrations also file palette
+//! predicates under *other* palette queries' names, so scripts replace a name's query
+//! (A → B → A) while sessions are open and the latest registration must win. `count` and
+//! `valid` run on the deployment's four-worker pool and must answer exactly what one
+//! sequential solver does.
 
 #[path = "support/oracle.rs"]
 mod support;
 
 use anosy_domains::IntervalDomain;
-use anosy_logic::Point;
+use anosy_logic::{IntExpr, Point, Pred};
 use anosy_serve::{ConnId, Deployment, Frontend, ServeRequest, SessionId};
 use anosy_synth::ApproxKind;
 use proptest::prelude::*;
@@ -60,10 +62,35 @@ enum Op {
         conn: u64,
         session: u64,
     },
+    /// `count` of the `pred`-th [`solver_pred`].
+    Count {
+        conn: u64,
+        pred: usize,
+    },
+    /// `valid` of the `pred`-th [`solver_pred`].
+    Valid {
+        conn: u64,
+        pred: usize,
+    },
     Disconnect {
         conn: u64,
     },
     Tick,
+}
+
+/// How many predicates [`solver_pred`] offers.
+const SOLVER_PREDS: usize = 7;
+
+/// The `count`/`valid` palette: a valid predicate, `x >= 401` (refuted everywhere, so `valid`
+/// names a counterexample), the palette's `nearby` diamonds, and `true`/`false`.
+fn solver_pred(index: usize) -> Pred {
+    match index {
+        0 => (IntExpr::var(0) + IntExpr::var(1)).ge(0),
+        1 => IntExpr::var(0).ge(401),
+        2..=4 => support::query(index - 2).pred().clone(),
+        5 => Pred::True,
+        _ => Pred::False,
+    }
 }
 
 fn arb_secret() -> impl Strategy<Value = Point> {
@@ -98,6 +125,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => (conn.clone(), session.clone(), arb_secret())
             .prop_map(|(conn, session, secret)| Op::Knowledge { conn, session, secret }),
         1 => (conn.clone(), session.clone()).prop_map(|(conn, session)| Op::Close { conn, session }),
+        1 => (conn.clone(), 0..SOLVER_PREDS).prop_map(|(conn, pred)| Op::Count { conn, pred }),
+        1 => (conn.clone(), 0..SOLVER_PREDS).prop_map(|(conn, pred)| Op::Valid { conn, pred }),
         1 => conn.prop_map(|conn| Op::Disconnect { conn }),
         2 => Just(Op::Tick),
     ]
@@ -146,6 +175,12 @@ fn to_request(op: &Op) -> Option<(ConnId, ServeRequest)> {
         ),
         Op::Close { conn, session } => {
             (ConnId(*conn), ServeRequest::CloseSession { session: SessionId(*session) })
+        }
+        Op::Count { conn, pred } => {
+            (ConnId(*conn), ServeRequest::CountModels { pred: solver_pred(*pred) })
+        }
+        Op::Valid { conn, pred } => {
+            (ConnId(*conn), ServeRequest::CheckValidity { pred: solver_pred(*pred) })
         }
         Op::Disconnect { .. } | Op::Tick => return None,
     })

@@ -4,9 +4,9 @@
 //! The specification of the whole serving stack — frontend batching, the event-loop reactor,
 //! every transport — is *one request at a time against plain owned
 //! [`AnosySession`]s*: `downgrade` per downgrade request, a sequential loop per batch request,
-//! sessions removed when their connection closes or disconnects. Whatever a test drives
-//! (arbitrary tick splits, simulated network chaos), the observed responses must be
-//! element-wise identical to this oracle's.
+//! a fresh sequential solver per `count`/`valid` request, sessions removed when their
+//! connection closes or disconnects. Whatever a test drives (arbitrary tick splits, simulated
+//! network chaos), the observed responses must be element-wise identical to this oracle's.
 //!
 //! The query palette is synthesized once per test process and shared as warm-start entries, so
 //! case counts do not multiply solver work — and the system under test and the oracle provably
@@ -21,6 +21,7 @@ use anosy_logic::{IntExpr, Point, SecretLayout};
 use anosy_serve::{
     ConnId, Denial, DenialCode, Deployment, ServeConfig, ServeRequest, ServeResponse, SessionId,
 };
+use anosy_solver::{Solver, ValidityOutcome};
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -86,10 +87,12 @@ pub fn policy(index: usize) -> PolicySpec {
     [PolicySpec::MinSize(100), PolicySpec::MinSize(30_000), PolicySpec::AllowAll][index % 3].clone()
 }
 
-/// A test deployment pre-warmed with the palette, so no test case ever synthesizes.
+/// A test deployment pre-warmed with the palette, so no test case ever synthesizes. Its pool
+/// runs four workers, so an answer that depended on the pool's width would diverge from the
+/// oracle.
 pub fn warm_deployment() -> Deployment<IntervalDomain> {
     let deployment: Deployment<IntervalDomain> =
-        Deployment::new(layout(), ServeConfig::for_tests());
+        Deployment::new(layout(), ServeConfig::for_tests().with_workers(4));
     for entry in entries() {
         deployment.shared().insert_ready(entry.clone());
     }
@@ -103,9 +106,9 @@ pub fn session_id(conn: u64, k: u64) -> u64 {
 }
 
 /// The specification: one request at a time against plain owned sessions — `downgrade` per
-/// downgrade request, a sequential loop per batch request, and [`Oracle::disconnect`] removing
-/// the sessions a connection opened, at the position the disconnect holds in the request
-/// sequence.
+/// downgrade request, a sequential loop per batch request, a fresh sequential [`Solver`] per
+/// `count`/`valid` request, and [`Oracle::disconnect`] removing the sessions a connection
+/// opened, at the position the disconnect holds in the request sequence.
 pub struct Oracle {
     layout: SecretLayout,
     palette: Vec<SharedCacheEntry<IntervalDomain>>,
@@ -236,9 +239,36 @@ impl Oracle {
                 Some(_) => ServeResponse::SessionClosed { session: *session },
                 None => ServeResponse::Rejected(Denial::unknown_session(*session)),
             },
+            ServeRequest::CountModels { pred } => {
+                match sequential_solver().count_models(pred, &self.layout.space()) {
+                    Ok(models) => ServeResponse::Count { models },
+                    Err(e) => {
+                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
+                    }
+                }
+            }
+            ServeRequest::CheckValidity { pred } => {
+                match sequential_solver().check_validity(pred, &self.layout.space()) {
+                    Ok(outcome) => ServeResponse::Validity {
+                        counterexample: match outcome {
+                            ValidityOutcome::Valid => None,
+                            ValidityOutcome::CounterExample(p) => Some(p),
+                        },
+                    },
+                    Err(e) => {
+                        ServeResponse::Rejected(Denial::new(DenialCode::Internal, e.to_string()))
+                    }
+                }
+            }
             other => panic!("oracle does not model {other:?}"),
         }
     }
+}
+
+/// A fresh sequential solver under the test deployments' solver budget: the oracle's answer to
+/// `count` and `valid`.
+fn sequential_solver() -> Solver {
+    Solver::with_config(ServeConfig::for_tests().solver().clone())
 }
 
 /// A plain owned session with the palette registered — the point-wise sequential reference.

@@ -8,11 +8,11 @@
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, every request is
 //! answered in arrival order exactly as the sequential replay would (proptested in
-//! `proptest_frontend.rs`),
-//! sharded counting reports counterexamples in deterministic chunk order, and session ids
-//! depend only on the opening connection. Every transport runs the same reactor, so their
-//! outputs must be **byte-identical** — a diff here means the *wire format or protocol
-//! semantics changed*; update `smoke.expected` only for deliberate protocol changes.
+//! `proptest_frontend.rs`), `count` and `valid` run as one sequential solver job whose answer
+//! does not depend on the pool's width, and session ids depend only on the opening connection.
+//! Every transport runs the same reactor, so their outputs must be **byte-identical** — a diff
+//! here means the *wire format or protocol semantics changed*; update `smoke.expected` only for
+//! deliberate protocol changes.
 
 #[path = "support/listen.rs"]
 mod listen;
@@ -78,12 +78,13 @@ fn canned_script_round_trips_through_the_binary() {
 
 #[test]
 fn the_same_transcript_rides_a_one_worker_pool() {
-    // The pool width only shards `count`/`valid` work; no answer may change with it.
+    // The pool only runs each `count`/`valid` request as one solver job; no answer, the
+    // `valid` counterexample included, may change with its width.
     let transcript = stdio_transcript("1");
     assert!(transcript.contains(" workers=1 "), "the pool ran one worker:\n{transcript}");
     assert_eq!(
-        masked(&without_counterexample(&transcript), &["workers"]),
-        masked(&without_counterexample(EXPECTED), &["workers"]),
+        masked(&transcript, &["workers"]),
+        masked(EXPECTED, &["workers"]),
         "the one-worker transcript diverged from the two-worker one"
     );
 }
@@ -101,32 +102,6 @@ fn the_powerset_transcript_is_byte_identical() {
              tests/data/powerset.expected"
         );
     }
-}
-
-/// Masks the point of the transcript's one `ok counterexample` answer, after checking that it
-/// refutes the script's `valid pred=x >= 401`. The sharded validity driver returns the first
-/// counterexample in chunk order, and it cuts the space into more chunks the more workers it
-/// has, so the point it finds depends on the worker count.
-fn without_counterexample(transcript: &str) -> String {
-    let mut found = 0;
-    let masked = transcript
-        .lines()
-        .map(|line| match line.split_once(" ok counterexample ") {
-            Some((tag, point)) => {
-                found += 1;
-                let coords: Vec<i64> =
-                    point.split(',').map(|c| c.parse().expect("integer coordinate")).collect();
-                assert!(
-                    matches!(coords[..], [x, y] if (0..=400).contains(&x) && (0..=400).contains(&y)),
-                    "`{point}` is not a layout point refuting x >= 401"
-                );
-                format!("{tag} ok counterexample *\n")
-            }
-            None => format!("{line}\n"),
-        })
-        .collect();
-    assert_eq!(found, 1, "the script checks one invalid predicate:\n{transcript}");
-    masked
 }
 
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`

@@ -86,31 +86,6 @@ impl Solver {
         Solver { config, stats: SolverStats::new(), store: TermStore::new() }
     }
 
-    /// Creates a solver whose term store is a pre-populated snapshot (see
-    /// [`TermStore::snapshot`]).
-    ///
-    /// This is the shard constructor of the parallel solver driver: every worker of a sharded
-    /// search is seeded with a snapshot of one shared store, so the interned ids (and the warmed
-    /// simplify/NNF memo tables) of the predicate under search remain valid in all workers while
-    /// each worker's `(id, box)` memos grow privately, without locks. Merge the shards'
-    /// search effort back with [`Solver::absorb_stats`].
-    pub fn with_store(config: SolverConfig, store: TermStore) -> Self {
-        Solver { config, stats: SolverStats::new(), store }
-    }
-
-    /// A snapshot of the solver's term store, suitable for seeding shard workers via
-    /// [`Solver::with_store`]. Ids interned in this solver before the call stay valid in the
-    /// snapshot.
-    pub fn snapshot_store(&self) -> TermStore {
-        self.store.snapshot()
-    }
-
-    /// Merges the statistics of a shard worker (or any other solver) into this solver's
-    /// counters, so a sharded search reports the same aggregate effort a sequential one would.
-    pub fn absorb_stats(&mut self, other: &SolverStats) {
-        self.stats.absorb(other);
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
@@ -511,32 +486,6 @@ mod tests {
     fn default_and_config_accessors() {
         let solver = Solver::default();
         assert_eq!(solver.config().max_nodes, SolverConfig::new().max_nodes);
-    }
-
-    #[test]
-    fn sharded_counting_over_a_store_snapshot_matches_the_sequential_count() {
-        // The parallel-driver contract, exercised sequentially: intern once, snapshot per shard,
-        // count per chunk with `count_models_id`, sum; the result and the merged stats must
-        // match a single whole-space search's answer.
-        let mut main = Solver::with_config(SolverConfig::for_tests());
-        let space = loc_layout().space();
-        let pred = nearby(200, 200);
-        let id = main.intern_simplified(&pred);
-        let sequential = main.count_models_id(id, &space).unwrap();
-
-        let mut sharded_total = 0u128;
-        let mut merged = SolverStats::new();
-        for chunk in space.split_chunks(4) {
-            let mut worker = Solver::with_store(SolverConfig::for_tests(), main.snapshot_store());
-            sharded_total += worker.count_models_id(id, &chunk).unwrap();
-            merged.absorb(worker.stats());
-        }
-        assert_eq!(sharded_total, sequential);
-        assert_eq!(merged.queries, 4);
-        assert!(merged.nodes_explored > 0);
-        let before = main.stats().nodes_explored;
-        main.absorb_stats(&merged);
-        assert_eq!(main.stats().nodes_explored, before + merged.nodes_explored);
     }
 
     #[test]

@@ -26,14 +26,6 @@ impl SolverStats {
         SolverStats::default()
     }
 
-    /// Merges another statistics block into this one.
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.nodes_explored += other.nodes_explored;
-        self.nodes_pruned += other.nodes_pruned;
-        self.queries += other.queries;
-        self.total_time += other.total_time;
-    }
-
     /// Fraction of explored nodes that were pruned, in `[0, 1]`; `0` when nothing was explored.
     pub fn prune_ratio(&self) -> f64 {
         if self.nodes_explored == 0 {
@@ -60,27 +52,6 @@ impl fmt::Display for SolverStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = SolverStats {
-            nodes_explored: 10,
-            nodes_pruned: 4,
-            queries: 1,
-            total_time: Duration::from_millis(5),
-        };
-        let b = SolverStats {
-            nodes_explored: 20,
-            nodes_pruned: 6,
-            queries: 2,
-            total_time: Duration::from_millis(7),
-        };
-        a.absorb(&b);
-        assert_eq!(a.nodes_explored, 30);
-        assert_eq!(a.nodes_pruned, 10);
-        assert_eq!(a.queries, 3);
-        assert_eq!(a.total_time, Duration::from_millis(12));
-    }
 
     #[test]
     fn prune_ratio_handles_empty() {

@@ -11,7 +11,7 @@
 //! * [`ifc`] — the LIO-style information-flow substrate;
 //! * [`core`] — knowledge tracking, policies and the bounded downgrade (`AnosySession`);
 //! * [`serve`] — the deployment layer: a synthesis cache shared across sessions,
-//!   sharded parallel solver driver, batched downgrades, warm-start persistence, the serving
+//!   pooled `count`/`valid` solver jobs, batched downgrades, warm-start persistence, the serving
 //!   frontend — a sans-IO `Frontend` state machine speaking the typed
 //!   `ServeRequest`/`ServeResponse` protocol (line-codec in `serve::wire`), answered one tick
 //!   at a time — and the event-loop `Server` reactor driving it over a pluggable
