@@ -15,6 +15,12 @@
 //! an interned query allocates nothing. So a repeated batch line, parsed and then served
 //! through the frontend, allocates as often for 64 or 1024 tracked secrets as for one.
 //!
+//! The solver's search state is a box, and a box of up to four dimensions stores its ranges
+//! inline, so narrowing a 2-D box against an interned query allocates nothing. One synthesis of
+//! a powerset ind. set stays within a fixed budget of allocations, most of them the fresh
+//! store's arena and memo tables: the maximal-box search probes without allocating, its model
+//! searches share one stack, and candidate boxes are interned without building a tree.
+//!
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
 
@@ -23,10 +29,11 @@ use anosy_core::{
     SynthesizeInto,
 };
 use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
-use anosy_logic::{IntExpr, Point, SecretLayout};
+use anosy_logic::{IntBox, IntExpr, Point, Range, SecretLayout, TermStore};
 use anosy_serve::wire::{self, NameInterner};
 use anosy_serve::{Deployment, Frontend, ServeConfig, ServeRequest, ServeResponse};
-use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
+use anosy_solver::narrow_box_id;
+use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, SynthConfig, Synthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -407,4 +414,47 @@ fn a_meet_with_exclusions_on_both_sides_allocates_its_two_lists_and_one_stack() 
     let (meet, count) = allocations(|| prior.intersect(ind.indsets().truthy()));
     assert!(meet.size() > 0);
     assert!(count <= 3, "{count} allocations");
+}
+
+/// The cold-register query shape: a Manhattan ball on the 401×401 grid.
+fn diamond(x: i64, y: i64, radius: i64) -> QueryDef {
+    let pred = ((IntExpr::var(0) - x).abs() + (IntExpr::var(1) - y).abs()).le(radius);
+    QueryDef::new(format!("diamond_{x}_{y}_{radius}"), layout(), pred).unwrap()
+}
+
+#[test]
+fn narrowing_a_2d_box_against_an_interned_query_allocates_nothing() {
+    let mut store = TermStore::new();
+    let raw = store.intern_pred(diamond(180, 230, 60).pred());
+    let (query, negated) = (store.simplify(raw), store.negate_simplified(raw));
+    let boxes = [
+        IntBox::new(vec![Range::new(0, 400), Range::new(0, 400)]),
+        IntBox::new(vec![Range::new(150, 260), Range::new(100, 200)]),
+        IntBox::new(vec![Range::new(300, 400), Range::new(0, 50)]),
+    ];
+    for boxed in &boxes {
+        for pred in [query, negated] {
+            let (narrowed, count) = allocations(|| narrow_box_id(&mut store, pred, boxed, 4));
+            assert_eq!(count, 0, "narrowing {boxed} allocated");
+            if let Some(narrowed) = narrowed {
+                assert!(boxed.contains_box(&narrowed));
+            }
+        }
+    }
+}
+
+/// Allocations of one powerset-3 under-approximation synthesis of a radius-60 diamond, by a
+/// fresh synthesizer as a registration makes: 1,313 (16,422 before the search stopped
+/// allocating per probe).
+const SYNTHESIS_BUDGET: usize = 1_500;
+
+#[test]
+fn one_synthesis_stays_within_its_allocation_budget() {
+    let query = diamond(180, 230, 60);
+    let (indsets, count) = allocations(|| {
+        let mut synth = Synthesizer::with_config(SynthConfig::default());
+        synth.synth_powerset(&query, ApproxKind::Under, 3).unwrap()
+    });
+    assert_eq!(indsets.truthy().includes().len(), 3);
+    assert!(count <= SYNTHESIS_BUDGET, "{count} allocations, budget {SYNTHESIS_BUDGET}");
 }

@@ -100,7 +100,7 @@ impl SecretLayout {
 
     /// The full secret space as a box (the `⊤` knowledge of the paper).
     pub fn space(&self) -> IntBox {
-        IntBox::new(self.fields.iter().map(FieldSpec::range).collect())
+        self.fields.iter().map(FieldSpec::range).collect()
     }
 
     /// Total number of possible secrets.

@@ -6,6 +6,7 @@
 
 use crate::{Point, TriBool};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A non-empty closed interval `[lo, hi]` of `i64` values (`lo <= hi`), or the canonical empty
 /// interval.
@@ -272,56 +273,86 @@ impl fmt::Display for Range {
     }
 }
 
+/// Ranges an [`IntBox`] stores inline, without a heap allocation.
+const INLINE: usize = 4;
+
 /// An axis-aligned box: one [`Range`] per secret field.
 ///
 /// This is the search-state representation used by the branch-and-prune solver; the box is empty
 /// as soon as any of its component ranges is empty.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A box of at most four dimensions stores its ranges inline, so building, cloning, narrowing or
+/// bisecting one allocates nothing; every layout the paper evaluates has at most four fields. A
+/// box of more dimensions spills its ranges to a `Vec`. The representation is invisible:
+/// equality, hashing and `Debug` are those of the range slice, exactly as for a `Vec<Range>`.
+#[derive(Clone)]
 pub struct IntBox {
-    dims: Vec<Range>,
+    dims: Dims,
+}
+
+#[derive(Clone)]
+enum Dims {
+    Inline { len: u8, buf: [Range; INLINE] },
+    Spilled(Vec<Range>),
 }
 
 impl IntBox {
     /// Creates a box from per-dimension ranges.
     pub fn new(dims: Vec<Range>) -> Self {
-        IntBox { dims }
+        if dims.len() <= INLINE {
+            dims.into_iter().collect()
+        } else {
+            IntBox { dims: Dims::Spilled(dims) }
+        }
     }
 
     /// Number of dimensions.
     pub fn arity(&self) -> usize {
-        self.dims.len()
+        self.dims().len()
     }
 
     /// Per-dimension ranges.
+    #[inline]
     pub fn dims(&self) -> &[Range] {
-        &self.dims
+        match &self.dims {
+            Dims::Inline { len, buf } => &buf[..usize::from(*len)],
+            Dims::Spilled(dims) => dims,
+        }
+    }
+
+    #[inline]
+    fn dims_mut(&mut self) -> &mut [Range] {
+        match &mut self.dims {
+            Dims::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Dims::Spilled(dims) => dims,
+        }
     }
 
     /// Range for dimension `i`.
     pub fn dim(&self, i: usize) -> Range {
-        self.dims[i]
+        self.dims()[i]
     }
 
     /// Replaces the range of dimension `i`, returning the modified box.
     pub fn with_dim(&self, i: usize, r: Range) -> IntBox {
-        let mut dims = self.dims.clone();
-        dims[i] = r;
-        IntBox { dims }
+        let mut out = self.clone();
+        out.set_dim(i, r);
+        out
     }
 
     /// Replaces the range of dimension `i` in place.
     pub fn set_dim(&mut self, i: usize, r: Range) {
-        self.dims[i] = r;
+        self.dims_mut()[i] = r;
     }
 
     /// Returns `true` if the box is empty (any dimension is empty).
     pub fn is_empty(&self) -> bool {
-        self.dims.iter().any(|r| r.is_empty())
+        self.dims().iter().any(|r| r.is_empty())
     }
 
     /// Returns `true` if the box contains exactly one point.
     pub fn is_singleton(&self) -> bool {
-        !self.is_empty() && self.dims.iter().all(|r| r.is_singleton())
+        !self.is_empty() && self.dims().iter().all(|r| r.is_singleton())
     }
 
     /// Number of points in the box.
@@ -329,12 +360,12 @@ impl IntBox {
         if self.is_empty() {
             return 0;
         }
-        self.dims.iter().map(|r| r.count()).product()
+        self.dims().iter().map(|r| r.count()).product()
     }
 
     /// Returns `true` if `p` lies in the box.
     pub fn contains_point(&self, p: &Point) -> bool {
-        p.arity() == self.arity() && self.dims.iter().zip(p.iter()).all(|(r, v)| r.contains(v))
+        p.arity() == self.arity() && self.dims().iter().zip(p.iter()).all(|(r, v)| r.contains(v))
     }
 
     /// Returns `true` if `other` is fully contained in `self`.
@@ -345,20 +376,24 @@ impl IntBox {
         if self.is_empty() || self.arity() != other.arity() {
             return false;
         }
-        self.dims.iter().zip(other.dims.iter()).all(|(a, b)| a.contains_range(*b))
+        self.dims().iter().zip(other.dims()).all(|(a, b)| a.contains_range(*b))
     }
 
     /// Returns `true` if the two boxes share a point; `!a.intersects(b)` is
     /// `a.intersect(b).is_empty()` without building the intersection.
     pub fn intersects(&self, other: &IntBox) -> bool {
         assert_eq!(self.arity(), other.arity(), "boxes must have equal arity");
-        self.dims.iter().zip(other.dims.iter()).all(|(a, b)| !a.intersect(*b).is_empty())
+        self.dims().iter().zip(other.dims()).all(|(a, b)| !a.intersect(*b).is_empty())
     }
 
     /// Componentwise intersection.
     pub fn intersect(&self, other: &IntBox) -> IntBox {
         assert_eq!(self.arity(), other.arity(), "boxes must have equal arity");
-        IntBox::new(self.dims.iter().zip(other.dims.iter()).map(|(a, b)| a.intersect(*b)).collect())
+        let mut out = self.clone();
+        for (a, b) in out.dims_mut().iter_mut().zip(other.dims()) {
+            *a = a.intersect(*b);
+        }
+        out
     }
 
     /// The lexicographically smallest point of the box, if non-empty.
@@ -366,13 +401,13 @@ impl IntBox {
         if self.is_empty() {
             None
         } else {
-            Some(self.dims.iter().map(|r| r.lo()).collect())
+            Some(self.dims().iter().map(|r| r.lo()).collect())
         }
     }
 
     /// Index of the widest dimension that is not a singleton, if any.
     pub fn widest_splittable_dim(&self) -> Option<usize> {
-        self.dims
+        self.dims()
             .iter()
             .enumerate()
             .filter(|(_, r)| !r.is_empty() && !r.is_singleton())
@@ -383,7 +418,7 @@ impl IntBox {
     /// Splits the box into two along dimension `dim`. Returns `None` if that dimension cannot be
     /// split.
     pub fn bisect(&self, dim: usize) -> Option<(IntBox, IntBox)> {
-        let (a, b) = self.dims[dim].bisect()?;
+        let (a, b) = self.dim(dim).bisect()?;
         Some((self.with_dim(dim, a), self.with_dim(dim, b)))
     }
 
@@ -394,10 +429,54 @@ impl IntBox {
     }
 }
 
+impl PartialEq for IntBox {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims() == other.dims()
+    }
+}
+
+impl Eq for IntBox {}
+
+impl Hash for IntBox {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.dims().hash(state);
+    }
+}
+
+impl fmt::Debug for IntBox {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IntBox").field("dims", &self.dims()).finish()
+    }
+}
+
+/// Collects inline while the ranges fit, so building a box of up to four dimensions from an
+/// iterator allocates nothing.
+impl FromIterator<Range> for IntBox {
+    fn from_iter<T: IntoIterator<Item = Range>>(iter: T) -> Self {
+        let mut iter = iter.into_iter();
+        let mut buf = [Range::empty(); INLINE];
+        for (len, slot) in buf.iter_mut().enumerate() {
+            match iter.next() {
+                Some(r) => *slot = r,
+                None => return IntBox { dims: Dims::Inline { len: len as u8, buf } },
+            }
+        }
+        match iter.next() {
+            None => IntBox { dims: Dims::Inline { len: INLINE as u8, buf } },
+            Some(fifth) => {
+                let mut dims = buf.to_vec();
+                dims.push(fifth);
+                dims.extend(iter);
+                IntBox { dims: Dims::Spilled(dims) }
+            }
+        }
+    }
+}
+
 impl fmt::Display for IntBox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, r) in self.dims.iter().enumerate() {
+        for (i, r) in self.dims().iter().enumerate() {
             if i > 0 {
                 write!(f, " × ")?;
             }
@@ -461,6 +540,7 @@ impl Iterator for BoxPoints {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn range_basic_arithmetic() {
@@ -599,5 +679,109 @@ mod tests {
         assert_eq!(Range::empty().to_string(), "∅");
         let b = IntBox::new(vec![Range::new(0, 1), Range::new(2, 3)]);
         assert_eq!(b.to_string(), "{[0, 1] × [2, 3]}");
+    }
+
+    fn is_inline(boxed: &IntBox) -> bool {
+        matches!(boxed.dims, Dims::Inline { .. })
+    }
+
+    /// The `Display` form of the `Vec<Range>` a box used to hold.
+    fn vec_display(dims: &[Range]) -> String {
+        let ranges: Vec<String> = dims.iter().map(Range::to_string).collect();
+        format!("{{{}}}", ranges.join(" × "))
+    }
+
+    fn ranges(arity: usize) -> Vec<Range> {
+        (0..arity as i64).map(|i| Range::new(10 * i - 7, 10 * i + i * i)).collect()
+    }
+
+    #[test]
+    fn up_to_four_dimensions_stay_inline_and_a_fifth_spills() {
+        for arity in [0usize, 1, 4, 5] {
+            let dims = ranges(arity);
+            let built: [IntBox; 2] = [IntBox::new(dims.clone()), dims.iter().copied().collect()];
+            for boxed in &built {
+                assert_eq!(is_inline(boxed), arity <= INLINE, "arity {arity}");
+                assert_eq!(boxed.arity(), arity);
+                assert_eq!(boxed.dims(), dims.as_slice());
+                assert_eq!(format!("{boxed:?}"), format!("IntBox {{ dims: {dims:?} }}"));
+                assert_eq!(boxed.to_string(), vec_display(&dims));
+                assert_eq!(boxed.count(), dims.iter().map(|r| r.count()).product::<u128>());
+                if arity > 0 {
+                    assert_eq!(boxed.dim(arity - 1), dims[arity - 1]);
+                }
+            }
+            assert_eq!(built[0], built[1]);
+        }
+        assert_eq!(IntBox::new(Vec::new()).to_string(), "{}");
+    }
+
+    #[test]
+    fn edits_keep_the_storage_form_across_the_inline_boundary() {
+        for arity in [1usize, 3, 4, 5, 6] {
+            let dims = ranges(arity);
+            let boxed = IntBox::new(dims.clone());
+            let last = arity - 1;
+            let r = Range::new(-3, 3);
+
+            let mut expected = dims.clone();
+            expected[last] = r;
+            let edited = boxed.with_dim(last, r);
+            assert_eq!(edited.dims(), expected.as_slice());
+            assert_eq!(is_inline(&edited), arity <= INLINE);
+            let mut in_place = boxed.clone();
+            in_place.set_dim(last, r);
+            assert_eq!(in_place, edited);
+            assert_eq!(is_inline(&in_place), arity <= INLINE);
+            assert_eq!(boxed.dims(), dims.as_slice(), "with_dim leaves the original alone");
+
+            let (left, right) = boxed.bisect(last).expect("every range here is splittable");
+            let (l, h) = dims[last].bisect().unwrap();
+            assert_eq!(left, boxed.with_dim(last, l));
+            assert_eq!(right, boxed.with_dim(last, h));
+            assert_eq!(is_inline(&left) && is_inline(&right), arity <= INLINE);
+            assert_eq!(left.count() + right.count(), boxed.count());
+
+            let meet = boxed.intersect(&edited);
+            let want: Vec<Range> =
+                dims.iter().zip(&expected).map(|(a, b)| a.intersect(*b)).collect();
+            assert_eq!(meet.dims(), want.as_slice());
+            assert_eq!(is_inline(&meet), arity <= INLINE);
+        }
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Ranges over tiny bounds, empty ones included, so equal boxes are common.
+    fn arb_range() -> impl Strategy<Value = Range> {
+        (-2i64..=2, 0i64..=2, 0u8..6).prop_map(|(lo, width, e)| {
+            if e == 0 {
+                Range::empty()
+            } else {
+                Range::new(lo, lo + width)
+            }
+        })
+    }
+
+    fn arb_dims() -> impl Strategy<Value = Vec<Range>> {
+        proptest::collection::vec(arb_range(), 0..7)
+    }
+
+    proptest! {
+        #[test]
+        fn eq_hash_debug_and_display_agree_with_the_range_vec(a in arb_dims(), b in arb_dims()) {
+            let (p, q) = (IntBox::new(a.clone()), IntBox::new(b.clone()));
+            prop_assert_eq!(&p, &a.iter().copied().collect::<IntBox>());
+            prop_assert_eq!(p == q, a == b);
+            prop_assert_eq!(hash_of(&p), hash_of(&a));
+            prop_assert_eq!(hash_of(&p), hash_of(a.as_slice()));
+            prop_assert_eq!(format!("{p:?}"), format!("IntBox {{ dims: {a:?} }}"));
+            prop_assert_eq!(p.to_string(), vec_display(&a));
+            prop_assert_eq!(p.is_empty(), a.iter().any(|r| r.is_empty()));
+        }
     }
 }

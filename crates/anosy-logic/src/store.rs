@@ -600,6 +600,25 @@ impl TermStore {
         }
     }
 
+    /// Interns the predicate of a box, `∧ᵢ (xᵢ >= loᵢ ∧ xᵢ <= hiᵢ)` (`false` for an empty box),
+    /// without building its tree. It interns the same nodes in the same order as
+    /// [`TermStore::intern_pred`] on the tree of that predicate (the shape an interval domain's
+    /// `to_pred` gives), so it returns the same id and leaves the store in the same state.
+    pub fn intern_box(&mut self, boxed: &IntBox) -> PredId {
+        if boxed.is_empty() {
+            return self.mk_false();
+        }
+        let mut fields = Vec::with_capacity(boxed.arity());
+        for (i, r) in boxed.dims().iter().enumerate() {
+            let (var, lo) = (self.mk_var(i), self.mk_const(r.lo()));
+            let above = self.mk_cmp(CmpOp::Ge, var, lo);
+            let (var, hi) = (self.mk_var(i), self.mk_const(r.hi()));
+            let below = self.mk_cmp(CmpOp::Le, var, hi);
+            fields.push(self.mk_and(vec![above, below]));
+        }
+        self.mk_and(fields)
+    }
+
     /// Reconstructs the expression tree behind an id (for display and tree-only consumers).
     pub fn expr_to_tree(&self, id: ExprId) -> IntExpr {
         match self.expr_node(id).clone() {
@@ -1445,5 +1464,42 @@ mod tests {
         assert_send_sync::<Pred>();
         assert_send_sync::<IntExpr>();
         assert_send_sync::<IntBox>();
+    }
+
+    /// The tree an interval domain's `to_pred` builds for a box.
+    fn box_tree(boxed: &IntBox) -> Pred {
+        if boxed.is_empty() {
+            return Pred::False;
+        }
+        Pred::and(
+            boxed
+                .dims()
+                .iter()
+                .enumerate()
+                .map(|(i, r)| IntExpr::var(i).between(r.lo(), r.hi()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn interning_a_box_matches_interning_its_tree_id_for_id() {
+        let boxes = [
+            IntBox::new(vec![Range::new(150, 250), Range::new(150, 250)]),
+            IntBox::new(vec![Range::new(0, 400), Range::singleton(7)]),
+            IntBox::new(vec![Range::new(-3, 3); 5]),
+            IntBox::new(vec![Range::new(1, 2), Range::empty()]),
+        ];
+        let (mut direct, mut via_tree) = (TermStore::new(), TermStore::new());
+        // Some nodes of the boxes already exist, others are fresh, in both stores alike.
+        for store in [&mut direct, &mut via_tree] {
+            store.intern_pred(&nearby(200, 200));
+        }
+        for boxed in boxes.iter().chain(&boxes) {
+            let id = direct.intern_box(boxed);
+            assert_eq!(id, via_tree.intern_pred(&box_tree(boxed)), "{boxed}");
+            assert_eq!(direct.pred_to_tree(id), box_tree(boxed));
+            assert_eq!(direct.pred_count(), via_tree.pred_count());
+            assert_eq!(direct.expr_count(), via_tree.expr_count());
+        }
     }
 }

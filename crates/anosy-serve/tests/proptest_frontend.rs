@@ -198,10 +198,13 @@ fn check_script(script: &[Op]) -> Result<(), TestCaseError> {
     // Oracle: the same requests, one at a time, in the same submission order.
     let mut oracle = Oracle::new();
     let mut oracle_responses = Vec::new();
+    // The script index of the op behind each response: ticks and disconnects answer nothing.
+    let mut answered_by = Vec::new();
 
-    for op in script {
+    for (index, op) in script.iter().enumerate() {
         match (op, to_request(op)) {
             (_, Some((conn, request))) => {
+                answered_by.push(index);
                 oracle_responses.push(oracle.apply(conn, &request));
                 frontend.submit(conn, request);
             }
@@ -219,7 +222,8 @@ fn check_script(script: &[Op]) -> Result<(), TestCaseError> {
 
     prop_assert_eq!(frontend_responses.len(), oracle_responses.len());
     for (index, (got, want)) in frontend_responses.iter().zip(&oracle_responses).enumerate() {
-        prop_assert_eq!(got, want, "response {} diverges for {:?}", index, script.get(index));
+        let op = answered_by[index];
+        prop_assert_eq!(got, want, "response {} diverges for op {} {:?}", index, op, script[op]);
     }
     // Disconnect teardown leaks nothing: frontend and oracle agree on what is still open,
     // and the deployment's opened/closed ledger balances against it.

@@ -62,7 +62,7 @@ mod validity;
 pub use config::SolverConfig;
 pub use error::SolverError;
 pub use maximal::ExpansionStrategy;
-pub use propagate::propagate as narrow_box;
+pub use propagate::{propagate as narrow_box, propagate_id as narrow_box_id};
 pub use solver::Solver;
 pub use stats::SolverStats;
 pub use validity::ValidityOutcome;

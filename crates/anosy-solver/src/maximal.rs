@@ -7,11 +7,23 @@
 //! is first inflated **uniformly** in every direction (binary search on the inflation radius), so
 //! widths stay balanced, and then each face is pushed individually until the box is
 //! inclusion-maximal — no face can be extended further without including a non-model.
+//!
+//! Both searches are exponential probing followed by binary search, and both are
+//! counterexample-guided. A face probe searches only the part of its slab beyond the largest step
+//! already known to be model-free, never the prefix again. A probe that fails finds a non-model,
+//! and that point's distance from the face (for uniform inflation, its Chebyshev distance from
+//! the box) becomes the infeasible bound of the binary search, often well below the probe. The
+//! feasible steps of a face form a prefix, so the search answers the same whatever probes it
+//! takes. The test-only `maximal/reference.rs` probes whole slabs and keeps only feasibility; a
+//! differential proptest checks that both searches grow the same box.
 
 use crate::sat;
 use crate::solver::SearchCtx;
 use crate::SolverError;
 use anosy_logic::{IntBox, Point, PredId, Range};
+
+#[cfg(test)]
+mod reference;
 
 /// How [`crate::Solver::maximal_true_box`] grows the box around the seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,7 +58,7 @@ pub(crate) fn maximal_true_box(
     }
     // Memoized in the store: growing many boxes for the same query negates the query once.
     let negated = ctx.store.negate_simplified(pred);
-    let mut current = IntBox::new(seed.iter().map(Range::singleton).collect());
+    let mut current: IntBox = seed.iter().map(Range::singleton).collect();
 
     if strategy == ExpansionStrategy::Pareto {
         current = inflate_uniformly(ctx, negated, space, &current)?;
@@ -77,12 +89,17 @@ pub(crate) fn maximal_true_box(
     Ok(Some(current))
 }
 
-fn faces(arity: usize) -> Vec<Face> {
-    (0..arity).flat_map(|d| [Face::Upper(d), Face::Lower(d)]).collect()
+/// The faces of a box of `arity` dimensions, upper then lower per dimension.
+fn faces(arity: usize) -> impl Iterator<Item = Face> {
+    (0..arity).flat_map(|d| [Face::Upper(d), Face::Lower(d)])
 }
 
 /// Binary-searches the largest uniform inflation radius `r` such that the box obtained by moving
 /// every face outward by `min(r, distance to the space boundary)` contains only models.
+///
+/// A radius `r` is feasible exactly when no non-model lies within Chebyshev distance `r` of
+/// `current` (a point of the space at that distance lies in every box inflated by `r` or more).
+/// So a failed probe's non-model bounds the search: every radius from its distance up fails too.
 fn inflate_uniformly(
     ctx: &mut SearchCtx<'_>,
     negated: PredId,
@@ -90,7 +107,6 @@ fn inflate_uniformly(
     current: &IntBox,
 ) -> Result<IntBox, SolverError> {
     let max_radius = faces(space.arity())
-        .into_iter()
         .map(|f| available(f, current, face_limit(f, space)))
         .max()
         .unwrap_or(0);
@@ -107,34 +123,49 @@ fn inflate_uniformly(
         }
         b
     };
-    let feasible = |ctx: &mut SearchCtx<'_>, r: u128| -> Result<bool, SolverError> {
-        Ok(sat::find_model(ctx, negated, &inflated(r))?.is_none())
+    // The radius of a non-model in the box inflated by `r`, if there is one.
+    let counterexample = |ctx: &mut SearchCtx<'_>, r: u128| -> Result<Option<u128>, SolverError> {
+        let found = sat::find_model(ctx, negated, &inflated(r))?;
+        Ok(found.map(|p| chebyshev_distance(current, &p)))
     };
     // Exponential probe for the first infeasible radius, then binary search.
     let mut lo: u128 = 0;
     let mut probe: u128 = 1;
-    let hi = loop {
+    let mut hi = loop {
         let r = probe.min(max_radius);
-        if feasible(ctx, r)? {
-            lo = r;
-            if r == max_radius {
-                return Ok(inflated(lo));
+        match counterexample(ctx, r)? {
+            None => {
+                lo = r;
+                if r == max_radius {
+                    return Ok(inflated(lo));
+                }
+                probe = probe.saturating_mul(2);
             }
-            probe = probe.saturating_mul(2);
-        } else {
-            break r;
+            Some(distance) => break distance,
         }
     };
-    let mut hi = hi;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if feasible(ctx, mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
+        match counterexample(ctx, mid)? {
+            None => lo = mid,
+            Some(distance) => hi = distance,
         }
     }
     Ok(inflated(lo))
+}
+
+/// How far `p` lies outside `current`: the largest per-dimension distance (0 inside the box).
+fn chebyshev_distance(current: &IntBox, p: &Point) -> u128 {
+    current
+        .dims()
+        .iter()
+        .zip(p.iter())
+        .map(|(r, v)| {
+            let (v, lo, hi) = (v as i128, r.lo() as i128, r.hi() as i128);
+            (lo - v).max(v - hi).max(0) as u128
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// The coordinate limit of a face inside the global space.
@@ -168,24 +199,37 @@ fn extend(current: &IntBox, face: Face, step: u128) -> IntBox {
     }
 }
 
-/// The slab of new points gained by extending a face by `step`.
-fn slab(current: &IntBox, face: Face, step: u128) -> IntBox {
-    let step = step as i64;
+/// The points gained by extending a face by more than `from` and at most `to` units: the slab
+/// between the two extended positions of the face (`from < to`).
+fn slab(current: &IntBox, face: Face, from: u128, to: u128) -> IntBox {
+    let (from, to) = (from as i64, to as i64);
     match face {
         Face::Upper(d) => {
             let r = current.dim(d);
-            current.with_dim(d, Range::new(r.hi() + 1, r.hi() + step))
+            current.with_dim(d, Range::new(r.hi() + from + 1, r.hi() + to))
         }
         Face::Lower(d) => {
             let r = current.dim(d);
-            current.with_dim(d, Range::new(r.lo() - step, r.lo() - 1))
+            current.with_dim(d, Range::new(r.lo() - to, r.lo() - from - 1))
         }
+    }
+}
+
+/// How far beyond `face` of `current` the point `p` lies, along the face's dimension.
+fn face_distance(current: &IntBox, face: Face, p: &Point) -> u128 {
+    match face {
+        Face::Upper(d) => (p[d] as i128 - current.dim(d).hi() as i128) as u128,
+        Face::Lower(d) => (current.dim(d).lo() as i128 - p[d] as i128) as u128,
     }
 }
 
 /// Largest `s <= max_step` such that every point of the slab gained by moving `face` out by `s`
 /// satisfies the query (i.e. the negated query has no model there). Uses exponential probing
-/// followed by binary search, so it needs `O(log max_step)` validity checks.
+/// followed by binary search, so it needs `O(log max_step)` searches.
+///
+/// Each probe searches only the part of its slab beyond the largest step known to be feasible,
+/// since the part up to there is known to be model-free. A probe that finds a non-model sets the
+/// infeasible bound to that point's distance from the face, which may be well below the probe.
 fn largest_feasible_step(
     ctx: &mut SearchCtx<'_>,
     negated: PredId,
@@ -196,32 +240,32 @@ fn largest_feasible_step(
     if max_step == 0 {
         return Ok(0);
     }
-    let feasible = |ctx: &mut SearchCtx<'_>, s: u128| -> Result<bool, SolverError> {
-        let slab = slab(current, face, s);
-        // The slab is model-free for the *negated* query iff every point satisfies the query.
-        Ok(sat::find_model(ctx, negated, &slab)?.is_none())
-    };
+    // The distance of a non-model lying more than `from` and at most `to` beyond the face.
+    let counterexample =
+        |ctx: &mut SearchCtx<'_>, from: u128, to: u128| -> Result<Option<u128>, SolverError> {
+            let found = sat::find_model(ctx, negated, &slab(current, face, from, to))?;
+            Ok(found.map(|p| face_distance(current, face, &p)))
+        };
     let mut lo: u128 = 0; // largest known-feasible step
     let mut probe: u128 = 1;
-    let hi = loop {
+    let mut hi = loop {
         let s = probe.min(max_step);
-        if feasible(ctx, s)? {
-            lo = s;
-            if s == max_step {
-                return Ok(lo);
+        match counterexample(ctx, lo, s)? {
+            None => {
+                lo = s;
+                if s == max_step {
+                    return Ok(lo);
+                }
+                probe = probe.saturating_mul(2);
             }
-            probe = probe.saturating_mul(2);
-        } else {
-            break s;
+            Some(distance) => break distance,
         }
     };
-    let mut hi = hi;
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        if feasible(ctx, mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
+        match counterexample(ctx, lo, mid)? {
+            None => lo = mid,
+            Some(distance) => hi = distance,
         }
     }
     Ok(lo)
@@ -241,7 +285,7 @@ pub(crate) fn is_inclusion_maximal(
         if available(face, candidate, limit) == 0 {
             continue;
         }
-        let slab = slab(candidate, face, 1);
+        let slab = slab(candidate, face, 0, 1);
         if sat::find_model(ctx, negated, &slab)?.is_none() {
             return Ok(false);
         }
@@ -254,6 +298,7 @@ mod tests {
     use super::*;
     use crate::{Solver, SolverConfig};
     use anosy_logic::{IntExpr, Pred, SecretLayout};
+    use proptest::prelude::*;
 
     fn solver() -> Solver {
         Solver::with_config(SolverConfig::for_tests())
@@ -420,5 +465,101 @@ mod tests {
     #[test]
     fn default_strategy_is_pareto() {
         assert_eq!(ExpansionStrategy::default(), ExpansionStrategy::Pareto);
+    }
+
+    /// A random query over a small grid: a diamond (possibly clipped by the grid), a union of
+    /// boxes, or either refined by excluding boxes, as the powerset synthesis refines its
+    /// targets.
+    #[derive(Debug)]
+    struct Case {
+        space: IntBox,
+        pred: Pred,
+        seed: Point,
+        strategy: ExpansionStrategy,
+    }
+
+    fn pick(rng: &mut TestRng, lo: i64, hi: i64) -> i64 {
+        lo + rng.below((hi - lo + 1) as u64) as i64
+    }
+
+    fn random_box(rng: &mut TestRng, space: &IntBox) -> Pred {
+        Pred::and(
+            space
+                .dims()
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let (a, b) = (pick(rng, r.lo(), r.hi()), pick(rng, r.lo(), r.hi()));
+                    IntExpr::var(i).between(a.min(b), a.max(b))
+                })
+                .collect(),
+        )
+    }
+
+    fn random_case(rng: &mut TestRng) -> Case {
+        let arity = if rng.below(4) == 0 { 3 } else { 2 };
+        let side = if arity == 2 { pick(rng, 40, 160) } else { pick(rng, 12, 30) };
+        let space = IntBox::new(vec![Range::new(0, side); arity]);
+        let base = match rng.below(2) {
+            0 => {
+                let distance = (0..arity)
+                    .map(|i| (IntExpr::var(i) - pick(rng, -side / 4, side + side / 4)).abs())
+                    .reduce(|a, b| a + b)
+                    .expect("arity is positive");
+                distance.le(pick(rng, 0, side))
+            }
+            _ => Pred::or((0..pick(rng, 1, 4)).map(|_| random_box(rng, &space)).collect()),
+        };
+        let pred = match rng.below(3) {
+            0 => base,
+            _ => {
+                let holes = (0..pick(rng, 1, 3)).map(|_| random_box(rng, &space).negate());
+                Pred::and(std::iter::once(base).chain(holes).collect())
+            }
+        };
+        // Mostly seeds that are models (random points first, then the solver's model), now and
+        // then a random point that need not be one.
+        let mut seed: Point = space.dims().iter().map(|r| pick(rng, r.lo(), r.hi())).collect();
+        for _ in 0..8 {
+            if pred.eval(&seed).unwrap() || rng.below(10) == 0 {
+                break;
+            }
+            seed = space.dims().iter().map(|r| pick(rng, r.lo(), r.hi())).collect();
+        }
+        if !pred.eval(&seed).unwrap() && rng.below(4) != 0 {
+            if let Some(model) = solver().find_model(&pred, &space).unwrap() {
+                seed = model;
+            }
+        }
+        let strategy =
+            if rng.below(2) == 0 { ExpansionStrategy::Pareto } else { ExpansionStrategy::Greedy };
+        Case { space, pred, seed, strategy }
+    }
+
+    /// The box the verbatim exponential-then-binary search grows.
+    fn reference_box(case: &Case) -> Option<IntBox> {
+        let mut s = solver();
+        let id = s.store_mut().intern_pred(&case.pred);
+        s.run_id(id, &case.space, |ctx, p, space| {
+            reference::maximal_true_box(ctx, p, space, &case.seed, case.strategy)
+        })
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn counterexample_guided_search_grows_the_reference_box(
+            case in proptest::strategy::from_fn(random_case),
+        ) {
+            let mut s = solver();
+            let grown =
+                s.maximal_true_box(&case.pred, &case.space, &case.seed, case.strategy).unwrap();
+            prop_assert_eq!(&grown, &reference_box(&case), "{:?}", case);
+            if let Some(boxed) = grown {
+                prop_assert!(s.is_inclusion_maximal(&case.pred, &case.space, &boxed).unwrap());
+            }
+        }
     }
 }

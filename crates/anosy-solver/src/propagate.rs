@@ -28,8 +28,12 @@ pub fn propagate(pred: &Pred, boxed: &IntBox, rounds: usize) -> Option<IntBox> {
     propagate_id(&mut store, id, boxed, rounds)
 }
 
-/// Id-based narrowing over a shared store: the form every solver search uses.
-pub(crate) fn propagate_id(
+/// Id-based narrowing over a shared store: the form every solver search uses (exported as
+/// [`crate::narrow_box_id`]).
+///
+/// Returns `None` when the box provably contains no model of `pred`. Narrowing a box of up to
+/// four dimensions allocates nothing beyond the store's memo entries for deep terms.
+pub fn propagate_id(
     store: &mut TermStore,
     pred: PredId,
     boxed: &IntBox,
@@ -55,7 +59,7 @@ pub(crate) fn propagate_id(
 
 /// Componentwise hull of two boxes of equal arity.
 fn box_hull(a: &IntBox, b: &IntBox) -> IntBox {
-    IntBox::new(a.dims().iter().zip(b.dims().iter()).map(|(x, y)| x.hull(*y)).collect())
+    a.dims().iter().zip(b.dims()).map(|(x, y)| x.hull(*y)).collect()
 }
 
 fn narrow_pred(store: &mut TermStore, pred: PredId, boxed: &IntBox) -> Option<IntBox> {

@@ -6,6 +6,9 @@ use crate::SolverError;
 use anosy_logic::{IntBox, Point, PredId, TriBool};
 
 /// Finds a model of `pred` inside `space`, or proves there is none.
+///
+/// The search stack lives in the context, so the many searches of one query (the
+/// probes of a maximal-box search) share one allocation.
 pub(crate) fn find_model(
     ctx: &mut SearchCtx<'_>,
     pred: PredId,
@@ -14,7 +17,19 @@ pub(crate) fn find_model(
     if space.is_empty() {
         return Ok(None);
     }
-    let mut stack = vec![space.clone()];
+    let mut stack = std::mem::take(&mut ctx.stack);
+    stack.clear();
+    stack.push(space.clone());
+    let found = search(ctx, pred, &mut stack);
+    ctx.stack = stack;
+    found
+}
+
+fn search(
+    ctx: &mut SearchCtx<'_>,
+    pred: PredId,
+    stack: &mut Vec<IntBox>,
+) -> Result<Option<Point>, SolverError> {
     while let Some(current) = stack.pop() {
         ctx.tick()?;
         let narrowed = match propagate_id(ctx.store, pred, &current, ctx.propagation_rounds()) {

@@ -18,6 +18,8 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) nodes: u64,
     pub(crate) pruned: u64,
     pub(crate) store: &'a mut TermStore,
+    /// The stack the model searches of one query share (see [`sat::find_model`]).
+    pub(crate) stack: Vec<IntBox>,
 }
 
 impl<'a> SearchCtx<'a> {
@@ -28,6 +30,7 @@ impl<'a> SearchCtx<'a> {
             nodes: 0,
             pruned: 0,
             store,
+            stack: Vec::new(),
         }
     }
 
@@ -127,7 +130,7 @@ impl Solver {
         self.store.reset_stats();
     }
 
-    fn run_id<T>(
+    pub(crate) fn run_id<T>(
         &mut self,
         pred: PredId,
         space: &IntBox,
@@ -346,16 +349,16 @@ impl Solver {
         pred: PredId,
         space: &IntBox,
     ) -> Result<Option<IntBox>, SolverError> {
-        let mut dims = Vec::with_capacity(space.arity());
+        let mut bounds = space.clone();
         for var in 0..space.arity() {
             let lo = self.minimize_id(pred, space, var)?;
             let hi = self.maximize_id(pred, space, var)?;
             match (lo, hi) {
-                (Some(lo), Some(hi)) => dims.push(Range::new(lo, hi)),
+                (Some(lo), Some(hi)) => bounds.set_dim(var, Range::new(lo, hi)),
                 _ => return Ok(None),
             }
         }
-        Ok(Some(IntBox::new(dims)))
+        Ok(Some(bounds))
     }
 
     /// Returns `true` if `candidate` is an all-models box of `pred` that cannot be extended by

@@ -171,9 +171,9 @@ impl Synthesizer {
 
     /// Interns a synthesized member box and conjoins its negation onto the running refinement
     /// predicate, entirely inside the store (no tree building).
-    fn refine_with_member(&mut self, refined: PredId, member: &IntervalDomain) -> (PredId, PredId) {
+    fn refine_with_member(&mut self, refined: PredId, member: &IntBox) -> (PredId, PredId) {
         let store = self.solver.store_mut();
-        let member_id = store.intern_pred(&member.to_pred());
+        let member_id = store.intern_box(member);
         let not_member = store.mk_not(member_id);
         let next = store.mk_and(vec![refined, not_member]);
         (member_id, next)
@@ -196,8 +196,7 @@ impl Synthesizer {
             let Some(boxed) = self.best_true_box(target, space)? else {
                 break; // region exhausted: the powerset is already exact
             };
-            let member = IntervalDomain::from_box(&boxed);
-            let (member_id, refined) = self.refine_with_member(remaining, &member);
+            let (member_id, refined) = self.refine_with_member(remaining, &boxed);
             if !members.insert(member_id) {
                 // A member can only recur if the solver failed to respect the exclusion; an id
                 // check catches it in O(1) and stops the enumeration from spinning.
@@ -205,7 +204,7 @@ impl Synthesizer {
                 break;
             }
             remaining = refined;
-            powerset.push_include(member);
+            powerset.push_include(IntervalDomain::from_box(&boxed));
         }
         Ok(powerset)
     }
@@ -222,13 +221,12 @@ impl Synthesizer {
         let Some(outer) = self.solver.bounding_true_box_id(pred, space)? else {
             return Ok(PowersetDomain::bottom(layout));
         };
-        let outer_domain = IntervalDomain::from_box(&outer);
-        let mut powerset = PowersetDomain::from_interval(outer_domain.clone());
+        let mut powerset = PowersetDomain::from_interval(IntervalDomain::from_box(&outer));
         // The region that may still be carved away: inside the bounding box, outside the models,
         // not yet excluded.
         let mut carvable = {
             let store = self.solver.store_mut();
-            let outer_id = store.intern_pred(&outer_domain.to_pred());
+            let outer_id = store.intern_box(&outer);
             let not_pred = store.mk_not(pred);
             store.mk_and(vec![outer_id, not_pred])
         };
@@ -238,14 +236,13 @@ impl Synthesizer {
             let Some(boxed) = self.best_true_box(target, &outer)? else {
                 break; // nothing left to carve: the over-approximation is as tight as this shape allows
             };
-            let member = IntervalDomain::from_box(&boxed);
-            let (member_id, refined) = self.refine_with_member(carvable, &member);
+            let (member_id, refined) = self.refine_with_member(carvable, &boxed);
             if !members.insert(member_id) {
                 self.stats.duplicate_candidates += 1;
                 break;
             }
             carvable = refined;
-            powerset.push_exclude(member);
+            powerset.push_exclude(IntervalDomain::from_box(&boxed));
         }
         Ok(powerset)
     }
@@ -258,28 +255,29 @@ impl Synthesizer {
     /// benchmarks' this is the best starting point), falling back to an arbitrary model;
     /// subsequent seeds are models outside everything grown so far, which is what lets point-wise
     /// (disjoint-union) queries profit from several seeds.
+    ///
+    /// The bounding box is `None` exactly when `pred` has no model, so it also answers whether
+    /// there is a box to grow at all. The solver is asked for the fallback model only when the
+    /// centre is not a model.
     fn best_true_box(
         &mut self,
         pred: PredId,
         space: &IntBox,
     ) -> Result<Option<IntBox>, SynthError> {
-        let Some(fallback_seed) = self.solver.find_model_id(pred, space)? else {
+        let Some(bounds) = self.solver.bounding_true_box_id(pred, space)? else {
             return Ok(None);
         };
-        let first_seed = match self.solver.bounding_true_box_id(pred, space)? {
-            Some(bb) => {
-                let center: Point = bb
-                    .dims()
-                    .iter()
-                    .map(|r| r.lo() + ((r.hi() as i128 - r.lo() as i128) / 2) as i64)
-                    .collect();
-                if self.solver.store().eval_pred(pred, &center).unwrap_or(false) {
-                    center
-                } else {
-                    fallback_seed
-                }
-            }
-            None => fallback_seed,
+        let center: Point = bounds
+            .dims()
+            .iter()
+            .map(|r| r.lo() + ((r.hi() as i128 - r.lo() as i128) / 2) as i64)
+            .collect();
+        let first_seed = if self.solver.store().eval_pred(pred, &center).unwrap_or(false) {
+            center
+        } else {
+            self.solver
+                .find_model_id(pred, space)?
+                .expect("a predicate with a bounding box has a model")
         };
         let mut best: Option<IntBox> = None;
         // Ids of the candidate boxes grown so far; doubles as the coverage set for seed
@@ -294,8 +292,7 @@ impl Synthesizer {
             let grown =
                 self.solver.maximal_true_box_id(pred, space, &seed, self.config.strategy)?;
             if let Some(boxed) = grown {
-                let boxed_pred = IntervalDomain::from_box(&boxed).to_pred();
-                let candidate_id = self.solver.store_mut().intern_pred(&boxed_pred);
+                let candidate_id = self.solver.store_mut().intern_box(&boxed);
                 self.stats.candidate_boxes += 1;
                 if !covered.contains(&candidate_id) {
                     covered.push(candidate_id);
@@ -530,5 +527,20 @@ mod tests {
         let _ = synth.synth_interval(&nearby_query(), ApproxKind::Under).unwrap();
         let after_second = synth.store_stats().preds_interned;
         assert_eq!(after_second, after_first, "re-synthesis interned new predicates");
+    }
+
+    #[test]
+    fn candidate_boxes_intern_as_their_interval_domain_predicates() {
+        use anosy_logic::Range;
+        let mut solver = Solver::new();
+        let store = solver.store_mut();
+        for boxed in [
+            IntBox::new(vec![Range::new(150, 250), Range::new(150, 250)]),
+            IntBox::new(vec![Range::new(0, 400), Range::singleton(9)]),
+            IntBox::new(vec![Range::empty(), Range::new(0, 4)]),
+        ] {
+            let id = store.intern_box(&boxed);
+            assert_eq!(id, store.intern_pred(&IntervalDomain::from_box(&boxed).to_pred()));
+        }
     }
 }
