@@ -15,8 +15,8 @@ pub enum AnosyError {
         /// The requested query name.
         name: String,
     },
-    /// Performing the query would violate the quantitative policy on at least one of the two
-    /// possible posteriors, so the query was **not** executed.
+    /// Performing a boolean query would violate the quantitative policy on at least one of the
+    /// two possible posteriors, so the query was **not** executed.
     PolicyViolation {
         /// The query that was refused.
         query: String,
@@ -26,6 +26,18 @@ pub enum AnosyError {
         posterior_true_size: u128,
         /// Size of the posterior for the `false` answer.
         posterior_false_size: u128,
+    },
+    /// Performing a query of more than two outputs would violate the quantitative policy on the
+    /// posterior of at least one output, so the query was **not** executed.
+    OutputViolation {
+        /// The query that was refused.
+        query: String,
+        /// The name of the policy that refused it.
+        policy: String,
+        /// The first output, in output order, whose posterior violates the policy.
+        output: usize,
+        /// Size of that output's posterior.
+        posterior_size: u128,
     },
     /// The query's ind. sets approximate in a direction the policy cannot decide on soundly
     /// (see [`crate::Policy::sound_for`]), so the downgrade was refused before any posterior
@@ -70,18 +82,26 @@ pub enum Refusal {
     /// The policy cannot decide soundly on ind. sets of this direction
     /// ([`AnosyError::UnsoundApproximation`]).
     Unsound(ApproxKind),
-    /// A posterior violates the policy ([`AnosyError::PolicyViolation`]).
+    /// A posterior of a boolean query violates the policy ([`AnosyError::PolicyViolation`]).
     Policy {
         /// Size of the posterior for the `true` answer.
         true_size: u128,
         /// Size of the posterior for the `false` answer.
         false_size: u128,
     },
+    /// A posterior of a query of more than two outputs violates the policy
+    /// ([`AnosyError::OutputViolation`]).
+    OutputPolicy {
+        /// The first output, in output order, whose posterior violates the policy.
+        output: usize,
+        /// Size of that output's posterior.
+        size: u128,
+    },
 }
 
 impl Refusal {
     /// The [`AnosyError`] this refusal of a downgrade through `query` spells out as. `policy`
-    /// names the refusing policy; only a policy refusal asks for the name.
+    /// names the refusing policy; only the two policy refusals ask for the name.
     pub fn into_error(self, query: &str, policy: impl FnOnce() -> String) -> AnosyError {
         match self {
             Refusal::OutsideLayout => AnosyError::SecretOutsideLayout,
@@ -91,6 +111,12 @@ impl Refusal {
                 policy: policy(),
                 posterior_true_size: true_size,
                 posterior_false_size: false_size,
+            },
+            Refusal::OutputPolicy { output, size } => AnosyError::OutputViolation {
+                query: query.to_string(),
+                policy: policy(),
+                output,
+                posterior_size: size,
             },
         }
     }
@@ -108,6 +134,10 @@ impl fmt::Display for AnosyError {
             } => write!(
                 f,
                 "policy violation: {policy} refuses {query} (posterior sizes: true {posterior_true_size}, false {posterior_false_size})"
+            ),
+            AnosyError::OutputViolation { query, policy, output, posterior_size } => write!(
+                f,
+                "policy violation: {policy} refuses {query} (posterior size of output {output}: {posterior_size})"
             ),
             AnosyError::UnsoundApproximation { kind } => {
                 write!(f, "unsound approximation: the policy cannot decide on {kind}-approximate ind. sets")

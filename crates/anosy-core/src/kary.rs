@@ -2,14 +2,12 @@
 //!
 //! The paper notes that non-boolean queries with finitely many outputs can be handled by
 //! computing one ind. set per possible output. [`KaryQuery`] represents such a query as an
-//! ordered list of boolean cases with first-match semantics plus an implicit "otherwise" output;
-//! [`KaryIndSets`] holds one abstract-domain element per output and computes per-output
-//! posteriors exactly like the boolean [`anosy_synth::IndSets`].
+//! ordered list of boolean cases with first-match semantics plus an implicit "otherwise" output.
+//! A boolean query is the query of one case: output 0 is `true`, output 1 `false`. A
+//! [`crate::QInfo`] pairs a query with one ind. set per output.
 
-use crate::session::SynthesizeInto;
-use anosy_domains::AbstractDomain;
 use anosy_logic::{Point, Pred, SecretLayout};
-use anosy_synth::{ApproxKind, QueryDef, SynthError, Synthesizer};
+use anosy_synth::{QueryDef, SynthError};
 use std::fmt;
 
 /// A query with `cases.len() + 1` possible outputs: output `i < cases.len()` is taken by the
@@ -91,78 +89,32 @@ impl KaryQuery {
     }
 }
 
+/// The boolean query as the query of one case.
+impl From<QueryDef> for KaryQuery {
+    fn from(query: QueryDef) -> Self {
+        KaryQuery {
+            name: query.name().to_string(),
+            layout: query.layout().clone(),
+            cases: vec![query.pred().clone()],
+        }
+    }
+}
+
 impl fmt::Display for KaryQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ({} outputs)", self.name, self.output_count())
     }
 }
 
-/// One abstract-domain element per output of a [`KaryQuery`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KaryIndSets<D> {
-    kind: ApproxKind,
-    sets: Vec<D>,
-}
-
-impl<D: AbstractDomain> KaryIndSets<D> {
-    /// Packages per-output ind. sets.
-    pub fn new(kind: ApproxKind, sets: Vec<D>) -> Self {
-        KaryIndSets { kind, sets }
-    }
-
-    /// Synthesizes the per-output ind. sets of a k-ary query by synthesizing each output's
-    /// effective predicate as an ordinary boolean query and keeping its True set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates synthesis failures.
-    pub fn synthesize(
-        synth: &mut Synthesizer,
-        query: &KaryQuery,
-        kind: ApproxKind,
-        members: Option<usize>,
-    ) -> Result<Self, SynthError>
-    where
-        D: SynthesizeInto,
-    {
-        let mut sets = Vec::with_capacity(query.output_count());
-        for output in 0..query.output_count() {
-            let case_query = QueryDef::new(
-                format!("{}#{}", query.name(), output),
-                query.layout().clone(),
-                query.output_pred(output),
-            )?;
-            let indsets = D::synthesize(synth, &case_query, kind, members)?;
-            sets.push(indsets.truthy().clone());
-        }
-        Ok(KaryIndSets { kind, sets })
-    }
-
-    /// The approximation direction.
-    pub fn kind(&self) -> ApproxKind {
-        self.kind
-    }
-
-    /// The per-output ind. sets.
-    pub fn sets(&self) -> &[D] {
-        &self.sets
-    }
-
-    /// The posterior knowledge for every possible output, given the prior.
-    pub fn posterior(&self, prior: &D) -> Vec<D> {
-        self.sets.iter().map(|s| prior.intersect(s)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnosySession, MinSizePolicy};
-    use anosy_domains::PowersetDomain;
+    use crate::{AllowAll, AnosyError, AnosySession, MinSizePolicy, QInfo, SessionStats};
+    use anosy_domains::{AbstractDomain, PowersetDomain};
     use anosy_ifc::Protected;
     use anosy_logic::IntExpr;
     use anosy_solver::SolverConfig;
-    use anosy_synth::SynthConfig;
+    use anosy_synth::{ApproxKind, SynthConfig, Synthesizer};
 
     fn layout() -> SecretLayout {
         SecretLayout::builder().field("age", 0, 120).build()
@@ -172,6 +124,19 @@ mod tests {
     fn age_bands() -> KaryQuery {
         KaryQuery::new("age_band", layout(), vec![IntExpr::var(0).lt(18), IntExpr::var(0).lt(65)])
             .unwrap()
+    }
+
+    fn synthesizer() -> Synthesizer {
+        Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()))
+    }
+
+    /// The age bands' synthesized under-approximate powerset ind. sets.
+    fn synthesized(synth: &mut Synthesizer) -> QInfo<PowersetDomain> {
+        let mut session = AnosySession::new(layout(), AllowAll);
+        session
+            .register_synthesized_cases(synth, &age_bands(), ApproxKind::Under, Some(2))
+            .unwrap();
+        session.query_info("age_band").unwrap().clone()
     }
 
     #[test]
@@ -191,6 +156,16 @@ mod tests {
     }
 
     #[test]
+    fn a_boolean_query_is_the_query_of_one_case() {
+        let query = QueryDef::new("minor", layout(), IntExpr::var(0).lt(18)).unwrap();
+        let boolean = KaryQuery::from(query.clone());
+        assert_eq!(boolean.output_count(), 2);
+        for p in layout().space().points() {
+            assert_eq!(boolean.output(&p) == 0, query.ask(&p), "at {p}");
+        }
+    }
+
+    #[test]
     fn construction_is_validated() {
         assert!(KaryQuery::new("empty", layout(), vec![]).is_err());
         assert!(KaryQuery::new("bad", layout(), vec![IntExpr::var(3).le(0)]).is_err());
@@ -199,10 +174,7 @@ mod tests {
     #[test]
     fn synthesized_kary_indsets_give_sound_posteriors() {
         let q = age_bands();
-        let mut synth =
-            Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
-        let ind: KaryIndSets<PowersetDomain> =
-            KaryIndSets::synthesize(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
+        let ind = synthesized(&mut synthesizer());
         assert_eq!(ind.sets().len(), 3);
         assert_eq!(ind.kind(), ApproxKind::Under);
         // Every point of every synthesized set really produces that output.
@@ -215,54 +187,79 @@ mod tests {
         }
         // Posteriors refine the prior.
         let prior = PowersetDomain::top(&layout());
-        let posts = ind.posterior(&prior);
-        assert_eq!(posts.len(), 3);
-        assert!(posts.iter().all(|d| d.size() <= prior.size()));
+        assert!(ind.sets().iter().all(|set| prior.intersect(set).size() <= prior.size()));
+    }
+
+    #[test]
+    fn registering_a_kary_query_again_is_k_cache_hits() {
+        let mut synth = synthesizer();
+        let mut session: AnosySession<PowersetDomain> = AnosySession::new(layout(), AllowAll);
+        let q = age_bands();
+        session.register_synthesized_cases(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
+        assert_eq!((session.stats().synth_cache_hits, session.stats().synth_cache_misses), (0, 3));
+        let nodes = synth.solver_stats().nodes_explored;
+        assert!(nodes > 0, "the first registration searches");
+        session.register_synthesized_cases(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
+        assert_eq!((session.stats().synth_cache_hits, session.stats().synth_cache_misses), (3, 3));
+        assert_eq!(synth.solver_stats().nodes_explored, nodes, "hits touch no solver");
+        assert_eq!(session.synth_cache_len(), 3);
     }
 
     #[test]
     fn kary_downgrade_enforces_the_policy_on_every_output() {
         let q = age_bands();
-        let mut synth =
-            Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
-        let ind: KaryIndSets<PowersetDomain> =
-            KaryIndSets::synthesize(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
+        let ind = synthesized(&mut synthesizer());
 
         // Permissive policy: all three outputs keep at least 10 candidates, so the downgrade runs.
         let mut session: AnosySession<PowersetDomain> =
             AnosySession::new(layout(), MinSizePolicy::new(10));
-        session.register_kary(q.clone(), ind.clone());
+        session.register(ind.clone());
         let secret = Protected::new(Point::new(vec![70]));
-        assert_eq!(session.downgrade_kary(&secret, "age_band").unwrap(), 2);
+        assert_eq!(session.downgrade_output(&secret, "age_band").unwrap(), 2);
         assert!(session.knowledge_of(&Point::new(vec![70])).size() <= 121);
 
         // The same sets marked over-approximate: a size policy cannot decide on them, so the
         // downgrade is refused unevaluated and counts as neither authorized nor refused.
-        let over = KaryIndSets::new(ApproxKind::Over, ind.sets().to_vec());
+        let over = QInfo::with_cases(q.clone(), ApproxKind::Over, ind.sets().to_vec());
         let mut unsound: AnosySession<PowersetDomain> =
             AnosySession::new(layout(), MinSizePolicy::new(10));
-        unsound.register_kary(q.clone(), over.clone());
+        unsound.register(over.clone());
         assert_eq!(
-            unsound.downgrade_kary(&secret, "age_band"),
-            Err(crate::AnosyError::UnsoundApproximation { kind: ApproxKind::Over })
+            unsound.downgrade_output(&secret, "age_band"),
+            Err(AnosyError::UnsoundApproximation { kind: ApproxKind::Over })
         );
-        assert_eq!(unsound.stats(), crate::SessionStats::default());
+        assert_eq!(unsound.stats(), SessionStats::default());
         assert_eq!(unsound.tracked_secrets(), 0);
-        let mut open: AnosySession<PowersetDomain> = AnosySession::new(layout(), crate::AllowAll);
-        open.register_kary(q.clone(), over);
-        assert_eq!(open.downgrade_kary(&secret, "age_band").unwrap(), 2);
+        let mut open: AnosySession<PowersetDomain> = AnosySession::new(layout(), AllowAll);
+        open.register(over);
+        assert_eq!(open.downgrade_output(&secret, "age_band").unwrap(), 2);
 
         // Strict policy: the minor band has only 18 candidates, so the query is refused for
-        // everyone — even secrets that would fall in a large band.
+        // everyone — even secrets that would fall in a large band. The refusal names the minor
+        // band's output and its posterior's size.
         let mut strict: AnosySession<PowersetDomain> =
             AnosySession::new(layout(), MinSizePolicy::new(20));
-        strict.register_kary(q, ind);
+        strict.register(ind.clone());
         let adult = Protected::new(Point::new(vec![30]));
-        assert!(strict.downgrade_kary(&adult, "age_band").is_err());
+        let minors = ind.sets()[0].size();
+        assert!(minors < 20);
+        let refusal = strict.downgrade_output(&adult, "age_band").unwrap_err();
+        assert_eq!(
+            refusal,
+            AnosyError::OutputViolation {
+                query: "age_band".into(),
+                policy: "min-size(20)".into(),
+                output: 0,
+                posterior_size: minors,
+            }
+        );
+        assert!(refusal.to_string().contains(&format!("output 0: {minors}")), "{refusal}");
         assert!(matches!(
-            strict.downgrade_kary(&adult, "missing"),
-            Err(crate::AnosyError::UnknownQuery { .. })
+            strict.downgrade_output(&adult, "missing"),
+            Err(AnosyError::UnknownQuery { .. })
         ));
+        // A boolean downgrade of a k-ary query answers whether the output is the first.
+        assert_eq!(open.downgrade(&adult, "age_band"), Ok(false));
     }
 
     #[test]

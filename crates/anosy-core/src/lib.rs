@@ -11,12 +11,15 @@
 //!   residual entropy, conjunctions, custom predicates), each naming the approximation
 //!   directions it can soundly decide on ([`Policy::sound_for`]);
 //! * [`QInfo`] — a registered query together with its synthesized and verified knowledge
-//!   approximation (the paper's `QInfo` record);
+//!   approximation, one ind. set per output (the paper's `QInfo` record);
 //! * [`AnosySession`] — the `AnosyT` monad-transformer analogue: it owns the policy, the
 //!   per-secret knowledge map and the query map, and its [`AnosySession::downgrade`] implements
-//!   Fig. 2 — posterior computed for **both** possible answers, policy checked on both, the query
-//!   executed only if both pass;
-//! * [`KaryQuery`] — the §5.1 extension to queries with finitely many (more than two) outputs.
+//!   Fig. 2 — posterior computed for **every** possible output, policy checked on each, the query
+//!   executed only if all pass;
+//! * [`KaryQuery`] — the §5.1 extension: the first-match cases of a query with finitely many
+//!   outputs. A boolean query is the query of one case; [`QInfo::with_cases`] pairs a query of
+//!   more cases with its ind. sets and [`AnosySession::register_synthesized_cases`] synthesizes
+//!   and verifies them, so every query is registered, memoized and decided alike.
 //!
 //! Sessions are built for serving: each [`AnosySession`] registers through a **synthesis
 //! cache** ([`SharedSynthCache`]) keyed by `(predicate, layout, direction, members)`, private to
@@ -70,14 +73,13 @@ mod session;
 mod shared;
 
 pub use error::{AnosyError, Refusal};
-pub use kary::{KaryIndSets, KaryQuery};
+pub use kary::KaryQuery;
 pub use knowledge::Knowledge;
 pub use policy::{
     AllowAll, AndPolicy, FnPolicy, MinEntropyPolicy, MinSizePolicy, Policy, PolicySpec,
 };
 pub use qinfo::QInfo;
 pub use session::{
-    downgrade_step, synthesize_and_verify, AnosySession, AsSecretPoint, SessionStats,
-    SynthesizeInto,
+    synthesize_and_verify, AnosySession, AsSecretPoint, SessionStats, SynthesizeInto,
 };
 pub use shared::{CommitObserver, SharedCacheEntry, SharedCacheStats, SharedSynthCache};

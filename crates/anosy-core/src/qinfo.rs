@@ -1,5 +1,6 @@
 //! Registered query information (the paper's `QInfo` record, Fig. 2).
 
+use crate::KaryQuery;
 use anosy_domains::AbstractDomain;
 use anosy_logic::Point;
 use anosy_synth::{ApproxKind, IndSets, QueryDef};
@@ -18,33 +19,50 @@ static NEXT_QUERY_KEY: AtomicU64 = AtomicU64::new(0);
 ///
 /// This is the value stored in the session's query map: the query itself (to execute it on the
 /// secret once authorized) and the approximation function (to compute posteriors without looking
-/// at the secret). In the paper the approximation is a Haskell function `approx`; here it is the
-/// pair of ind. sets, and the posterior is computed by intersecting them with the prior
-/// ([`IndSets::posterior`]), which is exactly how the synthesized `approx` is defined (Fig. 4).
+/// at the secret). In the paper the approximation is a Haskell function `approx`; here it is one
+/// ind. set per output of the query, and the posterior of an output is the meet of the prior
+/// with its ind. set, which is exactly how the synthesized `approx` is defined (Fig. 4).
 ///
-/// Each `QInfo` carries a query key: a process-unique number that [`QInfo::new`] stamps from a
+/// A query has `k ≥ 2` outputs, taken by its first-match cases ([`KaryQuery`], the §5.1
+/// extension). A boolean query ([`QInfo::new`]) is the query of one case: output 0 is the
+/// answer `true` and output 1 the answer `false`.
+///
+/// Each `QInfo` carries a query key: a process-unique number that its constructor stamps from a
 /// global counter and that clones share. A session's knowledge table memoizes downgrade steps
 /// under it (see [`crate::AnosySession`]). A `QInfo` is immutable, so a key always names the
 /// same query and ind. sets: a name registered again with another predicate gets a new `QInfo`,
 /// hence a new key, and never reads a step memoized for the old one. The key is not part of
-/// equality, which compares the query and its ind. sets.
+/// equality, which compares the query, the direction and the ind. sets.
 #[derive(Debug, Clone)]
 pub struct QInfo<D> {
-    query: QueryDef,
-    indsets: IndSets<D>,
+    query: KaryQuery,
+    kind: ApproxKind,
+    sets: Vec<D>,
     key: QueryKey,
 }
 
 impl<D: PartialEq> PartialEq for QInfo<D> {
     fn eq(&self, other: &Self) -> bool {
-        self.query == other.query && self.indsets == other.indsets
+        self.query == other.query && self.kind == other.kind && self.sets == other.sets
     }
 }
 
 impl<D: AbstractDomain> QInfo<D> {
-    /// Packages a query with its (already verified) ind. sets under a fresh query key.
+    /// Packages a boolean query with its (already verified) ind. sets under a fresh query key.
     pub fn new(query: QueryDef, indsets: IndSets<D>) -> Self {
-        QInfo { query, indsets, key: QueryKey(NEXT_QUERY_KEY.fetch_add(1, Ordering::Relaxed)) }
+        let sets = vec![indsets.truthy().clone(), indsets.falsy().clone()];
+        QInfo::with_cases(query.into(), indsets.kind(), sets)
+    }
+
+    /// Packages a query with its (already verified) ind. sets of direction `kind`, one per
+    /// output in output order, under a fresh query key.
+    ///
+    /// # Panics
+    ///
+    /// When there is not exactly one set per output.
+    pub fn with_cases(query: KaryQuery, kind: ApproxKind, sets: Vec<D>) -> Self {
+        assert_eq!(sets.len(), query.output_count(), "one ind. set per output of {query}");
+        QInfo { query, kind, sets, key: QueryKey(NEXT_QUERY_KEY.fetch_add(1, Ordering::Relaxed)) }
     }
 
     /// The process-unique key of this query and its ind. sets (shared by clones).
@@ -53,35 +71,30 @@ impl<D: AbstractDomain> QInfo<D> {
     }
 
     /// The query definition.
-    pub fn query(&self) -> &QueryDef {
+    pub fn query(&self) -> &KaryQuery {
         &self.query
     }
 
-    /// The synthesized ind. sets.
-    pub fn indsets(&self) -> &IndSets<D> {
-        &self.indsets
+    /// The synthesized ind. sets, one per output.
+    pub fn sets(&self) -> &[D] {
+        &self.sets
     }
 
     /// The approximation direction of the stored ind. sets.
     pub fn kind(&self) -> ApproxKind {
-        self.indsets.kind()
+        self.kind
     }
 
-    /// Executes the query on a concrete secret (only called after the policy check authorizes
-    /// it).
-    pub fn ask(&self, secret: &Point) -> bool {
-        self.query.ask(secret)
-    }
-
-    /// The posterior knowledge for both possible answers, given the prior.
-    pub fn posterior(&self, prior: &D) -> (D, D) {
-        self.indsets.posterior(prior)
+    /// Executes the query on a concrete secret, returning its output index (only called after
+    /// the policy check authorizes it).
+    pub fn output(&self, secret: &Point) -> usize {
+        self.query.output(secret)
     }
 }
 
 impl<D: AbstractDomain + fmt::Display> fmt::Display for QInfo<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} with {} approximation", self.query, self.indsets.kind())
+        write!(f, "{} with {} approximation", self.query, self.kind)
     }
 }
 
@@ -108,8 +121,8 @@ mod tests {
         let info = qinfo();
         assert_eq!(info.query().name(), "nearby_200_200");
         assert_eq!(info.kind(), ApproxKind::Under);
-        assert!(info.ask(&Point::new(vec![300, 200])));
-        assert!(!info.ask(&Point::new(vec![0, 0])));
+        assert_eq!(info.output(&Point::new(vec![300, 200])), 0);
+        assert_eq!(info.output(&Point::new(vec![0, 0])), 1);
     }
 
     #[test]
@@ -117,9 +130,8 @@ mod tests {
         let info = qinfo();
         let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
         let top = IntervalDomain::top(&layout);
-        let (post_t, post_f) = info.posterior(&top);
-        assert_eq!(post_t.size(), 6837); // |post1| in §3
-        assert_eq!(post_f.size(), 401 * 100);
+        assert_eq!(top.intersect(&info.sets()[0]).size(), 6837); // |post1| in §3
+        assert_eq!(top.intersect(&info.sets()[1]).size(), 401 * 100);
     }
 
     #[test]
@@ -129,6 +141,8 @@ mod tests {
         let again = qinfo();
         assert_ne!(again.key(), info.key());
         assert_eq!(again, info, "equality compares the query and ind. sets, not the key");
+        let kinds = |kind| QInfo::with_cases(info.query().clone(), kind, info.sets().to_vec());
+        assert_ne!(kinds(ApproxKind::Over), kinds(ApproxKind::Under));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::qinfo::QueryKey;
 use crate::shared::SharedSynthCache;
-use crate::{AnosyError, KaryIndSets, KaryQuery, Knowledge, Policy, QInfo, Refusal};
+use crate::{AnosyError, KaryQuery, Knowledge, Policy, QInfo, Refusal};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain, Secret};
 use anosy_ifc::{Label, Labeled, Lio, Protected, Unprotect};
 use anosy_logic::{Point, SecretLayout};
@@ -21,9 +21,11 @@ use std::sync::Arc;
 /// included — was skipped.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// `register_synthesized` calls answered from the synthesis cache (no solver work at all).
+    /// Syntheses a registration found in the synthesis cache (no solver work at all): one per
+    /// `register_synthesized` or `register_cached` call, one per output for
+    /// `register_synthesized_cases`.
     pub synth_cache_hits: u64,
-    /// `register_synthesized` calls that ran the full synthesize-and-verify pipeline.
+    /// Syntheses a registration ran through the full synthesize-and-verify pipeline.
     pub synth_cache_misses: u64,
     /// Downgrades that were authorized and executed.
     pub downgrades_authorized: u64,
@@ -32,7 +34,7 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Fraction of `register_synthesized` calls served from the cache, in `[0, 1]`.
+    /// Fraction of syntheses served from the cache, in `[0, 1]`.
     pub fn cache_hit_ratio(&self) -> f64 {
         let total = self.synth_cache_hits + self.synth_cache_misses;
         if total == 0 {
@@ -107,17 +109,18 @@ impl SynthesizeInto for PowersetDomain {
 ///
 /// The session owns the quantitative [`Policy`], the map from secrets to their currently tracked
 /// knowledge and the map from query names to their [`QInfo`]. Downgrades refine the knowledge and
-/// are refused — *before the query is executed* — when either possible posterior would violate
-/// the policy, so the refusal itself leaks nothing about the secret (§3).
+/// are refused — *before the query is executed* — when any possible posterior would violate
+/// the policy, so the refusal itself leaks nothing about the secret (§3). A query has `k ≥ 2`
+/// outputs (a boolean query has two), and the policy is checked on the posterior of every one.
 ///
-/// Knowledge is interned. A posterior is `prior ⊓ indset(answer)`, a pure function of the prior
+/// Knowledge is interned. A posterior is `prior ⊓ indset(output)`, a pure function of the prior
 /// and the query, so secrets that took the same steps hold the same knowledge. The secrets map
 /// therefore holds a state id per secret, and the session's knowledge table holds the elements
-/// (state 0 is `⊤`). The table also memoizes every `(state, query)` step it has decided: both
-/// posteriors' states when the policy authorized it, both sizes when it refused. A repeated step
-/// is one lookup. A refusal interns nothing, and a posterior equal to its prior keeps the
-/// prior's id, so the table holds at most `1 + 2 ×` the session's distinct authorized steps
-/// (plus one per k-ary downgrade). The table lives and dies with the session.
+/// (state 0 is `⊤`). The table also memoizes every `(state, query)` step it has decided: the
+/// states of all `k` posteriors when the policy authorized it, the refusal when it did not. A
+/// repeated step is one lookup. A refusal interns nothing, and a posterior equal to its prior
+/// keeps the prior's id, so the table holds at most `1 + k ×` distinct authorized steps of
+/// `k`-output queries. The table lives and dies with the session.
 ///
 /// The unit of decision is a batch of secrets against one query
 /// ([`AnosySession::decide_batch`]; a single downgrade is a batch of one). A batch's secrets sit
@@ -135,7 +138,6 @@ pub struct AnosySession<D: AbstractDomain> {
     table: KnowledgeTable<D>,
     /// Shared so a downgrade resolves its query with a handle, never a deep copy.
     queries: BTreeMap<String, Arc<QInfo<D>>>,
-    kary_queries: BTreeMap<String, (KaryQuery, KaryIndSets<D>)>,
     /// The synthesis cache the session registers through: a deployment's, or a private one
     /// for a standalone session.
     shared: SharedSynthCache<D>,
@@ -165,7 +167,6 @@ impl<D: AbstractDomain> AnosySession<D> {
             policy: Box::new(policy),
             secrets: HashMap::new(),
             queries: BTreeMap::new(),
-            kary_queries: BTreeMap::new(),
             shared,
             stats: SessionStats::default(),
         }
@@ -208,7 +209,8 @@ impl<D: AbstractDomain> AnosySession<D> {
         self.queries.get(name).map(Arc::clone)
     }
 
-    /// Registers an already-synthesized (and, by contract, already-verified) query.
+    /// Registers an already-synthesized (and, by contract, already-verified) query of any
+    /// number of outputs, replacing a query of the same name.
     pub fn register(&mut self, qinfo: QInfo<D>) {
         self.queries.insert(qinfo.query().name().to_string(), Arc::new(qinfo));
     }
@@ -238,7 +240,7 @@ impl<D: AbstractDomain> AnosySession<D> {
         }
     }
 
-    /// Names of the registered boolean queries.
+    /// Names of the registered queries.
     pub fn registered_queries(&self) -> Vec<&str> {
         self.queries.keys().map(String::as_str).collect()
     }
@@ -251,12 +253,7 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// The knowledge currently associated with a secret (the initial `⊤` knowledge if the secret
     /// has not been involved in any downgrade yet).
     pub fn knowledge_of(&self, secret: &Point) -> Knowledge<D> {
-        self.table.get(self.state_of(secret)).clone()
-    }
-
-    /// The knowledge state of a secret: `⊤` for one no downgrade has touched.
-    fn state_of(&self, secret: &Point) -> StateId {
-        self.secrets.get(secret).copied().unwrap_or(StateId::TOP)
+        self.table.get(self.secrets.get(secret).copied().unwrap_or(StateId::TOP)).clone()
     }
 
     /// Forgets all tracked knowledge (e.g. between experiment runs), with every interned state
@@ -268,9 +265,12 @@ impl<D: AbstractDomain> AnosySession<D> {
 
     /// The bounded downgrade of Fig. 2.
     ///
-    /// Looks up the query, computes the posterior knowledge for **both** possible answers from
-    /// the tracked prior, checks the policy on both, and only then executes the query on the
-    /// (unprotected) secret, records the matching posterior and returns the answer.
+    /// Looks up the query, computes the posterior knowledge for **every** possible output from
+    /// the tracked prior, checks the policy on each, and only then executes the query on the
+    /// (unprotected) secret, records the matching posterior and returns the answer: whether the
+    /// output is 0, the `true` of a boolean query. On a query of more than two outputs this
+    /// answer reveals less than the policy authorized, while the tracked knowledge records the
+    /// exact output, which is conservative.
     ///
     /// # Errors
     ///
@@ -278,9 +278,22 @@ impl<D: AbstractDomain> AnosySession<D> {
     /// * [`AnosyError::SecretOutsideLayout`] if the secret is not in the declared space;
     /// * [`AnosyError::UnsoundApproximation`] if the policy is not sound for the direction of
     ///   the query's ind. sets ([`Policy::sound_for`]);
-    /// * [`AnosyError::PolicyViolation`] if either posterior violates the policy — the query is
-    ///   **not** executed in either case.
+    /// * [`AnosyError::PolicyViolation`] (a boolean query) or [`AnosyError::OutputViolation`]
+    ///   if any posterior violates the policy — the query is **not** executed in either case.
     pub fn downgrade<P>(&mut self, secret: &P, query_name: &str) -> Result<bool, AnosyError>
+    where
+        P: Unprotect,
+        P::Target: AsSecretPoint,
+    {
+        self.downgrade_output(secret, query_name).map(|output| output == 0)
+    }
+
+    /// The bounded downgrade of Fig. 2, returning the query's output index.
+    ///
+    /// # Errors
+    ///
+    /// See [`AnosySession::downgrade`].
+    pub fn downgrade_output<P>(&mut self, secret: &P, query_name: &str) -> Result<usize, AnosyError>
     where
         P: Unprotect,
         P::Target: AsSecretPoint,
@@ -288,30 +301,36 @@ impl<D: AbstractDomain> AnosySession<D> {
         let qinfo = self
             .query_handle(query_name)
             .ok_or_else(|| AnosyError::UnknownQuery { name: query_name.to_string() })?;
-        self.downgrade_with(&qinfo, &secret.unprotect_tcb().as_secret_point())
+        self.decide_spelled(&qinfo, &secret.unprotect_tcb().as_secret_point())
     }
 
     /// The bounded downgrade of Fig. 2 against a query the caller already resolved — the
     /// serving frontend resolves names in its own registry, not in the session. It is
-    /// [`AnosySession::decide`] with the refusal spelled out as an [`AnosyError`] that names
-    /// the query and the policy ([`Refusal::into_error`]).
+    /// [`AnosySession::decide`] answering whether the output is 0, with the refusal spelled out
+    /// as an [`AnosyError`] that names the query and the policy ([`Refusal::into_error`]).
     ///
     /// # Errors
     ///
     /// As [`AnosySession::downgrade`], minus [`AnosyError::UnknownQuery`].
     pub fn downgrade_with(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, AnosyError> {
+        self.decide_spelled(qinfo, point).map(|output| output == 0)
+    }
+
+    /// [`AnosySession::decide`] with the refusal spelled out as an [`AnosyError`].
+    fn decide_spelled(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<usize, AnosyError> {
         self.decide(qinfo, point)
             .map_err(|refusal| refusal.into_error(qinfo.query().name(), || self.policy.name()))
     }
 
-    /// The bounded downgrade of Fig. 2 of one secret against a resolved query, refusing with a
-    /// [`Refusal`] that allocates nothing: [`AnosySession::decide_batch`] over that one secret.
+    /// The bounded downgrade of Fig. 2 of one secret against a resolved query, returning its
+    /// output index or a [`Refusal`] that allocates nothing: [`AnosySession::decide_batch`]
+    /// over that one secret.
     ///
     /// # Errors
     ///
-    /// [`Refusal::OutsideLayout`], [`Refusal::Unsound`] or [`Refusal::Policy`] — the query is
-    /// **not** executed in any of them.
-    pub fn decide(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<bool, Refusal> {
+    /// [`Refusal::OutsideLayout`], [`Refusal::Unsound`], [`Refusal::Policy`] or
+    /// [`Refusal::OutputPolicy`] — the query is **not** executed in any of them.
+    pub fn decide(&mut self, qinfo: &QInfo<D>, point: &Point) -> Result<usize, Refusal> {
         let mut decided = Err(Refusal::OutsideLayout);
         self.decide_batch(qinfo, std::slice::from_ref(point), |outcome| decided = outcome);
         decided
@@ -319,28 +338,27 @@ impl<D: AbstractDomain> AnosySession<D> {
 
     /// The bounded downgrade of Fig. 2 of every secret of `points` against a resolved query,
     /// in input order, handing each outcome to `emit` as it is decided. This is the one place
-    /// a session's knowledge changes after a boolean downgrade. Returns how many secrets were
-    /// refused, for any reason.
+    /// a session's knowledge changes. Returns how many secrets were refused, for any reason.
     ///
     /// Once per batch it checks [`Policy::sound_for`], and it counts the outcomes into the
     /// session's and the cache's counters once, when it returns or unwinds (a policy that
     /// panics partway leaves the committed prefix counted). Once per knowledge state it
     /// resolves the step through the query: from a fixed-size cache on the stack, falling back
     /// to the knowledge table's memo once the cache is full. On a memo miss the table computes
-    /// both posteriors, checks the policy on both and memoizes the outcome, exactly as
-    /// [`downgrade_step`] decides it. Per secret it checks the layout, reads the secret's
-    /// current state (so a secret that occurs twice sees its own earlier step), and on an
-    /// authorized step executes the query and moves the secret to the state of its answer.
+    /// the posterior of every output, checks the policy on each in output order and memoizes
+    /// the outcome. Per secret it checks the layout, reads the secret's current state (so a
+    /// secret that occurs twice sees its own earlier step), and on an authorized step executes
+    /// the query and moves the secret to the state of its output.
     ///
-    /// An outcome is a [`Refusal::OutsideLayout`], [`Refusal::Unsound`] or [`Refusal::Policy`]
-    /// — the query is **not** executed in any of them — or the query's answer. An
-    /// authorization or a policy refusal is counted; the other refusals are not (no policy was
-    /// consulted).
+    /// An outcome is a refusal — [`Refusal::OutsideLayout`], [`Refusal::Unsound`],
+    /// [`Refusal::Policy`] or [`Refusal::OutputPolicy`], and the query is **not** executed in
+    /// any of them — or the query's output index. An authorization or a policy refusal is
+    /// counted; the other refusals are not (no policy was consulted).
     pub fn decide_batch(
         &mut self,
         qinfo: &QInfo<D>,
         points: &[Point],
-        mut emit: impl FnMut(Result<bool, Refusal>),
+        mut emit: impl FnMut(Result<usize, Refusal>),
     ) -> usize {
         let sound = self.policy.sound_for(qinfo.kind());
         let AnosySession { layout, policy, secrets, table, shared, stats, .. } = self;
@@ -363,9 +381,9 @@ impl<D: AbstractDomain> AnosySession<D> {
                 transition
             });
             match transition {
-                Transition::Authorized { on_true, on_false } => {
-                    let answer = qinfo.ask(point);
-                    let next = if answer { on_true } else { on_false };
+                Transition::Authorized { successors } => {
+                    let output = qinfo.output(point);
+                    let next = table.successors[successors as usize + output];
                     match tracked {
                         Some(slot) => *slot = next,
                         None => {
@@ -373,11 +391,11 @@ impl<D: AbstractDomain> AnosySession<D> {
                         }
                     }
                     tally.authorized += 1;
-                    emit(Ok(answer));
+                    emit(Ok(output));
                 }
-                Transition::Refused { true_size, false_size } => {
+                Transition::Refused(refusal) => {
                     tally.refused += 1;
-                    emit(Err(Refusal::Policy { true_size, false_size }));
+                    emit(Err(refusal));
                 }
             }
         }
@@ -420,56 +438,6 @@ impl<D: AbstractDomain> AnosySession<D> {
         let labeled = declassification_ctx.label(L::bottom(), response)?;
         Ok(labeled)
     }
-
-    /// Registers a k-ary query (§5.1 extension) with its synthesized per-output ind. sets.
-    pub fn register_kary(&mut self, query: KaryQuery, indsets: KaryIndSets<D>) {
-        self.kary_queries.insert(query.name().to_string(), (query, indsets));
-    }
-
-    /// Bounded downgrade of a k-ary query: the policy is checked on the posterior of **every**
-    /// possible output before the query is executed.
-    ///
-    /// # Errors
-    ///
-    /// See [`AnosySession::downgrade`].
-    pub fn downgrade_kary<P>(&mut self, secret: &P, query_name: &str) -> Result<usize, AnosyError>
-    where
-        P: Unprotect,
-        P::Target: AsSecretPoint,
-    {
-        let (query, indsets) = self
-            .kary_queries
-            .get(query_name)
-            .ok_or_else(|| AnosyError::UnknownQuery { name: query_name.to_string() })?;
-        let point = secret.unprotect_tcb().as_secret_point();
-        if !self.layout.admits(&point) {
-            return Err(AnosyError::SecretOutsideLayout);
-        }
-        if !self.policy.sound_for(indsets.kind()) {
-            return Err(AnosyError::UnsoundApproximation { kind: indsets.kind() });
-        }
-        let state = self.state_of(&point);
-        let mut posteriors: Vec<Knowledge<D>> = indsets
-            .posterior(self.table.get(state).domain())
-            .into_iter()
-            .map(Knowledge::from_domain)
-            .collect();
-        if let Some(violating) = posteriors.iter().find(|k| !self.policy.allows(k)) {
-            let violation = AnosyError::PolicyViolation {
-                query: query_name.to_string(),
-                policy: self.policy.name(),
-                posterior_true_size: violating.size(),
-                posterior_false_size: violating.size(),
-            };
-            count_downgrades(&mut self.stats, &self.shared, 0, 1);
-            return Err(violation);
-        }
-        let output = query.output(&point);
-        let next = self.table.intern(state, posteriors.swap_remove(output));
-        self.secrets.insert(point, next);
-        count_downgrades(&mut self.stats, &self.shared, 1, 0);
-        Ok(output)
-    }
 }
 
 /// A secret's place in its session's [`KnowledgeTable`]: the index of an interned element.
@@ -482,13 +450,15 @@ impl StateId {
 }
 
 /// What one downgrade step from a knowledge state through a query decides. It holds for every
-/// secret in that state, because the policy judges both posteriors and never the secret.
+/// secret in that state, because the policy judges every output's posterior and never the
+/// secret.
 #[derive(Debug, Clone, Copy)]
 enum Transition {
-    /// The policy accepts both posteriors; the secret moves to the state of its answer.
-    Authorized { on_true: StateId, on_false: StateId },
-    /// The policy rejects a posterior, whose sizes the refusal reports.
-    Refused { true_size: u128, false_size: u128 },
+    /// The policy accepts every posterior; a secret with output `i` moves to state
+    /// `KnowledgeTable::successors[successors + i]`.
+    Authorized { successors: u32 },
+    /// The policy rejects a posterior.
+    Refused(Refusal),
 }
 
 /// How many knowledge states' steps one [`AnosySession::decide_batch`] call keeps on its stack.
@@ -505,7 +475,7 @@ struct StepCache {
 
 impl StepCache {
     fn new() -> Self {
-        let empty = (StateId::TOP, Transition::Refused { true_size: 0, false_size: 0 });
+        let empty = (StateId::TOP, Transition::Refused(Refusal::OutsideLayout));
         StepCache { entries: [empty; STEP_CACHE], len: 0 }
     }
 
@@ -534,20 +504,10 @@ struct Tally<'a, D: AbstractDomain> {
 
 impl<D: AbstractDomain> Drop for Tally<'_, D> {
     fn drop(&mut self) {
-        count_downgrades(self.stats, self.shared, self.authorized, self.refused);
+        self.stats.downgrades_authorized += self.authorized;
+        self.stats.downgrades_refused += self.refused;
+        self.shared.note_downgrades(self.authorized, self.refused);
     }
-}
-
-/// Adds downgrade outcomes to a session's counters and to its cache's aggregates.
-fn count_downgrades<D: AbstractDomain>(
-    stats: &mut SessionStats,
-    shared: &SharedSynthCache<D>,
-    authorized: u64,
-    refused: u64,
-) {
-    stats.downgrades_authorized += authorized;
-    stats.downgrades_refused += refused;
-    shared.note_downgrades(authorized, refused);
 }
 
 /// A session's interned knowledge elements and its memo of decided steps (see
@@ -557,54 +517,69 @@ fn count_downgrades<D: AbstractDomain>(
 struct KnowledgeTable<D> {
     /// Interned elements, indexed by [`StateId`]; `states[0]` is `⊤`.
     states: Vec<Knowledge<D>>,
+    /// The successor states of every authorized step, one per output in output order.
+    successors: Vec<StateId>,
     memo: HashMap<(StateId, QueryKey), Transition>,
+    /// The posteriors of the step being decided, kept so that deciding allocates no list.
+    scratch: Vec<Knowledge<D>>,
 }
 
 impl<D: AbstractDomain> KnowledgeTable<D> {
     fn new(layout: &SecretLayout) -> Self {
-        KnowledgeTable { states: vec![Knowledge::initial(layout)], memo: HashMap::new() }
+        KnowledgeTable {
+            states: vec![Knowledge::initial(layout)],
+            successors: Vec::new(),
+            memo: HashMap::new(),
+            scratch: Vec::new(),
+        }
     }
 
     fn get(&self, state: StateId) -> &Knowledge<D> {
         &self.states[state.0 as usize]
     }
 
-    /// The state of `knowledge`, reached from `prior`: the prior's own id when the step left
-    /// it unchanged (so repeating a query reaches a fixed point), a new id otherwise.
-    fn intern(&mut self, prior: StateId, knowledge: Knowledge<D>) -> StateId {
-        if *self.get(prior) == knowledge {
-            return prior;
-        }
-        let id = u32::try_from(self.states.len()).expect("fewer than 2^32 knowledge states");
-        self.states.push(knowledge);
-        StateId(id)
-    }
-
-    /// The memoized step from `state` through `qinfo`, decided by [`posteriors`] on a miss.
+    /// The memoized step from `state` through `qinfo`. On a miss it computes the posterior of
+    /// every output, checks `policy` on each in output order, and interns the posteriors of an
+    /// authorized step: a posterior equal to the prior keeps the prior's id (so repeating a
+    /// query reaches a fixed point), any other gets a new id.
     fn step(&mut self, state: StateId, qinfo: &QInfo<D>, policy: &dyn Policy<D>) -> Transition {
         let key = (state, qinfo.key());
         if let Some(&transition) = self.memo.get(&key) {
             return transition;
         }
-        let (knowledge_true, knowledge_false, allowed) = posteriors(policy, qinfo, self.get(state));
-        let transition = if allowed {
-            Transition::Authorized {
-                on_true: self.intern(state, knowledge_true),
-                on_false: self.intern(state, knowledge_false),
-            }
-        } else {
-            Transition::Refused {
-                true_size: knowledge_true.size(),
-                false_size: knowledge_false.size(),
+        let KnowledgeTable { states, successors, memo, scratch } = self;
+        let prior = state.0 as usize;
+        scratch.extend(qinfo.sets().iter().map(|set| states[prior].refine_with(set)));
+        let transition = match scratch.iter().position(|posterior| !policy.allows(posterior)) {
+            Some(output) => Transition::Refused(match &scratch[..] {
+                [on_true, on_false] => {
+                    Refusal::Policy { true_size: on_true.size(), false_size: on_false.size() }
+                }
+                posteriors => Refusal::OutputPolicy { output, size: posteriors[output].size() },
+            }),
+            None => {
+                let first = u32::try_from(successors.len()).expect("fewer than 2^32 successors");
+                for posterior in scratch.drain(..) {
+                    successors.push(if posterior == states[prior] {
+                        state
+                    } else {
+                        let id = u32::try_from(states.len()).expect("fewer than 2^32 states");
+                        states.push(posterior);
+                        StateId(id)
+                    });
+                }
+                Transition::Authorized { successors: first }
             }
         };
-        self.memo.insert(key, transition);
+        scratch.clear();
+        memo.insert(key, transition);
         transition
     }
 
     /// Drops every state but `⊤` and every memoized step.
     fn clear(&mut self) {
         self.states.truncate(1);
+        self.successors.clear();
         self.memo.clear();
     }
 }
@@ -617,55 +592,6 @@ impl<D: AbstractDomain> Drop for AnosySession<D> {
     fn drop(&mut self) {
         self.shared.note_session_closed();
     }
-}
-
-/// One pure bounded-downgrade step (the decision half of Fig. 2, with no state change): checks
-/// that the policy is sound for the direction of the query's ind. sets, computes the posterior
-/// knowledge for **both** possible answers from `prior`, checks the policy on both, and only if
-/// both pass executes the query on `point`, returning the answer together with the matching
-/// posterior.
-///
-/// [`AnosySession::decide_batch`] decides every step the same way, memoized per knowledge state.
-///
-/// # Errors
-///
-/// Returns [`AnosyError::UnsoundApproximation`] when the policy is not sound for the ind. sets'
-/// direction (nothing is computed), and [`AnosyError::PolicyViolation`] when either posterior
-/// violates the policy — the query is **not** executed in either case.
-pub fn downgrade_step<D: AbstractDomain>(
-    policy: &dyn Policy<D>,
-    qinfo: &QInfo<D>,
-    prior: &Knowledge<D>,
-    point: &Point,
-) -> Result<(bool, Knowledge<D>), AnosyError> {
-    if !policy.sound_for(qinfo.kind()) {
-        return Err(AnosyError::UnsoundApproximation { kind: qinfo.kind() });
-    }
-    let (knowledge_true, knowledge_false, allowed) = posteriors(policy, qinfo, prior);
-    if !allowed {
-        return Err(AnosyError::PolicyViolation {
-            query: qinfo.query().name().to_string(),
-            policy: policy.name(),
-            posterior_true_size: knowledge_true.size(),
-            posterior_false_size: knowledge_false.size(),
-        });
-    }
-    let response = qinfo.ask(point);
-    let posterior = if response { knowledge_true } else { knowledge_false };
-    Ok((response, posterior))
-}
-
-/// Both posteriors of `prior` through `qinfo`, and whether `policy` accepts both.
-fn posteriors<D: AbstractDomain>(
-    policy: &dyn Policy<D>,
-    qinfo: &QInfo<D>,
-    prior: &Knowledge<D>,
-) -> (Knowledge<D>, Knowledge<D>, bool) {
-    let (post_true, post_false) = qinfo.posterior(prior.domain());
-    let knowledge_true = Knowledge::from_domain(post_true);
-    let knowledge_false = Knowledge::from_domain(post_false);
-    let allowed = policy.allows(&knowledge_true) && policy.allows(&knowledge_false);
-    (knowledge_true, knowledge_false, allowed)
 }
 
 impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
@@ -693,6 +619,50 @@ impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
         kind: ApproxKind,
         members: Option<usize>,
     ) -> Result<(), AnosyError> {
+        let indsets = self.synthesized(synth, query, kind, members)?;
+        self.register(QInfo::new(query.clone(), indsets));
+        Ok(())
+    }
+
+    /// Synthesizes, verifies and registers a query of any number of outputs (§5.1): the
+    /// effective predicate of each output ([`KaryQuery::output_pred`]) goes through the
+    /// synthesis cache and [`synthesize_and_verify`] as a boolean query of its own, exactly as
+    /// in [`AnosySession::register_synthesized`], and the output's ind. set is its `true` set.
+    /// Each output counts one cache hit or miss.
+    ///
+    /// # Errors
+    ///
+    /// See [`AnosySession::register_synthesized`]; nothing is registered on an error.
+    pub fn register_synthesized_cases(
+        &mut self,
+        synth: &mut Synthesizer,
+        query: &KaryQuery,
+        kind: ApproxKind,
+        members: Option<usize>,
+    ) -> Result<(), AnosyError> {
+        let sets = (0..query.output_count())
+            .map(|output| {
+                let case = QueryDef::new(
+                    format!("{}#{output}", query.name()),
+                    query.layout().clone(),
+                    query.output_pred(output),
+                )?;
+                Ok(self.synthesized(synth, &case, kind, members)?.truthy().clone())
+            })
+            .collect::<Result<_, AnosyError>>()?;
+        self.register(QInfo::with_cases(query.clone(), kind, sets));
+        Ok(())
+    }
+
+    /// The ind. sets of `query` from the synthesis cache, synthesized and verified on a miss,
+    /// counted as a hit or a miss.
+    fn synthesized(
+        &mut self,
+        synth: &mut Synthesizer,
+        query: &QueryDef,
+        kind: ApproxKind,
+        members: Option<usize>,
+    ) -> Result<IndSets<D>, AnosyError> {
         let (indsets, was_hit) = self.shared.get_or_synthesize(query, kind, members, || {
             synthesize_and_verify(synth, query, kind, members, SolverConfig::default())
         })?;
@@ -701,8 +671,7 @@ impl<D: AbstractDomain + SynthesizeInto> AnosySession<D> {
         } else {
             self.stats.synth_cache_misses += 1;
         }
-        self.register(QInfo::new(query.clone(), indsets));
-        Ok(())
+        Ok(indsets)
     }
 }
 
@@ -740,7 +709,6 @@ impl<D: AbstractDomain> fmt::Debug for AnosySession<D> {
             .field("layout", &self.layout)
             .field("policy", &self.policy.name())
             .field("queries", &self.queries.len())
-            .field("kary_queries", &self.kary_queries.len())
             .field("tracked_secrets", &self.secrets.len())
             .field("synth_cache", &self.synth_cache_len())
             .field("stats", &self.stats)
@@ -897,18 +865,25 @@ mod tests {
             .register_synthesized(&mut synth, &nearby(200, 200), ApproxKind::Over, None)
             .unwrap();
         let qinfo = session.query_handle("nearby_200_200").unwrap();
-        assert_eq!(qinfo.indsets().truthy().size(), 40_401);
+        assert_eq!(qinfo.sets()[0].size(), 40_401);
         let point = Point::new(vec![200, 200]);
         let unsound = Err(AnosyError::UnsoundApproximation { kind: ApproxKind::Over });
         assert_eq!(session.downgrade(&Protected::new(point.clone()), "nearby_200_200"), unsound);
         assert_eq!(session.knowledge_of(&point).size(), 401 * 401);
         assert_eq!(session.stats().downgrades_authorized + session.stats().downgrades_refused, 0);
         assert_eq!(session.shared_cache().stats().downgrades_refused, 0);
-        let policy = AndPolicy::new(AllowAll, MinSizePolicy::new(30_000));
-        let prior = Knowledge::initial(&loc_layout());
-        assert_eq!(downgrade_step(&policy, &qinfo, &prior, &point).map(|(a, _)| a), unsound);
+        // A conjunction is sound only where both conjuncts are.
+        let mut conjunction =
+            AnosySession::new(loc_layout(), AndPolicy::new(AllowAll, MinSizePolicy::new(30_000)));
+        assert_eq!(conjunction.decide(&qinfo, &point), Err(Refusal::Unsound(ApproxKind::Over)));
+        assert_eq!(
+            (conjunction.tracked_secrets(), conjunction.stats()),
+            (0, SessionStats::default())
+        );
         // Allow-all is sound for both directions.
-        assert_eq!(downgrade_step(&AllowAll, &qinfo, &prior, &point).map(|(a, _)| a), Ok(true));
+        let mut open = AnosySession::new(loc_layout(), AllowAll);
+        assert_eq!(open.decide(&qinfo, &point), Ok(0));
+        assert_eq!(open.knowledge_of(&point).size(), 40_401);
     }
 
     secret_record! {
@@ -1148,39 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn downgrade_step_matches_the_session_path() {
-        // Chain the pure step over a local prior and compare against the mutating session path
-        // on the paper's §3 walkthrough (authorize, authorize, refuse).
-        let session = paper_session();
-        let policy = MinSizePolicy::new(100);
-        let point = Point::new(vec![300, 200]);
-        let mut prior = session.knowledge_of(&point);
-
-        let qinfo = session.query_info("nearby_200_200").unwrap();
-        let (answer, posterior) = downgrade_step(&policy, qinfo, &prior, &point).unwrap();
-        assert!(answer);
-        assert_eq!(posterior.size(), 6837);
-        prior = posterior;
-
-        let qinfo = session.query_info("nearby_300_200").unwrap();
-        let (answer, posterior) = downgrade_step(&policy, qinfo, &prior, &point).unwrap();
-        assert!(answer);
-        prior = posterior;
-
-        let qinfo = session.query_info("nearby_400_200").unwrap();
-        let err = downgrade_step(&policy, qinfo, &prior, &point).unwrap_err();
-        assert!(matches!(err, AnosyError::PolicyViolation { .. }));
-
-        // The session path lands on exactly the same knowledge.
-        let mut mutating = paper_session();
-        let secret = Protected::new(point.clone());
-        mutating.downgrade(&secret, "nearby_200_200").unwrap();
-        mutating.downgrade(&secret, "nearby_300_200").unwrap();
-        mutating.downgrade(&secret, "nearby_400_200").unwrap_err();
-        assert_eq!(mutating.knowledge_of(&point).size(), prior.size());
-    }
-
-    #[test]
     fn downgrade_with_a_resolved_query_mirrors_the_named_downgrade() {
         let mut named = paper_session();
         let mut resolved = paper_session();
@@ -1215,7 +1157,7 @@ mod tests {
         let bob = Point::new(vec![250, 210]);
         for _ in 0..50 {
             for secret in [&alice, &bob] {
-                assert_eq!(session.decide(&qinfo, secret), Ok(true));
+                assert_eq!(session.decide(&qinfo, secret), Ok(0));
             }
         }
         // ⊤, then the two posteriors of the first step; the `true` one meets its ind. set to
@@ -1227,6 +1169,31 @@ mod tests {
         session.reset_knowledge();
         assert_eq!((session.table.states.len(), session.table.memo.len()), (1, 0));
         assert_eq!(session.knowledge_of(&bob), Knowledge::initial(&loc_layout()));
+    }
+
+    #[test]
+    fn a_kary_query_takes_one_memoized_step_from_top() {
+        // Every age downgraded through the age bands from ⊤ under allow-all: one step, whose
+        // three posteriors are each the exact band, then the fixed point of each band.
+        let layout = SecretLayout::builder().field("age", 0, 120).build();
+        let bands = [IntExpr::var(0).lt(18), IntExpr::var(0).lt(65)];
+        let query = KaryQuery::new("age_band", layout.clone(), bands.to_vec()).unwrap();
+        let band = |lo, hi| IntervalDomain::from_intervals(vec![AInt::new(lo, hi)]);
+        let sets = vec![band(0, 17), band(18, 64), band(65, 120)];
+        let mut session = AnosySession::<IntervalDomain>::new(layout, AllowAll);
+        session.register(QInfo::with_cases(query, ApproxKind::Under, sets));
+        for age in 0..=120 {
+            let output =
+                session.downgrade_output(&Protected::new(Point::new(vec![age])), "age_band");
+            assert_eq!(output, Ok(usize::from(age >= 18) + usize::from(age >= 65)), "age {age}");
+        }
+        assert_eq!((session.table.states.len(), session.table.memo.len()), (4, 1));
+        assert_eq!(session.knowledge_of(&Point::new(vec![40])).size(), 47);
+        assert_eq!(session.stats().downgrades_authorized, 121);
+        // A boolean downgrade through it answers whether the output is the first.
+        assert_eq!(session.downgrade(&Protected::new(Point::new(vec![3])), "age_band"), Ok(true));
+        assert_eq!(session.downgrade(&Protected::new(Point::new(vec![70])), "age_band"), Ok(false));
+        assert_eq!(session.table.memo.len(), 3, "the fixed points of two bands");
     }
 
     #[test]

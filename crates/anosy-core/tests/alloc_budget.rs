@@ -196,12 +196,11 @@ fn steady_state_powerset_downgrades_stay_within_the_budget() {
                 "round {round}, secret {secret}: {count} allocations, budget {BUDGET}"
             );
             // The posterior the session kept is the meet of the prior with the answer's ind. set.
-            let (post_true, post_false) = query.posterior(prior.domain());
             let kept = session.knowledge_of(secret);
-            assert!(
-                kept == Knowledge::from_domain(post_true)
-                    || kept == Knowledge::from_domain(post_false)
-            );
+            assert!(query
+                .sets()
+                .iter()
+                .any(|set| kept == Knowledge::from_domain(prior.domain().intersect(set))));
         }
     }
     assert!(bounded.knowledge_of(&secrets[0]).size() > 100);
@@ -236,7 +235,7 @@ fn memo_hits_allocate_nothing<D: AbstractDomain>(query: QInfo<D>) {
     for secret in settle(&mut open, &query) {
         let prior = open.knowledge_of(&secret);
         let (outcome, count) = allocations(|| open.decide(&query, &secret));
-        assert_eq!(outcome, Ok(true));
+        assert_eq!(outcome, Ok(0));
         assert_eq!(count, 0, "secret {secret}: an authorized memo hit allocates nothing");
         assert_eq!(open.knowledge_of(&secret), prior);
         let (outcome, count) = allocations(|| open.downgrade_with(&query, &secret));
@@ -411,7 +410,7 @@ fn a_meet_with_exclusions_on_both_sides_allocates_its_two_lists_and_one_stack() 
         vec![member((100, 160), (100, 160))],
     );
     let ind = south();
-    let (meet, count) = allocations(|| prior.intersect(ind.indsets().truthy()));
+    let (meet, count) = allocations(|| prior.intersect(&ind.sets()[0]));
     assert!(meet.size() > 0);
     assert!(count <= 3, "{count} allocations");
 }

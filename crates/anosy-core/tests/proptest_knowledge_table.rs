@@ -2,22 +2,25 @@
 //!
 //! An [`AnosySession`] keeps one state id per secret and decides each `(state, query)` step once
 //! in its knowledge table. The oracle keeps what a session kept before the table existed: one
-//! [`Knowledge`] per secret in a `HashMap`, advanced by a fresh [`downgrade_step`] on every
-//! downgrade. Random histories run through both, in both domains, under allow-all, min-size and
-//! conjunction policies and both approximation directions. They mix duplicate and out-of-layout
-//! secrets, unknown names, names registered again with another predicate, resets, k-ary
-//! downgrades and batches through [`AnosySession::decide_batch`], which the oracle decides one
-//! secret after another. Answers, errors, counters and the encoded knowledge of every secret
-//! must agree after every step.
+//! [`Knowledge`] per secret in a `HashMap`, advanced on every downgrade by a fresh
+//! [`downgrade_step`] for a boolean query, or by recomputing every output's posterior for a
+//! query of three or four outputs. Random histories run through both, in both domains, under
+//! allow-all, min-size and conjunction policies and both approximation directions. They mix
+//! duplicate and out-of-layout secrets, unknown names, names registered again with another
+//! predicate or another number of outputs, resets, and downgrades and batches through
+//! [`AnosySession::decide_batch`] of queries of two, three and four outputs, which the oracle
+//! decides one secret after another. Answers, errors, counters and the encoded knowledge of every
+//! secret must agree after every step.
 
 use anosy_core::{
-    downgrade_step, AnosyError, AnosySession, KaryIndSets, KaryQuery, Knowledge, Policy,
-    PolicySpec, QInfo, Refusal, SessionStats,
+    AnosyError, AnosySession, KaryQuery, Knowledge, MinSizePolicy, Policy, PolicySpec, QInfo,
+    Refusal, SessionStats,
 };
 use anosy_domains::{AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_ifc::Protected;
 use anosy_logic::{IntExpr, Point, SecretLayout};
-use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef};
+use anosy_solver::SolverConfig;
+use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, SynthConfig, Synthesizer};
 use proptest::prelude::*;
 use proptest::strategy::from_fn;
 use std::collections::HashMap;
@@ -57,26 +60,46 @@ impl FromRects for PowersetDomain {
     }
 }
 
-/// One registration of query name `name`: the predicate `field <= cut` with arbitrary ind. sets
-/// (the comparison is differential, so the sets need not be sound for the predicate).
+/// One registration of query name `name`: first-match cases `field <= cut`, one for a boolean
+/// query and two or three for a query of three or four outputs, with arbitrary ind. sets, one per
+/// output (the comparison is differential, so the sets need not be sound for the cases). The
+/// first set also carries the exclusions.
 #[derive(Debug, Clone)]
 struct Registration {
     name: usize,
-    field: usize,
-    cut: i64,
+    cases: Vec<(usize, i64)>,
     kind: ApproxKind,
-    truthy: Vec<Rect>,
-    falsy: Vec<Rect>,
+    sets: Vec<Vec<Rect>>,
     exclusions: Vec<Rect>,
 }
 
 impl Registration {
+    fn sets<D: FromRects>(&self) -> Vec<D> {
+        let exclusions = |output| if output == 0 { &self.exclusions[..] } else { &[] };
+        self.sets.iter().enumerate().map(|(i, set)| D::from_rects(set, exclusions(i))).collect()
+    }
+
     fn qinfo<D: FromRects>(&self) -> QInfo<D> {
-        let query = QueryDef::new(name(self.name), layout(), IntExpr::var(self.field).le(self.cut))
-            .unwrap();
-        let truthy = D::from_rects(&self.truthy, &self.exclusions);
-        let falsy = D::from_rects(&self.falsy, &[]);
-        QInfo::new(query, IndSets::new(self.kind, truthy, falsy))
+        match self.reference() {
+            Reference::Boolean(old) => QInfo::new(old.query, old.indsets),
+            Reference::Cases(query, kind, sets) => QInfo::with_cases(query, kind, sets),
+        }
+    }
+
+    /// The oracle's copy of the query: the boolean `QInfo` as it was before queries had `k`
+    /// outputs for one case, the cases and their sets otherwise.
+    fn reference<D: FromRects>(&self) -> Reference<D> {
+        let cases = self.cases.iter().map(|&(field, cut)| IntExpr::var(field).le(cut));
+        let mut sets = self.sets::<D>();
+        if let [(field, cut)] = self.cases[..] {
+            let query = QueryDef::new(name(self.name), layout(), IntExpr::var(field).le(cut));
+            let falsy = sets.pop().unwrap();
+            let truthy = sets.pop().unwrap();
+            let indsets = IndSets::new(self.kind, truthy, falsy);
+            return Reference::Boolean(BooleanQInfo { query: query.unwrap(), indsets });
+        }
+        let query = KaryQuery::new(name(self.name), layout(), cases.collect()).unwrap();
+        Reference::Cases(query, self.kind, sets)
     }
 }
 
@@ -89,11 +112,11 @@ fn name(index: usize) -> String {
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// A boolean downgrade by name, or through [`AnosySession::decide`] with the resolved query.
+    /// A downgrade by name, or through [`AnosySession::decide`] with the resolved query.
     Downgrade {
         name: usize,
         secret: usize,
-        via_decide: bool,
+        via: Via,
     },
     /// One [`AnosySession::decide_batch`] call over these secrets, duplicates included.
     Batch {
@@ -101,10 +124,18 @@ enum Op {
         secrets: Vec<usize>,
     },
     Register(Registration),
-    Kary {
-        secret: usize,
-    },
     Reset,
+}
+
+/// The entry point a downgrade goes through.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// [`AnosySession::downgrade`]: whether the output is 0.
+    Answer,
+    /// [`AnosySession::downgrade_output`].
+    Output,
+    /// [`AnosySession::decide`] with the resolved query (by name when it is unknown).
+    Decide,
 }
 
 #[derive(Debug, Clone)]
@@ -112,8 +143,6 @@ struct Case {
     policy: PolicySpec,
     secrets: Vec<Point>,
     registrations: Vec<Registration>,
-    kary_kind: ApproxKind,
-    kary_sets: Vec<Vec<Rect>>,
     ops: Vec<Op>,
 }
 
@@ -138,16 +167,21 @@ fn kind(rng: &mut TestRng) -> ApproxKind {
     }
 }
 
-fn registration(rng: &mut TestRng, name: usize) -> Registration {
+/// A registration of `name` with `cases` first-match cases, so `cases + 1` outputs.
+fn registration(rng: &mut TestRng, name: usize, cases: usize) -> Registration {
     Registration {
         name,
-        field: rng.below(2) as usize,
-        cut: rng.below(SIDE as u64 + 1) as i64,
+        cases: (0..cases)
+            .map(|_| (rng.below(2) as usize, rng.below(SIDE as u64 + 1) as i64))
+            .collect(),
         kind: kind(rng),
-        truthy: rects(rng, 3),
-        falsy: rects(rng, 3),
+        sets: (0..=cases).map(|_| rects(rng, 3)).collect(),
         exclusions: if rng.below(3) == 0 { vec![random_rect(rng)] } else { vec![] },
     }
+}
+
+fn via(rng: &mut TestRng) -> Via {
+    [Via::Answer, Via::Output, Via::Decide][rng.below(3) as usize]
 }
 
 fn case(rng: &mut TestRng) -> Case {
@@ -170,45 +204,125 @@ fn case(rng: &mut TestRng) -> Case {
             Point::new(vec![c(), c()])
         })
         .collect::<Vec<_>>();
-    let registrations = (0..NAMES - 1).map(|n| registration(rng, n)).collect();
-    let kary_sets = (0..3).map(|_| rects(rng, 2)).collect();
+    // Every history starts with a boolean query and queries of three and four outputs.
+    let registrations = (0..NAMES - 1).map(|n| registration(rng, n, n + 1)).collect();
     let spread = if wide { 2 * secrets.len() } else { 0 };
     let mut ops: Vec<Op> = (0..spread)
         .map(|i| Op::Downgrade {
             name: rng.below(NAMES as u64 - 1) as usize,
             secret: i % secrets.len(),
-            via_decide: true,
+            via: Via::Decide,
         })
         .collect();
     ops.extend((0..rng.below(40)).map(|_| {
         match rng.below(20) {
-            0..=10 => Op::Downgrade {
+            0..=12 => Op::Downgrade {
                 name: rng.below(NAMES as u64) as usize,
                 secret: rng.below(secrets.len() as u64) as usize,
-                via_decide: rng.below(2) == 0,
+                via: via(rng),
             },
-            11..=13 => Op::Batch {
+            13..=15 => Op::Batch {
                 name: rng.below(NAMES as u64 - 1) as usize,
                 secrets: (0..rng.below(3 * secrets.len() as u64 + 1))
                     .map(|_| rng.below(secrets.len() as u64) as usize)
                     .collect(),
             },
-            14..=16 => {
+            16..=18 => {
                 let name = rng.below(NAMES as u64 - 1) as usize;
-                Op::Register(registration(rng, name))
+                let cases = [1, 1, 2, 3][rng.below(4) as usize];
+                Op::Register(registration(rng, name, cases))
             }
-            17..=18 => Op::Kary { secret: rng.below(secrets.len() as u64) as usize },
             _ => Op::Reset,
         }
     }));
-    Case { policy, secrets, registrations, kary_kind: kind(rng), kary_sets, ops }
+    Case { policy, secrets, registrations, ops }
+}
+
+/// The boolean `QInfo` as it was before queries had `k` outputs, which [`downgrade_step`]
+/// reads.
+struct BooleanQInfo<D> {
+    query: QueryDef,
+    indsets: IndSets<D>,
+}
+
+impl<D: AbstractDomain> BooleanQInfo<D> {
+    fn kind(&self) -> ApproxKind {
+        self.indsets.kind()
+    }
+
+    fn query(&self) -> &QueryDef {
+        &self.query
+    }
+
+    fn ask(&self, secret: &Point) -> bool {
+        self.query.ask(secret)
+    }
+
+    fn posterior(&self, prior: &D) -> (D, D) {
+        self.indsets.posterior(prior)
+    }
+}
+
+/// One pure bounded-downgrade step (the decision half of Fig. 2, with no state change): checks
+/// that the policy is sound for the direction of the query's ind. sets, computes the posterior
+/// knowledge for **both** possible answers from `prior`, checks the policy on both, and only if
+/// both pass executes the query on `point`, returning the answer together with the matching
+/// posterior.
+///
+/// This is the session's decision before knowledge tables, kept verbatim as the reference
+/// boolean queries are checked against (only the query type is renamed).
+///
+/// # Errors
+///
+/// Returns [`AnosyError::UnsoundApproximation`] when the policy is not sound for the ind. sets'
+/// direction (nothing is computed), and [`AnosyError::PolicyViolation`] when either posterior
+/// violates the policy — the query is **not** executed in either case.
+fn downgrade_step<D: AbstractDomain>(
+    policy: &dyn Policy<D>,
+    qinfo: &BooleanQInfo<D>,
+    prior: &Knowledge<D>,
+    point: &Point,
+) -> Result<(bool, Knowledge<D>), AnosyError> {
+    if !policy.sound_for(qinfo.kind()) {
+        return Err(AnosyError::UnsoundApproximation { kind: qinfo.kind() });
+    }
+    let (knowledge_true, knowledge_false, allowed) = posteriors(policy, qinfo, prior);
+    if !allowed {
+        return Err(AnosyError::PolicyViolation {
+            query: qinfo.query().name().to_string(),
+            policy: policy.name(),
+            posterior_true_size: knowledge_true.size(),
+            posterior_false_size: knowledge_false.size(),
+        });
+    }
+    let response = qinfo.ask(point);
+    let posterior = if response { knowledge_true } else { knowledge_false };
+    Ok((response, posterior))
+}
+
+/// Both posteriors of `prior` through `qinfo`, and whether `policy` accepts both.
+fn posteriors<D: AbstractDomain>(
+    policy: &dyn Policy<D>,
+    qinfo: &BooleanQInfo<D>,
+    prior: &Knowledge<D>,
+) -> (Knowledge<D>, Knowledge<D>, bool) {
+    let (post_true, post_false) = qinfo.posterior(prior.domain());
+    let knowledge_true = Knowledge::from_domain(post_true);
+    let knowledge_false = Knowledge::from_domain(post_false);
+    let allowed = policy.allows(&knowledge_true) && policy.allows(&knowledge_false);
+    (knowledge_true, knowledge_false, allowed)
+}
+
+/// The oracle's copy of a registered query.
+enum Reference<D> {
+    Boolean(BooleanQInfo<D>),
+    Cases(KaryQuery, ApproxKind, Vec<D>),
 }
 
 /// The session before knowledge tables: one knowledge per secret, every step recomputed.
 struct Oracle<D: AbstractDomain> {
     policy: PolicySpec,
-    queries: HashMap<String, QInfo<D>>,
-    kary: (KaryQuery, KaryIndSets<D>),
+    queries: HashMap<String, Reference<D>>,
     knowledge: HashMap<Point, Knowledge<D>>,
     stats: SessionStats,
 }
@@ -218,22 +332,35 @@ impl<D: AbstractDomain> Oracle<D> {
         self.knowledge.get(point).cloned().unwrap_or_else(|| Knowledge::initial(&layout()))
     }
 
-    fn downgrade(&mut self, query: &str, point: &Point) -> Result<bool, AnosyError> {
-        let qinfo = self
+    /// The output of a downgrade; a boolean query's `true` is output 0.
+    fn downgrade(&mut self, query: &str, point: &Point) -> Result<usize, AnosyError> {
+        let reference = self
             .queries
             .get(query)
             .ok_or_else(|| AnosyError::UnknownQuery { name: query.to_string() })?;
         if !layout().admits(point) {
             return Err(AnosyError::SecretOutsideLayout);
         }
-        match downgrade_step(&self.policy, qinfo, &self.prior(point), point) {
-            Ok((answer, posterior)) => {
+        let decided = match reference {
+            Reference::Boolean(qinfo) => {
+                downgrade_step(&self.policy, qinfo, &self.prior(point), point)
+                    .map(|(answer, posterior)| (usize::from(!answer), posterior))
+            }
+            Reference::Cases(query, kind, sets) => {
+                self.downgrade_kary(query, *kind, sets, &self.prior(point), point)
+            }
+        };
+        match decided {
+            Ok((output, posterior)) => {
                 self.knowledge.insert(point.clone(), posterior);
                 self.stats.downgrades_authorized += 1;
-                Ok(answer)
+                Ok(output)
             }
             Err(e) => {
-                if matches!(e, AnosyError::PolicyViolation { .. }) {
+                if matches!(
+                    e,
+                    AnosyError::PolicyViolation { .. } | AnosyError::OutputViolation { .. }
+                ) {
                     self.stats.downgrades_refused += 1;
                 }
                 Err(e)
@@ -241,88 +368,87 @@ impl<D: AbstractDomain> Oracle<D> {
         }
     }
 
-    fn downgrade_kary(&mut self, point: &Point) -> Result<usize, AnosyError> {
-        let (query, indsets) = &self.kary;
-        if !layout().admits(point) {
-            return Err(AnosyError::SecretOutsideLayout);
+    /// The bounded downgrade of a query of more than two outputs: every output's posterior is
+    /// checked, and a refusal names the first violating output.
+    fn downgrade_kary(
+        &self,
+        query: &KaryQuery,
+        kind: ApproxKind,
+        sets: &[D],
+        prior: &Knowledge<D>,
+        point: &Point,
+    ) -> Result<(usize, Knowledge<D>), AnosyError> {
+        if !Policy::<D>::sound_for(&self.policy, kind) {
+            return Err(AnosyError::UnsoundApproximation { kind });
         }
-        if !Policy::<D>::sound_for(&self.policy, indsets.kind()) {
-            return Err(AnosyError::UnsoundApproximation { kind: indsets.kind() });
-        }
-        let posteriors: Vec<Knowledge<D>> = indsets
-            .posterior(self.prior(point).domain())
-            .into_iter()
-            .map(Knowledge::from_domain)
-            .collect();
-        if let Some(violating) = posteriors.iter().find(|k| !self.policy.allows(k)) {
-            self.stats.downgrades_refused += 1;
-            return Err(AnosyError::PolicyViolation {
+        let mut posteriors: Vec<Knowledge<D>> = sets.iter().map(|s| prior.refine_with(s)).collect();
+        if let Some(output) = posteriors.iter().position(|k| !self.policy.allows(k)) {
+            return Err(AnosyError::OutputViolation {
                 query: query.name().to_string(),
                 policy: Policy::<D>::name(&self.policy),
-                posterior_true_size: violating.size(),
-                posterior_false_size: violating.size(),
+                output,
+                posterior_size: posteriors[output].size(),
             });
         }
         let output = query.output(point);
-        self.knowledge.insert(point.clone(), posteriors[output].clone());
-        self.stats.downgrades_authorized += 1;
-        Ok(output)
+        Ok((output, posteriors.swap_remove(output)))
     }
 }
 
-/// The error [`AnosySession::downgrade_with`] spells a refusal out as.
-fn spelled<D: AbstractDomain>(
-    refusal: Refusal,
-    qinfo: &QInfo<D>,
-    policy: &PolicySpec,
-) -> AnosyError {
+/// The error [`AnosySession::downgrade_output`] spells a refusal out as.
+fn spelled<D: AbstractDomain>(refusal: Refusal, query: &str, policy: &PolicySpec) -> AnosyError {
     match refusal {
         Refusal::OutsideLayout => AnosyError::SecretOutsideLayout,
         Refusal::Unsound(kind) => AnosyError::UnsoundApproximation { kind },
         Refusal::Policy { true_size, false_size } => AnosyError::PolicyViolation {
-            query: qinfo.query().name().to_string(),
+            query: query.to_string(),
             policy: Policy::<D>::name(policy),
             posterior_true_size: true_size,
             posterior_false_size: false_size,
+        },
+        Refusal::OutputPolicy { output, size } => AnosyError::OutputViolation {
+            query: query.to_string(),
+            policy: Policy::<D>::name(policy),
+            output,
+            posterior_size: size,
         },
     }
 }
 
 fn run<D: FromRects>(case: &Case) -> Result<(), TestCaseError> {
-    let kary_query =
-        KaryQuery::new("kary", layout(), vec![IntExpr::var(0).le(5), IntExpr::var(1).le(9)])
-            .unwrap();
-    let kary_sets = KaryIndSets::new(
-        case.kary_kind,
-        case.kary_sets.iter().map(|r| D::from_rects(r, &[])).collect(),
-    );
     let mut session = AnosySession::<D>::new(layout(), case.policy.clone());
-    session.register_kary(kary_query.clone(), kary_sets.clone());
     let mut oracle = Oracle {
         policy: case.policy.clone(),
         queries: HashMap::new(),
-        kary: (kary_query, kary_sets),
         knowledge: HashMap::new(),
         stats: SessionStats::default(),
     };
     let register = |session: &mut AnosySession<D>, oracle: &mut Oracle<D>, r: &Registration| {
-        let qinfo = r.qinfo::<D>();
-        oracle.queries.insert(name(r.name), qinfo.clone());
-        session.register(qinfo);
+        oracle.queries.insert(name(r.name), r.reference());
+        session.register(r.qinfo());
     };
     for r in &case.registrations {
         register(&mut session, &mut oracle, r);
     }
     for (step, op) in case.ops.iter().enumerate() {
         match op {
-            Op::Downgrade { name: n, secret, via_decide } => {
-                let point = &case.secrets[*secret];
-                let expected = oracle.downgrade(&name(*n), point);
-                let got = match (via_decide, session.query_handle(&name(*n))) {
-                    (true, Some(qinfo)) => session
-                        .decide(&qinfo, point)
-                        .map_err(|refusal| spelled(refusal, &qinfo, &case.policy)),
-                    _ => session.downgrade(&Protected::new(point.clone()), &name(*n)),
+            Op::Downgrade { name: n, secret, via } => {
+                let (name, point) = (name(*n), &case.secrets[*secret]);
+                let expected = oracle.downgrade(&name, point);
+                let secret = Protected::new(point.clone());
+                // `downgrade` answers whether the output is 0, compared here as output 0 or 1.
+                let (got, expected) = match (via, session.query_handle(&name)) {
+                    (Via::Answer, _) => (
+                        session.downgrade(&secret, &name).map(|answer| usize::from(!answer)),
+                        expected.map(|output| usize::from(output != 0)),
+                    ),
+                    (Via::Decide, Some(qinfo)) => (
+                        session
+                            .decide(&qinfo, point)
+                            .map_err(|refusal| spelled::<D>(refusal, &name, &case.policy)),
+                        expected,
+                    ),
+                    _ => (session.downgrade_output(&secret, &name), expected),
                 };
                 prop_assert_eq!(got, expected, "step {}: {:?}", step, op);
             }
@@ -334,7 +460,9 @@ fn run<D: FromRects>(case: &Case) -> Result<(), TestCaseError> {
                     session.query_handle(&name(*n)).expect("batches name registered queries");
                 let mut got = Vec::new();
                 let denied = session.decide_batch(&qinfo, &points, |decided| {
-                    got.push(decided.map_err(|refusal| spelled(refusal, &qinfo, &case.policy)));
+                    got.push(
+                        decided.map_err(|refusal| spelled::<D>(refusal, &name(*n), &case.policy)),
+                    );
                 });
                 prop_assert_eq!(&got, &expected, "step {}: {:?}", step, op);
                 prop_assert_eq!(
@@ -345,12 +473,6 @@ fn run<D: FromRects>(case: &Case) -> Result<(), TestCaseError> {
                 );
             }
             Op::Register(r) => register(&mut session, &mut oracle, r),
-            Op::Kary { secret } => {
-                let point = &case.secrets[*secret];
-                let expected = oracle.downgrade_kary(point);
-                let got = session.downgrade_kary(&Protected::new(point.clone()), "kary");
-                prop_assert_eq!(got, expected, "step {}: {:?}", step, op);
-            }
             Op::Reset => {
                 session.reset_knowledge();
                 oracle.knowledge.clear();
@@ -386,11 +508,9 @@ fn cut(name: usize, field: usize, cut: i64, kind: ApproxKind) -> Registration {
     };
     Registration {
         name,
-        field,
-        cut,
+        cases: vec![(field, cut)],
         kind,
-        truthy: vec![truthy],
-        falsy: vec![falsy],
+        sets: vec![vec![truthy], vec![falsy]],
         exclusions: vec![],
     }
 }
@@ -408,7 +528,7 @@ fn a_batch_spanning_more_states_than_it_caches_matches_the_chains() {
     secrets.push(Point::new(vec![SIDE + 1, 0]));
     let everyone: Vec<usize> = (0..secrets.len()).chain(0..secrets.len()).collect();
     let mut ops: Vec<Op> = (0..SIDE as usize)
-        .map(|i| Op::Downgrade { name: i, secret: i, via_decide: true })
+        .map(|i| Op::Downgrade { name: i, secret: i, via: Via::Decide })
         .collect();
     for name in [15, 16, 15, 0] {
         ops.push(Op::Batch { name, secrets: everyone.clone() });
@@ -418,12 +538,61 @@ fn a_batch_spanning_more_states_than_it_caches_matches_the_chains() {
             policy,
             secrets: secrets.clone(),
             registrations: spread.clone().chain(halves.clone()).collect(),
-            kary_kind: ApproxKind::Under,
-            kary_sets: vec![vec![(0, SIDE, 0, SIDE)]; 3],
             ops: ops.clone(),
         };
         run::<IntervalDomain>(&case).unwrap();
         run::<PowersetDomain>(&case).unwrap();
+    }
+}
+
+#[test]
+fn downgrade_step_matches_the_session_path() {
+    // The paper's §3 walkthrough (authorize, authorize, refuse) on the paper's hand-written
+    // approximation of nearby (200,200) and synthesized ones of nearby (300,200) and
+    // (400,200): the reference step chained over a local prior, and a session.
+    let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
+    let nearby = |xo: i64| {
+        let pred = ((IntExpr::var(0) - xo).abs() + (IntExpr::var(1) - 200).abs()).le(100);
+        QueryDef::new(format!("nearby_{xo}_200"), layout.clone(), pred).unwrap()
+    };
+    let paper = IndSets::new(
+        ApproxKind::Under,
+        IntervalDomain::from_intervals(vec![AInt::new(121, 279), AInt::new(179, 221)]),
+        IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(0, 99)]),
+    );
+    let mut synth =
+        Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
+    let mut synthesized = |xo| synth.synth_interval(&nearby(xo), ApproxKind::Under).unwrap();
+    let queries = [
+        BooleanQInfo { query: nearby(200), indsets: paper },
+        BooleanQInfo { query: nearby(300), indsets: synthesized(300) },
+        BooleanQInfo { query: nearby(400), indsets: synthesized(400) },
+    ];
+    let policy = MinSizePolicy::new(100);
+    let point = Point::new(vec![300, 200]);
+    let mut session = AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+    for q in &queries {
+        session.register(QInfo::new(q.query.clone(), q.indsets.clone()));
+    }
+    let mut prior = Knowledge::initial(&layout);
+    for (i, qinfo) in queries.iter().enumerate() {
+        let name = qinfo.query().name();
+        let expected = session.downgrade(&Protected::new(point.clone()), name);
+        match downgrade_step(&policy, qinfo, &prior, &point) {
+            Ok((answer, posterior)) => {
+                assert!(answer && i < 2, "{name}");
+                assert_eq!(expected, Ok(true));
+                prior = posterior;
+            }
+            Err(e) => {
+                assert!(matches!(e, AnosyError::PolicyViolation { .. }) && i == 2, "{name}: {e}");
+                assert_eq!(expected, Err(e));
+            }
+        }
+        if i == 0 {
+            assert_eq!(prior.size(), 6837);
+        }
+        assert_eq!(session.knowledge_of(&point), prior, "after {name}");
     }
 }
 

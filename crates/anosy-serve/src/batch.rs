@@ -31,10 +31,11 @@ impl<D: AbstractDomain> Deployment<D> {
         let policy = session.policy_name();
         let mut results = Vec::with_capacity(secrets.len());
         session.decide_batch(&qinfo, secrets, |decided| {
-            results
-                .push(decided.map_err(|refusal| {
-                    refusal.into_error(qinfo.query().name(), || policy.clone())
-                }));
+            results.push(
+                decided
+                    .map(|output| output == 0)
+                    .map_err(|refusal| refusal.into_error(qinfo.query().name(), || policy.clone())),
+            );
         });
         results
     }

@@ -339,7 +339,7 @@ where
                 };
                 let mut answers = Vec::with_capacity(secrets.len());
                 let denied = open.decide_batch(qinfo, &secrets, |decided| {
-                    answers.push(decided.map_err(DenialCode::from));
+                    answers.push(decided.map(|output| output == 0).map_err(DenialCode::from));
                 });
                 self.tick_denials += denied as u64;
                 ServeResponse::Answers(answers)

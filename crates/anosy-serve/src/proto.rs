@@ -222,7 +222,9 @@ impl DenialCode {
     /// Classifies a session-layer error.
     pub fn of(error: &AnosyError) -> DenialCode {
         match error {
-            AnosyError::PolicyViolation { .. } => DenialCode::Policy,
+            AnosyError::PolicyViolation { .. } | AnosyError::OutputViolation { .. } => {
+                DenialCode::Policy
+            }
             AnosyError::UnsoundApproximation { .. } => DenialCode::UnsoundApproximation,
             AnosyError::UnknownQuery { .. } => DenialCode::UnknownQuery,
             AnosyError::SecretOutsideLayout => DenialCode::OutsideLayout,
@@ -237,7 +239,7 @@ impl From<Refusal> for DenialCode {
         match refusal {
             Refusal::OutsideLayout => DenialCode::OutsideLayout,
             Refusal::Unsound(_) => DenialCode::UnsoundApproximation,
-            Refusal::Policy { .. } => DenialCode::Policy,
+            Refusal::Policy { .. } | Refusal::OutputPolicy { .. } => DenialCode::Policy,
         }
     }
 }

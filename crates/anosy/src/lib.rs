@@ -60,8 +60,8 @@ pub use anosy_verify as verify;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use anosy_core::{
-        AnosyError, AnosySession, AsSecretPoint, KaryIndSets, KaryQuery, Knowledge,
-        MinEntropyPolicy, MinSizePolicy, Policy, PolicySpec, QInfo, SynthesizeInto,
+        AnosyError, AnosySession, AsSecretPoint, KaryQuery, Knowledge, MinEntropyPolicy,
+        MinSizePolicy, Policy, PolicySpec, QInfo, SynthesizeInto,
     };
     pub use anosy_domains::{
         secret_record, AInt, AbstractDomain, IntervalDomain, PowersetDomain, Secret,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release -p anosy --example policy_gallery`
 
-use anosy::core::{FnPolicy, KaryIndSets, KaryQuery};
+use anosy::core::FnPolicy;
 use anosy::prelude::*;
 
 fn build_session(
@@ -97,12 +97,10 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
             Pred::and(vec![IntExpr::var(0).le(200), IntExpr::var(1).gt(200)]),
         ],
     )?;
-    let indsets: KaryIndSets<PowersetDomain> =
-        KaryIndSets::synthesize(&mut synthesizer, &quadrant, ApproxKind::Under, Some(2))?;
     let mut session: AnosySession<PowersetDomain> =
         AnosySession::new(layout.clone(), MinSizePolicy::new(10_000));
-    session.register_kary(quadrant, indsets);
-    match session.downgrade_kary(&secret, "quadrant") {
+    session.register_synthesized_cases(&mut synthesizer, &quadrant, ApproxKind::Under, Some(2))?;
+    match session.downgrade_output(&secret, "quadrant") {
         Ok(output) => println!("  authorized: the user is in quadrant #{output}"),
         Err(e) => println!("  refused: {e}"),
     }
