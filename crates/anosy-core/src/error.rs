@@ -198,7 +198,7 @@ mod tests {
         assert!(unknown.to_string().contains("can't downgrade nearby"));
         let violation = AnosyError::PolicyViolation {
             query: "nearby (400,200)".into(),
-            policy: "min-size(100)".into(),
+            policy: "min-size:100".into(),
             posterior_true_size: 0,
             posterior_false_size: 2537,
         };

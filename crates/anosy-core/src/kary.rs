@@ -109,7 +109,7 @@ impl fmt::Display for KaryQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllowAll, AnosyError, AnosySession, MinSizePolicy, QInfo, SessionStats};
+    use crate::{AnosyError, AnosySession, PolicySpec, QInfo, SessionStats};
     use anosy_domains::{AbstractDomain, PowersetDomain};
     use anosy_ifc::Protected;
     use anosy_logic::IntExpr;
@@ -132,7 +132,7 @@ mod tests {
 
     /// The age bands' synthesized under-approximate powerset ind. sets.
     fn synthesized(synth: &mut Synthesizer) -> QInfo<PowersetDomain> {
-        let mut session = AnosySession::new(layout(), AllowAll);
+        let mut session = AnosySession::new(layout(), PolicySpec::AllowAll);
         session
             .register_synthesized_cases(synth, &age_bands(), ApproxKind::Under, Some(2))
             .unwrap();
@@ -193,7 +193,8 @@ mod tests {
     #[test]
     fn registering_a_kary_query_again_is_k_cache_hits() {
         let mut synth = synthesizer();
-        let mut session: AnosySession<PowersetDomain> = AnosySession::new(layout(), AllowAll);
+        let mut session: AnosySession<PowersetDomain> =
+            AnosySession::new(layout(), PolicySpec::AllowAll);
         let q = age_bands();
         session.register_synthesized_cases(&mut synth, &q, ApproxKind::Under, Some(2)).unwrap();
         assert_eq!((session.stats().synth_cache_hits, session.stats().synth_cache_misses), (0, 3));
@@ -212,7 +213,7 @@ mod tests {
 
         // Permissive policy: all three outputs keep at least 10 candidates, so the downgrade runs.
         let mut session: AnosySession<PowersetDomain> =
-            AnosySession::new(layout(), MinSizePolicy::new(10));
+            AnosySession::new(layout(), PolicySpec::MinSize(10));
         session.register(ind.clone());
         let secret = Protected::new(Point::new(vec![70]));
         assert_eq!(session.downgrade_output(&secret, "age_band").unwrap(), 2);
@@ -222,7 +223,7 @@ mod tests {
         // downgrade is refused unevaluated and counts as neither authorized nor refused.
         let over = QInfo::with_cases(q.clone(), ApproxKind::Over, ind.sets().to_vec());
         let mut unsound: AnosySession<PowersetDomain> =
-            AnosySession::new(layout(), MinSizePolicy::new(10));
+            AnosySession::new(layout(), PolicySpec::MinSize(10));
         unsound.register(over.clone());
         assert_eq!(
             unsound.downgrade_output(&secret, "age_band"),
@@ -230,7 +231,8 @@ mod tests {
         );
         assert_eq!(unsound.stats(), SessionStats::default());
         assert_eq!(unsound.tracked_secrets(), 0);
-        let mut open: AnosySession<PowersetDomain> = AnosySession::new(layout(), AllowAll);
+        let mut open: AnosySession<PowersetDomain> =
+            AnosySession::new(layout(), PolicySpec::AllowAll);
         open.register(over);
         assert_eq!(open.downgrade_output(&secret, "age_band").unwrap(), 2);
 
@@ -238,7 +240,7 @@ mod tests {
         // everyone — even secrets that would fall in a large band. The refusal names the minor
         // band's output and its posterior's size.
         let mut strict: AnosySession<PowersetDomain> =
-            AnosySession::new(layout(), MinSizePolicy::new(20));
+            AnosySession::new(layout(), PolicySpec::MinSize(20));
         strict.register(ind.clone());
         let adult = Protected::new(Point::new(vec![30]));
         let minors = ind.sets()[0].size();
@@ -248,7 +250,7 @@ mod tests {
             refusal,
             AnosyError::OutputViolation {
                 query: "age_band".into(),
-                policy: "min-size(20)".into(),
+                policy: "min-size:20".into(),
                 output: 0,
                 posterior_size: minors,
             }

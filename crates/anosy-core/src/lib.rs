@@ -7,9 +7,10 @@
 //! * [`Knowledge`] — the attacker's knowledge about one secret, an abstract-domain element
 //!   enriched with the quantitative measures (§8) policies may constrain: size, Shannon entropy,
 //!   Bayes vulnerability and guessing entropy;
-//! * [`Policy`] — quantitative declassification policies (`size knowledge > 100`, minimum
-//!   residual entropy, conjunctions, custom predicates), each naming the approximation
-//!   directions it can soundly decide on ([`Policy::sound_for`]);
+//! * [`Policy`] — quantitative declassification policies, each naming the approximation
+//!   directions it can soundly decide on ([`Policy::sound_for`]): the built-in [`PolicySpec`]
+//!   set (`size knowledge > 100`, minimum residual entropy, conjunctions), the same in library
+//!   sessions and on the wire, and [`FnPolicy`] for custom monotone predicates;
 //! * [`QInfo`] — a registered query together with its synthesized and verified knowledge
 //!   approximation, one ind. set per output (the paper's `QInfo` record);
 //! * [`AnosySession`] — the `AnosyT` monad-transformer analogue: it owns the policy, the
@@ -32,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use anosy_core::{AnosySession, MinSizePolicy};
+//! use anosy_core::{AnosySession, PolicySpec};
 //! use anosy_domains::PowersetDomain;
 //! use anosy_ifc::Protected;
 //! use anosy_logic::{IntExpr, Point, SecretLayout};
@@ -46,7 +47,7 @@
 //! // "Compile time": synthesize and register the queries.
 //! let mut synth = Synthesizer::new();
 //! let mut session: AnosySession<PowersetDomain> =
-//!     AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+//!     AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
 //! for (name, q) in [("near_200_200", nearby(200, 200)), ("near_400_200", nearby(400, 200))] {
 //!     let query = QueryDef::new(name, layout.clone(), q).unwrap();
 //!     session
@@ -75,9 +76,7 @@ mod shared;
 pub use error::{AnosyError, Refusal};
 pub use kary::KaryQuery;
 pub use knowledge::Knowledge;
-pub use policy::{
-    AllowAll, AndPolicy, FnPolicy, MinEntropyPolicy, MinSizePolicy, Policy, PolicySpec,
-};
+pub use policy::{FnPolicy, Policy, PolicySpec};
 pub use qinfo::QInfo;
 pub use session::{
     synthesize_and_verify, AnosySession, AsSecretPoint, SessionStats, SynthesizeInto,

@@ -3,8 +3,10 @@
 //! A policy is a predicate on (approximated) attacker knowledge (§2.1: `qpolicy dom = size dom >
 //! 100`). For enforcement through *under*-approximations to be sound, the policy must be
 //! monotone: if it accepts a knowledge set it must accept every superset (§3, "the policy should
-//! be an increasing function in the size of the input"). All policies provided here are monotone
-//! by construction; [`FnPolicy`] documents the obligation for custom predicates.
+//! be an increasing function in the size of the input"). A session holds its policy as a
+//! [`Policy`]. The built-in policies are the values of [`PolicySpec`], the same set whether a
+//! session is opened in the library or over the wire, and all of them are monotone by
+//! construction; [`FnPolicy`] wraps a custom predicate and documents the obligation.
 //!
 //! Monotonicity carries a verdict from an under-approximation up to the attacker's true
 //! knowledge, which contains it. It carries nothing *down* from an over-approximation: a
@@ -14,11 +16,10 @@
 //! and a downgrade through ind. sets of any other direction is refused before a posterior is
 //! computed:
 //!
-//! * [`AllowAll`] (and [`PolicySpec::AllowAll`]) accepts every knowledge, so it is sound for
-//!   both directions;
-//! * [`MinSizePolicy`], [`MinEntropyPolicy`] and [`FnPolicy`] are sound for
-//!   [`ApproxKind::Under`] only;
-//! * [`AndPolicy`] (and [`PolicySpec::All`]) is sound for the directions every conjunct is.
+//! * [`PolicySpec::AllowAll`] accepts every knowledge, so it is sound for both directions;
+//! * [`PolicySpec::MinSize`], [`PolicySpec::MinEntropyMillibits`] and [`FnPolicy`] are sound
+//!   for [`ApproxKind::Under`] only;
+//! * [`PolicySpec::All`] is sound for the directions every conjunct is.
 
 use crate::Knowledge;
 use anosy_domains::AbstractDomain;
@@ -45,141 +46,33 @@ pub trait Policy<D: AbstractDomain>: fmt::Debug {
     fn sound_for(&self, kind: ApproxKind) -> bool;
 }
 
-/// Accepts everything. Useful as a baseline and for measuring "how fast would knowledge shrink
-/// without enforcement".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AllowAll;
-
-impl<D: AbstractDomain> Policy<D> for AllowAll {
-    fn allows(&self, _knowledge: &Knowledge<D>) -> bool {
-        true
-    }
-
-    fn name(&self) -> String {
-        "allow-all".into()
-    }
-
-    fn sound_for(&self, _kind: ApproxKind) -> bool {
-        true
-    }
-}
-
-/// The paper's `qpolicy`: the knowledge must keep strictly more than `min_size` candidate
-/// secrets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinSizePolicy {
-    min_size: u128,
-}
-
-impl MinSizePolicy {
-    /// Requires `size knowledge > min_size`.
-    pub fn new(min_size: u128) -> Self {
-        MinSizePolicy { min_size }
-    }
-
-    /// The threshold.
-    pub fn min_size(&self) -> u128 {
-        self.min_size
-    }
-}
-
-impl<D: AbstractDomain> Policy<D> for MinSizePolicy {
-    fn allows(&self, knowledge: &Knowledge<D>) -> bool {
-        knowledge.size() > self.min_size
-    }
-
-    fn name(&self) -> String {
-        format!("min-size({})", self.min_size)
-    }
-
-    fn sound_for(&self, kind: ApproxKind) -> bool {
-        kind == ApproxKind::Under
-    }
-}
-
-/// Requires the residual Shannon entropy (in bits, under the uniform reading) to stay strictly
-/// above a threshold — one of the §8 "further applications".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinEntropyPolicy {
-    min_bits: f64,
-}
-
-impl MinEntropyPolicy {
-    /// Requires `shannon_entropy(knowledge) > min_bits`.
-    pub fn new(min_bits: f64) -> Self {
-        MinEntropyPolicy { min_bits }
-    }
-}
-
-impl<D: AbstractDomain> Policy<D> for MinEntropyPolicy {
-    fn allows(&self, knowledge: &Knowledge<D>) -> bool {
-        knowledge.shannon_entropy() > self.min_bits
-    }
-
-    fn name(&self) -> String {
-        format!("min-entropy({} bits)", self.min_bits)
-    }
-
-    fn sound_for(&self, kind: ApproxKind) -> bool {
-        kind == ApproxKind::Under
-    }
-}
-
-/// Conjunction of two policies: both must accept.
-#[derive(Debug)]
-pub struct AndPolicy<P, Q> {
-    left: P,
-    right: Q,
-}
-
-impl<P, Q> AndPolicy<P, Q> {
-    /// Requires both `left` and `right` to accept.
-    pub fn new(left: P, right: Q) -> Self {
-        AndPolicy { left, right }
-    }
-}
-
-impl<D, P, Q> Policy<D> for AndPolicy<P, Q>
-where
-    D: AbstractDomain,
-    P: Policy<D>,
-    Q: Policy<D>,
-{
-    fn allows(&self, knowledge: &Knowledge<D>) -> bool {
-        self.left.allows(knowledge) && self.right.allows(knowledge)
-    }
-
-    fn name(&self) -> String {
-        format!("{} ∧ {}", self.left.name(), self.right.name())
-    }
-
-    fn sound_for(&self, kind: ApproxKind) -> bool {
-        self.left.sound_for(kind) && self.right.sound_for(kind)
-    }
-}
-
-/// A declarative, wire-speakable policy description: the closed subset of [`Policy`] the serving
-/// protocol can carry in an `OpenSession` request.
+/// The built-in policies: a declarative description of the monotone policies a deployment
+/// trusts, used by library sessions and carried by the serving protocol's `OpenSession` request
+/// alike.
 ///
-/// A spec *is* a policy (it implements [`Policy`] for every domain), and it round-trips through
-/// a compact text form — [`PolicySpec::parse`] is the exact inverse of `Display` **on every
-/// value `parse` can produce**. `parse` never builds an empty or single-element
-/// [`All`](PolicySpec::All); constructing those directly forfeits the round-trip (a singleton
-/// re-parses as its bare atom, an empty conjunction displays as an unparseable empty string —
-/// and, as a policy, vacuously allows everything), so wire-facing code should build specs via
-/// `parse`:
+/// A spec round-trips through a compact text form — [`PolicySpec::parse`] is the exact inverse
+/// of `Display` **on every value `parse` can produce** — and that text is also its
+/// [`Policy::name`], so a refusal spells a policy the same way in a library error and on the
+/// wire. `parse` never builds an empty or single-element [`All`](PolicySpec::All); constructing
+/// those directly forfeits the round-trip (a singleton re-parses as its bare atom, an empty
+/// conjunction displays as an unparseable empty string — and vacuously allows everything), so
+/// wire-facing code should build specs via `parse`:
 ///
-/// * `allow-all` — [`AllowAll`];
-/// * `min-size:100` — [`MinSizePolicy`], the paper's `qpolicy`;
-/// * `min-entropy-mb:2500` — [`MinEntropyPolicy`] with the threshold in *millibits*, so specs
-///   stay `Eq`/hashable and survive the wire without floating-point formatting drift;
-/// * `min-size:100&min-entropy-mb:2500` — conjunction of atoms ([`AndPolicy`]).
+/// * `allow-all` — accept everything;
+/// * `min-size:100` — the knowledge must keep strictly more than 100 candidate secrets (the
+///   paper's `qpolicy`);
+/// * `min-entropy-mb:2500` — the residual Shannon entropy (under the uniform reading) must stay
+///   strictly above 2.5 bits, one of the §8 "further applications"; the threshold is in
+///   *millibits*, so specs stay `Eq`/hashable and survive the wire without floating-point
+///   formatting drift;
+/// * `min-size:100&min-entropy-mb:2500` — conjunction of atoms: every one must accept.
 ///
 /// Arbitrary [`FnPolicy`] predicates are deliberately not expressible: a remote connection must
 /// not ship code, only parameters of the monotone policies the deployment already trusts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PolicySpec {
-    /// Accept everything (baseline / measurement sessions).
+    /// Accept everything: a baseline, and a measure of how fast knowledge shrinks without
+    /// enforcement.
     AllowAll,
     /// Knowledge must keep strictly more than this many candidate secrets.
     MinSize(u128),
@@ -334,34 +227,51 @@ mod tests {
         Knowledge::from_domain(IntervalDomain::from_intervals(vec![AInt::new(1, n)]))
     }
 
+    fn allows(policy: &PolicySpec, size: i64) -> bool {
+        Policy::<IntervalDomain>::allows(policy, &knowledge_of_size(size))
+    }
+
     #[test]
     fn min_size_policy_matches_the_paper() {
-        let policy = MinSizePolicy::new(100);
-        assert_eq!(policy.min_size(), 100);
-        assert!(Policy::<IntervalDomain>::name(&policy).contains("100"));
-        assert!(policy.allows(&knowledge_of_size(6837)));
-        assert!(policy.allows(&knowledge_of_size(101)));
-        assert!(!policy.allows(&knowledge_of_size(100)));
-        assert!(!policy.allows(&knowledge_of_size(1)));
+        let policy = PolicySpec::MinSize(100);
+        assert_eq!(Policy::<IntervalDomain>::name(&policy), "min-size:100");
+        // Strictly more than the threshold: `size > 100`.
+        assert!(allows(&policy, 6837));
+        assert!(allows(&policy, 101));
+        assert!(!allows(&policy, 100));
+        assert!(!allows(&policy, 1));
     }
 
     #[test]
     fn entropy_policy_thresholds_in_bits() {
-        let policy = MinEntropyPolicy::new(7.0); // > 128 candidates
-        assert!(policy.allows(&knowledge_of_size(129)));
-        assert!(!policy.allows(&knowledge_of_size(128)));
-        assert!(Policy::<IntervalDomain>::name(&policy).contains("bits"));
+        // 7000 millibits = 7 bits, i.e. more than 128 equally likely candidates.
+        let policy = PolicySpec::MinEntropyMillibits(7000);
+        assert!(allows(&policy, 129));
+        assert!(!allows(&policy, 128));
+        // The threshold is exclusive in millibits too: 128 candidates hold exactly 7 bits.
+        assert!(allows(&PolicySpec::MinEntropyMillibits(6999), 128));
+        assert_eq!(Policy::<IntervalDomain>::name(&policy), "min-entropy-mb:7000");
     }
 
     #[test]
     fn allow_all_and_conjunction() {
         let layout = SecretLayout::builder().field("x", 0, 10).build();
-        let k: Knowledge<IntervalDomain> = Knowledge::initial(&layout);
-        assert!(AllowAll.allows(&k));
-        let both = AndPolicy::new(MinSizePolicy::new(5), MinEntropyPolicy::new(1.0));
-        assert!(both.allows(&knowledge_of_size(11)));
-        assert!(!both.allows(&knowledge_of_size(4)));
-        assert!(Policy::<IntervalDomain>::name(&both).contains('∧'));
+        let top: Knowledge<IntervalDomain> = Knowledge::initial(&layout);
+        assert!(Policy::<IntervalDomain>::allows(&PolicySpec::AllowAll, &top));
+        assert!(allows(&PolicySpec::AllowAll, 1));
+        assert_eq!(Policy::<IntervalDomain>::name(&PolicySpec::AllowAll), "allow-all");
+
+        // A conjunction accepts exactly when every conjunct does.
+        let both =
+            PolicySpec::All(vec![PolicySpec::MinSize(5), PolicySpec::MinEntropyMillibits(2000)]);
+        assert!(allows(&both, 11)); // 11 > 5 and log2(11) > 2
+        assert!(!allows(&both, 5)); // the size atom refuses (5 is not > 5), entropy accepts
+        assert!(allows(&PolicySpec::MinEntropyMillibits(2000), 5));
+        let entropy_refuses =
+            PolicySpec::All(vec![PolicySpec::MinSize(2), PolicySpec::MinEntropyMillibits(2000)]);
+        assert!(!allows(&entropy_refuses, 3)); // 3 > 2, but log2(3) < 2
+        assert!(allows(&PolicySpec::MinSize(2), 3));
+        assert_eq!(Policy::<IntervalDomain>::name(&both), "min-size:5&min-entropy-mb:2000");
     }
 
     #[test]
@@ -374,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_specs_round_trip_and_enforce_like_their_policies() {
+    fn policy_specs_round_trip_through_their_text_form() {
         // parse ∘ Display is the identity on everything parse can produce.
         let cases = [
             PolicySpec::AllowAll,
@@ -384,6 +294,7 @@ mod tests {
         ];
         for spec in &cases {
             assert_eq!(PolicySpec::parse(&spec.to_string()).as_ref(), Some(spec), "{spec}");
+            assert_eq!(Policy::<IntervalDomain>::name(spec), spec.to_string());
         }
         assert_eq!(
             PolicySpec::parse("min-size:100&min-entropy-mb:2500").unwrap().to_string(),
@@ -392,25 +303,6 @@ mod tests {
         for bad in ["", "min-size:", "min-size:x", "max-size:3", "min-size:1&", "&"] {
             assert_eq!(PolicySpec::parse(bad), None, "{bad:?} must not parse");
         }
-
-        // Enforcement agrees with the concrete policies the atoms describe.
-        let spec = PolicySpec::parse("min-size:100").unwrap();
-        let concrete = MinSizePolicy::new(100);
-        for n in [1, 100, 101, 6837] {
-            assert_eq!(
-                Policy::<IntervalDomain>::allows(&spec, &knowledge_of_size(n)),
-                concrete.allows(&knowledge_of_size(n))
-            );
-        }
-        let both = PolicySpec::parse("min-size:5&min-entropy-mb:1000").unwrap();
-        assert!(Policy::<IntervalDomain>::allows(&both, &knowledge_of_size(11)));
-        assert!(!Policy::<IntervalDomain>::allows(&both, &knowledge_of_size(4)));
-        assert!(Policy::<IntervalDomain>::allows(&PolicySpec::AllowAll, &knowledge_of_size(1)));
-        // The millibit threshold is exclusive, like MinEntropyPolicy's bits.
-        let entropy = PolicySpec::MinEntropyMillibits(7000);
-        assert!(Policy::<IntervalDomain>::allows(&entropy, &knowledge_of_size(129)));
-        assert!(!Policy::<IntervalDomain>::allows(&entropy, &knowledge_of_size(128)));
-        assert_eq!(Policy::<IntervalDomain>::name(&both), "min-size:5&min-entropy-mb:1000");
     }
 
     #[test]
@@ -429,7 +321,7 @@ mod tests {
         let spec = PolicySpec::parse("min-size:100&min-entropy-mb:1000").unwrap();
         let bound = spec.min_size_bound().unwrap();
         for n in [99, 100, 101, 500] {
-            if Policy::<IntervalDomain>::allows(&spec, &knowledge_of_size(n)) {
+            if allows(&spec, n) {
                 assert!(n as u128 > bound);
             }
         }
@@ -439,28 +331,29 @@ mod tests {
     fn only_allow_all_is_sound_for_over_approximations() {
         use ApproxKind::{Over, Under};
         let sound = |p: &dyn Policy<IntervalDomain>| (p.sound_for(Under), p.sound_for(Over));
-        assert_eq!(sound(&AllowAll), (true, true));
-        assert_eq!(sound(&MinSizePolicy::new(1)), (true, false));
-        assert_eq!(sound(&MinEntropyPolicy::new(1.0)), (true, false));
         assert_eq!(sound(&FnPolicy::new("any", |_| true)), (true, false));
-        assert_eq!(sound(&AndPolicy::new(AllowAll, AllowAll)), (true, true));
-        assert_eq!(sound(&AndPolicy::new(AllowAll, MinSizePolicy::new(1))), (true, false));
-        for (text, over) in [
-            ("allow-all", true),
-            ("min-size:1", false),
-            ("min-entropy-mb:1", false),
-            ("allow-all&allow-all", true),
-            ("allow-all&min-size:1", false),
+        for (spec, over) in [
+            (PolicySpec::AllowAll, true),
+            (PolicySpec::MinSize(1), false),
+            (PolicySpec::MinEntropyMillibits(1), false),
+            (PolicySpec::All(vec![PolicySpec::AllowAll, PolicySpec::AllowAll]), true),
+            (PolicySpec::All(vec![PolicySpec::AllowAll, PolicySpec::MinSize(1)]), false),
+            (PolicySpec::All(vec![PolicySpec::MinSize(1), PolicySpec::AllowAll]), false),
+            (
+                PolicySpec::All(vec![PolicySpec::MinEntropyMillibits(1), PolicySpec::MinSize(1)]),
+                false,
+            ),
         ] {
-            assert_eq!(sound(&PolicySpec::parse(text).unwrap()), (true, over), "{text}");
+            assert_eq!(sound(&spec), (true, over), "{spec}");
+            assert_eq!(sound(&PolicySpec::parse(&spec.to_string()).unwrap()), (true, over));
         }
     }
 
     #[test]
     fn policies_are_usable_as_trait_objects() {
         let boxed: Vec<Box<dyn Policy<IntervalDomain>>> = vec![
-            Box::new(MinSizePolicy::new(10)),
-            Box::new(AllowAll),
+            Box::new(PolicySpec::MinSize(10)),
+            Box::new(PolicySpec::AllowAll),
             Box::new(FnPolicy::new("big", |k| k.size() > 1000)),
         ];
         let k = knowledge_of_size(50);

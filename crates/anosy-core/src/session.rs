@@ -719,7 +719,7 @@ impl<D: AbstractDomain> fmt::Debug for AnosySession<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllowAll, AndPolicy, MinSizePolicy};
+    use crate::PolicySpec;
     use anosy_domains::{secret_record, AInt};
     use anosy_ifc::SecLevel;
     use anosy_logic::{IntExpr, Pred};
@@ -737,7 +737,7 @@ mod tests {
     /// A session pre-loaded with the paper's hand-written approximation for nearby (200,200) and
     /// synthesized ones for the other origins used in §2/§3.
     fn paper_session() -> AnosySession<IntervalDomain> {
-        let mut session = AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+        let mut session = AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         session.register(QInfo::new(
             nearby(200, 200),
             IndSets::new(
@@ -860,7 +860,7 @@ mod tests {
         let mut synth =
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
         let mut session: AnosySession<IntervalDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(30_000));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(30_000));
         session
             .register_synthesized(&mut synth, &nearby(200, 200), ApproxKind::Over, None)
             .unwrap();
@@ -873,15 +873,17 @@ mod tests {
         assert_eq!(session.stats().downgrades_authorized + session.stats().downgrades_refused, 0);
         assert_eq!(session.shared_cache().stats().downgrades_refused, 0);
         // A conjunction is sound only where both conjuncts are.
-        let mut conjunction =
-            AnosySession::new(loc_layout(), AndPolicy::new(AllowAll, MinSizePolicy::new(30_000)));
+        let mut conjunction = AnosySession::new(
+            loc_layout(),
+            PolicySpec::All(vec![PolicySpec::AllowAll, PolicySpec::MinSize(30_000)]),
+        );
         assert_eq!(conjunction.decide(&qinfo, &point), Err(Refusal::Unsound(ApproxKind::Over)));
         assert_eq!(
             (conjunction.tracked_secrets(), conjunction.stats()),
             (0, SessionStats::default())
         );
         // Allow-all is sound for both directions.
-        let mut open = AnosySession::new(loc_layout(), AllowAll);
+        let mut open = AnosySession::new(loc_layout(), PolicySpec::AllowAll);
         assert_eq!(open.decide(&qinfo, &point), Ok(0));
         assert_eq!(open.knowledge_of(&point).size(), 40_401);
     }
@@ -919,9 +921,9 @@ mod tests {
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
 
         let mut interval_session: AnosySession<IntervalDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         let mut powerset_session: AnosySession<PowersetDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         for (x, y) in origins {
             let q = nearby(x, y);
             interval_session.register_synthesized(&mut synth, &q, ApproxKind::Under, None).unwrap();
@@ -953,7 +955,7 @@ mod tests {
         // downgrade must perform **zero** new solver work — asserted on the solver's node
         // counter, not just wall-clock.
         let mut session: AnosySession<IntervalDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         let mut synth =
             Synthesizer::with_config(SynthConfig::new().with_solver(SolverConfig::for_tests()));
         let query = nearby(200, 200);
@@ -1005,7 +1007,7 @@ mod tests {
 
         // A standalone session: a cold cache refuses, a warm one registers without solver work.
         let mut owned: AnosySession<IntervalDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         assert!(matches!(
             owned.register_cached(&query, ApproxKind::Under, None),
             Err(AnosyError::NotSynthesized { .. })
@@ -1021,14 +1023,14 @@ mod tests {
         // downgrades agree with a fully-synthesized session's.
         let shared: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
         let mut first: AnosySession<IntervalDomain> =
-            AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+            AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
         assert!(matches!(
             first.register_cached(&query, ApproxKind::Under, None),
             Err(AnosyError::NotSynthesized { .. })
         ));
         first.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
         let mut second: AnosySession<IntervalDomain> =
-            AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+            AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
         second.register_cached(&query, ApproxKind::Under, None).unwrap();
         assert_eq!(second.stats().synth_cache_hits, 1);
         let secret = Protected::new(Point::new(vec![300, 200]));
@@ -1064,7 +1066,7 @@ mod tests {
         let secret = Protected::new(Point::new(vec![300, 200]));
 
         let mut first: AnosySession<IntervalDomain> =
-            AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+            AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
         first.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
         assert_eq!(first.stats().synth_cache_misses, 1);
         let nodes_after_first = synth.solver_stats().nodes_explored;
@@ -1072,7 +1074,7 @@ mod tests {
         // A *different* session of the same deployment registers the same query: zero solver
         // work, and the answer matches an owned session's downgrade exactly.
         let mut second: AnosySession<IntervalDomain> =
-            AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+            AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
         second.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
         assert_eq!(second.stats().synth_cache_hits, 1);
         assert_eq!(second.stats().synth_cache_misses, 0);
@@ -1080,7 +1082,7 @@ mod tests {
         assert!(second.downgrade(&secret, "nearby_200_200").unwrap());
 
         let mut owned: AnosySession<IntervalDomain> =
-            AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+            AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
         owned.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
         assert!(owned.downgrade(&secret, "nearby_200_200").unwrap());
         assert_eq!(
@@ -1108,9 +1110,9 @@ mod tests {
         let shared: SharedSynthCache<IntervalDomain> = SharedSynthCache::new();
         {
             let _a: AnosySession<IntervalDomain> =
-                AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+                AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
             let _b: AnosySession<IntervalDomain> =
-                AnosySession::with_shared(loc_layout(), MinSizePolicy::new(100), shared.clone());
+                AnosySession::with_shared(loc_layout(), PolicySpec::MinSize(100), shared.clone());
             assert_eq!(shared.stats().sessions_opened, 2);
             assert_eq!(shared.stats().sessions_closed, 0);
         }
@@ -1118,7 +1120,7 @@ mod tests {
         assert_eq!(stats.sessions_closed, 2, "dropped sessions report their teardown");
         assert!(stats.to_string().contains("(2 closed)"));
         // A standalone session reports only to its private cache.
-        drop(AnosySession::<IntervalDomain>::new(loc_layout(), MinSizePolicy::new(100)));
+        drop(AnosySession::<IntervalDomain>::new(loc_layout(), PolicySpec::MinSize(100)));
         assert_eq!(shared.stats().sessions_closed, 2);
     }
 
@@ -1151,7 +1153,7 @@ mod tests {
 
     #[test]
     fn repeated_steps_share_states_and_reach_a_fixed_point() {
-        let mut session = AnosySession::<IntervalDomain>::new(loc_layout(), AllowAll);
+        let mut session = AnosySession::<IntervalDomain>::new(loc_layout(), PolicySpec::AllowAll);
         let qinfo = paper_session().query_handle("nearby_200_200").unwrap();
         let alice = Point::new(vec![300, 200]);
         let bob = Point::new(vec![250, 210]);
@@ -1180,7 +1182,7 @@ mod tests {
         let query = KaryQuery::new("age_band", layout.clone(), bands.to_vec()).unwrap();
         let band = |lo, hi| IntervalDomain::from_intervals(vec![AInt::new(lo, hi)]);
         let sets = vec![band(0, 17), band(18, 64), band(65, 120)];
-        let mut session = AnosySession::<IntervalDomain>::new(layout, AllowAll);
+        let mut session = AnosySession::<IntervalDomain>::new(layout, PolicySpec::AllowAll);
         session.register(QInfo::with_cases(query, ApproxKind::Under, sets));
         for age in 0..=120 {
             let output =
@@ -1203,6 +1205,6 @@ mod tests {
         session.downgrade(&secret, "nearby_200_200").unwrap();
         let text = format!("{session:?}");
         assert!(text.contains("tracked_secrets: 1"));
-        assert!(text.contains("min-size(100)"));
+        assert!(text.contains("min-size:100"));
     }
 }

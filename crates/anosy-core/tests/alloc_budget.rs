@@ -24,10 +24,7 @@
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
 
-use anosy_core::{
-    AllowAll, AnosyError, AnosySession, Knowledge, MinSizePolicy, PolicySpec, QInfo, Refusal,
-    SynthesizeInto,
-};
+use anosy_core::{AnosyError, AnosySession, Knowledge, PolicySpec, QInfo, Refusal, SynthesizeInto};
 use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_logic::{IntBox, IntExpr, Point, Range, SecretLayout, TermStore};
 use anosy_serve::wire::{self, NameInterner};
@@ -166,8 +163,8 @@ fn diagonal() -> QInfo<PowersetDomain> {
 fn steady_state_powerset_downgrades_stay_within_the_budget() {
     // Min-size is not sound for over-approximations, so the over-approximate `south` round is
     // measured in an allow-all session; the min-size session refuses it without allocating.
-    let mut bounded = AnosySession::<PowersetDomain>::new(layout(), MinSizePolicy::new(100));
-    let mut open = AnosySession::<PowersetDomain>::new(layout(), AllowAll);
+    let mut bounded = AnosySession::<PowersetDomain>::new(layout(), PolicySpec::MinSize(100));
+    let mut open = AnosySession::<PowersetDomain>::new(layout(), PolicySpec::AllowAll);
     let secrets =
         [Point::new(vec![60, 90]), Point::new(vec![250, 350]), Point::new(vec![150, 260])];
     for session in [&mut bounded, &mut open] {
@@ -231,7 +228,7 @@ fn settle<D: AbstractDomain>(session: &mut AnosySession<D>, query: &QInfo<D>) ->
 /// `true` answer is the prior again) and a refused one under min-size (the `false` posterior is
 /// empty).
 fn memo_hits_allocate_nothing<D: AbstractDomain>(query: QInfo<D>) {
-    let mut open = AnosySession::<D>::new(layout(), AllowAll);
+    let mut open = AnosySession::<D>::new(layout(), PolicySpec::AllowAll);
     for secret in settle(&mut open, &query) {
         let prior = open.knowledge_of(&secret);
         let (outcome, count) = allocations(|| open.decide(&query, &secret));
@@ -241,7 +238,7 @@ fn memo_hits_allocate_nothing<D: AbstractDomain>(query: QInfo<D>) {
         let (outcome, count) = allocations(|| open.downgrade_with(&query, &secret));
         assert_eq!((outcome, count), (Ok(true), 0));
     }
-    let mut bounded = AnosySession::<D>::new(layout(), MinSizePolicy::new(100));
+    let mut bounded = AnosySession::<D>::new(layout(), PolicySpec::MinSize(100));
     for secret in settle(&mut bounded, &query) {
         let (outcome, count) = allocations(|| bounded.decide(&query, &secret));
         assert!(matches!(outcome, Err(Refusal::Policy { false_size: 0, .. })), "{outcome:?}");
@@ -274,7 +271,7 @@ fn cut<D: AbstractDomain>(
 /// Secret `i` answers `x <= 25 i` true and lands in a state of its own, so a batch of all 16
 /// (each twice) spans twice the states the batch caches. Once `y <= 200` has been decided from
 /// each state and each secret has reached its fixed point, the batch allocates nothing, as a
-/// batch of one does. Allow-all authorizes every warm step; min-size(10000) refuses them all,
+/// batch of one does. Allow-all authorizes every warm step; min-size:10000 refuses them all,
 /// since a fixed point's `false` posterior is empty.
 fn a_warm_batch_spanning_many_states_allocates_nothing<D>(lift: fn(IntervalDomain) -> D)
 where

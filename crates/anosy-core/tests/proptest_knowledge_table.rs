@@ -13,8 +13,8 @@
 //! secret must agree after every step.
 
 use anosy_core::{
-    AnosyError, AnosySession, KaryQuery, Knowledge, MinSizePolicy, Policy, PolicySpec, QInfo,
-    Refusal, SessionStats,
+    AnosyError, AnosySession, KaryQuery, Knowledge, Policy, PolicySpec, QInfo, Refusal,
+    SessionStats,
 };
 use anosy_domains::{AInt, AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_ifc::Protected;
@@ -568,9 +568,9 @@ fn downgrade_step_matches_the_session_path() {
         BooleanQInfo { query: nearby(300), indsets: synthesized(300) },
         BooleanQInfo { query: nearby(400), indsets: synthesized(400) },
     ];
-    let policy = MinSizePolicy::new(100);
+    let policy = PolicySpec::MinSize(100);
     let point = Point::new(vec![300, 200]);
-    let mut session = AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+    let mut session = AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
     for q in &queries {
         session.register(QInfo::new(q.query.clone(), q.indsets.clone()));
     }

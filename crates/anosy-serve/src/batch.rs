@@ -44,7 +44,7 @@ impl<D: AbstractDomain> Deployment<D> {
 #[cfg(test)]
 mod tests {
     use crate::{Deployment, ServeConfig};
-    use anosy_core::{AllowAll, AnosyError, AnosySession, FnPolicy, MinSizePolicy, Policy};
+    use anosy_core::{AnosyError, AnosySession, FnPolicy, Policy, PolicySpec};
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, Point, SecretLayout};
@@ -62,7 +62,7 @@ mod tests {
     }
 
     fn session_with(origins: &[(i64, i64)]) -> AnosySession<IntervalDomain> {
-        session_under(MinSizePolicy::new(100), origins)
+        session_under(PolicySpec::MinSize(100), origins)
     }
 
     fn session_under(
@@ -165,7 +165,7 @@ mod tests {
         .expect_err("the policy panic propagates");
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         // The committed prefix, decided by the per-secret loop under a policy that never panics.
-        let mut prefix = session_under(AllowAll, &[(200, 200)]);
+        let mut prefix = session_under(PolicySpec::AllowAll, &[(200, 200)]);
         for secret in &batch[..3] {
             prefix.downgrade(&Protected::new(secret.clone()), "nearby_200_200").unwrap();
         }

@@ -377,7 +377,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anosy_core::MinSizePolicy;
+    use anosy_core::PolicySpec;
     use anosy_domains::IntervalDomain;
     use anosy_ifc::Protected;
     use anosy_logic::{IntExpr, Point};
@@ -401,7 +401,7 @@ mod tests {
 
         let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
         for _ in 0..3 {
-            let mut session = deployment.session(MinSizePolicy::new(100));
+            let mut session = deployment.session(PolicySpec::MinSize(100));
             session
                 .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
                 .unwrap();
@@ -446,11 +446,11 @@ mod tests {
 
         // The warm entries serve sessions with answers identical to fresh synthesis.
         let mut synth = Synthesizer::with_config(second.config().synth.clone());
-        let mut warm_session = second.session(MinSizePolicy::new(100));
+        let mut warm_session = second.session(PolicySpec::MinSize(100));
         warm_session
             .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
             .unwrap();
-        let mut cold_session = first.session(MinSizePolicy::new(100));
+        let mut cold_session = first.session(PolicySpec::MinSize(100));
         cold_session
             .register_synthesized(&mut synth, &nearby_query(200), ApproxKind::Under, None)
             .unwrap();

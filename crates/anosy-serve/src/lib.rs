@@ -70,7 +70,7 @@
 //! # Example
 //!
 //! ```
-//! use anosy_core::MinSizePolicy;
+//! use anosy_core::PolicySpec;
 //! use anosy_domains::IntervalDomain;
 //! use anosy_logic::{IntExpr, Point, SecretLayout};
 //! use anosy_serve::{Deployment, ServeConfig};
@@ -86,7 +86,7 @@
 //! deployment.register_query(&query, ApproxKind::Under, None).unwrap();
 //!
 //! // Serving: sessions share the cache; a batch is decided in order, each state's step once.
-//! let mut session = deployment.session(MinSizePolicy::new(100));
+//! let mut session = deployment.session(PolicySpec::MinSize(100));
 //! let mut synth = anosy_synth::Synthesizer::with_config(deployment.config().synth.clone());
 //! session.register_synthesized(&mut synth, &query, ApproxKind::Under, None).unwrap();
 //! assert_eq!(session.stats().synth_cache_hits, 1); // no solver work at all

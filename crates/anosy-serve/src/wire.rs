@@ -1269,7 +1269,7 @@ mod tests {
             ServeResponse::Answer(Ok(false)),
             ServeResponse::Answer(Err(Denial::new(
                 DenialCode::Policy,
-                "policy violation: min-size(100) refuses nearby",
+                "policy violation: min-size:100 refuses nearby",
             ))),
             ServeResponse::Answers(vec![
                 Ok(true),

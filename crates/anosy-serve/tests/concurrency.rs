@@ -5,7 +5,7 @@
 //! about *determinism under concurrency*: exactly one synthesis per unique query no matter how
 //! many sessions race, and downgrade answers identical to the single-threaded path.
 
-use anosy_core::{AnosySession, MinSizePolicy};
+use anosy_core::{AnosySession, PolicySpec};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_ifc::Protected;
 use anosy_logic::{IntExpr, Point, SecretLayout};
@@ -41,7 +41,7 @@ fn sequential_answers<D>() -> Vec<Vec<Result<bool, String>>>
 where
     D: AbstractDomain + anosy_core::SynthesizeInto,
 {
-    let mut session: AnosySession<D> = AnosySession::new(layout(), MinSizePolicy::new(100));
+    let mut session: AnosySession<D> = AnosySession::new(layout(), PolicySpec::MinSize(100));
     let mut synth = Synthesizer::with_config(ServeConfig::for_tests().synth.clone());
     for (xo, yo) in ORIGINS {
         session
@@ -73,7 +73,7 @@ fn racing_identical_registrations_synthesize_once() {
         for _ in 0..THREADS {
             let deployment = &deployment;
             scope.spawn(move || {
-                let mut session = deployment.session(MinSizePolicy::new(100));
+                let mut session = deployment.session(PolicySpec::MinSize(100));
                 let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
                 session
                     .register_synthesized(
@@ -107,7 +107,7 @@ fn racing_distinct_registrations_synthesize_once_each() {
             let deployment = &deployment;
             scope.spawn(move || {
                 let (xo, yo) = ORIGINS[t % ORIGINS.len()];
-                let mut session = deployment.session(MinSizePolicy::new(100));
+                let mut session = deployment.session(PolicySpec::MinSize(100));
                 let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
                 for _ in 0..2 {
                     session
@@ -140,7 +140,7 @@ fn concurrent_sessions_answer_exactly_like_the_sequential_path() {
             let expected = &expected;
             let point = point.clone();
             scope.spawn(move || {
-                let mut session = deployment.session(MinSizePolicy::new(100));
+                let mut session = deployment.session(PolicySpec::MinSize(100));
                 let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
                 for (xo, yo) in ORIGINS {
                     session
@@ -180,7 +180,7 @@ fn powerset_deployments_share_synthesis_too() {
         for _ in 0..6 {
             let deployment = &deployment;
             scope.spawn(move || {
-                let mut session = deployment.session(MinSizePolicy::new(100));
+                let mut session = deployment.session(PolicySpec::MinSize(100));
                 let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
                 session
                     .register_synthesized(
@@ -204,7 +204,7 @@ fn concurrent_batches_on_separate_sessions_match_the_loop() {
     let users: Vec<Point> = (0..200).map(|i| Point::new(vec![(i * 13) % 401, 200])).collect();
 
     // Reference: the sequential loop on a fresh session.
-    let mut reference = deployment.session(MinSizePolicy::new(100));
+    let mut reference = deployment.session(PolicySpec::MinSize(100));
     let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
     reference
         .register_synthesized(&mut synth, &nearby_query(200, 200), ApproxKind::Under, None)
@@ -220,7 +220,7 @@ fn concurrent_batches_on_separate_sessions_match_the_loop() {
             let users = &users;
             let expected = &expected;
             scope.spawn(move || {
-                let mut session = deployment.session(MinSizePolicy::new(100));
+                let mut session = deployment.session(PolicySpec::MinSize(100));
                 let mut synth = Synthesizer::with_config(deployment.config().synth.clone());
                 session
                     .register_synthesized(

@@ -4,7 +4,7 @@
 //! in both domains, over histories of batches (duplicates and out-of-layout secrets included),
 //! arbitrary policy thresholds and both approximation directions.
 
-use anosy_core::{AnosySession, MinSizePolicy, QInfo};
+use anosy_core::{AnosySession, PolicySpec, QInfo};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_ifc::Protected;
 use anosy_logic::{IntExpr, Point, SecretLayout};
@@ -64,7 +64,7 @@ fn powerset_deployment() -> &'static Deployment<PowersetDomain> {
 }
 
 fn session_with<D: AbstractDomain>(queries: &[QInfo<D>], threshold: u128) -> AnosySession<D> {
-    let mut session = AnosySession::new(layout(), MinSizePolicy::new(threshold));
+    let mut session = AnosySession::new(layout(), PolicySpec::MinSize(threshold));
     for q in queries {
         session.register(q.clone());
     }

@@ -4,7 +4,9 @@
 //! expectation (up to the stats line's worker count or shard stamp). The CI smoke lane runs
 //! the same pipe from the shell; this test keeps it under plain `cargo test` too. A second
 //! script, `powerset.script`, runs `--domain powerset` and pins that domain's answers, refused
-//! posterior sizes and encoded knowledge against `powerset.expected`.
+//! posterior sizes and encoded knowledge against `powerset.expected`. Two more runs cover
+//! `--save-on-exit` (a snapshot the next process warm-starts from), and one library session
+//! checks that a refusal names its policy exactly as the served `deny policy` line does.
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, every request is
 //! answered in arrival order exactly as the sequential replay would (proptested in
@@ -17,6 +19,11 @@
 #[path = "support/listen.rs"]
 mod listen;
 
+use anosy_core::{AnosySession, PolicySpec};
+use anosy_domains::IntervalDomain;
+use anosy_ifc::Protected;
+use anosy_logic::{IntExpr, Point, SecretLayout};
+use anosy_synth::{ApproxKind, QueryDef, Synthesizer};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};
@@ -102,6 +109,56 @@ fn the_powerset_transcript_is_byte_identical() {
              tests/data/powerset.expected"
         );
     }
+}
+
+/// A policy is spelled the same in a library refusal and in a served `deny policy` line: both
+/// print its `PolicySpec` text form. The library session below replays the smoke script's
+/// second connection (`@1 open min-size:30000`, then a downgrade of `nearby` at 300,200).
+#[test]
+fn library_and_served_refusals_spell_the_policy_alike() {
+    let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
+    let nearby = ((IntExpr::var(0) - 200).abs() + (IntExpr::var(1) - 200).abs()).le(100);
+    let query = QueryDef::new("nearby", layout.clone(), nearby).expect("the query is valid");
+    let policy = PolicySpec::parse("min-size:30000").expect("the spec parses");
+    let mut session = AnosySession::<IntervalDomain>::new(layout, policy);
+    session
+        .register_synthesized(&mut Synthesizer::new(), &query, ApproxKind::Under, None)
+        .expect("nearby synthesizes");
+    let refusal = session
+        .downgrade(&Protected::new(Point::new(vec![300, 200])), "nearby")
+        .expect_err("min-size:30000 refuses nearby");
+
+    let served = EXPECTED
+        .lines()
+        .find(|line| line.starts_with("1.2 "))
+        .expect("the smoke transcript answers @1's downgrade");
+    assert_eq!(served, format!("1.2 deny policy {refusal}"));
+    assert!(served.contains(" min-size:30000 refuses nearby "), "{served}");
+}
+
+/// `--save-on-exit PATH` snapshots the synthesis cache after the last request, and a second
+/// process that warm-starts from that snapshot answers the same registration from the cache.
+#[test]
+fn save_on_exit_snapshots_the_cache_for_the_next_process() {
+    const REGISTER: &str =
+        "register name=nearby kind=under members=- pred=abs(x - 200) + abs(y - 200) <= 100\n";
+    let dir = std::env::temp_dir().join("anosy-serve-wire-smoke");
+    std::fs::create_dir_all(&dir).expect("the scratch dir is creatable");
+    let path = dir.join(format!("save-on-exit-{}.snapshot", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let path = path.to_str().expect("the scratch path is UTF-8");
+
+    let first = served_stdio(REGISTER, &["--save-on-exit", path]);
+    assert_eq!(first, "0.1 ok registered nearby\n# saved entries=1 skipped=0\n");
+
+    let second = served_stdio(&format!("warm path={path}\n{REGISTER}stats\n"), &[]);
+    let _ = std::fs::remove_file(path);
+    let mut lines = second.lines();
+    assert_eq!(lines.next(), Some("0.1 ok warm loaded=1 skipped=0"), "{second}");
+    assert_eq!(lines.next(), Some("0.2 ok registered nearby"), "{second}");
+    let stats = lines.next().expect("the stats request is answered");
+    assert!(stats.contains(" synth_hits=1 synth_misses=0 "), "{stats}");
+    assert_eq!(lines.next(), None, "{second}");
 }
 
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`

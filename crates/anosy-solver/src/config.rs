@@ -14,18 +14,12 @@ pub struct SolverConfig {
     pub max_nodes: u64,
     /// Wall-clock budget for a single query.
     pub time_budget: Duration,
-    /// Maximum number of fixed-point iterations of constraint propagation per node.
-    pub propagation_rounds: usize,
 }
 
 impl SolverConfig {
-    /// Default limits (5 million nodes, 10 seconds, 8 propagation rounds).
+    /// Default limits (5 million nodes, 10 seconds).
     pub fn new() -> Self {
-        SolverConfig {
-            max_nodes: 5_000_000,
-            time_budget: Duration::from_secs(10),
-            propagation_rounds: 8,
-        }
+        SolverConfig { max_nodes: 5_000_000, time_budget: Duration::from_secs(10) }
     }
 
     /// A configuration with a different node budget.
@@ -40,19 +34,9 @@ impl SolverConfig {
         self
     }
 
-    /// A configuration with a different number of propagation rounds per node.
-    pub fn with_propagation_rounds(mut self, rounds: usize) -> Self {
-        self.propagation_rounds = rounds;
-        self
-    }
-
     /// A tight configuration for unit tests (fast failure on runaway searches).
     pub fn for_tests() -> Self {
-        SolverConfig {
-            max_nodes: 200_000,
-            time_budget: Duration::from_secs(2),
-            propagation_rounds: 8,
-        }
+        SolverConfig { max_nodes: 200_000, time_budget: Duration::from_secs(2) }
     }
 }
 
@@ -71,18 +55,13 @@ mod tests {
         let c = SolverConfig::default();
         assert!(c.max_nodes > 0);
         assert!(c.time_budget > Duration::ZERO);
-        assert!(c.propagation_rounds > 0);
     }
 
     #[test]
     fn builders_override_fields() {
-        let c = SolverConfig::new()
-            .with_max_nodes(10)
-            .with_time_budget(Duration::from_millis(5))
-            .with_propagation_rounds(2);
+        let c = SolverConfig::new().with_max_nodes(10).with_time_budget(Duration::from_millis(5));
         assert_eq!(c.max_nodes, 10);
         assert_eq!(c.time_budget, Duration::from_millis(5));
-        assert_eq!(c.propagation_rounds, 2);
     }
 
     #[test]

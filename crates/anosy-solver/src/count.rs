@@ -4,7 +4,7 @@
 //! of exact posteriors; it is also used by tests to cross-check the sizes reported by the
 //! abstract domains.
 
-use crate::propagate::propagate_id;
+use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
 use crate::solver::SearchCtx;
 use crate::SolverError;
 use anosy_logic::{IntBox, PredId, TriBool};
@@ -22,7 +22,7 @@ pub(crate) fn count_models(
     let mut stack = vec![space.clone()];
     while let Some(current) = stack.pop() {
         ctx.tick()?;
-        let narrowed = match propagate_id(ctx.store, pred, &current, ctx.propagation_rounds()) {
+        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;

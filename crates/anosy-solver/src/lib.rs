@@ -2,10 +2,11 @@
 //!
 //! The paper discharges two kinds of logical obligations to Z3 (§2.3, §5.3):
 //!
-//! 1. **Synthesis** — find values for the interval holes of a sketch such that
+//! 1. **Synthesis** — find the per-field bounds of a box `dom` such that
 //!    `∀x. x ∈ dom ⇒ query x` (under-approximation) or the dual over-approximation constraint
 //!    holds, while *maximizing*/*minimizing* the interval widths (Pareto combination of
-//!    objectives);
+//!    objectives): the synthesizer asks for the tightest bounding box of a region, or grows
+//!    inclusion-maximal boxes of models around seeds and keeps the largest;
 //! 2. **Verification** — check that a candidate abstract domain satisfies its refinement-type
 //!    specification.
 //!

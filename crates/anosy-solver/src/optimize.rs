@@ -4,7 +4,7 @@
 //! over the models of the query?". Over-approximation synthesis (§5.3) is exactly one such pair
 //! of questions per secret field.
 
-use crate::propagate::propagate_id;
+use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
 use crate::solver::SearchCtx;
 use crate::SolverError;
 use anosy_logic::{IntBox, PredId, TriBool};
@@ -94,7 +94,7 @@ pub(crate) fn optimize(
                 break;
             }
         }
-        let narrowed = match propagate_id(ctx.store, pred, &current, ctx.propagation_rounds()) {
+        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;

@@ -17,6 +17,9 @@ use anosy_logic::{
     CmpOp, ExprId, ExprNode, IntBox, Pred, PredId, PredShape, Range, TermStore, TriBool,
 };
 
+/// Fixed-point iterations of constraint propagation per search node.
+pub(crate) const PROPAGATION_ROUNDS: usize = 8;
+
 /// Narrows `boxed` with respect to `pred`, iterating to a (bounded) fixed point.
 ///
 /// Returns `None` when the box provably contains no model of `pred`. This is exposed publicly

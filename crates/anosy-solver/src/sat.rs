@@ -1,6 +1,6 @@
 //! Satisfiability: depth-first branch-and-prune model search, over interned predicates.
 
-use crate::propagate::propagate_id;
+use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
 use crate::solver::SearchCtx;
 use crate::SolverError;
 use anosy_logic::{IntBox, Point, PredId, TriBool};
@@ -32,7 +32,7 @@ fn search(
 ) -> Result<Option<Point>, SolverError> {
     while let Some(current) = stack.pop() {
         ctx.tick()?;
-        let narrowed = match propagate_id(ctx.store, pred, &current, ctx.propagation_rounds()) {
+        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;

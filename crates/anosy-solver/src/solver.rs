@@ -46,11 +46,6 @@ impl<'a> SearchCtx<'a> {
         }
         Ok(())
     }
-
-    /// Number of propagation rounds to run per node.
-    pub(crate) fn propagation_rounds(&self) -> usize {
-        self.config.propagation_rounds
-    }
 }
 
 /// A reusable decision-procedure instance.

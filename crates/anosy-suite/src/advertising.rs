@@ -6,7 +6,7 @@
 //! 100 locations. The experiment measures, for each powerset size `k`, how many queries each
 //! randomized execution still gets authorized — the curves of Fig. 6.
 
-use anosy_core::{AnosyError, AnosySession, MinSizePolicy};
+use anosy_core::{AnosyError, AnosySession, PolicySpec};
 use anosy_domains::PowersetDomain;
 use anosy_ifc::Protected;
 use anosy_logic::{IntExpr, Point, SecretLayout};
@@ -159,7 +159,7 @@ pub fn run_advertising(config: &AdvertisingConfig) -> Result<Vec<AdvertisingOutc
     for &k in &config.powerset_sizes {
         let mut synth = Synthesizer::with_config(config.synth.clone());
         let mut session: AnosySession<PowersetDomain> =
-            AnosySession::new(layout.clone(), MinSizePolicy::new(config.policy_min_size));
+            AnosySession::new(layout.clone(), PolicySpec::MinSize(config.policy_min_size));
         for query in &queries {
             session.register_synthesized(&mut synth, query, ApproxKind::Under, Some(k))?;
         }

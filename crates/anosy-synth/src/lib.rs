@@ -10,11 +10,13 @@
 //!
 //! 1. **Specification** — the refinement-type obligations are represented by [`ApproxKind`] and
 //!    checked after the fact by the `anosy-verify` crate;
-//! 2. **Sketching** — [`Sketch`] is the partial program with interval holes, generated from the
-//!    query's [`anosy_logic::SecretLayout`];
-//! 3. **SMT-based synthesis** — [`Synthesizer::synth_interval`] fills a sketch with optimal
-//!    bounds using the `anosy-solver` optimization and maximal-box procedures (the stand-in for
-//!    Z3's Pareto `maximize`/`minimize` directives);
+//! 2. **Sketching** — the paper's sketch has one lower and one upper bound per secret field of
+//!    the query's [`anosy_logic::SecretLayout`]; here those bounds are simply the bounds of an
+//!    [`anosy_logic::IntBox`], so no sketch value is built;
+//! 3. **SMT-based synthesis** — [`Synthesizer::synth_interval`] computes each region's box with
+//!    the `anosy-solver` procedures (the stand-in for Z3's Pareto `maximize`/`minimize`
+//!    directives): the tightest bounding box for over-approximations, and the largest of the
+//!    inclusion-maximal boxes grown from several seeds for under-approximations;
 //! 4. **Iterative powerset synthesis** — [`Synthesizer::synth_powerset`] implements Algorithm 1
 //!    (`IterSynth`), growing an inclusion list (under-approximations) or an exclusion list
 //!    (over-approximations) one interval at a time.
@@ -44,7 +46,6 @@ mod config;
 mod error;
 mod indset;
 mod query;
-mod sketch;
 mod synthesizer;
 
 pub use codec::{decode_indsets, encode_indsets, parse_approx_kind, DomainCodec};
@@ -52,5 +53,4 @@ pub use config::SynthConfig;
 pub use error::SynthError;
 pub use indset::{ApproxKind, IndSets};
 pub use query::{QueryDef, QueryRegistry};
-pub use sketch::{Hole, Sketch};
 pub use synthesizer::{SynthStats, Synthesizer};

@@ -1,6 +1,6 @@
 //! The synthesizer: `Synth` (single intervals) and `IterSynth` (powersets, Algorithm 1).
 
-use crate::{ApproxKind, IndSets, QueryDef, Sketch, SynthConfig, SynthError};
+use crate::{ApproxKind, IndSets, QueryDef, SynthConfig, SynthError};
 use anosy_domains::{AbstractDomain, IntervalDomain, PowersetDomain};
 use anosy_logic::{IntBox, Point, PredId, SecretLayout, StoreStats};
 use anosy_solver::{Solver, SolverStats};
@@ -64,12 +64,6 @@ impl Synthesizer {
     /// Candidate interning counters (see [`SynthStats`]).
     pub fn synth_stats(&self) -> SynthStats {
         self.stats
-    }
-
-    /// Generates the synthesis sketch for one abstract-domain hole of `query` (§5.2). The
-    /// returned sketch has `2 * arity` unfilled integer holes.
-    pub fn sketch(&self, query: &QueryDef) -> Sketch {
-        Sketch::for_layout(query.layout())
     }
 
     /// Synthesizes the interval-domain ind. sets of `query` (§5.3).
@@ -322,13 +316,6 @@ impl Synthesizer {
         }
         Ok(best)
     }
-
-    /// Convenience: seed a concrete secret as a [`Point`] in the query's layout. Exposed mostly
-    /// for tests and examples that want to drive [`anosy_solver::Solver::maximal_true_box`]
-    /// manually.
-    pub fn seed_from(&self, coords: &[i64]) -> Point {
-        Point::new(coords.to_vec())
-    }
 }
 
 impl Default for Synthesizer {
@@ -482,19 +469,10 @@ mod tests {
     }
 
     #[test]
-    fn sketch_is_derived_from_the_layout() {
-        let synth = Synthesizer::with_config(test_config());
-        let sketch = synth.sketch(&nearby_query());
-        assert_eq!(sketch.arity(), 2);
-        assert_eq!(sketch.unfilled_holes().len(), 4);
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut synth = Synthesizer::with_config(test_config());
         let _ = synth.synth_interval(&nearby_query(), ApproxKind::Under).unwrap();
         assert!(synth.solver_stats().queries > 0);
-        assert_eq!(synth.seed_from(&[1, 2]), Point::new(vec![1, 2]));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! // 2. Synthesize + verify + register, then downgrade under a quantitative policy.
 //! let mut synth = Synthesizer::new();
 //! let mut session: AnosySession<PowersetDomain> =
-//!     AnosySession::new(layout, MinSizePolicy::new(100));
+//!     AnosySession::new(layout, PolicySpec::MinSize(100));
 //! session.register_synthesized(&mut synth, &query, ApproxKind::Under, Some(3)).unwrap();
 //!
 //! let secret = Protected::new(Point::new(vec![300, 200]));
@@ -60,8 +60,8 @@ pub use anosy_verify as verify;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use anosy_core::{
-        AnosyError, AnosySession, AsSecretPoint, KaryQuery, Knowledge, MinEntropyPolicy,
-        MinSizePolicy, Policy, PolicySpec, QInfo, SynthesizeInto,
+        AnosyError, AnosySession, AsSecretPoint, FnPolicy, KaryQuery, Knowledge, Policy,
+        PolicySpec, QInfo, SynthesizeInto,
     };
     pub use anosy_domains::{
         secret_record, AInt, AbstractDomain, IntervalDomain, PowersetDomain, Secret,
@@ -88,7 +88,6 @@ mod tests {
         let _ = crate::synth::ApproxKind::Under;
         let _ = crate::verify::VerificationReport::default();
         let _ = crate::ifc::SecLevel::Public;
-        let _ = crate::core::MinSizePolicy::new(1);
         let _ = crate::serve::ServeConfig::for_tests();
         let _ = crate::serve::SessionId(1);
         let _ = crate::serve::SimNet::new(0);

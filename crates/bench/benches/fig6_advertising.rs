@@ -45,7 +45,7 @@ fn bench_fig6(c: &mut Criterion) {
             bencher.iter(|| {
                 let mut synth = Synthesizer::new();
                 let mut session: AnosySession<PowersetDomain> =
-                    AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+                    AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
                 let query =
                     QueryDef::new("nearby_bench", layout.clone(), nearby(137, 242)).unwrap();
                 session
@@ -65,7 +65,7 @@ fn bench_fig6(c: &mut Criterion) {
     for k in [1usize, 3, 10] {
         let mut synth = Synthesizer::new();
         let mut session: AnosySession<PowersetDomain> =
-            AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+            AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
         let origins = [(120, 240), (250, 180), (300, 310), (90, 90), (210, 205)];
         for (i, (x, y)) in origins.iter().enumerate() {
             let query =

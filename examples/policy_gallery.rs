@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release -p anosy --example policy_gallery`
 
-use anosy::core::FnPolicy;
 use anosy::prelude::*;
 
 fn build_session(
@@ -53,7 +52,7 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
                 build_session(
                     s,
                     &SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build(),
-                    MinSizePolicy::new(100),
+                    PolicySpec::MinSize(100),
                 )
             }),
         ),
@@ -63,7 +62,7 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
                 build_session(
                     s,
                     &SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build(),
-                    MinEntropyPolicy::new(12.0),
+                    PolicySpec::MinEntropyMillibits(12_000),
                 )
             }),
         ),
@@ -98,7 +97,7 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
         ],
     )?;
     let mut session: AnosySession<PowersetDomain> =
-        AnosySession::new(layout.clone(), MinSizePolicy::new(10_000));
+        AnosySession::new(layout.clone(), PolicySpec::MinSize(10_000));
     session.register_synthesized_cases(&mut synthesizer, &quadrant, ApproxKind::Under, Some(2))?;
     match session.downgrade_output(&secret, "quadrant") {
         Ok(output) => println!("  authorized: the user is in quadrant #{output}"),
@@ -109,7 +108,7 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
     println!("\nLIO-staged downgrade:");
     let mut lio = Lio::new(SecLevel::Public, SecLevel::Secret);
     let labeled_secret = lio.label(SecLevel::Secret, Point::new(vec![300, 200]))?;
-    let mut session = build_session(&mut synthesizer, &layout, MinSizePolicy::new(100))?;
+    let mut session = build_session(&mut synthesizer, &layout, PolicySpec::MinSize(100))?;
     let answer = session.downgrade_labeled(&mut lio, &labeled_secret, "nearby_200_200")?;
     println!(
         "  nearby_200_200 -> {} at label {}, ambient context stays at {}",

@@ -25,7 +25,7 @@ fn run(mut synthesizer: Synthesizer) -> Result<(), Box<dyn std::error::Error>> {
 
     // "Compile time": synthesize + verify the knowledge approximations and register them.
     let mut session: AnosySession<PowersetDomain> =
-        AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+        AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
     for (x, y) in origins {
         let query = QueryDef::new(format!("nearby_{x}_{y}"), layout.clone(), nearby(x, y))?;
         session.register_synthesized(&mut synthesizer, &query, ApproxKind::Under, Some(3))?;

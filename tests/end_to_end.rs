@@ -21,7 +21,7 @@ fn typed_secret_pipeline_with_interval_domain() {
     let layout = UserLoc::layout();
     let mut synth = Synthesizer::new();
     let mut session: AnosySession<IntervalDomain> =
-        AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+        AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
     for (x, y) in [(200, 200), (300, 200)] {
         let q = QueryDef::new(format!("nearby_{x}_{y}"), layout.clone(), nearby(x, y)).unwrap();
         session.register_synthesized(&mut synth, &q, ApproxKind::Under, None).unwrap();
@@ -39,7 +39,7 @@ fn lio_staged_downgrade_keeps_the_context_public() {
     let layout = UserLoc::layout();
     let mut synth = Synthesizer::new();
     let mut session: AnosySession<PowersetDomain> =
-        AnosySession::new(layout.clone(), MinSizePolicy::new(100));
+        AnosySession::new(layout.clone(), PolicySpec::MinSize(100));
     let q = QueryDef::new("nearby_200_200", layout.clone(), nearby(200, 200)).unwrap();
     session.register_synthesized(&mut synth, &q, ApproxKind::Under, Some(3)).unwrap();
 
@@ -84,7 +84,7 @@ fn benchmark_suite_runs_through_the_public_api() {
     {
         let layout = benchmark.query.layout().clone();
         let mut session: AnosySession<PowersetDomain> =
-            AnosySession::new(layout, MinSizePolicy::new(1));
+            AnosySession::new(layout, PolicySpec::MinSize(1));
         session
             .register_synthesized(&mut synth, &benchmark.query, ApproxKind::Under, Some(3))
             .unwrap();
@@ -102,7 +102,7 @@ fn policy_violations_report_both_posterior_sizes_and_leave_state_unchanged() {
     // A draconian policy that no posterior of this query can satisfy: the whole space has
     // 160 801 locations, and answering either way already rules out part of it.
     let mut session: AnosySession<PowersetDomain> =
-        AnosySession::new(layout.clone(), MinSizePolicy::new(200_000));
+        AnosySession::new(layout.clone(), PolicySpec::MinSize(200_000));
     let q = QueryDef::new("nearby_200_200", layout, nearby(200, 200)).unwrap();
     session.register_synthesized(&mut synth, &q, ApproxKind::Under, Some(3)).unwrap();
 

@@ -76,7 +76,7 @@ proptest! {
         let layout = loc_layout();
         let mut synth = quick_synth();
         let mut session: AnosySession<PowersetDomain> =
-            AnosySession::new(layout.clone(), MinSizePolicy::new(20));
+            AnosySession::new(layout.clone(), PolicySpec::MinSize(20));
         let mut queries = Vec::new();
         for (i, (x, y, r)) in origins.iter().enumerate() {
             let q = QueryDef::new(format!("q{i}"), layout.clone(), nearby(*x, *y, *r)).unwrap();

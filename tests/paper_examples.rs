@@ -51,7 +51,7 @@ fn section_2_two_queries_reveal_the_secret() {
 fn section_3_bounded_downgrade_walkthrough() {
     let mut synthesizer = Synthesizer::new();
     let mut session: AnosySession<PowersetDomain> =
-        AnosySession::new(loc_layout(), MinSizePolicy::new(100));
+        AnosySession::new(loc_layout(), PolicySpec::MinSize(100));
     for (x, y) in [(200, 200), (300, 200), (400, 200)] {
         session
             .register_synthesized(&mut synthesizer, &nearby_query(x, y), ApproxKind::Under, Some(3))
