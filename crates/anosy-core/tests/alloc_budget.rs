@@ -16,10 +16,11 @@
 //! through the frontend, allocates as often for 64 or 1024 tracked secrets as for one.
 //!
 //! The solver's search state is a box, and a box of up to four dimensions stores its ranges
-//! inline, so narrowing a 2-D box against an interned query allocates nothing. One synthesis of
-//! a powerset ind. set stays within a fixed budget of allocations, most of them the fresh
-//! store's arena and memo tables: the maximal-box search probes without allocating, its model
-//! searches share one stack, and candidate boxes are interned without building a tree.
+//! inline, so narrowing a 2-D box against a query compiled for the search allocates nothing. One
+//! synthesis of a powerset ind. set stays within a fixed budget of allocations, most of them the
+//! fresh store's arena and memo tables: the maximal-box search probes without allocating, its
+//! model searches share one stack and one compiled predicate, and candidate boxes are interned
+//! without building a tree.
 //!
 //! The counting allocator counts per thread, so tests running in parallel do not disturb each
 //! other's counts.
@@ -29,7 +30,7 @@ use anosy_domains::{without_size_oracle, AInt, AbstractDomain, IntervalDomain, P
 use anosy_logic::{IntBox, IntExpr, Point, Range, SecretLayout, TermStore};
 use anosy_serve::wire::{self, NameInterner};
 use anosy_serve::{Deployment, Frontend, ServeConfig, ServeRequest, ServeResponse};
-use anosy_solver::narrow_box_id;
+use anosy_solver::CompiledPred;
 use anosy_synth::{ApproxKind, DomainCodec, IndSets, QueryDef, SynthConfig, Synthesizer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -428,9 +429,10 @@ fn narrowing_a_2d_box_against_an_interned_query_allocates_nothing() {
         IntBox::new(vec![Range::new(150, 260), Range::new(100, 200)]),
         IntBox::new(vec![Range::new(300, 400), Range::new(0, 50)]),
     ];
+    let mut programs = [query, negated].map(|pred| CompiledPred::compile(&store, pred));
     for boxed in &boxes {
-        for pred in [query, negated] {
-            let (narrowed, count) = allocations(|| narrow_box_id(&mut store, pred, boxed, 4));
+        for program in &mut programs {
+            let (narrowed, count) = allocations(|| program.narrow(boxed, 4));
             assert_eq!(count, 0, "narrowing {boxed} allocated");
             if let Some(narrowed) = narrowed {
                 assert!(boxed.contains_box(&narrowed));
@@ -440,8 +442,8 @@ fn narrowing_a_2d_box_against_an_interned_query_allocates_nothing() {
 }
 
 /// Allocations of one powerset-3 under-approximation synthesis of a radius-60 diamond, by a
-/// fresh synthesizer as a registration makes: 1,313 (16,422 before the search stopped
-/// allocating per probe).
+/// fresh synthesizer as a registration makes: 1,226 (16,422 before the search stopped
+/// allocating per probe, 1,313 before the search ran over compiled predicates).
 const SYNTHESIS_BUDGET: usize = 1_500;
 
 #[test]

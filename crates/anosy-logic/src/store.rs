@@ -15,8 +15,9 @@
 //! * **store-resident memo tables** — [`TermStore::simplify`] (NNF + flattening + constant
 //!   folding), [`TermStore::negate_simplified`], [`TermStore::pred_free_vars`] and the abstract
 //!   interval evaluators [`TermStore::eval_abstract_expr`] / [`TermStore::eval_abstract_pred`]
-//!   (keyed by `(id, box)`) are cached in the store and reused across search nodes, queries and
-//!   sessions.
+//!   (keyed by `(id, box)`) are cached in the store and reused across queries and sessions. The
+//!   solver's searches do not go through the abstract evaluators: each search compiles its
+//!   predicate once into a flat program of its own and evaluates that.
 //!
 //! Lowering is explicit: [`TermStore::intern_pred`] walks a [`Pred`] tree once and returns its
 //! id; [`TermStore::pred_to_tree`] reconstructs a tree for display or for tree-only consumers.
@@ -1302,6 +1303,24 @@ mod tests {
         }
         assert_eq!(store.stats().tri_misses, misses, "second pass should be pure hits");
         assert!(store.stats().tri_hits >= boxes.len() as u64);
+    }
+
+    #[test]
+    fn range_analyses_of_deep_terms_are_answered_from_the_memo() {
+        let mut store = TermStore::new();
+        // A deep arithmetic spine, well past the memo depth gate.
+        let mut sum = (IntExpr::var(0) - 0).abs();
+        for i in 1..8i64 {
+            sum = sum + (IntExpr::var((i % 2) as usize) - 50 * i).abs();
+        }
+        let id = store.intern_expr(&sum);
+        let boxed = IntBox::new(vec![Range::new(0, 400), Range::new(0, 400)]);
+        let first = store.eval_abstract_expr(id, &boxed);
+        assert_eq!(first, sum.eval_abstract(&boxed));
+        let misses = store.stats().range_misses;
+        assert_eq!(store.eval_abstract_expr(id, &boxed), first);
+        assert_eq!(store.stats().range_misses, misses, "re-run should not re-analyze ranges");
+        assert!(store.stats().range_hits > 0);
     }
 
     #[test]

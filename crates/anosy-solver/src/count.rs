@@ -4,9 +4,9 @@
 //! of exact posteriors; it is also used by tests to cross-check the sizes reported by the
 //! abstract domains.
 
-use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
+use crate::propagate::PROPAGATION_ROUNDS;
 use crate::solver::SearchCtx;
-use crate::SolverError;
+use crate::{CompiledPred, SolverError};
 use anosy_logic::{IntBox, PredId, TriBool};
 
 /// Counts the models of `pred` inside `space`, exactly.
@@ -18,18 +18,31 @@ pub(crate) fn count_models(
     if space.is_empty() {
         return Ok(0);
     }
+    ctx.with_program(pred, |ctx, program| {
+        ctx.with_stack(|ctx, stack| {
+            stack.push(space.clone());
+            count(ctx, pred, program, stack)
+        })
+    })
+}
+
+fn count(
+    ctx: &mut SearchCtx<'_>,
+    pred: PredId,
+    program: &mut CompiledPred,
+    stack: &mut Vec<IntBox>,
+) -> Result<u128, SolverError> {
     let mut total: u128 = 0;
-    let mut stack = vec![space.clone()];
     while let Some(current) = stack.pop() {
         ctx.tick()?;
-        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
+        let narrowed = match program.narrow(&current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;
                 continue;
             }
         };
-        match ctx.store.eval_abstract_pred(pred, &narrowed) {
+        match program.eval(&narrowed) {
             TriBool::True => {
                 total += narrowed.count();
                 continue;

@@ -25,9 +25,10 @@
 //!
 //! Internally every search operates on the solver's hash-consed
 //! [`TermStore`](anosy_logic::TermStore): predicates are interned once per solver (O(1) equality
-//! and hashing by [`PredId`](anosy_logic::PredId)), normalization/negation are memoized, and the
-//! interval range analyses behind constraint propagation are cached by `(term, box)` and reused
-//! across search nodes and across queries. [`Solver::store_stats`] surfaces the hit/miss
+//! and hashing by [`PredId`](anosy_logic::PredId)) and normalization/negation are memoized. Each
+//! solver run compiles the predicate it searches into a [`CompiledPred`], a flat program of
+//! `Copy` nodes, and constraint propagation and the per-box three-valued evaluation run over that
+//! program without touching the store. [`Solver::store_stats`] surfaces the store's hit/miss
 //! counters; [`Solver::intern_simplified`] exposes the canonical id of a predicate so callers
 //! (synthesizer, verifier) can deduplicate candidate terms by id instead of deep comparison.
 //!
@@ -54,6 +55,7 @@ mod count;
 mod error;
 mod maximal;
 mod optimize;
+mod program;
 mod propagate;
 mod sat;
 mod solver;
@@ -63,7 +65,8 @@ mod validity;
 pub use config::SolverConfig;
 pub use error::SolverError;
 pub use maximal::ExpansionStrategy;
-pub use propagate::{propagate as narrow_box, propagate_id as narrow_box_id};
+pub use program::CompiledPred;
+pub use propagate::propagate as narrow_box;
 pub use solver::Solver;
 pub use stats::SolverStats;
 pub use validity::ValidityOutcome;

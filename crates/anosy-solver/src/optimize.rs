@@ -4,16 +4,17 @@
 //! over the models of the query?". Over-approximation synthesis (§5.3) is exactly one such pair
 //! of questions per secret field.
 
-use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
+use crate::propagate::PROPAGATION_ROUNDS;
 use crate::solver::SearchCtx;
-use crate::SolverError;
+use crate::{CompiledPred, SolverError};
 use anosy_logic::{IntBox, PredId, TriBool};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Heap entry ordered by the optimistic objective bound (ties broken by smaller boxes first and
 /// then by insertion order, so ordering never inspects the box itself).
-struct Entry {
+#[derive(Debug)]
+pub(crate) struct Entry {
     bound: i64,
     count: u128,
     id: usize,
@@ -56,10 +57,24 @@ pub(crate) fn optimize(
     if space.is_empty() {
         return Ok(None);
     }
-    // Best-first queue ordered by the optimistic bound of each box for the chosen objective.
-    // For maximization the bound is the box's upper bound on `var`; for minimization we store
-    // the negated lower bound so the same max-heap explores the most promising box first.
-    let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
+    ctx.with_program(pred, |ctx, program| {
+        ctx.with_heap(|ctx, queue| search(ctx, pred, program, queue, space, var, maximize))
+    })
+}
+
+/// The best-first search of [`optimize`] over a queue ordered by the optimistic bound of each
+/// box for the chosen objective. For maximization the bound is the box's upper bound on `var`;
+/// for minimization we store the negated lower bound so the same max-heap explores the most
+/// promising box first.
+fn search(
+    ctx: &mut SearchCtx<'_>,
+    pred: PredId,
+    program: &mut CompiledPred,
+    queue: &mut BinaryHeap<Entry>,
+    space: &IntBox,
+    var: usize,
+    maximize: bool,
+) -> Result<Option<i64>, SolverError> {
     let mut arena_counter = 0usize; // tie-breaker so the heap never compares IntBox values
     let mut best: Option<i64> = None;
 
@@ -94,14 +109,14 @@ pub(crate) fn optimize(
                 break;
             }
         }
-        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
+        let narrowed = match program.narrow(&current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;
                 continue;
             }
         };
-        match ctx.store.eval_abstract_pred(pred, &narrowed) {
+        match program.eval(&narrowed) {
             TriBool::True => {
                 let candidate =
                     if maximize { narrowed.dim(var).hi() } else { narrowed.dim(var).lo() };

@@ -1,14 +1,14 @@
 //! Satisfiability: depth-first branch-and-prune model search, over interned predicates.
 
-use crate::propagate::{propagate_id, PROPAGATION_ROUNDS};
+use crate::propagate::PROPAGATION_ROUNDS;
 use crate::solver::SearchCtx;
-use crate::SolverError;
+use crate::{CompiledPred, SolverError};
 use anosy_logic::{IntBox, Point, PredId, TriBool};
 
 /// Finds a model of `pred` inside `space`, or proves there is none.
 ///
-/// The search stack lives in the context, so the many searches of one query (the
-/// probes of a maximal-box search) share one allocation.
+/// The search stack and the compiled predicate live in the context, so the many searches of one
+/// query (the probes of a maximal-box search) share one allocation and one compilation.
 pub(crate) fn find_model(
     ctx: &mut SearchCtx<'_>,
     pred: PredId,
@@ -17,29 +17,30 @@ pub(crate) fn find_model(
     if space.is_empty() {
         return Ok(None);
     }
-    let mut stack = std::mem::take(&mut ctx.stack);
-    stack.clear();
-    stack.push(space.clone());
-    let found = search(ctx, pred, &mut stack);
-    ctx.stack = stack;
-    found
+    ctx.with_program(pred, |ctx, program| {
+        ctx.with_stack(|ctx, stack| {
+            stack.push(space.clone());
+            search(ctx, pred, program, stack)
+        })
+    })
 }
 
 fn search(
     ctx: &mut SearchCtx<'_>,
     pred: PredId,
+    program: &mut CompiledPred,
     stack: &mut Vec<IntBox>,
 ) -> Result<Option<Point>, SolverError> {
     while let Some(current) = stack.pop() {
         ctx.tick()?;
-        let narrowed = match propagate_id(ctx.store, pred, &current, PROPAGATION_ROUNDS) {
+        let narrowed = match program.narrow(&current, PROPAGATION_ROUNDS) {
             Some(b) => b,
             None => {
                 ctx.pruned += 1;
                 continue;
             }
         };
-        match ctx.store.eval_abstract_pred(pred, &narrowed) {
+        match program.eval(&narrowed) {
             TriBool::True => {
                 return Ok(narrowed.min_corner());
             }

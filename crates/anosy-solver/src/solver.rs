@@ -1,36 +1,52 @@
 //! The public solver façade and the internal search context shared by all procedures.
 
 use crate::{
-    count, maximal, optimize, sat, validity, ExpansionStrategy, SolverConfig, SolverError,
-    SolverStats, ValidityOutcome,
+    count, maximal, optimize, sat, validity, CompiledPred, ExpansionStrategy, SolverConfig,
+    SolverError, SolverStats, ValidityOutcome,
 };
 use anosy_logic::{IntBox, Point, Pred, PredId, Range, StoreStats, TermStore};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// Budget-tracking context threaded through every search.
 ///
-/// Besides the node/time budgets it carries the solver's [`TermStore`], so every procedure
-/// works on interned ids and the store's memoized range analyses are shared across search nodes
-/// (and across queries: the store lives as long as the [`Solver`]).
+/// Besides the node/time budgets it carries the solver's [`TermStore`] and the [`Scratch`]
+/// buffers, so every procedure works on interned ids and searches over compiled programs.
 pub(crate) struct SearchCtx<'a> {
     config: &'a SolverConfig,
     deadline: Instant,
     pub(crate) nodes: u64,
     pub(crate) pruned: u64,
     pub(crate) store: &'a mut TermStore,
-    /// The stack the model searches of one query share (see [`sat::find_model`]).
-    pub(crate) stack: Vec<IntBox>,
+    scratch: &'a mut Scratch,
+}
+
+/// The buffers a solver keeps from run to run, so the searches of a warm solver allocate
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The stack the model searches share (see [`sat::find_model`]).
+    stack: Vec<IntBox>,
+    /// The queue of the best-first search (see [`optimize::optimize`]).
+    heap: BinaryHeap<optimize::Entry>,
+    /// Compiled programs of the predicates the current run searches: its own predicate and the
+    /// negation that validity and the maximal-box search probe. A slot's id is cleared when a
+    /// run starts, so each run compiles its predicates once.
+    programs: [(Option<PredId>, CompiledPred); 2],
 }
 
 impl<'a> SearchCtx<'a> {
-    fn new(config: &'a SolverConfig, store: &'a mut TermStore) -> Self {
+    fn new(config: &'a SolverConfig, store: &'a mut TermStore, scratch: &'a mut Scratch) -> Self {
+        for (compiled, _) in &mut scratch.programs {
+            *compiled = None;
+        }
         SearchCtx {
             config,
             deadline: Instant::now() + config.time_budget,
             nodes: 0,
             pruned: 0,
             store,
-            stack: Vec::new(),
+            scratch,
         }
     }
 
@@ -46,12 +62,61 @@ impl<'a> SearchCtx<'a> {
         }
         Ok(())
     }
+
+    /// Runs `f` with the compiled program of `pred`, compiling it on the run's first use.
+    pub(crate) fn with_program<T>(
+        &mut self,
+        pred: PredId,
+        f: impl FnOnce(&mut SearchCtx<'a>, &mut CompiledPred) -> T,
+    ) -> T {
+        let programs = &mut self.scratch.programs;
+        let slot = match programs.iter().position(|(compiled, _)| *compiled == Some(pred)) {
+            Some(slot) => slot,
+            None => {
+                let slot =
+                    programs.iter().position(|(compiled, _)| compiled.is_none()).unwrap_or(1);
+                programs[slot].1.recompile(self.store, pred);
+                programs[slot].0 = Some(pred);
+                slot
+            }
+        };
+        let mut program = std::mem::take(&mut self.scratch.programs[slot].1);
+        let out = f(self, &mut program);
+        self.scratch.programs[slot].1 = program;
+        out
+    }
+
+    /// Runs `f` with the search stack (empty on entry).
+    pub(crate) fn with_stack<T>(
+        &mut self,
+        f: impl FnOnce(&mut SearchCtx<'a>, &mut Vec<IntBox>) -> T,
+    ) -> T {
+        let mut stack = std::mem::take(&mut self.scratch.stack);
+        stack.clear();
+        let out = f(self, &mut stack);
+        self.scratch.stack = stack;
+        out
+    }
+
+    /// Runs `f` with the best-first queue (empty on entry).
+    pub(crate) fn with_heap<T>(
+        &mut self,
+        f: impl FnOnce(&mut SearchCtx<'a>, &mut BinaryHeap<optimize::Entry>) -> T,
+    ) -> T {
+        let mut heap = std::mem::take(&mut self.scratch.heap);
+        heap.clear();
+        let out = f(self, &mut heap);
+        self.scratch.heap = heap;
+        out
+    }
 }
 
 /// A reusable decision-procedure instance.
 ///
-/// A `Solver` owns a [`SolverConfig`] and accumulates [`SolverStats`] across queries. It is cheap
-/// to construct; the heavy state is per-query and freed when each query returns.
+/// A `Solver` owns a [`SolverConfig`], accumulates [`SolverStats`] across queries and keeps state
+/// that lives as long as it does: the [`TermStore`] its queries are interned in (with the
+/// store's arena and memo tables) and the search buffers, among them the compiled program of
+/// each run's predicate. A warm solver therefore answers a query without regrowing either.
 ///
 /// # Example
 ///
@@ -71,6 +136,7 @@ pub struct Solver {
     config: SolverConfig,
     stats: SolverStats,
     store: TermStore,
+    scratch: Scratch,
 }
 
 impl Solver {
@@ -81,7 +147,12 @@ impl Solver {
 
     /// Creates a solver with an explicit configuration.
     pub fn with_config(config: SolverConfig) -> Self {
-        Solver { config, stats: SolverStats::new(), store: TermStore::new() }
+        Solver {
+            config,
+            stats: SolverStats::new(),
+            store: TermStore::new(),
+            scratch: Scratch::default(),
+        }
     }
 
     /// The active configuration.
@@ -138,7 +209,7 @@ impl Solver {
             }
         }
         let normalized = self.store.simplify(pred);
-        let mut ctx = SearchCtx::new(&self.config, &mut self.store);
+        let mut ctx = SearchCtx::new(&self.config, &mut self.store, &mut self.scratch);
         let result = f(&mut ctx, normalized, space);
         self.stats.nodes_explored += ctx.nodes;
         self.stats.nodes_pruned += ctx.pruned;
