@@ -21,15 +21,17 @@
 //!   one sequential solver job (default: available parallelism). Answers are the same at any
 //!   width, and the solver budget bounds each request. Downgrades never use the pool: they are
 //!   decided on the reactor thread;
-//! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request;
+//! * `--save-on-exit PATH` — save a snapshot of the synthesis cache after the last request
+//!   (a compaction when `PATH` is the journal's `PATH.snapshot`);
 //! * `--journal PATH` — durability between saves ([`anosy_serve::journal`]): warm-restart from
 //!   `PATH.snapshot` + `PATH` (both replayed up to their good prefix, so a torn snapshot or
-//!   journal tail loses only the cut record), then append every newly synthesized entry to
-//!   `PATH` as it commits. Recovery reports as a
+//!   journal tail loses only the cut record), re-verifying every recovered entry with the
+//!   solver before installing it ([`anosy_serve::Deployment::warm_start`]), then append every
+//!   newly synthesized entry to `PATH` as it commits. Recovery reports as a
 //!   `# journal recovered replayed=N torn=N snapshot_loaded=N skipped=N` line, where `torn`
-//!   counts tears in both files. To load some other snapshot, send a `warm path=...` request;
-//! * `--verify-on-load` — with `--journal`: re-verify every recovered entry with the solver
-//!   before installing it ([`anosy_serve::Deployment::warm_start`]);
+//!   counts tears in both files and `skipped` the entries that failed re-verification. To warm
+//!   from some other snapshot, place it at `PATH.snapshot` before the start; no request names
+//!   a file;
 //! * `--journal-flush every-entry|every-entry-fsync` — how far each journal append gets before
 //!   its commit returns: `every-entry` (default) hands it to the OS, `every-entry-fsync` also
 //!   `fsync`s it to the device;
@@ -86,7 +88,6 @@ struct Options {
     layout: SecretLayout,
     domain: String,
     config: ServeConfig,
-    verify_on_load: bool,
     save_on_exit: Option<std::path::PathBuf>,
     listen: Option<String>,
     accept: Option<usize>,
@@ -100,7 +101,7 @@ fn usage() -> ! {
         "usage: anosy-served --layout \"x:0:400 y:0:400\" [--domain interval|powerset] \
          [--workers N] [--save-on-exit PATH] [--journal PATH \
          [--journal-flush every-entry|every-entry-fsync] \
-         [--compact-every N] [--verify-on-load]] [--trace PATH] [--no-telemetry] \
+         [--compact-every N]] [--trace PATH] [--no-telemetry] \
          [--listen ADDR [--accept N] [--reactors N]]"
     );
     std::process::exit(2);
@@ -111,7 +112,6 @@ fn parse_options() -> Options {
     let mut layout = None;
     let mut domain = "interval".to_string();
     let mut config = ServeConfig::new();
-    let mut verify_on_load = false;
     let mut save_on_exit = None;
     let mut journal = None;
     let mut journal_flush = FlushPolicy::EveryEntry;
@@ -143,7 +143,6 @@ fn parse_options() -> Options {
             }
             "--trace" => trace = Some(std::path::PathBuf::from(value(&mut i))),
             "--no-telemetry" => telemetry = false,
-            "--verify-on-load" => verify_on_load = true,
             "--save-on-exit" => save_on_exit = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i))),
             "--journal-flush" => {
@@ -176,21 +175,10 @@ fn parse_options() -> Options {
             }
             config = config.with_journal(journal);
         }
-        None if compact_every.is_some() || verify_on_load => usage(),
+        None if compact_every.is_some() => usage(),
         None => {}
     }
-    Options {
-        layout,
-        domain,
-        config,
-        verify_on_load,
-        save_on_exit,
-        listen,
-        accept,
-        reactors,
-        trace,
-        telemetry,
-    }
+    Options { layout, domain, config, save_on_exit, listen, accept, reactors, trace, telemetry }
 }
 
 fn main() {
@@ -210,9 +198,9 @@ where
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
 
-    // Warm restart from the journal's snapshot + replay, then attach the commit observer so
-    // everything synthesized from here on is journaled as it lands.
-    match deployment.open_journal(options.verify_on_load) {
+    // Warm restart from the journal's snapshot + replay (every entry re-verified), then attach
+    // the commit observer so everything synthesized from here on is journaled as it lands.
+    match deployment.open_journal() {
         Ok(Some(recovery)) => writeln!(
             out,
             "# journal recovered replayed={} torn={} snapshot_loaded={} skipped={}",

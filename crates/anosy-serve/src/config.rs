@@ -11,8 +11,9 @@ pub struct ServeConfig {
     /// request as one sequential solver job (clamped to at least one). Answers do not depend
     /// on it.
     pub workers: usize,
-    /// Synthesis configuration used for cache misses (its solver config also drives
-    /// verification and bounds each `count`/`valid` request as a whole).
+    /// Synthesis configuration used for cache misses (its solver config also bounds each
+    /// `count`/`valid` request as a whole; verification runs under the verifier's default
+    /// budget, so an entry verifies the same on every path into the cache).
     pub synth: SynthConfig,
     /// Append-only synthesis journal ([`crate::journal`]); `None` (the default) disables
     /// journaling. The journal itself is opened by [`crate::Deployment::open_journal`] — the
@@ -46,7 +47,7 @@ impl ServeConfig {
         self
     }
 
-    /// The solver configuration verifiers and `count`/`valid` jobs run with.
+    /// The solver configuration synthesis and `count`/`valid` jobs run with.
     pub fn solver(&self) -> &SolverConfig {
         &self.synth.solver
     }

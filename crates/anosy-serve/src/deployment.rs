@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 /// What a [`Deployment::warm_start`] load accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmStartOutcome {
-    /// Entries installed into the synthesis cache (after re-verification, when asked for).
+    /// Entries installed into the synthesis cache, each re-verified first.
     pub installed: usize,
     /// Entries that failed re-verification (or were malformed) and were refused.
     pub skipped: usize,
@@ -33,7 +33,7 @@ pub struct RecoveryOutcome {
     pub snapshot: WarmStartOutcome,
     /// Intact records replayed from the journal's good prefix.
     pub replayed: usize,
-    /// Replayed records refused by `--verify-on-load` re-verification.
+    /// Replayed records refused by re-verification.
     pub replay_skipped: usize,
     /// Torn/corrupt tails found: the snapshot's (ignored past its good prefix) plus the
     /// journal's (truncated away), so `0`, `1` or `2`.
@@ -200,10 +200,10 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
     /// Registers one query with the deployment: synthesizes and verifies it now (once per
     /// deployment; later calls are cache hits) and returns its ind. sets — what the serving
     /// frontend installs in its registry. Safe to call concurrently and repeatedly. Runs the same
-    /// [`synthesize_and_verify`](anosy_core::synthesize_and_verify) pipeline — including the
-    /// verifier's default solver budget — that a session registration would, so a `(query,
-    /// kind, members)` key verifies identically no matter which entry point races into the
-    /// single-flight slot.
+    /// [`synthesize_and_verify`](anosy_core::synthesize_and_verify) pipeline, under the same
+    /// verifier budget, that a session registration would, so a `(query, kind, members)` key
+    /// verifies identically no matter which entry point races into the single-flight slot, and
+    /// again when a restart loads it ([`Deployment::warm_start`]).
     ///
     /// # Errors
     ///
@@ -222,11 +222,19 @@ impl<D: AbstractDomain + SynthesizeInto> Deployment<D> {
                 query,
                 kind,
                 members,
-                SolverConfig::default(),
+                verification_budget(),
             )
         })?;
         Ok(indsets)
     }
+}
+
+/// The solver budget of every verification the deployment runs: a fresh registration's and a
+/// loaded entry's alike, so an entry that verified when it was synthesized verifies again when
+/// it is loaded. It is the verifier's default, not [`ServeConfig::solver`], which bounds
+/// synthesis and the `count`/`valid` jobs.
+fn verification_budget() -> SolverConfig {
+    SolverConfig::default()
 }
 
 impl<D: DomainCodec + 'static> Deployment<D> {
@@ -236,44 +244,31 @@ impl<D: DomainCodec + 'static> Deployment<D> {
     /// key is already cached are not re-installed (the in-memory value wins) and count toward
     /// neither total.
     ///
-    /// Loaded entries are trusted unless `verify` is set: then every entry's refinement
-    /// obligations are **re-checked with the solver** (the same Fig. 4 specification a fresh
-    /// synthesis would have to pass, under the deployment's solver budget) before it is
-    /// installed, and entries that fail — or whose obligations cannot be decided within
-    /// budget — are skipped and counted. This is the `verify` flag of the `warm` wire request
-    /// and `anosy-served --verify-on-load`.
+    /// A file is not trusted: every entry's refinement obligations are **re-checked with the
+    /// solver** (the same Fig. 4 specification, under the same budget, that a fresh
+    /// registration must pass) before it is installed, and entries that fail — or whose
+    /// obligations cannot be decided within budget — are skipped and counted.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable files, files of
     /// another domain and files that are not journals, and [`ServeError::Solver`] if the
     /// solver itself fails (not merely exhausts its budget) on an obligation.
-    pub fn warm_start(&self, path: &Path, verify: bool) -> Result<WarmStartOutcome, ServeError> {
+    pub fn warm_start(&self, path: &Path) -> Result<WarmStartOutcome, ServeError> {
         let _span = anosy_telemetry::span("warm_start");
         let (entries, torn) = journal::replay::<D>(path)?;
-        Ok(WarmStartOutcome { torn, ..self.install_entries(entries, verify)? })
+        Ok(WarmStartOutcome { torn, ..self.install_entries(entries)? })
     }
 
-    /// Installs decoded entries into the shared cache — the one funnel under both the snapshot
-    /// loads and the journal replay, so `--verify-on-load` applies identically to either
-    /// provenance. With `verify` set, every entry's refinement obligations are re-checked with
-    /// the solver first (see [`Deployment::warm_start`]); already-cached keys are never
-    /// re-installed (and, verified, never re-checked — the in-memory value wins).
+    /// Verifies and installs decoded entries into the shared cache — the one funnel under both
+    /// the snapshot loads and the journal replay (see [`Deployment::warm_start`]). Already-cached
+    /// keys are neither re-checked nor re-installed: the in-memory value wins.
     fn install_entries(
         &self,
         entries: Vec<SharedCacheEntry<D>>,
-        verify: bool,
     ) -> Result<WarmStartOutcome, ServeError> {
         let mut outcome = WarmStartOutcome::default();
-        if !verify {
-            for entry in entries {
-                if self.shared.insert_ready(entry) {
-                    outcome.installed += 1;
-                }
-            }
-            return Ok(outcome);
-        }
-        let mut verifier = anosy_verify::Verifier::with_config(self.config.solver().clone());
+        let mut verifier = anosy_verify::Verifier::with_config(verification_budget());
         for entry in entries {
             // The entry's provenance is untrusted, but its shape must still be a well-formed
             // query; a predicate outside the layout is a skip, not a crash.
@@ -321,7 +316,7 @@ impl<D: DomainCodec + 'static> Deployment<D> {
 
     /// Opens the configured journal ([`ServeConfig::journal`]) and performs the warm restart:
     /// [`Deployment::warm_start`] on the compaction snapshot, then [`Journal::recover`] on the
-    /// journal (truncating a torn tail), installing both through the same `verify`-respecting
+    /// journal (truncating a torn tail), verifying and installing both through the same
     /// funnel, and attaches a commit observer so every subsequently committed synthesis entry
     /// is appended as it lands. The append that brings the journal to
     /// [`JournalConfig::compact_every`](journal::JournalConfig::compact_every) records also
@@ -331,16 +326,16 @@ impl<D: DomainCodec + 'static> Deployment<D> {
     /// # Errors
     ///
     /// Returns [`ServeError::Io`] / [`ServeError::Format`] for unreadable files, files of the
-    /// wrong domain and files that are not journals, [`ServeError::Solver`] from `verify`, and
-    /// [`ServeError::Format`] when a journal is already attached.
-    pub fn open_journal(&self, verify: bool) -> Result<Option<RecoveryOutcome>, ServeError> {
+    /// wrong domain and files that are not journals, [`ServeError::Solver`] from verification,
+    /// and [`ServeError::Format`] when a journal is already attached.
+    pub fn open_journal(&self) -> Result<Option<RecoveryOutcome>, ServeError> {
         let Some(config) = self.config.journal.clone() else {
             return Ok(None);
         };
-        let snapshot = self.warm_start(&config.snapshot_path(), verify)?;
+        let snapshot = self.warm_start(&config.snapshot_path())?;
         let recovered = Journal::recover(config)?;
         let replayed = recovered.entries.len();
-        let installed = self.install_entries(recovered.entries, verify)?;
+        let installed = self.install_entries(recovered.entries)?;
         if self.journal.set(recovered.journal).is_err() {
             return Err(ServeError::Format {
                 line: 0,
@@ -425,7 +420,7 @@ mod tests {
 
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
         assert_eq!(
-            first.warm_start(&path, false).unwrap(),
+            first.warm_start(&path).unwrap(),
             WarmStartOutcome::default(),
             "missing file is a cold start"
         );
@@ -436,7 +431,7 @@ mod tests {
         // A restarted deployment loads the cache and performs no synthesis at all.
         let second: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
-        assert_eq!(second.warm_start(&path, false).unwrap().installed, 2);
+        assert_eq!(second.warm_start(&path).unwrap().installed, 2);
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         second.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
         let stats = second.stats();
@@ -477,7 +472,7 @@ mod tests {
 
         let cold: Deployment<IntervalDomain> = Deployment::new(layout(), ServeConfig::for_tests());
         assert_eq!(
-            cold.warm_start(&path, true).unwrap(),
+            cold.warm_start(&path).unwrap(),
             WarmStartOutcome::default(),
             "missing file is a cold start"
         );
@@ -506,18 +501,12 @@ mod tests {
 
         let second: Deployment<IntervalDomain> =
             Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = second.warm_start(&path, true).unwrap();
+        let outcome = second.warm_start(&path).unwrap();
         assert_eq!(outcome, WarmStartOutcome { installed: 1, skipped: 1, torn: 0 });
         // Re-loading the same file: the installed key is already cached, so it is neither
         // re-verified nor re-installed; only the tampered entry is re-checked (and skipped).
-        let again = second.warm_start(&path, true).unwrap();
+        let again = second.warm_start(&path).unwrap();
         assert_eq!(again, WarmStartOutcome { installed: 0, skipped: 1, torn: 0 });
-        // The trusted path reports installs with zero skips.
-        let trusted: Deployment<IntervalDomain> =
-            Deployment::new(layout(), ServeConfig::for_tests());
-        let outcome = trusted.warm_start(&path, false).unwrap();
-        assert_eq!(outcome.skipped, 0);
-        assert_eq!(outcome.installed, 2, "the trusted path installs even the tampered entry");
         // The installed entry serves registrations with zero synthesis, like a plain warm start.
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         assert_eq!(second.stats().cache.synth_misses, 0);
@@ -542,7 +531,7 @@ mod tests {
 
         // First life: journal on, synthesize two queries, then "crash" (drop without saving).
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
-        let recovery = first.open_journal(false).unwrap().unwrap();
+        let recovery = first.open_journal().unwrap().unwrap();
         assert_eq!(recovery, RecoveryOutcome::default(), "first boot is cold");
         first.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         first.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
@@ -551,7 +540,7 @@ mod tests {
 
         // Second life: journal replay alone restores the cache — zero re-synthesis.
         let second: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
-        let recovery = second.open_journal(false).unwrap().unwrap();
+        let recovery = second.open_journal().unwrap().unwrap();
         assert_eq!((recovery.replayed, recovery.torn), (2, 0));
         second.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         second.register_query(&nearby_query(300), ApproxKind::Over, None).unwrap();
@@ -565,11 +554,11 @@ mod tests {
 
         // Third life: everything now comes from the snapshot, nothing from the journal.
         let third: Deployment<IntervalDomain> = Deployment::new(layout(), config);
-        let recovery = third.open_journal(false).unwrap().unwrap();
+        let recovery = third.open_journal().unwrap().unwrap();
         assert_eq!(recovery.snapshot.installed, 2);
         assert_eq!(recovery.replayed, 0);
         assert!(
-            third.open_journal(false).is_err(),
+            third.open_journal().is_err(),
             "a second open_journal on one deployment is refused"
         );
     }
@@ -588,7 +577,7 @@ mod tests {
 
         // Compact two entries into the snapshot, leaving the journal header-only.
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
-        first.open_journal(false).unwrap().unwrap();
+        first.open_journal().unwrap().unwrap();
         first.register_query(&nearby_query(200), ApproxKind::Under, None).unwrap();
         first.register_query(&nearby_query(300), ApproxKind::Under, None).unwrap();
         let saved = first.save_cache(&journal.snapshot_path()).unwrap();
@@ -600,7 +589,7 @@ mod tests {
         std::fs::write(journal.snapshot_path(), &bytes[..bytes.len() - 5]).unwrap();
 
         let second: Deployment<IntervalDomain> = Deployment::new(layout(), config);
-        let recovery = second.open_journal(false).unwrap().unwrap();
+        let recovery = second.open_journal().unwrap().unwrap();
         assert_eq!(recovery.snapshot, WarmStartOutcome { installed: 1, skipped: 0, torn: 1 });
         assert_eq!((recovery.replayed, recovery.torn), (0, 1));
         // The good prefix serves without synthesis; the cut entry is synthesized afresh.

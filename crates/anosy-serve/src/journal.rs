@@ -3,9 +3,9 @@
 //!
 //! A restarted deployment should re-synthesize nothing it already served. Every entry the
 //! single-flight synthesis path commits is **appended as it lands** (via the shared cache's
-//! commit observer), and a snapshot — `SaveCache`, or a compaction — writes the whole cache at
-//! once. Both are the same file format, so a warm restart is *snapshot replay + journal
-//! replay*, and one reader ([`replay`]) serves both.
+//! commit observer), and a snapshot — [`crate::Deployment::save_cache`], or a compaction —
+//! writes the whole cache at once. Both are the same file format, so a warm restart is
+//! *snapshot replay + journal replay*, and one reader ([`replay`]) serves both.
 //!
 //! # Format
 //!
@@ -31,8 +31,8 @@
 //! fragment — property-tested in `anosy-logic`); domain elements use the [`DomainCodec`]
 //! hooks. Entries whose predicate or layout does not round-trip are *skipped* rather than
 //! written unreadably, by appends and saves alike; [`save_entries`] reports both counts as a
-//! [`SaveOutcome`], and the serving surfaces propagate the skipped count (wire `ok saved`
-//! responses, the stats snapshot) so a lossy save is visible to operators.
+//! [`SaveOutcome`], and the serving surfaces propagate the skipped count (the `# saved` exit
+//! line, the stats snapshot) so a lossy save is visible to operators.
 //!
 //! # Replay
 //!
@@ -42,9 +42,8 @@
 //! things are errors: a header naming another domain, and a first line that is not a journal
 //! header at all (a file that merely *starts* like this deployment's header is a header torn
 //! by a crash during the first write). [`Journal::recover`] truncates a torn tail away before
-//! appending; it never rewrites a file it refused. Replayed entries are trusted — they were
-//! verified before being written — unless the caller asks to re-verify them
-//! ([`crate::Deployment::warm_start`]).
+//! appending; it never rewrites a file it refused. Replay only decodes: the deployment
+//! re-verifies every replayed entry before installing it ([`crate::Deployment::warm_start`]).
 //!
 //! # Flush policies
 //!
@@ -209,8 +208,8 @@ fn parse_entry<D: DomainCodec>(body: &str) -> Result<SharedCacheEntry<D>, String
 
 /// What a [`save_entries`] call accomplished: entries written, and entries that could not be
 /// encoded faithfully and were skipped. A non-zero `skipped` means the snapshot is lossy
-/// relative to the in-memory cache — the count rides the `ok saved` wire response and the
-/// stats snapshot so operators can see it.
+/// relative to the in-memory cache — the count rides `anosy-served`'s `# saved` exit line and
+/// the stats snapshot so operators can see it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveOutcome {
     /// Entries written to the file.
@@ -289,7 +288,8 @@ pub struct JournalConfig {
     /// How far each appended record gets before the append returns.
     pub flush: FlushPolicy,
     /// Compact once the journal file holds `N` records, on the thread whose append brought it
-    /// there (`None`: only on explicit `SaveCache` requests to the snapshot path).
+    /// there (`None`: only on explicit [`crate::Deployment::save_cache`] calls to the snapshot
+    /// path).
     pub compact_every: Option<u64>,
 }
 
@@ -491,8 +491,8 @@ impl<D: AbstractDomain> fmt::Debug for Journal<D> {
 impl<D: DomainCodec> Journal<D> {
     /// Opens (or creates) the journal at `config.path`: replays the good prefix, truncates any
     /// torn tail away, and leaves the file open for appending. The replayed entries are
-    /// returned for the caller to install (the deployment composes them with the snapshot load
-    /// and `--verify-on-load`); `stats().replayed`/`stats().torn` record what happened.
+    /// returned for the caller to install (the deployment verifies them and composes them with
+    /// the snapshot load); `stats().replayed`/`stats().torn` record what happened.
     ///
     /// # Errors
     ///

@@ -29,9 +29,9 @@
 //! * **The warm-start cache** ([`Deployment::save_cache`] / [`Deployment::warm_start`]): the
 //!   synthesis cache saved as a snapshot in the [`journal`]'s framed text format and loaded by
 //!   journal replay, so a restarted deployment skips cold-start synthesis entirely for every
-//!   query it has served before, and a torn snapshot still loads its good prefix. For caches
-//!   of dubious provenance, `warm_start`'s `verify` flag re-checks every entry's refinement
-//!   obligations with the solver before installing it.
+//!   query it has served before, and a torn snapshot still loads its good prefix. A file is
+//!   never trusted: every load re-checks each entry's refinement obligations with the solver
+//!   before installing it.
 //!
 //! On top of the deployment sits the **serving frontend** ([`Frontend`]): a sans-IO state
 //! machine exposing the whole surface as one typed request/response protocol

@@ -5,8 +5,8 @@
 //! (stdin/stdout, a TCP stream, a test script) can speak the protocol by pairing one of these
 //! codecs with a [`Frontend`](crate::Frontend). The text format follows the workspace's
 //! existing text-format conventions (the synthesis [`journal`](crate::journal)): space-separated
-//! `key=value` tokens, predicates and paths last on the line so they may contain spaces, and
-//! domain elements in their [`DomainCodec`](anosy_synth::DomainCodec) one-line encoding.
+//! `key=value` tokens, predicates last on the line so they may contain spaces, and domain
+//! elements in their [`DomainCodec`](anosy_synth::DomainCodec) one-line encoding.
 //!
 //! # Binary frames
 //!
@@ -39,8 +39,6 @@
 //! valid pred=x <= 100
 //! knowledge session=1 secret=300,200
 //! stats
-//! save path=warm.cache
-//! warm verify path=warm.cache
 //! close session=1
 //! ```
 //!
@@ -70,19 +68,17 @@
 //! ok counterexample 0,0
 //! ok knowledge size=6837 121..279,179..221
 //! ok stats open=1 ticks=2 …
-//! ok saved 2 skipped=0
-//! ok warm loaded=2 skipped=0
 //! ok closed 1
 //! err unknown-session no open session 7
 //! ```
 //!
 //! Encoding and parsing are inverses on every value the frontend can produce, except that query
-//! names and paths are taken verbatim from the line — a query name containing whitespace, or a
-//! path containing a line break, cannot ride this wire. The typed protocol allows such values;
-//! the codec **rejects them at encode time** ([`encode_request`] errors) rather than emitting a
-//! line that would silently token-split into a different request at parse time. Predicates are
-//! parsed first against the deployment layout's field names and then in the printer's
-//! positional `v0` syntax, so both human-written and re-encoded lines parse.
+//! names are taken verbatim from the line — a query name containing whitespace cannot ride this
+//! wire. The typed protocol allows such names; the codec **rejects them at encode time**
+//! ([`encode_request`] errors) rather than emitting a line that would silently token-split into
+//! a different request at parse time. Predicates are parsed first against the deployment
+//! layout's field names and then in the printer's positional `v0` syntax, so both human-written
+//! and re-encoded lines parse.
 
 use crate::proto::{Denial, DenialCode, ServeRequest, ServeResponse, SessionId, StatsSnapshot};
 use crate::ServeStats;
@@ -91,7 +87,6 @@ use anosy_logic::{parse_pred, parse_pred_with_layout, Point, Pred, SecretLayout}
 use anosy_synth::QueryDef;
 use std::collections::HashSet;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// A line that does not encode a request or response.
@@ -444,15 +439,6 @@ fn parse_request_inner(
             secret: secret_token(rest)?,
         }),
         "stats" if rest.trim().is_empty() => Ok(ServeRequest::Stats),
-        "save" => {
-            let (_, path) = tail(rest, "path=")?;
-            Ok(ServeRequest::SaveCache { path: PathBuf::from(path) })
-        }
-        "warm" => {
-            let (head, path) = tail(rest, "path=")?;
-            let verify = head.split_whitespace().any(|t| t == "verify");
-            Ok(ServeRequest::WarmStart { path: PathBuf::from(path), verify })
-        }
         "close" => Ok(ServeRequest::CloseSession { session: session_token(rest)? }),
         "metrics" if rest.trim().is_empty() => Ok(ServeRequest::Metrics),
         "trace" if rest.trim().is_empty() => Ok(ServeRequest::Trace),
@@ -470,20 +456,6 @@ fn wire_safe_name(name: &str) -> Result<&str, WireError> {
         )));
     }
     Ok(name)
-}
-
-/// Paths ride as the rest of the line, so interior spaces are fine — but a line break would
-/// frame as two lines (the second parsing as garbage), and leading/trailing whitespace is
-/// trimmed on parse; both break the encode/parse inverse and are refused.
-fn wire_safe_path(path: &std::path::Path) -> Result<std::path::Display<'_>, WireError> {
-    let text = path.to_string_lossy();
-    if text.contains(['\n', '\r']) || text.trim() != text {
-        return Err(WireError::new(format!(
-            "path `{}` cannot ride the line wire (line break or edge whitespace)",
-            text.escape_debug()
-        )));
-    }
-    Ok(path.display())
 }
 
 /// Renders a request as one wire line — the inverse of [`parse_request`] (predicates re-encode
@@ -528,11 +500,6 @@ pub fn encode_request(request: &ServeRequest) -> Result<String, WireError> {
             format!("knowledge session={session} secret={}", encode_point(secret))
         }
         ServeRequest::Stats => "stats".to_string(),
-        ServeRequest::SaveCache { path } => format!("save path={}", wire_safe_path(path)?),
-        ServeRequest::WarmStart { path, verify } => {
-            let verify = if *verify { "verify " } else { "" };
-            format!("warm {verify}path={}", wire_safe_path(path)?)
-        }
         ServeRequest::CloseSession { session } => format!("close session={session}"),
         ServeRequest::Metrics => "metrics".to_string(),
         ServeRequest::Trace => "trace".to_string(),
@@ -633,12 +600,6 @@ fn write_response(out: &mut String, response: &ServeResponse) -> fmt::Result {
             encode_journal(&s.journal),
             s.saves_skipped,
         ),
-        ServeResponse::CacheSaved { entries, skipped } => {
-            write!(out, "ok saved {entries} skipped={skipped}")
-        }
-        ServeResponse::WarmStarted { loaded, skipped } => {
-            write!(out, "ok warm loaded={loaded} skipped={skipped}")
-        }
         ServeResponse::SessionClosed { session } => write!(out, "ok closed {session}"),
         // The payload is emitted by the telemetry renderers, which guarantee one physical
         // line; flattening would corrupt JSON, so it is deliberately not applied.
@@ -1125,20 +1086,6 @@ pub fn parse_response(line: &str) -> Result<ServeResponse, WireError> {
                         .ok_or_else(|| WireError::new("missing or bad journal="))?,
                     saves_skipped: parse_counter(rest, "saves_skipped=")?,
                 }))),
-                "saved" => {
-                    let (head, _) = tail(rest, "skipped=")?;
-                    Ok(ServeResponse::CacheSaved {
-                        entries: head
-                            .trim_end()
-                            .parse()
-                            .map_err(|_| WireError::new("bad saved count"))?,
-                        skipped: parse_counter(rest, "skipped=")?,
-                    })
-                }
-                "warm" => Ok(ServeResponse::WarmStarted {
-                    loaded: parse_counter(rest, "loaded=")?,
-                    skipped: parse_counter(rest, "skipped=")?,
-                }),
                 "closed" => rest
                     .parse()
                     .map(|id| ServeResponse::SessionClosed { session: SessionId(id) })
@@ -1201,9 +1148,6 @@ mod tests {
             ServeRequest::CheckValidity { pred: IntExpr::var(1).ge(0) },
             ServeRequest::Knowledge { session: SessionId(1), secret: Point::new(vec![0, 0]) },
             ServeRequest::Stats,
-            ServeRequest::SaveCache { path: PathBuf::from("/tmp/a b.cache") },
-            ServeRequest::WarmStart { path: PathBuf::from("warm.cache"), verify: true },
-            ServeRequest::WarmStart { path: PathBuf::from("warm.cache"), verify: false },
             ServeRequest::CloseSession { session: SessionId(9) },
             ServeRequest::Metrics,
             ServeRequest::Trace,
@@ -1235,14 +1179,6 @@ mod tests {
             query: "my query".into(),
         };
         assert!(encode_request(&downgrade).is_err());
-        // Paths tolerate interior spaces but not line breaks (two physical lines) or edge
-        // whitespace (trimmed on parse): both would break the encode/parse inverse.
-        for bad in ["a\nb.cache", " padded.cache", "padded.cache "] {
-            let save = ServeRequest::SaveCache { path: PathBuf::from(bad) };
-            assert!(encode_request(&save).is_err(), "{bad:?}");
-            let warm = ServeRequest::WarmStart { path: PathBuf::from(bad), verify: true };
-            assert!(encode_request(&warm).is_err(), "{bad:?}");
-        }
     }
 
     #[test]
@@ -1309,9 +1245,6 @@ mod tests {
                 journal: [14, 9, 5, 1],
                 saves_skipped: 2,
             })),
-            ServeResponse::CacheSaved { entries: 2, skipped: 1 },
-            ServeResponse::CacheSaved { entries: 0, skipped: 0 },
-            ServeResponse::WarmStarted { loaded: 2, skipped: 1 },
             ServeResponse::SessionClosed { session: SessionId(3) },
             ServeResponse::Metrics {
                 json: "{\"counters\":{\"wire.lines\":7},\"histograms\":{}}".into(),
@@ -1392,6 +1325,9 @@ mod tests {
             "metrics extra",
             "trace extra",
             "save",
+            "save path=cache.snapshot", // no request names a file
+            "warm path=cache.snapshot",
+            "warm verify path=cache.snapshot",
             "close session=",
         ] {
             assert!(parse_request(bad, &layout()).is_err(), "`{bad}` must not parse");

@@ -1,7 +1,8 @@
 //! Crash/warm-restart chaos: a journaled deployment is killed mid-storm (dropped without any
-//! `SaveCache`), warm-restarted from snapshot + journal, and must then serve the *full* storm
+//! save), warm-restarted from snapshot + journal, and must then serve the *full* storm
 //! element-wise identically to the uninterrupted sequential oracle — with **zero re-synthesis**
-//! for every query journaled before the kill.
+//! for every query journaled before the kill. Recovery re-verifies every entry it loads, so a
+//! record that frames and checksums correctly but carries an unsound ind. set is skipped.
 //!
 //! Three lives per scenario:
 //!
@@ -23,11 +24,13 @@
 #[path = "support/oracle.rs"]
 mod support;
 
-use anosy_domains::IntervalDomain;
+use anosy_core::SharedCacheEntry;
+use anosy_domains::{AInt, IntervalDomain};
 use anosy_serve::{
-    Deployment, FlushPolicy, Frontend, JournalConfig, ServeConfig, Server, ServerConfig, SimNet,
-    Token, TranscriptEvent,
+    Deployment, FlushPolicy, Frontend, Journal, JournalConfig, ServeConfig, Server, ServerConfig,
+    SimNet, Token, TranscriptEvent,
 };
+use anosy_synth::{ApproxKind, IndSets};
 use rand::Rng;
 use std::path::PathBuf;
 
@@ -133,7 +136,7 @@ fn assert_matches_oracle(server: &SimServer) {
 /// A cold deployment with the journal opened (the `--journal` start-up path).
 fn journaled_deployment(config: &ServeConfig) -> Deployment<IntervalDomain> {
     let deployment: Deployment<IntervalDomain> = Deployment::new(support::layout(), config.clone());
-    deployment.open_journal(false).unwrap().expect("config carries a journal");
+    deployment.open_journal().unwrap().expect("config carries a journal");
     deployment
 }
 
@@ -150,7 +153,7 @@ fn killed_mid_storm_warm_restarts_without_resynthesis() {
     assert_eq!(first.stats().cache.synth_misses, 2, "the first life synthesized the storm");
     assert_eq!(first.journal_stats().appended, 2, "both commits were journaled as they landed");
     drop(server);
-    drop(first); // the kill: no SaveCache, no save-on-exit
+    drop(first); // the kill: no save, no save-on-exit
 
     // Second life: snapshotless recovery — the journal alone restores the cache.
     let second = journaled_deployment(&config);
@@ -238,4 +241,47 @@ fn live_compaction_mid_storm_keeps_recovery_lossless() {
     let (server, _) = run_on(second.share(), seed, |sim| storm(sim, true));
     assert_matches_oracle(&server);
     assert_eq!(second.stats().cache.synth_misses, 0);
+}
+
+#[test]
+fn a_tampered_journal_record_is_skipped_and_resynthesized() {
+    let seed = base_seed().wrapping_add(3);
+    let path = journal_path("tampered");
+    let config = ServeConfig::for_tests()
+        .with_journal(JournalConfig::new(&path).with_flush(FlushPolicy::EveryEntry));
+
+    let first = journaled_deployment(&config);
+    let (server, _) = run_on(first.share(), seed, |sim| storm(sim, false));
+    assert_matches_oracle(&server);
+    drop(server);
+    drop(first);
+
+    // Append a record that frames and checksums like any other but claims the whole space as
+    // the under-approximation of the palette's third query, which the storm never registers.
+    let tampered = support::query(2);
+    let whole = IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(0, 400)]);
+    let reopened = Journal::<IntervalDomain>::recover(JournalConfig::new(&path)).unwrap();
+    let record = SharedCacheEntry {
+        pred: tampered.pred().clone(),
+        layout: support::layout(),
+        kind: ApproxKind::Under,
+        members: None,
+        indsets: IndSets::new(ApproxKind::Under, whole.clone(), whole),
+    };
+    reopened.journal.append(&record).unwrap();
+    drop(reopened);
+
+    // Recovery replays all three records and installs only the two that verify.
+    let second: Deployment<IntervalDomain> = Deployment::new(support::layout(), config.clone());
+    let recovery = second.open_journal().unwrap().expect("config carries a journal");
+    assert_eq!((recovery.replayed, recovery.replay_skipped, recovery.torn), (3, 1, 0));
+    assert_eq!(second.stats().entries, 2, "the tampered record is not installed");
+    let (server, _) = run_on(second.share(), seed, |sim| storm(sim, true));
+    assert_matches_oracle(&server);
+    assert_eq!(second.stats().cache.synth_misses, 0);
+
+    // The tampered query is not warm: registering it re-synthesizes the honest ind. sets.
+    let indsets = second.register_query(&tampered, ApproxKind::Under, None).unwrap();
+    assert_eq!(second.stats().cache.synth_misses, 1);
+    assert_eq!(indsets, support::indsets_of(&tampered));
 }

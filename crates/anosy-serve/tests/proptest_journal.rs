@@ -27,8 +27,9 @@ fn layout() -> SecretLayout {
     SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build()
 }
 
-/// A persistable entry whose identity is `xo` (distinct `xo` → distinct cache key). The ind.
-/// sets are arbitrary but well-formed — recovery replays entries, it does not verify them.
+/// A persistable entry whose identity is `xo` (distinct `xo` → distinct cache key). Its ind.
+/// sets are sound for every `xo` in the layout — the diamond's centre is a model, and no point
+/// below `y = 100` is — because recovery re-verifies every entry before installing it.
 fn entry(xo: i64) -> SharedCacheEntry<IntervalDomain> {
     let pred = ((IntExpr::var(0) - xo).abs() + (IntExpr::var(1) - 200).abs()).le(100);
     SharedCacheEntry {
@@ -38,7 +39,7 @@ fn entry(xo: i64) -> SharedCacheEntry<IntervalDomain> {
         members: None,
         indsets: IndSets::new(
             ApproxKind::Under,
-            IntervalDomain::from_intervals(vec![AInt::new(121, 279), AInt::new(179, 221)]),
+            IntervalDomain::from_intervals(vec![AInt::new(xo, xo), AInt::new(200, 200)]),
             IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(0, 99)]),
         ),
     }
@@ -229,7 +230,7 @@ proptest! {
         let recover = |path: &PathBuf| {
             let config = ServeConfig::for_tests().with_journal(JournalConfig::new(path));
             let deployment: Deployment<IntervalDomain> = Deployment::new(layout(), config);
-            deployment.open_journal(false).unwrap().unwrap();
+            deployment.open_journal().unwrap().unwrap();
             deployment.shared().export_entries()
         };
         let plain = recover(&plain_path);
@@ -261,7 +262,7 @@ proptest! {
         let snapshot_path = config.journal.as_ref().unwrap().snapshot_path();
 
         let first: Deployment<IntervalDomain> = Deployment::new(layout(), config.clone());
-        first.open_journal(false).unwrap().unwrap();
+        first.open_journal().unwrap().unwrap();
         let mut committed = std::collections::BTreeSet::new();
         for &op in &ops[..crash.min(ops.len())] {
             match op {
@@ -292,8 +293,9 @@ proptest! {
         drop(first); // the crash: no save, no exit action
 
         let second: Deployment<IntervalDomain> = Deployment::new(layout(), config);
-        let recovery = second.open_journal(false).unwrap().unwrap();
+        let recovery = second.open_journal().unwrap().unwrap();
         prop_assert_eq!(recovery.torn, 0);
+        prop_assert_eq!((recovery.snapshot.skipped, recovery.replay_skipped), (0, 0));
         let mut recovered: Vec<String> =
             second.shared().export_entries().iter().map(|e| e.pred.to_string()).collect();
         let mut expected: Vec<String> =

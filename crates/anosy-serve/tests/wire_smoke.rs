@@ -5,8 +5,10 @@
 //! the same pipe from the shell; this test keeps it under plain `cargo test` too. A second
 //! script, `powerset.script`, runs `--domain powerset` and pins that domain's answers, refused
 //! posterior sizes and encoded knowledge against `powerset.expected`. Two more runs cover
-//! `--save-on-exit` (a snapshot the next process warm-starts from), and one library session
-//! checks that a refusal names its policy exactly as the served `deny policy` line does.
+//! `--save-on-exit` (a snapshot the next process warm-starts from with `--journal`), two
+//! more check that a tampered snapshot is refused at start-up and that no request names a
+//! file, and one library session checks that a refusal names its policy exactly as the served
+//! `deny policy` line does.
 //!
 //! The transcript is deterministic end to end: synthesis is deterministic, every request is
 //! answered in arrival order exactly as the sequential replay would (proptested in
@@ -136,29 +138,95 @@ fn library_and_served_refusals_spell_the_policy_alike() {
     assert!(served.contains(" min-size:30000 refuses nearby "), "{served}");
 }
 
-/// `--save-on-exit PATH` snapshots the synthesis cache after the last request, and a second
-/// process that warm-starts from that snapshot answers the same registration from the cache.
-#[test]
-fn save_on_exit_snapshots_the_cache_for_the_next_process() {
-    const REGISTER: &str =
-        "register name=nearby kind=under members=- pred=abs(x - 200) + abs(y - 200) <= 100\n";
+const REGISTER: &str =
+    "register name=nearby kind=under members=- pred=abs(x - 200) + abs(y - 200) <= 100\n";
+
+/// A fresh journal path for `name` in this process's scratch directory, with neither the
+/// journal nor its snapshot on disk; returned with its snapshot path.
+fn scratch_journal(name: &str) -> (String, String) {
     let dir = std::env::temp_dir().join("anosy-serve-wire-smoke");
     std::fs::create_dir_all(&dir).expect("the scratch dir is creatable");
-    let path = dir.join(format!("save-on-exit-{}.snapshot", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let path = path.to_str().expect("the scratch path is UTF-8");
+    let journal = dir.join(format!("{name}-{}.journal", std::process::id()));
+    let journal = journal.to_str().expect("the scratch path is UTF-8").to_string();
+    let snapshot = format!("{journal}.snapshot");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&snapshot);
+    (journal, snapshot)
+}
 
-    let first = served_stdio(REGISTER, &["--save-on-exit", path]);
+/// `--save-on-exit PATH` snapshots the synthesis cache after the last request, and a second
+/// process started with `--journal` over that snapshot answers the same registration from the
+/// cache, after re-verifying the loaded entry.
+#[test]
+fn save_on_exit_snapshots_the_cache_for_the_next_process() {
+    let (journal, snapshot) = scratch_journal("save-on-exit");
+
+    let first = served_stdio(REGISTER, &["--save-on-exit", &snapshot]);
     assert_eq!(first, "0.1 ok registered nearby\n# saved entries=1 skipped=0\n");
 
-    let second = served_stdio(&format!("warm path={path}\n{REGISTER}stats\n"), &[]);
-    let _ = std::fs::remove_file(path);
+    let second = served_stdio(&format!("{REGISTER}stats\n"), &["--journal", &journal]);
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&snapshot);
     let mut lines = second.lines();
-    assert_eq!(lines.next(), Some("0.1 ok warm loaded=1 skipped=0"), "{second}");
-    assert_eq!(lines.next(), Some("0.2 ok registered nearby"), "{second}");
+    assert_eq!(
+        lines.next(),
+        Some("# journal recovered replayed=0 torn=0 snapshot_loaded=1 skipped=0"),
+        "{second}"
+    );
+    assert_eq!(lines.next(), Some("0.1 ok registered nearby"), "{second}");
     let stats = lines.next().expect("the stats request is answered");
     assert!(stats.contains(" synth_hits=1 synth_misses=0 "), "{stats}");
     assert_eq!(lines.next(), None, "{second}");
+}
+
+/// A snapshot whose one record frames and checksums correctly but claims the whole space as the
+/// under-approximation of `nearby` is refused at start-up: the registration synthesizes afresh,
+/// and a `min-size:30000` session on `200,200` is refused exactly as on an honest server,
+/// whose true posterior there holds 20,201 points. Neither `save` nor `warm` is a request, so
+/// no line can write a file or load one.
+#[test]
+fn a_tampered_snapshot_is_refused_and_no_request_names_a_file() {
+    const SESSION: &str = "open min-size:30000\n\
+        downgrade session=4294967297 query=nearby secret=200,200\n\
+        knowledge session=4294967297 secret=200,200\n";
+    let (journal, snapshot) = scratch_journal("tampered");
+    let body = "entry kind=under members=-\n\
+        layout x:0:400 y:0:400\n\
+        pred ((abs((v0 - 200)) + abs((v1 - 200))) <= 100)\n\
+        truthy 0..400,0..400\n\
+        falsy 0..400,0..99\n\
+        end\n";
+    let sum = anosy_serve::wire::frame_checksum(body.as_bytes());
+    let record = format!("record len={} sum={sum:016x}\n{body}", body.len());
+    std::fs::write(&snapshot, format!("anosy-synth-journal v1 domain=interval\n{record}"))
+        .expect("the snapshot is writable");
+    let written = format!("{journal}.written");
+    let _ = std::fs::remove_file(&written);
+
+    let honest = served_stdio(&format!("{REGISTER}{SESSION}"), &[]);
+    let probe = format!("{REGISTER}{SESSION}stats\nsave path={written}\nwarm path={snapshot}\n");
+    let probed = served_stdio(&probe, &["--journal", &journal]);
+    let written_exists = std::path::Path::new(&written).exists();
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&snapshot);
+    let _ = std::fs::remove_file(&written);
+
+    let mut lines = probed.lines();
+    assert_eq!(
+        lines.next(),
+        Some("# journal recovered replayed=0 torn=0 snapshot_loaded=0 skipped=1"),
+        "{probed}"
+    );
+    for want in honest.lines() {
+        assert_eq!(lines.next(), Some(want), "{probed}");
+    }
+    assert!(honest.contains("0.3 deny policy "), "{honest}");
+    let stats = lines.next().expect("the stats request is answered");
+    assert!(stats.contains(" synth_hits=0 synth_misses=1 "), "{stats}");
+    assert_eq!(lines.next(), Some("! malformed wire line: unknown request `save`"), "{probed}");
+    assert_eq!(lines.next(), Some("! malformed wire line: unknown request `warm`"), "{probed}");
+    assert_eq!(lines.next(), None, "{probed}");
+    assert!(!written_exists, "a `save` line wrote {written}");
 }
 
 /// Serves the smoke script to one loopback client of `anosy-served --listen` (plus `extra`

@@ -420,7 +420,8 @@ pub struct RestartRow {
     pub journaled_entries: usize,
     /// Best-of-N construction time of a bare deployment (no journal, nothing to load).
     pub cold_seconds: f64,
-    /// Best-of-N time of `Deployment::new` + `open_journal` over the populated files.
+    /// Best-of-N time of `Deployment::new` + `open_journal` (which verifies every entry) over
+    /// the populated files.
     pub warm_seconds: f64,
 }
 
@@ -428,22 +429,28 @@ pub struct RestartRow {
 /// half the entries and a journal holding the rest are staged once per size, then the
 /// recovery path (`Deployment::new` + [`anosy::serve::Deployment::open_journal`]) is timed
 /// against a bare cold construction (best of `iterations` each). Entries are synthetic
-/// single-box caches — the cost scales with entry count and codec work, not solver work.
+/// single-box caches that the recovery's re-verification accepts, so the cost scales with
+/// entry count, codec work and one verification per entry.
 pub fn restart_rows(sizes: &[usize], iterations: usize) -> Vec<RestartRow> {
     use anosy::core::SharedCacheEntry;
     use anosy::serve::{save_entries, Journal, JournalConfig, ServeConfig};
 
     let layout = SecretLayout::builder().field("x", 0, 400).field("y", 0, 400).build();
-    let entry = |k: i64| SharedCacheEntry::<IntervalDomain> {
-        pred: ((IntExpr::var(0) - k).abs() + IntExpr::var(1)).le(100),
-        layout: layout.clone(),
-        kind: ApproxKind::Under,
-        members: None,
-        indsets: IndSets::new(
-            ApproxKind::Under,
-            IntervalDomain::from_intervals(vec![AInt::new(0, 100), AInt::new(0, 100)]),
-            IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(101, 400)]),
-        ),
+    // Entry `k` is the diamond `|x − cx| + |y − 200| ≤ r` with a distinct `(cx, r)` per `k`
+    // (cx in 100..=300, r in 1..=100): its centre is a model and no point below `y = 100` is.
+    let entry = |k: i64| {
+        let (cx, r) = (100 + (k / 100) % 201, 1 + k % 100);
+        SharedCacheEntry::<IntervalDomain> {
+            pred: ((IntExpr::var(0) - cx).abs() + (IntExpr::var(1) - 200).abs()).le(r),
+            layout: layout.clone(),
+            kind: ApproxKind::Under,
+            members: None,
+            indsets: IndSets::new(
+                ApproxKind::Under,
+                IntervalDomain::from_intervals(vec![AInt::new(cx, cx), AInt::new(200, 200)]),
+                IntervalDomain::from_intervals(vec![AInt::new(0, 400), AInt::new(0, 99)]),
+            ),
+        }
     };
     let mut rows = Vec::new();
     for &size in sizes {
@@ -479,9 +486,10 @@ pub fn restart_rows(sizes: &[usize], iterations: usize) -> Vec<RestartRow> {
             let warm: Deployment<IntervalDomain> =
                 Deployment::new(layout.clone(), journaled.clone());
             let recovery =
-                warm.open_journal(false).expect("recovery succeeds").expect("journal configured");
+                warm.open_journal().expect("recovery succeeds").expect("journal configured");
             warm_seconds = warm_seconds.min(start.elapsed().as_secs_f64());
             assert_eq!(recovery.snapshot.installed + recovery.replayed, size);
+            assert_eq!(warm.stats().entries, size, "every staged entry verifies");
             journaled_entries = recovery.replayed;
         }
         rows.push(RestartRow {

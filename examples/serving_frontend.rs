@@ -5,7 +5,9 @@
 //! sans-IO `Frontend`, ticks that answer many requests at once, responses tagged with request
 //! ids, and the line-oriented wire form every request and response also has (`anosy-served`
 //! speaks exactly these lines over stdin/stdout). Finishes with a save + verified warm start, the
-//! restart path of a real deployment.
+//! restart path of a real deployment. Persistence is the operator's, not a request: it goes
+//! through the deployment's library calls (`anosy-served` wires the same calls to `--journal`
+//! and `--save-on-exit`).
 //!
 //! Run with: `cargo run --release -p anosy --example serving_frontend`
 
@@ -71,25 +73,17 @@ fn run(config: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
         println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
     }
 
-    // Tick 4 — persistence: save the synthesis cache, then prove a restarted deployment can
-    // warm-start from it with every entry re-verified against its refinement obligations.
+    // Persistence: the operator saves the synthesis cache, and a restarted deployment
+    // warm-starts from it, re-verifying every entry against its refinement obligations.
     let path = std::env::temp_dir().join("anosy-serving-frontend-example.cache");
-    frontend.submit(operator, Req::SaveCache { path: path.clone() });
-    for tagged in frontend.tick() {
-        println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
-    }
+    let saved = frontend.deployment().save_cache(&path)?;
+    println!("saved cache: {} written, {} unencodable", saved.written, saved.skipped);
 
     let restarted: Deployment<IntervalDomain> =
         Deployment::new(layout, frontend.deployment().config().clone());
-    let mut restarted_front = Frontend::new(restarted);
-    let conn = restarted_front.connect();
-    let warm = Req::WarmStart { path: path.clone(), verify: true };
-    println!("-> {}", wire::encode_request(&warm)?);
-    restarted_front.submit(conn, warm);
-    for tagged in restarted_front.tick() {
-        println!("<- {} {}", tagged.request, wire::encode_response(&tagged.response));
-    }
-    let stats = restarted_front.deployment().stats();
+    let warm = restarted.warm_start(&path)?;
+    println!("warm start: {} verified and installed, {} refused", warm.installed, warm.skipped);
+    let stats = restarted.stats();
     println!(
         "restart summary: {} entr{} warm-loaded, {} synthesized — the restarted deployment \
          skips cold-start synthesis entirely.",
